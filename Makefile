@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test race vet fmt lint staticcheck fuzz fuzz-smoke \
 	bench bench-quick bench-exec bench-mut bench-dur bench-load \
 	bench-adm bench-qc bench-shard bench-guard loadtest golden check cover \
-	obs-smoke
+	obs-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ test:
 # the field; the seed is printed on failure for reproduction.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# benchmark-smoke runs the serving benchmark's own tests (a nested
+# module, so `go test ./...` at the root never enters it): a production
+# change that breaks its canary digest or its ledger chain fails here,
+# before anyone measures with it. About 30 s; needs GOMAXPROCS >= 2.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

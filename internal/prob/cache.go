@@ -3,90 +3,63 @@ package prob
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/invindex"
 	"repro/internal/query"
 )
 
-// scoreCache memoises the pure sub-terms of interpretation scores: the
-// template prior P(T), the per-keyword-interpretation probability
-// P(Ai:ki | T∩Ai), and the DivQ joint co-occurrence probability
-// P(A:[k1..kn] | A). All three are deterministic functions of the
-// immutable index and the catalogue state at Model construction, so
-// memoisation is transparent to ranking. sync.Map fits the access
-// pattern: each key is written once and read many times, concurrently.
+// scoreCache memoises the pure sub-terms of interpretation scores,
+// partitioned by what an entry depends on, so that a successor model
+// (see InheritCache) can keep everything a mutation batch left valid by
+// sharing pointers instead of copying entries:
 //
-// The cache deliberately keys keyword probabilities on (kind, keyword,
-// target) rather than the positional ki.Key(): the probability of
-// "hanks" ∈ actor.name is independent of the keyword's position in the
-// query, so repeats across positions and across requests share one entry.
+//   - the template prior P(T) depends only on the catalogue, which every
+//     snapshot shares — one map, handed down unchanged;
+//   - the value probability P(Ai:ki | T∩Ai) and the DivQ joint
+//     co-occurrence probability P(A:[k1..kn] | A) are functions of one
+//     attribute's statistics — one sub-cache per attribute, handed down
+//     while that attribute is clean.
+//
+// Table-, column- and aggregate-name interpretations score the configured
+// SchemaTermProb constant and are not memoised at all. Entries are
+// write-once and read many times, concurrently, which is what sync.Map
+// is for; the attribute set is fixed by the schema, so attrs itself is
+// read-only after construction.
+//
+// Value probabilities are keyed on the keyword alone within their
+// attribute, not the positional ki.Key(): the probability of "hanks" ∈
+// actor.name is independent of the keyword's position in the query, so
+// repeats across positions and across requests share one entry.
 type scoreCache struct {
-	prior sync.Map // template ID (int) -> float64
-	kw    sync.Map // keyword sub-term key (string) -> float64
-	joint sync.Map // attr + keyword bag key (string) -> float64
-	// size counts stored kw+joint entries (stores happen once per key),
-	// so InheritCache can bound its transplant walk without iterating.
-	size atomic.Int64
+	prior *sync.Map // template ID (int) -> float64
+	attrs map[invindex.AttrRef]*attrScores
 }
 
-func newScoreCache() *scoreCache {
-	return &scoreCache{}
+// attrScores is the sub-cache of one attribute.
+type attrScores struct {
+	kw    sync.Map // keyword -> float64
+	joint sync.Map // keyword bag in binding order, NUL-joined -> float64
 }
 
-// kwKey is the position-independent identity of a keyword sub-term.
-func kwKey(ki query.KeywordInterpretation) string {
-	var sb strings.Builder
-	sb.WriteString(ki.Kind.String())
-	sb.WriteByte(0)
-	sb.WriteString(ki.Keyword)
-	sb.WriteByte(0)
-	switch ki.Kind {
-	case query.KindTable:
-		sb.WriteString(ki.Table)
-	case query.KindAggregate:
-		sb.WriteString(ki.Agg)
-	default:
-		sb.WriteString(ki.Attr.String())
+func newScoreCache(attrs []invindex.AttrRef) *scoreCache {
+	c := &scoreCache{prior: new(sync.Map), attrs: make(map[invindex.AttrRef]*attrScores, len(attrs))}
+	for _, a := range attrs {
+		c.attrs[a] = new(attrScores)
 	}
-	return sb.String()
+	return c
 }
 
-// jointKey identifies a joint value probability: the attribute plus the
-// bound keyword bag in binding order (binding order is deterministic, so
-// equal bags in equal order share an entry).
-func jointKey(keywords []string, attr invindex.AttrRef) string {
-	var sb strings.Builder
-	sb.WriteString(attr.String())
-	for _, k := range keywords {
-		sb.WriteByte(0)
-		sb.WriteString(k)
-	}
-	return sb.String()
-}
-
-// maxInheritedEntries bounds the transplant walk of InheritCache: past
-// this size, copying the warmed cache under the writer lock would cost
-// more per batch than letting the next queries re-memoise, so the new
-// snapshot starts with a cold kw/joint cache (priors, a handful of
-// floats, always transfer). The bound keeps Apply latency proportional
-// to the batch even on servers whose query diversity has grown the
-// cache without limit.
-const maxInheritedEntries = 1 << 16
-
-// InheritCache transplants the surviving memoised sub-terms of old's
-// cache into m's, dropping every entry whose value depends on a stale
-// attribute (keys of staleAttrs are "table.column" strings). It is the
-// cache-invalidation half of incremental index maintenance: after a
-// mutation batch, the rebased model keeps the sub-terms of untouched
-// attributes — template priors depend only on the (immutable) catalogue
-// and survive wholesale; schema-term probabilities are configuration
-// constants and survive too; value and joint probabilities are functions
-// of one attribute's statistics and survive iff that attribute is clean.
-//
-// The transplant walk is O(cached entries), capped by
-// maxInheritedEntries; memoisation is transparent, so skipping the
-// transplant never changes a score, only re-derivation cost.
+// InheritCache makes m continue old's memoised sub-terms, except those of
+// stale attributes (keys of staleAttrs are "table.column" strings). It is
+// the cache-invalidation half of incremental index maintenance: after a
+// mutation batch, the rebased model shares the template priors and the
+// sub-cache of every attribute the batch left untouched with its
+// predecessor — by pointer, so the cost is one step per attribute,
+// independent of how many entries query diversity has accumulated — and
+// starts each stale attribute cold. Sharing is sound for the reason
+// memoisation is: an entry is a pure function of its attribute's
+// statistics, which are identical in both snapshots, so it does not
+// matter which model's readers compute it first.
 //
 // Call before the new model is published; InheritCache is not
 // synchronised against concurrent scoring on m.
@@ -94,39 +67,12 @@ func (m *Model) InheritCache(old *Model, staleAttrs map[string]bool) {
 	if m.cache == nil || old == nil || old.cache == nil {
 		return
 	}
-	if old.cache.size.Load() > maxInheritedEntries {
-		old.cache.prior.Range(func(k, v any) bool {
-			m.cache.prior.Store(k, v)
-			return true
-		})
-		return
+	m.cache.prior = old.cache.prior
+	for a := range m.cache.attrs {
+		if scores := old.cache.attrs[a]; scores != nil && !staleAttrs[a.String()] {
+			m.cache.attrs[a] = scores
+		}
 	}
-	valueKind := query.KindValue.String()
-	old.cache.prior.Range(func(k, v any) bool {
-		m.cache.prior.Store(k, v)
-		return true
-	})
-	old.cache.kw.Range(func(k, v any) bool {
-		key := k.(string)
-		// kwKey layout: kind \x00 keyword \x00 target.
-		if kind, rest, ok := strings.Cut(key, "\x00"); ok && kind == valueKind {
-			if _, attr, ok := strings.Cut(rest, "\x00"); ok && staleAttrs[attr] {
-				return true
-			}
-		}
-		m.cache.kw.Store(k, v)
-		m.cache.size.Add(1)
-		return true
-	})
-	old.cache.joint.Range(func(k, v any) bool {
-		// jointKey layout: attr \x00 keyword [\x00 keyword ...].
-		if attr, _, ok := strings.Cut(k.(string), "\x00"); ok && staleAttrs[attr] {
-			return true
-		}
-		m.cache.joint.Store(k, v)
-		m.cache.size.Add(1)
-		return true
-	})
 }
 
 // templatePrior returns the cached prior, computing and storing it on the
@@ -142,26 +88,32 @@ func (c *scoreCache) templatePrior(id int, compute func() float64) float64 {
 
 // keywordProb returns the cached keyword sub-term probability.
 func (c *scoreCache) keywordProb(ki query.KeywordInterpretation, compute func() float64) float64 {
-	k := kwKey(ki)
-	if v, ok := c.kw.Load(k); ok {
+	if ki.Kind != query.KindValue {
+		return compute()
+	}
+	scores := c.attrs[ki.Attr]
+	if scores == nil {
+		return compute()
+	}
+	if v, ok := scores.kw.Load(ki.Keyword); ok {
 		return v.(float64)
 	}
 	p := compute()
-	if _, loaded := c.kw.LoadOrStore(k, p); !loaded {
-		c.size.Add(1)
-	}
+	scores.kw.Store(ki.Keyword, p)
 	return p
 }
 
 // jointProb returns the cached joint value probability.
 func (c *scoreCache) jointProb(keywords []string, attr invindex.AttrRef, compute func() float64) float64 {
-	k := jointKey(keywords, attr)
-	if v, ok := c.joint.Load(k); ok {
+	scores := c.attrs[attr]
+	if scores == nil {
+		return compute()
+	}
+	k := strings.Join(keywords, "\x00")
+	if v, ok := scores.joint.Load(k); ok {
 		return v.(float64)
 	}
 	p := compute()
-	if _, loaded := c.joint.LoadOrStore(k, p); !loaded {
-		c.size.Add(1)
-	}
+	scores.joint.Store(k, p)
 	return p
 }

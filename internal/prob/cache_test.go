@@ -5,82 +5,94 @@ import (
 
 	"repro/internal/invindex"
 	"repro/internal/query"
+	"repro/internal/relstore"
 )
 
-// TestInheritCacheInvalidation: entries of stale attributes are dropped,
-// everything else survives the transplant.
-func TestInheritCacheInvalidation(t *testing.T) {
-	oldM := &Model{cache: newScoreCache()}
-	newM := &Model{cache: newScoreCache()}
-
-	clean := invindex.AttrRef{Table: "movie", Column: "title"}
-	dirty := invindex.AttrRef{Table: "actor", Column: "name"}
-
-	kiClean := query.KeywordInterpretation{Kind: query.KindValue, Keyword: "terminal", Attr: clean}
-	kiDirty := query.KeywordInterpretation{Kind: query.KindValue, Keyword: "hanks", Attr: dirty}
-	kiSchema := query.KeywordInterpretation{Kind: query.KindTable, Keyword: "actor", Table: "actor"}
-	kiColDirty := query.KeywordInterpretation{Kind: query.KindColumn, Keyword: "name", Attr: dirty}
-
-	oldM.cache.prior.Store(7, 0.25)
-	oldM.cache.kw.Store(kwKey(kiClean), 0.5)
-	oldM.cache.kw.Store(kwKey(kiDirty), 0.5)
-	oldM.cache.kw.Store(kwKey(kiSchema), 0.5)
-	oldM.cache.kw.Store(kwKey(kiColDirty), 0.5)
-	oldM.cache.joint.Store(jointKey([]string{"tom", "hanks"}, dirty), 0.5)
-	oldM.cache.joint.Store(jointKey([]string{"the", "terminal"}, clean), 0.5)
-
-	newM.InheritCache(oldM, map[string]bool{dirty.String(): true})
-
-	mustHave := func(m *Model, store string, key any, want bool) {
-		t.Helper()
-		var ok bool
-		switch store {
-		case "prior":
-			_, ok = m.cache.prior.Load(key)
-		case "kw":
-			_, ok = m.cache.kw.Load(key)
-		case "joint":
-			_, ok = m.cache.joint.Load(key)
-		}
-		if ok != want {
-			t.Errorf("%s[%v]: present=%v, want %v", store, key, ok, want)
-		}
+// rankAll ranks the complete interpretation space of each query.
+func rankAll(f *fixture, ix *invindex.Index, m *Model, queries [][]string) [][]Scored {
+	out := make([][]Scored, len(queries))
+	for i, q := range queries {
+		c := query.GenerateCandidates(ix, q, query.GenerateOptionsConfig{})
+		out[i] = m.Rank(query.GenerateComplete(c, f.cat, query.GenerateConfig{}))
 	}
-	mustHave(newM, "prior", 7, true)
-	mustHave(newM, "kw", kwKey(kiClean), true)
-	mustHave(newM, "kw", kwKey(kiDirty), false)
-	// Schema-term probabilities are configuration constants: they survive
-	// even when their attribute's data statistics changed.
-	mustHave(newM, "kw", kwKey(kiSchema), true)
-	mustHave(newM, "kw", kwKey(kiColDirty), true)
-	mustHave(newM, "joint", jointKey([]string{"tom", "hanks"}, dirty), false)
-	mustHave(newM, "joint", jointKey([]string{"the", "terminal"}, clean), true)
+	return out
 }
 
-// TestInheritCacheSizeCap: an oversized cache only transplants the
-// template priors — the kw/joint walk is skipped so Apply latency stays
-// bounded regardless of accumulated query diversity.
-func TestInheritCacheSizeCap(t *testing.T) {
-	oldM := &Model{cache: newScoreCache()}
-	newM := &Model{cache: newScoreCache()}
-	ki := query.KeywordInterpretation{Kind: query.KindValue, Keyword: "x",
-		Attr: invindex.AttrRef{Table: "t", Column: "c"}}
-	oldM.cache.prior.Store(1, 0.5)
-	oldM.cache.kw.Store(kwKey(ki), 0.5)
-	oldM.cache.size.Store(maxInheritedEntries + 1)
+func entries(scores *attrScores) int {
+	n := 0
+	count := func(_, _ any) bool { n++; return true }
+	scores.kw.Range(count)
+	scores.joint.Range(count)
+	return n
+}
 
-	newM.InheritCache(oldM, nil)
-	if _, ok := newM.cache.prior.Load(1); !ok {
-		t.Fatal("priors must transfer even past the size cap")
+// TestInheritCacheSharesCleanAttributes: after a batch that touches only
+// actor.name, the successor model starts that attribute cold, shares the
+// template priors and every other attribute's sub-cache with its
+// predecessor by pointer, and scores bit-identically to a model built
+// cold over the new index.
+func TestInheritCacheSharesCleanAttributes(t *testing.T) {
+	f := newFixture(t)
+	cfg := Config{UseCoOccurrence: true}
+	queries := [][]string{{"tom", "hanks"}, {"the", "terminal"}, {"hanks", "2004"}, {"actor", "big"}}
+	oldM := New(f.ix, f.cat, cfg)
+	rankAll(f, f.ix, oldM, queries) // warm every sub-cache
+
+	ndb, changes, err := f.db.Apply([]relstore.Mutation{
+		{Op: relstore.OpInsert, Table: "actor", Values: []string{"a4", "Hanks Hanks Hanks"}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := newM.cache.kw.Load(kwKey(ki)); ok {
-		t.Fatal("kw entries must not transfer past the size cap")
+	nix := f.ix.Apply(ndb, changes)
+	newM := New(nix, f.cat, cfg)
+	dirty := invindex.AttrRef{Table: "actor", Column: "name"}
+	newM.InheritCache(oldM, map[string]bool{dirty.String(): true})
+
+	if newM.cache.prior != oldM.cache.prior {
+		t.Error("template priors must be shared by pointer")
+	}
+	for a, scores := range newM.cache.attrs {
+		shared := scores == oldM.cache.attrs[a]
+		switch {
+		case a == dirty && (shared || entries(scores) != 0):
+			t.Errorf("%s is stale: want a fresh, empty sub-cache", a)
+		case a != dirty && !shared:
+			t.Errorf("%s is clean: want the predecessor's sub-cache by pointer", a)
+		}
+	}
+	if entries(oldM.cache.attrs[dirty]) == 0 || entries(oldM.cache.attrs[invindex.AttrRef{Table: "movie", Column: "title"}]) == 0 {
+		t.Fatal("warm-up left the sub-caches under test empty")
+	}
+
+	// The insert moved actor.name's statistics, so a wrongly inherited
+	// entry would show as a score difference here.
+	cold := New(nix, f.cat, Config{UseCoOccurrence: true, DisableScoreCache: true})
+	got, want := rankAll(f, nix, newM, queries), rankAll(f, nix, cold, queries)
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("query %v: %d interpretations, want %d", queries[i], len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j].Score != want[i][j].Score || got[i][j].Q.Key() != want[i][j].Q.Key() {
+				t.Fatalf("query %v rank %d: inherited %v (%v), cold %v (%v)", queries[i], j,
+					got[i][j].Q.Key(), got[i][j].Score, want[i][j].Q.Key(), want[i][j].Score)
+			}
+		}
+	}
+	stale := rankAll(f, f.ix, oldM, queries)
+	same := true
+	for j := range want[0] {
+		same = same && j < len(stale[0]) && stale[0][j].Score == want[0][j].Score
+	}
+	if same {
+		t.Fatal("the batch did not move any score of \"tom hanks\": the test cannot see a stale entry")
 	}
 }
 
 // TestInheritCacheDisabled: no-ops cleanly when either side has no cache.
 func TestInheritCacheDisabled(t *testing.T) {
-	withCache := &Model{cache: newScoreCache()}
+	withCache := &Model{cache: newScoreCache(nil)}
 	without := &Model{}
 	without.InheritCache(withCache, nil)
 	withCache.InheritCache(without, nil)

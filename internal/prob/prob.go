@@ -90,7 +90,7 @@ func New(ix *invindex.Index, cat *query.Catalog, cfg Config) *Model {
 	}
 	m := &Model{ix: ix, cat: cat, cfg: cfg}
 	if !cfg.DisableScoreCache {
-		m.cache = newScoreCache()
+		m.cache = newScoreCache(ix.Attributes())
 	}
 	return m
 }

@@ -1,6 +1,6 @@
 // Package qlog is the structured query log: one JSONL line per served
 // request, written by a single background goroutine fed from a bounded
-// channel so the serving path never blocks on disk.
+// ring so the serving path never blocks on disk.
 //
 // The log is the substrate for the ROADMAP's ranking feedback loop —
 // it records the keywords, the interpretation the engine chose, the
@@ -9,11 +9,12 @@
 // selection counts back into the prob model's priors.
 //
 // Delivery semantics are deliberately lossy under pressure: when the
-// channel is full the OLDEST queued entry is dropped to admit the new
-// one (recent traffic is worth more to a feedback loop than stale),
-// and a dropped counter records the loss honestly. Files rotate by
-// size (`queries-%06d.jsonl`) and old files are pruned beyond a cap,
-// bounding disk usage without an external logrotate.
+// ring is full the OLDEST queued entry is dropped to admit the new one
+// (recent traffic is worth more to a feedback loop than stale), and a
+// dropped counter records the loss exactly: every entry handed to Log
+// ends up counted as written or as dropped, never both, never neither.
+// Files rotate by size (`queries-%06d.jsonl`) and old files are pruned
+// beyond a cap, bounding disk usage without an external logrotate.
 package qlog
 
 import (
@@ -83,7 +84,7 @@ type Options struct {
 	// MaxFiles caps retained rotated files, oldest pruned first
 	// (default 8).
 	MaxFiles int
-	// Buffer is the channel depth between serving path and writer
+	// Buffer is the ring depth between serving path and writer
 	// (default 1024).
 	Buffer int
 }
@@ -101,11 +102,17 @@ type Logger struct {
 	dir  string
 	opts Options
 
-	ch      chan Entry
-	done    chan struct{}
-	once    sync.Once
-	dropped atomic.Int64
-	written atomic.Int64
+	// mu guards the ring: queued entries starting at head, oldest
+	// first. Evicting the oldest and admitting the newcomer is one
+	// critical section, which is what makes the drop count exact.
+	mu           sync.Mutex
+	nonEmpty     *sync.Cond // signalled when the ring gains an entry or closes
+	ring         []Entry
+	head, queued int
+	closed       bool
+	done         chan struct{}
+	dropped      atomic.Int64
+	written      atomic.Int64
 
 	// writer-goroutine state (no locking: single owner).
 	f   *os.File
@@ -133,9 +140,10 @@ func Open(dir string, opts Options) (*Logger, error) {
 	l := &Logger{
 		dir:  dir,
 		opts: opts,
-		ch:   make(chan Entry, opts.Buffer),
+		ring: make([]Entry, opts.Buffer),
 		done: make(chan struct{}),
 	}
+	l.nonEmpty = sync.NewCond(&l.mu)
 	seqs, err := listSeqs(dir)
 	if err != nil {
 		return nil, err
@@ -152,10 +160,9 @@ func Open(dir string, opts Options) (*Logger, error) {
 	return l, nil
 }
 
-// Log enqueues an entry without blocking. When the buffer is full the
-// oldest queued entry is evicted to make room; if a concurrent racer
-// steals the freed slot the new entry is dropped instead. Either way
-// exactly one entry is lost and counted.
+// Log enqueues an entry without blocking on the writer. When the ring
+// is full the oldest queued entry is overwritten and counted as dropped;
+// an entry logged after Close is itself counted as dropped.
 func (l *Logger) Log(e Entry) {
 	if l == nil {
 		return
@@ -163,22 +170,20 @@ func (l *Logger) Log(e Entry) {
 	if e.TS == "" {
 		e.TS = time.Now().UTC().Format(time.RFC3339Nano)
 	}
-	select {
-	case l.ch <- e:
-		return
+	l.mu.Lock()
+	switch {
+	case l.closed:
+		l.dropped.Add(1)
+	case l.queued == len(l.ring):
+		l.ring[l.head] = e
+		l.head = (l.head + 1) % len(l.ring)
+		l.dropped.Add(1)
 	default:
+		l.ring[(l.head+l.queued)%len(l.ring)] = e
+		l.queued++
 	}
-	// Full: drop the oldest, then retry once.
-	select {
-	case <-l.ch:
-	default:
-	}
-	select {
-	case l.ch <- e:
-		l.dropped.Add(1) // the evicted oldest
-	default:
-		l.dropped.Add(1) // lost the race; this entry is the casualty
-	}
+	l.mu.Unlock()
+	l.nonEmpty.Signal()
 }
 
 // Dropped reports entries lost to backpressure since Open.
@@ -206,19 +211,39 @@ func (l *Logger) Dir() string {
 }
 
 // Close drains queued entries, flushes, and closes the file. Safe to
-// call more than once; Log after Close silently drops.
+// call more than once; Log after Close drops (and counts) the entry.
 func (l *Logger) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.once.Do(func() { close(l.ch) })
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.nonEmpty.Signal()
 	<-l.done
 	return nil
 }
 
+// next blocks until an entry is queued and pops the oldest; ok is false
+// once the logger is closed and drained.
+func (l *Logger) next() (e Entry, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.queued == 0 {
+		if l.closed {
+			return Entry{}, false
+		}
+		l.nonEmpty.Wait()
+	}
+	e, l.ring[l.head] = l.ring[l.head], Entry{}
+	l.head = (l.head + 1) % len(l.ring)
+	l.queued--
+	return e, true
+}
+
 func (l *Logger) run() {
 	defer close(l.done)
-	for e := range l.ch {
+	for e, ok := l.next(); ok; e, ok = l.next() {
 		l.write(e)
 	}
 	if l.w != nil {
@@ -233,6 +258,7 @@ func (l *Logger) write(e Entry) {
 	b, err := json.Marshal(e)
 	if err != nil {
 		// Entry is a plain struct of marshalable fields; unreachable.
+		l.dropped.Add(1)
 		return
 	}
 	b = append(b, '\n')
@@ -240,7 +266,8 @@ func (l *Logger) write(e Entry) {
 		l.rotate()
 	}
 	if l.w == nil {
-		return // disk failed at rotate; counted via dropped
+		l.dropped.Add(1) // disk failed at rotate
+		return
 	}
 	if _, err := l.w.Write(b); err != nil {
 		l.dropped.Add(1)

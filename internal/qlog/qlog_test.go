@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -148,38 +149,60 @@ func TestResumeAfterReopen(t *testing.T) {
 	}
 }
 
-// Backpressure: with the writer unable to drain (tiny buffer, many
-// producers), Log must never block and must count drops.
+// Backpressure: with the writer unable to keep up (tiny ring, many
+// producers), Log must never block on it, and the accounting is exact at
+// any core count: every produced entry is either on disk or counted as
+// dropped. Dropping the oldest never reorders one producer's entries and
+// never costs the newest entry its place.
 func TestBackpressureDropsOldestWithoutBlocking(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Buffer: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
 	const producers, per = 8, 500
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				l.Log(Entry{Op: "search", Status: 200, DurationUS: int64(p*per + i)})
-			}
-		}(p)
-	}
-	wg.Wait() // would deadlock here if Log ever blocked
-	l.Close()
+	for _, procs := range []int{1, 2, 8} {
+		for _, buffer := range []int{1, 2, 64} {
+			t.Run(fmt.Sprintf("procs=%d/buffer=%d", procs, buffer), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				dir := t.TempDir()
+				l, err := Open(dir, Options{Buffer: buffer})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				for p := 0; p < producers; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						for i := 0; i < per; i++ {
+							l.Log(Entry{Op: "search", Status: 200, ShardFanout: p + 1, DurationUS: int64(i)})
+						}
+					}(p)
+				}
+				wg.Wait()
+				l.Log(Entry{Op: "last", Status: 200})
+				l.Close()
+				l.Log(Entry{Op: "late", Status: 200}) // after Close: dropped and counted
+				const produced = producers*per + 2
 
-	got, err := ReadAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(got))+l.Dropped() < producers*per {
-		t.Fatalf("accounting leak: written %d + dropped %d < produced %d",
-			len(got), l.Dropped(), producers*per)
-	}
-	if l.Written() != int64(len(got)) {
-		t.Fatalf("Written() = %d but %d lines on disk", l.Written(), len(got))
+				got, err := ReadAll(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.Written() != int64(len(got)) {
+					t.Fatalf("Written() = %d but %d lines on disk", l.Written(), len(got))
+				}
+				if l.Written()+l.Dropped() != produced {
+					t.Fatalf("written %d + dropped %d != produced %d", l.Written(), l.Dropped(), produced)
+				}
+				if len(got) == 0 || got[len(got)-1].Op != "last" {
+					t.Fatalf("the newest entry must survive drop-oldest; %d lines on disk", len(got))
+				}
+				next := make([]int64, producers+1)
+				for _, e := range got[:len(got)-1] {
+					if e.DurationUS < next[e.ShardFanout] {
+						t.Fatalf("producer %d: entry %d written after entry %d", e.ShardFanout-1, e.DurationUS, next[e.ShardFanout]-1)
+					}
+					next[e.ShardFanout] = e.DurationUS + 1
+				}
+			})
+		}
 	}
 }
 

@@ -2,9 +2,11 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // This file implements compiled join plans: the execution-ready form of a
@@ -12,19 +14,18 @@ import (
 // the interpreted executor once per plan — table pointers, predicate and
 // join-edge column positions, canonical cache keys — so the recursive
 // enumeration runs on integers and slices only. Execution then proceeds
-// in three phases:
+// in two phases:
 //
 //  1. selection: per-node candidate sets from the posting lists (shared
-//     through the per-request SelectionCache when one is supplied),
-//  2. semi-join pruning: candidate sets are reduced along the join tree
-//     (bottom-up then top-down over the DFS order), dropping rows with no
-//     join partner before enumeration ever touches them, and
-//  3. enumeration: index nested loops rooted at the most selective node,
-//     exactly as the reference executor, with sorted-candidate bitsets
-//     replacing map[int]bool membership tests.
+//     through the per-request SelectionCache when one is supplied), and
+//  2. enumeration: index nested loops rooted at the most selective node,
+//     exactly as the reference executor, descending only into rows that
+//     can be completed below — a semi-join reduction of the join tree
+//     evaluated on demand and memoised per (node, row), so a plan costs
+//     what its limit reaches rather than what its tables hold.
 //
-// Pruning only removes rows that cannot occur in any joining tree of
-// tuples, and every phase preserves ascending candidate order, so the
+// Skipping a row that cannot be completed never changes which joining
+// trees exist, and candidate and index order are untouched, so the
 // materialised JTT sequence is identical to the reference ExecuteScan —
 // byte-for-byte, including under a result Limit.
 
@@ -126,26 +127,6 @@ func (cp *CompiledPlan) candidates(i int, cache *SelectionCache) []int {
 	return out
 }
 
-// bitset is a fixed-capacity bit vector over RowIDs.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (b bitset) reset() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// step is one node of the DFS enumeration order. parentCol/col are the
-// join column positions in the parent's and this node's table.
-type step struct {
-	node, parent   int
-	parentCol, col int
-}
-
 // Execute materialises the joining tuple trees of the compiled plan; see
 // Database.Execute for the semantics.
 func (cp *CompiledPlan) Execute(opts ExecuteOptions) ([]JTT, error) {
@@ -237,9 +218,9 @@ func (cp *CompiledPlan) cacheKey(limit int) string {
 
 // footprint is the set of attributes this plan's output is computed
 // from: every resolved predicate column, every join column (both ends of
-// every edge — enumeration and pruning read join values), and the
-// membership of unconstrained tables (their candidate set is "all live
-// rows"). Constrained nodes need no membership attribute: inserts and
+// every edge — enumeration reads join values), and the membership of
+// unconstrained tables (their candidate set is "all live rows").
+// Constrained nodes need no membership attribute: inserts and
 // deletes stale every column, so their predicate columns already cover
 // membership change. Unresolvable predicate columns contribute nothing —
 // they force an empty result under any data.
@@ -274,7 +255,7 @@ func (cp *CompiledPlan) footprint() []Attr {
 // run consults the engine-lifetime answer cache (when the request's
 // SelectionCache carries one) for the whole plan result before falling
 // back to runCore, and publishes fresh results — including empty ones;
-// proving emptiness costs the same selections and pruning as any other
+// proving emptiness costs the same selections and probes as any other
 // answer. Cached values are row-ID lists shared read-only across
 // requests; the store guarantees they are valid for this request's
 // snapshot (see SharedStore).
@@ -311,178 +292,255 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 	return results, count
 }
 
-// runCore is the shared execution core: selection, semi-join pruning, and
-// rooted index-nested-loop enumeration. With collect it materialises
-// JTTs; otherwise it only counts. A non-nil part restricts enumeration to
-// root candidates it accepts — applied strictly after root selection (so
-// partitioned runs agree with the full run on the root) and before
-// pruning (pruning a smaller candidate set is pure optimisation; it never
-// changes which trees exist). The returned root index is -1 only when a
-// node had no candidates before the root was chosen.
+// step is one node of the DFS enumeration order with everything the
+// enumeration reads about it resolved. parentCol/col are the join column
+// positions in the parent's and this node's table; kid/sib thread the
+// step's child steps (first child, next sibling; -1 = none).
+type step struct {
+	node, parent   int
+	parentCol, col int
+	kid, sib       int
+	table, ptable  *Table
+	// cands is the node's ascending selection; nil for an unconstrained
+	// node, whose candidates are the table's live rows.
+	cands []int
+	// idx is this table's equality index on col: the parent's join value
+	// maps to this node's partner rows, ascending.
+	idx *cowMap[[]int]
+	// memo is the word offset of this step's viability memo in
+	// planRun.memo, or -1 when the step keeps none: leaves have nothing
+	// below them and each root candidate is visited once anyway.
+	memo int
+}
+
+// member reports whether the row is a candidate of the step's node.
+func (st *step) member(row int) bool {
+	if st.cands == nil {
+		return st.table.Live(row)
+	}
+	_, ok := slices.BinarySearch(st.cands, row)
+	return ok
+}
+
+// Viability memo states, two bits per (step, row); zero is "not resolved
+// yet", so an untouched memo word is all zero.
+const (
+	memoDead = 1
+	memoLive = 2
+)
+
+// inlineNodes is the plan size up to which a planRun's bookkeeping lives
+// in the planRun itself; larger plans grow it on the heap.
+const inlineNodes = 8
+
+// planRun is the scratch of one plan execution, recycled through runPool
+// so that no plan allocates or clears table.Len() words it never
+// touches: memo is all-zero between runs, and release restores that by
+// clearing only the words the run wrote (dirty).
+type planRun struct {
+	sels   [][]int // per node: the candidate selection
+	order  []step
+	assign []int // per node: the row of the partial result
+	words  int   // memo words the order's inner steps need
+	memo   []uint64
+	dirty  []int32
+	// probes counts join partners examined — the unit of the executor's
+	// work bound (see below).
+	probes int
+
+	limit   int
+	collect bool
+	count   int
+	results []JTT
+
+	selsBuf   [inlineNodes][]int
+	orderBuf  [inlineNodes]step
+	assignBuf [inlineNodes]int
+}
+
+var runPool = sync.Pool{New: func() any {
+	r := new(planRun)
+	r.sels, r.order, r.assign = r.selsBuf[:0], r.orderBuf[:0], r.assignBuf[:0]
+	return r
+}}
+
+// release returns the scratch to the pool with the memo zeroed and every
+// reference into the snapshot dropped.
+func (r *planRun) release() {
+	for _, w := range r.dirty {
+		r.memo[w] = 0
+	}
+	clear(r.sels)
+	clear(r.order)
+	*r = planRun{sels: r.sels[:0], order: r.order[:0], assign: r.assign[:0], memo: r.memo, dirty: r.dirty[:0]}
+	runPool.Put(r)
+}
+
+// runCore is the shared execution core: selection, then rooted
+// index-nested-loop enumeration that descends only into viable rows (the
+// demand-driven semi-join, see planRun.below). With collect it
+// materialises JTTs; otherwise it only counts. A non-nil part restricts
+// enumeration to root candidates it accepts — applied strictly after root
+// selection, so partitioned runs agree with the full run on the root. The
+// returned root index is -1 only when a node had no candidates before
+// the root was chosen.
 func (cp *CompiledPlan) runCore(cache *SelectionCache, limit int, collect bool, part func(rowID int) bool) ([]JTT, int, int) {
+	r := runPool.Get().(*planRun)
+	defer r.release()
+	root := r.run(cp, cache, limit, collect, part)
+	return r.results, r.count, root
+}
+
+// run executes the plan in this scratch and returns the root node index;
+// results and count are left in r.
+func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collect bool, part func(rowID int) bool) int {
 	n := len(cp.nodes)
-	cands := make([][]int, n)
 	for i := range cp.nodes {
 		c := cp.candidates(i, cache)
 		if len(c) == 0 {
-			return nil, 0, -1
+			return -1
 		}
-		cands[i] = c
+		r.sels = append(r.sels, c)
 	}
 
-	// Root: most selective node by pre-pruning candidate count (first
-	// wins ties) — the same choice as the reference executor, so the
-	// enumeration order, and therefore the JTT sequence, is identical.
-	// With a partition filter the choice still uses the unfiltered
-	// counts: every shard must elect the same root.
+	// Root: most selective node by candidate count (first wins ties) —
+	// the same choice as the reference executor, so the enumeration
+	// order, and therefore the JTT sequence, is identical. A partition
+	// filter does not enter the choice: every shard must elect the same
+	// root.
 	root := 0
 	for i := 1; i < n; i++ {
-		if len(cands[i]) < len(cands[root]) {
+		if len(r.sels[i]) < len(r.sels[root]) {
 			root = i
 		}
 	}
-
-	if part != nil {
-		own := make([]int, 0, len(cands[root]))
-		for _, id := range cands[root] {
-			if part(id) {
-				own = append(own, id)
-			}
-		}
-		if len(own) == 0 {
-			return nil, 0, root
-		}
-		cands[root] = own
+	r.plan(cp, root, -1, -1, -1)
+	if len(r.memo) < r.words {
+		r.memo = make([]uint64, r.words)
 	}
 
-	// DFS order from the root, visiting adjacency in edge declaration
-	// order (as the reference does).
-	order := make([]step, 0, n)
-	visited := make([]bool, n)
-	var build func(v, parent, parentCol, col int)
-	build = func(v, parent, parentCol, col int) {
-		visited[v] = true
-		order = append(order, step{node: v, parent: parent, parentCol: parentCol, col: col})
-		for _, he := range cp.adj[v] {
-			if !visited[he.to] {
-				build(he.to, v, he.fromCol, he.toCol)
-			}
+	r.assign = slices.Grow(r.assign, n)[:n]
+	r.limit, r.collect = limit, collect
+	for _, id := range r.sels[root] {
+		if part != nil && !part(id) {
+			continue
+		}
+		if !r.below(0, id) {
+			continue
+		}
+		r.assign[root] = id
+		if r.enumerate(1) {
+			break
 		}
 	}
-	build(root, -1, -1, -1)
+	return root
+}
 
-	// Candidate membership bitsets. The slices are copied first: pruning
-	// filters them in place, and the originals are shared with the
-	// posting lists / selection cache.
-	bits := make([]bitset, n)
-	for i := range cands {
-		own := make([]int, len(cands[i]))
-		copy(own, cands[i])
-		cands[i] = own
-		b := newBitset(cp.nodes[i].table.Len())
-		for _, id := range own {
-			b.set(id)
-		}
-		bits[i] = b
+// plan appends node v and, depth-first in edge declaration order (as the
+// reference does), everything beyond it to the enumeration order, and
+// returns v's step index. Only inner steps below the root get memo space.
+func (r *planRun) plan(cp *CompiledPlan, v, parent, parentCol, col int) int {
+	k := len(r.order)
+	st := step{node: v, parent: parent, parentCol: parentCol, col: col, kid: -1, sib: -1, table: cp.nodes[v].table, memo: -1}
+	if len(cp.nodes[v].preds) > 0 {
+		st.cands = r.sels[v]
 	}
+	if parent >= 0 {
+		st.ptable = cp.nodes[parent].table
+		st.idx = st.table.ensureIndex(col)
+	}
+	r.order = append(r.order, st)
+	last := -1
+	for _, he := range cp.adj[v] {
+		if he.to == parent {
+			continue
+		}
+		c := r.plan(cp, he.to, v, he.fromCol, he.toCol)
+		if last < 0 {
+			r.order[k].kid = c
+		} else {
+			r.order[last].sib = c
+		}
+		last = c
+	}
+	if parent >= 0 && last >= 0 {
+		r.order[k].memo = r.words
+		r.words += (st.table.Len() + 31) / 32
+	}
+	return k
+}
 
-	// Join-column equality indexes, fetched once per direction. idx[k]
-	// serves the enumeration of order[k] (child joined to parent); the
-	// reverse direction serves bottom-up pruning.
-	idx := make([]map[string][]int, len(order))
-	revIdx := make([]map[string][]int, len(order))
-	for k := 1; k < len(order); k++ {
-		st := order[k]
-		idx[k] = cp.nodes[st.node].table.ensureIndex(st.col)
-		revIdx[k] = cp.nodes[st.parent].table.ensureIndex(st.parentCol)
+// below reports whether the row of step k can be completed beneath it:
+// for each child edge it has at least one join partner that is a
+// candidate of the child and itself completable. This is the semi-join
+// reduction of the join tree evaluated on demand: a row is resolved the
+// first time enumeration asks about it and remembered in the step's memo,
+// so total probe work never exceeds one bottom-up reduction pass over
+// the candidates, and is proportional to the rows a limit actually
+// reaches when the limit is small.
+func (r *planRun) below(k, row int) bool {
+	st := &r.order[k]
+	if st.kid < 0 {
+		return true
 	}
+	w, sh := 0, uint(row&31)<<1
+	if st.memo >= 0 {
+		w = st.memo + row>>5
+		if s := r.memo[w] >> sh & 3; s != 0 {
+			return s == memoLive
+		}
+	}
+	vals := st.table.rows[row].Values
+	ok := true
+	for c := st.kid; c >= 0 && ok; c = r.order[c].sib {
+		ch := &r.order[c]
+		ok = false
+		for _, p := range ch.idx.get(vals[ch.parentCol]) {
+			r.probes++
+			if ch.member(p) && r.below(c, p) {
+				ok = true
+				break
+			}
+		}
+	}
+	if st.memo >= 0 {
+		if r.memo[w] == 0 {
+			r.dirty = append(r.dirty, int32(w))
+		}
+		if ok {
+			r.memo[w] |= memoLive << sh
+		} else {
+			r.memo[w] |= memoDead << sh
+		}
+	}
+	return ok
+}
 
-	// Semi-join pruning (Yannakakis-style full reduction over the join
-	// tree): bottom-up, a parent row survives only with a join partner
-	// among the child's candidates; top-down, the reverse. Pruned rows
-	// cannot occur in any JTT, and pruning preserves candidate order, so
-	// the enumeration output is unchanged — it just stops wading through
-	// dead branches.
-	prune := func(a int, aCol int, aBits bitset, b int, lookup map[string][]int, bBits bitset) bool {
-		rows := cp.nodes[a].table.rows
-		kept := cands[a][:0]
-		for _, id := range cands[a] {
-			found := false
-			for _, partner := range lookup[rows[id].Values[aCol]] {
-				if bBits.has(partner) {
-					found = true
-					break
-				}
-			}
-			if found {
-				kept = append(kept, id)
-			}
+// enumerate extends the partial assignment over order[k:] by index
+// nested loops, emitting one result per complete assignment; it reports
+// true once the limit is reached. Every assigned row is viable, so the
+// recursion never backs out of a row without emitting.
+func (r *planRun) enumerate(k int) bool {
+	if k == len(r.order) {
+		r.count++
+		if r.collect {
+			r.results = append(r.results, JTT{Rows: slices.Clone(r.assign)})
 		}
-		if len(kept) == len(cands[a]) {
-			return len(kept) > 0
-		}
-		cands[a] = kept
-		aBits.reset()
-		for _, id := range kept {
-			aBits.set(id)
-		}
-		return len(kept) > 0
+		return r.limit > 0 && r.count >= r.limit
 	}
-	for k := len(order) - 1; k >= 1; k-- {
-		st := order[k]
-		// Restrict the parent to rows with a partner among the child's
-		// candidates (child's equality index on the join column).
-		if !prune(st.parent, st.parentCol, bits[st.parent], st.node, idx[k], bits[st.node]) {
-			return nil, 0, root
+	st := &r.order[k]
+	pv := st.ptable.rows[r.assign[st.parent]].Values[st.parentCol]
+	for _, id := range st.idx.get(pv) {
+		r.probes++
+		if !st.member(id) || !r.below(k, id) {
+			continue
+		}
+		r.assign[st.node] = id
+		if r.enumerate(k + 1) {
+			return true
 		}
 	}
-	for k := 1; k < len(order); k++ {
-		st := order[k]
-		if !prune(st.node, st.col, bits[st.node], st.parent, revIdx[k], bits[st.parent]) {
-			return nil, 0, root
-		}
-	}
-
-	// Index-nested-loop enumeration over the DFS order.
-	var results []JTT
-	count := 0
-	assign := make([]int, n)
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(order) {
-			count++
-			if collect {
-				row := make([]int, n)
-				copy(row, assign)
-				results = append(results, JTT{Rows: row})
-			}
-			return limit > 0 && count >= limit
-		}
-		st := order[k]
-		if st.parent < 0 {
-			for _, id := range cands[st.node] {
-				assign[st.node] = id
-				if rec(k + 1) {
-					return true
-				}
-			}
-			return false
-		}
-		pv := cp.nodes[st.parent].table.rows[assign[st.parent]].Values[st.parentCol]
-		member := bits[st.node]
-		for _, id := range idx[k][pv] {
-			if !member.has(id) {
-				continue
-			}
-			assign[st.node] = id
-			if rec(k + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	rec(0)
-	return results, count, root
+	return false
 }
 
 // CacheKey exposes the plan's canonical answer-cache identity for

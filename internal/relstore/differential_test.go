@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -325,5 +327,282 @@ func TestCountNoJTTAllocations(t *testing.T) {
 	}
 	if execAll < float64(full) {
 		t.Fatalf("expected Execute to allocate per JTT (>= %d), got %v", full, execAll)
+	}
+}
+
+func mustCreateTable(t *testing.T, db *Database, s *TableSchema) *Table {
+	t.Helper()
+	tab, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+func mustInsert(t *testing.T, tab *Table, vals ...string) {
+	t.Helper()
+	if _, err := tab.Insert(vals...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randDeepDB builds a randomized FK tree p ← q ← {r, s} — deep enough for
+// a root candidate's partners to die two levels below it — and then
+// tombstones a random share of p, q and r rows. With deadEnds most r and
+// s values carry no vocabulary token, so predicates on them leave most of
+// the rows above without a completable partner.
+func randDeepDB(t *testing.T, rng *rand.Rand, deadEnds bool) *Database {
+	t.Helper()
+	db := NewDatabase("deep")
+	create := func(s *TableSchema) *Table { return mustCreateTable(t, db, s) }
+	tp := create(&TableSchema{Name: "p", PrimaryKey: "id", Columns: []Column{{Name: "id"}, {Name: "text", Indexed: true}}})
+	tq := create(&TableSchema{Name: "q", PrimaryKey: "id", Columns: []Column{{Name: "id"}, {Name: "p_id"}, {Name: "text", Indexed: true}},
+		ForeignKeys: []ForeignKey{{Column: "p_id", RefTable: "p", RefColumn: "id"}}})
+	tr := create(&TableSchema{Name: "r", PrimaryKey: "id", Columns: []Column{{Name: "id"}, {Name: "q_id"}, {Name: "text", Indexed: true}},
+		ForeignKeys: []ForeignKey{{Column: "q_id", RefTable: "q", RefColumn: "id"}}})
+	ts := create(&TableSchema{Name: "s", Columns: []Column{{Name: "q_id"}, {Name: "text", Indexed: true}},
+		ForeignKeys: []ForeignKey{{Column: "q_id", RefTable: "q", RefColumn: "id"}}})
+	leafText := func() string {
+		if deadEnds && rng.Intn(8) != 0 {
+			return "none"
+		}
+		return randValue(rng, 3)
+	}
+	insert := func(tab *Table, vals ...string) { mustInsert(t, tab, vals...) }
+	np, nq := 1+rng.Intn(12), 1+rng.Intn(90)
+	for i := 0; i < np; i++ {
+		insert(tp, fmt.Sprintf("p%d", i), randValue(rng, 4))
+	}
+	for i := 0; i < nq; i++ {
+		insert(tq, fmt.Sprintf("q%d", i), fmt.Sprintf("p%d", rng.Intn(np+1)), randValue(rng, 3))
+	}
+	nr := rng.Intn(150)
+	for i := 0; i < nr; i++ {
+		insert(tr, fmt.Sprintf("r%d", i), fmt.Sprintf("q%d", rng.Intn(nq+1)), leafText())
+	}
+	for i := 0; i < rng.Intn(40); i++ {
+		insert(ts, fmt.Sprintf("q%d", rng.Intn(nq+1)), leafText())
+	}
+	if err := db.ValidateRefs(); err != nil {
+		t.Fatal(err)
+	}
+	var dels []Mutation
+	for _, tab := range []struct {
+		name string
+		n    int
+	}{{"p", np}, {"q", nq}, {"r", nr}} {
+		for i := 0; i < tab.n; i++ {
+			if rng.Intn(6) == 0 {
+				dels = append(dels, Mutation{Op: OpDelete, Table: tab.name, Key: fmt.Sprintf("%s%d", tab.name, i)})
+			}
+		}
+	}
+	if len(dels) == 0 {
+		return db
+	}
+	ndb, _, err := db.Apply(dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ndb
+}
+
+// randDeepPlan builds a random join tree over randDeepDB's schema: the
+// path p–q–r, the star around q (branching), the self-join r–q–r with and
+// without p, in random node and edge declaration order. Each node is
+// unconstrained (a connector) about half the time.
+func randDeepPlan(rng *rand.Rand) *JoinPlan {
+	type link struct{ a, b int } // b's table references a's: b.<a>_id = a.id
+	var tables []string
+	var links []link
+	switch rng.Intn(4) {
+	case 0:
+		tables, links = []string{"p", "q", "r"}, []link{{0, 1}, {1, 2}}
+	case 1:
+		tables, links = []string{"q", "p", "r", "s"}, []link{{1, 0}, {0, 2}, {0, 3}}
+	case 2:
+		tables, links = []string{"r", "q", "r"}, []link{{1, 0}, {1, 2}}
+	default:
+		tables, links = []string{"r", "q", "r", "p"}, []link{{1, 0}, {1, 2}, {3, 1}}
+	}
+	perm := rng.Perm(len(tables))
+	plan := &JoinPlan{Nodes: make([]JoinNode, len(tables))}
+	for i, name := range tables {
+		node := JoinNode{Table: name}
+		if rng.Intn(2) == 0 {
+			node.Predicates = []Predicate{{Column: "text", Keywords: randBag(rng, 2)}}
+		}
+		plan.Nodes[perm[i]] = node
+	}
+	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	for _, l := range links {
+		e := JoinEdge{From: perm[l.b], To: perm[l.a], FromColumn: tables[l.a] + "_id", ToColumn: "id"}
+		if rng.Intn(2) == 0 {
+			e = JoinEdge{From: e.To, To: e.From, FromColumn: e.ToColumn, ToColumn: e.FromColumn}
+		}
+		plan.Edges = append(plan.Edges, e)
+	}
+	return plan
+}
+
+// TestDifferentialExecuteSweep pins the demand-driven executor to the
+// scan reference over deep, branching, self-joining, tombstoned and
+// dead-end-heavy data: every limit, collecting and counting, whole and
+// partitioned. Partition streams are merged back the way a coordinator
+// does — ascending root RowID, each root row's block kept together.
+func TestDifferentialExecuteSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	nonEmpty := 0
+	for iter := 0; iter < 120; iter++ {
+		db := randDeepDB(t, rng, iter%2 == 1)
+		cache := NewSelectionCache()
+		for p := 0; p < 6; p++ {
+			plan := randDeepPlan(rng)
+			cp, err := db.Compile(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{0, 1, 2, 40} {
+				ref, err := db.ExecuteScan(plan, ExecuteOptions{Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nonEmpty += len(ref)
+				got, _ := cp.Execute(ExecuteOptions{Limit: limit, Cache: cache})
+				if !sameJTTs(ref, got) {
+					t.Fatalf("iter %d plan %d limit %d: scan=%v compiled=%v (plan %+v)", iter, p, limit, ref, got, plan)
+				}
+				if n, _ := cp.CountRows(limit, cache); n != len(ref) {
+					t.Fatalf("iter %d plan %d limit %d: CountRows=%d want %d", iter, p, limit, n, len(ref))
+				}
+				for _, parts := range []int{1, 2, 3, 8} {
+					var merged []JTT
+					sum, root := 0, -1
+					for i := 0; i < parts; i++ {
+						own := func(id int) bool { return (id*7+3)%parts == i }
+						jtts, rt, _ := cp.ExecutePart(limit, cache, own)
+						n, _ := cp.CountPart(limit, cache, own)
+						if n != len(jtts) {
+							t.Fatalf("iter %d plan %d limit %d part %d/%d: CountPart=%d, ExecutePart returned %d",
+								iter, p, limit, i, parts, n, len(jtts))
+						}
+						merged, sum, root = append(merged, jtts...), sum+n, rt
+					}
+					sort.SliceStable(merged, func(a, b int) bool { return merged[a].Rows[root] < merged[b].Rows[root] })
+					if limit > 0 && len(merged) > limit {
+						merged, sum = merged[:limit], limit
+					}
+					if !sameJTTs(ref, merged) || sum != len(ref) {
+						t.Fatalf("iter %d plan %d limit %d parts %d: scan=%v merged=%v count=%d (plan %+v)",
+							iter, p, limit, parts, ref, merged, sum, plan)
+					}
+				}
+			}
+		}
+	}
+	if nonEmpty < 1000 {
+		t.Fatalf("sweep is vacuous: only %d reference results", nonEmpty)
+	}
+}
+
+// chainDB builds r → q → p with nr "hit" rows in r spread over the first
+// shared rows of q, every q row referencing a "dead" p row except those
+// the alive func names, and more "alive" p rows and more q rows than r
+// has hits — so the plan r(hit)–q–p(alive) is rooted at r.
+func chainDB(t *testing.T, nr, shared int, alive func(q int) bool) (*Database, *JoinPlan) {
+	t.Helper()
+	db := NewDatabase("chain")
+	create := func(s *TableSchema) *Table { return mustCreateTable(t, db, s) }
+	tp := create(&TableSchema{Name: "p", PrimaryKey: "id", Columns: []Column{{Name: "id"}, {Name: "text", Indexed: true}}})
+	tq := create(&TableSchema{Name: "q", PrimaryKey: "id", Columns: []Column{{Name: "id"}, {Name: "p_id"}},
+		ForeignKeys: []ForeignKey{{Column: "p_id", RefTable: "p", RefColumn: "id"}}})
+	tr := create(&TableSchema{Name: "r", Columns: []Column{{Name: "q_id"}, {Name: "text", Indexed: true}},
+		ForeignKeys: []ForeignKey{{Column: "q_id", RefTable: "q", RefColumn: "id"}}})
+	insert := func(tab *Table, vals ...string) { mustInsert(t, tab, vals...) }
+	insert(tp, "dead", "dead")
+	for i := 0; i < nr+2; i++ {
+		insert(tp, fmt.Sprintf("p%d", i), "alive")
+	}
+	for i := 0; i < nr+1; i++ {
+		ref := "dead"
+		if alive(i) {
+			ref = fmt.Sprintf("p%d", i)
+		}
+		insert(tq, fmt.Sprintf("q%d", i), ref)
+	}
+	for i := 0; i < nr; i++ {
+		insert(tr, fmt.Sprintf("q%d", i%shared), "hit")
+	}
+	db.Prepare()
+	return db, &JoinPlan{
+		Nodes: []JoinNode{
+			{Table: "r", Predicates: []Predicate{{Column: "text", Keywords: []string{"hit"}}}},
+			{Table: "q"},
+			{Table: "p", Predicates: []Predicate{{Column: "text", Keywords: []string{"alive"}}}},
+		},
+		Edges: []JoinEdge{
+			{From: 0, To: 1, FromColumn: "q_id", ToColumn: "id"},
+			{From: 1, To: 2, FromColumn: "p_id", ToColumn: "id"},
+		},
+	}
+}
+
+// TestDeadEndsResolvedOnce is the worst-case guard of the demand-driven
+// semi-join: when every root candidate is a dead end the run examines
+// each root row's partner once and resolves each connector row below it
+// once, however many root rows share it — never root rows × depth.
+func TestDeadEndsResolvedOnce(t *testing.T) {
+	const nr, shared = 400, 8
+	db, plan := chainDB(t, nr, shared, func(int) bool { return false })
+	cp, err := db.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runPool.Get().(*planRun)
+	defer r.release()
+	if root := r.run(cp, nil, 0, true, nil); root != 0 {
+		t.Fatalf("root = %d, want the r node", root)
+	}
+	if r.count != 0 || len(r.results) != 0 {
+		t.Fatalf("dead-end plan produced %d results", r.count)
+	}
+	// One q partner per root row, one p partner per distinct q row.
+	if want := nr + shared; r.probes != want {
+		t.Fatalf("probes = %d, want %d (each (node,row) resolved once)", r.probes, want)
+	}
+}
+
+// TestCountOneAllocationIndependentOfTableSize: an emptiness probe on a
+// non-empty plan must not pay for the tables it does not touch. The
+// median call allocates the same bytes over tables eight times the size
+// (the median, because the race detector makes sync.Pool drop a quarter
+// of what it is handed).
+func TestCountOneAllocationIndependentOfTableSize(t *testing.T) {
+	medianBytes := func(nr int) uint64 {
+		db, plan := chainDB(t, nr, 8, func(int) bool { return true })
+		cp, err := db.Compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSelectionCache()
+		samples := make([]uint64, 51)
+		var before, after runtime.MemStats
+		for i := -3; i < len(samples); i++ {
+			runtime.ReadMemStats(&before)
+			n, err := cp.CountRows(1, cache)
+			runtime.ReadMemStats(&after)
+			if err != nil || n != 1 {
+				t.Fatalf("CountRows(1) = %d, %v", n, err)
+			}
+			if i >= 0 { // the first calls warm the selection cache and the pool
+				samples[i] = after.TotalAlloc - before.TotalAlloc
+			}
+		}
+		sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
+		return samples[len(samples)/2]
+	}
+	small, large := medianBytes(2_000), medianBytes(16_000)
+	if large > small {
+		t.Fatalf("CountRows(1) allocates %d B over 2k-row tables but %d B over 16k-row tables", small, large)
 	}
 }

@@ -112,8 +112,9 @@ type ExecuteOptions struct {
 // Execute runs the join plan against the database and materialises the
 // joining tuple trees. The plan is compiled (tables and columns resolved
 // once), per-node candidates are evaluated from the per-column posting
-// lists, semi-join pruning reduces them along the join tree, and index
-// nested loops rooted at the most selective node enumerate the results.
+// lists, and index nested loops rooted at the most selective node
+// enumerate the results, descending only into rows a demand-driven
+// semi-join finds completable.
 // The JTT sequence is identical to the reference scan executor
 // (ExecuteScan), including under Limit.
 func (db *Database) Execute(p *JoinPlan, opts ExecuteOptions) ([]JTT, error) {

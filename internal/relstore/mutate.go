@@ -14,19 +14,22 @@ import (
 //   - Database.Apply never modifies the receiver. It returns a new
 //     Database sharing every untouched table (and therefore that table's
 //     rows, equality indexes, and posting lists) with the old one.
-//   - A touched table is cloned shallowly — the row slice and the index
-//     map *containers* are copied, the per-value row lists and per-token
-//     posting lists stay shared — and then patched functionally: every
-//     affected row list / posting list is replaced by a fresh updated
-//     copy, so slices reachable from the old database are never written.
+//   - A touched table is cloned shallowly — the row slice is copied, the
+//     index and posting maps are shared shard by shard (cowMap) and only
+//     the shards a batch writes are copied, the per-value row lists and
+//     per-token posting lists stay shared — and then patched
+//     functionally: every affected row list / posting list is replaced
+//     by a fresh updated copy, so slices reachable from the old database
+//     are never written.
 //   - Deletes tombstone the row instead of renumbering: RowIDs are
 //     assigned once and never reused, which keeps every RowID-keyed
-//     structure (posting lists, equality indexes, bitsets) valid without
+//     structure (posting lists, equality indexes, memos) valid without
 //     a rebuild. All iteration and lazy index construction skips
 //     tombstones via Table.Live.
 //
-// The result: a mutation batch costs O(size of the touched tables' index
-// maps + affected lists), never O(database); re-tokenisation is limited
+// The result: a mutation batch costs O(rows of the touched tables + the
+// index shards and lists it writes), never O(database) and never the
+// touched tables' whole index maps; re-tokenisation is limited
 // to the changed cell values; and a reader holding the old Database sees
 // a perfectly consistent pre-batch view forever (snapshot isolation —
 // the engine layer publishes the returned database with an atomic
@@ -86,7 +89,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 		if t == nil {
 			return nil, fmt.Errorf("relstore: mutation %d: unknown table %q", i, name)
 		}
-		nt := t.mutableCopy()
+		nt := t.mutableCopy(len(muts))
 		touched[name] = nt
 		ndb.tables[name] = nt
 		return nt, nil
@@ -161,29 +164,30 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 }
 
 // mutableCopy clones the table for copy-on-write patching: the row slice
-// and index containers are copied, the per-value row lists and posting
-// lists stay shared until a patch replaces them. The copy holds fresh
-// mutexes; the source's locks are taken so a concurrent lazy index build
-// on the live table cannot race the clone.
-func (t *Table) mutableCopy() *Table {
+// is copied (with room for spare appended rows), the indexes and posting
+// maps are cloned shard-shared (see cowMap), and the per-value row lists
+// and posting lists stay shared until a patch replaces them. The copy
+// holds fresh mutexes; the source's locks are taken so a concurrent lazy
+// index build on the live table cannot race the clone.
+func (t *Table) mutableCopy(spare int) *Table {
 	nt := &Table{
 		Schema:   t.Schema,
-		rows:     slices.Clone(t.rows),
+		rows:     append(make([]Tuple, 0, len(t.rows)+spare), t.rows...),
 		dead:     slices.Clone(t.dead),
 		numDead:  t.numDead,
-		valueIdx: make(map[int]map[string][]int),
+		valueIdx: make(map[int]*cowMap[[]int]),
 		postings: make(map[int]*columnPostings),
 	}
 	t.idxMu.Lock()
 	for col, idx := range t.valueIdx {
-		nt.valueIdx[col] = maps.Clone(idx)
+		nt.valueIdx[col] = idx.clone()
 	}
 	t.idxMu.Unlock()
-	t.postMu.RLock()
+	t.postMu.Lock()
 	for col, cp := range t.postings {
-		nt.postings[col] = &columnPostings{terms: maps.Clone(cp.terms)}
+		nt.postings[col] = &columnPostings{terms: cp.terms.clone()}
 	}
-	t.postMu.RUnlock()
+	t.postMu.Unlock()
 	return nt
 }
 
@@ -208,6 +212,23 @@ func (t *Table) findByKey(i int, key string) (int, error) {
 	return ids[0], nil
 }
 
+// indexInsert and indexRemove patch one equality-index entry, replacing
+// the row list functionally (it may be shared with the pre-batch
+// snapshot) and dropping a value whose last row went away.
+func indexInsert(idx *cowMap[[]int], value string, id int) {
+	sh := idx.edit(value)
+	sh[value] = SortedInsert(sh[value], id)
+}
+
+func indexRemove(idx *cowMap[[]int], value string, id int) {
+	sh := idx.edit(value)
+	if ids := SortedRemove(sh[value], id); len(ids) > 0 {
+		sh[value] = ids
+	} else {
+		delete(sh, value)
+	}
+}
+
 // applyInsert appends a row to the COW table, maintaining every built
 // index incrementally, and returns its RowID.
 func (t *Table) applyInsert(vals []string) int {
@@ -217,7 +238,7 @@ func (t *Table) applyInsert(vals []string) int {
 		t.dead = append(t.dead, false)
 	}
 	for col, idx := range t.valueIdx {
-		idx[vals[col]] = SortedInsert(idx[vals[col]], id)
+		indexInsert(idx, vals[col], id)
 	}
 	for col, cp := range t.postings {
 		cp.addValue(id, vals[col])
@@ -234,10 +255,7 @@ func (t *Table) applyDelete(id int) {
 	t.dead[id] = true
 	t.numDead++
 	for col, idx := range t.valueIdx {
-		idx[old[col]] = SortedRemove(idx[old[col]], id)
-		if len(idx[old[col]]) == 0 {
-			delete(idx, old[col])
-		}
+		indexRemove(idx, old[col], id)
 	}
 	for col, cp := range t.postings {
 		cp.removeValue(id, old[col])
@@ -253,11 +271,8 @@ func (t *Table) applyUpdate(id int, vals []string) {
 		if old[col] == vals[col] {
 			continue
 		}
-		idx[old[col]] = SortedRemove(idx[old[col]], id)
-		if len(idx[old[col]]) == 0 {
-			delete(idx, old[col])
-		}
-		idx[vals[col]] = SortedInsert(idx[vals[col]], id)
+		indexRemove(idx, old[col], id)
+		indexInsert(idx, vals[col], id)
 	}
 	for col, cp := range t.postings {
 		if old[col] == vals[col] {
@@ -281,7 +296,8 @@ func (cp *columnPostings) addValue(row int, value string) {
 		counts[tok]++
 	}
 	for tok, c := range counts {
-		cp.terms[tok] = cp.terms[tok].withRow(row, c)
+		sh := cp.terms.edit(tok)
+		sh[tok] = sh[tok].withRow(row, c)
 	}
 }
 
@@ -295,10 +311,11 @@ func (cp *columnPostings) removeValue(row int, value string) {
 			continue
 		}
 		seen[tok] = true
-		if npl := cp.terms[tok].withoutRow(row); npl != nil {
-			cp.terms[tok] = npl
+		sh := cp.terms.edit(tok)
+		if npl := sh[tok].withoutRow(row); npl != nil {
+			sh[tok] = npl
 		} else {
-			delete(cp.terms, tok)
+			delete(sh, tok)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func (p *postingList) add(row, count int) {
 
 // columnPostings maps token -> posting list for one column.
 type columnPostings struct {
-	terms map[string]*postingList
+	terms *cowMap[*postingList]
 }
 
 // addRow tokenizes one value and folds it into the postings.
@@ -56,10 +56,11 @@ func (cp *columnPostings) addRow(row int, value string) {
 		counts[tok]++
 	}
 	for tok, c := range counts {
-		pl := cp.terms[tok]
+		sh := cp.terms.edit(tok)
+		pl := sh[tok]
 		if pl == nil {
 			pl = &postingList{}
-			cp.terms[tok] = pl
+			sh[tok] = pl
 		}
 		pl.add(row, c)
 	}
@@ -68,7 +69,7 @@ func (cp *columnPostings) addRow(row int, value string) {
 // buildColumnPostings constructs the postings of one column from scratch,
 // skipping tombstoned rows.
 func (t *Table) buildColumnPostings(col int) *columnPostings {
-	cp := &columnPostings{terms: make(map[string]*postingList)}
+	cp := &columnPostings{terms: newCowMap[*postingList]()}
 	for _, r := range t.rows {
 		if !t.Live(r.RowID) {
 			continue
@@ -115,7 +116,7 @@ func (t *Table) selectPostings(ci int, keywords []string) []int {
 	}
 	lists := make([][]int, 0, len(need))
 	for k, n := range need {
-		pl := cp.terms[k]
+		pl := cp.terms.get(k)
 		if pl == nil {
 			return nil
 		}

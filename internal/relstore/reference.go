@@ -65,7 +65,7 @@ rows:
 
 // ExecuteScan is the original scan-based executor, retained as the
 // reference implementation: per-node candidates by full table scans,
-// map[int]bool candidate membership, no semi-join pruning, string-keyed
+// map[int]bool candidate membership, no semi-join reduction, string-keyed
 // column resolution per joined row. Execute must produce the identical
 // JTT sequence (differential tests enforce this); ExecuteScan is the
 // baseline the executor benchmark measures speedups against.

@@ -104,7 +104,7 @@ type Table struct {
 	// Built lazily for columns used in joins or PK lookups; idxMu guards
 	// lazy construction under concurrent readers.
 	idxMu    sync.Mutex
-	valueIdx map[int]map[string][]int
+	valueIdx map[int]*cowMap[[]int]
 
 	// token posting lists per column: column position -> token -> rows
 	// with per-row counts. Built lazily on first keyword selection (or
@@ -118,7 +118,7 @@ type Table struct {
 func NewTable(schema *TableSchema) *Table {
 	return &Table{
 		Schema:   schema,
-		valueIdx: make(map[int]map[string][]int),
+		valueIdx: make(map[int]*cowMap[[]int]),
 		postings: make(map[int]*columnPostings),
 	}
 }
@@ -136,7 +136,8 @@ func (t *Table) Insert(values ...string) (int, error) {
 	t.rows = append(t.rows, Tuple{RowID: id, Values: vals})
 	t.idxMu.Lock()
 	for col, idx := range t.valueIdx {
-		idx[vals[col]] = append(idx[vals[col]], id)
+		sh := idx.edit(vals[col])
+		sh[vals[col]] = append(sh[vals[col]], id)
 	}
 	t.idxMu.Unlock()
 	t.postMu.Lock()
@@ -184,18 +185,19 @@ func (t *Table) Value(id int, column string) (string, bool) {
 
 // ensureIndex builds (once) the equality index over the given column.
 // Safe for concurrent readers: construction happens under idxMu.
-func (t *Table) ensureIndex(col int) map[string][]int {
+func (t *Table) ensureIndex(col int) *cowMap[[]int] {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if idx, ok := t.valueIdx[col]; ok {
 		return idx
 	}
-	idx := make(map[string][]int)
+	idx := newCowMap[[]int]()
 	for _, r := range t.rows {
 		if !t.Live(r.RowID) {
 			continue
 		}
-		idx[r.Values[col]] = append(idx[r.Values[col]], r.RowID)
+		sh := idx.edit(r.Values[col])
+		sh[r.Values[col]] = append(sh[r.Values[col]], r.RowID)
 	}
 	t.valueIdx[col] = idx
 	return idx
@@ -208,7 +210,7 @@ func (t *Table) LookupEqual(column, value string) []int {
 	if ci < 0 {
 		return nil
 	}
-	return t.ensureIndex(ci)[value]
+	return t.ensureIndex(ci).get(value)
 }
 
 // Database is a named collection of tables with schema metadata.

@@ -113,14 +113,14 @@ func (t *Table) encodeSnapshot(e *durable.Enc, opts EncodeOptions) {
 	for _, ci := range indexed {
 		cp := t.ensurePostings(ci)
 		e.Uvarint(uint64(ci))
-		terms := make([]string, 0, len(cp.terms))
-		for term := range cp.terms {
+		terms := make([]string, 0, cp.terms.len())
+		for term := range cp.terms.all() {
 			terms = append(terms, term)
 		}
 		sort.Strings(terms)
 		e.Uvarint(uint64(len(terms)))
 		for _, term := range terms {
-			pl := cp.terms[term]
+			pl := cp.terms.get(term)
 			e.String(term)
 			e.Ints(pl.rows)
 			e.Ints(pl.counts)
@@ -207,7 +207,7 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 			return fmt.Errorf("relstore: decode snapshot: table %s: posting column %d out of range", schema.Name, ci)
 		}
 		nterms := int(d.Uvarint())
-		cp := &columnPostings{terms: make(map[string]*postingList, min(nterms, d.Remaining()))}
+		cp := &columnPostings{terms: newCowMap[*postingList]()}
 		for j := 0; j < nterms && d.Err() == nil; j++ {
 			term := d.String()
 			pl := &postingList{rows: d.Ints(), counts: d.Ints()}
@@ -222,7 +222,7 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 					pl.maxCount = pl.counts[k]
 				}
 			}
-			cp.terms[term] = pl
+			cp.terms.edit(term)[term] = pl
 		}
 		t.postings[ci] = cp
 	}

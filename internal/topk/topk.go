@@ -71,12 +71,14 @@ func (s *TFScorer) Factor(db *relstore.Database, plan *relstore.JoinPlan, jtt re
 			if len(toks) == 0 {
 				continue
 			}
-			counts := make(map[string]int, len(toks))
-			for _, tok := range toks {
-				counts[tok]++
-			}
 			for _, kw := range pred.Keywords {
-				total += float64(counts[kw]) / float64(len(toks))
+				count := 0
+				for _, tok := range toks {
+					if tok == kw {
+						count++
+					}
+				}
+				total += float64(count) / float64(len(toks))
 				n++
 			}
 		}

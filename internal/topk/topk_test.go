@@ -234,3 +234,41 @@ func TestTFScorerMissingValueColumn(t *testing.T) {
 		t.Fatalf("factor = %v", got)
 	}
 }
+
+// TestTFScorerMatchesPerTokenCounts pins Factor to its definition — the
+// mean over predicate keywords of count(keyword)/len(tokens), summed in
+// predicate order — bit for bit, on values with repeated tokens,
+// repeated and absent keywords, mixed case and several predicates.
+func TestTFScorerMatchesPerTokenCounts(t *testing.T) {
+	f := newFixture(t)
+	s := &TFScorer{IX: f.ix}
+	actor := f.db.Table("actor")
+	bags := [][]string{{"hanks"}, {"hanks", "hanks"}, {"tom", "hanks", "nobody"}, {"Hanks"}, {}}
+	for row := 0; row < actor.Len(); row++ {
+		for _, a := range bags {
+			for _, b := range bags {
+				plan := &relstore.JoinPlan{Nodes: []relstore.JoinNode{{Table: "actor", Predicates: []relstore.Predicate{
+					{Column: "name", Keywords: a}, {Column: "name", Keywords: b},
+				}}}}
+				val, _ := actor.Value(row, "name")
+				toks := relstore.Tokenize(val)
+				counts := make(map[string]int)
+				for _, tok := range toks {
+					counts[tok]++
+				}
+				total, n := 0.0, 0
+				for _, kw := range append(append([]string{}, a...), b...) {
+					total += float64(counts[kw]) / float64(len(toks))
+					n++
+				}
+				want := 1.0
+				if n > 0 {
+					want = min(total/float64(n), 1)
+				}
+				if got := s.Factor(f.db, plan, relstore.JTT{Rows: []int{row}}); got != want {
+					t.Fatalf("row %d (%q) bags %q %q: factor %v, want %v", row, val, a, b, got, want)
+				}
+			}
+		}
+	}
+}
