@@ -1,14 +1,12 @@
 # Developer entry points. CI runs the same targets, so local and CI
 # behaviour cannot drift: the CI test job is exactly `make check`, the
-# lint job `make lint`, the fuzz-smoke job `make fuzz-smoke`, and the
-# bench job `make bench-quick bench-guard`.
+# lint job `make lint`, the fuzz-smoke job `make fuzz-smoke`, and each
+# leg group of the bench job `make bench-guard LEGS=... QUICK=1`.
 
 GO ?= go
 
 .PHONY: build test race vet fmt lint staticcheck fuzz fuzz-smoke \
-	bench bench-quick bench-exec bench-mut bench-dur bench-load \
-	bench-adm bench-qc bench-shard bench-guard loadtest golden check cover \
-	obs-smoke benchmark-smoke
+	bench bench-guard loadtest golden check cover obs-smoke benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -58,53 +56,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
 
-# bench writes the pipeline grid, the executor legs, the mutation legs,
-# and the durability legs to BENCH_*.json — the perf-trajectory
-# artifacts CI archives on every run.
+# bench runs legs of the mechanism-ratio harness (internal/bench; see
+# docs/benchmarks.md for what each leg justifies). LEGS picks them: the
+# default is the four micro legs, which finish in under a minute; the
+# HTTP legs (overload, qcache, shard) build a ~1M-row dataset and take
+# minutes at full size, so they are asked for by name or with LEGS=all.
+# QUICK=1 shrinks every leg to CI size. Nothing is written unless OUT
+# names a file: `make bench LEGS=all OUT=BENCH.json` re-records the
+# committed baseline.
+LEGS ?= pipeline,executor,mutate,durable
+benchflags = -legs $(LEGS) $(if $(QUICK),-quick) $(if $(OUT),-out $(OUT))
+
 bench:
-	$(GO) run ./cmd/bench -out BENCH_pipeline.json -exec-out BENCH_executor.json -mut-out BENCH_mutations.json -dur-out BENCH_durability.json
-
-bench-quick:
-	$(GO) run ./cmd/bench -quick -out BENCH_pipeline.json -exec-out BENCH_executor.json -mut-out BENCH_mutations.json -dur-out BENCH_durability.json
-
-# bench-exec / bench-mut / bench-dur measure one grid in isolation.
-bench-exec:
-	$(GO) run ./cmd/bench -only executor -exec-out BENCH_executor.json
-
-bench-mut:
-	$(GO) run ./cmd/bench -only mutate -mut-out BENCH_mutations.json
-
-bench-dur:
-	$(GO) run ./cmd/bench -only durable -dur-out BENCH_durability.json
-
-# bench-load runs the serving-path load grid (saturation ramp, open
-# loop at half the knee, 8x oversubscription against the admission
-# gate) on a ~1M-row dataset. It takes minutes at full size and is
-# therefore not part of `make bench`; CI runs the -quick variant.
-bench-load:
-	$(GO) run ./cmd/bench -only load -load-out BENCH_load.json
-
-# bench-adm runs the adaptive-admission grid (static gate hand-placed
-# at the measured knee vs the AIMD governor discovering it vs no gate,
-# each 8x-oversubscribed) on a ~1M-row dataset. Like bench-load it
-# takes minutes and is not part of `make bench`; CI runs -quick.
-bench-adm:
-	$(GO) run ./cmd/bench -only admission -adm-out BENCH_admission.json
-
-# bench-qc runs the answer-cache grid (a Zipf-skewed repeated-query
-# stream over real HTTP, cache-off vs the engine-lifetime qcache) on a
-# ~1M-row dataset. Like bench-load it takes minutes and is not part of
-# `make bench`; CI runs -quick.
-bench-qc:
-	$(GO) run ./cmd/bench -only qcache -qc-out BENCH_qcache.json
-
-# bench-shard runs the sharding grid (single-process serving vs the
-# N-shard scatter-gather coordinator over identical data and ops) on a
-# ~1M-row dataset. The speedup_vs_1shard ratio needs free cores to
-# exceed 1 (docs/sharding.md); like bench-load it takes minutes and is
-# not part of `make bench`; CI runs -quick.
-bench-shard:
-	$(GO) run ./cmd/bench -only shard -shard-out BENCH_shard.json
+	$(GO) run ./cmd/bench $(benchflags)
 
 # loadtest is an interactive closed-loop run against an in-process
 # server; see cmd/loadtest -help for open-loop, saturation, and
@@ -112,18 +76,17 @@ bench-shard:
 loadtest:
 	$(GO) run ./cmd/loadtest
 
-# bench-guard re-measures the executor, mutation, and durability grids
-# and fails when a tracked speedup (postings-vs-scan, apply-vs-rebuild,
-# recover-vs-build) regressed >25% vs the committed baselines. Speedups
-# are within-run ratios, so the guard transfers across machines; the
-# pipeline grid is excluded because its parallel speedups depend on the
-# host's core count.
+# bench-guard re-measures LEGS and fails when one of their ratios fell
+# more than the leg's tolerance (25% micro legs, 50% HTTP legs; pipeline
+# is recorded, never guarded) below the committed BENCH.json. Ratios are
+# within-run quotients — postings vs scan, apply vs rebuild, governor vs
+# hand-placed gate — so the guard transfers across machines. The
+# baseline is read before anything is measured and nothing is written
+# without OUT, so the tree stays clean. Guard the HTTP legs without
+# QUICK: their ratios grow with the dataset, and the baseline is the
+# full-size run (docs/benchmarks.md).
 bench-guard:
-	cp BENCH_executor.json /tmp/bench_base_executor.json
-	cp BENCH_mutations.json /tmp/bench_base_mutations.json
-	cp BENCH_durability.json /tmp/bench_base_durability.json
-	$(GO) run ./cmd/bench -only executor,mutate,durable \
-		-compare /tmp/bench_base_executor.json,/tmp/bench_base_mutations.json,/tmp/bench_base_durability.json -threshold 0.25
+	$(GO) run ./cmd/bench $(benchflags) -compare BENCH.json
 
 # golden regenerates testdata/golden after an intentional ranking change.
 # Plain `make test` fails if golden files drift without this.

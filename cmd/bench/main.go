@@ -1,614 +1,79 @@
-// Command bench runs the repo's benchmark grids, writes the measurements
-// to JSON files so the perf trajectory is tracked from PR to PR by CI,
-// and can gate a build on perf regressions against committed baselines:
+// Command bench runs legs of the mechanism-ratio harness
+// (internal/bench, docs/benchmarks.md), optionally writes the report,
+// and optionally guards it against a committed baseline.
 //
-//   - the interpretation-pipeline grid (keyword count × parallelism, plus
-//     score-cache ablations) → BENCH_pipeline.json,
-//   - the executor legs (scan reference vs compiled posting-list
-//     execution, with and without the per-request selection cache, plus
-//     the allocation-free count probe) → BENCH_executor.json, and
-//   - the mutation legs (full rebuild vs incremental Engine.Apply vs
-//     apply+search) → BENCH_mutations.json, and
-//   - the durability legs (fresh build vs open-from-snapshot vs WAL
-//     replay, plus checkpoint latency) → BENCH_durability.json, and
-//   - the serving-path load legs (closed-loop saturation ramp over real
-//     HTTP, an open-loop coordinated-omission-honest steady-state leg,
-//     and an 8×-oversubscribed run against an admission-gated server)
-//     → BENCH_load.json, and
-//   - the adaptive-admission legs (static gate hand-placed at the
-//     measured knee vs the AIMD governor discovering it vs no gate at
-//     all, each 8×-oversubscribed) → BENCH_admission.json, and
-//   - the answer-cache legs (a Zipf-skewed repeated-query stream over
-//     real HTTP, cache-off vs the engine-lifetime qcache)
-//     → BENCH_qcache.json, and
-//   - the sharding legs (single-process serving vs the N-shard
-//     scatter-gather coordinator over identical data and ops)
-//     → BENCH_shard.json.
+//	go run ./cmd/bench [-legs pipeline,executor,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
 //
-// Usage:
+// -legs defaults to the four micro legs (pipeline, executor, mutate,
+// durable), which finish in well under a minute; the HTTP legs
+// (overload, qcache, shard) generate a million-row dataset and run for
+// minutes at full size, so they are asked for by name or with "all".
+// -quick shrinks every leg to CI size.
 //
-//	go run ./cmd/bench [-out BENCH_pipeline.json] [-exec-out BENCH_executor.json]
-//	                   [-mut-out BENCH_mutations.json] [-dur-out BENCH_durability.json]
-//	                   [-load-out BENCH_load.json] [-adm-out BENCH_admission.json]
-//	                   [-qc-out BENCH_qcache.json] [-shard-out BENCH_shard.json]
-//	                   [-load-rows 1000000] [-shards 4]
-//	                   [-only all|pipeline|executor|mutate|durable|load|admission|qcache|shard[,...]] [-quick]
-//	                   [-compare base1.json[,base2.json...]] [-threshold 0.25]
-//
-// The load, admission, qcache, and shard grids are NOT part of -only
-// all: each generates a million-row dataset and runs for minutes, so
-// they are requested explicitly (-only load, -only shard, or -only
-// all,load,admission,qcache,shard). -quick shrinks them to CI size.
-//
-// The output records ns/op, allocations, and speedups against each grid's
-// baseline (sequential for the pipeline, scan for the executor, full
-// rebuild for mutations, fresh build for durability), alongside the
-// host shape (CPU count, GOMAXPROCS) needed to interpret absolute
-// numbers.
-//
-// # Regression guard
-//
-// With -compare, bench loads each given baseline file (typically the
-// committed BENCH_*.json), re-measures the corresponding grid, and exits
-// non-zero when a tracked benchmark's *speedup* column regresses by more
-// than -threshold (default 0.25, i.e. 25%). Speedups are ratios measured
-// within one run on one machine — scan-vs-postings, rebuild-vs-apply —
-// so they transfer across hosts, unlike raw ns/op; this is what makes
-// the guard usable on shared CI runners. The baseline kind is detected
-// from the file's contents.
+// With -compare, the baseline is read into memory before anything is
+// measured — so a bad path fails fast, and -out may name the same file —
+// and the run exits non-zero when a ratio of a selected leg fell more
+// than that leg's tolerance below the baseline's (bench.Compare).
+// Without -out nothing is written, so a guard run leaves the tree clean.
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"strings"
-	"time"
+	"slices"
 
-	"repro/internal/benchadm"
-	"repro/internal/benchdur"
-	"repro/internal/benchexec"
-	"repro/internal/benchload"
-	"repro/internal/benchmut"
-	"repro/internal/benchpipe"
-	"repro/internal/benchqc"
-	"repro/internal/benchshard"
+	"repro/internal/bench"
 )
 
-// pipelineReport is the top-level shape of BENCH_pipeline.json.
-type pipelineReport struct {
-	GeneratedAt string          `json:"generated_at"`
-	GoVersion   string          `json:"go_version"`
-	NumCPU      int             `json:"num_cpu"`
-	GOMAXPROCS  int             `json:"gomaxprocs"`
-	Dataset     string          `json:"dataset"`
-	Rows        []benchpipe.Row `json:"rows"`
-}
-
-// executorReport is the top-level shape of BENCH_executor.json.
-type executorReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchexec.Report
-}
-
-// mutationReport is the top-level shape of BENCH_mutations.json.
-type mutationReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchmut.Report
-}
-
-// durabilityReport is the top-level shape of BENCH_durability.json.
-type durabilityReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchdur.Report
-}
-
-// loadReport is the top-level shape of BENCH_load.json.
-type loadReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchload.Report
-}
-
-// admissionReport is the top-level shape of BENCH_admission.json.
-type admissionReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchadm.Report
-}
-
-// qcacheReport is the top-level shape of BENCH_qcache.json.
-type qcacheReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchqc.Report
-}
-
-// shardReport is the top-level shape of BENCH_shard.json.
-type shardReport struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	*benchshard.Report
-}
-
-// speedups extracts the machine-transferable metric of one report as
-// name → speedup-vs-grid-baseline (rows without a speedup are skipped;
-// so is each grid's baseline row itself, whose speedup is 1 by
-// definition).
-type speedups map[string]float64
-
-func pipelineSpeedups(rows []benchpipe.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVsSequential > 0 && r.SpeedupVsSequential != 1 {
-			out[r.Name] = r.SpeedupVsSequential
-		}
-	}
-	return out
-}
-
-func executorSpeedups(rows []benchexec.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVsScan > 0 && r.Name != string(benchexec.ModeScan) {
-			out[r.Name] = r.SpeedupVsScan
-		}
-	}
-	return out
-}
-
-func mutationSpeedups(rows []benchmut.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVsRebuild > 0 && r.Name != string(benchmut.ModeRebuild) {
-			out[r.Name] = r.SpeedupVsRebuild
-		}
-	}
-	return out
-}
-
-func durabilitySpeedups(rows []benchdur.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVsBuild > 0 && r.Name != string(benchdur.ModeBuild) {
-			out[r.Name] = r.SpeedupVsBuild
-		}
-	}
-	return out
-}
-
-func loadSpeedups(rows []benchload.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.GoodputVsSaturation > 0 {
-			out[r.Name] = r.GoodputVsSaturation
-		}
-	}
-	return out
-}
-
-func admissionSpeedups(rows []benchadm.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.GoodputVsStaticKnee > 0 {
-			out[r.Name] = r.GoodputVsStaticKnee
-		}
-	}
-	return out
-}
-
-func qcacheSpeedups(rows []benchqc.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVsCold > 0 {
-			out[r.Name] = r.SpeedupVsCold
-		}
-	}
-	return out
-}
-
-func shardSpeedups(rows []benchshard.Row) speedups {
-	out := make(speedups)
-	for _, r := range rows {
-		if r.SpeedupVs1Shard > 0 {
-			out[r.Name] = r.SpeedupVs1Shard
-		}
-	}
-	return out
-}
-
 func main() {
-	out := flag.String("out", "BENCH_pipeline.json", "pipeline grid output file")
-	execOut := flag.String("exec-out", "BENCH_executor.json", "executor legs output file")
-	mutOut := flag.String("mut-out", "BENCH_mutations.json", "mutation legs output file")
-	durOut := flag.String("dur-out", "BENCH_durability.json", "durability legs output file")
-	loadOut := flag.String("load-out", "BENCH_load.json", "serving-path load legs output file")
-	admOut := flag.String("adm-out", "BENCH_admission.json", "adaptive-admission legs output file")
-	qcOut := flag.String("qc-out", "BENCH_qcache.json", "answer-cache legs output file")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "sharding legs output file")
-	loadRows := flag.Int("load-rows", 0, "load/admission/qcache/shard grid dataset size in rows (default 1000000, or 25000 with -quick)")
-	shards := flag.Int("shards", 0, "shard grid: sharded-leg shard count (default 4)")
-	only := flag.String("only", "all", "comma-separated grids to run: all, pipeline, executor, mutate, durable, load, admission, qcache, shard (load, admission, qcache, and shard are not in all)")
-	quick := flag.Bool("quick", false, "run the trimmed quick pipeline grid")
-	compare := flag.String("compare", "", "comma-separated baseline BENCH_*.json files to guard against (see Regression guard)")
-	threshold := flag.Float64("threshold", 0.25, "maximum tolerated relative speedup regression vs the baseline")
+	legList := flag.String("legs", "pipeline,executor,mutate,durable", "comma-separated legs to run, or all")
+	quick := flag.Bool("quick", false, "run every leg at CI size")
+	out := flag.String("out", "", "write the report to this file (default: write nothing)")
+	compare := flag.String("compare", "", "baseline BENCH.json to guard the selected legs against")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, part := range strings.Split(*only, ",") {
-		switch part = strings.TrimSpace(part); part {
-		case "all":
-			want["pipeline"], want["executor"], want["mutate"], want["durable"] = true, true, true, true
-		case "pipeline", "executor", "mutate", "durable", "load", "admission", "qcache", "shard":
-			want[part] = true
-		case "":
-		default:
-			log.Fatalf("unknown -only value %q (want all, pipeline, executor, mutate, durable, load, admission, qcache, or shard)", part)
-		}
+	legs, err := bench.Select(*legList)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if len(want) == 0 {
-		log.Fatal("-only selected no grids")
-	}
-
-	// Baselines are loaded before measuring, so a bad path fails fast,
-	// and the grids they need are forced on.
-	type baseline struct {
-		path string
-		kind string
-		sp   speedups
-	}
-	var baselines []baseline
+	var base *bench.Report
 	if *compare != "" {
-		for _, path := range strings.Split(*compare, ",") {
-			path = strings.TrimSpace(path)
-			if path == "" {
-				continue
-			}
-			kind, sp, err := loadBaseline(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			baselines = append(baselines, baseline{path: path, kind: kind, sp: sp})
-			want[kind] = true
-			log.Printf("regression baseline %s (%s): %d tracked speedups", path, kind, len(sp))
-		}
-	}
-
-	fresh := map[string]speedups{}
-
-	if want["pipeline"] {
-		cases := benchpipe.Cases(*quick)
-		log.Printf("running %d pipeline benchmark cases (quick=%v)...", len(cases), *quick)
-		rows, err := benchpipe.Measure(cases)
-		if err != nil {
+		if base, err = bench.Load(*compare); err != nil {
 			log.Fatal(err)
 		}
-		rep := pipelineReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Dataset:     "demo-movies scaled 2.5x",
-			Rows:        rows,
+		// Guard the selected legs only; a selected leg the baseline has
+		// never recorded is a mistake, not a pass.
+		base.Legs = slices.DeleteFunc(base.Legs, func(bl bench.LegReport) bool {
+			return !slices.ContainsFunc(legs, func(l bench.Leg) bool { return l.Name == bl.Name })
+		})
+		if len(base.Legs) != len(legs) {
+			log.Fatalf("baseline %s lacks some of the selected legs (%s)", *compare, *legList)
 		}
-		writeJSON(*out, rep)
-		for _, r := range rows {
-			log.Printf("%-22s %12d ns/op  speedup %.2fx", r.Name, r.NsPerOp, r.SpeedupVsSequential)
+	}
+
+	rep, err := bench.RunLegs(bench.NewEnv(log.Printf), legs, bench.Config{Quick: *quick})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *out != "" {
+		if err := rep.Write(*out); err != nil {
+			log.Fatal(err)
 		}
 		log.Printf("wrote %s", *out)
-		fresh["pipeline"] = pipelineSpeedups(rows)
 	}
-
-	if want["executor"] {
-		log.Printf("running executor benchmark legs...")
-		rep, err := benchexec.Measure()
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*execOut, executorReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			log.Printf("%-16s %12d ns/op  %8d allocs/op  speedup %.2fx vs scan",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.SpeedupVsScan)
-		}
-		log.Printf("wrote %s", *execOut)
-		fresh["executor"] = executorSpeedups(rep.Rows)
+	if base == nil {
+		return
 	}
-
-	if want["mutate"] {
-		log.Printf("running mutation benchmark legs...")
-		rep, err := benchmut.Measure()
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*mutOut, mutationReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			log.Printf("%-16s %12d ns/op  %8d allocs/op  speedup %.2fx vs rebuild",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.SpeedupVsRebuild)
-		}
-		log.Printf("wrote %s", *mutOut)
-		fresh["mutate"] = mutationSpeedups(rep.Rows)
+	checks, err := bench.Compare(base, rep)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if want["durable"] {
-		log.Printf("running durability benchmark legs...")
-		rep, err := benchdur.Measure()
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*durOut, durabilityReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			log.Printf("%-16s %12d ns/op  %8d allocs/op  speedup %.2fx vs build",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.SpeedupVsBuild)
-		}
-		log.Printf("wrote %s", *durOut)
-		fresh["durable"] = durabilitySpeedups(rep.Rows)
-	}
-
-	if want["load"] {
-		log.Printf("running serving-path load legs (quick=%v)...", *quick)
-		rep, err := benchload.Measure(benchload.Config{
-			Quick:      *quick,
-			TargetRows: *loadRows,
-		}, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*loadOut, loadReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			extra := ""
-			if r.GoodputVsSaturation > 0 {
-				extra = fmt.Sprintf("  goodput/saturation %.2f", r.GoodputVsSaturation)
-			}
-			log.Printf("%-16s %8.0f good/s  p50 %7.1fms  p99 %8.1fms%s", r.Name, r.GoodputRPS, r.P50MS, r.P99MS, extra)
-		}
-		log.Printf("wrote %s", *loadOut)
-		fresh["load"] = loadSpeedups(rep.Rows)
-	}
-
-	if want["admission"] {
-		log.Printf("running adaptive-admission legs (quick=%v)...", *quick)
-		rep, err := benchadm.Measure(benchadm.Config{
-			Quick:      *quick,
-			TargetRows: *loadRows,
-		}, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*admOut, admissionReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			extra := ""
-			if r.GoodputVsStaticKnee > 0 {
-				extra = fmt.Sprintf("  goodput/static-knee %.2f", r.GoodputVsStaticKnee)
-			}
-			log.Printf("%-16s %8.0f good/s  p50 %7.1fms  p99 %8.1fms%s", r.Name, r.GoodputRPS, r.P50MS, r.P99MS, extra)
-		}
-		log.Printf("wrote %s", *admOut)
-		fresh["admission"] = admissionSpeedups(rep.Rows)
-	}
-
-	if want["qcache"] {
-		log.Printf("running answer-cache legs (quick=%v)...", *quick)
-		rep, err := benchqc.Measure(benchqc.Config{
-			Quick:      *quick,
-			TargetRows: *loadRows,
-		}, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*qcOut, qcacheReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			extra := ""
-			if r.SpeedupVsCold > 0 {
-				extra = fmt.Sprintf("  speedup %.2fx  hit rate %.1f%%  high water %d B",
-					r.SpeedupVsCold, 100*r.HitRate, r.HighWaterBytes)
-			}
-			log.Printf("%-16s %8.0f req/s  p50 %7.1fms  p99 %8.1fms%s", r.Name, r.ThroughputRPS, r.P50MS, r.P99MS, extra)
-		}
-		log.Printf("wrote %s", *qcOut)
-		fresh["qcache"] = qcacheSpeedups(rep.Rows)
-	}
-
-	if want["shard"] {
-		log.Printf("running sharding legs (quick=%v)...", *quick)
-		rep, err := benchshard.Measure(benchshard.Config{
-			Quick:      *quick,
-			TargetRows: *loadRows,
-			Shards:     *shards,
-		}, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeJSON(*shardOut, shardReport{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			NumCPU:      runtime.NumCPU(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Report:      rep,
-		})
-		for _, r := range rep.Rows {
-			extra := ""
-			if r.SpeedupVs1Shard > 0 {
-				extra = fmt.Sprintf("  speedup %.2fx vs 1 shard  scatters %d", r.SpeedupVs1Shard, r.Scatters)
-			}
-			log.Printf("%-16s %8.0f req/s  p50 %7.1fms  p99 %8.1fms%s", r.Name, r.ThroughputRPS, r.P50MS, r.P99MS, extra)
-		}
-		log.Printf("wrote %s", *shardOut)
-		fresh["shard"] = shardSpeedups(rep.Rows)
-	}
-
-	// Regression guard: every baseline row's speedup must be within
-	// threshold of the fresh measurement.
 	failed := false
-	for _, b := range baselines {
-		cur, ok := fresh[b.kind]
-		if !ok {
-			log.Fatalf("baseline %s needs the %s grid, which did not run", b.path, b.kind)
-		}
-		for name, base := range b.sp {
-			got, ok := cur[name]
-			if !ok {
-				log.Printf("REGRESSION %s: benchmark %q tracked by %s was not measured", b.kind, name, b.path)
-				failed = true
-				continue
-			}
-			if got < base*(1-*threshold) {
-				log.Printf("REGRESSION %s: %q speedup %.2fx fell more than %.0f%% below baseline %.2fx",
-					b.kind, name, got, *threshold*100, base)
-				failed = true
-			} else {
-				log.Printf("guard ok   %s: %q speedup %.2fx vs baseline %.2fx", b.kind, name, got, base)
-			}
-		}
+	for _, c := range checks {
+		log.Print(c)
+		failed = failed || c.Failed()
 	}
 	if failed {
 		log.Fatal("benchmark regression guard failed")
-	}
-}
-
-// loadBaseline parses a committed BENCH_*.json and detects which grid it
-// describes from its row shape.
-func loadBaseline(path string) (string, speedups, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var probe struct {
-		Rows []map[string]any `json:"rows"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if len(probe.Rows) == 0 {
-		return "", nil, fmt.Errorf("baseline %s: no rows", path)
-	}
-	has := func(key string) bool {
-		for _, row := range probe.Rows {
-			if _, ok := row[key]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	switch {
-	// goodput_vs_static_knee must be probed before goodput_vs_saturation:
-	// both are loadgen-derived reports and a future shape could carry
-	// both columns, in which case the more specific admission guard wins.
-	case has("goodput_vs_static_knee"):
-		var rep admissionReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "admission", admissionSpeedups(rep.Rows), nil
-	case has("speedup_vs_cold"):
-		var rep qcacheReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "qcache", qcacheSpeedups(rep.Rows), nil
-	case has("speedup_vs_1shard"):
-		var rep shardReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "shard", shardSpeedups(rep.Rows), nil
-	case has("goodput_vs_saturation"):
-		var rep loadReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "load", loadSpeedups(rep.Rows), nil
-	case has("speedup_vs_build"):
-		var rep durabilityReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "durable", durabilitySpeedups(rep.Rows), nil
-	case has("speedup_vs_rebuild"):
-		var rep mutationReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "mutate", mutationSpeedups(rep.Rows), nil
-	case has("speedup_vs_scan"):
-		var rep executorReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "executor", executorSpeedups(rep.Rows), nil
-	case has("speedup_vs_sequential"):
-		var rep pipelineReport
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			return "", nil, fmt.Errorf("baseline %s: %w", path, err)
-		}
-		return "pipeline", pipelineSpeedups(rep.Rows), nil
-	}
-	return "", nil, fmt.Errorf("baseline %s: unrecognised report shape", path)
-}
-
-// writeJSON marshals the report with a trailing newline.
-func writeJSON(path string, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		log.Fatal(err)
 	}
 }

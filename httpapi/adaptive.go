@@ -153,13 +153,10 @@ func (s *Server) defaultCostBands() []int64 {
 	return []int64{p50, p90}
 }
 
-// costPeekLimit bounds how much of a request body the cost estimator
-// will buffer while sniffing the keyword query.
-const costPeekLimit = 1 << 20
-
 // estimateCost peeks at the JSON body for the keyword query (top-level
 // "query" for search/diversify/rows, "start.query" for construction)
-// and prices it against the inverted index. The body is restored for
+// and prices it against the inverted index. It buffers at most
+// maxBodyBytes — all a handler would accept — and restores the body for
 // the handler. Requests without a recognisable query — mutations,
 // mid-dialogue construction steps, malformed bodies — cost one unit:
 // they are either cheap or fail fast in validation.
@@ -167,7 +164,7 @@ func (s *Server) estimateCost(r *http.Request) int64 {
 	if r.Body == nil || r.Body == http.NoBody {
 		return 1
 	}
-	peek, err := io.ReadAll(io.LimitReader(r.Body, costPeekLimit))
+	peek, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	rest := r.Body
 	r.Body = struct {
 		io.Reader

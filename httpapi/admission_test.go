@@ -238,7 +238,6 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if stats.Snapshot().ShedQueueFull != 1 {
 		t.Fatalf("stats = %+v", stats.Snapshot())
 	}
-	release()
 }
 
 // TestRequestTimeoutMapsTo504 pins the default-deadline path end to

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,6 +46,43 @@ func TestHTTPMalformedBodies(t *testing.T) {
 				t.Errorf("%s with %s body: status = %d, want 400", ep, b.name, code)
 			}
 		}
+	}
+}
+
+// TestHTTPBodyCap: a body one byte over maxBodyBytes is refused with a
+// structured 413 and one byte under is decoded, on every POST endpoint
+// and behind the adaptive gate too, whose cost peek re-wraps the body
+// before the handler caps it.
+func TestHTTPBodyCap(t *testing.T) {
+	eng := demoEngine(t)
+	// The padding sits inside the object, so the decoder has to read all
+	// of it before the value is complete.
+	body := func(n int) string {
+		const head, tail = `{"query":"hanks","k":3`, `}`
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	for name, srv := range map[string]*Server{
+		"static":   New(eng),
+		"adaptive": New(eng, WithAdaptiveAdmission(AdaptiveConfig{MinConcurrent: 2, MaxConcurrent: 8})),
+	} {
+		ts := httptest.NewServer(srv)
+		if code := postRaw(t, ts.Client(), ts.URL+"/v1/search", body(maxBodyBytes-1)); code != http.StatusOK {
+			t.Errorf("%s: body one byte under the cap: status = %d, want 200", name, code)
+		}
+		for _, ep := range []string{"/v1/search", "/v1/diversify", "/v1/rows", "/v1/mutate", "/v1/construct"} {
+			var got ErrorResponse
+			resp, err := ts.Client().Post(ts.URL+ep, "application/json", strings.NewReader(body(maxBodyBytes+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || got.Code != "body_too_large" {
+				t.Errorf("%s %s: body one byte over the cap: status = %d, body %+v (%v), want a structured 413",
+					name, ep, resp.StatusCode, got, err)
+			}
+		}
+		ts.Close()
 	}
 }
 

@@ -507,6 +507,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		resp.Code = "deadline_exceeded"
 	case 499:
 		resp.Code = "client_closed"
+	case http.StatusRequestEntityTooLarge:
+		resp.Code = "body_too_large"
 	}
 	writeJSON(w, status, resp)
 }
@@ -526,20 +528,34 @@ func statusFor(err error) int {
 	return http.StatusBadRequest
 }
 
-func decode[T any](r *http.Request) (T, error) {
-	var v T
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. Every request this API accepts is a
+// keyword query, a dialogue step or a mutation batch; the largest any
+// test or load generator sends is a few kilobytes, and a megabyte of
+// mutations is thousands of rows — past that, split the batch. It is
+// also all the adaptive gate's cost peek will ever buffer.
+const maxBodyBytes = 1 << 20
+
+// decode parses the JSON request body into T. On failure it has already
+// answered — 413 for a body over maxBodyBytes, 400 for anything else
+// (malformed JSON, wrong types, unknown fields) — and ok is false.
+func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
-		return v, fmt.Errorf("invalid JSON body: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("invalid JSON body: %w", err))
+		return v, false
 	}
-	return v, nil
+	return v, true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[keysearch.SearchRequest](r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, ok := decode[keysearch.SearchRequest](w, r)
+	if !ok {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)
@@ -553,9 +569,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDiversify(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[keysearch.DiversifyRequest](r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, ok := decode[keysearch.DiversifyRequest](w, r)
+	if !ok {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)
@@ -569,9 +584,8 @@ func (s *Server) handleDiversify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[keysearch.RowsRequest](r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, ok := decode[keysearch.RowsRequest](w, r)
+	if !ok {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)
@@ -592,9 +606,8 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[MutateRequest](r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, ok := decode[MutateRequest](w, r)
+	if !ok {
 		return
 	}
 	res, err := s.eng.Apply(r.Context(), req.Mutations)
@@ -684,9 +697,8 @@ func (s *Server) lookupSession(id string) (*constructSession, bool) {
 }
 
 func (s *Server) handleConstruct(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[ConstructStepRequest](r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, ok := decode[ConstructStepRequest](w, r)
+	if !ok {
 		return
 	}
 	if o := obsFrom(r); o != nil {

@@ -1,4 +1,4 @@
-package benchexec
+package bench
 
 import (
 	"context"
@@ -8,18 +8,28 @@ import (
 )
 
 // TestDisabledTracingOverheadGuard is the ≤2% bar for the tracing
-// substrate's disabled path, priced against this package's executor
-// microbench. With tracing off, every instrumentation point in the
+// substrate's disabled path, priced against the executor leg's cached
+// request. With tracing off, every instrumentation point in the
 // request path costs one trace.FromContext lookup and/or a nil-receiver
 // method call; this guard measures that bundle directly and requires
 // that a generous per-request allowance of such points (far above what
-// the engine actually executes) stays under 2% of one executor-bench
+// the engine actually executes) stays under 2% of one executor-leg
 // request. Measuring the primitive rather than diffing two full-request
 // timings keeps the guard deterministic — request-scale A/B ratios on a
 // shared CI core drown a 2% signal in scheduler noise.
 func TestDisabledTracingOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale dataset build in -short mode")
+	}
+	spec, err := executorOps(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var request func() error
+	for _, op := range spec.ops {
+		if op.name == "postings+cache" {
+			request = op.run
+		}
 	}
 	opRes := testing.Benchmark(func(b *testing.B) {
 		ctx := context.Background()
@@ -34,7 +44,7 @@ func TestDisabledTracingOverheadGuard(t *testing.T) {
 	})
 	reqRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sharedEnv.RunRequest(ModeCached); err != nil {
+			if err := request(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -80,18 +80,25 @@ func BuildDataset(cfg DatasetConfig) (*relstore.Database, error) {
 	}
 }
 
-// BuildEngine generates the dataset for cfg and builds a ready mutable
-// engine over it with the schema's default options plus extra. The
-// engine accepts /v1/mutate batches (the workload mixes mutations in),
-// and its indexes are fully built before this returns, so serving
-// latency never includes build work.
+// BuildEngine generates the dataset for cfg and builds a ready engine
+// over it (see NewEngine).
 func BuildEngine(cfg DatasetConfig, extra ...keysearch.Option) (*keysearch.Engine, error) {
 	db, err := BuildDataset(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return NewEngine(db, cfg.Kind, extra...)
+}
+
+// NewEngine builds a ready mutable engine over an already generated
+// dataset of the given kind, with the schema's default options plus
+// extra. The engine accepts /v1/mutate batches (the workload mixes
+// mutations in), and its indexes are fully built before this returns,
+// so serving latency never includes build work. Apply is copy-on-write,
+// so several engines may be built over one db.
+func NewEngine(db *relstore.Database, kind DatasetKind, extra ...keysearch.Option) (*keysearch.Engine, error) {
 	maxPath := 4
-	if cfg.Kind == KindMusic {
+	if kind == KindMusic {
 		maxPath = 5 // the chain schema needs the full five-table join
 	}
 	opts := append([]keysearch.Option{

@@ -11,7 +11,7 @@ import (
 // only while a request is traced: with tracing off the providers pass
 // the original values through untouched, so the disabled path carries
 // no extra indirection — the property the byte-identical differential
-// and the overhead guard in internal/benchexec pin.
+// and the overhead guard in internal/bench pin.
 
 // tracedView wraps a request's answer-cache view so cache consultations
 // show up on the trace as counters (hits and misses per entry kind).
