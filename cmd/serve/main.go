@@ -150,7 +150,7 @@ func main() {
 	if cfg.PprofAddr != "" {
 		go servePprof(cfg.PprofAddr)
 	}
-	httpSrv := &http.Server{Addr: cfg.Addr, Handler: logRequests(srv)}
+	httpSrv := newHTTPServer(cfg.Addr, logRequests(srv))
 
 	// Graceful drain: stop accepting, finish in-flight requests, then
 	// flush durability (final checkpoint + WAL close) before exiting.
@@ -248,6 +248,31 @@ func startupLine(cfg *Config, eng *keysearch.Engine) string {
 		cfg.Addr, cfg.Shards, eng.NumRows(), eng.Parallelism(), cfg.Mutable, eng.Durable(), cfg.DataDir,
 		cfg.AnswerCacheBytes, admission, cfg.RequestTimeout, cfg.Trace, cfg.QueryLogDir, cfg.SlowQuery,
 		cfg.PprofAddr, goVersion, revision)
+}
+
+// Connection timeouts of the serving listener. A client gets
+// readHeaderTimeout to send its request line and headers and readTimeout
+// for the whole request (bodies are capped at 1 MiB by httpapi); a
+// keep-alive connection may sit idle between requests for idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the serving listener's server, so that no client
+// can hold a connection open forever by sending slowly or not at all.
+// WriteTimeout stays unset: request deadlines (-request-timeout or the
+// client's own) already bound handler time, and a write timeout would
+// cut off legitimate long /v1/rows responses at 1M rows.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // servePprof stands the net/http/pprof handlers up on their own

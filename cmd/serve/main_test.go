@@ -259,3 +259,17 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		t.Fatalf("epoch %d after reopen, want >= 3 (committed mutations lost)", eng.Epoch())
 	}
 }
+
+// TestHTTPServerTimeouts: the serving listener bounds how long a client
+// may take to send headers, a whole request, and how long it may idle
+// between requests — and deliberately leaves writes unbounded.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, ReadTimeout %v, IdleTimeout %v: all must be set",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v: long /v1/rows responses must not be cut off", srv.WriteTimeout)
+	}
+}

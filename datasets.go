@@ -104,9 +104,6 @@ func (e *Engine) SampleQueries(n int) []string {
 		t := s.db.Table(attr.Table)
 		ci := t.Schema.ColumnIndex(attr.Column)
 		for _, row := range t.Rows() {
-			if !t.Live(row.RowID) {
-				continue
-			}
 			for _, tok := range parse(row.Values[ci]) {
 				if seen[tok] || len(tok) < 4 {
 					continue

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	keysearch "repro"
+	"repro/internal/relstore"
 )
 
 // mutMovies and mutActors size one batch: 2*mutActors inserts+deletes
@@ -65,7 +66,10 @@ func mutateOps(Config) (*microSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	movies := db.Table("movie").Rows()[:mutMovies]
+	movies := make([]relstore.Tuple, mutMovies)
+	for id := range movies {
+		movies[id], _ = db.Table("movie").Row(id)
+	}
 	var dump bytes.Buffer
 	if err := db.Save(&dump); err != nil {
 		return nil, err

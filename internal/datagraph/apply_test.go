@@ -129,7 +129,8 @@ func TestGraphApplyRandomized(t *testing.T) {
 		case 1:
 			tb := db.Table("acts")
 			if id := liveRowOf(rng, tb); id >= 0 {
-				vals := append([]string(nil), tb.Rows()[id].Values...)
+				row, _ := tb.Row(id)
+				vals := append([]string(nil), row.Values...)
 				vals[1] = actorKeys[rng.Intn(len(actorKeys))]
 				vals[3] = words[rng.Intn(len(words))]
 				muts = append(muts, relstore.Mutation{Op: relstore.OpUpdate, Table: "acts", Key: vals[0], Values: vals})
@@ -137,12 +138,14 @@ func TestGraphApplyRandomized(t *testing.T) {
 		case 2:
 			tb := db.Table("acts")
 			if id := liveRowOf(rng, tb); id >= 0 {
-				muts = append(muts, relstore.Mutation{Op: relstore.OpDelete, Table: "acts", Key: tb.Rows()[id].Values[0]})
+				row, _ := tb.Row(id)
+				muts = append(muts, relstore.Mutation{Op: relstore.OpDelete, Table: "acts", Key: row.Values[0]})
 			}
 		default:
 			tb := db.Table("actor")
 			if id := liveRowOf(rng, tb); id >= 0 {
-				vals := append([]string(nil), tb.Rows()[id].Values...)
+				row, _ := tb.Row(id)
+				vals := append([]string(nil), row.Values...)
 				vals[1] = words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
 				muts = append(muts, relstore.Mutation{Op: relstore.OpUpdate, Table: "actor", Key: vals[0], Values: vals})
 			}

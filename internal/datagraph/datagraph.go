@@ -64,12 +64,9 @@ func Build(db *relstore.Database) *Graph {
 			if !col.Indexed {
 				continue
 			}
-			for _, row := range t.Rows() {
-				if !t.Live(row.RowID) {
-					continue
-				}
+			for id, row := range t.Rows() {
 				for _, tok := range relstore.Tokenize(row.Values[ci]) {
-					n := Node{Table: name, Row: row.RowID}
+					n := Node{Table: name, Row: id}
 					g.containing[tok] = append(g.containing[tok], n)
 				}
 			}
@@ -81,12 +78,9 @@ func Build(db *relstore.Database) *Graph {
 				continue
 			}
 			ci := t.Schema.ColumnIndex(fk.Column)
-			for _, row := range t.Rows() {
-				if !t.Live(row.RowID) {
-					continue
-				}
+			for id, row := range t.Rows() {
 				for _, refID := range ref.LookupEqual(fk.RefColumn, row.Values[ci]) {
-					a := Node{Table: name, Row: row.RowID}
+					a := Node{Table: name, Row: id}
 					b := Node{Table: fk.RefTable, Row: refID}
 					g.adj[a] = append(g.adj[a], b)
 					g.adj[b] = append(g.adj[b], a)

@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/relstore"
@@ -15,12 +16,14 @@ import (
 // equality of every statistic the ranking model reads — at a cost
 // proportional to the changed values' token counts, not the corpus size.
 //
-// Copy-on-write discipline: the outer postings and stats maps are cloned
-// up front (bucket copies, no tokenisation); an inner per-term posting
+// Copy-on-write discipline: the postings map and a touched attribute's
+// term statistics are cow.Maps, so cloning them shares every shard and a
+// write copies only the shard it lands in; an inner per-term posting
 // map, a Posting, or an attrStats is cloned at most once per batch, the
-// first time a change touches it; row lists are replaced functionally.
-// Nothing reachable from the source index is ever written, so readers of
-// the pre-change snapshot stay consistent.
+// first time a change touches it; row lists are replaced functionally;
+// the term dictionary copies only the chunks a new or vanished term
+// lands in. Nothing reachable from the source index is ever written, so
+// readers of the pre-change snapshot stay consistent.
 
 // applyState tracks which nested structures have been cloned during one
 // Apply batch, so repeated touches patch the batch-local copy in place.
@@ -28,8 +31,7 @@ type applyState struct {
 	ix           *Index
 	clonedTerms  map[string]bool // postings inner maps cloned this batch
 	clonedPosts  map[string]map[string]bool
-	clonedStats  map[string]bool
-	touchedAttrs map[string]bool // attrs needing a vocabulary recount
+	clonedStats  map[int]bool    // attribute positions cloned this batch
 	touchedTerms map[string]bool // terms needing a dictionary re-check
 }
 
@@ -39,20 +41,20 @@ type applyState struct {
 func (ix *Index) Apply(newDB *relstore.Database, changes []relstore.RowChange) *Index {
 	nix := &Index{
 		db:            newDB,
-		postings:      maps.Clone(ix.postings),
-		stats:         maps.Clone(ix.stats),
+		postings:      ix.postings.Clone(),
 		attrs:         ix.attrs,
+		attrPos:       ix.attrPos,
+		stats:         slices.Clone(ix.stats),
 		schemaTables:  ix.schemaTables,
 		schemaColumns: ix.schemaColumns,
-		terms:         ix.terms,
+		dict:          ix.dict,
 		totalDocs:     ix.totalDocs,
 	}
 	st := &applyState{
 		ix:           nix,
 		clonedTerms:  make(map[string]bool),
 		clonedPosts:  make(map[string]map[string]bool),
-		clonedStats:  make(map[string]bool),
-		touchedAttrs: make(map[string]bool),
+		clonedStats:  make(map[int]bool),
 		touchedTerms: make(map[string]bool),
 	}
 	for _, ch := range changes {
@@ -87,23 +89,20 @@ func (ix *Index) Apply(newDB *relstore.Database, changes []relstore.RowChange) *
 
 // statsFor returns the batch-local attrStats clone for the attribute.
 func (st *applyState) statsFor(attr AttrRef) *attrStats {
-	key := attr.String()
-	st.touchedAttrs[key] = true
-	s := st.ix.stats[key]
-	if s == nil {
+	i, ok := st.ix.attrPos[attr]
+	if !ok {
 		return nil
 	}
-	if !st.clonedStats[key] {
-		ns := &attrStats{
+	s := st.ix.stats[i]
+	if !st.clonedStats[i] {
+		s = &attrStats{
 			totalTokens: s.totalTokens,
 			vocabulary:  s.vocabulary,
 			docs:        s.docs,
-			termCount:   maps.Clone(s.termCount),
-			docCount:    maps.Clone(s.docCount),
+			terms:       s.terms.Clone(),
 		}
-		st.ix.stats[key] = ns
-		st.clonedStats[key] = true
-		s = ns
+		st.ix.stats[i] = s
+		st.clonedStats[i] = true
 	}
 	return s
 }
@@ -129,14 +128,14 @@ func (st *applyState) removeDoc(attr AttrRef) {
 // creating it when absent, together with the cloned inner map.
 func (st *applyState) postingFor(term string, attr AttrRef) (map[string]*Posting, *Posting) {
 	st.touchedTerms[term] = true
-	inner := st.ix.postings[term]
-	if inner == nil {
-		inner = make(map[string]*Posting)
-		st.ix.postings[term] = inner
-		st.clonedTerms[term] = true
-	} else if !st.clonedTerms[term] {
-		inner = maps.Clone(inner)
-		st.ix.postings[term] = inner
+	inner := st.ix.postings.Get(term)
+	if inner == nil || !st.clonedTerms[term] {
+		if inner == nil {
+			inner = make(map[string]*Posting)
+		} else {
+			inner = maps.Clone(inner)
+		}
+		st.ix.postings.Edit(term)[term] = inner
 		st.clonedTerms[term] = true
 	}
 	key := attr.String()
@@ -159,24 +158,31 @@ func (st *applyState) postingFor(term string, attr AttrRef) (map[string]*Posting
 	return inner, p
 }
 
+// tokenCounts tokenizes one cell value into its distinct tokens with
+// their occurrence counts, and reports the total token count.
+func tokenCounts(value string) (map[string]int, int) {
+	toks := relstore.Tokenize(value)
+	counts := make(map[string]int, len(toks))
+	for _, tok := range toks {
+		counts[tok]++
+	}
+	return counts, len(toks)
+}
+
 // addValue folds one cell value into the postings and statistics.
 func (st *applyState) addValue(attr AttrRef, row int, value string) {
-	toks := relstore.Tokenize(value)
-	if len(toks) == 0 {
+	counts, n := tokenCounts(value)
+	if n == 0 {
 		return
 	}
 	s := st.statsFor(attr)
 	if s == nil {
 		return
 	}
-	s.totalTokens += len(toks)
-	counts := make(map[string]int, len(toks))
-	for _, tok := range toks {
-		counts[tok]++
-	}
+	s.totalTokens += n
 	for tok, c := range counts {
-		s.termCount[tok] += c
-		s.docCount[tok]++
+		sh := s.terms.Edit(tok)
+		sh[tok] = termFreq{count: sh[tok].count + c, docs: sh[tok].docs + 1}
 		_, p := st.postingFor(tok, attr)
 		p.Count += c
 		p.DocCount++
@@ -188,26 +194,22 @@ func (st *applyState) addValue(attr AttrRef, row int, value string) {
 // that reach zero so the maintained maps match a fresh Build exactly
 // (vocabulary sizes and Contains both depend on absent-vs-zero).
 func (st *applyState) removeValue(attr AttrRef, row int, value string) {
-	toks := relstore.Tokenize(value)
-	if len(toks) == 0 {
+	counts, n := tokenCounts(value)
+	if n == 0 {
 		return
 	}
 	s := st.statsFor(attr)
 	if s == nil {
 		return
 	}
-	s.totalTokens -= len(toks)
-	counts := make(map[string]int, len(toks))
-	for _, tok := range toks {
-		counts[tok]++
-	}
+	s.totalTokens -= n
 	key := attr.String()
 	for tok, c := range counts {
-		if s.termCount[tok] -= c; s.termCount[tok] <= 0 {
-			delete(s.termCount, tok)
-		}
-		if s.docCount[tok]--; s.docCount[tok] <= 0 {
-			delete(s.docCount, tok)
+		sh := s.terms.Edit(tok)
+		if f := (termFreq{count: sh[tok].count - c, docs: sh[tok].docs - 1}); f.docs > 0 {
+			sh[tok] = f
+		} else {
+			delete(sh, tok)
 		}
 		inner, p := st.postingFor(tok, attr)
 		p.Count -= c
@@ -216,7 +218,7 @@ func (st *applyState) removeValue(attr AttrRef, row int, value string) {
 		if p.DocCount <= 0 {
 			delete(inner, key)
 			if len(inner) == 0 {
-				delete(st.ix.postings, tok)
+				delete(st.ix.postings.Edit(tok), tok)
 			}
 		}
 	}
@@ -226,15 +228,14 @@ func (st *applyState) removeValue(attr AttrRef, row int, value string) {
 // sorted term dictionary with the terms that appeared or vanished
 // relative to the pre-batch index.
 func (st *applyState) finish(old *Index) {
-	for key := range st.touchedAttrs {
-		if s := st.ix.stats[key]; s != nil {
-			s.vocabulary = len(s.termCount)
-		}
+	for i := range st.clonedStats {
+		s := st.ix.stats[i]
+		s.vocabulary = s.terms.Len()
 	}
 	var added, removed []string
 	for term := range st.touchedTerms {
-		_, now := st.ix.postings[term]
-		_, was := old.postings[term]
+		_, now := st.ix.postings.Lookup(term)
+		_, was := old.postings.Lookup(term)
 		switch {
 		case now && !was:
 			added = append(added, term)
@@ -246,21 +247,6 @@ func (st *applyState) finish(old *Index) {
 		return
 	}
 	sort.Strings(added)
-	gone := make(map[string]bool, len(removed))
-	for _, t := range removed {
-		gone[t] = true
-	}
-	terms := make([]string, 0, len(old.terms)+len(added)-len(removed))
-	ai := 0
-	for _, t := range old.terms {
-		for ai < len(added) && added[ai] < t {
-			terms = append(terms, added[ai])
-			ai++
-		}
-		if !gone[t] {
-			terms = append(terms, t)
-		}
-	}
-	terms = append(terms, added[ai:]...)
-	st.ix.terms = terms
+	sort.Strings(removed)
+	st.ix.dict = old.dict.patched(added, removed)
 }

@@ -1,11 +1,16 @@
 package invindex
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/relstore"
 )
 
@@ -55,13 +60,14 @@ func assertIndexesEqual(t *testing.T, got, want *Index) {
 	if got.NumTerms() != want.NumTerms() {
 		t.Errorf("NumTerms: got %d, want %d", got.NumTerms(), want.NumTerms())
 	}
-	if !reflect.DeepEqual(got.terms, want.terms) {
-		t.Errorf("terms dictionary diverges:\n got %v\nwant %v", got.terms, want.terms)
+	wantTerms := slices.Collect(want.dict.all())
+	if gotTerms := slices.Collect(got.dict.all()); !reflect.DeepEqual(gotTerms, wantTerms) {
+		t.Errorf("terms dictionary diverges:\n got %v\nwant %v", gotTerms, wantTerms)
 	}
 	if got.TotalDocs() != want.TotalDocs() {
 		t.Errorf("TotalDocs: got %d, want %d", got.TotalDocs(), want.TotalDocs())
 	}
-	for _, term := range want.terms {
+	for _, term := range wantTerms {
 		gp, wp := got.Lookup(term), want.Lookup(term)
 		if !reflect.DeepEqual(gp, wp) {
 			t.Errorf("Lookup(%q):\n got %+v\nwant %+v", term, gp, wp)
@@ -77,7 +83,7 @@ func assertIndexesEqual(t *testing.T, got, want *Index) {
 		if g, w := got.AttrDocs(attr), want.AttrDocs(attr); g != w {
 			t.Errorf("AttrDocs(%s): got %d, want %d", attr, g, w)
 		}
-		for _, term := range want.terms {
+		for _, term := range wantTerms {
 			if g, w := got.TermCount(term, attr), want.TermCount(term, attr); g != w {
 				t.Errorf("TermCount(%q, %s): got %d, want %d", term, attr, g, w)
 			}
@@ -128,16 +134,63 @@ func TestIndexApplyMatchesBuild(t *testing.T) {
 	}
 }
 
-func TestIndexApplyRandomized(t *testing.T) {
+// rowChunk is relstore's row-chunk length; grownApplyDB sizes the person
+// table against it.
+const rowChunk = 256
+
+// grownApplyDB is applyTestDB with person grown to two rows short of
+// three full row chunks — so it spans three and a third insert starts a
+// fourth — and one unique filler term per row, so the term dictionary
+// spans several chunks too.
+func grownApplyDB(t *testing.T) *relstore.Database {
+	t.Helper()
 	db := applyTestDB(t)
+	person := db.Table("person")
+	for i := 0; person.Len() < 3*rowChunk-2; i++ {
+		if _, err := person.Insert(fmt.Sprintf("pf%d", i), fmt.Sprintf("m%03d stone", i), "filler"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// edgeRow picks a live row of the table's first or last row chunk (one
+// time in three anywhere), or -1 when its tries find none.
+func edgeRow(rng *rand.Rand, tb *relstore.Table) int {
+	lo, hi := 0, tb.Len()
+	switch rng.Intn(3) {
+	case 0:
+		hi = min(hi, rowChunk)
+	case 1:
+		lo = (hi - 1) / rowChunk * rowChunk
+	}
+	for try := 0; try < 50 && hi > lo; try++ {
+		if id := lo + rng.Intn(hi-lo); tb.Live(id) {
+			return id
+		}
+	}
+	return -1
+}
+
+// TestIndexApplyRandomized drives random batches over a table spanning
+// several row chunks and a dictionary spanning several chunks: updates
+// and deletes aimed at the first and last row chunk (vanishing filler
+// terms from the middle of the dictionary), inserts crossing a row-chunk
+// boundary, values adding terms at both ends of the dictionary. After
+// every batch the patched index must equal a fresh Build.
+func TestIndexApplyRandomized(t *testing.T) {
+	db := grownApplyDB(t)
 	ix := Build(db)
+	if len(ix.dict.chunks) < 3 {
+		t.Fatalf("dictionary spans %d chunks, want >= 3", len(ix.dict.chunks))
+	}
 	rng := rand.New(rand.NewSource(11))
-	words := []string{"alice", "stone", "rivers", "london", "mason", "kelp", "onyx", "", "stone stone"}
+	words := []string{"aardvark", "alice", "stone", "rivers", "london", "mason", "kelp", "onyx", "", "stone stone", "zulu", "zz top"}
 	serial := 0
 	for round := 0; round < 30; round++ {
 		var muts []relstore.Mutation
 		used := map[string]bool{}
-		for n := 1 + rng.Intn(3); n > 0; n-- {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
 			tb := db.Tables()[rng.Intn(db.NumTables())]
 			name := tb.Schema.Name
 			switch rng.Intn(3) {
@@ -154,23 +207,18 @@ func TestIndexApplyRandomized(t *testing.T) {
 				used[name+vals[0]] = true
 				muts = append(muts, relstore.Mutation{Op: relstore.OpInsert, Table: name, Values: vals})
 			default:
-				id := -1
-				for try := 0; try < 20 && id < 0; try++ {
-					cand := rng.Intn(tb.Len())
-					if tb.Live(cand) {
-						id = cand
-					}
-				}
+				id := edgeRow(rng, tb)
 				if id < 0 {
 					continue
 				}
-				key := tb.Rows()[id].Values[0]
+				row, _ := tb.Row(id)
+				key := row.Values[0]
 				if used[name+key] {
 					continue
 				}
 				used[name+key] = true
 				if rng.Intn(2) == 0 {
-					vals := append([]string(nil), tb.Rows()[id].Values...)
+					vals := append([]string(nil), row.Values...)
 					vals[1+rng.Intn(len(vals)-1)] = words[rng.Intn(len(words))]
 					muts = append(muts, relstore.Mutation{Op: relstore.OpUpdate, Table: name, Key: key, Values: vals})
 				} else {
@@ -192,4 +240,91 @@ func TestIndexApplyRandomized(t *testing.T) {
 			t.Fatalf("diverged at round %d (muts %+v)", round, muts)
 		}
 	}
+	if person := db.Table("person"); person.Len() <= 3*rowChunk {
+		t.Fatalf("person has %d slots: no insert crossed a row-chunk boundary", person.Len())
+	}
+}
+
+// isolationPrefixes are the TermsWithPrefix probes of the snapshot
+// isolation test: both ends of the dictionary, the filler middle, and
+// the terms the batches add.
+var isolationPrefixes = []string{"", "a", "m0", "m5", "sh", "shared", "st", "z"}
+
+// fingerprint renders everything a reader of (db, ix) can observe — every
+// row slot with its tombstone, every posting list, every term statistic,
+// and the prefix answers — as bytes.
+func fingerprint(db *relstore.Database, ix *Index) []byte {
+	var e durable.Enc
+	db.EncodeSnapshot(&e, relstore.EncodeOptions{Physical: true, Postings: true})
+	ix.EncodeSnapshot(&e)
+	for _, p := range isolationPrefixes {
+		for _, term := range ix.TermsWithPrefix(p, 0) {
+			e.String(term)
+		}
+		e.Uvarint(uint64(ix.NumTerms()))
+	}
+	return append([]byte(nil), e.Bytes()...)
+}
+
+// TestApplySnapshotIsolation: a reader pins a snapshot while three later
+// batches write the same row chunk, the same copy-on-write shards (one
+// shared term) and the same dictionary chunk; the pinned snapshot's
+// rows, postings, term statistics and prefix answers stay byte for byte
+// what they were. Readers run concurrently with the writer, so -race
+// checks the sharing too.
+func TestApplySnapshotIsolation(t *testing.T) {
+	db := grownApplyDB(t)
+	ix := Build(db)
+	want := fingerprint(db, ix)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			person := db.Table("person")
+			attr := AttrRef{Table: "person", Column: "name"}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for id := 0; id < 8; id++ {
+					person.Row(id)
+				}
+				person.SelectContains("name", []string{"stone"})
+				ix.Lookup("shared")
+				ix.TermCount("stone", attr)
+				ix.DocCount("alice", attr)
+				ix.TermsWithPrefix("sh", 0)
+			}
+		}()
+	}
+
+	cur, cix := db, ix
+	for b := 0; b < 3; b++ {
+		muts := []relstore.Mutation{
+			{Op: relstore.OpUpdate, Table: "person", Key: "p1", Values: []string{"p1", fmt.Sprintf("alice shared v%d", b), "stone"}},
+			{Op: relstore.OpDelete, Table: "person", Key: fmt.Sprintf("pf%d", 10+b)},
+			{Op: relstore.OpInsert, Table: "person", Values: []string{fmt.Sprintf("pn%d", b), fmt.Sprintf("shared%d stone", b), "new"}},
+		}
+		ndb, changes, err := cur.Apply(muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cix = cix.Apply(ndb, changes)
+		cur = ndb
+	}
+	close(stop)
+	wg.Wait()
+
+	if got := fingerprint(db, ix); !bytes.Equal(got, want) {
+		t.Fatal("the pinned snapshot changed under three later batches")
+	}
+	if !ix.Contains("alice") || ix.Contains("shared") || ix.Contains("shared2") {
+		t.Fatal("the pinned index sees a later batch's terms")
+	}
+	assertIndexesEqual(t, cix, Build(cur))
 }

@@ -15,14 +15,15 @@
 //
 // The index is built once from a relstore.Database in a pre-processing step
 // and is immutable afterwards, mirroring the offline index-construction
-// phase of the thesis systems.
+// phase of the thesis systems; row mutations derive a successor index
+// copy-on-write (apply.go).
 package invindex
 
 import (
 	"math"
 	"sort"
-	"strings"
 
+	"repro/internal/cow"
 	"repro/internal/relstore"
 )
 
@@ -53,8 +54,15 @@ type attrStats struct {
 	totalTokens int
 	vocabulary  int
 	docs        int // number of tuples (attribute values)
-	termCount   map[string]int
-	docCount    map[string]int
+	// terms holds every term of the attribute with its occurrence and
+	// document counts; absent terms have both counts zero.
+	terms *cow.Map[termFreq]
+}
+
+// termFreq is one term's statistics within one attribute.
+type termFreq struct {
+	count int // occurrences across all values
+	docs  int // values containing the term at least once
 }
 
 // Index is an immutable inverted index over a database.
@@ -62,28 +70,30 @@ type Index struct {
 	db *relstore.Database
 
 	// postings: term -> attr key -> posting (attr key = "table.column").
-	postings map[string]map[string]*Posting
-	stats    map[string]*attrStats // attr key -> stats
-	attrs    []AttrRef             // all indexed attributes, stable order
+	postings *cow.Map[map[string]*Posting]
+	attrs    []AttrRef       // all indexed attributes, stable order
+	attrPos  map[AttrRef]int // attribute -> position in attrs; shared by every version
+	stats    []*attrStats    // parallel to attrs
 
 	// schemaTerms: token -> schema elements whose name contains the token.
 	schemaTables  map[string][]string
 	schemaColumns map[string][]AttrRef
 
-	// terms is the sorted dictionary of every distinct indexed term,
-	// built once so prefix lookups never re-scan the data.
-	terms []string
+	// dict is the sorted dictionary of every distinct indexed term (the
+	// postings key set), kept so prefix lookups never re-scan the data.
+	dict dictionary
 
 	totalDocs int
 }
 
-// Build constructs the inverted index over every indexed (textual) column
-// of every table in the database.
-func Build(db *relstore.Database) *Index {
+// newIndex returns an index over db with no terms, its attribute list
+// and schema-term match tables derived from the schema in Build's
+// table/column order.
+func newIndex(db *relstore.Database) *Index {
 	ix := &Index{
 		db:            db,
-		postings:      make(map[string]map[string]*Posting),
-		stats:         make(map[string]*attrStats),
+		postings:      cow.New[map[string]*Posting](),
+		attrPos:       make(map[AttrRef]int),
 		schemaTables:  make(map[string][]string),
 		schemaColumns: make(map[string][]AttrRef),
 	}
@@ -91,57 +101,82 @@ func Build(db *relstore.Database) *Index {
 		for _, tok := range relstore.Tokenize(t.Schema.Name) {
 			ix.schemaTables[tok] = append(ix.schemaTables[tok], t.Schema.Name)
 		}
-		for ci, col := range t.Schema.Columns {
+		for _, col := range t.Schema.Columns {
 			if !col.Indexed {
 				continue
 			}
 			attr := AttrRef{Table: t.Schema.Name, Column: col.Name}
-			key := attr.String()
+			ix.attrPos[attr] = len(ix.attrs)
 			ix.attrs = append(ix.attrs, attr)
-			st := &attrStats{termCount: make(map[string]int), docCount: make(map[string]int)}
-			ix.stats[key] = st
+			ix.stats = append(ix.stats, &attrStats{terms: cow.New[termFreq]()})
 			for _, tok := range relstore.Tokenize(col.Name) {
 				ix.schemaColumns[tok] = append(ix.schemaColumns[tok], attr)
 			}
-			for _, row := range t.Rows() {
-				if !t.Live(row.RowID) {
-					continue
-				}
-				toks := relstore.Tokenize(row.Values[ci])
-				st.totalTokens += len(toks)
-				st.docs++
-				seen := make(map[string]bool, len(toks))
-				for _, tok := range toks {
-					st.termCount[tok]++
-					pmap := ix.postings[tok]
-					if pmap == nil {
-						pmap = make(map[string]*Posting)
-						ix.postings[tok] = pmap
-					}
-					p := pmap[key]
-					if p == nil {
-						p = &Posting{Attr: attr}
-						pmap[key] = p
-					}
-					p.Count++
-					if !seen[tok] {
-						seen[tok] = true
-						st.docCount[tok]++
-						p.DocCount++
-						p.Rows = append(p.Rows, row.RowID)
-					}
-				}
-				ix.totalDocs++
-			}
-			st.vocabulary = len(st.termCount)
 		}
 	}
-	ix.terms = make([]string, 0, len(ix.postings))
-	for term := range ix.postings {
-		ix.terms = append(ix.terms, term)
-	}
-	sort.Strings(ix.terms)
 	return ix
+}
+
+// Build constructs the inverted index over every indexed (textual) column
+// of every table in the database.
+func Build(db *relstore.Database) *Index {
+	ix := newIndex(db)
+	for i, attr := range ix.attrs {
+		t := db.Table(attr.Table)
+		ci := t.Schema.ColumnIndex(attr.Column)
+		key := attr.String()
+		st := ix.stats[i]
+		for id, row := range t.Rows() {
+			toks := relstore.Tokenize(row.Values[ci])
+			st.totalTokens += len(toks)
+			st.docs++
+			seen := make(map[string]bool, len(toks))
+			for _, tok := range toks {
+				first := !seen[tok]
+				seen[tok] = true
+				sh := st.terms.Edit(tok)
+				f := sh[tok]
+				f.count++
+				if first {
+					f.docs++
+				}
+				sh[tok] = f
+				pmap := ix.postings.Get(tok)
+				if pmap == nil {
+					pmap = make(map[string]*Posting)
+					ix.postings.Edit(tok)[tok] = pmap
+				}
+				p := pmap[key]
+				if p == nil {
+					p = &Posting{Attr: attr}
+					pmap[key] = p
+				}
+				p.Count++
+				if first {
+					p.DocCount++
+					p.Rows = append(p.Rows, id)
+				}
+			}
+			ix.totalDocs++
+		}
+		st.vocabulary = st.terms.Len()
+	}
+	terms := make([]string, 0, ix.postings.Len())
+	for term := range ix.postings.All() {
+		terms = append(terms, term)
+	}
+	sort.Strings(terms)
+	ix.dict = newDictionary(terms)
+	return ix
+}
+
+// statsOf returns the attribute's statistics, or nil when it is not an
+// indexed attribute.
+func (ix *Index) statsOf(attr AttrRef) *attrStats {
+	if i, ok := ix.attrPos[attr]; ok {
+		return ix.stats[i]
+	}
+	return nil
 }
 
 // Database returns the database the index was built over.
@@ -157,7 +192,7 @@ func (ix *Index) Attributes() []AttrRef {
 // Lookup returns the postings of a term across all attributes, sorted by
 // attribute key for determinism. The term is lower-cased before lookup.
 func (ix *Index) Lookup(term string) []Posting {
-	pmap := ix.postings[normalize(term)]
+	pmap := ix.postings.Get(normalize(term))
 	if pmap == nil {
 		return nil
 	}
@@ -178,50 +213,39 @@ func (ix *Index) Lookup(term string) []Posting {
 // from the sorted term dictionary by binary search, so a lookup costs
 // O(log |V| + answer) instead of re-scanning every indexed row.
 func (ix *Index) TermsWithPrefix(prefix string, limit int) []string {
-	start := sort.SearchStrings(ix.terms, prefix)
-	var out []string
-	for i := start; i < len(ix.terms); i++ {
-		if !strings.HasPrefix(ix.terms[i], prefix) {
-			break
-		}
-		out = append(out, ix.terms[i])
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
+	return ix.dict.withPrefix(prefix, limit)
 }
 
 // NumTerms returns the size of the term dictionary.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
+func (ix *Index) NumTerms() int { return ix.dict.n }
 
 // Contains reports whether the term occurs anywhere in the database.
 func (ix *Index) Contains(term string) bool {
-	_, ok := ix.postings[normalize(term)]
+	_, ok := ix.postings.Lookup(normalize(term))
 	return ok
 }
 
 // TermCount returns the raw number of occurrences of term in attr.
 func (ix *Index) TermCount(term string, attr AttrRef) int {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
-	return st.termCount[normalize(term)]
+	return st.terms.Get(normalize(term)).count
 }
 
 // DocCount returns the number of tuples of attr whose value contains term.
 func (ix *Index) DocCount(term string, attr AttrRef) int {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
-	return st.docCount[normalize(term)]
+	return st.terms.Get(normalize(term)).docs
 }
 
 // AttrTokens returns the total number of tokens stored in attr.
 func (ix *Index) AttrTokens(attr AttrRef) int {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
@@ -230,7 +254,7 @@ func (ix *Index) AttrTokens(attr AttrRef) int {
 
 // AttrVocabulary returns the number of distinct terms stored in attr.
 func (ix *Index) AttrVocabulary(attr AttrRef) int {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
@@ -239,7 +263,7 @@ func (ix *Index) AttrVocabulary(attr AttrRef) int {
 
 // AttrDocs returns the number of tuples (attribute values) of attr.
 func (ix *Index) AttrDocs(attr AttrRef) int {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
@@ -262,31 +286,31 @@ func (ix *Index) TotalDocs() int { return ix.totalDocs }
 // probability mass for unseen keywords so that ATF is a proper
 // distribution over V_A ∪ {unseen}.
 func (ix *Index) ATF(term string, attr AttrRef, alpha float64) float64 {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
-	c := float64(st.termCount[normalize(term)])
+	c := float64(st.terms.Get(normalize(term)).count)
 	return (c + alpha) / (float64(st.totalTokens) + alpha*float64(st.vocabulary+1))
 }
 
 // TF returns the normalised term frequency count(k,A)/tokens(A).
 func (ix *Index) TF(term string, attr AttrRef) float64 {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil || st.totalTokens == 0 {
 		return 0
 	}
-	return float64(st.termCount[normalize(term)]) / float64(st.totalTokens)
+	return float64(st.terms.Get(normalize(term)).count) / float64(st.totalTokens)
 }
 
 // IDF returns the inverse document frequency of term within attr,
 // ln(1 + docs(A)/(df+1)), the selectivity factor of Section 2.2.4.
 func (ix *Index) IDF(term string, attr AttrRef) float64 {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0
 	}
-	df := st.docCount[normalize(term)]
+	df := st.terms.Get(normalize(term)).docs
 	return math.Log(1 + float64(st.docs)/float64(df+1))
 }
 
@@ -294,7 +318,7 @@ func (ix *Index) IDF(term string, attr AttrRef) float64 {
 // Lucene-style SQAK baseline: 1 + ln(N/(df+1)).
 func (ix *Index) GlobalIDF(term string) float64 {
 	df := 0
-	for _, p := range ix.postings[normalize(term)] {
+	for _, p := range ix.postings.Get(normalize(term)) {
 		df += p.DocCount
 	}
 	return 1 + math.Log(float64(ix.totalDocs+1)/float64(df+1))
@@ -328,7 +352,7 @@ func (ix *Index) MatchColumns(term string) []AttrRef {
 // exceeds the product of the marginals, so interpretations binding several
 // keywords to the same attribute are promoted.
 func (ix *Index) CoOccurrence(keywords []string, attr AttrRef) (matching, total int) {
-	st := ix.stats[attr.String()]
+	st := ix.statsOf(attr)
 	if st == nil {
 		return 0, 0
 	}

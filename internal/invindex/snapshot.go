@@ -31,36 +31,32 @@ func (ix *Index) EncodeSnapshot(e *durable.Enc) {
 	e.Uvarint(uint64(ix.totalDocs))
 
 	// Per-attribute statistics, in attribute order.
-	for _, a := range ix.attrs {
-		st := ix.stats[a.String()]
+	for _, st := range ix.stats {
 		e.Uvarint(uint64(st.totalTokens))
 		e.Uvarint(uint64(st.docs))
-		terms := make([]string, 0, len(st.termCount))
-		for term := range st.termCount {
+		terms := make([]string, 0, st.terms.Len())
+		for term := range st.terms.All() {
 			terms = append(terms, term)
 		}
 		sort.Strings(terms)
 		e.Uvarint(uint64(len(terms)))
 		for _, term := range terms {
+			f := st.terms.Get(term)
 			e.String(term)
-			e.Uvarint(uint64(st.termCount[term]))
-			e.Uvarint(uint64(st.docCount[term]))
+			e.Uvarint(uint64(f.count))
+			e.Uvarint(uint64(f.docs))
 		}
 	}
 
-	// Postings: term → attribute index → posting, everything sorted.
+	// Postings: term → attribute index → posting, everything sorted; the
+	// dictionary is the postings key set in order.
 	attrIdx := make(map[string]int, len(ix.attrs))
 	for i, a := range ix.attrs {
 		attrIdx[a.String()] = i
 	}
-	terms := make([]string, 0, len(ix.postings))
-	for term := range ix.postings {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	e.Uvarint(uint64(len(terms)))
-	for _, term := range terms {
-		pmap := ix.postings[term]
+	e.Uvarint(uint64(ix.dict.n))
+	for term := range ix.dict.all() {
+		pmap := ix.postings.Get(term)
 		keys := make([]string, 0, len(pmap))
 		for k := range pmap {
 			keys = append(keys, k)
@@ -83,50 +79,39 @@ func (ix *Index) EncodeSnapshot(e *durable.Enc) {
 // engine decodes the database section first); attribute identity is
 // cross-checked against its schema.
 func DecodeSnapshot(d *durable.Dec, db *relstore.Database) (*Index, error) {
-	ix := &Index{
-		db:            db,
-		postings:      make(map[string]map[string]*Posting),
-		stats:         make(map[string]*attrStats),
-		schemaTables:  make(map[string][]string),
-		schemaColumns: make(map[string][]AttrRef),
-	}
-
+	// The schema-derived index skeleton carries the attribute list and
+	// the schema-term match tables; the encoded attribute list must
+	// match it exactly — it is what ties stats and postings to real
+	// columns.
+	ix := newIndex(db)
 	nattrs := int(d.Uvarint())
+	var got []AttrRef
 	for i := 0; i < nattrs && d.Err() == nil; i++ {
-		ix.attrs = append(ix.attrs, AttrRef{Table: d.String(), Column: d.String()})
+		got = append(got, AttrRef{Table: d.String(), Column: d.String()})
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("invindex: decode snapshot: %w", err)
 	}
-	// The attribute list must match the schema-derived one exactly —
-	// it is what ties stats and postings to real columns.
-	want := attrsOf(db)
-	if len(want) != len(ix.attrs) {
-		return nil, fmt.Errorf("invindex: decode snapshot: %d attributes, schema has %d", len(ix.attrs), len(want))
+	if len(got) != len(ix.attrs) {
+		return nil, fmt.Errorf("invindex: decode snapshot: %d attributes, schema has %d", len(got), len(ix.attrs))
 	}
-	for i := range want {
-		if want[i] != ix.attrs[i] {
+	for i, want := range ix.attrs {
+		if got[i] != want {
 			return nil, fmt.Errorf("invindex: decode snapshot: attribute %d is %s, schema says %s",
-				i, ix.attrs[i], want[i])
+				i, got[i], want)
 		}
 	}
 	ix.totalDocs = int(d.Uvarint())
 
-	for _, a := range ix.attrs {
-		st := &attrStats{
-			totalTokens: int(d.Uvarint()),
-			docs:        int(d.Uvarint()),
-			termCount:   make(map[string]int),
-			docCount:    make(map[string]int),
-		}
+	for _, st := range ix.stats {
+		st.totalTokens = int(d.Uvarint())
+		st.docs = int(d.Uvarint())
 		nterms := int(d.Uvarint())
 		for i := 0; i < nterms && d.Err() == nil; i++ {
 			term := d.String()
-			st.termCount[term] = int(d.Uvarint())
-			st.docCount[term] = int(d.Uvarint())
+			st.terms.Edit(term)[term] = termFreq{count: int(d.Uvarint()), docs: int(d.Uvarint())}
 		}
-		st.vocabulary = len(st.termCount)
-		ix.stats[a.String()] = st
+		st.vocabulary = st.terms.Len()
 	}
 
 	nterms := int(d.Uvarint())
@@ -148,7 +133,7 @@ func DecodeSnapshot(d *durable.Dec, db *relstore.Database) (*Index, error) {
 				Rows:     d.Ints(),
 			}
 		}
-		ix.postings[term] = pmap
+		ix.postings.Edit(term)[term] = pmap
 		terms = append(terms, term)
 	}
 	if err := d.Err(); err != nil {
@@ -157,36 +142,6 @@ func DecodeSnapshot(d *durable.Dec, db *relstore.Database) (*Index, error) {
 	// The term dictionary is the sorted postings key set; terms were
 	// encoded sorted, so re-sorting is a no-op guard on corrupt input.
 	sort.Strings(terms)
-	ix.terms = terms
-
-	// Schema-term match tables derive from the schema alone, in the
-	// same table/column order Build uses.
-	for _, t := range db.Tables() {
-		for _, tok := range relstore.Tokenize(t.Schema.Name) {
-			ix.schemaTables[tok] = append(ix.schemaTables[tok], t.Schema.Name)
-		}
-		for _, col := range t.Schema.Columns {
-			if !col.Indexed {
-				continue
-			}
-			attr := AttrRef{Table: t.Schema.Name, Column: col.Name}
-			for _, tok := range relstore.Tokenize(col.Name) {
-				ix.schemaColumns[tok] = append(ix.schemaColumns[tok], attr)
-			}
-		}
-	}
+	ix.dict = newDictionary(terms)
 	return ix, nil
-}
-
-// attrsOf lists every indexed attribute of db in Build's order.
-func attrsOf(db *relstore.Database) []AttrRef {
-	var out []AttrRef
-	for _, t := range db.Tables() {
-		for _, col := range t.Schema.Columns {
-			if col.Indexed {
-				out = append(out, AttrRef{Table: t.Schema.Name, Column: col.Name})
-			}
-		}
-	}
-	return out
 }

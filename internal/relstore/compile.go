@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/cow"
 )
 
 // This file implements compiled join plans: the execution-ready form of a
@@ -306,7 +308,7 @@ type step struct {
 	cands []int
 	// idx is this table's equality index on col: the parent's join value
 	// maps to this node's partner rows, ascending.
-	idx *cowMap[[]int]
+	idx *cow.Map[[]int]
 	// memo is the word offset of this step's viability memo in
 	// planRun.memo, or -1 when the step keeps none: leaves have nothing
 	// below them and each root candidate is visited once anyway.
@@ -490,12 +492,12 @@ func (r *planRun) below(k, row int) bool {
 			return s == memoLive
 		}
 	}
-	vals := st.table.rows[row].Values
+	vals := st.table.slot(row).Values
 	ok := true
 	for c := st.kid; c >= 0 && ok; c = r.order[c].sib {
 		ch := &r.order[c]
 		ok = false
-		for _, p := range ch.idx.get(vals[ch.parentCol]) {
+		for _, p := range ch.idx.Get(vals[ch.parentCol]) {
 			r.probes++
 			if ch.member(p) && r.below(c, p) {
 				ok = true
@@ -529,8 +531,8 @@ func (r *planRun) enumerate(k int) bool {
 		return r.limit > 0 && r.count >= r.limit
 	}
 	st := &r.order[k]
-	pv := st.ptable.rows[r.assign[st.parent]].Values[st.parentCol]
-	for _, id := range st.idx.get(pv) {
+	pv := st.ptable.slot(r.assign[st.parent]).Values[st.parentCol]
+	for _, id := range st.idx.Get(pv) {
 		r.probes++
 		if !st.member(id) || !r.below(k, id) {
 			continue

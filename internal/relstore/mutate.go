@@ -5,6 +5,8 @@ import (
 	"maps"
 	"slices"
 	"sort"
+
+	"repro/internal/cow"
 )
 
 // This file implements live row mutations over a built database. The
@@ -14,26 +16,26 @@ import (
 //   - Database.Apply never modifies the receiver. It returns a new
 //     Database sharing every untouched table (and therefore that table's
 //     rows, equality indexes, and posting lists) with the old one.
-//   - A touched table is cloned shallowly — the row slice is copied, the
-//     index and posting maps are shared shard by shard (cowMap) and only
-//     the shards a batch writes are copied, the per-value row lists and
-//     per-token posting lists stay shared — and then patched
-//     functionally: every affected row list / posting list is replaced
-//     by a fresh updated copy, so slices reachable from the old database
-//     are never written.
+//   - A touched table is cloned shallowly — only the spine of row-chunk
+//     pointers is copied, and a chunk is copied the first time the batch
+//     writes a slot of it; the index and posting maps are shared shard
+//     by shard (cow.Map) and only the shards a batch writes are copied;
+//     the per-value row lists and per-token posting lists stay shared —
+//     and then patched functionally: every affected row list / posting
+//     list is replaced by a fresh updated copy, so nothing reachable
+//     from the old database is ever written.
 //   - Deletes tombstone the row instead of renumbering: RowIDs are
 //     assigned once and never reused, which keeps every RowID-keyed
 //     structure (posting lists, equality indexes, memos) valid without
 //     a rebuild. All iteration and lazy index construction skips
 //     tombstones via Table.Live.
 //
-// The result: a mutation batch costs O(rows of the touched tables + the
-// index shards and lists it writes), never O(database) and never the
-// touched tables' whole index maps; re-tokenisation is limited
-// to the changed cell values; and a reader holding the old Database sees
-// a perfectly consistent pre-batch view forever (snapshot isolation —
-// the engine layer publishes the returned database with an atomic
-// pointer swap).
+// The result: a mutation batch costs O(the chunks, index shards and
+// lists it writes + one chunk-pointer spine per touched table), never
+// O(rows); re-tokenisation is limited to the changed cell values; and a
+// reader holding the old Database sees a perfectly consistent pre-batch
+// view forever (snapshot isolation — the engine layer publishes the
+// returned database with an atomic pointer swap).
 
 // Op is a mutation kind.
 type Op string
@@ -89,7 +91,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 		if t == nil {
 			return nil, fmt.Errorf("relstore: mutation %d: unknown table %q", i, name)
 		}
-		nt := t.mutableCopy(len(muts))
+		nt := t.mutableCopy()
 		touched[name] = nt
 		ndb.tables[name] = nt
 		return nt, nil
@@ -132,7 +134,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			old := t.rows[id].Values
+			old := t.slot(id).Values
 			// An update re-keying the row must not collide either.
 			if pk := t.Schema.PrimaryKey; pk != "" {
 				pki := t.Schema.ColumnIndex(pk)
@@ -153,39 +155,45 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			old := t.rows[id].Values
+			old := t.slot(id).Values
 			t.applyDelete(id)
 			changes = append(changes, RowChange{Table: m.Table, RowID: id, Old: old})
 		default:
 			return nil, nil, fmt.Errorf("relstore: mutation %d: unknown op %q (want insert, update, or delete)", i, m.Op)
 		}
 	}
+	for _, t := range touched {
+		t.base = nil // published: the batch's chunk ownership ends here
+	}
 	return ndb, changes, nil
 }
 
-// mutableCopy clones the table for copy-on-write patching: the row slice
-// is copied (with room for spare appended rows), the indexes and posting
-// maps are cloned shard-shared (see cowMap), and the per-value row lists
-// and posting lists stay shared until a patch replaces them. The copy
-// holds fresh mutexes; the source's locks are taken so a concurrent lazy
-// index build on the live table cannot race the clone.
-func (t *Table) mutableCopy(spare int) *Table {
+// mutableCopy clones the table for copy-on-write patching: the
+// chunk-pointer spine is copied (with room for one more chunk) and the
+// chunks stay shared until a write copies one (see writable), the
+// indexes and posting maps are cloned shard-shared (see cow.Map), and
+// the per-value row lists and posting lists stay shared until a patch
+// replaces them. The copy holds fresh mutexes; the source's locks are
+// taken so a concurrent lazy index build on the live table cannot race
+// the clone.
+func (t *Table) mutableCopy() *Table {
 	nt := &Table{
 		Schema:   t.Schema,
-		rows:     append(make([]Tuple, 0, len(t.rows)+spare), t.rows...),
-		dead:     slices.Clone(t.dead),
+		chunks:   append(make([]*chunk, 0, len(t.chunks)+1), t.chunks...),
+		n:        t.n,
 		numDead:  t.numDead,
-		valueIdx: make(map[int]*cowMap[[]int]),
+		base:     t.chunks,
+		valueIdx: make(map[int]*cow.Map[[]int]),
 		postings: make(map[int]*columnPostings),
 	}
 	t.idxMu.Lock()
 	for col, idx := range t.valueIdx {
-		nt.valueIdx[col] = idx.clone()
+		nt.valueIdx[col] = idx.Clone()
 	}
 	t.idxMu.Unlock()
 	t.postMu.Lock()
 	for col, cp := range t.postings {
-		nt.postings[col] = &columnPostings{terms: cp.terms.clone()}
+		nt.postings[col] = &columnPostings{terms: cp.terms.Clone()}
 	}
 	t.postMu.Unlock()
 	return nt
@@ -215,13 +223,13 @@ func (t *Table) findByKey(i int, key string) (int, error) {
 // indexInsert and indexRemove patch one equality-index entry, replacing
 // the row list functionally (it may be shared with the pre-batch
 // snapshot) and dropping a value whose last row went away.
-func indexInsert(idx *cowMap[[]int], value string, id int) {
-	sh := idx.edit(value)
+func indexInsert(idx *cow.Map[[]int], value string, id int) {
+	sh := idx.Edit(value)
 	sh[value] = SortedInsert(sh[value], id)
 }
 
-func indexRemove(idx *cowMap[[]int], value string, id int) {
-	sh := idx.edit(value)
+func indexRemove(idx *cow.Map[[]int], value string, id int) {
+	sh := idx.Edit(value)
 	if ids := SortedRemove(sh[value], id); len(ids) > 0 {
 		sh[value] = ids
 	} else {
@@ -232,11 +240,7 @@ func indexRemove(idx *cowMap[[]int], value string, id int) {
 // applyInsert appends a row to the COW table, maintaining every built
 // index incrementally, and returns its RowID.
 func (t *Table) applyInsert(vals []string) int {
-	id := len(t.rows)
-	t.rows = append(t.rows, Tuple{RowID: id, Values: vals})
-	if t.dead != nil {
-		t.dead = append(t.dead, false)
-	}
+	id := t.push(vals)
 	for col, idx := range t.valueIdx {
 		indexInsert(idx, vals[col], id)
 	}
@@ -248,12 +252,8 @@ func (t *Table) applyInsert(vals []string) int {
 
 // applyDelete tombstones the row, removing it from every built index.
 func (t *Table) applyDelete(id int) {
-	old := t.rows[id].Values
-	if t.dead == nil {
-		t.dead = make([]bool, len(t.rows))
-	}
-	t.dead[id] = true
-	t.numDead++
+	old := t.slot(id).Values
+	t.kill(id)
 	for col, idx := range t.valueIdx {
 		indexRemove(idx, old[col], id)
 	}
@@ -265,8 +265,8 @@ func (t *Table) applyDelete(id int) {
 // applyUpdate replaces the row's values, re-indexing only the columns
 // whose value actually changed.
 func (t *Table) applyUpdate(id int, vals []string) {
-	old := t.rows[id].Values
-	t.rows[id] = Tuple{RowID: id, Values: vals}
+	old := t.slot(id).Values
+	t.writable(id).rows[id&chunkMask] = Tuple{RowID: id, Values: vals}
 	for col, idx := range t.valueIdx {
 		if old[col] == vals[col] {
 			continue
@@ -296,7 +296,7 @@ func (cp *columnPostings) addValue(row int, value string) {
 		counts[tok]++
 	}
 	for tok, c := range counts {
-		sh := cp.terms.edit(tok)
+		sh := cp.terms.Edit(tok)
 		sh[tok] = sh[tok].withRow(row, c)
 	}
 }
@@ -311,7 +311,7 @@ func (cp *columnPostings) removeValue(row int, value string) {
 			continue
 		}
 		seen[tok] = true
-		sh := cp.terms.edit(tok)
+		sh := cp.terms.Edit(tok)
 		if npl := sh[tok].withoutRow(row); npl != nil {
 			sh[tok] = npl
 		} else {

@@ -1,10 +1,14 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // mutTestDB builds a small person/city/lives database with built posting
@@ -267,11 +271,107 @@ func TestApplyDuplicateTokenCounts(t *testing.T) {
 	assertSelectionsAgree(t, db3, mutProbes)
 }
 
-// TestApplyRandomizedDifferential drives random mutation chains and
-// cross-checks postings vs scan and indexes vs scan after every batch,
-// plus execution agreement of a fixed join plan.
-func TestApplyRandomizedDifferential(t *testing.T) {
+// chunkedMutTestDB is mutTestDB with person and lives grown to two rows
+// short of three full row chunks, so the tables span three chunks and a
+// third insert starts a fourth.
+func chunkedMutTestDB(t *testing.T) *Database {
+	t.Helper()
 	db := mutTestDB(t)
+	person, lives := db.Table("person"), db.Table("lives")
+	words := []string{"alice", "stone", "rivers", "moved", "1999", "quartz", "delta"}
+	for i := 0; person.Len() < 3*chunkSize-2; i++ {
+		pid := fmt.Sprintf("pf%d", i)
+		if _, err := person.Insert(pid, words[i%len(words)]+" "+words[i*3%len(words)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lives.Insert(fmt.Sprintf("lf%d", i), pid, fmt.Sprintf("c%d", 1+i%2), words[i*5%len(words)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// edgeRow picks a live row of the table's first or last row chunk (one
+// time in three anywhere), or -1 when its tries find none.
+func edgeRow(rng *rand.Rand, t *Table) int {
+	lo, hi := 0, t.Len()
+	switch rng.Intn(3) {
+	case 0:
+		hi = min(hi, chunkSize)
+	case 1:
+		lo = (hi - 1) &^ chunkMask
+	}
+	for try := 0; try < 50 && hi > lo; try++ {
+		if id := lo + rng.Intn(hi-lo); t.Live(id) {
+			return id
+		}
+	}
+	return -1
+}
+
+// assertMatchesFresh compares db with a fresh database decoded from its
+// physical rows alone — posting lists and equality indexes all rebuilt
+// from scratch, RowIDs and tombstones kept — on everything a reader can
+// ask: every row slot, every selection probe, every equality lookup and
+// the plan's join results.
+func assertMatchesFresh(t *testing.T, db *Database, probes [][]string, plan *JoinPlan) {
+	t.Helper()
+	var enc durable.Enc
+	db.EncodeSnapshot(&enc, EncodeOptions{Physical: true})
+	fresh, err := DecodeSnapshot(durable.NewDec(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Prepare()
+	for _, tb := range db.Tables() {
+		ft := fresh.Table(tb.Schema.Name)
+		if tb.Len() != ft.Len() || tb.NumLive() != ft.NumLive() {
+			t.Fatalf("%s: %d slots / %d live, fresh %d / %d", tb.Schema.Name, tb.Len(), tb.NumLive(), ft.Len(), ft.NumLive())
+		}
+		for id := 0; id < tb.Len(); id++ {
+			got, gok := tb.Row(id)
+			want, wok := ft.Row(id)
+			if gok != wok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s row %d: %v %v, fresh %v %v", tb.Schema.Name, id, got, gok, want, wok)
+			}
+		}
+		for _, col := range tb.Schema.TextColumns() {
+			for _, bag := range probes {
+				if got, want := SortedCopy(tb.SelectContains(col, bag)), SortedCopy(ft.SelectContains(col, bag)); !sameIDs(got, want) {
+					t.Fatalf("%s.%s contains %v: %v, fresh %v", tb.Schema.Name, col, bag, got, want)
+				}
+			}
+		}
+		for ci, col := range tb.Schema.Columns {
+			for _, r := range ft.Rows() {
+				v := r.Values[ci]
+				if got, want := tb.LookupEqual(col.Name, v), ft.LookupEqual(col.Name, v); !sameIDs(got, want) {
+					t.Fatalf("%s.%s = %q: %v, fresh %v", tb.Schema.Name, col.Name, v, got, want)
+				}
+			}
+		}
+	}
+	got, err := db.Execute(plan, ExecuteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Execute(plan, ExecuteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameJTTs(got, want) {
+		t.Fatalf("Execute %v, fresh %v", got, want)
+	}
+}
+
+// TestApplyRandomizedDifferential drives random mutation chains over
+// tables spanning several row chunks — updates and deletes aimed at the
+// first and last chunk, inserts crossing a chunk boundary — and after
+// every batch cross-checks postings vs scan, indexes vs scan, execution
+// vs the scan executor, and the whole patched database against a fresh
+// one built from its rows.
+func TestApplyRandomizedDifferential(t *testing.T) {
+	db := chunkedMutTestDB(t)
 	rng := rand.New(rand.NewSource(7))
 	words := []string{"alice", "stone", "rivers", "moved", "1999", "quartz", "delta"}
 	plan := &JoinPlan{
@@ -285,13 +385,14 @@ func TestApplyRandomizedDifferential(t *testing.T) {
 			{From: 1, To: 2, FromColumn: "cid", ToColumn: "id"},
 		},
 	}
+	startChunks := len(db.Table("person").chunks)
 	serial := 0
 	for round := 0; round < 40; round++ {
 		var muts []Mutation
 		// Each key is targeted at most once per batch, so a later mutation
 		// cannot address a row an earlier one deleted.
 		usedKeys := make(map[string]bool)
-		for n := 1 + rng.Intn(3); n > 0; n-- {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
 			tb := db.Tables()[rng.Intn(db.NumTables())]
 			name := tb.Schema.Name
 			textCol := tb.Schema.TextColumns()[0]
@@ -311,8 +412,8 @@ func TestApplyRandomizedDifferential(t *testing.T) {
 				usedKeys[name+"\x00"+vals[0]] = true
 				muts = append(muts, Mutation{Op: OpInsert, Table: name, Values: vals})
 			case 1:
-				if id := liveRow(rng, tb); id >= 0 {
-					vals := append([]string(nil), tb.Rows()[id].Values...)
+				if id := edgeRow(rng, tb); id >= 0 {
+					vals := append([]string(nil), tb.slot(id).Values...)
 					if usedKeys[name+"\x00"+vals[0]] {
 						continue
 					}
@@ -321,8 +422,8 @@ func TestApplyRandomizedDifferential(t *testing.T) {
 					muts = append(muts, Mutation{Op: OpUpdate, Table: name, Key: vals[0], Values: vals})
 				}
 			default:
-				if id := liveRow(rng, tb); id >= 0 {
-					key := tb.Rows()[id].Values[0]
+				if id := edgeRow(rng, tb); id >= 0 {
+					key := tb.slot(id).Values[0]
 					if usedKeys[name+"\x00"+key] {
 						continue
 					}
@@ -356,17 +457,45 @@ func TestApplyRandomizedDifferential(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: Execute %v, ExecuteScan %v", round, got, want)
 		}
+		assertMatchesFresh(t, db, mutProbes, plan)
+	}
+	if n := len(db.Table("person").chunks); n <= startChunks {
+		t.Fatalf("person still spans %d chunks: no insert crossed a chunk boundary", n)
 	}
 }
 
-func liveRow(rng *rand.Rand, t *Table) int {
-	if t.NumLive() == 0 {
-		return -1
+// TestApplyCopiesTouchedChunksOnly: a batch copies the row chunks it
+// writes — each once — and shares every other chunk with its source,
+// which keeps its own.
+func TestApplyCopiesTouchedChunksOnly(t *testing.T) {
+	db := chunkedMutTestDB(t)
+	person := db.Table("person")
+	before := append([]*chunk(nil), person.chunks...)
+	last := person.Len() - 1
+	ndb, _, err := db.Apply([]Mutation{
+		{Op: OpUpdate, Table: "person", Key: "p1", Values: []string{"p1", "alice brook"}},
+		{Op: OpDelete, Table: "person", Key: "p2"},
+		{Op: OpUpdate, Table: "person", Key: person.slot(last).Values[0], Values: []string{person.slot(last).Values[0], "last row"}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for {
-		id := rng.Intn(t.Len())
-		if t.Live(id) {
-			return id
+	np := ndb.Table("person")
+	for i, c := range np.chunks {
+		if touched := i == 0 || i == last>>chunkBits; (c != before[i]) != touched {
+			t.Errorf("chunk %d: copied %v, touched %v", i, c != before[i], touched)
 		}
+	}
+	if np.base != nil {
+		t.Error("published table still records its copy source")
+	}
+	if !slices.Equal(person.chunks, before) || !person.Live(1) || person.slot(0).Values[1] != "alice rivers" {
+		t.Error("the source table changed")
+	}
+	if row, ok := np.Row(0); !ok || row.Values[1] != "alice brook" || np.Live(1) {
+		t.Errorf("patched table: row 0 = %v, row 1 live %v", row, np.Live(1))
+	}
+	if ndb.Table("city") != db.Table("city") {
+		t.Error("an untouched table was copied")
 	}
 }

@@ -3,6 +3,8 @@ package relstore
 import (
 	"sort"
 	"strings"
+
+	"repro/internal/cow"
 )
 
 // This file implements the per-column token posting lists that back the
@@ -42,7 +44,7 @@ func (p *postingList) add(row, count int) {
 
 // columnPostings maps token -> posting list for one column.
 type columnPostings struct {
-	terms *cowMap[*postingList]
+	terms *cow.Map[*postingList]
 }
 
 // addRow tokenizes one value and folds it into the postings.
@@ -56,7 +58,7 @@ func (cp *columnPostings) addRow(row int, value string) {
 		counts[tok]++
 	}
 	for tok, c := range counts {
-		sh := cp.terms.edit(tok)
+		sh := cp.terms.Edit(tok)
 		pl := sh[tok]
 		if pl == nil {
 			pl = &postingList{}
@@ -69,12 +71,9 @@ func (cp *columnPostings) addRow(row int, value string) {
 // buildColumnPostings constructs the postings of one column from scratch,
 // skipping tombstoned rows.
 func (t *Table) buildColumnPostings(col int) *columnPostings {
-	cp := &columnPostings{terms: newCowMap[*postingList]()}
-	for _, r := range t.rows {
-		if !t.Live(r.RowID) {
-			continue
-		}
-		cp.addRow(r.RowID, r.Values[col])
+	cp := &columnPostings{terms: cow.New[*postingList]()}
+	for id, r := range t.Rows() {
+		cp.addRow(id, r.Values[col])
 	}
 	return cp
 }
@@ -116,7 +115,7 @@ func (t *Table) selectPostings(ci int, keywords []string) []int {
 	}
 	lists := make([][]int, 0, len(need))
 	for k, n := range need {
-		pl := cp.terms.get(k)
+		pl := cp.terms.Get(k)
 		if pl == nil {
 			return nil
 		}
@@ -178,10 +177,8 @@ func intersectSorted(a, b []int) []int {
 // are assigned densely from 0 in insertion order; tombstones are skipped).
 func (t *Table) allRowIDs() []int {
 	out := make([]int, 0, t.NumLive())
-	for i := range t.rows {
-		if t.Live(i) {
-			out = append(out, i)
-		}
+	for id := range t.Rows() {
+		out = append(out, id)
 	}
 	return out
 }

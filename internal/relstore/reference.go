@@ -21,12 +21,9 @@ func (t *Table) SelectContainsScan(column string, keywords []string) []int {
 		return nil
 	}
 	var out []int
-	for _, r := range t.rows {
-		if !t.Live(r.RowID) {
-			continue
-		}
+	for id, r := range t.Rows() {
 		if ContainsBag(r.Values[ci], keywords) {
-			out = append(out, r.RowID)
+			out = append(out, id)
 		}
 	}
 	return out
@@ -49,16 +46,13 @@ func (t *Table) candidateRowsScan(preds []Predicate) []int {
 	}
 	var out []int
 rows:
-	for _, r := range t.rows {
-		if !t.Live(r.RowID) {
-			continue
-		}
+	for id, r := range t.Rows() {
 		for i, p := range preds {
 			if !ContainsBag(r.Values[cols[i]], p.Keywords) {
 				continue rows
 			}
 		}
-		out = append(out, r.RowID)
+		out = append(out, id)
 	}
 	return out
 }

@@ -18,9 +18,12 @@ package relstore
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/cow"
 )
 
 // Column describes one attribute of a table.
@@ -82,6 +85,21 @@ type Tuple struct {
 	Values []string
 }
 
+// Row slots live in fixed-size chunks: a table is a spine of chunk
+// pointers, and a mutation batch copies the spine and the chunks it
+// writes, sharing every other chunk with the snapshot it came from.
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// chunk holds chunkSize consecutive row slots and their tombstone bits.
+type chunk struct {
+	rows [chunkSize]Tuple
+	dead [chunkSize / 64]uint64
+}
+
 // Table is a materialised relation plus its lookup indexes.
 //
 // Reads (Row, Value, LookupEqual, SelectContains, Execute over the
@@ -93,18 +111,24 @@ type Tuple struct {
 type Table struct {
 	Schema *TableSchema
 
-	rows []Tuple
-	// dead marks tombstoned rows (nil until the first delete; parallel to
-	// rows once allocated). RowIDs are never reused, so every derived
+	// chunks holds row slot id at chunks[id>>chunkBits].rows[id&chunkMask];
+	// n is the number of slots. Deleted rows stay in place with their
+	// tombstone bit set: RowIDs are never reused, so every derived
 	// structure keyed by RowID stays valid across deletes; iteration and
 	// lazy index construction skip dead rows via Live.
-	dead    []bool
+	chunks  []*chunk
+	n       int
 	numDead int
+	// base is, while a mutation batch patches this table, the spine of
+	// the table it was copied from: chunk i is private to this table iff
+	// i >= len(base) or chunks[i] != base[i]. nil otherwise — a table
+	// that is not being patched owns the chunks it allocated.
+	base []*chunk
 	// value indexes per column: column position -> value -> row ids.
 	// Built lazily for columns used in joins or PK lookups; idxMu guards
 	// lazy construction under concurrent readers.
 	idxMu    sync.Mutex
-	valueIdx map[int]*cowMap[[]int]
+	valueIdx map[int]*cow.Map[[]int]
 
 	// token posting lists per column: column position -> token -> rows
 	// with per-row counts. Built lazily on first keyword selection (or
@@ -118,7 +142,7 @@ type Table struct {
 func NewTable(schema *TableSchema) *Table {
 	return &Table{
 		Schema:   schema,
-		valueIdx: make(map[int]*cowMap[[]int]),
+		valueIdx: make(map[int]*cow.Map[[]int]),
 		postings: make(map[int]*columnPostings),
 	}
 }
@@ -130,13 +154,12 @@ func (t *Table) Insert(values ...string) (int, error) {
 		return 0, fmt.Errorf("relstore: table %s expects %d values, got %d",
 			t.Schema.Name, len(t.Schema.Columns), len(values))
 	}
-	id := len(t.rows)
 	vals := make([]string, len(values))
 	copy(vals, values)
-	t.rows = append(t.rows, Tuple{RowID: id, Values: vals})
+	id := t.push(vals)
 	t.idxMu.Lock()
 	for col, idx := range t.valueIdx {
-		sh := idx.edit(vals[col])
+		sh := idx.Edit(vals[col])
 		sh[vals[col]] = append(sh[vals[col]], id)
 	}
 	t.idxMu.Unlock()
@@ -148,17 +171,49 @@ func (t *Table) Insert(values ...string) (int, error) {
 	return id, nil
 }
 
+// push appends a row slot and returns its RowID.
+func (t *Table) push(vals []string) int {
+	id := t.n
+	t.writable(id).rows[id&chunkMask] = Tuple{RowID: id, Values: vals}
+	t.n++
+	return id
+}
+
+// writable returns the chunk holding slot id, private to t: a chunk
+// still shared with the table t was copied from is copied on its first
+// write, and the slot just past the last chunk gets a fresh chunk.
+func (t *Table) writable(id int) *chunk {
+	i := id >> chunkBits
+	if i == len(t.chunks) {
+		t.chunks = append(t.chunks, new(chunk))
+	} else if i < len(t.base) && t.chunks[i] == t.base[i] {
+		c := *t.chunks[i]
+		t.chunks[i] = &c
+	}
+	return t.chunks[i]
+}
+
+// slot returns row slot id, live or tombstoned; id must be < Len.
+func (t *Table) slot(id int) *Tuple { return &t.chunks[id>>chunkBits].rows[id&chunkMask] }
+
 // Len returns the physical number of row slots, tombstones included.
 // Derived structures sized by RowID (bitsets, dense arrays) use Len;
 // data-level cardinality is NumLive.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.n }
 
 // NumLive returns the number of live (non-tombstoned) rows.
-func (t *Table) NumLive() int { return len(t.rows) - t.numDead }
+func (t *Table) NumLive() int { return t.n - t.numDead }
 
 // Live reports whether the RowID names an existing, non-deleted row.
 func (t *Table) Live(id int) bool {
-	return id >= 0 && id < len(t.rows) && (t.dead == nil || !t.dead[id])
+	return uint(id) < uint(t.n) &&
+		(t.numDead == 0 || t.chunks[id>>chunkBits].dead[id&chunkMask>>6]&(1<<(id&63)) == 0)
+}
+
+// kill tombstones a live row slot.
+func (t *Table) kill(id int) {
+	t.writable(id).dead[id&chunkMask>>6] |= 1 << (id & 63)
+	t.numDead++
 }
 
 // Row returns the tuple with the given RowID; deleted rows report ok=false.
@@ -166,13 +221,20 @@ func (t *Table) Row(id int) (Tuple, bool) {
 	if !t.Live(id) {
 		return Tuple{}, false
 	}
-	return t.rows[id], true
+	return *t.slot(id), true
 }
 
-// Rows returns the backing row slice, tombstoned slots included; callers
-// must not mutate it and must skip rows for which Live reports false when
-// iterating a table that has seen deletes.
-func (t *Table) Rows() []Tuple { return t.rows }
+// Rows iterates the live rows in RowID order. The tuples' Values are
+// shared with the table and must not be mutated.
+func (t *Table) Rows() iter.Seq2[int, Tuple] {
+	return func(yield func(int, Tuple) bool) {
+		for id := 0; id < t.n; id++ {
+			if t.Live(id) && !yield(id, *t.slot(id)) {
+				return
+			}
+		}
+	}
+}
 
 // Value returns the named column's value of the given row.
 func (t *Table) Value(id int, column string) (string, bool) {
@@ -180,24 +242,21 @@ func (t *Table) Value(id int, column string) (string, bool) {
 	if ci < 0 || !t.Live(id) {
 		return "", false
 	}
-	return t.rows[id].Values[ci], true
+	return t.slot(id).Values[ci], true
 }
 
 // ensureIndex builds (once) the equality index over the given column.
 // Safe for concurrent readers: construction happens under idxMu.
-func (t *Table) ensureIndex(col int) *cowMap[[]int] {
+func (t *Table) ensureIndex(col int) *cow.Map[[]int] {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if idx, ok := t.valueIdx[col]; ok {
 		return idx
 	}
-	idx := newCowMap[[]int]()
-	for _, r := range t.rows {
-		if !t.Live(r.RowID) {
-			continue
-		}
-		sh := idx.edit(r.Values[col])
-		sh[r.Values[col]] = append(sh[r.Values[col]], r.RowID)
+	idx := cow.New[[]int]()
+	for id, r := range t.Rows() {
+		sh := idx.Edit(r.Values[col])
+		sh[r.Values[col]] = append(sh[r.Values[col]], id)
 	}
 	t.valueIdx[col] = idx
 	return idx
@@ -210,7 +269,7 @@ func (t *Table) LookupEqual(column, value string) []int {
 	if ci < 0 {
 		return nil
 	}
-	return t.ensureIndex(ci).get(value)
+	return t.ensureIndex(ci).Get(value)
 }
 
 // Database is a named collection of tables with schema metadata.

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"sort"
 
+	"repro/internal/cow"
 	"repro/internal/durable"
 )
 
@@ -70,25 +71,20 @@ func (t *Table) encodeSnapshot(e *durable.Enc, opts EncodeOptions) {
 	}
 
 	if opts.Physical {
-		e.Uvarint(uint64(len(t.rows)))
-		for _, row := range t.rows {
-			for _, v := range row.Values {
+		e.Uvarint(uint64(t.n))
+		var dead []int
+		for id := 0; id < t.n; id++ {
+			for _, v := range t.slot(id).Values {
 				e.String(v)
 			}
-		}
-		var dead []int
-		for id := range t.rows {
-			if t.dead != nil && t.dead[id] {
+			if !t.Live(id) {
 				dead = append(dead, id)
 			}
 		}
 		e.Ints(dead)
 	} else {
 		e.Uvarint(uint64(t.NumLive()))
-		for _, row := range t.rows {
-			if !t.Live(row.RowID) {
-				continue
-			}
+		for _, row := range t.Rows() {
 			for _, v := range row.Values {
 				e.String(v)
 			}
@@ -113,14 +109,14 @@ func (t *Table) encodeSnapshot(e *durable.Enc, opts EncodeOptions) {
 	for _, ci := range indexed {
 		cp := t.ensurePostings(ci)
 		e.Uvarint(uint64(ci))
-		terms := make([]string, 0, cp.terms.len())
-		for term := range cp.terms.all() {
+		terms := make([]string, 0, cp.terms.Len())
+		for term := range cp.terms.All() {
 			terms = append(terms, term)
 		}
 		sort.Strings(terms)
 		e.Uvarint(uint64(len(terms)))
 		for _, term := range terms {
-			pl := cp.terms.get(term)
+			pl := cp.terms.Get(term)
 			e.String(term)
 			e.Ints(pl.rows)
 			e.Ints(pl.counts)
@@ -180,7 +176,7 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 		for ci := range vals {
 			vals[ci] = d.String()
 		}
-		t.rows = append(t.rows, Tuple{RowID: id, Values: vals})
+		t.push(vals)
 	}
 	dead := d.Ints()
 	if err := d.Err(); err != nil {
@@ -190,14 +186,12 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 		if !physical {
 			return fmt.Errorf("relstore: decode snapshot: table %s: dead rows in a logical dump", schema.Name)
 		}
-		t.dead = make([]bool, len(t.rows))
 		for _, id := range dead {
-			if id < 0 || id >= len(t.rows) || t.dead[id] {
+			if !t.Live(id) {
 				return fmt.Errorf("relstore: decode snapshot: table %s: invalid dead row %d", schema.Name, id)
 			}
-			t.dead[id] = true
+			t.kill(id)
 		}
-		t.numDead = len(dead)
 	}
 
 	npostCols := int(d.Uvarint())
@@ -207,7 +201,7 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 			return fmt.Errorf("relstore: decode snapshot: table %s: posting column %d out of range", schema.Name, ci)
 		}
 		nterms := int(d.Uvarint())
-		cp := &columnPostings{terms: newCowMap[*postingList]()}
+		cp := &columnPostings{terms: cow.New[*postingList]()}
 		for j := 0; j < nterms && d.Err() == nil; j++ {
 			term := d.String()
 			pl := &postingList{rows: d.Ints(), counts: d.Ints()}
@@ -215,14 +209,14 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 				return fmt.Errorf("relstore: decode snapshot: table %s: term %q rows/counts mismatch", schema.Name, term)
 			}
 			for k, row := range pl.rows {
-				if row < 0 || row >= len(t.rows) || (k > 0 && row <= pl.rows[k-1]) {
+				if row < 0 || row >= t.n || (k > 0 && row <= pl.rows[k-1]) {
 					return fmt.Errorf("relstore: decode snapshot: table %s: term %q has invalid posting rows", schema.Name, term)
 				}
 				if pl.counts[k] > pl.maxCount {
 					pl.maxCount = pl.counts[k]
 				}
 			}
-			cp.terms.edit(term)[term] = pl
+			cp.terms.Edit(term)[term] = pl
 		}
 		t.postings[ci] = cp
 	}
@@ -246,10 +240,7 @@ func (db *Database) CompactTables(names []string) *Database {
 			continue
 		}
 		nt := NewTable(t.Schema)
-		for _, row := range t.rows {
-			if !t.Live(row.RowID) {
-				continue
-			}
+		for _, row := range t.Rows() {
 			if _, err := nt.Insert(row.Values...); err != nil {
 				// Impossible: values came from a row of the same schema.
 				panic(fmt.Sprintf("relstore: compact %s: %v", name, err))

@@ -87,7 +87,7 @@ func TestSnapshotPhysicalRoundTrip(t *testing.T) {
 				t.Fatalf("table %s row %d liveness diverged", name, id)
 			}
 			// Tombstoned slots keep their values too (byte-stable resave).
-			if !reflect.DeepEqual(ot.rows[id].Values, nt.rows[id].Values) {
+			if !reflect.DeepEqual(ot.slot(id).Values, nt.slot(id).Values) {
 				t.Fatalf("table %s row %d values diverged", name, id)
 			}
 		}

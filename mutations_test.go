@@ -310,9 +310,10 @@ func randomMutations(rng *rand.Rand, eng *Engine, n int, serial *int) []Mutation
 			if id < 0 {
 				continue
 			}
-			key := tb.Rows()[id].Values[pkCol]
+			row, _ := tb.Row(id)
+			key := row.Values[pkCol]
 			if op == 1 {
-				vals := append([]string(nil), tb.Rows()[id].Values...)
+				vals := append([]string(nil), row.Values...)
 				for ci, col := range schema.Columns {
 					if col.Indexed && rng.Intn(2) == 0 {
 						vals[ci] = word() + " " + word()

@@ -221,9 +221,7 @@ func (se *ShardedEngine) shardRowCounts() []int {
 		counts := make([]int, se.n)
 		for _, t := range s.db.Tables() {
 			for id := range t.Rows() {
-				if t.Live(id) {
-					counts[shard.Owner(id, se.n)]++
-				}
+				counts[shard.Owner(id, se.n)]++
 			}
 		}
 		se.rcSnap = s
