@@ -6,7 +6,8 @@
 GO ?= go
 
 .PHONY: build test race vet fmt lint staticcheck fuzz fuzz-smoke \
-	bench bench-guard loadtest golden check cover obs-smoke benchmark-smoke
+	bench bench-guard loadtest golden check cover obs-smoke benchmark-smoke \
+	race-sweep
 
 build:
 	$(GO) build ./...
@@ -19,6 +20,15 @@ test:
 # the field; the seed is printed on failure for reproduction.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# race-sweep is the scheduled deep race run: five shuffled -race passes
+# at each of GOMAXPROCS 2, 4 and 8, so an interleaving that one pass at
+# the runner's native width never hits gets several chances to. Far too
+# slow for every push (~7 min on 2 cores); CI runs it weekly.
+race-sweep:
+	@for p in 2 4 8; do echo "== GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -count=5 ./... || exit 1; \
+	done
 
 # benchmark-smoke runs the serving benchmark's own tests (a nested
 # module, so `go test ./...` at the root never enters it): a production
@@ -59,7 +69,7 @@ fuzz-smoke:
 # bench runs legs of the mechanism-ratio harness (internal/bench; see
 # docs/benchmarks.md for what each leg justifies). LEGS picks them: the
 # default is the four micro legs, which finish in under a minute; the
-# HTTP legs (overload, qcache, shard) build a ~1M-row dataset and take
+# HTTP legs (overload, qcache) build a ~1M-row dataset and take
 # minutes at full size, so they are asked for by name or with LEGS=all.
 # QUICK=1 shrinks every leg to CI size. Nothing is written unless OUT
 # names a file: `make bench LEGS=all OUT=BENCH.json` re-records the

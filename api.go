@@ -98,10 +98,8 @@ func (r Result) Rows(limit int) ([]map[string]string, error) {
 	return r.rowsExec(limit, &relstore.LocalExecutor{DB: r.snap.db})
 }
 
-// rowsExec is Rows through a request-scoped plan executor, the seam that
-// keeps deferred execution topology-blind: the same Result previews
-// correctly whether the executor runs in-process or scatter-gathers
-// across shards.
+// rowsExec is Rows through a request-scoped plan executor, so previews
+// share the request's selection cache and answer-cache view.
 func (r Result) rowsExec(limit int, exec relstore.PlanExecutor) ([]map[string]string, error) {
 	if r.q == nil {
 		return nil, fmt.Errorf("keysearch: result is not executable (obtained from JSON?)")
@@ -146,22 +144,12 @@ func planRow(db *relstore.Database, plan *relstore.JoinPlan, rowIDs []int) map[s
 	return row
 }
 
-// execProvider builds the plan executor for one request over its pinned
-// snapshot and answer-cache view. The engine's own provider is
-// localExec; a sharded coordinator substitutes its scatter-gather
-// executor. Every provider must satisfy the PlanExecutor contract
-// (exact Database.Execute semantics), which is what keeps responses
-// byte-identical across topologies. ctx carries the request's trace
-// (when tracing is on) so a provider can attribute execution work; a
-// provider must never let it change results.
-type execProvider func(ctx context.Context, s *snapshot, view relstore.SharedStore) relstore.PlanExecutor
-
-// localExec is the single-process provider: plans run in place with the
-// per-request selection cache (unless disabled), threaded through to the
-// engine-lifetime answer cache via view. Under tracing, the view is
-// wrapped to count answer-cache hits and the executor to time plan
-// execution; with tracing off both wraps vanish (identical values, no
-// indirection).
+// localExec builds the plan executor for one request over its pinned
+// snapshot: plans run in place with the per-request selection cache
+// (unless disabled), threaded through to the engine-lifetime answer
+// cache via view. Under tracing, the view is wrapped to count
+// answer-cache hits and the executor to time plan execution; with
+// tracing off both wraps vanish (identical values, no indirection).
 func (e *Engine) localExec(ctx context.Context, s *snapshot, view relstore.SharedStore) relstore.PlanExecutor {
 	tr := trace.FromContext(ctx)
 	view = tracedView(view, tr)
@@ -204,11 +192,6 @@ func attachPreviews(ctx context.Context, results []Result, limit int, exec relst
 // cancels candidate generation, interpretation materialisation, and
 // ranking.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
-	return e.searchExec(ctx, req, e.localExec)
-}
-
-// searchExec is Search over an injectable executor provider.
-func (e *Engine) searchExec(ctx context.Context, req SearchRequest, prov execProvider) (*SearchResponse, error) {
 	tr := trace.FromContext(ctx)
 	view := e.answerView(req.Query) // view before snapshot: see answerView
 	s := e.current()
@@ -224,7 +207,7 @@ func (e *Engine) searchExec(ctx context.Context, req SearchRequest, prov execPro
 	resp.Results = e.wrap(s, ranked)
 	if req.RowLimit > 0 {
 		sp := tr.Start("previews")
-		err := attachPreviews(ctx, resp.Results, req.RowLimit, prov(ctx, s, view))
+		err := attachPreviews(ctx, resp.Results, req.RowLimit, e.localExec(ctx, s, view))
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -235,15 +218,9 @@ func (e *Engine) searchExec(ctx context.Context, req SearchRequest, prov execPro
 
 // Diversify returns the top-k relevant-and-diverse interpretations (the
 // DivQ interface). Interpretations with empty results are dropped first,
-// as in DivQ.
+// as in DivQ. The non-empty filter and the previews each get their own
+// executor, so each phase has its own per-request selection cache.
 func (e *Engine) Diversify(ctx context.Context, req DiversifyRequest) (*SearchResponse, error) {
-	return e.diversifyExec(ctx, req, e.localExec)
-}
-
-// diversifyExec is Diversify over an injectable executor provider. The
-// non-empty filter and the previews each get their own executor, mirroring
-// the two per-phase selection caches the local path has always used.
-func (e *Engine) diversifyExec(ctx context.Context, req DiversifyRequest, prov execProvider) (*SearchResponse, error) {
 	tr := trace.FromContext(ctx)
 	view := e.answerView(req.Query) // view before snapshot: see answerView
 	s := e.current()
@@ -257,7 +234,7 @@ func (e *Engine) diversifyExec(ctx context.Context, req DiversifyRequest, prov e
 		ranked = ranked[:25]
 	}
 	sp := tr.Start("filter_nonempty")
-	nonEmpty, err := divq.FilterNonEmptyExec(ctx, prov(ctx, s, view), ranked)
+	nonEmpty, err := divq.FilterNonEmptyExec(ctx, e.localExec(ctx, s, view), ranked)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -268,7 +245,7 @@ func (e *Engine) diversifyExec(ctx context.Context, req DiversifyRequest, prov e
 	resp.Results = e.wrap(s, div)
 	if req.RowLimit > 0 {
 		sp = tr.Start("previews")
-		err := attachPreviews(ctx, resp.Results, req.RowLimit, prov(ctx, s, view))
+		err := attachPreviews(ctx, resp.Results, req.RowLimit, e.localExec(ctx, s, view))
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -307,11 +284,6 @@ type RowsResponse struct {
 // interpretations of the keyword query, using threshold-style early
 // stopping so low-probability interpretations are never executed.
 func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse, error) {
-	return e.searchRowsExec(ctx, req, e.localExec)
-}
-
-// searchRowsExec is SearchRows over an injectable executor provider.
-func (e *Engine) searchRowsExec(ctx context.Context, req RowsRequest, prov execProvider) (*RowsResponse, error) {
 	tr := trace.FromContext(ctx)
 	view := e.answerView(req.Query) // view before snapshot: see answerView
 	s := e.current()
@@ -326,7 +298,7 @@ func (e *Engine) searchRowsExec(ctx context.Context, req RowsRequest, prov execP
 	sp := tr.Start("execute")
 	results, _, err := topk.TopKContext(ctx, s.db, ranked, &topk.TFScorer{IX: s.ix}, topk.Options{
 		K: req.K, PerInterpretationLimit: 4 * req.K, Parallelism: e.cfg.parallelism,
-		Exec: prov(ctx, s, view),
+		Exec: e.localExec(ctx, s, view),
 	})
 	sp.End()
 	if err != nil {

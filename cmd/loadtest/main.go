@@ -10,14 +10,9 @@
 //
 //	go run ./cmd/loadtest [-rows 100000] [-seed 42] [-music] [-ops 512]
 //	                      [-workers 16] [-rate 0] [-duration 10s]
-//	                      [-shards 1] [-max-concurrent 0] [-max-queue 0]
+//	                      [-max-concurrent 0] [-max-queue 0]
 //	                      [-queue-timeout 1s] [-request-timeout 0]
 //	                      [-saturate] [-url http://host:8080] [-json]
-//
-// -shards N stands the in-process server up over an N-shard
-// scatter-gather coordinator (keysearch.NewShardedEngine) instead of
-// the bare engine — responses are byte-identical, so the comparison
-// isolates the serving topology's cost and parallelism.
 //
 // -rate > 0 selects open-loop mode (fixed arrival schedule, latencies
 // measured from scheduled arrival — coordinated-omission honest);
@@ -49,7 +44,6 @@ import (
 	"os"
 	"time"
 
-	keysearch "repro"
 	"repro/httpapi"
 	"repro/internal/loadgen"
 )
@@ -66,7 +60,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "gate the server: wait-queue bound")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "gate the server: longest queue wait before a 503 shed")
 	requestTimeout := flag.Duration("request-timeout", 0, "server-side default per-request deadline (0 = none)")
-	shards := flag.Int("shards", 1, "serve through an N-shard scatter-gather coordinator (1 = single-process)")
 	saturate := flag.Bool("saturate", false, "run a saturation ramp instead of a single run")
 	url := flag.String("url", "", "drive this external server instead of an in-process one")
 	asJSON := flag.Bool("json", false, "print the result as JSON")
@@ -98,16 +91,7 @@ func main() {
 		}
 		log.Printf("engine ready in %v (%d tables, %d templates)", time.Since(start).Round(time.Millisecond),
 			eng.NumTables(), eng.NumTemplates())
-		var topo keysearch.Searcher = eng
-		if *shards > 1 {
-			se, err := keysearch.NewShardedEngine(*shards, eng)
-			if err != nil {
-				log.Fatal(err)
-			}
-			topo = se
-			log.Printf("topology: %d-shard scatter-gather coordinator", *shards)
-		}
-		ts := httptest.NewServer(httpapi.New(topo,
+		ts := httptest.NewServer(httpapi.New(eng,
 			httpapi.WithAdmission(httpapi.AdmissionConfig{
 				MaxConcurrent: *maxConcurrent,
 				MaxQueue:      *maxQueue,

@@ -42,11 +42,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	CheckpointBatches  int
 
-	// Shards selects the serving topology: 1 (the default) serves the
-	// engine directly; N > 1 wraps it in an N-shard scatter-gather
-	// coordinator (see docs/sharding.md) with byte-identical responses.
-	Shards int
-
 	// Static admission gate.
 	MaxConcurrent int
 	MaxQueue      int
@@ -90,7 +85,6 @@ func FromFlags(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&c.DataDir, "data-dir", "", "durable state directory: recover it if present, initialise it otherwise")
 	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", 30*time.Second, "background checkpoint interval (with -data-dir)")
 	fs.IntVar(&c.CheckpointBatches, "checkpoint-batches", 256, "checkpoint as soon as this many WAL batches accumulate (with -data-dir)")
-	fs.IntVar(&c.Shards, "shards", 1, "serve through an N-shard scatter-gather coordinator (1 = single-process)")
 	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 0, "cap on concurrently executing /v1/ requests (0 = unlimited)")
 	fs.IntVar(&c.MaxQueue, "max-queue", 0, "cap on /v1/ requests waiting for a slot; excess shed with 429 (with -max-concurrent)")
 	fs.DurationVar(&c.QueueTimeout, "queue-timeout", time.Second, "longest a request may wait for a slot before a 503 shed (with -max-concurrent)")
@@ -113,14 +107,11 @@ func FromFlags(fs *flag.FlagSet, args []string) (*Config, error) {
 }
 
 // Validate rejects configurations that earlier revisions silently
-// misserved: contradictory dataset selectors, non-positive topology
-// sizes, and gate bounds that cannot mean anything.
+// misserved: contradictory dataset selectors, negative cache budgets,
+// and gate bounds that cannot mean anything.
 func (c *Config) Validate() error {
 	if c.DBPath != "" && c.Music {
 		return fmt.Errorf("-db and -music are mutually exclusive: a dump fixes the dataset")
-	}
-	if c.Shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", c.Shards)
 	}
 	if c.AnswerCacheBytes < 0 {
 		return fmt.Errorf("-answer-cache must be >= 0, got %d", c.AnswerCacheBytes)

@@ -28,7 +28,7 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		"-max-sessions", "12", "-parallelism", "2",
 		"-score-cache=false", "-exec-cache=true", "-answer-cache", "4096",
 		"-mutable", "-data-dir", "", "-checkpoint-interval", "10s",
-		"-checkpoint-batches", "64", "-shards", "4",
+		"-checkpoint-batches", "64",
 		"-max-concurrent", "8", "-max-queue", "16", "-queue-timeout", "2s",
 		"-request-timeout", "5s",
 		"-adaptive", "-adapt-min", "3", "-adapt-max", "24", "-adapt-window", "250ms",
@@ -40,7 +40,7 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		cfg.MaxSessions != 12 || cfg.Parallelism != 2 || cfg.ScoreCache ||
 		!cfg.ExecCache || cfg.AnswerCacheBytes != 4096 || !cfg.Mutable ||
 		cfg.CheckpointInterval != 10*time.Second || cfg.CheckpointBatches != 64 ||
-		cfg.Shards != 4 || cfg.MaxConcurrent != 8 || cfg.MaxQueue != 16 ||
+		cfg.MaxConcurrent != 8 || cfg.MaxQueue != 16 ||
 		cfg.QueueTimeout != 2*time.Second || cfg.RequestTimeout != 5*time.Second ||
 		!cfg.Adaptive || cfg.AdaptMin != 3 || cfg.AdaptMax != 24 ||
 		cfg.AdaptWindow != 250*time.Millisecond {
@@ -57,7 +57,7 @@ func TestFromFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Addr != ":8080" || cfg.Seed != 7 || cfg.Shards != 1 ||
+	if cfg.Addr != ":8080" || cfg.Seed != 7 ||
 		!cfg.ScoreCache || !cfg.ExecCache || cfg.AnswerCacheBytes != 0 ||
 		cfg.Mutable || cfg.Adaptive || cfg.MaxConcurrent != 0 {
 		t.Fatalf("defaults drifted: %+v", cfg)
@@ -80,7 +80,6 @@ func TestValidateRejections(t *testing.T) {
 		want string
 	}{
 		{[]string{"-db", "x.dump", "-music"}, "mutually exclusive"},
-		{[]string{"-shards", "0"}, "-shards"},
 		{[]string{"-answer-cache", "-1"}, "-answer-cache"},
 		{[]string{"-answer-cache", "1024", "-exec-cache=false"}, "-exec-cache"},
 		{[]string{"-max-concurrent", "-2"}, "-max-concurrent"},

@@ -6,7 +6,6 @@
 //
 //	go run ./cmd/serve [-addr :8080] [-seed N] [-music] [-db dump] [-ttl 15m]
 //	                   [-mutable] [-data-dir DIR] [-answer-cache BYTES]
-//	                   [-shards N]
 //	                   [-max-concurrent N] [-max-queue N] [-queue-timeout 1s]
 //	                   [-request-timeout 5s]
 //	                   [-adaptive] [-adapt-min N] [-adapt-max N] [-adapt-window 500ms]
@@ -14,16 +13,7 @@
 //
 // Every flag lands in one validated Config (see config.go), so an
 // inconsistent combination — -db with -music, -answer-cache without
-// -exec-cache, -shards 0 — fails at startup instead of misserving.
-//
-// -shards N serves through an N-shard scatter-gather coordinator:
-// plan execution is partitioned by row ownership across N shards and
-// merged in rank order, with responses byte-identical to -shards 1 on
-// the same data (docs/sharding.md). Mutations and durability work
-// unchanged — batches commit once through the coordinator under one
-// epoch, and a state directory written at any shard count recovers at
-// any other. /healthz gains a "shards" block (per-shard row counts,
-// cache traffic, merge wave counters).
+// -exec-cache — fails at startup instead of misserving.
 //
 // -answer-cache gives the engine-lifetime materialized answer cache a
 // byte budget (0, the default, disables it): hot keyword-bag selections
@@ -49,8 +39,8 @@
 // Observability (docs/observability.md): GET /metrics always serves the
 // Prometheus text exposition of the request histograms and serving
 // counters. -trace adds a per-request trace (X-Trace-Id on every /v1/
-// response, stage timings through parse → interpret → rank → execute →
-// merge); -query-log DIR streams one JSONL entry per request — keywords,
+// response, stage timings through parse → interpret → rank →
+// execute); -query-log DIR streams one JSONL entry per request — keywords,
 // the served interpretation, timings, cost, outcome — to a bounded
 // async, size-rotated log; -slow-query dumps the full trace tree of
 // requests over the threshold; -pprof-addr serves net/http/pprof on a
@@ -73,9 +63,8 @@
 // and replays nothing.
 //
 // See package repro/httpapi for the endpoint and session protocol,
-// docs/mutations.md for the live-mutation snapshot model,
-// docs/persistence.md for the durability design, and docs/sharding.md
-// for the scatter-gather topology.
+// docs/mutations.md for the live-mutation snapshot model, and
+// docs/persistence.md for the durability design.
 package main
 
 import (
@@ -116,19 +105,6 @@ func main() {
 			stats.BudgetBytes, stats.Entries, stats.ResidentBytes)
 	}
 
-	// Topology: the engine itself, or an N-shard scatter-gather
-	// coordinator over it. Both satisfy keysearch.Searcher, so the HTTP
-	// layer is indifferent.
-	var topo keysearch.Searcher = eng
-	if cfg.Shards > 1 {
-		se, err := keysearch.NewShardedEngine(cfg.Shards, eng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topo = se
-		log.Printf("topology: %d-shard scatter-gather coordinator", cfg.Shards)
-	}
-
 	srvOpts := cfg.ServerOptions()
 	if cfg.QueryLogDir != "" {
 		qlogger, err := qlog.Open(cfg.QueryLogDir, qlog.Options{})
@@ -137,7 +113,7 @@ func main() {
 		}
 		srvOpts = append(srvOpts, httpapi.WithQueryLog(qlogger))
 	}
-	srv := httpapi.New(topo, srvOpts...)
+	srv := httpapi.New(eng, srvOpts...)
 	switch {
 	case cfg.Adaptive:
 		log.Printf("admission: adaptive, limit %d..%d, window %v, max-queue %d, queue-timeout %v",
@@ -174,7 +150,7 @@ func main() {
 		if eng.Durable() {
 			log.Printf("shutting down: final checkpoint + closing WAL...")
 		}
-		if err := topo.Close(); err != nil {
+		if err := eng.Close(); err != nil {
 			log.Printf("engine close: %v", err)
 		}
 	}()
@@ -222,7 +198,7 @@ func buildEngine(cfg *Config) (*keysearch.Engine, error) {
 }
 
 // startupLine renders the one structured key=value line that pins down
-// what this process is: topology, limits, data location, observability
+// what this process is: dataset size, limits, data location, observability
 // posture, and the build that produced the binary. Operators grep for
 // "serve:" to reconstruct a deployment from its logs alone.
 func startupLine(cfg *Config, eng *keysearch.Engine) string {
@@ -242,10 +218,10 @@ func startupLine(cfg *Config, eng *keysearch.Engine) string {
 	case cfg.MaxConcurrent > 0:
 		admission = fmt.Sprintf("static(%d)", cfg.MaxConcurrent)
 	}
-	return fmt.Sprintf("serve: addr=%s shards=%d rows=%d parallelism=%d mutable=%v durable=%v data_dir=%q "+
+	return fmt.Sprintf("serve: addr=%s rows=%d parallelism=%d mutable=%v durable=%v data_dir=%q "+
 		"answer_cache_bytes=%d admission=%s request_timeout=%v trace=%v query_log=%q slow_query=%v pprof=%q "+
 		"go=%q vcs_revision=%q",
-		cfg.Addr, cfg.Shards, eng.NumRows(), eng.Parallelism(), cfg.Mutable, eng.Durable(), cfg.DataDir,
+		cfg.Addr, eng.NumRows(), eng.Parallelism(), cfg.Mutable, eng.Durable(), cfg.DataDir,
 		cfg.AnswerCacheBytes, admission, cfg.RequestTimeout, cfg.Trace, cfg.QueryLogDir, cfg.SlowQuery,
 		cfg.PprofAddr, goVersion, revision)
 }

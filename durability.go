@@ -339,7 +339,7 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 			wal.Close()
 			return nil, fmt.Errorf("keysearch: open %s: %w", dir, err)
 		}
-		next, _, stale, err := eng.nextSnapshot(muts)
+		next, stale, err := eng.nextSnapshot(muts)
 		if err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("keysearch: open %s: replay epoch %d: %w", dir, rec.Epoch, err)

@@ -95,8 +95,8 @@ func marshalGolden(t *testing.T, doc *goldenDoc) []byte {
 // TestGoldenPipeline locks the ranked-interpretation and top-k output of
 // the seed datasets: the sequential pipeline must reproduce the recorded
 // files byte for byte, and the parallel pipeline must be byte-identical
-// to the same recording (the regression net for the sharded/parallel
-// refactor). Regenerate with -update after an intentional ranking change.
+// to the same recording (the regression net for the parallel
+// pipeline). Regenerate with -update after an intentional ranking change.
 func TestGoldenPipeline(t *testing.T) {
 	for _, ds := range goldenDatasets {
 		ds := ds

@@ -185,3 +185,40 @@ func TestHTTPKeywordsValidation(t *testing.T) {
 		t.Fatalf("bad limit = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestHTTPLimitBounds: k and row_limit outside [0, bound] are refused
+// with 400 on every ranked endpoint before any work is done; the bounds
+// themselves are served. k = 1<<62 is the overflow case: /v1/rows asks
+// each interpretation for 4k rows, which wraps to 0, "unlimited".
+func TestHTTPLimitBounds(t *testing.T) {
+	eng := demoEngine(t)
+	ts := httptest.NewServer(New(eng))
+	defer ts.Close()
+
+	cases := []struct {
+		path, fields string
+		want         int
+	}{
+		{"/v1/search", `"k":-1`, http.StatusBadRequest},
+		{"/v1/search", `"k":1001`, http.StatusBadRequest},
+		{"/v1/search", `"k":4611686018427387904`, http.StatusBadRequest},
+		{"/v1/search", `"k":1000`, http.StatusOK},
+		{"/v1/search", `"k":3,"row_limit":-1`, http.StatusBadRequest},
+		{"/v1/search", `"k":3,"row_limit":101`, http.StatusBadRequest},
+		{"/v1/search", `"k":3,"row_limit":100`, http.StatusOK},
+		{"/v1/diversify", `"k":-1`, http.StatusBadRequest},
+		{"/v1/diversify", `"k":4611686018427387904`, http.StatusBadRequest},
+		{"/v1/diversify", `"k":1000`, http.StatusOK},
+		{"/v1/diversify", `"k":3,"row_limit":101`, http.StatusBadRequest},
+		{"/v1/rows", `"k":-1`, http.StatusBadRequest},
+		{"/v1/rows", `"k":2305843009213693952`, http.StatusBadRequest},
+		{"/v1/rows", `"k":4611686018427387904`, http.StatusBadRequest},
+		{"/v1/rows", `"k":1000`, http.StatusOK},
+	}
+	for _, c := range cases {
+		body := `{"query":"hanks",` + c.fields + `}`
+		if code := postRaw(t, ts.Client(), ts.URL+c.path, body); code != c.want {
+			t.Errorf("%s %s: status = %d, want %d", c.path, body, code, c.want)
+		}
+	}
+}

@@ -1,11 +1,10 @@
-// Package httpapi exposes a keysearch.Searcher — a single-process
-// *keysearch.Engine or a *keysearch.ShardedEngine scatter-gather
-// coordinator — as a JSON-over-HTTP service: the service boundary the
-// thesis's systems imply but never ship: probability-ranked
+// Package httpapi exposes a keysearch.Searcher — in production a
+// *keysearch.Engine — as a JSON-over-HTTP service: the service boundary
+// the thesis's systems imply but never ship: probability-ranked
 // interpretation search, DivQ diversification, and interactive query
 // construction behind stateless-client sessions. The handlers never
-// look behind the interface, so any topology satisfying Searcher
-// serves identically.
+// look behind the interface, so anything satisfying Searcher serves
+// identically.
 //
 // Endpoints (all request/response bodies are the DTOs of package
 // keysearch, so a Go client can decode straight into library types):
@@ -140,10 +139,6 @@ type HealthResponse struct {
 	// and counters (WithAnswerCache / -answer-cache); omitted entirely
 	// when the cache is disabled.
 	AnswerCache *AnswerCacheHealth `json:"answer_cache,omitempty"`
-	// Shards reports the scatter-gather topology (per-shard row counts,
-	// cache traffic, merge wave counters); omitted on a single-process
-	// engine.
-	Shards *ShardsHealth `json:"shards,omitempty"`
 	// Build identifies the serving binary (Go toolchain, module version,
 	// VCS revision when recorded), so operators can tell which build a
 	// live server runs without shelling into the host.
@@ -215,55 +210,6 @@ func answerCacheHealth(stats *keysearch.AnswerCacheStats) *AnswerCacheHealth {
 // object.
 type AdmissionHealth struct {
 	metrics.ServingSnapshot
-}
-
-// ShardsHealth is the /healthz view of a sharded topology: the shard
-// count, the coordinator's merge wave counters (plan scatters, count
-// scatters, results emitted by the rank-order merge), and one entry per
-// shard. Present only when the server fronts a ShardedEngine.
-type ShardsHealth struct {
-	Count         int           `json:"count"`
-	Scatters      int64         `json:"scatters"`
-	CountScatters int64         `json:"count_scatters"`
-	MergedResults int64         `json:"merged_results"`
-	Shards        []ShardHealth `json:"shards"`
-}
-
-// ShardHealth is one shard's slice of ShardsHealth: the live rows it
-// owns under the current snapshot, its partitioned plan executions and
-// contributed results, and its traffic against the request-wide shared
-// selection store.
-type ShardHealth struct {
-	Rows               int   `json:"rows"`
-	Execs              int64 `json:"execs"`
-	Results            int64 `json:"results"`
-	SelectionHits      int64 `json:"selection_hits"`
-	SelectionsComputed int64 `json:"selections_computed"`
-}
-
-// shardsHealth assembles the /healthz shards block, nil on a
-// single-process topology.
-func shardsHealth(st *keysearch.ShardStats) *ShardsHealth {
-	if st == nil {
-		return nil
-	}
-	h := &ShardsHealth{
-		Count:         st.Count,
-		Scatters:      st.Scatters,
-		CountScatters: st.CountScatters,
-		MergedResults: st.MergedResults,
-		Shards:        make([]ShardHealth, len(st.Shards)),
-	}
-	for i, sh := range st.Shards {
-		h.Shards[i] = ShardHealth{
-			Rows:               sh.Rows,
-			Execs:              sh.Execs,
-			Results:            sh.Results,
-			SelectionHits:      sh.SelectionHits,
-			SelectionsComputed: sh.SelectionsComputed,
-		}
-	}
-	return h
 }
 
 // MutateRequest carries one mutation batch for POST /v1/mutate.
@@ -388,8 +334,8 @@ type constructSession struct {
 	lastUsed time.Time
 }
 
-// New wraps a Searcher topology — a built *keysearch.Engine or a
-// *keysearch.ShardedEngine — in an HTTP handler.
+// New wraps a Searcher — typically a built *keysearch.Engine — in an
+// HTTP handler.
 func New(eng keysearch.Searcher, opts ...Option) *Server {
 	s := &Server{
 		eng:         eng,
@@ -444,9 +390,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// handleHealth answers GET /healthz from one EngineStats snapshot —
-// the topology-independent health view every Searcher provides — plus
-// the server's own serving counters and configured limits.
+// handleHealth answers GET /healthz from one EngineStats snapshot — the
+// health view every Searcher provides — plus the server's own serving
+// counters and configured limits.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
 	writeJSON(w, http.StatusOK, HealthResponse{
@@ -462,7 +408,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Admission:      AdmissionHealth{ServingSnapshot: s.stats.Snapshot()},
 		Adaptive:       s.adaptiveHealth(),
 		AnswerCache:    answerCacheHealth(st.AnswerCache),
-		Shards:         shardsHealth(st.Shards),
 		Build:          buildHealth(),
 	})
 }
@@ -553,9 +498,34 @@ func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
 	return v, true
 }
 
+// maxK and maxRowLimit bound the k and row_limit of the ranked
+// endpoints. An unbounded k is a full materialisation: /v1/rows asks
+// each interpretation for 4k rows, a k past the result count keeps the
+// top-k heap from ever filling so the early stop never fires, and 4k
+// overflows to "unlimited" near 1<<62. Every client in the repo sends
+// k <= 10 and row_limit <= 5.
+const (
+	maxK        = 1000
+	maxRowLimit = 100
+)
+
+// checkLimits answers 400 and reports false when k or rowLimit is
+// negative or above its bound.
+func checkLimits(w http.ResponseWriter, k, rowLimit int) bool {
+	if k < 0 || k > maxK {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be in [0, %d], got %d", maxK, k))
+		return false
+	}
+	if rowLimit < 0 || rowLimit > maxRowLimit {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("row_limit must be in [0, %d], got %d", maxRowLimit, rowLimit))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[keysearch.SearchRequest](w, r)
-	if !ok {
+	if !ok || !checkLimits(w, req.K, req.RowLimit) {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)
@@ -570,7 +540,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDiversify(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[keysearch.DiversifyRequest](w, r)
-	if !ok {
+	if !ok || !checkLimits(w, req.K, req.RowLimit) {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)
@@ -585,7 +555,7 @@ func (s *Server) handleDiversify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[keysearch.RowsRequest](w, r)
-	if !ok {
+	if !ok || !checkLimits(w, req.K, 0) {
 		return
 	}
 	obsFrom(r).noteQuery(req.Query)

@@ -22,9 +22,9 @@ import (
 //
 //   - WithTracing attaches a per-request trace (internal/trace) that
 //     travels the whole stack — admission wait, parse/interpret/rank,
-//     plan execution per shard, merge — and surfaces as the X-Trace-Id
-//     response header (adopted from the client's X-Trace-Id when sent,
-//     so load-test client views correlate with server traces).
+//     plan execution — and surfaces as the X-Trace-Id response header
+//     (adopted from the client's X-Trace-Id when sent, so load-test
+//     client views correlate with server traces).
 //   - WithQueryLog streams one JSONL entry per served /v1/ request to a
 //     bounded async logger (internal/qlog) — the substrate of the
 //     ranking feedback loop, recording keywords, the served
@@ -254,7 +254,6 @@ func (ob *requestObservation) finish(status int) {
 			ServedChoice:       rec.servedChoice,
 			EstimatedCost:      rec.estimatedCost,
 			DurationUS:         dur.Microseconds(),
-			ShardFanout:        fanoutOf(data),
 			Results:            rec.results,
 			StagesUS:           data.StageDurations(),
 			Counters:           data.Counters,
@@ -281,17 +280,9 @@ func outcomeFor(status int) string {
 	}
 }
 
-// fanoutOf reads the shard fan-out annotation the sharded provider
-// leaves on the trace (0 on a single-process topology or untraced
-// requests).
-func fanoutOf(d trace.Data) int {
-	n, _ := strconv.Atoi(d.Annotations["shard_fanout"])
-	return n
-}
-
 // handleMetrics serves GET /metrics: the Prometheus text exposition of
 // the per-endpoint request histograms, the serving/admission counters,
-// engine state, the answer cache, the shard topology, and the query
+// engine state, the answer cache, and the query
 // log's own delivery counters. Like /healthz it bypasses admission —
 // scraping must work exactly when the server is saturated.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -346,20 +337,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("keysearch_answer_cache_invalidations_total", "Answer-cache entries invalidated by mutations.", float64(ac.Invalidations))
 		p.Gauge("keysearch_answer_cache_resident_bytes", "Answer-cache resident bytes.", float64(ac.ResidentBytes))
 		p.Gauge("keysearch_answer_cache_entries", "Answer-cache resident entries.", float64(ac.Entries))
-	}
-
-	if sh := st.Shards; sh != nil {
-		p.Counter("keysearch_shard_scatters_total", "Plan executions scattered across the shards.", float64(sh.Scatters))
-		p.Counter("keysearch_shard_count_scatters_total", "Count probes scattered across the shards.", float64(sh.CountScatters))
-		p.Counter("keysearch_shard_merged_results_total", "Results emitted by the coordinator's rank-order merge.", float64(sh.MergedResults))
-		for i, one := range sh.Shards {
-			lbl := metrics.Label{Name: "shard", Value: strconv.Itoa(i)}
-			p.Gauge("keysearch_shard_rows", "Live rows owned by each shard.", float64(one.Rows), lbl)
-			p.Counter("keysearch_shard_execs_total", "Partitioned plan executions per shard.", float64(one.Execs), lbl)
-			p.Counter("keysearch_shard_results_total", "Results contributed per shard.", float64(one.Results), lbl)
-			p.Counter("keysearch_shard_selection_hits_total", "Shared-selection-store hits per shard.", float64(one.SelectionHits), lbl)
-			p.Counter("keysearch_shard_selections_computed_total", "Selections computed per shard.", float64(one.SelectionsComputed), lbl)
-		}
 	}
 
 	if s.agov != nil {

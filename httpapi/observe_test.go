@@ -19,19 +19,11 @@ import (
 // a query log in a temp dir, and a slow-query threshold low enough that
 // every request dumps. Returns the server (for Close), the test server,
 // the log dir, and the captured slow-query lines.
-func obsServer(t *testing.T, shards int, extra ...Option) (*Server, *httptest.Server, string, *[]string) {
+func obsServer(t *testing.T, extra ...Option) (*Server, *httptest.Server, string, *[]string) {
 	t.Helper()
 	eng, err := keysearch.DemoMovies(7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var searcher keysearch.Searcher = eng
-	if shards > 1 {
-		se, err := keysearch.NewShardedEngine(shards, eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		searcher = se
 	}
 	dir := t.TempDir()
 	logger, err := qlog.Open(dir, qlog.Options{})
@@ -50,7 +42,7 @@ func obsServer(t *testing.T, shards int, extra ...Option) (*Server, *httptest.Se
 			mu.Unlock()
 		}),
 	}, extra...)
-	srv := New(searcher, opts...)
+	srv := New(eng, opts...)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -96,65 +88,55 @@ func fetchRaw(t *testing.T, base, path, body string, header http.Header) (int, s
 // TestHTTPTracingDifferential is the wire-level differential of the
 // observability stack: a fully observed server (tracing + query log +
 // slow-query dump) must produce byte-identical response bodies to a
-// plain server, on every ranked endpoint, at shard counts 1 and 3.
+// plain server, on every ranked endpoint.
 func TestHTTPTracingDifferential(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		plainEng, err := keysearch.DemoMovies(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var plainSearcher keysearch.Searcher = plainEng
-		if shards > 1 {
-			se, err := keysearch.NewShardedEngine(shards, plainEng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plainSearcher = se
-		}
-		tsPlain := httptest.NewServer(New(plainSearcher))
-		_, tsObs, _, _ := obsServer(t, shards)
+	plainEng, err := keysearch.DemoMovies(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsPlain := httptest.NewServer(New(plainEng))
+	defer tsPlain.Close()
+	_, tsObs, _, _ := obsServer(t)
 
-		queries := plainEng.SampleQueries(3)
-		for _, q := range queries {
-			for _, req := range []struct{ path, body string }{
-				{"/v1/search", `{"query":"` + q + `","k":4,"row_limit":2}`},
-				{"/v1/diversify", `{"query":"` + q + `","k":3,"lambda":0.5}`},
-				{"/v1/rows", `{"query":"` + q + `","k":5}`},
-			} {
-				// Two passes so cached paths are compared too.
-				for pass := 0; pass < 2; pass++ {
-					wc, want, plainTID := fetchRaw(t, tsPlain.URL, req.path, req.body, nil)
-					gc, got, obsTID := fetchRaw(t, tsObs.URL, req.path, req.body, nil)
-					if wc != gc || want != got {
-						t.Fatalf("shards=%d %s(%q) pass %d: observed response diverges\n  plain    (%d): %.300s\n  observed (%d): %.300s",
-							shards, req.path, q, pass, wc, want, gc, got)
-					}
-					if plainTID != "" {
-						t.Fatalf("untraced server set X-Trace-Id %q", plainTID)
-					}
-					if obsTID == "" {
-						t.Fatalf("traced server did not set X-Trace-Id")
-					}
+	queries := plainEng.SampleQueries(3)
+	for _, q := range queries {
+		for _, req := range []struct{ path, body string }{
+			{"/v1/search", `{"query":"` + q + `","k":4,"row_limit":2}`},
+			{"/v1/diversify", `{"query":"` + q + `","k":3,"lambda":0.5}`},
+			{"/v1/rows", `{"query":"` + q + `","k":5}`},
+		} {
+			// Two passes so cached paths are compared too.
+			for pass := 0; pass < 2; pass++ {
+				wc, want, plainTID := fetchRaw(t, tsPlain.URL, req.path, req.body, nil)
+				gc, got, obsTID := fetchRaw(t, tsObs.URL, req.path, req.body, nil)
+				if wc != gc || want != got {
+					t.Fatalf("%s(%q) pass %d: observed response diverges\n  plain    (%d): %.300s\n  observed (%d): %.300s",
+						req.path, q, pass, wc, want, gc, got)
+				}
+				if plainTID != "" {
+					t.Fatalf("untraced server set X-Trace-Id %q", plainTID)
+				}
+				if obsTID == "" {
+					t.Fatalf("traced server did not set X-Trace-Id")
 				}
 			}
 		}
+	}
 
-		// A client-supplied trace ID is adopted, so load-generator and
-		// server views of one request correlate.
-		_, _, tid := fetchRaw(t, tsObs.URL, "/v1/search",
-			`{"query":"`+queries[0]+`","k":2}`, http.Header{"X-Trace-Id": []string{"client-supplied-id"}})
-		if tid != "client-supplied-id" {
-			t.Fatalf("client trace ID not adopted: got %q", tid)
-		}
-		tsPlain.Close()
+	// A client-supplied trace ID is adopted, so load-generator and
+	// server views of one request correlate.
+	_, _, tid := fetchRaw(t, tsObs.URL, "/v1/search",
+		`{"query":"`+queries[0]+`","k":2}`, http.Header{"X-Trace-Id": []string{"client-supplied-id"}})
+	if tid != "client-supplied-id" {
+		t.Fatalf("client trace ID not adopted: got %q", tid)
 	}
 }
 
-// TestMetricsEndpoint drives traffic through an observed sharded server
+// TestMetricsEndpoint drives traffic through an observed server
 // and asserts GET /metrics passes the strict Prometheus text checker and
 // carries the expected families with live values.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts, _, _ := obsServer(t, 3)
+	_, ts, _, _ := obsServer(t)
 	eng, err := keysearch.DemoMovies(7)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +171,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"keysearch_served_total",
 		"keysearch_in_flight_requests",
 		"keysearch_snapshot_epoch",
-		`keysearch_shard_execs_total{shard="0"}`,
-		`keysearch_shard_rows{shard="2"}`,
-		"keysearch_shard_scatters_total",
 		"keysearch_querylog_written_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -207,7 +186,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsAdaptiveGovernor asserts the governor families appear when
 // adaptive admission is enabled.
 func TestMetricsAdaptiveGovernor(t *testing.T) {
-	_, ts, _, _ := obsServer(t, 1, WithAdaptiveAdmission(AdaptiveConfig{MaxConcurrent: 4, MaxQueue: 8}))
+	_, ts, _, _ := obsServer(t, WithAdaptiveAdmission(AdaptiveConfig{MaxConcurrent: 4, MaxQueue: 8}))
 	eng, err := keysearch.DemoMovies(7)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +213,7 @@ func TestMetricsAdaptiveGovernor(t *testing.T) {
 // served — including the served interpretation choice of a converged
 // construct session.
 func TestQueryLogOverHTTP(t *testing.T) {
-	srv, ts, dir, slow := obsServer(t, 1)
+	srv, ts, dir, slow := obsServer(t)
 	eng, err := keysearch.DemoMovies(7)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,9 @@
 // Package bench is the repo's one mechanism-ratio harness. Each leg of
 // the registry measures one mechanism against the path it replaces —
 // compiled plans vs scans, Apply vs rebuild, recovery vs build, the
-// answer cache on vs off, N shards vs one, the admission governor vs a
-// hand-placed gate, a parallel pipeline vs a sequential one — inside a
-// single run on a single machine, and records the quotient as a named
-// ratio column. A within-run ratio transfers across hosts where raw
+// answer cache on vs off, the admission governor vs a hand-placed gate,
+// a parallel pipeline vs a sequential one — inside a single run on a
+// single machine, and records the quotient as a named ratio column. A within-run ratio transfers across hosts where raw
 // ns/op and req/s do not, which is what lets Compare guard it on shared
 // CI runners. End-to-end performance claims are made with benchmark/
 // instead (see docs/benchmarks.md); this package answers the narrower
@@ -42,9 +41,9 @@ type Config struct {
 	Quick bool
 	// Rows is the HTTP legs' dataset size (default 1,000,000; quick 25,000).
 	Rows int
-	// Step is one saturation-ramp step and one measured qcache/shard
-	// run; warm-ups run half of it, overload runs twice it (default 5s;
-	// quick 700ms).
+	// Step is one saturation-ramp step and one measured qcache run;
+	// warm-ups run half of it, overload runs twice it (default 5s; quick
+	// 700ms).
 	Step time.Duration
 	// Window is the admission governor's control window (default 500ms;
 	// quick 200ms).
@@ -131,8 +130,7 @@ type Leg struct {
 // the HTTP legs drive a real server for seconds per row and are guarded
 // at 50%, because a short closed-loop run on a shared runner is that
 // noisy. pipeline's ratios depend on how many cores are free, so it is
-// recorded and never guarded; shard's do too, and its guard exists to
-// catch a coordinator collapse, not to prove scaling.
+// recorded and never guarded.
 var Legs = []Leg{
 	microLeg("pipeline", 0, pipelineOps),
 	microLeg("executor", 0.25, executorOps),
@@ -140,7 +138,6 @@ var Legs = []Leg{
 	microLeg("durable", 0.25, durableOps),
 	{Name: "overload", Tolerance: 0.5, Run: runOverload},
 	{Name: "qcache", Tolerance: 0.5, Run: runQCache},
-	{Name: "shard", Tolerance: 0.5, Run: runShard},
 }
 
 // Select resolves a comma-separated leg list ("all" for every leg).

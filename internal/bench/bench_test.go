@@ -9,11 +9,11 @@ import (
 // TestLegsQuick runs every registered leg at toy scale: the point is
 // that each leg executes, its rows are shaped right (guard column on the
 // treated row, none on the baseline row), its self-check and its proof
-// that the mechanism engaged hold, and the HTTP legs share one dataset
-// build — not that any number means anything at this size.
+// that the mechanism engaged hold, and each dataset size is built once
+// — not that any number means anything at this size.
 func TestLegsQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all seven legs; takes several seconds")
+		t.Skip("runs all six legs; takes several seconds")
 	}
 	// One iteration per micro row pins the shape; timing them for a
 	// second each is cmd/bench's job. Restored for the tests that time.
@@ -49,9 +49,9 @@ func TestLegsQuick(t *testing.T) {
 			t.Errorf("overload built the dataset %d times, want 1", env.Builds)
 		}
 	}
-	// overload at 60k rows, then qcache and shard sharing one 4k build.
+	// overload at 60k rows, then qcache at 4k.
 	if env.Builds != 2 {
-		t.Errorf("dataset built %d times, want 2 (qcache and shard must share)", env.Builds)
+		t.Errorf("dataset built %d times, want 2 (one per dataset size)", env.Builds)
 	}
 
 	for _, w := range []struct{ leg, base, treated, column string }{
@@ -63,7 +63,6 @@ func TestLegsQuick(t *testing.T) {
 		{"overload", "open-half-knee", "static-knee-8x", "goodput_vs_saturation"},
 		{"overload", "ungated-8x", "adaptive-8x", "goodput_vs_static_knee"},
 		{"qcache", "zipf-cache-off", "zipf-cache-on", "speedup_vs_cold"},
-		{"shard", "serve-1shard", "serve-4shard", "speedup_vs_1shard"},
 	} {
 		base, ok := rows[w.leg+"/"+w.base]
 		if !ok || len(base.Ratios) != 0 {
@@ -100,9 +99,6 @@ func TestLegsQuick(t *testing.T) {
 	}
 	if on["high_water_bytes"] == 0 || on["high_water_bytes"] > 64<<20 {
 		t.Errorf("budget accounting wrong: %+v", on)
-	}
-	if sh := rows["shard/serve-4shard"].Metrics; sh["scatters"] == 0 || sh["merged_results"] == 0 {
-		t.Errorf("sharded row never exercised the coordinator: %+v", sh)
 	}
 }
 

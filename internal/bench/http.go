@@ -8,10 +8,8 @@ import (
 	"net/http/httptest"
 	"time"
 
-	keysearch "repro"
 	"repro/httpapi"
 	"repro/internal/loadgen"
-	"repro/internal/relstore"
 )
 
 // served is one measured run against a real HTTP server, with /healthz
@@ -88,57 +86,4 @@ func loadRow(name string, r *loadgen.Result) Row {
 		}
 	}
 	return Row{Name: name, Metrics: m}
-}
-
-// side is one half of an A/B leg: a row name and how to stand its
-// topology up over the shared dataset.
-type side struct {
-	name  string
-	build func(*relstore.Database) (keysearch.Searcher, error)
-}
-
-func plainEngine(db *relstore.Database) (keysearch.Searcher, error) {
-	return loadgen.NewEngine(db, loadgen.KindMovies)
-}
-
-// abRows is the shape the qcache and shard legs share: the same op
-// stream, at the same concurrency, after the same half-step warm-up,
-// against a baseline topology and a treated one built over identical
-// data; the treated row's throughput over the baseline's is the ratio.
-// Row retrieval is where execution cost lives (the joins a hot answer
-// amortises and the shards partition), so the stream leans on it, with
-// search and diversify keeping the other paths honest. The treated run
-// is returned for the leg's own proof that the mechanism engaged.
-func abRows(env *Env, cfg Config, wl loadgen.WorkloadConfig, column string, base, treated side) (LegReport, *served, error) {
-	const workers = 8
-	db, dataset, err := env.dataset(cfg.rows())
-	if err != nil {
-		return LegReport{}, nil, err
-	}
-	wl.Ops, wl.Seed, wl.Mix = 512, seed, loadgen.Mix{Search: 20, Rows: 60, Diversify: 20}
-	ops, err := loadgen.BuildWorkload(db, loadgen.KindMovies, wl)
-	if err != nil {
-		return LegReport{}, nil, err
-	}
-	rep := LegReport{Dataset: dataset, Params: map[string]any{"workload_ops": len(ops), "workers": workers}}
-	var run *served
-	for _, sd := range []side{base, treated} {
-		env.logf("%s: building engine, warming %v, measuring %v at %d workers...", sd.name, cfg.step()/2, cfg.step(), workers)
-		topo, err := sd.build(db)
-		if err != nil {
-			return LegReport{}, nil, err
-		}
-		run, err = serve(httpapi.New(topo), cfg.step()/2, loadgen.Options{Ops: ops, Workers: workers, Duration: cfg.step()})
-		if err != nil {
-			return LegReport{}, nil, err
-		}
-		if run.res.Errors > 0 {
-			return LegReport{}, nil, fmt.Errorf("%s produced %d errors", sd.name, run.res.Errors)
-		}
-		rep.Rows = append(rep.Rows, loadRow(sd.name, run.res))
-	}
-	if b := rep.Rows[0].Metrics["throughput_rps"]; b > 0 {
-		rep.Rows[1].Ratios = map[string]float64{column: rep.Rows[1].Metrics["throughput_rps"] / b}
-	}
-	return rep, run, nil
 }

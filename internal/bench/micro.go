@@ -120,7 +120,7 @@ func demoMovies(scale float64) (*relstore.Database, error) {
 // pipelineOps is the interpretation-pipeline grid: keyword count ×
 // parallelism, plus score-cache ablation rows at the heaviest keyword
 // count. One operation is a ranked interpretation search plus global
-// top-k row retrieval, i.e. every parallel stage (sharded generation,
+// top-k row retrieval, i.e. every parallel stage (per-template generation,
 // concurrent scoring, fanned-out plan execution). p=1 is the baseline
 // of its keyword count and cache setting; the determinism suite pins
 // that every level answers byte-identically, so the comparison is

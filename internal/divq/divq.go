@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/prob"
@@ -215,10 +214,9 @@ func FilterNonEmptyCached(ctx context.Context, db *relstore.Database, ranked []p
 }
 
 // FilterNonEmptyExec is the executor-generic form of the non-empty
-// filter: emptiness probes go through any relstore.PlanExecutor (local
-// or scatter-gather), so diversification works unchanged over a sharded
-// topology. Every executor counts exactly as Database.Count does, so the
-// surviving interpretation list is identical regardless of topology.
+// filter: emptiness probes go through any relstore.PlanExecutor, which
+// counts exactly as Database.Count does, so the surviving interpretation
+// list is identical whatever executor runs them.
 func FilterNonEmptyExec(ctx context.Context, exec relstore.PlanExecutor, ranked []prob.Scored) ([]prob.Scored, error) {
 	var out []prob.Scored
 	for _, s := range ranked {
@@ -271,49 +269,4 @@ func ProbabilityRatio(ranked []prob.Scored) []float64 {
 		prefix += s.Prob
 	}
 	return out
-}
-
-// FilterNonEmptyParallel is FilterNonEmpty with concurrent emptiness
-// probes: each interpretation's count-1 execution is independent, so the
-// probes run on a bounded worker pool while the output preserves the
-// input order. Results are identical to FilterNonEmpty.
-func FilterNonEmptyParallel(db *relstore.Database, ranked []prob.Scored, workers int) ([]prob.Scored, error) {
-	if workers <= 1 || len(ranked) < 2 {
-		return FilterNonEmpty(db, ranked)
-	}
-	if workers > len(ranked) {
-		workers = len(ranked)
-	}
-	type verdict struct {
-		ok  bool
-		err error
-	}
-	verdicts := make([]verdict, len(ranked))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ok, err := HasResults(db, ranked[i].Q)
-				verdicts[i] = verdict{ok: ok, err: err}
-			}
-		}()
-	}
-	for i := range ranked {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	var out []prob.Scored
-	for i, v := range verdicts {
-		if v.err != nil {
-			return nil, v.err
-		}
-		if v.ok {
-			out = append(out, ranked[i])
-		}
-	}
-	return out, nil
 }

@@ -431,30 +431,3 @@ func TestDiversifyEarlyStopEquivalence(t *testing.T) {
 		}
 	}
 }
-
-func TestFilterNonEmptyParallelEquivalence(t *testing.T) {
-	f := newFixture(t)
-	for _, kws := range [][]string{{"guest"}, {"christopher", "guest"}, {"christopher", "terminal"}} {
-		c := query.GenerateCandidates(f.ix, kws, query.GenerateOptionsConfig{})
-		space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-		ranked := f.model.Rank(space)
-		seq, err := FilterNonEmpty(f.db, ranked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 8} {
-			par, err := FilterNonEmptyParallel(f.db, ranked, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(par) != len(seq) {
-				t.Fatalf("workers=%d: lengths differ: %d vs %d", workers, len(par), len(seq))
-			}
-			for i := range par {
-				if par[i].Q.Key() != seq[i].Q.Key() {
-					t.Fatalf("workers=%d: order changed at %d", workers, i)
-				}
-			}
-		}
-	}
-}

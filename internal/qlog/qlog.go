@@ -64,10 +64,9 @@ type Entry struct {
 	ServedChoice string `json:"served_choice,omitempty"`
 
 	// Cost accounting: the admission estimate vs what actually
-	// happened, and how wide the request fanned out.
+	// happened.
 	EstimatedCost int64 `json:"estimated_cost,omitempty"`
 	DurationUS    int64 `json:"duration_us"`
-	ShardFanout   int   `json:"shard_fanout,omitempty"`
 	Results       int   `json:"results,omitempty"`
 
 	// StagesUS is the flattened trace: stage name → microseconds.

@@ -26,7 +26,6 @@ func TestEntryRoundTrip(t *testing.T) {
 		InterpretationProb: 0.41,
 		EstimatedCost:      1234,
 		DurationUS:         5678,
-		ShardFanout:        3,
 		Results:            10,
 		StagesUS:           map[string]int64{"interpret": 120, "execute": 4400},
 		Counters:           map[string]int64{"plans_executed": 18, "selection_cache_hits": 4},
@@ -171,7 +170,7 @@ func TestBackpressureDropsOldestWithoutBlocking(t *testing.T) {
 					go func(p int) {
 						defer wg.Done()
 						for i := 0; i < per; i++ {
-							l.Log(Entry{Op: "search", Status: 200, ShardFanout: p + 1, DurationUS: int64(i)})
+							l.Log(Entry{Op: "search", Status: 200, Results: p + 1, DurationUS: int64(i)})
 						}
 					}(p)
 				}
@@ -196,10 +195,10 @@ func TestBackpressureDropsOldestWithoutBlocking(t *testing.T) {
 				}
 				next := make([]int64, producers+1)
 				for _, e := range got[:len(got)-1] {
-					if e.DurationUS < next[e.ShardFanout] {
-						t.Fatalf("producer %d: entry %d written after entry %d", e.ShardFanout-1, e.DurationUS, next[e.ShardFanout]-1)
+					if e.DurationUS < next[e.Results] {
+						t.Fatalf("producer %d: entry %d written after entry %d", e.Results-1, e.DurationUS, next[e.Results]-1)
 					}
-					next[e.ShardFanout] = e.DurationUS + 1
+					next[e.Results] = e.DurationUS + 1
 				}
 			})
 		}

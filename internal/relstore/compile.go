@@ -145,41 +145,6 @@ func (cp *CompiledPlan) CountRows(limit int, cache *SelectionCache) (int, error)
 	return n, nil
 }
 
-// ExecutePart materialises only the joining trees whose root-candidate
-// RowID satisfies part — one shard's slice of the plan's result stream.
-// The root node is chosen from the *unfiltered* candidate sets, exactly
-// as Execute chooses it, so every shard of a scatter-gather execution
-// agrees on the root and on the enumeration order; the returned root
-// index (-1 when the plan has no candidates at all) tells the
-// coordinator which JTT position to merge on. Because enumeration emits
-// results in ascending root-candidate order, grouped in contiguous
-// blocks per root row, a partitioned stream is an order-preserving
-// subsequence of the full stream, and disjoint partitions merge back to
-// the exact global sequence — including under limit, since any result
-// within the first limit of the merged stream sits within the first
-// limit of its own shard's stream.
-//
-// Partitioned runs deliberately bypass the engine-lifetime whole-plan
-// answer cache consulted by Execute: a partial result stream must never
-// be served from, or published under, the plan's global cache key.
-// Selections still flow through cache, including its shared layer —
-// they are partition-independent.
-func (cp *CompiledPlan) ExecutePart(limit int, cache *SelectionCache, part func(rowID int) bool) ([]JTT, int, error) {
-	results, _, root := cp.runCore(cache, limit, true, part)
-	return results, root, nil
-}
-
-// CountPart is ExecutePart's counting form: the number of results whose
-// root candidate satisfies part, bounded by limit (0 = unlimited). A
-// coordinator recovers the exact global count as
-// min(Σ_i CountPart_i(limit), limit): per-shard truncation never
-// under-reports the capped total because each shard's true count only
-// exceeds its reported count when the report already reached limit.
-func (cp *CompiledPlan) CountPart(limit int, cache *SelectionCache, part func(rowID int) bool) (int, error) {
-	_, n, _ := cp.runCore(cache, limit, false, part)
-	return n, nil
-}
-
 // cacheKey is the canonical identity of this plan's result stream in the
 // engine-lifetime answer cache. Nodes contribute their table plus their
 // predicates as sorted (column, canonical bag) pairs — predicate order
@@ -263,15 +228,14 @@ func (cp *CompiledPlan) footprint() []Attr {
 // snapshot (see SharedStore).
 func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
 	if cache == nil || cache.shared == nil {
-		results, n, _ := cp.runCore(cache, limit, collect, nil)
-		return results, n
+		return cp.runCore(cache, limit, collect)
 	}
 	key := cp.cacheKey(limit)
 	if !collect {
 		if n, ok := cache.shared.GetCount(key); ok {
 			return nil, n
 		}
-		_, n, _ := cp.runCore(cache, limit, false, nil)
+		_, n := cp.runCore(cache, limit, false)
 		cache.shared.PutCount(key, cp.footprint(), n)
 		return nil, n
 	}
@@ -285,7 +249,7 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 		}
 		return results, len(rows)
 	}
-	results, count, _ := cp.runCore(cache, limit, true, nil)
+	results, count := cp.runCore(cache, limit, true)
 	rows := make([][]int, len(results))
 	for i := range results {
 		rows[i] = results[i].Rows
@@ -381,21 +345,18 @@ func (r *planRun) release() {
 // runCore is the shared execution core: selection, then rooted
 // index-nested-loop enumeration that descends only into viable rows (the
 // demand-driven semi-join, see planRun.below). With collect it
-// materialises JTTs; otherwise it only counts. A non-nil part restricts
-// enumeration to root candidates it accepts — applied strictly after root
-// selection, so partitioned runs agree with the full run on the root. The
-// returned root index is -1 only when a node had no candidates before
-// the root was chosen.
-func (cp *CompiledPlan) runCore(cache *SelectionCache, limit int, collect bool, part func(rowID int) bool) ([]JTT, int, int) {
+// materialises JTTs; otherwise it only counts.
+func (cp *CompiledPlan) runCore(cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	root := r.run(cp, cache, limit, collect, part)
-	return r.results, r.count, root
+	r.run(cp, cache, limit, collect)
+	return r.results, r.count
 }
 
-// run executes the plan in this scratch and returns the root node index;
-// results and count are left in r.
-func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collect bool, part func(rowID int) bool) int {
+// run executes the plan in this scratch and returns the root node index
+// (-1 when a node had no candidates before the root was chosen); results
+// and count are left in r.
+func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collect bool) int {
 	n := len(cp.nodes)
 	for i := range cp.nodes {
 		c := cp.candidates(i, cache)
@@ -407,9 +368,7 @@ func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collec
 
 	// Root: most selective node by candidate count (first wins ties) —
 	// the same choice as the reference executor, so the enumeration
-	// order, and therefore the JTT sequence, is identical. A partition
-	// filter does not enter the choice: every shard must elect the same
-	// root.
+	// order, and therefore the JTT sequence, is identical.
 	root := 0
 	for i := 1; i < n; i++ {
 		if len(r.sels[i]) < len(r.sels[root]) {
@@ -424,9 +383,6 @@ func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collec
 	r.assign = slices.Grow(r.assign, n)[:n]
 	r.limit, r.collect = limit, collect
 	for _, id := range r.sels[root] {
-		if part != nil && !part(id) {
-			continue
-		}
 		if !r.below(0, id) {
 			continue
 		}
@@ -544,14 +500,3 @@ func (r *planRun) enumerate(k int) bool {
 	}
 	return false
 }
-
-// CacheKey exposes the plan's canonical answer-cache identity for
-// coordinators that consult the shared store around a scatter-gather
-// execution (partitioned runs themselves never touch the whole-plan
-// cache; see ExecutePart).
-func (cp *CompiledPlan) CacheKey(limit int) string { return cp.cacheKey(limit) }
-
-// Footprint exposes the plan's attribute footprint for publishing merged
-// scatter-gather results into the shared store with correct
-// invalidation coverage.
-func (cp *CompiledPlan) Footprint() []Attr { return cp.footprint() }

@@ -447,9 +447,7 @@ func randDeepPlan(rng *rand.Rand) *JoinPlan {
 
 // TestDifferentialExecuteSweep pins the demand-driven executor to the
 // scan reference over deep, branching, self-joining, tombstoned and
-// dead-end-heavy data: every limit, collecting and counting, whole and
-// partitioned. Partition streams are merged back the way a coordinator
-// does — ascending root RowID, each root row's block kept together.
+// dead-end-heavy data: every limit, collecting and counting.
 func TestDifferentialExecuteSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nonEmpty := 0
@@ -474,28 +472,6 @@ func TestDifferentialExecuteSweep(t *testing.T) {
 				}
 				if n, _ := cp.CountRows(limit, cache); n != len(ref) {
 					t.Fatalf("iter %d plan %d limit %d: CountRows=%d want %d", iter, p, limit, n, len(ref))
-				}
-				for _, parts := range []int{1, 2, 3, 8} {
-					var merged []JTT
-					sum, root := 0, -1
-					for i := 0; i < parts; i++ {
-						own := func(id int) bool { return (id*7+3)%parts == i }
-						jtts, rt, _ := cp.ExecutePart(limit, cache, own)
-						n, _ := cp.CountPart(limit, cache, own)
-						if n != len(jtts) {
-							t.Fatalf("iter %d plan %d limit %d part %d/%d: CountPart=%d, ExecutePart returned %d",
-								iter, p, limit, i, parts, n, len(jtts))
-						}
-						merged, sum, root = append(merged, jtts...), sum+n, rt
-					}
-					sort.SliceStable(merged, func(a, b int) bool { return merged[a].Rows[root] < merged[b].Rows[root] })
-					if limit > 0 && len(merged) > limit {
-						merged, sum = merged[:limit], limit
-					}
-					if !sameJTTs(ref, merged) || sum != len(ref) {
-						t.Fatalf("iter %d plan %d limit %d parts %d: scan=%v merged=%v count=%d (plan %+v)",
-							iter, p, limit, parts, ref, merged, sum, plan)
-					}
 				}
 			}
 		}
@@ -560,7 +536,7 @@ func TestDeadEndsResolvedOnce(t *testing.T) {
 	}
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	if root := r.run(cp, nil, 0, true, nil); root != 0 {
+	if root := r.run(cp, nil, 0, true); root != 0 {
 		t.Fatalf("root = %d, want the r node", root)
 	}
 	if r.count != 0 || len(r.results) != 0 {

@@ -144,12 +144,12 @@ func (db *Database) CountCached(p *JoinPlan, limit int, cache *SelectionCache) (
 }
 
 // PlanExecutor abstracts how a join plan is evaluated against the current
-// snapshot. The single-process executor (LocalExecutor) compiles and runs
-// the plan in place; a sharded coordinator scatters the plan across
-// partitions and merges the streams. Every implementation must produce
-// the exact JTT sequence of Database.Execute — byte-for-byte, including
-// under limit — so callers (top-k, DivQ filtering, preview assembly) are
-// topology-blind.
+// snapshot. LocalExecutor compiles and runs the plan in place; wrappers
+// (the engine's tracing executor, the benchmark ledger's) time or count
+// around it. Every implementation must produce the exact JTT sequence of
+// Database.Execute — byte-for-byte, including under limit — so callers
+// (top-k, DivQ filtering, preview assembly) never depend on which one
+// runs.
 type PlanExecutor interface {
 	// ExecutePlan materialises the plan's joining tuple trees, bounded
 	// by limit (0 = unlimited).

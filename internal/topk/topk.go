@@ -133,12 +133,13 @@ type Options struct {
 	// (the per-request cache is the promotion path).
 	Shared relstore.SharedStore
 	// Exec, when non-nil, evaluates the interpretations' join plans
-	// instead of the default in-process executor — the seam a sharded
-	// coordinator plugs its scatter-gather executor into. Every
-	// PlanExecutor contract requires the exact Database.Execute result
-	// sequence, so top-k output stays byte-identical regardless of the
-	// topology behind this option. When set, DisableExecutionCache and
-	// Shared are ignored: caching policy belongs to the executor.
+	// instead of the default in-process executor — the seam the engine
+	// and the benchmark's tracing ledger plug a request-scoped executor
+	// into. The PlanExecutor contract requires the exact
+	// Database.Execute result sequence, so top-k output stays
+	// byte-identical whatever executor sits behind this option. When
+	// set, DisableExecutionCache and Shared are ignored: caching policy
+	// belongs to the executor.
 	Exec relstore.PlanExecutor
 }
 
@@ -306,8 +307,8 @@ func executeWave(ctx context.Context, db *relstore.Database, exec relstore.PlanE
 }
 
 // executeOne materialises and scores the results of one interpretation.
-// Scoring reads db directly: under sharding the snapshot is shared, so
-// the scorer's view is the same database the executor partitioned.
+// Scoring reads db directly: it is the same snapshot the executor runs
+// over.
 func executeOne(ctx context.Context, db *relstore.Database, exec relstore.PlanExecutor, sc prob.Scored, scorer Scorer, limit int) batch {
 	if err := ctx.Err(); err != nil {
 		return batch{err: err}

@@ -1,8 +1,8 @@
 // Package trace is the per-request tracing substrate of the serving
 // stack: one Trace travels with a request through context.Context —
-// httpapi → Engine/ShardedEngine → topk → shard → plan execution — and
-// records where the time went (stage spans), how much work each layer
-// did (counters), and one-off facts worth keeping (annotations).
+// httpapi → Engine → topk → plan execution — and records where the time
+// went (stage spans), how much work each layer did (counters), and
+// one-off facts worth keeping (annotations).
 //
 // The design constraint is the disabled path: every recording method is
 // a nil-receiver no-op, and code under instrumentation holds a *Trace
@@ -17,13 +17,13 @@
 //   - Spans carry start offsets and durations for the once-per-request
 //     stages (parse, interpret, rank, execute, previews), forming a tree
 //     via parent indexes — the waterfall a slow-query dump renders.
-//   - Counters accumulate high-frequency events (per-shard busy
+//   - Counters accumulate high-frequency events (plan execution
 //     nanoseconds, plan executions, cache hits) that would explode the
 //     span list if each occurrence were its own span: a 50-interpretation
-//     top-k over 8 shards is 400 executions but only 8+ε counters.
+//     top-k is 50+ executions but only a handful of counters.
 //
-// All methods are safe for concurrent use: shard workers record into
-// the same Trace the coordinator owns.
+// All methods are safe for concurrent use: the interpretation pipeline's
+// workers record into the same Trace the request owns.
 package trace
 
 import (
@@ -154,7 +154,7 @@ func (s Span) End() {
 }
 
 // Count adds delta to the named counter. Counters are the aggregation
-// channel for high-frequency events: per-shard busy time, plan
+// channel for high-frequency events: plan execution time, plan
 // executions, cache hits.
 func (t *Trace) Count(name string, delta int64) {
 	if t == nil {
@@ -169,7 +169,7 @@ func (t *Trace) Count(name string, delta int64) {
 }
 
 // CountDuration accumulates a duration (as nanoseconds) into the named
-// counter — the per-shard busy-time channel.
+// counter — the execution-time channel.
 func (t *Trace) CountDuration(name string, d time.Duration) {
 	t.Count(name, d.Nanoseconds())
 }
@@ -198,7 +198,7 @@ func (t *Trace) Age() time.Duration {
 
 // Snapshot copies the trace's current state. Open spans report DurUS
 // -1. The copy shares nothing with the live trace, so it is safe to
-// hand to an async writer while shard workers keep recording.
+// hand to an async writer while pipeline workers keep recording.
 func (t *Trace) Snapshot() Data {
 	if t == nil {
 		return Data{}
@@ -225,7 +225,7 @@ func (t *Trace) Snapshot() Data {
 // StageDurations flattens the snapshot's spans to name → microseconds
 // (summing repeated names), the shape the query log records. Counters
 // that accumulate nanoseconds (suffix "_ns") are folded in as
-// microseconds under their name without the suffix, so per-shard busy
+// microseconds under their name without the suffix, so plan execution
 // time appears alongside the stage spans.
 func (d Data) StageDurations() map[string]int64 {
 	if len(d.Spans) == 0 && len(d.Counters) == 0 {

@@ -107,7 +107,7 @@ func TestCountersAndAnnotations(t *testing.T) {
 	tr := New("t2")
 	tr.Count("plans_executed", 3)
 	tr.Count("plans_executed", 2)
-	tr.CountDuration("shard_busy_ns", 1500*time.Microsecond)
+	tr.CountDuration("plan_exec_ns", 1500*time.Microsecond)
 	tr.Annotate("cache", "miss")
 	tr.Annotate("cache", "hit") // overwrite
 
@@ -115,14 +115,14 @@ func TestCountersAndAnnotations(t *testing.T) {
 	if d.Counters["plans_executed"] != 5 {
 		t.Fatalf("counter = %d, want 5", d.Counters["plans_executed"])
 	}
-	if d.Counters["shard_busy_ns"] != 1_500_000 {
-		t.Fatalf("duration counter = %d, want 1500000", d.Counters["shard_busy_ns"])
+	if d.Counters["plan_exec_ns"] != 1_500_000 {
+		t.Fatalf("duration counter = %d, want 1500000", d.Counters["plan_exec_ns"])
 	}
 	if d.Annotations["cache"] != "hit" {
 		t.Fatalf("annotation = %q, want hit", d.Annotations["cache"])
 	}
 	names := d.SortedCounterNames()
-	if len(names) != 2 || names[0] != "plans_executed" || names[1] != "shard_busy_ns" {
+	if len(names) != 2 || names[0] != "plan_exec_ns" || names[1] != "plans_executed" {
 		t.Fatalf("sorted names = %v", names)
 	}
 }
@@ -133,8 +133,8 @@ func TestStageDurations(t *testing.T) {
 	a.End()
 	b := tr.Start("execute") // repeated name sums
 	b.End()
-	tr.Count("shard_busy_ns", 4_000_000) // 4ms → 4000us
-	tr.Count("plans", 7)                 // not a _ns counter: excluded
+	tr.Count("plan_exec_ns", 4_000_000) // 4ms → 4000us
+	tr.Count("plans", 7)                // not a _ns counter: excluded
 	open := tr.Start("open")
 	_ = open // DurUS -1: excluded
 
@@ -145,8 +145,8 @@ func TestStageDurations(t *testing.T) {
 	if _, ok := st["plans"]; ok {
 		t.Fatal("plain counter leaked into StageDurations")
 	}
-	if st["shard_busy_us"] != 4000 {
-		t.Fatalf("shard_busy_us = %d, want 4000", st["shard_busy_us"])
+	if st["plan_exec_us"] != 4000 {
+		t.Fatalf("plan_exec_us = %d, want 4000", st["plan_exec_us"])
 	}
 	if _, ok := st["execute"]; !ok {
 		t.Fatal("execute span missing")
@@ -185,7 +185,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// Concurrent recording from many goroutines (the shard-worker pattern)
+// Concurrent recording from many goroutines (the pipeline-worker pattern)
 // must be race-free and lose nothing. Run with -race.
 func TestConcurrentRecording(t *testing.T) {
 	tr := New("race")
@@ -196,7 +196,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				sp := tr.Start("shard")
+				sp := tr.Start("worker")
 				tr.Count("events", 1)
 				tr.CountDuration("busy_ns", time.Nanosecond)
 				tr.Annotate("last", "x")

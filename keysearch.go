@@ -363,14 +363,6 @@ type Engine struct {
 	// dur is the durability runtime (nil for a memory-only engine); see
 	// durability.go.
 	dur *durState
-
-	// applyObserver, when non-nil, is invoked after every published Apply
-	// batch (under applyMu) with the pre- and post-batch snapshots and
-	// the physical change log. A sharded coordinator registers here to
-	// partition each batch per shard and keep per-shard row accounting in
-	// step with the shared epoch. Set before serving traffic (it is read
-	// without synchronisation on the apply path).
-	applyObserver func(prev, next *snapshot, changes []relstore.RowChange)
 }
 
 // current returns the published snapshot (nil before Build). Callers

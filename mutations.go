@@ -106,8 +106,7 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 		return nil, err
 	}
 
-	prev := e.current()
-	next, changes, stale, err := e.nextSnapshot(muts)
+	next, stale, err := e.nextSnapshot(muts)
 	if err != nil {
 		return nil, err
 	}
@@ -120,20 +119,16 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 	if e.dur != nil {
 		e.dur.noteBatch(e.cfg.checkpointBatches)
 	}
-	if e.applyObserver != nil {
-		e.applyObserver(prev, next, changes)
-	}
 	return &ApplyResult{Epoch: next.epoch, Applied: len(muts)}, nil
 }
 
 // nextSnapshot validates the batch against the current snapshot and
 // builds its successor copy-on-write, without publishing it. Alongside
-// the successor it returns the batch's physical change log (which a
-// sharded coordinator partitions per shard) and its answer-cache
-// invalidation set (nil when the cache is off) for the publish step.
+// the successor it returns the batch's answer-cache invalidation set
+// (nil when the cache is off) for the publish step.
 // Callers hold applyMu (or, during Open's replay, have exclusive
 // access).
-func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.RowChange, []relstore.Attr, error) {
+func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, error) {
 	cur := e.current()
 	rmuts := make([]relstore.Mutation, len(muts))
 	for i, m := range muts {
@@ -141,7 +136,7 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.RowChange,
 	}
 	ndb, changes, err := cur.db.Apply(rmuts)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("keysearch: %w", err)
+		return nil, nil, fmt.Errorf("keysearch: %w", err)
 	}
 	nix := cur.ix.Apply(ndb, changes)
 	model := e.newModel(nix, cur.cat)
@@ -164,7 +159,7 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.RowChange,
 	if e.qc != nil {
 		stale = relstore.ChangedAttrs(ndb, changes)
 	}
-	return next, changes, stale, nil
+	return next, stale, nil
 }
 
 // staleAttrs collects the "table.column" attributes whose statistics a

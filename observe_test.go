@@ -8,46 +8,36 @@ import (
 
 // TestTracingIsObservationOnly is the engine-level differential: the
 // same request with and without a trace in the context must produce
-// byte-identical responses, locally and at shard counts {1, 3}.
+// byte-identical responses.
 func TestTracingIsObservationOnly(t *testing.T) {
 	eng := churnEngine(t, WithAnswerCache(answerCacheTestBudget))
-	engines := map[string]Searcher{"local": eng}
-	for _, n := range []int{1, 3} {
-		se, err := NewShardedEngine(n, churnEngine(t, WithAnswerCache(answerCacheTestBudget)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[map[int]string{1: "sharded1", 3: "sharded3"}[n]] = se
-	}
 	queries := append(eng.SampleQueries(3), "north south")
-	for name, s := range engines {
-		for _, q := range queries {
-			// Run each endpoint twice — cold then warm — so cache-hit
-			// paths are traced too.
-			for pass := 0; pass < 2; pass++ {
-				tctx := trace.NewContext(bg, trace.New("diff"))
-				for kind, both := range map[string][2]func() (any, error){
-					"search": {
-						func() (any, error) { return s.Search(bg, SearchRequest{Query: q, K: 5, RowLimit: 3}) },
-						func() (any, error) { return s.Search(tctx, SearchRequest{Query: q, K: 5, RowLimit: 3}) },
-					},
-					"rows": {
-						func() (any, error) { return s.SearchRows(bg, RowsRequest{Query: q, K: 5}) },
-						func() (any, error) { return s.SearchRows(tctx, RowsRequest{Query: q, K: 5}) },
-					},
-					"diversify": {
-						func() (any, error) { return s.Diversify(bg, DiversifyRequest{Query: q, K: 4, Lambda: 0.5}) },
-						func() (any, error) { return s.Diversify(tctx, DiversifyRequest{Query: q, K: 4, Lambda: 0.5}) },
-					},
-				} {
-					pv, perr := both[0]()
-					tv, terr := both[1]()
-					plain := asJSON(t, pv, perr)
-					traced := asJSON(t, tv, terr)
-					if plain != traced {
-						t.Fatalf("%s/%s(%q) pass %d: traced response diverges:\n  plain:  %.300s\n  traced: %.300s",
-							name, kind, q, pass, plain, traced)
-					}
+	for _, q := range queries {
+		// Run each endpoint twice — cold then warm — so cache-hit paths
+		// are traced too.
+		for pass := 0; pass < 2; pass++ {
+			tctx := trace.NewContext(bg, trace.New("diff"))
+			for kind, both := range map[string][2]func() (any, error){
+				"search": {
+					func() (any, error) { return eng.Search(bg, SearchRequest{Query: q, K: 5, RowLimit: 3}) },
+					func() (any, error) { return eng.Search(tctx, SearchRequest{Query: q, K: 5, RowLimit: 3}) },
+				},
+				"rows": {
+					func() (any, error) { return eng.SearchRows(bg, RowsRequest{Query: q, K: 5}) },
+					func() (any, error) { return eng.SearchRows(tctx, RowsRequest{Query: q, K: 5}) },
+				},
+				"diversify": {
+					func() (any, error) { return eng.Diversify(bg, DiversifyRequest{Query: q, K: 4, Lambda: 0.5}) },
+					func() (any, error) { return eng.Diversify(tctx, DiversifyRequest{Query: q, K: 4, Lambda: 0.5}) },
+				},
+			} {
+				pv, perr := both[0]()
+				tv, terr := both[1]()
+				plain := asJSON(t, pv, perr)
+				traced := asJSON(t, tv, terr)
+				if plain != traced {
+					t.Fatalf("%s(%q) pass %d: traced response diverges:\n  plain:  %.300s\n  traced: %.300s",
+						kind, q, pass, plain, traced)
 				}
 			}
 		}
@@ -84,34 +74,5 @@ func TestTraceRecordsEngineStages(t *testing.T) {
 	// Answer-cache consultation must be visible (hits or misses).
 	if d.Counters["answer_cache_selection_hits"]+d.Counters["answer_cache_selection_misses"] == 0 {
 		t.Fatalf("answer-cache counters missing: %v", d.Counters)
-	}
-
-	// Sharded: per-shard busy counters, merge time, fan-out annotation.
-	se, err := NewShardedEngine(3, churnEngine(t, WithAnswerCache(answerCacheTestBudget)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	str := trace.New("sharded")
-	if _, err := se.SearchRows(trace.NewContext(bg, str), RowsRequest{Query: q, K: 5}); err != nil {
-		t.Fatal(err)
-	}
-	sd := str.Snapshot()
-	if sd.Annotations["shard_fanout"] != "3" {
-		t.Fatalf("fanout annotation = %q, want 3 (%v)", sd.Annotations["shard_fanout"], sd.Annotations)
-	}
-	if sd.Counters["shard_scatters"] == 0 || sd.Counters["shard_executions"] == 0 {
-		t.Fatalf("shard counters missing: %v", sd.Counters)
-	}
-	busy := 0
-	for _, name := range sd.SortedCounterNames() {
-		if len(name) > 6 && name[:6] == "shard_" && len(name) > 8 && name[len(name)-8:] == "_busy_ns" {
-			busy++
-		}
-	}
-	if busy == 0 {
-		t.Fatalf("no per-shard busy-time counters: %v", sd.Counters)
-	}
-	if _, ok := sd.Counters["shard_merge_ns"]; !ok {
-		t.Fatalf("merge timing missing: %v", sd.Counters)
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # obs-smoke: end-to-end check of the observability stack against a real
 # server process (not httptest) — the same binary and flags an operator
-# runs. Starts cmd/serve with tracing, the query log, and a 1ms
+# runs. Starts cmd/serve with tracing, the query log, and a 1ns
 # slow-query threshold, drives a few requests, then asserts:
 #   1. /metrics passes a scrape and contains one series of each core
 #      family (requests, latency histogram, served counter, epoch,
@@ -29,7 +29,7 @@ echo "obs-smoke: building cmd/serve..."
 go build -o "$DIR/serve" ./cmd/serve
 
 echo "obs-smoke: starting server on $ADDR (query log: $QLOG)..."
-"$DIR/serve" -addr "$ADDR" -query-log "$QLOG" -slow-query 1ms >"$LOG" 2>&1 &
+"$DIR/serve" -addr "$ADDR" -query-log "$QLOG" -slow-query 1ns >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for readiness via /healthz (bypasses everything, answers early).
@@ -68,8 +68,9 @@ for family in \
         echo "obs-smoke: FAIL /metrics is missing $family"; cat "$METRICS"; exit 1; }
 done
 
-# The slow-query threshold is 1ms, so at least one request must have
-# dumped its trace tree ("spans") to the server log.
+# The slow-query threshold is 1ns, not a realistic one, because demo
+# requests can all finish under 1ms: every request must have dumped its
+# trace tree ("spans") to the server log.
 i=0
 until grep -q 'slow query:' "$LOG" && grep -q '"spans"' "$LOG"; do
     i=$((i + 1))

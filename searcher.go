@@ -2,17 +2,16 @@ package keysearch
 
 import "context"
 
-// Searcher is the serving surface of a keyword-search topology: every
+// Searcher is the serving surface of the keyword-search engine: every
 // operation the HTTP layer and the load tools need, with no assumption
-// about what executes behind it. *Engine implements it in-process;
-// *ShardedEngine implements it by scatter-gathering plan execution
-// across partitions. Any future topology (replica fan-out, remote
-// shards) that satisfies this interface drops into httpapi, cmd/serve,
-// and cmd/loadtest without handler changes.
+// about what executes behind it. *Engine implements it in-process; the
+// benchmark's tracing ledger wraps it. Anything that satisfies this
+// interface drops into httpapi, cmd/serve, and cmd/loadtest without
+// handler changes.
 //
 // Implementations must be safe for unlimited concurrent use and must
 // produce byte-identical responses for the same request over the same
-// data — the differential bar every topology in this repo is held to.
+// data.
 type Searcher interface {
 	// Search ranks the query's structured interpretations (IQP).
 	Search(ctx context.Context, req SearchRequest) (*SearchResponse, error)
@@ -40,9 +39,9 @@ type Searcher interface {
 	Close() error
 }
 
-// EngineStats is the topology-independent health snapshot behind
-// /healthz: static serving configuration plus the live counters of
-// whichever subsystems are enabled. Optional blocks are nil when the
+// EngineStats is the health snapshot behind /healthz: static serving
+// configuration plus the live counters of whichever subsystems are
+// enabled. Optional blocks are nil when the
 // corresponding subsystem is off.
 type EngineStats struct {
 	// Parallelism is the interpretation pipeline's worker count;
@@ -61,38 +60,6 @@ type EngineStats struct {
 	// AnswerCache carries the engine-lifetime answer cache counters, nil
 	// when disabled.
 	AnswerCache *AnswerCacheStats
-	// Shards carries the scatter-gather coordinator state, nil on a
-	// single-process topology.
-	Shards *ShardStats
-}
-
-// ShardStats is the coordinator block of EngineStats.
-type ShardStats struct {
-	// Count is the shard count.
-	Count int
-	// Scatters / CountScatters / MergedResults are coordinator-level
-	// merge-wave counters: plan fan-outs, counting fan-outs, and total
-	// results emitted by the rank-order merge.
-	Scatters      int64
-	CountScatters int64
-	MergedResults int64
-	// Shards holds one entry per shard.
-	Shards []ShardStat
-}
-
-// ShardStat is one shard's slice of ShardStats.
-type ShardStat struct {
-	// Rows is the number of live rows the shard owns under the current
-	// snapshot.
-	Rows int
-	// Execs counts partitioned plan runs; Results the joining trees the
-	// shard contributed before merge.
-	Execs   int64
-	Results int64
-	// SelectionHits / SelectionsComputed are the shard's traffic against
-	// the request-wide shared selection store.
-	SelectionHits      int64
-	SelectionsComputed int64
 }
 
 // Stats implements Searcher for the single-process engine.
@@ -112,8 +79,5 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// Compile-time checks: both topologies satisfy the serving surface.
-var (
-	_ Searcher = (*Engine)(nil)
-	_ Searcher = (*ShardedEngine)(nil)
-)
+// Compile-time check: the engine satisfies the serving surface.
+var _ Searcher = (*Engine)(nil)
