@@ -60,11 +60,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 30s ./httpapi
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 20s ./httpapi
 
 # bench runs legs of the mechanism-ratio harness (internal/bench; see
 # docs/benchmarks.md for what each leg justifies). LEGS picks them: the

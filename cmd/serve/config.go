@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"time"
 
 	keysearch "repro"
@@ -42,18 +41,15 @@ type Config struct {
 	CheckpointInterval time.Duration
 	CheckpointBatches  int
 
-	// Static admission gate.
+	// Admission gate: MaxConcurrent slots (0 = no gate), a MaxQueue-deep
+	// wait line with a QueueTimeout; AdaptMin > 0 lets the governor
+	// self-tune the limit between AdaptMin and MaxConcurrent.
 	MaxConcurrent int
+	AdaptMin      int
 	MaxQueue      int
 	QueueTimeout  time.Duration
 	// RequestTimeout is the default per-request deadline (0 = none).
 	RequestTimeout time.Duration
-
-	// Adaptive admission governor (supersedes the static gate).
-	Adaptive    bool
-	AdaptMin    int
-	AdaptMax    int
-	AdaptWindow time.Duration
 
 	// Observability (docs/observability.md). Trace enables per-request
 	// tracing; QueryLogDir, when set, streams one JSONL entry per /v1/
@@ -89,10 +85,7 @@ func FromFlags(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.IntVar(&c.MaxQueue, "max-queue", 0, "cap on /v1/ requests waiting for a slot; excess shed with 429 (with -max-concurrent)")
 	fs.DurationVar(&c.QueueTimeout, "queue-timeout", time.Second, "longest a request may wait for a slot before a 503 shed (with -max-concurrent)")
 	fs.DurationVar(&c.RequestTimeout, "request-timeout", 0, "default per-request deadline on /v1/ endpoints, 504 on expiry (0 = none)")
-	fs.BoolVar(&c.Adaptive, "adaptive", false, "self-tune the concurrency limit (AIMD governor with cost-aware shedding; supersedes -max-concurrent)")
-	fs.IntVar(&c.AdaptMin, "adapt-min", 2, "adaptive concurrency floor (with -adaptive)")
-	fs.IntVar(&c.AdaptMax, "adapt-max", 0, "adaptive concurrency ceiling (with -adaptive; 0 = 8x GOMAXPROCS)")
-	fs.DurationVar(&c.AdaptWindow, "adapt-window", 500*time.Millisecond, "adaptive control-loop window (with -adaptive)")
+	fs.IntVar(&c.AdaptMin, "adapt-min", 0, "self-tune the concurrency limit between this floor and -max-concurrent (AIMD governor with cost-aware shedding; 0 = fixed limit)")
 	fs.BoolVar(&c.Trace, "trace", false, "per-request tracing: X-Trace-Id on every /v1/ response, stage timings recorded through the whole stack")
 	fs.StringVar(&c.QueryLogDir, "query-log", "", "directory for the structured JSONL query log (one entry per /v1/ request; implies -trace)")
 	fs.DurationVar(&c.SlowQuery, "slow-query", 0, "dump the full trace of /v1/ requests at least this slow to the server log (0 = off; implies -trace)")
@@ -119,16 +112,14 @@ func (c *Config) Validate() error {
 	if c.AnswerCacheBytes > 0 && !c.ExecCache {
 		return fmt.Errorf("-answer-cache requires -exec-cache")
 	}
-	if c.MaxConcurrent < 0 || c.MaxQueue < 0 {
-		return fmt.Errorf("-max-concurrent and -max-queue must be >= 0")
+	if c.MaxConcurrent < 0 || c.MaxQueue < 0 || c.AdaptMin < 0 {
+		return fmt.Errorf("-max-concurrent, -max-queue and -adapt-min must be >= 0")
 	}
-	if c.Adaptive {
-		if c.AdaptMin < 1 {
-			return fmt.Errorf("-adapt-min must be >= 1, got %d", c.AdaptMin)
-		}
-		if c.AdaptMax != 0 && c.AdaptMax < c.AdaptMin {
-			return fmt.Errorf("-adapt-max %d is below -adapt-min %d", c.AdaptMax, c.AdaptMin)
-		}
+	if c.AdaptMin > 0 && c.MaxConcurrent == 0 {
+		return fmt.Errorf("-adapt-min needs -max-concurrent as the governor's ceiling")
+	}
+	if c.AdaptMin > c.MaxConcurrent {
+		return fmt.Errorf("-adapt-min %d is above -max-concurrent %d", c.AdaptMin, c.MaxConcurrent)
 	}
 	if c.CheckpointInterval <= 0 || c.CheckpointBatches <= 0 {
 		return fmt.Errorf("-checkpoint-interval and -checkpoint-batches must be positive")
@@ -165,37 +156,18 @@ func (c *Config) EngineOptions() []keysearch.Option {
 	return opts
 }
 
-// AdaptCeiling resolves the adaptive concurrency ceiling: 0 when the
-// governor is off, the configured -adapt-max otherwise, defaulting to
-// 8x GOMAXPROCS.
-func (c *Config) AdaptCeiling() int {
-	if !c.Adaptive {
-		return 0
-	}
-	if c.AdaptMax > 0 {
-		return c.AdaptMax
-	}
-	return 8 * runtime.GOMAXPROCS(0)
-}
-
 // ServerOptions translates the configuration into httpapi options.
-// WithAdmission and WithAdaptiveAdmission are no-ops at their zero
-// limits, so both are threaded unconditionally.
+// WithAdmission is a no-op at a zero limit, so it is threaded
+// unconditionally.
 func (c *Config) ServerOptions() []httpapi.Option {
 	opts := []httpapi.Option{
 		httpapi.WithSessionTTL(c.SessionTTL),
 		httpapi.WithMaxSessions(c.MaxSessions),
 		httpapi.WithAdmission(httpapi.AdmissionConfig{
 			MaxConcurrent: c.MaxConcurrent,
-			MaxQueue:      c.MaxQueue,
-			QueueTimeout:  c.QueueTimeout,
-		}),
-		httpapi.WithAdaptiveAdmission(httpapi.AdaptiveConfig{
 			MinConcurrent: c.AdaptMin,
-			MaxConcurrent: c.AdaptCeiling(),
 			MaxQueue:      c.MaxQueue,
 			QueueTimeout:  c.QueueTimeout,
-			Window:        c.AdaptWindow,
 		}),
 		httpapi.WithRequestTimeout(c.RequestTimeout),
 	}

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	keysearch "repro"
+	"repro/httpapi"
 )
 
 // parse runs FromFlags over one command line on a fresh FlagSet.
@@ -30,8 +35,7 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		"-mutable", "-data-dir", "", "-checkpoint-interval", "10s",
 		"-checkpoint-batches", "64",
 		"-max-concurrent", "8", "-max-queue", "16", "-queue-timeout", "2s",
-		"-request-timeout", "5s",
-		"-adaptive", "-adapt-min", "3", "-adapt-max", "24", "-adapt-window", "250ms",
+		"-request-timeout", "5s", "-adapt-min", "3",
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -42,12 +46,76 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		cfg.CheckpointInterval != 10*time.Second || cfg.CheckpointBatches != 64 ||
 		cfg.MaxConcurrent != 8 || cfg.MaxQueue != 16 ||
 		cfg.QueueTimeout != 2*time.Second || cfg.RequestTimeout != 5*time.Second ||
-		!cfg.Adaptive || cfg.AdaptMin != 3 || cfg.AdaptMax != 24 ||
-		cfg.AdaptWindow != 250*time.Millisecond {
+		cfg.AdaptMin != 3 {
 		t.Fatalf("parsed config lost a value: %+v", cfg)
 	}
-	if got := cfg.AdaptCeiling(); got != 24 {
-		t.Fatalf("AdaptCeiling = %d, want 24", got)
+}
+
+// TestFlagCount pins the size of the serving surface: a new flag is a
+// deliberate decision, not a drive-by.
+func TestFlagCount(t *testing.T) {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	if _, err := FromFlags(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 23 {
+		t.Fatalf("cmd/serve registers %d flags, want 23", n)
+	}
+}
+
+// TestAdmissionFlags pins the one-gate semantics: -adapt-min 0 (the
+// default) keeps the limit fixed at -max-concurrent, a positive
+// -adapt-min hands it to the governor as the floor, and the flags of
+// the former second gate no longer parse.
+func TestAdmissionFlags(t *testing.T) {
+	cfg, err := parse(t, "-max-concurrent", "4", "-adapt-min", "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.MaxConcurrent != 4 || cfg.AdaptMin != 0 {
+		t.Fatalf("fixed gate: %+v", cfg)
+	}
+	eng, err := keysearch.DemoMovies(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// health serves /healthz from a server built with cfg's options.
+	health := func(cfg *Config) httpapi.HealthResponse {
+		rec := httptest.NewRecorder()
+		httpapi.New(eng, cfg.ServerOptions()...).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var h httpapi.HealthResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if h := health(cfg); h.Adaptive != nil || h.Limits.MaxConcurrent != 4 || h.Limits.AdaptiveMinConcurrent != 0 {
+		t.Fatalf("-adapt-min 0 did not give a fixed gate: %+v", h)
+	}
+	if got := startupLine(cfg, eng); !strings.Contains(got, "admission=static(4)") {
+		t.Fatalf("fixed gate startup line: %s", got)
+	}
+
+	cfg, err = parse(t, "-max-concurrent", "4", "-adapt-min", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := health(cfg); h.Adaptive == nil || h.Adaptive.MinLimit != 2 || h.Adaptive.MaxLimit != 4 {
+		t.Fatalf("-adapt-min 2 did not start a governor over [2, 4]: %+v", h)
+	}
+	if got := startupLine(cfg, eng); !strings.Contains(got, "admission=adaptive(2..4)") {
+		t.Fatalf("governed gate startup line: %s", got)
+	}
+	for _, removed := range []string{"-adaptive", "-adapt-max", "-adapt-window"} {
+		args := []string{removed}
+		if removed != "-adaptive" {
+			args = append(args, "1")
+		}
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", removed, err)
+		}
 	}
 }
 
@@ -59,11 +127,8 @@ func TestFromFlagsDefaults(t *testing.T) {
 	}
 	if cfg.Addr != ":8080" || cfg.Seed != 7 ||
 		!cfg.ScoreCache || !cfg.ExecCache || cfg.AnswerCacheBytes != 0 ||
-		cfg.Mutable || cfg.Adaptive || cfg.MaxConcurrent != 0 {
+		cfg.Mutable || cfg.AdaptMin != 0 || cfg.MaxConcurrent != 0 {
 		t.Fatalf("defaults drifted: %+v", cfg)
-	}
-	if got := cfg.AdaptCeiling(); got != 0 {
-		t.Fatalf("AdaptCeiling with governor off = %d, want 0", got)
 	}
 	if opts := cfg.EngineOptions(); len(opts) == 0 {
 		t.Fatal("no engine options")
@@ -83,8 +148,9 @@ func TestValidateRejections(t *testing.T) {
 		{[]string{"-answer-cache", "-1"}, "-answer-cache"},
 		{[]string{"-answer-cache", "1024", "-exec-cache=false"}, "-exec-cache"},
 		{[]string{"-max-concurrent", "-2"}, "-max-concurrent"},
-		{[]string{"-adaptive", "-adapt-min", "0"}, "-adapt-min"},
-		{[]string{"-adaptive", "-adapt-min", "8", "-adapt-max", "4"}, "-adapt-max"},
+		{[]string{"-adapt-min", "-1", "-max-concurrent", "4"}, "-adapt-min"},
+		{[]string{"-adapt-min", "2"}, "-adapt-min needs -max-concurrent"},
+		{[]string{"-adapt-min", "8", "-max-concurrent", "4"}, "-adapt-min 8 is above -max-concurrent 4"},
 		{[]string{"-checkpoint-batches", "0"}, "-checkpoint"},
 		{[]string{"-slow-query", "-1s"}, "-slow-query"},
 	}

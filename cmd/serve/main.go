@@ -7,8 +7,7 @@
 //	go run ./cmd/serve [-addr :8080] [-seed N] [-music] [-db dump] [-ttl 15m]
 //	                   [-mutable] [-data-dir DIR] [-answer-cache BYTES]
 //	                   [-max-concurrent N] [-max-queue N] [-queue-timeout 1s]
-//	                   [-request-timeout 5s]
-//	                   [-adaptive] [-adapt-min N] [-adapt-max N] [-adapt-window 500ms]
+//	                   [-adapt-min N] [-request-timeout 5s]
 //	                   [-trace] [-query-log DIR] [-slow-query 100ms] [-pprof-addr :6060]
 //
 // Every flag lands in one validated Config (see config.go), so an
@@ -22,19 +21,17 @@
 // restored warm on recovery. /healthz reports its occupancy and hit
 // counters; see docs/qcache.md.
 //
-// The overload protection of the serving path comes in two modes.
-// Static: -max-concurrent bounds requests executing at once,
-// -max-queue bounds the wait line (excess is shed with 429, expired
-// waits with 503, both with Retry-After), and -request-timeout gives
-// every /v1/ request a default deadline that propagates through the
-// engine and maps to 504. Adaptive: -adaptive replaces the static
-// limit with the AIMD governor (docs/admission.md) — the concurrency
-// limit self-tunes between -adapt-min and -adapt-max from windowed
-// p99 observations (-adapt-window), and under queue pressure the
-// estimated-heaviest waiters are shed first. -max-queue and
-// -queue-timeout size the adaptive queue too. All are off by default;
-// /healthz reports every configured limit in its nested "limits"
-// object, plus controller state and shed counters.
+// The overload protection of the serving path is one admission gate
+// (docs/admission.md): -max-concurrent bounds requests executing at
+// once, -max-queue bounds the wait line (excess is shed with 429,
+// waits past -queue-timeout with 503, both with Retry-After), and
+// -request-timeout gives every /v1/ request a default deadline that
+// propagates through the engine and maps to 504. -adapt-min N hands
+// the limit to the AIMD governor, which self-tunes it between N and
+// -max-concurrent from windowed p99 observations and, under queue
+// pressure, sheds the estimated-heaviest waiters first. All are off by
+// default; /healthz reports every configured limit in its nested
+// "limits" object, plus controller state and shed counters.
 //
 // Observability (docs/observability.md): GET /metrics always serves the
 // Prometheus text exposition of the request histograms and serving
@@ -114,14 +111,6 @@ func main() {
 		srvOpts = append(srvOpts, httpapi.WithQueryLog(qlogger))
 	}
 	srv := httpapi.New(eng, srvOpts...)
-	switch {
-	case cfg.Adaptive:
-		log.Printf("admission: adaptive, limit %d..%d, window %v, max-queue %d, queue-timeout %v",
-			cfg.AdaptMin, cfg.AdaptCeiling(), cfg.AdaptWindow, cfg.MaxQueue, cfg.QueueTimeout)
-	case cfg.MaxConcurrent > 0:
-		log.Printf("admission: max-concurrent %d, max-queue %d, queue-timeout %v",
-			cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout)
-	}
 	log.Print(startupLine(cfg, eng))
 	if cfg.PprofAddr != "" {
 		go servePprof(cfg.PprofAddr)
@@ -213,8 +202,8 @@ func startupLine(cfg *Config, eng *keysearch.Engine) string {
 	}
 	admission := "off"
 	switch {
-	case cfg.Adaptive:
-		admission = fmt.Sprintf("adaptive(%d..%d)", cfg.AdaptMin, cfg.AdaptCeiling())
+	case cfg.AdaptMin > 0:
+		admission = fmt.Sprintf("adaptive(%d..%d)", cfg.AdaptMin, cfg.MaxConcurrent)
 	case cfg.MaxConcurrent > 0:
 		admission = fmt.Sprintf("static(%d)", cfg.MaxConcurrent)
 	}

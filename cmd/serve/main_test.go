@@ -119,7 +119,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		"-addr", addr,
 		"-db", dump,
 		"-mutable", "-data-dir", dataDir,
-		"-adaptive", "-adapt-min", "1", "-adapt-max", "2",
+		"-adapt-min", "1", "-max-concurrent", "2",
 		"-max-queue", "2", "-queue-timeout", "100ms",
 		"-request-timeout", "2s",
 	)

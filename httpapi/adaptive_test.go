@@ -3,9 +3,9 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -13,136 +13,22 @@ import (
 	keysearch "repro"
 )
 
-// respRecord is one observed response for the differential test.
-type respRecord struct {
-	status     int
-	body       string
-	retryAfter string
-}
-
-// differentialSequence exercises every deterministic response shape:
-// success paths, validation errors, a forbidden mutation, a missing
-// construct session, and /healthz. Construction "start" is excluded —
-// its session IDs are random by design.
-func differentialSequence(t *testing.T, eng *keysearch.Engine) []struct{ method, path, body string } {
+// heavyQuery returns a query whose estimated cost lands in the last of
+// the server's corpus-derived cost bands (at or above their p90 bound):
+// the most expensive sample keywords, stacked — cost is additive over
+// keywords — until the bound is reached.
+func heavyQuery(t *testing.T, srv *Server, eng *keysearch.Engine) string {
 	t.Helper()
-	return []struct{ method, path, body string }{
-		{"POST", "/v1/search", searchBody(t, eng)},
-		{"POST", "/v1/diversify", strings.Replace(searchBody(t, eng), `"k":3`, `"k":2`, 1)},
-		{"POST", "/v1/rows", searchBody(t, eng)},
-		{"POST", "/v1/search", `{"query":`},                                  // malformed JSON
-		{"POST", "/v1/mutate", `{"mutations":[]}`},                           // immutable engine: 403
-		{"POST", "/v1/construct", `{"action":"bogus"}`},                      // unknown action
-		{"POST", "/v1/construct", `{"action":"accept","session_id":"nope"}`}, // 404
-		{"GET", "/v1/keywords?prefix=a&limit=3", ""},
-		{"GET", "/healthz", ""},
-	}
-}
-
-func runSequence(t *testing.T, base string, seq []struct{ method, path, body string }) []respRecord {
-	t.Helper()
-	out := make([]respRecord, 0, len(seq))
-	for _, step := range seq {
-		req, err := http.NewRequest(step.method, base+step.path, strings.NewReader(step.body))
-		if err != nil {
-			t.Fatal(err)
+	bounds := srv.defaultCostBands()
+	qs := eng.SampleQueries(64)
+	sort.Slice(qs, func(i, j int) bool { return eng.EstimateCost(qs[i]) > eng.EstimateCost(qs[j]) })
+	for n := 1; n <= 3 && n <= len(qs); n++ {
+		if q := strings.Join(qs[:n], " "); eng.EstimateCost(q) >= bounds[len(bounds)-1] {
+			return q
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, respRecord{
-			status:     resp.StatusCode,
-			body:       string(body),
-			retryAfter: resp.Header.Get("Retry-After"),
-		})
 	}
-	return out
-}
-
-// TestAdaptiveDisabledIsByteIdentical is the PR acceptance
-// differential: a server carrying WithAdaptiveAdmission with the
-// governor disabled (MaxConcurrent 0) must answer byte-for-byte like
-// the plain PR 6 static gate — same bodies, same statuses, same
-// Retry-After, same /healthz shape. Both construction orders are
-// checked so neither server's initialisation can leak into the other.
-func TestAdaptiveDisabledIsByteIdentical(t *testing.T) {
-	eng := demoEngine(t)
-	static := AdmissionConfig{MaxConcurrent: 2, MaxQueue: 2, QueueTimeout: time.Second}
-	seq := differentialSequence(t, eng)
-
-	for _, order := range []string{"static-first", "disabled-first"} {
-		t.Run(order, func(t *testing.T) {
-			build := func(withDisabledGovernor bool) *httptest.Server {
-				opts := []Option{WithAdmission(static)}
-				if withDisabledGovernor {
-					opts = append(opts, WithAdaptiveAdmission(AdaptiveConfig{MaxConcurrent: 0}))
-				}
-				return httptest.NewServer(New(eng, opts...))
-			}
-			var a, b *httptest.Server
-			if order == "static-first" {
-				a, b = build(false), build(true)
-			} else {
-				b, a = build(true), build(false)
-			}
-			defer a.Close()
-			defer b.Close()
-
-			got := runSequence(t, b.URL, seq)
-			want := runSequence(t, a.URL, seq)
-			for i := range seq {
-				if got[i] != want[i] {
-					t.Errorf("step %d %s %s diverged:\nstatic:   %d %q (Retry-After %q)\ndisabled: %d %q (Retry-After %q)",
-						i, seq[i].method, seq[i].path,
-						want[i].status, want[i].body, want[i].retryAfter,
-						got[i].status, got[i].body, got[i].retryAfter)
-				}
-			}
-		})
-	}
-}
-
-// adaptiveTestServer builds a governed server whose handler blocks on
-// demand: requests carrying the release channel wait inside the
-// handler so tests control slot occupancy deterministically.
-func adaptiveTestServer(t *testing.T, eng *keysearch.Engine, cfg AdaptiveConfig, hold chan struct{}, entered chan struct{}) *httptest.Server {
-	t.Helper()
-	srv := New(eng,
-		WithAdaptiveAdmission(cfg),
-		WithHandlerWrapper(func(next http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Header.Get("X-Block") != "" {
-					entered <- struct{}{}
-					<-hold
-				}
-				next.ServeHTTP(w, r)
-			})
-		}))
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-func postSearch(t *testing.T, url, body string, block bool) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest("POST", url+"/v1/search", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if block {
-		req.Header.Set("X-Block", "1")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	t.Fatalf("no query of up to 3 sample keywords reaches the heavy band %v", bounds)
+	return ""
 }
 
 // TestAdaptiveShedCarriesDrainHintAndHeadroom: with the single slot
@@ -153,10 +39,10 @@ func TestAdaptiveShedCarriesDrainHintAndHeadroom(t *testing.T) {
 	eng := demoEngine(t)
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	ts := adaptiveTestServer(t, eng, AdaptiveConfig{
-		MinConcurrent: 1, MaxConcurrent: 8, InitialConcurrent: 1,
+	_, ts := gatedServer(t, eng, AdmissionConfig{
+		MinConcurrent: 1, MaxConcurrent: 8,
 		MaxQueue: 0, Window: time.Hour,
-	}, hold, entered)
+	}, blockOn(hold, entered))
 
 	body := searchBody(t, eng)
 	done := make(chan *http.Response, 1)
@@ -197,26 +83,26 @@ func TestAdaptiveShedCarriesDrainHintAndHeadroom(t *testing.T) {
 }
 
 // TestAdaptiveEvictsHeavyForCheap drives the cost-aware path over real
-// HTTP: with the slot held and a one-deep queue occupied by a heavy
-// query, a cheap newcomer evicts it (heavy gets 429 queue_evicted) and
-// is served once the slot frees.
+// HTTP: with the slot held and a one-deep queue occupied by a query in
+// the heaviest derived cost band, a cost-1 newcomer (the first band:
+// the p50 bound is at least 2) evicts it (heavy gets 429 queue_evicted)
+// and is served once the slot frees.
 func TestAdaptiveEvictsHeavyForCheap(t *testing.T) {
 	eng := demoEngine(t)
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	ts := adaptiveTestServer(t, eng, AdaptiveConfig{
-		MinConcurrent: 1, MaxConcurrent: 4, InitialConcurrent: 1,
+	srv, ts := gatedServer(t, eng, AdmissionConfig{
+		MinConcurrent: 1, MaxConcurrent: 4,
 		MaxQueue: 1, QueueTimeout: 10 * time.Second, Window: time.Hour,
-		CostBands: []int64{2}, // cost 1 = cheap band, real queries are heavy
-	}, hold, entered)
+	}, blockOn(hold, entered))
 
 	// Occupy the slot.
 	blockedDone := make(chan *http.Response, 1)
 	go func() { blockedDone <- postSearch(t, ts.URL, searchBody(t, eng), true) }()
 	<-entered
 
-	// Queue a heavy query (a real corpus keyword: posting mass >= 2).
-	heavyBody := searchBody(t, eng)
+	// Queue a heavy query.
+	heavyBody := fmt.Sprintf(`{"query":%q,"k":3}`, heavyQuery(t, srv, eng))
 	cheapKeyword := findCheapKeyword(t, eng)
 	heavyDone := make(chan *http.Response, 1)
 	go func() { heavyDone <- postSearch(t, ts.URL, heavyBody, false) }()
@@ -256,11 +142,11 @@ func TestAdaptiveEvictsHeavyForCheap(t *testing.T) {
 	if h.Adaptive == nil || !h.Adaptive.Enabled {
 		t.Fatal("healthz missing adaptive block on a governed server")
 	}
-	if len(h.Adaptive.Bands) != 2 {
-		t.Fatalf("bands = %d, want 2", len(h.Adaptive.Bands))
+	if len(h.Adaptive.Bands) != 3 {
+		t.Fatalf("bands = %d, want 3", len(h.Adaptive.Bands))
 	}
-	if h.Adaptive.Bands[1].Evicted != 1 {
-		t.Fatalf("heavy band evicted = %d, want 1\nbands: %+v", h.Adaptive.Bands[1].Evicted, h.Adaptive.Bands)
+	if h.Adaptive.Bands[2].Evicted != 1 {
+		t.Fatalf("heavy band evicted = %d, want 1\nbands: %+v", h.Adaptive.Bands[2].Evicted, h.Adaptive.Bands)
 	}
 }
 
@@ -295,10 +181,11 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestAdaptiveHealthAndDefaults: a governed server reports controller
 // state on /healthz, derives cost bands from the corpus, and accounts
-// every admitted request in the band counters.
+// every admitted request in the band counters; a fixed-limit server
+// carries no adaptive block.
 func TestAdaptiveHealthAndDefaults(t *testing.T) {
 	eng := demoEngine(t)
-	srv := New(eng, WithAdaptiveAdmission(AdaptiveConfig{MaxConcurrent: 8}))
+	srv := New(eng, WithAdmission(AdmissionConfig{MinConcurrent: 2, MaxConcurrent: 8}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -335,6 +222,15 @@ func TestAdaptiveHealthAndDefaults(t *testing.T) {
 	}
 	if a.AvgServiceMS <= 0 {
 		t.Fatalf("avg service not observed: %+v", a)
+	}
+	if h.Limits.MaxConcurrent != 8 || h.Limits.AdaptiveMinConcurrent != 2 || h.Limits.AdaptiveWindowMS != 500 {
+		t.Fatalf("limits: %+v", h.Limits)
+	}
+
+	fixed := httptest.NewServer(New(eng, WithAdmission(AdmissionConfig{MaxConcurrent: 8})))
+	defer fixed.Close()
+	if h := getHealth(t, http.DefaultClient, fixed.URL); h.Adaptive != nil || h.Limits.AdaptiveMinConcurrent != 0 {
+		t.Fatalf("fixed-limit server reports a governor: %+v", h)
 	}
 }
 

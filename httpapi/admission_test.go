@@ -13,7 +13,6 @@ import (
 	"time"
 
 	keysearch "repro"
-	"repro/internal/metrics"
 )
 
 // getHealth fetches and decodes /healthz.
@@ -100,61 +99,128 @@ func TestAdmissionGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestAdmissionQueueFairness holds every execution slot, lines up
-// waiters, then releases the slots: every queued request must complete
-// (no waiter starves), and the queue must drain in arrival order — the
-// FIFO guarantee of the gate's channel semaphore.
+// blockOn is a handler wrapper that parks every request carrying an
+// X-Block header inside its execution slot — after signalling entered —
+// until hold closes, so tests control slot occupancy deterministically.
+func blockOn(hold, entered chan struct{}) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("X-Block") != "" {
+				entered <- struct{}{}
+				<-hold
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// gatedServer serves eng behind the admission gate cfg with the given
+// handler wrapper inside it.
+func gatedServer(t *testing.T, eng *keysearch.Engine, cfg AdmissionConfig, wrap func(http.Handler) http.Handler) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(eng, WithAdmission(cfg), WithHandlerWrapper(wrap))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// postSearch posts body to /v1/search, parking it in its slot when
+// block is set (see blockOn). Tests call it from helper goroutines, so
+// a transport failure is reported with t.Error and returned as status
+// -1, which every caller's status check then rejects.
+func postSearch(t *testing.T, url, body string, block bool) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest("POST", url+"/v1/search", strings.NewReader(body))
+	if err == nil {
+		if block {
+			req.Header.Set("X-Block", "1")
+		}
+		var resp *http.Response
+		if resp, err = http.DefaultClient.Do(req); err == nil {
+			return resp
+		}
+	}
+	t.Error(err)
+	return &http.Response{StatusCode: -1, Body: http.NoBody}
+}
+
+// waitQueued polls the server's queued gauge until it reaches n.
+func waitQueued(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	waitFor(t, func() bool { return srv.stats.Snapshot().Queued == n })
+}
+
+// decodeShed reads a shed response's body, which must be structured.
+func decodeShed(t *testing.T, resp *http.Response) ErrorResponse {
+	t.Helper()
+	defer resp.Body.Close()
+	var body ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestAdmissionQueueFairness holds the only execution slot, lines up
+// waiters one by one, then releases the slot: every queued request must
+// complete (no waiter starves), and the queue must drain in arrival
+// order — the FIFO guarantee of a fixed-limit gate.
 func TestAdmissionQueueFairness(t *testing.T) {
-	stats := &metrics.ServingStats{}
-	g := newGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second}.withDefaults(), stats)
+	eng := demoEngine(t)
+	hold, entered := make(chan struct{}), make(chan struct{}, 1)
+	var mu sync.Mutex
+	var order []string
+	srv, ts := gatedServer(t, eng, AdmissionConfig{MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 5 * time.Second},
+		func(next http.Handler) http.Handler {
+			return blockOn(hold, entered)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if o := r.Header.Get("X-Order"); o != "" {
+					mu.Lock()
+					order = append(order, o)
+					mu.Unlock()
+				}
+				next.ServeHTTP(w, r)
+			}))
+		})
+	body := searchBody(t, eng)
 
 	// Occupy the single slot.
-	rec := httptest.NewRecorder()
-	release, ok := g.admit(rec, httptest.NewRequest("POST", "/v1/search", nil))
-	if !ok {
-		t.Fatal("first admit failed")
-	}
+	first := make(chan *http.Response, 1)
+	go func() { first <- postSearch(t, ts.URL, body, true) }()
+	<-entered
 
 	const waiters = 8
-	var order []int
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	started := make(chan struct{}, waiters)
+	statuses := make([]int, waiters)
 	for i := 0; i < waiters; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Stagger arrival so queue order is deterministic.
-			for {
-				if g.stats.Snapshot().Queued == int64(i) {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			started <- struct{}{}
-			rel, ok := g.admit(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/search", nil))
-			if !ok {
-				t.Errorf("waiter %d shed", i)
+			req, _ := http.NewRequest("POST", ts.URL+"/v1/search", strings.NewReader(body))
+			req.Header.Set("X-Order", fmt.Sprint(i))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
 				return
 			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			rel()
+			resp.Body.Close()
+			statuses[i] = resp.StatusCode
 		}()
+		waitQueued(t, srv, int64(i+1)) // stagger arrival so queue order is deterministic
 	}
-	for i := 0; i < waiters; i++ {
-		<-started
-	}
-	release() // open the floodgate; waiters should drain FIFO
+	close(hold) // open the floodgate; waiters should drain FIFO
+	(<-first).Body.Close()
 	wg.Wait()
 
+	for i, st := range statuses {
+		if st != http.StatusOK {
+			t.Fatalf("waiter %d finished %d, want 200", i, st)
+		}
+	}
 	if len(order) != waiters {
 		t.Fatalf("only %d of %d waiters completed", len(order), waiters)
 	}
 	for i, got := range order {
-		if got != i {
+		if got != fmt.Sprint(i) {
 			t.Fatalf("queue drained out of arrival order: %v", order)
 		}
 	}
@@ -162,35 +228,35 @@ func TestAdmissionQueueFairness(t *testing.T) {
 
 // TestAdmissionQueueTimeout pins the 503 shed path: with the only slot
 // held and a tiny queue timeout, a queued request is rejected with 503,
-// a Retry-After header, and a structured body.
+// a Retry-After header, and a structured body naming the fixed limit.
 func TestAdmissionQueueTimeout(t *testing.T) {
-	stats := &metrics.ServingStats{}
-	g := newGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: 30 * time.Millisecond, RetryAfter: 2 * time.Second}.withDefaults(), stats)
+	eng := demoEngine(t)
+	hold, entered := make(chan struct{}), make(chan struct{}, 1)
+	srv, ts := gatedServer(t, eng, AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: 30 * time.Millisecond},
+		blockOn(hold, entered))
+	body := searchBody(t, eng)
 
-	release, ok := g.admit(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/search", nil))
-	if !ok {
-		t.Fatal("first admit failed")
-	}
-	defer release()
+	first := make(chan *http.Response, 1)
+	go func() { first <- postSearch(t, ts.URL, body, true) }()
+	<-entered
+	defer func() {
+		close(hold)
+		(<-first).Body.Close()
+	}()
 
-	rec := httptest.NewRecorder()
-	if _, ok := g.admit(rec, httptest.NewRequest("POST", "/v1/search", nil)); ok {
-		t.Fatal("queued request admitted despite held slot")
+	resp := postSearch(t, ts.URL, body, false)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", rec.Code)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	got := decodeShed(t, resp)
+	if got.Code != "queue_timeout" || got.RetryAfterSeconds != 1 || got.Error == "" ||
+		got.Limit != 1 || got.LimitHeadroom == nil || *got.LimitHeadroom != 0 {
+		t.Fatalf("body = %+v", got)
 	}
-	var body ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Code != "queue_timeout" || body.RetryAfterSeconds != 2 || body.Error == "" {
-		t.Fatalf("body = %+v", body)
-	}
-	if s := stats.Snapshot(); s.ShedQueueTimeout != 1 || s.Queued != 0 {
+	if s := srv.stats.Snapshot(); s.ShedQueueTimeout != 1 || s.Queued != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -198,45 +264,37 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 // TestAdmissionQueueFull pins the 429 shed path: slot and queue both at
 // capacity, the next arrival is rejected instantly.
 func TestAdmissionQueueFull(t *testing.T) {
-	stats := &metrics.ServingStats{}
-	g := newGate(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Second}.withDefaults(), stats)
+	eng := demoEngine(t)
+	hold, entered := make(chan struct{}), make(chan struct{}, 1)
+	srv, ts := gatedServer(t, eng, AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 5 * time.Second},
+		blockOn(hold, entered))
+	body := searchBody(t, eng)
 
-	release, ok := g.admit(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/search", nil))
-	if !ok {
-		t.Fatal("first admit failed")
-	}
-	defer release()
+	first := make(chan *http.Response, 1)
+	go func() { first <- postSearch(t, ts.URL, body, true) }()
+	<-entered
+	// Fill the one queue place with a request that will wait.
+	queued := make(chan *http.Response, 1)
+	go func() { queued <- postSearch(t, ts.URL, body, false) }()
+	waitQueued(t, srv, 1)
 
-	// Fill the one queue slot with a goroutine that will wait.
-	queued := make(chan struct{})
-	go func() {
-		close(queued)
-		rel, ok := g.admit(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/search", nil))
-		if ok {
-			rel()
-		}
-	}()
-	<-queued
-	for stats.Snapshot().Queued == 0 {
-		time.Sleep(time.Millisecond)
+	resp := postSearch(t, ts.URL, body, false)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	}
+	if got := decodeShed(t, resp); got.Code != "queue_full" || got.RetryAfterSeconds < 1 {
+		t.Fatalf("body = %+v", got)
+	}
+	if s := srv.stats.Snapshot(); s.ShedQueueFull != 1 {
+		t.Fatalf("stats = %+v", s)
 	}
 
-	rec := httptest.NewRecorder()
-	if _, ok := g.admit(rec, httptest.NewRequest("POST", "/v1/search", nil)); ok {
-		t.Fatal("admitted past a full queue")
-	}
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", rec.Code)
-	}
-	var body ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Code != "queue_full" || body.RetryAfterSeconds < 1 {
-		t.Fatalf("body = %+v", body)
-	}
-	if stats.Snapshot().ShedQueueFull != 1 {
-		t.Fatalf("stats = %+v", stats.Snapshot())
+	close(hold)
+	(<-first).Body.Close()
+	if r := <-queued; r.StatusCode != http.StatusOK {
+		t.Fatalf("queued request finished %d, want 200", r.StatusCode)
+	} else {
+		r.Body.Close()
 	}
 }
 

@@ -51,7 +51,7 @@ func TestHTTPMalformedBodies(t *testing.T) {
 
 // TestHTTPBodyCap: a body one byte over maxBodyBytes is refused with a
 // structured 413 and one byte under is decoded, on every POST endpoint
-// and behind the adaptive gate too, whose cost peek re-wraps the body
+// and behind the governed gate too, whose cost peek re-wraps the body
 // before the handler caps it.
 func TestHTTPBodyCap(t *testing.T) {
 	eng := demoEngine(t)
@@ -63,7 +63,7 @@ func TestHTTPBodyCap(t *testing.T) {
 	}
 	for name, srv := range map[string]*Server{
 		"static":   New(eng),
-		"adaptive": New(eng, WithAdaptiveAdmission(AdaptiveConfig{MinConcurrent: 2, MaxConcurrent: 8})),
+		"adaptive": New(eng, WithAdmission(AdmissionConfig{MinConcurrent: 2, MaxConcurrent: 8})),
 	} {
 		ts := httptest.NewServer(srv)
 		if code := postRaw(t, ts.Client(), ts.URL+"/v1/search", body(maxBodyBytes-1)); code != http.StatusOK {
@@ -220,5 +220,40 @@ func TestHTTPLimitBounds(t *testing.T) {
 		if code := postRaw(t, ts.Client(), ts.URL+c.path, body); code != c.want {
 			t.Errorf("%s %s: status = %d, want %d", c.path, body, code, c.want)
 		}
+	}
+}
+
+// TestHTTPKeywordBound: a ranked query with more keywords than the
+// engine's bound is refused with 400 on every ranked endpoint instead
+// of materialising an exponential interpretation space; a query at the
+// bound is served, and query construction, built for long queries, is
+// not bounded.
+func TestHTTPKeywordBound(t *testing.T) {
+	eng := demoEngine(t)
+	ts := httptest.NewServer(New(eng))
+	defer ts.Close()
+
+	qs := eng.SampleQueries(7)
+	if len(qs) < 7 {
+		t.Fatalf("demo corpus has %d sample keywords, want 7", len(qs))
+	}
+	seven := strings.Join(qs, " ")
+	for _, ep := range []string{"/v1/search", "/v1/diversify", "/v1/rows"} {
+		var got ErrorResponse
+		if code := post(t, ts.Client(), ts.URL+ep, map[string]any{"query": seven, "k": 3}, &got); code != http.StatusBadRequest ||
+			!strings.Contains(got.Error, "too many keywords") {
+			t.Errorf("%s with 7 keywords: status = %d, body %+v, want 400 too many keywords", ep, code, got)
+		}
+	}
+	six := strings.TrimSpace(strings.Repeat(qs[0]+" ", 6))
+	if code := postRaw(t, ts.Client(), ts.URL+"/v1/search", `{"query":"`+six+`","k":3}`); code != http.StatusOK {
+		t.Errorf("/v1/search with 6 keywords: status = %d, want 200", code)
+	}
+	var step ConstructStepResponse
+	if code := post(t, ts.Client(), ts.URL+"/v1/construct", ConstructStepRequest{
+		Action: "start",
+		Start:  &keysearch.ConstructRequest{Query: seven, StopAtRemaining: 1},
+	}, &step); code != http.StatusOK {
+		t.Errorf("/v1/construct start with 7 keywords: status = %d, want 200", code)
 	}
 }

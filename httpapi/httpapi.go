@@ -43,22 +43,27 @@
 //
 // The /v1/ endpoints sit behind an optional admission gate
 // (WithAdmission): a bounded number of requests execute concurrently, a
-// bounded FIFO queue absorbs bursts, and everything beyond that is shed
-// — 429 when the queue is full, 503 when a queued request waits longer
+// bounded queue absorbs bursts, and everything beyond that is shed —
+// 429 when the queue is full, 503 when a queued request waits longer
 // than the queue timeout — with a Retry-After header and a structured
-// {"error", "code", "retry_after_seconds"} body. WithRequestTimeout adds
+// {"error", "code", "retry_after_seconds", "limit", "limit_headroom"}
+// body. The limit is fixed at MaxConcurrent, or, given a MinConcurrent
+// floor, self-tuned between the two by an AIMD governor whose queue
+// sheds the estimated-heaviest waiters first. WithRequestTimeout adds
 // a default per-request deadline that propagates through the engine's
 // context-first API; an expired request returns 504 with code
 // "deadline_exceeded". GET /healthz bypasses the gate (it must answer
 // exactly when the server is saturated) and reports the gate's live
 // counters — in-flight, queued, shed totals, and their high-water marks
-// — while every *configured* limit (gate, governor bounds, answer-cache
-// budget, request timeout) lives in one nested "limits" object.
+// — while every *configured* limit (gate, governor floor and window,
+// answer-cache budget, request timeout) lives in one nested "limits"
+// object.
 //
 // Errors are returned as {"error": "..."} with a 4xx/5xx status;
 // overload and deadline errors additionally carry a machine-readable
-// "code" (queue_full, queue_timeout, deadline_exceeded, client_closed)
-// and shed responses a "retry_after_seconds" back-off hint.
+// "code" (queue_full, queue_evicted, queue_timeout, deadline_exceeded,
+// client_closed) and shed responses a "retry_after_seconds" back-off
+// hint.
 package httpapi
 
 import (
@@ -81,19 +86,18 @@ import (
 )
 
 // ErrorResponse is the JSON shape of every error reply. Code is set for
-// overload and deadline errors (queue_full, queue_timeout,
-// deadline_exceeded, client_closed) so clients can branch without
-// parsing prose; RetryAfterSeconds mirrors the Retry-After header on
-// 429/503 shed responses.
+// overload and deadline errors (queue_full, queue_evicted,
+// queue_timeout, deadline_exceeded, client_closed) so clients can
+// branch without parsing prose; RetryAfterSeconds mirrors the
+// Retry-After header on 429/503 shed responses.
 type ErrorResponse struct {
 	Error             string `json:"error"`
 	Code              string `json:"code,omitempty"`
 	RetryAfterSeconds int64  `json:"retry_after_seconds,omitempty"`
-	// Limit and LimitHeadroom are set on adaptive-governor sheds
-	// (WithAdaptiveAdmission): the controller's current concurrency
-	// limit and the room left to its configured ceiling — headroom 0
-	// tells a client the server is already as wide open as it will
-	// get. Static-gate sheds omit both.
+	// Limit and LimitHeadroom are set on 429/503 sheds: the gate's
+	// current concurrency limit and the room left to MaxConcurrent —
+	// headroom 0 tells a client the server is already as wide open as
+	// it will get, which a fixed-limit gate always is.
 	Limit         int  `json:"limit,omitempty"`
 	LimitHeadroom *int `json:"limit_headroom,omitempty"`
 }
@@ -124,16 +128,14 @@ type HealthResponse struct {
 	WALBatches     int    `json:"wal_batches"`
 	LastCheckpoint uint64 `json:"last_checkpoint_epoch"`
 	// Limits is the one place configured serving limits appear: the
-	// admission gate's bounds, the adaptive governor's concurrency range
-	// and control window, the default request deadline, and the answer
-	// cache's byte budget.
+	// admission gate's bounds, the governor's floor and control window,
+	// the default request deadline, and the answer cache's byte budget.
 	Limits LimitsHealth `json:"limits"`
 	// Admission carries the live serving counters (in-flight, queued,
 	// shed, expired, and their high-water marks).
 	Admission AdmissionHealth `json:"admission"`
-	// Adaptive reports the self-sizing governor's controller state and
-	// per-cost-band shed counters; omitted entirely when the governor
-	// is disabled, so the static-gate health shape is unchanged.
+	// Adaptive reports the governor's controller state and per-cost-band
+	// shed counters; omitted entirely when no governor runs.
 	Adaptive *AdaptiveHealth `json:"adaptive,omitempty"`
 	// AnswerCache reports the engine-lifetime answer cache's occupancy
 	// and counters (WithAnswerCache / -answer-cache); omitted entirely
@@ -146,11 +148,11 @@ type HealthResponse struct {
 }
 
 // LimitsHealth is the nested /healthz limits object: every configured
-// (static) bound of the serving path in one place, separate from the
-// live counters. The adaptive_* fields are zero when the governor is
-// off; answer_cache_budget_bytes is zero when the cache is off. When
-// the adaptive governor is enabled, max_concurrent/max_queue/
-// queue_timeout_ms describe *its* gate (the static gate is superseded).
+// bound of the serving path in one place, separate from the live
+// counters. max_concurrent is the gate's limit, or its ceiling when a
+// governor runs; the adaptive_* fields (the governor's floor and
+// window) are zero without one; answer_cache_budget_bytes is zero when
+// the cache is off.
 type LimitsHealth struct {
 	MaxConcurrent    int   `json:"max_concurrent"`
 	MaxQueue         int   `json:"max_queue"`
@@ -158,7 +160,6 @@ type LimitsHealth struct {
 	RequestTimeoutMS int64 `json:"request_timeout_ms"`
 
 	AdaptiveMinConcurrent int   `json:"adaptive_min_concurrent,omitempty"`
-	AdaptiveMaxConcurrent int   `json:"adaptive_max_concurrent,omitempty"`
 	AdaptiveWindowMS      int64 `json:"adaptive_window_ms,omitempty"`
 
 	AnswerCacheBudgetBytes int64 `json:"answer_cache_budget_bytes,omitempty"`
@@ -297,20 +298,15 @@ type Server struct {
 	wrap    func(http.Handler) http.Handler
 
 	// Overload protection (see admission.go): gate is nil when no
-	// admission limit is configured, reqTimeout zero when requests get
-	// no default deadline; stats is always live so /healthz reports
-	// in-flight counts even on an ungated server.
+	// admission limit is configured, gov nil when the limit is fixed,
+	// reqTimeout zero when requests get no default deadline; stats is
+	// always live so /healthz reports in-flight counts even on an
+	// ungated server.
 	admission  AdmissionConfig
-	gate       *gate
+	gate       *admission.Gate
+	gov        *admission.Governor
 	reqTimeout time.Duration
 	stats      *metrics.ServingStats
-
-	// Adaptive governor (see adaptive.go): when enabled it supersedes
-	// the static gate on the /v1/ path. agov/agate are nil when off.
-	adaptive   AdaptiveConfig
-	adaptiveOn bool
-	agate      *admission.Gate
-	agov       *admission.Governor
 
 	// Observability (see observe.go): obs always aggregates per-endpoint
 	// latency histograms and status counters for GET /metrics; tracing,
@@ -350,10 +346,10 @@ func New(eng keysearch.Searcher, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.adaptiveOn {
+	if s.admission.MaxConcurrent > 0 {
 		// Built after the option loop so the governor sees the final
-		// clock (WithClock) and engine configuration.
-		s.initAdaptive()
+		// clock (WithClock).
+		s.initAdmission()
 	}
 	if s.maxSessions < 1 {
 		s.maxSessions = 1 // a non-positive cap would make eviction spin forever
@@ -412,9 +408,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// limitsHealth assembles the nested limits object. With the adaptive
-// governor on, the gate fields describe the governor's queue (the
-// static gate is superseded on the serving path).
+// limitsHealth assembles the nested limits object.
 func (s *Server) limitsHealth(st keysearch.EngineStats) LimitsHealth {
 	l := LimitsHealth{
 		MaxConcurrent:    s.admission.MaxConcurrent,
@@ -422,13 +416,9 @@ func (s *Server) limitsHealth(st keysearch.EngineStats) LimitsHealth {
 		QueueTimeoutMS:   s.admission.QueueTimeout.Milliseconds(),
 		RequestTimeoutMS: s.reqTimeout.Milliseconds(),
 	}
-	if s.adaptiveOn {
-		l.MaxConcurrent = s.adaptive.MaxConcurrent
-		l.MaxQueue = s.adaptive.MaxQueue
-		l.QueueTimeoutMS = s.adaptive.QueueTimeout.Milliseconds()
-		l.AdaptiveMinConcurrent = s.adaptive.MinConcurrent
-		l.AdaptiveMaxConcurrent = s.adaptive.MaxConcurrent
-		l.AdaptiveWindowMS = s.adaptive.Window.Milliseconds()
+	if s.gov != nil {
+		l.AdaptiveMinConcurrent = s.admission.MinConcurrent
+		l.AdaptiveWindowMS = s.admission.Window.Milliseconds()
 	}
 	if st.AnswerCache != nil {
 		l.AnswerCacheBudgetBytes = st.AnswerCache.BudgetBytes
@@ -477,7 +467,7 @@ func statusFor(err error) int {
 // keyword query, a dialogue step or a mutation batch; the largest any
 // test or load generator sends is a few kilobytes, and a megabyte of
 // mutations is thousands of rows — past that, split the batch. It is
-// also all the adaptive gate's cost peek will ever buffer.
+// also all the admission cost peek will ever buffer.
 const maxBodyBytes = 1 << 20
 
 // decode parses the JSON request body into T. On failure it has already

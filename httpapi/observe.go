@@ -221,8 +221,8 @@ func (ob *requestObservation) admissionWait(d time.Duration) {
 	ob.tr.CountDuration("admission_wait_ns", d)
 }
 
-// setCost records the admission cost estimate (adaptive path, or
-// computed for the query log).
+// setCost records the admission cost estimate (priced for the banded
+// queue or the query log).
 func (ob *requestObservation) setCost(c int64) {
 	ob.rec.estimatedCost = c
 }
@@ -339,8 +339,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("keysearch_answer_cache_entries", "Answer-cache resident entries.", float64(ac.Entries))
 	}
 
-	if s.agov != nil {
-		gs := s.agate.Stats()
+	if s.gov != nil {
+		gs := s.gate.Stats()
 		p.Gauge("keysearch_adaptive_limit", "Adaptive governor's current concurrency limit.", float64(gs.Limit))
 		p.Gauge("keysearch_adaptive_queued", "Requests queued at the adaptive gate.", float64(gs.Queued))
 	}

@@ -186,7 +186,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsAdaptiveGovernor asserts the governor families appear when
 // adaptive admission is enabled.
 func TestMetricsAdaptiveGovernor(t *testing.T) {
-	_, ts, _, _ := obsServer(t, WithAdaptiveAdmission(AdaptiveConfig{MaxConcurrent: 4, MaxQueue: 8}))
+	_, ts, _, _ := obsServer(t, WithAdmission(AdmissionConfig{MinConcurrent: 2, MaxConcurrent: 4, MaxQueue: 8}))
 	eng, err := keysearch.DemoMovies(7)
 	if err != nil {
 		t.Fatal(err)

@@ -13,43 +13,39 @@ package admission
 
 import "time"
 
-// Config bounds and tunes the AIMD controller. The zero value is not
-// usable; call (Config).withDefaults or construct via NewController,
-// which applies defaults for unset fields.
+// Config bounds the AIMD controller. The limit starts at MinLimit
+// (start conservative, probe upward) and never leaves [MinLimit,
+// MaxLimit]; the loop's tuning is fixed (see the constants below).
 type Config struct {
 	// MinLimit is the concurrency floor: back-off never goes below
 	// it. Defaults to 1.
 	MinLimit int
 	// MaxLimit is the concurrency ceiling: additive increase never
-	// exceeds it. Defaults to 1024.
+	// exceeds it. Defaults to 1024; raised to MinLimit if below it.
 	MaxLimit int
-	// InitialLimit is the starting concurrency limit. Defaults to
-	// MinLimit (start conservative, probe upward).
-	InitialLimit int
-	// Increase is the additive step applied after a healthy window.
-	// Defaults to 1.
-	Increase int
-	// Backoff is the multiplicative factor applied to the limit when
-	// a window degrades, in (0, 1). Defaults to 0.75 — gentler than
-	// TCP's 0.5, keeping the sawtooth inside a ±25% band around the
-	// knee.
-	Backoff float64
-	// Degrade is the latency-gradient threshold: a window is
-	// degraded when its p99 exceeds the reference p99 by more than
-	// this fraction (p99 > ref * (1+Degrade)). Defaults to 0.3.
-	Degrade float64
-	// MinSamples is the minimum number of completions a window needs
-	// before its p99 is trusted; sparser windows hold the limit.
-	// Defaults to 8.
-	MinSamples int
-	// RefDecay is the EWMA weight a healthy window's p99 contributes
-	// to the reference latency, in (0, 1]. Defaults to 0.2.
-	RefDecay float64
-	// Cooldown is the number of windows to hold after a back-off so
-	// the reduced limit can show its effect before being judged.
-	// Defaults to 1.
-	Cooldown int
 }
+
+// The AIMD loop's tuning.
+const (
+	// increaseStep is the additive step applied after a healthy window.
+	increaseStep = 1
+	// backoffFactor is the multiplicative cut applied to the limit when
+	// a window degrades — gentler than TCP's 0.5, keeping the sawtooth
+	// inside a ±25% band around the knee.
+	backoffFactor = 0.75
+	// degradeThreshold is the latency gradient that marks a window
+	// degraded: p99 > ref * (1+degradeThreshold).
+	degradeThreshold = 0.3
+	// minSamples is the fewest completions a window needs before its
+	// p99 is trusted; sparser windows hold the limit.
+	minSamples = 8
+	// refDecay is the EWMA weight a healthy window's p99 contributes to
+	// the reference latency.
+	refDecay = 0.2
+	// cooldownWindows is how many windows to hold after a back-off so
+	// the reduced limit can show its effect before being judged.
+	cooldownWindows = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.MinLimit <= 0 {
@@ -61,43 +57,13 @@ func (c Config) withDefaults() Config {
 	if c.MaxLimit < c.MinLimit {
 		c.MaxLimit = c.MinLimit
 	}
-	if c.InitialLimit <= 0 {
-		c.InitialLimit = c.MinLimit
-	}
-	if c.InitialLimit < c.MinLimit {
-		c.InitialLimit = c.MinLimit
-	}
-	if c.InitialLimit > c.MaxLimit {
-		c.InitialLimit = c.MaxLimit
-	}
-	if c.Increase <= 0 {
-		c.Increase = 1
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.75
-	}
-	if c.Degrade <= 0 {
-		c.Degrade = 0.3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.RefDecay <= 0 || c.RefDecay > 1 {
-		c.RefDecay = 0.2
-	}
-	if c.Cooldown < 0 {
-		c.Cooldown = 1
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 1
-	}
 	return c
 }
 
 // Window is one aggregated observation interval handed to the
 // controller: how many requests completed and the p99 service latency
 // over that interval. Goodput enters the loop as the sample gate —
-// windows with fewer than MinSamples completions carry too little
+// windows with fewer than minSamples completions carry too little
 // signal and hold the limit rather than moving it.
 type Window struct {
 	Completed int
@@ -147,10 +113,10 @@ type Controller struct {
 }
 
 // NewController builds a controller with defaults applied and the
-// limit at InitialLimit.
+// limit at MinLimit.
 func NewController(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, limit: cfg.InitialLimit}
+	return &Controller{cfg: cfg, limit: cfg.MinLimit}
 }
 
 // Limit returns the current concurrency limit.
@@ -163,7 +129,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // decision taken. The limit after the call is Limit().
 func (c *Controller) Observe(w Window) Decision {
 	c.windows++
-	if w.Completed < c.cfg.MinSamples {
+	if w.Completed < minSamples {
 		c.holds++
 		return Hold
 	}
@@ -179,10 +145,10 @@ func (c *Controller) Observe(w Window) Decision {
 	if c.ref == 0 {
 		c.ref = p99
 	}
-	if p99 <= c.ref*(1+c.cfg.Degrade) {
-		c.ref = (1-c.cfg.RefDecay)*c.ref + c.cfg.RefDecay*p99
+	if p99 <= c.ref*(1+degradeThreshold) {
+		c.ref = (1-refDecay)*c.ref + refDecay*p99
 		if c.limit < c.cfg.MaxLimit {
-			c.limit += c.cfg.Increase
+			c.limit += increaseStep
 			if c.limit > c.cfg.MaxLimit {
 				c.limit = c.cfg.MaxLimit
 			}
@@ -192,7 +158,7 @@ func (c *Controller) Observe(w Window) Decision {
 		c.holds++
 		return Hold
 	}
-	next := int(float64(c.limit) * c.cfg.Backoff)
+	next := int(float64(c.limit) * backoffFactor)
 	if next >= c.limit {
 		next = c.limit - 1
 	}
@@ -200,7 +166,7 @@ func (c *Controller) Observe(w Window) Decision {
 		next = c.cfg.MinLimit
 	}
 	c.limit = next
-	c.cool = c.cfg.Cooldown
+	c.cool = cooldownWindows
 	c.backoffs++
 	return Backoff
 }

@@ -118,7 +118,7 @@ func TestBacksOffWithinOneWindow(t *testing.T) {
 	if d != Backoff {
 		t.Fatalf("spike window decision = %v, want Backoff", d)
 	}
-	want := int(float64(before) * c.Config().Backoff)
+	want := int(float64(before) * backoffFactor)
 	if want < c.Config().MinLimit {
 		want = c.Config().MinLimit
 	}
@@ -145,7 +145,7 @@ func TestMonotoneBackoffUnderSustainedSpike(t *testing.T) {
 			t.Fatalf("spike window %d: limit rose %d -> %d", i, prev, l)
 		}
 		if d == Backoff {
-			want := int(float64(prev) * c.Config().Backoff)
+			want := int(float64(prev) * backoffFactor)
 			if want < cfg.MinLimit {
 				want = cfg.MinLimit
 			}
@@ -222,19 +222,16 @@ func TestCeilingHolds(t *testing.T) {
 func TestDefaultsAndState(t *testing.T) {
 	c := NewController(Config{})
 	cfg := c.Config()
-	if cfg.MinLimit != 1 || cfg.MaxLimit != 1024 || cfg.InitialLimit != 1 {
+	if cfg.MinLimit != 1 || cfg.MaxLimit != 1024 {
 		t.Fatalf("unexpected defaulted bounds: %+v", cfg)
 	}
-	if cfg.Backoff != 0.75 || cfg.Degrade != 0.3 || cfg.Increase != 1 {
-		t.Fatalf("unexpected defaulted tuning: %+v", cfg)
-	}
 	if c.Limit() != 1 {
-		t.Fatalf("initial limit = %d, want 1", c.Limit())
+		t.Fatalf("initial limit = %d, want the floor 1", c.Limit())
 	}
 
 	c.Observe(Window{Completed: 50, P99: 10 * time.Millisecond})
 	st := c.State()
-	if st.Windows != 1 || st.Increases != 1 || st.Limit != 2 {
+	if st.Windows != 1 || st.Increases != 1 || st.Limit != 1+increaseStep {
 		t.Fatalf("state after one healthy window: %+v", st)
 	}
 	if st.RefP99MS <= 0 {
@@ -242,7 +239,7 @@ func TestDefaultsAndState(t *testing.T) {
 	}
 
 	// Invalid bounds are reconciled, not crashed on.
-	c2 := NewController(Config{MinLimit: 8, MaxLimit: 4, InitialLimit: 100, Cooldown: -3})
+	c2 := NewController(Config{MinLimit: 8, MaxLimit: 4})
 	if c2.Config().MaxLimit != 8 || c2.Limit() != 8 {
 		t.Fatalf("bound reconciliation: %+v limit %d", c2.Config(), c2.Limit())
 	}

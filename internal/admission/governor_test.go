@@ -65,11 +65,11 @@ func TestGovernorRotatesOnClock(t *testing.T) {
 // samples leaves the limit alone.
 func TestGovernorSparseWindowHolds(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	ctrl := NewController(Config{MinLimit: 4, MaxLimit: 64, InitialLimit: 8})
+	ctrl := NewController(Config{MinLimit: 8, MaxLimit: 64})
 	gov := NewGovernor(ctrl, nil, time.Second, clk.now)
 
 	clk.advance(2 * time.Second)
-	gov.ObserveCompletion(time.Second) // 1 completion < MinSamples
+	gov.ObserveCompletion(time.Second) // 1 completion < minSamples
 	if st := gov.State(); st.Windows != 1 || st.Holds != 1 || gov.Limit() != 8 {
 		t.Fatalf("sparse window: %+v limit %d", st, gov.Limit())
 	}

@@ -22,15 +22,15 @@ import (
 //   - open-half-knee:  an open loop at half the saturation rate, with
 //     latency measured from scheduled arrivals — the honest steady-state
 //     tail, which coordinated omission cannot hide,
-//   - static-knee-8x:  8× the knee's workers against a static gate parked
+//   - static-knee-8x:  8× the knee's workers against a gate fixed
 //     at the knee (knee slots, 2×knee queue, 200 ms queue timeout, 5 s
 //     deadline) — the best an omniscient operator can configure.
 //     goodput_vs_saturation is its goodput over the ramp's: near 1 when
 //     excess load is shed at the door and admitted requests run at full
 //     speed. The row also carries the server-side proof that the queue
 //     bound held,
-//   - adaptive-8x:     the same load against the AIMD governor, told only
-//     a floor and the ramp's worker bound as ceiling. Cost bands default
+//   - adaptive-8x:     the same load against the same gate under the AIMD
+//     governor, told only a floor and the ramp's worker bound as ceiling. Cost bands default
 //     to the corpus-derived p50/p90 of EstimateCost.
 //     goodput_vs_static_knee is its goodput over the static row's: near 1
 //     when the control loop finds the knee on its own. The governor_*
@@ -112,7 +112,7 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 	rep.Rows = append(rep.Rows, srow)
 
 	adaptive, arow, err := overload("adaptive-8x", httpapi.WithRequestTimeout(deadline),
-		httpapi.WithAdaptiveAdmission(httpapi.AdaptiveConfig{
+		httpapi.WithAdmission(httpapi.AdmissionConfig{
 			MinConcurrent: 2, MaxConcurrent: cfg.rampWorkers(),
 			MaxQueue: 2 * knee, QueueTimeout: queueTimeout, Window: cfg.window(),
 		}))

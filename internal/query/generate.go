@@ -234,7 +234,11 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 		if err != nil {
 			return nil, err
 		}
-		if merger.add(shard) {
+		capped, err := merger.add(ctx, shard)
+		if err != nil {
+			return nil, err
+		}
+		if capped {
 			break
 		}
 	}
@@ -314,7 +318,13 @@ func generateParallel(ctx context.Context, c *Candidates, cat *Catalog, cfg Gene
 			}
 			delete(pending, nextIdx)
 			nextIdx++
-			if merger.add(shard) {
+			capped, err := merger.add(ctx, shard)
+			if err != nil {
+				firstErr = err
+				cancel()
+				break
+			}
+			if capped {
 				capReached = true
 				cancel() // cap satisfied: stop outstanding enumeration
 			}
@@ -349,9 +359,16 @@ func newInterpretationMerger(cfg GenerateConfig) *interpretationMerger {
 }
 
 // add folds one shard in; it reports whether the cap has been reached and
-// merging should stop.
-func (m *interpretationMerger) add(shard []*Interpretation) bool {
-	for _, q := range shard {
+// merging should stop. Keying dominates the merge of a large space, so
+// the context is checked before each shard and every
+// enumerateCheckEvery interpretations within it.
+func (m *interpretationMerger) add(ctx context.Context, shard []*Interpretation) (capped bool, err error) {
+	for i, q := range shard {
+		if i%enumerateCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
 		key := q.Key()
 		if m.seen[key] {
 			continue
@@ -359,10 +376,10 @@ func (m *interpretationMerger) add(shard []*Interpretation) bool {
 		m.seen[key] = true
 		m.out = append(m.out, q)
 		if m.cfg.MaxInterpretations > 0 && len(m.out) >= m.cfg.MaxInterpretations {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // templateInterpretations enumerates the minimal, deduplicated-later

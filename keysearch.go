@@ -601,6 +601,18 @@ func (e *Engine) candidatesFor(ctx context.Context, s *snapshot, keywords string
 	return c, segments, nil
 }
 
+// maxQueryKeywords bounds the keywords of a ranked query (Search,
+// Diversify, SearchRows). The interpretation space grows exponentially
+// with them: on the demo movie dataset 5 keywords make 1 474
+// interpretations, 6 make 5 346 and 8 make 86 448, and 10 take tens of
+// seconds of one core. Query construction, built for longer queries,
+// is not bounded.
+const maxQueryKeywords = 6
+
+// ErrTooManyKeywords is returned for a ranked query with more than
+// maxQueryKeywords keywords, counted as the engine tokenises them.
+var ErrTooManyKeywords = fmt.Errorf("keysearch: too many keywords (at most %d)", maxQueryKeywords)
+
 // interpret materialises and ranks the interpretation space over one
 // pinned snapshot, honouring context cancellation in every expensive
 // phase.
@@ -611,6 +623,9 @@ func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([
 	sp.End()
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(c.Keywords) > maxQueryKeywords {
+		return nil, nil, fmt.Errorf("%w: %q has %d", ErrTooManyKeywords, keywords, len(c.Keywords))
 	}
 	sp = tr.Start("interpret")
 	space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{
