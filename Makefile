@@ -76,7 +76,7 @@ fuzz-smoke:
 # QUICK=1 shrinks every leg to CI size. Nothing is written unless OUT
 # names a file: `make bench LEGS=all OUT=BENCH.json` re-records the
 # committed baseline.
-LEGS ?= pipeline,executor,mutate,durable
+LEGS ?= topk,executor,mutate,durable
 benchflags = -legs $(LEGS) $(if $(QUICK),-quick) $(if $(OUT),-out $(OUT))
 
 bench:
@@ -89,7 +89,7 @@ loadtest:
 	$(GO) run ./cmd/loadtest
 
 # bench-guard re-measures LEGS and fails when one of their ratios fell
-# more than the leg's tolerance (25% micro legs, 50% HTTP legs; pipeline
+# more than the leg's tolerance (25% micro legs, 50% HTTP legs; topk
 # is recorded, never guarded) below the committed BENCH.json. Ratios are
 # within-run quotients — postings vs scan, apply vs rebuild, governor vs
 # hand-placed gate — so the guard transfers across machines. The

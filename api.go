@@ -2,6 +2,7 @@ package keysearch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/divq"
@@ -31,7 +32,8 @@ type SearchRequest struct {
 type DiversifyRequest struct {
 	Query string `json:"query"`
 	K     int    `json:"k,omitempty"`
-	// Lambda trades relevance (1) against novelty (0).
+	// Lambda trades relevance (1) against novelty (0); it must lie in
+	// [0, 1] (ErrLambdaRange otherwise).
 	Lambda float64 `json:"lambda,omitempty"`
 	// RowLimit, when positive, attaches result previews as in SearchRequest.
 	RowLimit int `json:"row_limit,omitempty"`
@@ -216,11 +218,19 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 	return resp, nil
 }
 
+// ErrLambdaRange is returned by Diversify for a Lambda outside [0, 1],
+// NaN included: DivQ's early stop is only sound on that domain (see
+// divq.Config.Lambda).
+var ErrLambdaRange = errors.New("keysearch: lambda must be in [0, 1]")
+
 // Diversify returns the top-k relevant-and-diverse interpretations (the
 // DivQ interface). Interpretations with empty results are dropped first,
 // as in DivQ. The non-empty filter and the previews each get their own
 // executor, so each phase has its own per-request selection cache.
 func (e *Engine) Diversify(ctx context.Context, req DiversifyRequest) (*SearchResponse, error) {
+	if !(req.Lambda >= 0 && req.Lambda <= 1) {
+		return nil, fmt.Errorf("%w: got %v", ErrLambdaRange, req.Lambda)
+	}
 	tr := trace.FromContext(ctx)
 	view := e.answerView(req.Query) // view before snapshot: see answerView
 	s := e.current()
@@ -297,7 +307,7 @@ func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse
 	}
 	sp := tr.Start("execute")
 	results, _, err := topk.TopKContext(ctx, s.db, ranked, &topk.TFScorer{IX: s.ix}, topk.Options{
-		K: req.K, PerInterpretationLimit: 4 * req.K, Parallelism: e.cfg.parallelism,
+		K: req.K, PerInterpretationLimit: 4 * req.K, Parallelism: e.cfg.waves,
 		Exec: e.localExec(ctx, s, view),
 	})
 	sp.End()

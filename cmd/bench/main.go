@@ -2,9 +2,9 @@
 // (internal/bench, docs/benchmarks.md), optionally writes the report,
 // and optionally guards it against a committed baseline.
 //
-//	go run ./cmd/bench [-legs pipeline,executor,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
+//	go run ./cmd/bench [-legs topk,executor,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
 //
-// -legs defaults to the four micro legs (pipeline, executor, mutate,
+// -legs defaults to the four micro legs (topk, executor, mutate,
 // durable), which finish in well under a minute; the HTTP legs
 // (overload, qcache, shard) generate a million-row dataset and run for
 // minutes at full size, so they are asked for by name or with "all".
@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	legList := flag.String("legs", "pipeline,executor,mutate,durable", "comma-separated legs to run, or all")
+	legList := flag.String("legs", "topk,executor,mutate,durable", "comma-separated legs to run, or all")
 	quick := flag.Bool("quick", false, "run every leg at CI size")
 	out := flag.String("out", "", "write the report to this file (default: write nothing)")
 	compare := flag.String("compare", "", "baseline BENCH.json to guard the selected legs against")

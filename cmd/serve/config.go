@@ -30,9 +30,7 @@ type Config struct {
 	MaxSessions int
 
 	// Engine tuning.
-	Parallelism      int
 	ScoreCache       bool
-	ExecCache        bool
 	AnswerCacheBytes int64
 
 	// Mutability and durability.
@@ -73,10 +71,8 @@ func FromFlags(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&c.DBPath, "db", "", "serve a database dump written by Engine.SaveTo instead of a demo dataset")
 	fs.DurationVar(&c.SessionTTL, "ttl", 15*time.Minute, "construction session idle TTL")
 	fs.IntVar(&c.MaxSessions, "max-sessions", 1024, "cap on live construction sessions")
-	fs.IntVar(&c.Parallelism, "parallelism", 0, "pipeline worker count (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&c.ScoreCache, "score-cache", true, "memoise score sub-terms across requests")
-	fs.BoolVar(&c.ExecCache, "exec-cache", true, "share keyword selections across the plans of one request")
-	fs.Int64Var(&c.AnswerCacheBytes, "answer-cache", 0, "engine-lifetime answer cache byte budget; hot selections and plan results survive across requests (0 = disabled; needs -exec-cache)")
+	fs.Int64Var(&c.AnswerCacheBytes, "answer-cache", 0, "engine-lifetime answer cache byte budget; hot selections and plan results survive across requests (0 = disabled)")
 	fs.BoolVar(&c.Mutable, "mutable", false, "enable live mutations via POST /v1/mutate (snapshot-isolated)")
 	fs.StringVar(&c.DataDir, "data-dir", "", "durable state directory: recover it if present, initialise it otherwise")
 	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", 30*time.Second, "background checkpoint interval (with -data-dir)")
@@ -109,9 +105,6 @@ func (c *Config) Validate() error {
 	if c.AnswerCacheBytes < 0 {
 		return fmt.Errorf("-answer-cache must be >= 0, got %d", c.AnswerCacheBytes)
 	}
-	if c.AnswerCacheBytes > 0 && !c.ExecCache {
-		return fmt.Errorf("-answer-cache requires -exec-cache")
-	}
 	if c.MaxConcurrent < 0 || c.MaxQueue < 0 || c.AdaptMin < 0 {
 		return fmt.Errorf("-max-concurrent, -max-queue and -adapt-min must be >= 0")
 	}
@@ -139,9 +132,7 @@ func (c *Config) Validate() error {
 func (c *Config) EngineOptions() []keysearch.Option {
 	opts := []keysearch.Option{
 		keysearch.WithCoOccurrence(),
-		keysearch.WithParallelism(c.Parallelism),
 		keysearch.WithScoreCache(c.ScoreCache),
-		keysearch.WithExecutionCache(c.ExecCache),
 		keysearch.WithAnswerCache(c.AnswerCacheBytes),
 	}
 	if c.Mutable {

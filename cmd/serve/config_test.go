@@ -30,8 +30,8 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 	cfg, err := parse(t,
 		"-addr", ":9090", "-seed", "11", "-db", "", "-ttl", "1m",
-		"-max-sessions", "12", "-parallelism", "2",
-		"-score-cache=false", "-exec-cache=true", "-answer-cache", "4096",
+		"-max-sessions", "12",
+		"-score-cache=false", "-answer-cache", "4096",
 		"-mutable", "-data-dir", "", "-checkpoint-interval", "10s",
 		"-checkpoint-batches", "64",
 		"-max-concurrent", "8", "-max-queue", "16", "-queue-timeout", "2s",
@@ -41,8 +41,8 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Addr != ":9090" || cfg.Seed != 11 || cfg.SessionTTL != time.Minute ||
-		cfg.MaxSessions != 12 || cfg.Parallelism != 2 || cfg.ScoreCache ||
-		!cfg.ExecCache || cfg.AnswerCacheBytes != 4096 || !cfg.Mutable ||
+		cfg.MaxSessions != 12 || cfg.ScoreCache ||
+		cfg.AnswerCacheBytes != 4096 || !cfg.Mutable ||
 		cfg.CheckpointInterval != 10*time.Second || cfg.CheckpointBatches != 64 ||
 		cfg.MaxConcurrent != 8 || cfg.MaxQueue != 16 ||
 		cfg.QueueTimeout != 2*time.Second || cfg.RequestTimeout != 5*time.Second ||
@@ -60,8 +60,8 @@ func TestFlagCount(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 23 {
-		t.Fatalf("cmd/serve registers %d flags, want 23", n)
+	if n != 21 {
+		t.Fatalf("cmd/serve registers %d flags, want 21", n)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestFromFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Addr != ":8080" || cfg.Seed != 7 ||
-		!cfg.ScoreCache || !cfg.ExecCache || cfg.AnswerCacheBytes != 0 ||
+		!cfg.ScoreCache || cfg.AnswerCacheBytes != 0 ||
 		cfg.Mutable || cfg.AdaptMin != 0 || cfg.MaxConcurrent != 0 {
 		t.Fatalf("defaults drifted: %+v", cfg)
 	}
@@ -146,7 +146,6 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{[]string{"-db", "x.dump", "-music"}, "mutually exclusive"},
 		{[]string{"-answer-cache", "-1"}, "-answer-cache"},
-		{[]string{"-answer-cache", "1024", "-exec-cache=false"}, "-exec-cache"},
 		{[]string{"-max-concurrent", "-2"}, "-max-concurrent"},
 		{[]string{"-adapt-min", "-1", "-max-concurrent", "4"}, "-adapt-min"},
 		{[]string{"-adapt-min", "2"}, "-adapt-min needs -max-concurrent"},

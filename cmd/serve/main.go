@@ -11,8 +11,8 @@
 //	                   [-trace] [-query-log DIR] [-slow-query 100ms] [-pprof-addr :6060]
 //
 // Every flag lands in one validated Config (see config.go), so an
-// inconsistent combination — -db with -music, -answer-cache without
-// -exec-cache — fails at startup instead of misserving.
+// inconsistent combination — -db with -music, -adapt-min above
+// -max-concurrent — fails at startup instead of misserving.
 //
 // -answer-cache gives the engine-lifetime materialized answer cache a
 // byte budget (0, the default, disables it): hot keyword-bag selections
@@ -94,8 +94,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("engine ready: %d tables, %d rows, %d query templates, parallelism %d, mutable %v, durable %v (epoch %d)",
-		eng.NumTables(), eng.NumRows(), eng.NumTemplates(), eng.Parallelism(), eng.MutationsEnabled(),
+	log.Printf("engine ready: %d tables, %d rows, %d query templates, mutable %v, durable %v (epoch %d)",
+		eng.NumTables(), eng.NumRows(), eng.NumTemplates(), eng.MutationsEnabled(),
 		eng.Durable(), eng.Epoch())
 	if stats, ok := eng.AnswerCacheStats(); ok {
 		log.Printf("answer cache: budget %d bytes, %d entries restored (%d bytes resident)",
@@ -207,10 +207,10 @@ func startupLine(cfg *Config, eng *keysearch.Engine) string {
 	case cfg.MaxConcurrent > 0:
 		admission = fmt.Sprintf("static(%d)", cfg.MaxConcurrent)
 	}
-	return fmt.Sprintf("serve: addr=%s rows=%d parallelism=%d mutable=%v durable=%v data_dir=%q "+
+	return fmt.Sprintf("serve: addr=%s rows=%d mutable=%v durable=%v data_dir=%q "+
 		"answer_cache_bytes=%d admission=%s request_timeout=%v trace=%v query_log=%q slow_query=%v pprof=%q "+
 		"go=%q vcs_revision=%q",
-		cfg.Addr, eng.NumRows(), eng.Parallelism(), cfg.Mutable, eng.Durable(), cfg.DataDir,
+		cfg.Addr, eng.NumRows(), cfg.Mutable, eng.Durable(), cfg.DataDir,
 		cfg.AnswerCacheBytes, admission, cfg.RequestTimeout, cfg.Trace, cfg.QueryLogDir, cfg.SlowQuery,
 		cfg.PprofAddr, goVersion, revision)
 }

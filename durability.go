@@ -174,7 +174,7 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 // (join-path bound, template cap, ranking parameters, query-syntax
 // flags) are applied first, so a bare OpenSnapshot(r) reproduces the
 // saving engine exactly; opts are applied on top for deployment knobs
-// (parallelism, caches, WithMutations, WithRebuildIndexes).
+// (caches, WithMutations, WithRebuildIndexes).
 //
 // The restored engine is built and ready; it is memory-only — attaching
 // a state directory (write-ahead log, checkpoints) is Open's job.

@@ -186,9 +186,9 @@ func TestHTTPKeywordsValidation(t *testing.T) {
 	}
 }
 
-// TestHTTPLimitBounds: k and row_limit outside [0, bound] are refused
-// with 400 on every ranked endpoint before any work is done; the bounds
-// themselves are served. k = 1<<62 is the overflow case: /v1/rows asks
+// TestHTTPLimitBounds: k and row_limit outside [0, bound], and a
+// diversify lambda outside [0, 1], are refused with 400 on every ranked
+// endpoint before any work is done; the bounds themselves are served. k = 1<<62 is the overflow case: /v1/rows asks
 // each interpretation for 4k rows, which wraps to 0, "unlimited".
 func TestHTTPLimitBounds(t *testing.T) {
 	eng := demoEngine(t)
@@ -210,6 +210,10 @@ func TestHTTPLimitBounds(t *testing.T) {
 		{"/v1/diversify", `"k":4611686018427387904`, http.StatusBadRequest},
 		{"/v1/diversify", `"k":1000`, http.StatusOK},
 		{"/v1/diversify", `"k":3,"row_limit":101`, http.StatusBadRequest},
+		{"/v1/diversify", `"k":3,"lambda":2`, http.StatusBadRequest},
+		{"/v1/diversify", `"k":3,"lambda":-0.5`, http.StatusBadRequest},
+		{"/v1/diversify", `"k":3,"lambda":0`, http.StatusOK},
+		{"/v1/diversify", `"k":3,"lambda":1`, http.StatusOK},
 		{"/v1/rows", `"k":-1`, http.StatusBadRequest},
 		{"/v1/rows", `"k":2305843009213693952`, http.StatusBadRequest},
 		{"/v1/rows", `"k":4611686018427387904`, http.StatusBadRequest},

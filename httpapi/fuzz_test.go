@@ -60,6 +60,7 @@ func FuzzHTTPEndpoints(f *testing.F) {
 		f.Add(ep, []byte(`{"action":"start","start":{"query":"`+seven+`","stop_at_remaining":1}}`))
 		f.Add(ep, []byte(`{"mutations":[{"op":"insert","table":"actor","values":["fz1","Fuzz Actor"]}]}`))
 		f.Add(ep, []byte(`{"query":`))
+		f.Add(ep, []byte(`{"query":"hanks","k":3,"lambda":2}`))
 	}
 
 	allowed := map[int]bool{200: true, 400: true, 403: true, 404: true, 413: true, 429: true, 503: true}

@@ -2,7 +2,7 @@
 // the registry measures one mechanism against the path it replaces —
 // compiled plans vs scans, Apply vs rebuild, recovery vs build, the
 // answer cache on vs off, the admission governor vs a hand-placed gate,
-// a parallel pipeline vs a sequential one — inside a single run on a
+// wave-parallel top-k execution vs sequential — inside a single run on a
 // single machine, and records the quotient as a named ratio column. A within-run ratio transfers across hosts where raw
 // ns/op and req/s do not, which is what lets Compare guard it on shared
 // CI runners. End-to-end performance claims are made with benchmark/
@@ -129,10 +129,10 @@ type Leg struct {
 // operation per row through testing.Benchmark and are guarded at 25%;
 // the HTTP legs drive a real server for seconds per row and are guarded
 // at 50%, because a short closed-loop run on a shared runner is that
-// noisy. pipeline's ratios depend on how many cores are free, so it is
+// noisy. topk's ratios depend on how many cores are free, so it is
 // recorded and never guarded.
 var Legs = []Leg{
-	microLeg("pipeline", 0, pipelineOps),
+	microLeg("topk", 0, topkOps),
 	microLeg("executor", 0.25, executorOps),
 	microLeg("mutate", 0.25, mutateOps),
 	microLeg("durable", 0.25, durableOps),

@@ -55,7 +55,7 @@ func TestLegsQuick(t *testing.T) {
 	}
 
 	for _, w := range []struct{ leg, base, treated, column string }{
-		{"pipeline", "kw=2/p=1", "kw=2/p=2", "speedup_vs_sequential"},
+		{"topk", "kw=2/p=1", "kw=2/p=2", "speedup_vs_sequential"},
 		{"executor", "scan", "postings+cache", "speedup_vs_scan"},
 		{"mutate", "full-rebuild", "apply-batch", "speedup_vs_rebuild"},
 		{"durable", "fresh-build", "wal-replay", "speedup_vs_build"},
@@ -105,7 +105,7 @@ func TestLegsQuick(t *testing.T) {
 // BenchmarkLeg is the `go test -bench` front end of the micro legs:
 // Leg/<leg>/<row> drives exactly the operation cmd/bench times for that
 // row. CI runs it with -benchtime 1x as a compile-and-run smoke; -short
-// trims the pipeline grid to its quick subset.
+// trims the topk grid to its quick subset.
 func BenchmarkLeg(b *testing.B) {
 	for _, leg := range Legs {
 		if leg.micro == nil {

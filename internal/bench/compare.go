@@ -45,7 +45,7 @@ func Compare(base, cur *Report) ([]Check, error) {
 			return nil, fmt.Errorf("%w in baseline", err)
 		}
 		tol := legs[0].Tolerance
-		// What a recorded-only leg did not measure (the quick pipeline
+		// What a recorded-only leg did not measure (the quick topk
 		// grid is a subset of the full one) is nothing to report.
 		missing := func(row, col string, base float64) {
 			if tol > 0 {

@@ -18,6 +18,33 @@ const (
 	execPerPlan  = 40
 )
 
+// planFixture is the scaled demo database with the index, template
+// catalogue and co-occurrence model its queries are ranked with — the
+// fixture of the executor and topk legs.
+type planFixture struct {
+	db    *relstore.Database
+	ix    *invindex.Index
+	cat   *query.Catalog
+	model *prob.Model
+}
+
+func newPlanFixture() (*planFixture, error) {
+	db, err := demoMovies(microScale)
+	if err != nil {
+		return nil, err
+	}
+	db.Prepare()
+	ix := invindex.Build(db)
+	cat := query.BuildCatalog(schemagraph.FromDatabase(db), schemagraph.EnumerateOptions{MaxNodes: 4})
+	return &planFixture{db: db, ix: ix, cat: cat, model: prob.New(ix, cat, prob.Config{UseCoOccurrence: true})}, nil
+}
+
+// ranked returns the ranked interpretation space of a keyword query.
+func (f *planFixture) ranked(keywords []string) []prob.Scored {
+	cands := query.GenerateCandidates(f.ix, keywords, query.GenerateOptionsConfig{})
+	return f.model.Rank(query.GenerateComplete(cands, f.cat, query.GenerateConfig{}))
+}
+
 // executorOps measures plan execution — the storage-engine hot path of
 // a top-k request — in isolation from interpretation generation and
 // ranking. One operation is what one Engine.SearchRows request makes
@@ -35,21 +62,16 @@ const (
 //   - count:          CountCached over every plan, the allocation-free
 //     cardinality probe.
 func executorOps(Config) (*microSpec, error) {
-	db, err := demoMovies(microScale)
+	f, err := newPlanFixture()
 	if err != nil {
 		return nil, err
 	}
-	db.Prepare()
-	ix := invindex.Build(db)
-	cat := query.BuildCatalog(schemagraph.FromDatabase(db), schemagraph.EnumerateOptions{MaxNodes: 4})
-	model := prob.New(ix, cat, prob.Config{UseCoOccurrence: true})
-
-	keywords := ambiguousKeywords(ix, db, 2)
+	db := f.db
+	keywords := ambiguousKeywords(f.ix, db, 2)
 	if len(keywords) < 2 {
 		return nil, fmt.Errorf("only %d ambiguous sample keywords", len(keywords))
 	}
-	cands := query.GenerateCandidates(ix, keywords, query.GenerateOptionsConfig{})
-	ranked := model.Rank(query.GenerateComplete(cands, cat, query.GenerateConfig{}))
+	ranked := f.ranked(keywords)
 	if len(ranked) > execMaxPlans {
 		ranked = ranked[:execMaxPlans]
 	}

@@ -3,12 +3,14 @@ package bench
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
-	keysearch "repro"
 	"repro/internal/datagen"
+	"repro/internal/prob"
 	"repro/internal/relstore"
+	"repro/internal/topk"
 )
 
 // microOp is one row of a micro leg: a named operation timed through
@@ -95,7 +97,7 @@ func benchmark(op func() error) (map[string]float64, error) {
 
 // The demo movie generator at microScale× its default row counts
 // (≈1000 movies, 750 actors), deterministic for microSeed, is the
-// dataset of the pipeline, executor and durable legs, so their
+// dataset of the topk, executor and durable legs, so their
 // artifacts describe the same data.
 const (
 	microSeed  = 21
@@ -117,72 +119,76 @@ func demoMovies(scale float64) (*relstore.Database, error) {
 	})
 }
 
-// pipelineOps is the interpretation-pipeline grid: keyword count ×
-// parallelism, plus score-cache ablation rows at the heaviest keyword
-// count. One operation is a ranked interpretation search plus global
-// top-k row retrieval, i.e. every parallel stage (per-template generation,
-// concurrent scoring, fanned-out plan execution). p=1 is the baseline
-// of its keyword count and cache setting; the determinism suite pins
-// that every level answers byte-identically, so the comparison is
-// purely about speed — and only means something with free cores.
-func pipelineOps(cfg Config) (*microSpec, error) {
-	const maxKeywords = 3
-	type grid struct {
-		kw, p   int
-		nocache bool
-	}
-	var cases []grid
-	if cfg.Quick {
-		cases = []grid{{kw: 2, p: 1}, {kw: 2, p: 2}, {kw: 2, p: 4}}
-	} else {
-		for kw := 1; kw <= maxKeywords; kw++ {
-			for _, p := range []int{1, 2, 4, 8} {
-				cases = append(cases, grid{kw: kw, p: p})
-			}
-		}
-		cases = append(cases, grid{kw: maxKeywords, p: 1, nocache: true}, grid{kw: maxKeywords, p: 4, nocache: true})
-	}
-	name := func(c grid) string {
-		n := fmt.Sprintf("kw=%d/p=%d", c.kw, c.p)
-		if c.nocache {
-			n += "/nocache"
-		}
-		return n
-	}
+// topkK is the K of the topk leg's requests; each interpretation
+// materialises at most 4·K results, as a SearchRows request does.
+const topkK = 10
 
-	spec := &microSpec{dataset: microDataset, params: map[string]any{}}
-	engines := map[grid]*keysearch.Engine{} // one per (p, cache), all over identical data
-	var tokens []string
-	for _, c := range cases {
-		key := grid{p: c.p, nocache: c.nocache}
-		eng := engines[key]
-		if eng == nil {
-			var err error
-			eng, err = keysearch.DemoMoviesScaled(microSeed, microScale,
-				keysearch.WithParallelism(c.p), keysearch.WithScoreCache(!c.nocache))
-			if err != nil {
-				return nil, err
+// topkOps times top-k plan execution, the one concurrent stage of the
+// interpretation pipeline: keyword count × wave width. One operation is
+// one topk.TopKContext call over the query's ranked interpretation space
+// with the options a SearchRows request with K=topkK uses. p=1 is the
+// baseline of its keyword count; the self-check pins that every width
+// returns p=1's results and Stats, so the comparison is purely about
+// speed — and only means something with free cores.
+func topkOps(cfg Config) (*microSpec, error) {
+	const maxKeywords = 3
+	f, err := newPlanFixture()
+	if err != nil {
+		return nil, err
+	}
+	keywords := ambiguousKeywords(f.ix, f.db, maxKeywords)
+	if len(keywords) < maxKeywords {
+		return nil, fmt.Errorf("only %d ambiguous sample keywords", len(keywords))
+	}
+	kws, widths := []int{1, 2, 3}, []int{1, 2, 4, 8}
+	if cfg.Quick {
+		kws, widths = []int{2}, []int{1, 2, 4}
+	}
+	scorer := &topk.TFScorer{IX: f.ix}
+	run := func(ranked []prob.Scored, p int) ([]topk.Result, topk.Stats, error) {
+		return topk.TopKContext(context.Background(), f.db, ranked, scorer,
+			topk.Options{K: topkK, PerInterpretationLimit: 4 * topkK, Parallelism: p})
+	}
+	spaces := make([][]prob.Scored, len(kws))
+	spec := &microSpec{
+		dataset: microDataset,
+		params:  map[string]any{"keywords": strings.Join(keywords, " "), "k": topkK},
+		// Every width must return p=1's results and Stats.
+		verify: func() error {
+			for i, ranked := range spaces {
+				want, wantStats, err := run(ranked, 1)
+				if err != nil {
+					return err
+				}
+				if len(want) == 0 {
+					return fmt.Errorf("kw=%d: no results", kws[i])
+				}
+				for _, p := range widths[1:] {
+					got, stats, err := run(ranked, p)
+					if err != nil {
+						return err
+					}
+					if stats != wantStats || !reflect.DeepEqual(got, want) {
+						return fmt.Errorf("kw=%d/p=%d diverged from p=1", kws[i], p)
+					}
+				}
 			}
-			engines[key] = eng
-		}
-		if tokens == nil {
-			if tokens = eng.SampleQueries(maxKeywords); len(tokens) < maxKeywords {
-				return nil, fmt.Errorf("only %d sample tokens", len(tokens))
-			}
-		}
-		query := strings.Join(tokens[:c.kw], " ")
-		op := microOp{name: name(c), run: func() error {
-			ctx := context.Background()
-			if _, err := eng.Search(ctx, keysearch.SearchRequest{Query: query, K: 10}); err != nil {
+			return nil
+		},
+	}
+	for i, kw := range kws {
+		ranked := f.ranked(keywords[:kw])
+		spaces[i] = ranked
+		for _, p := range widths {
+			op := microOp{name: fmt.Sprintf("kw=%d/p=%d", kw, p), run: func() error {
+				_, _, err := run(ranked, p)
 				return err
+			}}
+			if p != 1 {
+				op.ratio, op.versus = "speedup_vs_sequential", fmt.Sprintf("kw=%d/p=1", kw)
 			}
-			_, err := eng.SearchRows(ctx, keysearch.RowsRequest{Query: query, K: 10})
-			return err
-		}}
-		if c.p != 1 {
-			op.ratio, op.versus = "speedup_vs_sequential", name(grid{kw: c.kw, p: 1, nocache: c.nocache})
+			spec.ops = append(spec.ops, op)
 		}
-		spec.ops = append(spec.ops, op)
 	}
 	return spec, nil
 }

@@ -54,7 +54,10 @@ func Similarity(a, b *query.Interpretation) float64 {
 type Config struct {
 	// Lambda trades relevance against novelty (Equation 4.4): 1 = pure
 	// relevance ranking, 0.5 = balanced, <0.5 emphasises novelty. The
-	// evaluation of Section 4.6.3 uses 0.1.
+	// evaluation of Section 4.6.3 uses 0.1. It must lie in [0, 1]: above
+	// 1 the novelty weight 1−λ turns negative, the similarity penalty
+	// becomes a bonus, and the early stop's bound λ·P no longer bounds a
+	// candidate's score, so early stopping would change the output.
 	Lambda float64
 	// K is the number of interpretations to select.
 	K int

@@ -16,7 +16,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/invindex"
 	"repro/internal/query"
@@ -44,10 +43,8 @@ type Config struct {
 	// interpretation so complete interpretations outrank partial ones;
 	// 0 selects a conservative default.
 	Pu float64
-	// Parallelism is the number of workers RankContext uses to score an
-	// interpretation space concurrently (<= 1 scores sequentially). Scores
-	// land at their input index and normalisation sums them in index order,
-	// so ranking output is bit-identical at every setting.
+	// Deprecated: ignored. Scoring is sequential; the field remains only
+	// so existing callers keep compiling.
 	Parallelism int
 	// DisableScoreCache turns off the per-Model memoised cache of
 	// (template, keyword-interpretation) sub-term probabilities. The cache
@@ -56,9 +53,9 @@ type Config struct {
 	DisableScoreCache bool
 }
 
-// Model scores query interpretations. A Model is safe for concurrent use:
-// its inputs are immutable and its memoised sub-term cache is
-// synchronised.
+// Model scores query interpretations. A Model is safe for concurrent use,
+// because every concurrent request on a snapshot shares its model: its
+// inputs are immutable and its memoised sub-term cache is synchronised.
 type Model struct {
 	ix    *invindex.Index
 	cat   *query.Catalog
@@ -249,38 +246,23 @@ func (m *Model) Rank(space []*query.Interpretation) []Scored {
 // rankCheckEvery is the scoring-loop stride between context checks.
 const rankCheckEvery = 256
 
-// RankContext is Rank with cancellation and optional parallel scoring:
-// the context is checked on entry and every rankCheckEvery scored
-// interpretations (per worker when parallel), so ranking a large
+// RankContext is Rank with cancellation: the context is checked on entry
+// and every rankCheckEvery scored interpretations, so ranking a large
 // interpretation space aborts early on a cancelled or expired request.
-//
-// With cfg.Parallelism > 1 the space is split into contiguous blocks
-// scored concurrently; every score lands at its input index and the
-// normalising total is summed sequentially in index order afterwards, so
-// probabilities and ordering are bit-identical to the sequential path
-// (float addition is order-sensitive; goroutine-order accumulation would
-// not be deterministic).
+// The normalising total is summed in input order.
 func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Scored, len(space))
-	if m.cfg.Parallelism > 1 && len(space) > 1 {
-		if err := m.scoreParallel(ctx, space, out); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, q := range space {
-			if i%rankCheckEvery == rankCheckEvery-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			out[i] = Scored{Q: q, Score: m.Score(q)}
-		}
-	}
 	total := 0.0
-	for i := range out {
+	for i, q := range space {
+		if i%rankCheckEvery == rankCheckEvery-1 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = Scored{Q: q, Score: m.Score(q)}
 		total += out[i].Score
 	}
 	if total > 0 {
@@ -295,48 +277,6 @@ func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) 
 		return out[i].Q.Key() < out[j].Q.Key()
 	})
 	return out, nil
-}
-
-// scoreParallel fills out[i] with the score of space[i] using
-// cfg.Parallelism workers over contiguous blocks.
-func (m *Model) scoreParallel(ctx context.Context, space []*query.Interpretation, out []Scored) error {
-	workers := m.cfg.Parallelism
-	if workers > len(space) {
-		workers = len(space)
-	}
-	block := (len(space) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * block
-		hi := lo + block
-		if hi > len(space) {
-			hi = len(space)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%rankCheckEvery == rankCheckEvery-1 {
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				out[i] = Scored{Q: space[i], Score: m.Score(space[i])}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Entropy returns the Shannon entropy (bits) of a normalised probability

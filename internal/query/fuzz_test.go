@@ -9,8 +9,8 @@ import (
 // FuzzNormalizeKeywords locks the invariants of keyword normalisation,
 // the very first step of the interpretation pipeline: the output is
 // positionally aligned with the input, lower-cased, whitespace-trimmed,
-// and idempotent — properties the deterministic merge of the parallel
-// pipeline relies on (keyword identity is positional, Definition 3.5.1).
+// and idempotent — properties interpretation deduplication relies on
+// (keyword identity is positional, Definition 3.5.1).
 func FuzzNormalizeKeywords(f *testing.F) {
 	f.Add("Tom", "HANKS", " terminal ")
 	f.Add("", "  ", "\t\n")

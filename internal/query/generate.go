@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/invindex"
 	"repro/internal/schemagraph"
@@ -193,10 +192,8 @@ type GenerateConfig struct {
 	// matched keyword (AND semantics). When false, enumeration is still
 	// over all matched keywords; unmatched keywords are always skipped.
 	RequireAllKeywords bool
-	// Parallelism shards binding enumeration across a bounded worker pool,
-	// one shard per catalogue template (<= 1 runs sequentially). Shards are
-	// merged in catalogue order with the same dedup and cap logic as the
-	// sequential path, so the output is identical at every setting.
+	// Deprecated: ignored. Generation is sequential; the field remains
+	// only so existing callers keep compiling.
 	Parallelism int
 }
 
@@ -210,13 +207,14 @@ func GenerateComplete(c *Candidates, cat *Catalog, cfg GenerateConfig) []*Interp
 	return out
 }
 
-// GenerateCompleteContext is GenerateComplete with cancellation and
-// optional sharded parallelism: the context is checked on entry and
-// periodically inside binding enumeration, so an interpretation-space
-// materialisation over a large catalogue aborts as soon as the request is
-// cancelled or its deadline passes. With cfg.Parallelism > 1 templates are
-// enumerated concurrently (one shard per template) and merged back in
-// catalogue order, so the result is bit-identical to the sequential path.
+// GenerateCompleteContext is GenerateComplete with cancellation: the
+// context is checked on entry, before each template and every
+// enumerateCheckEvery binding combinations within one, so an
+// interpretation-space materialisation over a large catalogue aborts as
+// soon as the request is cancelled or its deadline passes. Templates are
+// visited in catalogue order; a minimal interpretation is kept unless an
+// earlier one has the same key, and enumeration stops as soon as
+// MaxInterpretations are kept.
 func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) ([]*Interpretation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -225,175 +223,32 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 	if len(matched) == 0 {
 		return nil, nil
 	}
-	if cfg.Parallelism > 1 && len(cat.Templates) > 1 {
-		return generateParallel(ctx, c, cat, cfg, matched)
-	}
-	merger := newInterpretationMerger(cfg)
+	capped := func(n int) bool { return cfg.MaxInterpretations > 0 && n >= cfg.MaxInterpretations }
+	seen := make(map[string]bool)
+	var out []*Interpretation
 	for _, tpl := range cat.Templates {
-		shard, err := templateInterpretations(ctx, c, matched, tpl)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		err := enumerateBindings(ctx, c, matched, tpl, func(bindings []Binding) bool {
+			q := NewInterpretation(c.Keywords, tpl, bindings)
+			if !minimal(q) {
+				return true
+			}
+			key := q.Key()
+			if seen[key] {
+				return true
+			}
+			seen[key] = true
+			out = append(out, q)
+			return !capped(len(out))
+		})
 		if err != nil {
 			return nil, err
 		}
-		capped, err := merger.add(ctx, shard)
-		if err != nil {
-			return nil, err
-		}
-		if capped {
+		if capped(len(out)) {
 			break
 		}
-	}
-	return merger.out, nil
-}
-
-// generateParallel shards per-template enumeration across a bounded worker
-// pool and merges the shards in catalogue order as they complete (buffering
-// out-of-order arrivals), applying the same dedup/cap rules as the
-// sequential loop — so ordering is guaranteed independent of goroutine
-// scheduling, and once the MaxInterpretations cap is satisfied all
-// outstanding enumeration is cancelled instead of materialising the rest
-// of the space.
-func generateParallel(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig, matched []int) ([]*Interpretation, error) {
-	workers := cfg.Parallelism
-	if workers > len(cat.Templates) {
-		workers = len(cat.Templates)
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type shardResult struct {
-		idx   int
-		shard []*Interpretation
-		err   error
-	}
-	next := make(chan int)
-	results := make(chan shardResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				shard, err := templateInterpretations(wctx, c, matched, cat.Templates[i])
-				results <- shardResult{idx: i, shard: shard, err: err}
-			}
-		}()
-	}
-	// Dispatch in a goroutine so the main loop can merge (and cancel)
-	// while enumeration is still in flight; it closes results once every
-	// worker has drained, which ends the merge loop below.
-	go func() {
-	dispatch:
-		for i := range cat.Templates {
-			select {
-			case next <- i:
-			case <-wctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-		close(results)
-	}()
-
-	merger := newInterpretationMerger(cfg)
-	pending := make(map[int][]*Interpretation)
-	nextIdx := 0
-	capReached := false
-	var firstErr error
-	for r := range results {
-		if capReached || firstErr != nil {
-			continue // draining
-		}
-		if r.err != nil {
-			// Enumeration only errs on context cancellation; remember it,
-			// stop merging, and drain.
-			firstErr = r.err
-			cancel()
-			continue
-		}
-		pending[r.idx] = r.shard
-		for !capReached {
-			shard, ok := pending[nextIdx]
-			if !ok {
-				break
-			}
-			delete(pending, nextIdx)
-			nextIdx++
-			capped, err := merger.add(ctx, shard)
-			if err != nil {
-				firstErr = err
-				cancel()
-				break
-			}
-			if capped {
-				capReached = true
-				cancel() // cap satisfied: stop outstanding enumeration
-			}
-		}
-	}
-	if capReached {
-		// Identical to the sequential cap exit: shards 0..nextIdx-1 merged
-		// in catalogue order until the cap filled.
-		return merger.out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return merger.out, nil
-}
-
-// interpretationMerger folds per-template shards into the final
-// interpretation list, deduplicating on interpretation keys and applying
-// the MaxInterpretations cap — the single definition of merge order shared
-// by the sequential and parallel paths.
-type interpretationMerger struct {
-	cfg  GenerateConfig
-	seen map[string]bool
-	out  []*Interpretation
-}
-
-func newInterpretationMerger(cfg GenerateConfig) *interpretationMerger {
-	return &interpretationMerger{cfg: cfg, seen: make(map[string]bool)}
-}
-
-// add folds one shard in; it reports whether the cap has been reached and
-// merging should stop. Keying dominates the merge of a large space, so
-// the context is checked before each shard and every
-// enumerateCheckEvery interpretations within it.
-func (m *interpretationMerger) add(ctx context.Context, shard []*Interpretation) (capped bool, err error) {
-	for i, q := range shard {
-		if i%enumerateCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-		}
-		key := q.Key()
-		if m.seen[key] {
-			continue
-		}
-		m.seen[key] = true
-		m.out = append(m.out, q)
-		if m.cfg.MaxInterpretations > 0 && len(m.out) >= m.cfg.MaxInterpretations {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// templateInterpretations enumerates the minimal, deduplicated-later
-// interpretations of one template in deterministic order.
-func templateInterpretations(ctx context.Context, c *Candidates, matched []int, tpl *Template) ([]*Interpretation, error) {
-	var out []*Interpretation
-	err := enumerateBindings(ctx, c, matched, tpl, func(bindings []Binding) {
-		q := NewInterpretation(c.Keywords, tpl, bindings)
-		if minimal(q) {
-			out = append(out, q)
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -404,49 +259,53 @@ const enumerateCheckEvery = 512
 
 // enumerateBindings enumerates all assignments of every matched keyword to
 // a candidate interpretation compatible with the template, including the
-// choice of table occurrence for self-join templates. yield borrows the
-// binding slice: it must copy what it keeps (NewInterpretation does). The
-// context is checked every enumerateCheckEvery emissions so even a single
-// huge template shard aborts promptly on cancellation.
-func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *Template, yield func([]Binding)) error {
+// choice of table occurrence for self-join templates, until yield returns
+// false. yield borrows the binding slice: it must copy what it keeps
+// (NewInterpretation does). The context is checked every
+// enumerateCheckEvery emissions so even a single huge template aborts
+// promptly on cancellation.
+func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *Template, yield func([]Binding) bool) error {
 	emitted := 0
 	cur := make([]Binding, 0, len(matched))
-	var rec func(i int) error
-	rec = func(i int) error {
+	var err error
+	// rec reports whether enumeration goes on: false once yield stops it
+	// or a context check fails (err is then set).
+	var rec func(i int) bool
+	rec = func(i int) bool {
 		if i == len(matched) {
 			emitted++
 			if emitted%enumerateCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
+				if err = ctx.Err(); err != nil {
+					return false
 				}
 			}
-			yield(cur)
-			return nil
+			return yield(cur)
 		}
 		pos := matched[i]
 		for _, ki := range c.PerKeyword[pos] {
 			if ki.Kind == KindAggregate {
 				cur = append(cur, Binding{KI: ki, Occ: -1})
-				err := rec(i + 1)
+				more := rec(i + 1)
 				cur = cur[:len(cur)-1]
-				if err != nil {
-					return err
+				if !more {
+					return false
 				}
 				continue
 			}
 			occs := tpl.Occurrences(ki.TargetTable())
 			for _, occ := range occs {
 				cur = append(cur, Binding{KI: ki, Occ: occ})
-				err := rec(i + 1)
+				more := rec(i + 1)
 				cur = cur[:len(cur)-1]
-				if err != nil {
-					return err
+				if !more {
+					return false
 				}
 			}
 		}
-		return nil
+		return true
 	}
-	return rec(0)
+	rec(0)
+	return err
 }
 
 // minimal implements Definition 3.5.4(2): no sub-structure of the query can

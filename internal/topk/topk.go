@@ -111,7 +111,9 @@ type Options struct {
 	// (0 = unlimited).
 	PerInterpretationLimit int
 	// Parallelism fans plan execution out across a bounded worker pool
-	// (<= 1 executes sequentially). Executions run in waves of this size;
+	// (<= 1 executes sequentially); plan execution is the one concurrent
+	// stage of the interpretation pipeline. Executions run in waves of
+	// this size;
 	// result batches feed the single bounded heap in rank order with the
 	// same threshold checks as the sequential loop, so the returned results
 	// — and Stats — are identical at every setting (speculatively executed

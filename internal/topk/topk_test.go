@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/invindex"
@@ -72,25 +73,44 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{db: db, ix: ix, cat: cat, model: model, ranked: ranked}
 }
 
+// TestTopKMatchesNaive: early-stopping top-k returns the scores of the
+// execute-everything baseline, and at every wave width the same results
+// (keys, rows, scores) and Stats as the sequential loop — the check on
+// the one concurrent stage of the pipeline.
 func TestTopKMatchesNaive(t *testing.T) {
 	f := newFixture(t)
 	for _, k := range []int{1, 2, 3, 5, 100} {
 		for _, scorer := range []Scorer{UnitScorer{}, &TFScorer{IX: f.ix}} {
-			got, _, err := TopK(f.db, f.ranked, scorer, Options{K: k})
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := Naive(f.db, f.ranked, scorer, Options{K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: TopK %d results, Naive %d", k, len(got), len(want))
+			seq, seqStats, err := TopK(f.db, f.ranked, scorer, Options{K: k, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
+			if len(seq) != len(want) {
+				t.Fatalf("k=%d: TopK %d results, Naive %d", k, len(seq), len(want))
+			}
+			for i := range seq {
 				// Scores must agree; result identity may permute on ties.
-				if got[i].Score != want[i].Score {
-					t.Fatalf("k=%d rank %d: score %v vs %v", k, i, got[i].Score, want[i].Score)
+				if seq[i].Score != want[i].Score {
+					t.Fatalf("k=%d rank %d: score %v vs %v", k, i, seq[i].Score, want[i].Score)
+				}
+			}
+			for _, p := range []int{2, 8} {
+				got, stats, err := TopK(f.db, f.ranked, scorer, Options{K: k, Parallelism: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats != seqStats || len(got) != len(seq) {
+					t.Fatalf("k=%d p=%d: %d results, stats %+v; sequential %d, %+v", k, p, len(got), stats, len(seq), seqStats)
+				}
+				for i := range got {
+					if got[i].Q.Key() != seq[i].Q.Key() || !slices.Equal(got[i].Rows, seq[i].Rows) || got[i].Score != seq[i].Score {
+						t.Fatalf("k=%d p=%d rank %d: %s %v %v, sequential %s %v %v", k, p, i,
+							got[i].Q.Key(), got[i].Rows, got[i].Score, seq[i].Q.Key(), seq[i].Rows, seq[i].Score)
+					}
 				}
 			}
 		}

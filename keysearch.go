@@ -89,11 +89,14 @@ type config struct {
 	segmentPhrases     bool
 	segmentThreshold   float64
 	enableAggregates   bool
-	parallelism        int
 	scoreCacheOff      bool
 	execCacheOff       bool
 	answerCacheBytes   int64
 	mutable            bool
+
+	// waves is the width of top-k plan-execution waves: not an option,
+	// but runtime.GOMAXPROCS(0) when the engine is created.
+	waves int
 
 	// Durability tunables (see durability.go). durDir empty = memory-only.
 	durDir             string
@@ -155,16 +158,6 @@ func WithAggregates() Option {
 	return func(c *config) { c.enableAggregates = true }
 }
 
-// WithParallelism sets the worker count of the interpretation pipeline's
-// parallel stages — template-sharded binding enumeration, concurrent
-// interpretation scoring, and fanned-out top-k plan execution. n <= 0 (the
-// default) selects runtime.GOMAXPROCS(0); 1 forces the sequential path.
-// Every stage merges deterministically, so the same request produces a
-// byte-identical response at any parallelism setting.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
-}
-
 // WithScoreCache toggles the per-engine memoised cache of score sub-terms
 // (template priors and keyword-interpretation probabilities). The cache is
 // enabled by default; it is a pure memoisation over the immutable index,
@@ -181,7 +174,8 @@ func WithScoreCache(enabled bool) Option {
 // row list across all plans of that request (concurrency-safe — plans
 // execute in parallel waves). Enabled by default; it is a pure
 // memoisation over the immutable posting lists, so it never changes
-// results — disable it only to measure its effect.
+// results — turning it off exists for the differential tests that prove
+// that.
 func WithExecutionCache(enabled bool) Option {
 	return func(c *config) { c.execCacheOff = !enabled }
 }
@@ -272,9 +266,7 @@ func newConfig(opts []Option) config {
 	if cfg.segmentPhrases && cfg.segmentThreshold <= 0 {
 		cfg.segmentThreshold = 0.8
 	}
-	if cfg.parallelism <= 0 {
-		cfg.parallelism = runtime.GOMAXPROCS(0)
-	}
+	cfg.waves = runtime.GOMAXPROCS(0)
 	if cfg.checkpointInterval <= 0 {
 		cfg.checkpointInterval = 30 * time.Second
 	}
@@ -466,7 +458,6 @@ func (e *Engine) newModel(ix *invindex.Index, cat *query.Catalog) *prob.Model {
 	return prob.New(ix, cat, prob.Config{
 		Alpha:             e.cfg.alpha,
 		UseCoOccurrence:   e.cfg.useCoOccurrence,
-		Parallelism:       e.cfg.parallelism,
 		DisableScoreCache: e.cfg.scoreCacheOff,
 	})
 }
@@ -490,10 +481,6 @@ func (e *Engine) NumTemplates() int {
 	}
 	return len(s.cat.Templates)
 }
-
-// Parallelism returns the effective worker count of the interpretation
-// pipeline's parallel stages (see WithParallelism).
-func (e *Engine) Parallelism() int { return e.cfg.parallelism }
 
 // ExecutionCacheEnabled reports whether plan execution shares a
 // per-request selection cache (see WithExecutionCache).
@@ -628,9 +615,7 @@ func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([
 		return nil, nil, fmt.Errorf("%w: %q has %d", ErrTooManyKeywords, keywords, len(c.Keywords))
 	}
 	sp = tr.Start("interpret")
-	space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{
-		Parallelism: e.cfg.parallelism,
-	})
+	space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{})
 	if err != nil {
 		sp.End()
 		return nil, nil, err

@@ -3,6 +3,8 @@ package keysearch
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -217,6 +219,12 @@ func TestDiversify(t *testing.T) {
 		}
 		if len(rows) == 0 {
 			t.Fatalf("diversified interpretation with empty results: %v", r.Query)
+		}
+	}
+	// λ outside [0, 1] would make DivQ's early stop unsound.
+	for _, lambda := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := eng.Diversify(bg, DiversifyRequest{Query: "london", K: 3, Lambda: lambda}); !errors.Is(err, ErrLambdaRange) {
+			t.Errorf("λ=%v: err = %v, want ErrLambdaRange", lambda, err)
 		}
 	}
 }

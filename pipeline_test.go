@@ -12,85 +12,6 @@ import (
 	"repro/internal/topk"
 )
 
-// parallelLevels are the worker counts the determinism suite compares;
-// 1 is the sequential reference.
-var parallelLevels = []int{1, 2, 8}
-
-// determinismRequests is the request mix replayed at every parallelism
-// level. Row previews are included so the comparison covers plan
-// execution, not just ranking.
-func determinismRequests(eng *Engine) (searches []SearchRequest, rows []RowsRequest) {
-	for _, q := range goldenQueries(eng) {
-		searches = append(searches, SearchRequest{Query: q, K: 10, RowLimit: 2})
-		rows = append(rows, RowsRequest{Query: q, K: 6})
-	}
-	return searches, rows
-}
-
-// TestParallelDeterminism asserts the tentpole guarantee: the same
-// Request produces a byte-identical Response JSON at parallelism 1, 2,
-// and 8, for both ranked-interpretation search and global top-k rows.
-// Run under -race (as in CI) this doubles as the race test for every
-// parallel stage.
-func TestParallelDeterminism(t *testing.T) {
-	ctx := context.Background()
-	type capture struct {
-		search [][]byte
-		rows   [][]byte
-	}
-	captures := make(map[int]capture)
-	for _, p := range parallelLevels {
-		eng, err := DemoMoviesWith(11, WithParallelism(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.Parallelism(); got != p {
-			t.Fatalf("Parallelism() = %d, want %d", got, p)
-		}
-		searches, rowReqs := determinismRequests(eng)
-		var c capture
-		for _, req := range searches {
-			resp, err := eng.Search(ctx, req)
-			if err != nil {
-				t.Fatalf("p=%d Search(%q): %v", p, req.Query, err)
-			}
-			b, err := json.Marshal(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.search = append(c.search, b)
-		}
-		for _, req := range rowReqs {
-			resp, err := eng.SearchRows(ctx, req)
-			if err != nil {
-				t.Fatalf("p=%d SearchRows(%q): %v", p, req.Query, err)
-			}
-			b, err := json.Marshal(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.rows = append(c.rows, b)
-		}
-		captures[p] = c
-	}
-	ref := captures[1]
-	for _, p := range parallelLevels[1:] {
-		c := captures[p]
-		for i := range ref.search {
-			if string(ref.search[i]) != string(c.search[i]) {
-				t.Errorf("Search response %d differs between parallelism 1 and %d:\nseq: %s\npar: %s",
-					i, p, ref.search[i], c.search[i])
-			}
-		}
-		for i := range ref.rows {
-			if string(ref.rows[i]) != string(c.rows[i]) {
-				t.Errorf("Rows response %d differs between parallelism 1 and %d:\nseq: %s\npar: %s",
-					i, p, ref.rows[i], c.rows[i])
-			}
-		}
-	}
-}
-
 // TestScoreCacheTransparency asserts the memoised score cache never
 // changes a response: cache on vs cache off produce byte-identical JSON,
 // and repeated requests against one (warm) engine stay identical too.
@@ -134,15 +55,15 @@ func TestScoreCacheTransparency(t *testing.T) {
 // of the plan executor never changes a response: cache on vs cache off
 // produce byte-identical JSON across the whole request mix — ranked
 // search with row previews (shared preview cache), global top-k rows
-// (cache shared across parallel plan waves), and diversification
+// (cache shared across the top-k plan waves), and diversification
 // (cached non-empty probes).
 func TestExecutionCacheTransparency(t *testing.T) {
 	ctx := context.Background()
-	on, err := DemoMoviesWith(11, WithExecutionCache(true), WithParallelism(4))
+	on, err := DemoMoviesWith(11, WithExecutionCache(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := DemoMoviesWith(11, WithExecutionCache(false), WithParallelism(4))
+	off, err := DemoMoviesWith(11, WithExecutionCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +95,11 @@ func TestExecutionCacheTransparency(t *testing.T) {
 }
 
 // TestStageCancellation proves a cancelled context returns promptly from
-// each parallel stage in isolation — candidate generation, interpretation
+// each stage in isolation — candidate generation, interpretation
 // enumeration, ranking, and top-k execution — not just from the pipeline
 // entry points.
 func TestStageCancellation(t *testing.T) {
-	eng, err := DemoMoviesWith(11, WithParallelism(4))
+	eng, err := DemoMovies(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +118,7 @@ func TestStageCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := query.GenerateCompleteContext(live, cands, eng.current().cat, query.GenerateConfig{Parallelism: 4})
+	space, err := query.GenerateCompleteContext(live, cands, eng.current().cat, query.GenerateConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +131,7 @@ func TestStageCancellation(t *testing.T) {
 	}
 
 	t.Run("generate", func(t *testing.T) {
-		if _, err := query.GenerateCompleteContext(cancelled, cands, eng.current().cat, query.GenerateConfig{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		if _, err := query.GenerateCompleteContext(cancelled, cands, eng.current().cat, query.GenerateConfig{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("GenerateCompleteContext error = %v, want context.Canceled", err)
 		}
 	})
@@ -233,12 +154,12 @@ func TestStageCancellation(t *testing.T) {
 	})
 }
 
-// TestMidPipelineCancellation cancels a request while the parallel
-// pipeline is (potentially) mid-flight and asserts it returns quickly
+// TestMidPipelineCancellation cancels a request while the pipeline is
+// (potentially) mid-flight and asserts it returns quickly
 // with either a complete response or context.Canceled — never a hang and
 // never a mangled error.
 func TestMidPipelineCancellation(t *testing.T) {
-	eng, err := DemoMoviesWith(11, WithParallelism(4))
+	eng, err := DemoMovies(11)
 	if err != nil {
 		t.Fatal(err)
 	}

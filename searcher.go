@@ -44,9 +44,7 @@ type Searcher interface {
 // enabled. Optional blocks are nil when the
 // corresponding subsystem is off.
 type EngineStats struct {
-	// Parallelism is the interpretation pipeline's worker count;
 	// ExecutionCache reports whether per-request selection caching is on.
-	Parallelism    int
 	ExecutionCache bool
 	// Mutable reports whether Apply accepts batches; Epoch is the
 	// current snapshot epoch.
@@ -65,7 +63,6 @@ type EngineStats struct {
 // Stats implements Searcher for the single-process engine.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		Parallelism:         e.Parallelism(),
 		ExecutionCache:      e.ExecutionCacheEnabled(),
 		Mutable:             e.MutationsEnabled(),
 		Epoch:               e.Epoch(),
