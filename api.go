@@ -195,7 +195,7 @@ func attachPreviews(ctx context.Context, results []Result, limit int, exec relst
 // ranking.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
 	tr := trace.FromContext(ctx)
-	view := e.answerView(req.Query) // view before snapshot: see answerView
+	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
 	ranked, _, err := e.interpret(ctx, s, req.Query)
 	if err != nil {
@@ -232,7 +232,7 @@ func (e *Engine) Diversify(ctx context.Context, req DiversifyRequest) (*SearchRe
 		return nil, fmt.Errorf("%w: got %v", ErrLambdaRange, req.Lambda)
 	}
 	tr := trace.FromContext(ctx)
-	view := e.answerView(req.Query) // view before snapshot: see answerView
+	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
 	ranked, _, err := e.interpret(ctx, s, req.Query)
 	if err != nil {
@@ -295,7 +295,7 @@ type RowsResponse struct {
 // stopping so low-probability interpretations are never executed.
 func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse, error) {
 	tr := trace.FromContext(ctx)
-	view := e.answerView(req.Query) // view before snapshot: see answerView
+	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
 	ranked, _, err := e.interpret(ctx, s, req.Query)
 	if err != nil {

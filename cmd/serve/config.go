@@ -30,14 +30,11 @@ type Config struct {
 	MaxSessions int
 
 	// Engine tuning.
-	ScoreCache       bool
 	AnswerCacheBytes int64
 
 	// Mutability and durability.
-	Mutable            bool
-	DataDir            string
-	CheckpointInterval time.Duration
-	CheckpointBatches  int
+	Mutable bool
+	DataDir string
 
 	// Admission gate: MaxConcurrent slots (0 = no gate), a MaxQueue-deep
 	// wait line with a QueueTimeout; AdaptMin > 0 lets the governor
@@ -71,12 +68,9 @@ func FromFlags(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&c.DBPath, "db", "", "serve a database dump written by Engine.SaveTo instead of a demo dataset")
 	fs.DurationVar(&c.SessionTTL, "ttl", 15*time.Minute, "construction session idle TTL")
 	fs.IntVar(&c.MaxSessions, "max-sessions", 1024, "cap on live construction sessions")
-	fs.BoolVar(&c.ScoreCache, "score-cache", true, "memoise score sub-terms across requests")
 	fs.Int64Var(&c.AnswerCacheBytes, "answer-cache", 0, "engine-lifetime answer cache byte budget; hot selections and plan results survive across requests (0 = disabled)")
 	fs.BoolVar(&c.Mutable, "mutable", false, "enable live mutations via POST /v1/mutate (snapshot-isolated)")
 	fs.StringVar(&c.DataDir, "data-dir", "", "durable state directory: recover it if present, initialise it otherwise")
-	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", 30*time.Second, "background checkpoint interval (with -data-dir)")
-	fs.IntVar(&c.CheckpointBatches, "checkpoint-batches", 256, "checkpoint as soon as this many WAL batches accumulate (with -data-dir)")
 	fs.IntVar(&c.MaxConcurrent, "max-concurrent", 0, "cap on concurrently executing /v1/ requests (0 = unlimited)")
 	fs.IntVar(&c.MaxQueue, "max-queue", 0, "cap on /v1/ requests waiting for a slot; excess shed with 429 (with -max-concurrent)")
 	fs.DurationVar(&c.QueueTimeout, "queue-timeout", time.Second, "longest a request may wait for a slot before a 503 shed (with -max-concurrent)")
@@ -114,9 +108,6 @@ func (c *Config) Validate() error {
 	if c.AdaptMin > c.MaxConcurrent {
 		return fmt.Errorf("-adapt-min %d is above -max-concurrent %d", c.AdaptMin, c.MaxConcurrent)
 	}
-	if c.CheckpointInterval <= 0 || c.CheckpointBatches <= 0 {
-		return fmt.Errorf("-checkpoint-interval and -checkpoint-batches must be positive")
-	}
 	if c.SlowQuery < 0 {
 		return fmt.Errorf("-slow-query must be >= 0, got %v", c.SlowQuery)
 	}
@@ -132,17 +123,13 @@ func (c *Config) Validate() error {
 func (c *Config) EngineOptions() []keysearch.Option {
 	opts := []keysearch.Option{
 		keysearch.WithCoOccurrence(),
-		keysearch.WithScoreCache(c.ScoreCache),
 		keysearch.WithAnswerCache(c.AnswerCacheBytes),
 	}
 	if c.Mutable {
 		opts = append(opts, keysearch.WithMutations())
 	}
 	if c.DataDir != "" {
-		opts = append(opts,
-			keysearch.WithDurability(c.DataDir),
-			keysearch.WithCheckpointPolicy(c.CheckpointInterval, c.CheckpointBatches),
-		)
+		opts = append(opts, keysearch.WithDurability(c.DataDir))
 	}
 	return opts
 }

@@ -30,10 +30,8 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 	cfg, err := parse(t,
 		"-addr", ":9090", "-seed", "11", "-db", "", "-ttl", "1m",
-		"-max-sessions", "12",
-		"-score-cache=false", "-answer-cache", "4096",
-		"-mutable", "-data-dir", "", "-checkpoint-interval", "10s",
-		"-checkpoint-batches", "64",
+		"-max-sessions", "12", "-answer-cache", "4096",
+		"-mutable", "-data-dir", "",
 		"-max-concurrent", "8", "-max-queue", "16", "-queue-timeout", "2s",
 		"-request-timeout", "5s", "-adapt-min", "3",
 	)
@@ -41,9 +39,8 @@ func TestFromFlagsKeepsHistoricalNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Addr != ":9090" || cfg.Seed != 11 || cfg.SessionTTL != time.Minute ||
-		cfg.MaxSessions != 12 || cfg.ScoreCache ||
+		cfg.MaxSessions != 12 ||
 		cfg.AnswerCacheBytes != 4096 || !cfg.Mutable ||
-		cfg.CheckpointInterval != 10*time.Second || cfg.CheckpointBatches != 64 ||
 		cfg.MaxConcurrent != 8 || cfg.MaxQueue != 16 ||
 		cfg.QueueTimeout != 2*time.Second || cfg.RequestTimeout != 5*time.Second ||
 		cfg.AdaptMin != 3 {
@@ -60,8 +57,8 @@ func TestFlagCount(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 21 {
-		t.Fatalf("cmd/serve registers %d flags, want 21", n)
+	if n != 18 {
+		t.Fatalf("cmd/serve registers %d flags, want 18", n)
 	}
 }
 
@@ -126,7 +123,7 @@ func TestFromFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Addr != ":8080" || cfg.Seed != 7 ||
-		!cfg.ScoreCache || cfg.AnswerCacheBytes != 0 ||
+		cfg.AnswerCacheBytes != 0 ||
 		cfg.Mutable || cfg.AdaptMin != 0 || cfg.MaxConcurrent != 0 {
 		t.Fatalf("defaults drifted: %+v", cfg)
 	}
@@ -150,7 +147,6 @@ func TestValidateRejections(t *testing.T) {
 		{[]string{"-adapt-min", "-1", "-max-concurrent", "4"}, "-adapt-min"},
 		{[]string{"-adapt-min", "2"}, "-adapt-min needs -max-concurrent"},
 		{[]string{"-adapt-min", "8", "-max-concurrent", "4"}, "-adapt-min 8 is above -max-concurrent 4"},
-		{[]string{"-checkpoint-batches", "0"}, "-checkpoint"},
 		{[]string{"-slow-query", "-1s"}, "-slow-query"},
 	}
 	for _, tc := range cases {

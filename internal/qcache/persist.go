@@ -7,49 +7,50 @@ import (
 	"repro/internal/relstore"
 )
 
-// persistVersion guards the qcache snapshot-section layout.
-const persistVersion = 1
+// persistVersion guards the qcache snapshot-section layout. Version 2
+// writes, per entry, kind, key, footprint and payload; version 1 also
+// carried eviction-policy state and a byte size, which the single LRU
+// list does not have or computes.
+const persistVersion = 2
+
+// persistVersionCold is the retired layout: DecodeSnapshot accepts it
+// and starts cold rather than failing the engine open.
+const persistVersionCold = 1
 
 // EncodeSnapshot serialises the resident hot set for the engine's
-// snapshot container. Entries are written protected-then-probation,
-// each segment MRU first, so decoding re-inserts them in recency order
-// and the warm store behaves as if it had never restarted. The encoding
-// is deterministic given the store state. Callers must guarantee the
-// engine snapshot being persisted is the one the entries are valid for
-// — in practice: call under the engine's apply lock, as Checkpoint
-// does. Clock state is not persisted; a restored store starts at clock
-// zero with every entry valid, which is exactly right because the
-// snapshot file and the hot set were written consistently.
+// snapshot container. Entries are written MRU first, so decoding
+// re-inserts them in recency order and the warm store behaves as if it
+// had never restarted. The encoding is deterministic given the store
+// state. Callers must guarantee the engine snapshot being persisted is
+// the one the entries are valid for — in practice: call under the
+// engine's apply lock, as Checkpoint does. Clock state is not
+// persisted; a restored store starts at clock zero with every entry
+// valid, which is exactly right because the snapshot file and the hot
+// set were written consistently.
 func (s *Store) EncodeSnapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var enc durable.Enc
 	enc.Byte(persistVersion)
 	enc.Uvarint(uint64(len(s.entries)))
-	for _, l := range []*lruList{&s.protected, &s.probation} {
-		for e := l.head; e != nil; e = e.next {
-			enc.Bool(e.protected)
-			enc.Byte(e.k.kind)
-			enc.String(e.k.key)
-			enc.Uvarint(uint64(len(e.footprint)))
-			for _, a := range e.footprint {
-				enc.String(a.Table)
-				enc.Int(a.Col)
+	for e := s.lru.head; e != nil; e = e.next {
+		enc.Byte(e.k.kind)
+		enc.String(e.k.key)
+		enc.Uvarint(uint64(len(e.footprint)))
+		for _, a := range e.footprint {
+			enc.String(a.Table)
+			enc.Int(a.Col)
+		}
+		switch e.k.kind {
+		case kindSelection:
+			enc.Ints(e.rows)
+		case kindPlan:
+			enc.Uvarint(uint64(len(e.plan)))
+			for _, r := range e.plan {
+				enc.Ints(r)
 			}
-			switch e.k.kind {
-			case kindSelection:
-				enc.Ints(e.rows)
-			case kindPlan:
-				enc.Uvarint(uint64(len(e.plan)))
-				for _, r := range e.plan {
-					enc.Ints(r)
-				}
-			case kindCount:
-				enc.Int(e.count)
-			}
-			enc.Float(e.cost)
-			enc.Uvarint(e.uses)
-			enc.Uvarint(uint64(e.bytes))
+		case kindCount:
+			enc.Int(e.count)
 		}
 	}
 	return enc.Bytes()
@@ -58,22 +59,26 @@ func (s *Store) EncodeSnapshot() []byte {
 // DecodeSnapshot restores a persisted hot set into a freshly created
 // store. Entries are admitted without the ghost gate — they earned
 // admission in the previous process — but still respect the byte
-// budget: once the budget is full (it may be smaller than the one the
-// snapshot was written under), the remaining colder entries are
-// dropped. The restored resident size seeds the high-water mark.
+// budget, each entry charged its computed size: once the budget is full
+// (it may be smaller than the one the snapshot was written under), the
+// remaining colder entries are dropped. The restored resident size
+// seeds the high-water mark. A section in the retired version-1 layout
+// leaves the store empty: it is a cache, so starting cold cannot change
+// a response.
 func (s *Store) DecodeSnapshot(payload []byte) error {
 	dec := durable.NewDec(payload)
-	if v := dec.Byte(); v != persistVersion {
-		if dec.Err() != nil {
-			return fmt.Errorf("qcache: decode snapshot: %w", dec.Err())
-		}
+	switch v := dec.Byte(); {
+	case dec.Err() != nil:
+		return fmt.Errorf("qcache: decode snapshot: %w", dec.Err())
+	case v == persistVersionCold:
+		return nil
+	case v != persistVersion:
 		return fmt.Errorf("qcache: unsupported snapshot version %d", v)
 	}
 	n := dec.Uvarint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := uint64(0); i < n; i++ {
-		protected := dec.Bool()
 		kind := dec.Byte()
 		key := dec.String()
 		fpLen := dec.Uvarint()
@@ -98,38 +103,18 @@ func (s *Store) DecodeSnapshot(payload []byte) error {
 		default:
 			return fmt.Errorf("qcache: unknown entry kind %q", kind)
 		}
-		e.cost = dec.Float()
-		e.uses = dec.Uvarint()
-		e.bytes = int64(dec.Uvarint())
 		if dec.Err() != nil {
 			return fmt.Errorf("qcache: decode snapshot: %w", dec.Err())
 		}
+		e.bytes = e.size()
 		if _, dup := s.entries[e.k]; dup || s.resident+e.bytes > s.budget {
 			continue // colder than what already fits
 		}
-		s.entries[e.k] = e
-		for _, a := range e.footprint {
-			set := s.byAttr[a]
-			if set == nil {
-				set = make(map[*entry]struct{})
-				s.byAttr[a] = set
-			}
-			set[e] = struct{}{}
-		}
-		e.protected = protected
-		if protected {
-			s.protected.pushBack(e)
-			s.protectedBytes += e.bytes
-		} else {
-			s.probation.pushBack(e)
-		}
-		s.resident += e.bytes
+		s.insertLocked(e)
+		s.lru.pushBack(e)
 	}
 	if dec.Err() != nil {
 		return fmt.Errorf("qcache: decode snapshot: %w", dec.Err())
-	}
-	if s.resident > s.highWater {
-		s.highWater = s.resident
 	}
 	return nil
 }

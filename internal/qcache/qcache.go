@@ -12,15 +12,11 @@
 // What got asked for is the hotness signal, so admission is 2Q-style:
 // a first Put only records the key in a ghost "seen" map (bounded, two
 // rotating generations) and is rejected; a key is admitted once it has
-// been requested again while still remembered. Resident entries live in
-// a segmented LRU — new entries enter a probation segment, a hit
-// promotes to a protected segment capped at a fraction of the budget —
-// and eviction walks probation-then-protected from the cold end.
-// Victims are chosen cost-aware: each entry carries the publishing
-// request's EstimateCost price, and a candidate victim whose
-// cost×uses/bytes density beats the newcomer's blocks admission instead
-// of being evicted, so one giant cold selection cannot push out a
-// thousand cheap hot ones.
+// been requested again while still remembered. Without the gate, a
+// stream of never-repeated queries fills the budget with entries that
+// are never read and evicts the ones that are. Resident entries live on
+// one LRU list: a hit moves the entry to the front, and an admitted
+// entry evicts from the tail until it fits the byte budget.
 //
 // # Snapshot-coupled correctness
 //
@@ -45,6 +41,7 @@
 package qcache
 
 import (
+	"strconv"
 	"sync"
 
 	"repro/internal/relstore"
@@ -67,10 +64,6 @@ const (
 	// generations rotate, so at most 2×ghostGenCap keys are remembered
 	// and memory stays bounded without any clock.
 	ghostGenCap = 8192
-	// protectedShare is the protected segment's share of the byte
-	// budget, in percent. The remainder is probation headroom, so a
-	// burst of new entries churns probation instead of the proven set.
-	protectedShare = 80
 	// entryOverhead approximates the per-entry bookkeeping bytes
 	// (struct, map slots, key string headers) charged on top of the
 	// payload so the budget reflects real memory, not just row IDs.
@@ -90,23 +83,19 @@ type entry struct {
 	plan  [][]int // kindPlan payload (per-JTT row assignments)
 	count int     // kindCount payload
 
-	bytes int64
-	cost  float64 // publishing request's EstimateCost price
-	uses  uint64  // hits since admission (admission itself counts as use 1)
-
-	protected  bool
+	bytes      int64  // size(), charged against the budget
 	prev, next *entry // intrusive LRU list, nil-terminated
 }
 
-// score is the eviction density: what the entry saves per resident byte.
-// uses is floored at 1 so a just-admitted entry competes with its
-// admission evidence rather than with zero.
-func (e *entry) score() float64 {
-	u := e.uses
-	if u == 0 {
-		u = 1
+// size is the entry's charge against the byte budget, computed from its
+// key and payload. Every insert path uses it, so a byte count is never
+// taken on trust from a caller or from disk.
+func (e *entry) size() int64 {
+	n := entryOverhead + int64(len(e.k.key)) + 8*int64(len(e.rows))
+	for _, r := range e.plan {
+		n += 24 + 8*int64(len(r))
 	}
-	return e.cost * float64(u) / float64(e.bytes)
+	return n
 }
 
 // lruList is an intrusive doubly-linked list, head = MRU, tail = LRU.
@@ -173,8 +162,7 @@ type Store struct {
 	clock    uint64
 	lastBump map[relstore.Attr]uint64
 
-	probation, protected lruList
-	protectedBytes       int64
+	lru lruList
 
 	// ghost admission state: seen-counts in two rotating generations.
 	seenCur, seenPrev map[entryKey]uint8
@@ -245,8 +233,27 @@ func (s *Store) Invalidate(stale []relstore.Attr, publish func()) {
 	s.mu.Unlock()
 }
 
-// removeLocked unlinks an entry from the map, the attr index, and its
-// LRU segment, and returns its bytes to the budget.
+// insertLocked indexes e by key and footprint and charges e.bytes to
+// the budget. Callers set e.bytes from size(), check the budget first,
+// and link e into the LRU list.
+func (s *Store) insertLocked(e *entry) {
+	s.entries[e.k] = e
+	for _, a := range e.footprint {
+		set := s.byAttr[a]
+		if set == nil {
+			set = make(map[*entry]struct{})
+			s.byAttr[a] = set
+		}
+		set[e] = struct{}{}
+	}
+	s.resident += e.bytes
+	if s.resident > s.highWater {
+		s.highWater = s.resident
+	}
+}
+
+// removeLocked unlinks an entry from the map, the attr index, and the
+// LRU list, and returns its bytes to the budget.
 func (s *Store) removeLocked(e *entry) {
 	delete(s.entries, e.k)
 	for _, a := range e.footprint {
@@ -257,38 +264,29 @@ func (s *Store) removeLocked(e *entry) {
 			}
 		}
 	}
-	if e.protected {
-		s.protected.remove(e)
-		s.protectedBytes -= e.bytes
-	} else {
-		s.probation.remove(e)
-	}
+	s.lru.remove(e)
 	s.resident -= e.bytes
 }
 
 // View is one request's handle on the store: the clock captured before
-// the request loaded its snapshot, plus the request's EstimateCost
-// price used for every entry it publishes. A View implements
+// the request loaded its snapshot. A View implements
 // relstore.SharedStore. Views are cheap; create one per request.
 type View struct {
 	s     *Store
 	clock uint64
-	price float64
 }
 
 // NewView captures the current clock for a request about to load the
 // engine snapshot. ORDER MATTERS: the caller must create the view
 // first and load the snapshot pointer after — that is what guarantees
 // the view's validity checks are conservative (see package comment).
-func (s *Store) NewView(price int64) *View {
+// The int64 argument is ignored; it remains only for callers that
+// still pass one.
+func (s *Store) NewView(int64) *View {
 	s.mu.Lock()
 	c := s.clock
 	s.mu.Unlock()
-	p := float64(price)
-	if p < 1 {
-		p = 1
-	}
-	return &View{s: s, clock: c, price: p}
+	return &View{s: s, clock: c}
 }
 
 // validLocked reports whether a footprint is unbumped since the view's
@@ -303,7 +301,7 @@ func (v *View) validLocked(footprint []relstore.Attr) bool {
 }
 
 // getLocked is the shared hit path: validity check, hit/miss counting,
-// and segmented-LRU promotion.
+// and the move to the front of the LRU list.
 func (v *View) getLocked(k entryKey) (*entry, bool) {
 	s := v.s
 	e, ok := s.entries[k]
@@ -311,34 +309,15 @@ func (v *View) getLocked(k entryKey) (*entry, bool) {
 		s.misses++
 		return nil, false
 	}
-	e.uses++
 	s.hits++
-	if e.protected {
-		s.protected.remove(e)
-		s.protected.pushFront(e)
-	} else {
-		s.probation.remove(e)
-		e.protected = true
-		s.protected.pushFront(e)
-		s.protectedBytes += e.bytes
-		// Keep the protected segment within its share by demoting from
-		// its cold end; demoted entries get another chance in probation.
-		limit := s.budget * protectedShare / 100
-		for s.protectedBytes > limit && s.protected.tail != nil && s.protected.tail != e {
-			d := s.protected.tail
-			s.protected.remove(d)
-			d.protected = false
-			s.protectedBytes -= d.bytes
-			s.probation.pushFront(d)
-		}
-	}
+	s.lru.remove(e)
+	s.lru.pushFront(e)
 	return e, true
 }
 
 // putLocked is the shared publish path: stale-put rejection, ghost
-// admission, cost-aware eviction, and probation insert. The entry's
-// payload fields and bytes must be set by the caller; putLocked fills
-// the bookkeeping.
+// admission, eviction from the LRU tail, and insert at the front. The
+// caller sets the entry's key, footprint and payload.
 func (v *View) putLocked(e *entry) {
 	s := v.s
 	if _, exists := s.entries[e.k]; exists {
@@ -348,6 +327,7 @@ func (v *View) putLocked(e *entry) {
 		s.stalePutRejects++
 		return
 	}
+	e.bytes = e.size()
 	if e.bytes > s.budget {
 		s.admissionRejects++
 		return
@@ -365,51 +345,14 @@ func (v *View) putLocked(e *entry) {
 		s.admissionRejects++
 		return
 	}
-	// Cost-aware eviction: collect victims cold-end first (probation,
-	// then protected). If any needed victim is denser than the
-	// newcomer, keep the residents and reject the newcomer instead.
-	if s.resident+e.bytes > s.budget {
-		need := s.resident + e.bytes - s.budget
-		newScore := e.score()
-		var victims []*entry
-		for _, seg := range []*lruList{&s.probation, &s.protected} {
-			for c := seg.tail; c != nil && need > 0; c = c.prev {
-				if c.score() > newScore {
-					s.admissionRejects++
-					return
-				}
-				victims = append(victims, c)
-				need -= c.bytes
-			}
-		}
-		if need > 0 {
-			// Budget cannot fit the entry even emptied (overhead drift);
-			// treat as oversized.
-			s.admissionRejects++
-			return
-		}
-		for _, c := range victims {
-			s.removeLocked(c)
-			s.evictions++
-		}
+	for s.resident+e.bytes > s.budget {
+		s.removeLocked(s.lru.tail)
+		s.evictions++
 	}
 	delete(s.seenCur, e.k)
 	delete(s.seenPrev, e.k)
-	e.uses = 1
-	s.entries[e.k] = e
-	for _, a := range e.footprint {
-		set := s.byAttr[a]
-		if set == nil {
-			set = make(map[*entry]struct{})
-			s.byAttr[a] = set
-		}
-		set[e] = struct{}{}
-	}
-	s.probation.pushFront(e)
-	s.resident += e.bytes
-	if s.resident > s.highWater {
-		s.highWater = s.resident
-	}
+	s.insertLocked(e)
+	s.lru.pushFront(e)
 }
 
 func selectionEntryKey(table string, col int, bag string) entryKey {
@@ -436,8 +379,6 @@ func (v *View) PutSelection(table string, col int, bag string, rows []int) {
 		k:         selectionEntryKey(table, col, bag),
 		footprint: []relstore.Attr{{Table: table, Col: col}},
 		rows:      rows,
-		bytes:     entryOverhead + int64(len(bag)) + 8*int64(len(rows)),
-		cost:      v.price,
 	}
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
@@ -458,16 +399,10 @@ func (v *View) GetPlan(key string) ([][]int, bool) {
 
 // PutPlan implements relstore.SharedStore.
 func (v *View) PutPlan(key string, footprint []relstore.Attr, rows [][]int) {
-	bytes := entryOverhead + int64(len(key))
-	for _, r := range rows {
-		bytes += 24 + 8*int64(len(r))
-	}
 	e := &entry{
 		k:         entryKey{kind: kindPlan, key: key},
 		footprint: footprint,
 		plan:      rows,
-		bytes:     bytes,
-		cost:      v.price,
 	}
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
@@ -492,36 +427,17 @@ func (v *View) PutCount(key string, footprint []relstore.Attr, n int) {
 		k:         entryKey{kind: kindCount, key: key},
 		footprint: footprint,
 		count:     n,
-		bytes:     entryOverhead + int64(len(key)),
-		cost:      v.price,
 	}
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.putLocked(e)
 }
 
-// itoa is strconv.Itoa without the import weight in the hot key path.
+// itoa renders a selection key's column; the membership pseudo-column
+// is "*".
 func itoa(v int) string {
 	if v == relstore.MembershipCol {
 		return "*"
 	}
-	if v >= 0 && v < 10 {
-		return string(rune('0' + v))
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return strconv.Itoa(v)
 }

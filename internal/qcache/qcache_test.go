@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/relstore"
 )
 
@@ -132,67 +133,29 @@ func TestOldViewRejectedAfterInvalidation(t *testing.T) {
 	}
 }
 
-func TestSegmentedLRUPromotionAndDemotion(t *testing.T) {
-	s := New(4096)
-	v := s.NewView(10)
-	// Admit several entries sized so a few promotions overflow the
-	// protected segment's 80% share.
-	rows := make([]int, 100) // 128 overhead + ~5 key + 800 payload ≈ 935B
-	for i := 0; i < 4; i++ {
+func TestEvictionIsLeastRecentlyUsed(t *testing.T) {
+	rows := make([]int, 100)
+	one := &entry{k: selectionEntryKey("t", 0, "bag"), rows: rows}
+	s := New(3 * one.size()) // exactly three entries fit
+	v := s.NewView(0)
+	for i := 0; i < 3; i++ {
 		admitSelection(v, "t", i, "bag", rows)
 	}
-	st := s.Stats()
-	if st.Entries < 3 {
+	if st := s.Stats(); st.Entries != 3 || st.Evictions != 0 {
 		t.Fatalf("setup: %+v", st)
 	}
-	// Hit every entry: each promotes to protected; the cap (3276B)
-	// forces demotions back to probation rather than unbounded growth.
-	for i := 0; i < 4; i++ {
-		v.GetSelection("t", i, "bag")
-	}
-	s.mu.Lock()
-	if s.protectedBytes > s.budget*protectedShare/100 {
-		s.mu.Unlock()
-		t.Fatalf("protected segment over its share: %d", s.protectedBytes)
-	}
-	demoted := s.probation.head != nil
-	s.mu.Unlock()
-	if !demoted {
-		t.Fatal("expected demotions into probation")
-	}
-}
-
-func TestEvictionPrefersLowScore(t *testing.T) {
-	s := New(3000)
-	cheap := s.NewView(1)
-	rows := make([]int, 128) // ~1160B per entry: two fit, three don't
-	admitSelection(cheap, "t", 1, "a", rows)
-	admitSelection(cheap, "t", 2, "b", rows)
-	if st := s.Stats(); st.Entries != 2 {
-		t.Fatalf("setup: %+v", st)
-	}
-	// A denser (pricier) newcomer evicts the cold cheap entries.
-	rich := s.NewView(1000)
-	admitSelection(rich, "t", 3, "c", rows)
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("expected evictions: %+v", st)
-	}
-	if _, ok := rich.GetSelection("t", 3, "c"); !ok {
-		t.Fatal("dense newcomer not admitted")
-	}
-	// Now the reverse: a cheap newcomer must NOT displace denser
-	// residents — rejected with zero evictions. Hit the surviving cheap
-	// entry once so its use count makes it denser than a fresh twin.
-	cheap.GetSelection("t", 2, "b")
+	v.GetSelection("t", 0, "bag") // the oldest becomes the most recent
+	v.PutSelection("t", 3, "bag", rows)
 	pre := s.Stats()
-	admitSelection(cheap, "t", 4, "d", rows)
-	st = s.Stats()
-	if st.Evictions != pre.Evictions {
-		t.Fatalf("cheap newcomer evicted a denser resident: %+v", st)
+	v.PutSelection("t", 3, "bag", rows) // admitted: must evict t.1
+	st := s.Stats()
+	if st.Evictions != pre.Evictions+1 || st.AdmissionRejects != pre.AdmissionRejects {
+		t.Fatalf("admission did not evict exactly one entry: %+v -> %+v", pre, st)
 	}
-	if _, ok := cheap.GetSelection("t", 4, "d"); ok {
-		t.Fatal("cheap newcomer admitted over denser residents")
+	for col, want := range []bool{true, false, true, true} {
+		if _, ok := v.GetSelection("t", col, "bag"); ok != want {
+			t.Errorf("t.%d resident = %v, want %v", col, ok, want)
+		}
 	}
 }
 
@@ -256,7 +219,7 @@ func TestPersistRoundtrip(t *testing.T) {
 	v.PutPlan("pk", fp, [][]int{{1, 2}, {3}})
 	v.PutCount("ck", fp, 9)
 	v.PutCount("ck", fp, 9)
-	v.GetSelection("actor", 1, "hanks") // promote to protected
+	v.GetSelection("actor", 1, "hanks") // most recently used
 
 	payload := s.EncodeSnapshot()
 	if string(payload) != string(s.EncodeSnapshot()) {
@@ -271,6 +234,14 @@ func TestPersistRoundtrip(t *testing.T) {
 	after := r.Stats()
 	if after.Entries != before.Entries || after.ResidentBytes != before.ResidentBytes {
 		t.Fatalf("restore drifted: %+v vs %+v", after, before)
+	}
+	// Recency survives the restart: the hit selection is still the most
+	// recent entry, the plan admitted before the count the least.
+	if string(r.EncodeSnapshot()) != string(payload) {
+		t.Fatal("re-encoding the restored store changed the snapshot")
+	}
+	if r.lru.head.k.kind != kindSelection || r.lru.tail.k != (entryKey{kind: kindPlan, key: "pk"}) {
+		t.Fatalf("restored recency order: head %+v, tail %+v", r.lru.head.k, r.lru.tail.k)
 	}
 	rv := r.NewView(1)
 	if rows, ok := rv.GetSelection("actor", 1, "hanks"); !ok || len(rows) != 3 {
@@ -326,11 +297,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestViewPriceFloor(t *testing.T) {
-	s := New(1 << 20)
-	v := s.NewView(-5) // degenerate estimate must not zero the score
-	if v.price < 1 {
-		t.Fatalf("price = %v", v.price)
+func TestDecodeOldVersionStartsCold(t *testing.T) {
+	// A version-1 section as the segmented-LRU build wrote it: segment
+	// flag, kind, key, footprint, payload, eviction weight, hit count,
+	// byte size.
+	var enc durable.Enc
+	enc.Byte(1)
+	enc.Uvarint(1)
+	enc.Bool(true)
+	enc.Byte(kindCount)
+	enc.String("ck")
+	enc.Uvarint(1)
+	enc.String("movie")
+	enc.Int(1)
+	enc.Int(9)
+	enc.Float(42)
+	enc.Uvarint(3)
+	enc.Uvarint(130)
+	r := New(1 << 20)
+	if err := r.DecodeSnapshot(enc.Bytes()); err != nil {
+		t.Fatalf("version-1 section: %v", err)
+	}
+	if st := r.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("version-1 section restored entries: %+v", st)
+	}
+	if err := r.DecodeSnapshot([]byte{3, 0}); err == nil {
+		t.Fatal("version-3 section decoded")
 	}
 }
 

@@ -184,11 +184,13 @@ func WithExecutionCache(enabled bool) Option {
 // (internal/qcache) with the given byte budget; budgetBytes <= 0 keeps
 // it disabled (the default). The cache promotes hot keyword-bag
 // selections, candidate-network results, and interpretation counts from
-// the per-request execution cache into a shared store with 2Q admission
-// and cost-aware eviction, so repeated queries skip plan execution
-// entirely. Mutation batches incrementally invalidate only the entries
-// whose (table, column) footprint they touch, and a durable engine
-// persists the surviving hot set at checkpoint so Open restarts warm.
+// the per-request execution cache into a shared store, so repeated
+// queries skip plan execution entirely. A unit is admitted the second
+// time it is computed (2Q ghost admission), and a full budget evicts the
+// least recently used units first. Mutation batches incrementally
+// invalidate only the entries whose (table, column) footprint they
+// touch, and a durable engine persists the surviving hot set at
+// checkpoint so Open restarts warm.
 // Caching never changes results — responses are byte-identical with the
 // cache on or off (see docs/qcache.md). Requires the execution cache
 // (the promotion source); WithExecutionCache(false) disables both.
@@ -527,18 +529,17 @@ func (e *Engine) AnswerCacheStats() (stats AnswerCacheStats, ok bool) {
 	}, true
 }
 
-// answerView opens this request's handle on the answer cache, priced by
-// the query's estimated cost (cheap requests publish cheap entries).
-// It returns an explicit nil interface when the cache is disabled.
+// answerView opens this request's handle on the answer cache. It
+// returns an explicit nil interface when the cache is disabled.
 // ORDER MATTERS: callers must obtain the view BEFORE loading the
 // snapshot with current() — the view's clock capture preceding the
 // snapshot load is what makes cache validity checks conservative (see
 // internal/qcache).
-func (e *Engine) answerView(keywords string) relstore.SharedStore {
+func (e *Engine) answerView() relstore.SharedStore {
 	if e.qc == nil {
 		return nil
 	}
-	return e.qc.NewView(e.EstimateCost(keywords))
+	return e.qc.NewView(0)
 }
 
 // publish makes next the engine's current snapshot. When the answer
