@@ -90,7 +90,7 @@ func (r Result) Count() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.snap.db.Count(plan, 0)
+	return r.snap.db.Count(plan, 0, nil)
 }
 
 // Rows executes the interpretation and returns up to limit joined rows;

@@ -29,31 +29,6 @@ func DemoMoviesWith(seed int64, opts ...Option) (*Engine, error) {
 	return eng, nil
 }
 
-// DemoMoviesScaled is DemoMoviesWith at a custom data scale: row counts
-// are the demo defaults multiplied by scale (scale 1 ≈ 400 movies, 300
-// actors). The benchmark harness uses it to build the "large seed
-// dataset" the perf trajectory is tracked on.
-func DemoMoviesScaled(seed int64, scale float64, opts ...Option) (*Engine, error) {
-	if scale <= 0 {
-		scale = 1
-	}
-	db, err := datagen.IMDB(datagen.IMDBConfig{
-		Movies:    int(400 * scale),
-		Actors:    int(300 * scale),
-		Directors: int(80 * scale),
-		Companies: int(40 * scale),
-		Seed:      seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	eng := fromDatabase(db, append([]Option{WithMaxJoinPath(4), WithCoOccurrence()}, opts...)...)
-	if err := eng.Build(); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
 // DemoMusic returns a ready-built Engine over the bundled synthetic
 // lyrics database (5 tables with the artist ⋈ artist_album ⋈ album ⋈
 // album_song ⋈ song chain schema).

@@ -46,6 +46,10 @@ const (
 	walFileName      = "wal.log"
 )
 
+// compactRatio is the compaction threshold: Checkpoint rebuilds any
+// table whose dead/live row ratio exceeds it without tombstones.
+const compactRatio = 0.5
+
 // Section names of the engine snapshot container.
 const (
 	sectionMeta      = "meta"
@@ -317,7 +321,7 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 	}
 	eng.cfg.durDir = dir
 
-	wal, recs, err := durable.RecoverWAL(filepath.Join(dir, walFileName), !eng.cfg.walSyncOff)
+	wal, recs, err := durable.RecoverWAL(filepath.Join(dir, walFileName), true)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +385,7 @@ func (e *Engine) initDurability() error {
 	// epochs (1..N) would replay cleanly onto the new dataset. Truncate-
 	// first only risks the benign window (old snapshot + empty WAL, or
 	// no snapshot at all → rebuilt on the next boot).
-	wal, _, err := durable.RecoverWAL(filepath.Join(dir, walFileName), !e.cfg.walSyncOff)
+	wal, _, err := durable.RecoverWAL(filepath.Join(dir, walFileName), true)
 	if err != nil {
 		return err
 	}
@@ -505,7 +509,7 @@ func (e *Engine) Checkpoint(ctx context.Context) (*CheckpointStats, error) {
 	s := e.current()
 	var compacted []string
 	for _, t := range s.db.Tables() {
-		if t.DeadRatio() > e.cfg.compactRatio {
+		if t.DeadRatio() > compactRatio {
 			compacted = append(compacted, t.Schema.Name)
 		}
 	}

@@ -265,7 +265,7 @@ func TestCheckpointRequiresDurability(t *testing.T) {
 // compact it back below and leave responses byte-identical.
 func TestCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	eng := durableEngine(t, dir, WithCompactionThreshold(0.4))
+	eng := durableEngine(t, dir)
 	for round := 0; round < 20; round++ {
 		key := fmt.Sprintf("churn%d", round)
 		if _, err := eng.Apply(bg, []Mutation{
@@ -296,7 +296,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	// The dead/live bound holds on the published snapshot.
 	s := eng.current()
 	for _, tb := range s.db.Tables() {
-		if r := tb.DeadRatio(); r > 0.4 {
+		if r := tb.DeadRatio(); r > compactRatio {
 			t.Fatalf("table %s dead ratio %.2f above threshold after compaction", tb.Schema.Name, r)
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/invindex"
@@ -40,9 +41,17 @@ func newPlanFixture() (*planFixture, error) {
 }
 
 // ranked returns the ranked interpretation space of a keyword query.
-func (f *planFixture) ranked(keywords []string) []prob.Scored {
-	cands := query.GenerateCandidates(f.ix, keywords, query.GenerateOptionsConfig{})
-	return f.model.Rank(query.GenerateComplete(cands, f.cat, query.GenerateConfig{}))
+func (f *planFixture) ranked(keywords []string) ([]prob.Scored, error) {
+	ctx := context.Background()
+	cands, err := query.GenerateCandidatesContext(ctx, f.ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		return nil, err
+	}
+	space, err := query.GenerateCompleteContext(ctx, cands, f.cat, query.GenerateConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return f.model.RankContext(ctx, space)
 }
 
 // executorOps measures plan execution — the storage-engine hot path of
@@ -59,7 +68,7 @@ func (f *planFixture) ranked(keywords []string) []prob.Scored {
 //     demand-driven semi-join pruning — relstore.Execute,
 //   - postings+cache: the same with one per-request SelectionCache
 //     shared across all plans, as the serving path uses it,
-//   - count:          CountCached over every plan, the allocation-free
+//   - count:          Count over every plan, the allocation-free
 //     cardinality probe.
 func executorOps(Config) (*microSpec, error) {
 	f, err := newPlanFixture()
@@ -71,7 +80,10 @@ func executorOps(Config) (*microSpec, error) {
 	if len(keywords) < 2 {
 		return nil, fmt.Errorf("only %d ambiguous sample keywords", len(keywords))
 	}
-	ranked := f.ranked(keywords)
+	ranked, err := f.ranked(keywords)
+	if err != nil {
+		return nil, err
+	}
 	if len(ranked) > execMaxPlans {
 		ranked = ranked[:execMaxPlans]
 	}
@@ -104,7 +116,7 @@ func executorOps(Config) (*microSpec, error) {
 				jtts, err = db.ExecuteScan(p, relstore.ExecuteOptions{Limit: execPerPlan})
 				n = len(jtts)
 			case "count":
-				n, err = db.CountCached(p, execPerPlan, cache)
+				n, err = db.Count(p, execPerPlan, cache)
 			default:
 				var jtts []relstore.JTT
 				jtts, err = db.Execute(p, relstore.ExecuteOptions{Limit: execPerPlan, Cache: cache})

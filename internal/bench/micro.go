@@ -177,7 +177,10 @@ func topkOps(cfg Config) (*microSpec, error) {
 		},
 	}
 	for i, kw := range kws {
-		ranked := f.ranked(keywords[:kw])
+		ranked, err := f.ranked(keywords[:kw])
+		if err != nil {
+			return nil, err
+		}
 		spaces[i] = ranked
 		for _, p := range widths {
 			op := microOp{name: fmt.Sprintf("kw=%d/p=%d", kw, p), run: func() error {

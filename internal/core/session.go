@@ -17,23 +17,15 @@ import (
 type Scorer interface {
 	// KeywordProb returns P(Ai:ki | T∩Ai) for a keyword interpretation.
 	KeywordProb(ki query.KeywordInterpretation) float64
-	// Rank scores complete interpretations into a normalised ranking.
-	Rank(space []*query.Interpretation) []prob.Scored
+	// RankContext scores complete interpretations into a normalised
+	// ranking, aborting with ctx's error once ctx is done.
+	RankContext(ctx context.Context, space []*query.Interpretation) ([]prob.Scored, error)
 	// Catalog returns the template catalogue.
 	Catalog() *query.Catalog
 }
 
 // statically assert that the production model satisfies Scorer.
 var _ Scorer = (*prob.Model)(nil)
-
-// ContextRanker is the optional extension of Scorer for scorers whose
-// ranking honours context cancellation (prob.Model does). Materialisation
-// uses it when available so long rankings abort with the request.
-type ContextRanker interface {
-	RankContext(ctx context.Context, space []*query.Interpretation) ([]prob.Scored, error)
-}
-
-var _ ContextRanker = (*prob.Model)(nil)
 
 // SessionConfig tunes the greedy construction session (Algorithm 3.2).
 type SessionConfig struct {
@@ -103,16 +95,10 @@ type Session struct {
 	steps int
 }
 
-// NewSession starts a construction session for the keyword query whose
-// candidates have been generated against the model's index. It is the
-// context-free convenience form of NewSessionContext.
-func NewSession(scorer Scorer, cands *query.Candidates, cfg SessionConfig) (*Session, error) {
-	return NewSessionContext(context.Background(), scorer, cands, cfg)
-}
-
-// NewSessionContext is NewSession with cancellation: the initial hierarchy
-// expansion (which may materialise the complete interpretation space)
-// honours the context.
+// NewSessionContext starts a construction session for the keyword query
+// whose candidates have been generated against the model's index. The
+// initial hierarchy expansion (which may materialise the complete
+// interpretation space) honours the context.
 func NewSessionContext(ctx context.Context, scorer Scorer, cands *query.Candidates, cfg SessionConfig) (*Session, error) {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 20
@@ -214,22 +200,15 @@ func (s *Session) materializeComplete(ctx context.Context) error {
 	return nil
 }
 
-// MaterializeInterpretations attaches every compatible template of the
-// scorer's catalogue to each keyword-interpretation tuple, applies the
+// MaterializeInterpretationsContext attaches every compatible template of
+// the scorer's catalogue to each keyword-interpretation tuple, applies the
 // minimality condition, deduplicates, and returns the ranked complete
 // interpretation space. maxTemplatesPerBinding caps template attachment
 // per tuple (0 = unlimited). It is the final expansion step of the query
-// hierarchy, shared by the IQP session and the FreeQ session, and the
-// context-free convenience form of MaterializeInterpretationsContext.
-func MaterializeInterpretations(scorer Scorer, keywords []string, tuples [][]query.KeywordInterpretation, maxTemplatesPerBinding int) []prob.Scored {
-	out, _ := MaterializeInterpretationsContext(context.Background(), scorer, keywords, tuples, maxTemplatesPerBinding)
-	return out
-}
-
-// MaterializeInterpretationsContext is MaterializeInterpretations with
-// cancellation: the context is checked per keyword-interpretation tuple
-// during template attachment and passed into the final ranking, so the
-// most expensive step of a construction session aborts with the request.
+// hierarchy, shared by the IQP session and the FreeQ session. The context
+// is checked per keyword-interpretation tuple during template attachment
+// and passed into the final ranking, so the most expensive step of a
+// construction session aborts with the request.
 func MaterializeInterpretationsContext(ctx context.Context, scorer Scorer, keywords []string, tuples [][]query.KeywordInterpretation, maxTemplatesPerBinding int) ([]prob.Scored, error) {
 	cat := scorer.Catalog()
 	var space []*query.Interpretation
@@ -261,13 +240,7 @@ func MaterializeInterpretationsContext(ctx context.Context, scorer Scorer, keywo
 			}
 		}
 	}
-	if cr, ok := scorer.(ContextRanker); ok {
-		return cr.RankContext(ctx, space)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return scorer.Rank(space), nil
+	return scorer.RankContext(ctx, space)
 }
 
 // assignOccurrences enumerates the ways to place each keyword
@@ -485,15 +458,9 @@ func (s *Session) NextOption() (query.Option, bool) {
 	return query.NewOption(bestKI), true
 }
 
-// Accept records that the option is a sub-query of the intended
-// interpretation and shrinks the space accordingly. It is the
-// context-free convenience form of AcceptContext.
-func (s *Session) Accept(o query.Option) {
-	_ = s.AcceptContext(context.Background(), o)
-}
-
-// AcceptContext is Accept with cancellation of the hierarchy expansion
-// the decision may trigger.
+// AcceptContext records that the option is a sub-query of the intended
+// interpretation and shrinks the space accordingly; the hierarchy
+// expansion the decision may trigger honours the context.
 func (s *Session) AcceptContext(ctx context.Context, o query.Option) error {
 	s.steps++
 	for _, ki := range o.KIs {
@@ -503,15 +470,9 @@ func (s *Session) AcceptContext(ctx context.Context, o query.Option) error {
 	return s.expandWhileSmall(ctx)
 }
 
-// Reject records that the option is not part of the intended
-// interpretation. It is the context-free convenience form of
-// RejectContext.
-func (s *Session) Reject(o query.Option) {
-	_ = s.RejectContext(context.Background(), o)
-}
-
-// RejectContext is Reject with cancellation of the hierarchy expansion
-// the decision may trigger.
+// RejectContext records that the option is not part of the intended
+// interpretation; the hierarchy expansion the decision may trigger
+// honours the context.
 func (s *Session) RejectContext(ctx context.Context, o query.Option) error {
 	s.steps++
 	for _, ki := range o.KIs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schemagraph"
 )
+
+var bg = context.Background()
 
 type fixture struct {
 	db    *relstore.Database
@@ -86,7 +89,21 @@ func newFixture(t *testing.T) *fixture {
 
 func (f *fixture) candidates(t *testing.T, keywords ...string) *query.Candidates {
 	t.Helper()
-	return query.GenerateCandidates(f.ix, keywords, query.GenerateOptionsConfig{})
+	c, err := query.GenerateCandidatesContext(bg, f.ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// space materialises the complete interpretation space of c.
+func (f *fixture) space(t *testing.T, c *query.Candidates) []*query.Interpretation {
+	t.Helper()
+	space, err := query.GenerateCompleteContext(bg, c, f.cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
 }
 
 // intended finds the complete interpretation that binds each keyword to
@@ -94,7 +111,7 @@ func (f *fixture) candidates(t *testing.T, keywords ...string) *query.Candidates
 func (f *fixture) intended(t *testing.T, keywords []string, attrs ...string) *query.Interpretation {
 	t.Helper()
 	c := f.candidates(t, keywords...)
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	space := f.space(t, c)
 	for _, q := range space {
 		if len(q.Bindings) != len(attrs) {
 			continue
@@ -117,7 +134,7 @@ func (f *fixture) intended(t *testing.T, keywords []string, attrs ...string) *qu
 func TestSessionRequiresMatches(t *testing.T) {
 	f := newFixture(t)
 	c := f.candidates(t, "zzzz")
-	if _, err := NewSession(f.model, c, SessionConfig{}); err == nil {
+	if _, err := NewSessionContext(bg, f.model, c, SessionConfig{}); err == nil {
 		t.Fatal("session over unmatched query should fail")
 	}
 }
@@ -127,12 +144,12 @@ func TestSessionConstructsIntended(t *testing.T) {
 	keywords := []string{"london", "2010"}
 	intended := f.intended(t, keywords, "actor.name", "movie.year")
 	c := f.candidates(t, keywords...)
-	sess, err := NewSession(f.model, c, SessionConfig{Threshold: 20, StopAtRemaining: 1})
+	sess, err := NewSessionContext(bg, f.model, c, SessionConfig{Threshold: 20, StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	user := NewSimulatedUser(intended)
-	res, err := RunConstruction(sess, user)
+	res, err := RunConstruction(bg, sess, user)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +168,16 @@ func TestSessionEveryIntentReachable(t *testing.T) {
 	f := newFixture(t)
 	keywords := []string{"london"}
 	c := f.candidates(t, keywords...)
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	space := f.space(t, c)
 	if len(space) < 3 {
 		t.Fatalf("fixture should make 'london' ambiguous, got %d interpretations", len(space))
 	}
 	for _, intended := range space {
-		sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 1})
+		sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunConstruction(sess, NewSimulatedUser(intended))
+		res, err := RunConstruction(bg, sess, NewSimulatedUser(intended))
 		if err != nil {
 			t.Fatalf("intent %v unreachable: %v", intended, err)
 		}
@@ -174,7 +191,7 @@ func TestSessionEveryIntentReachable(t *testing.T) {
 func TestSessionAcceptNarrowsToAccepted(t *testing.T) {
 	f := newFixture(t)
 	c := f.candidates(t, "london", "2010")
-	sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 1})
+	sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +199,9 @@ func TestSessionAcceptNarrowsToAccepted(t *testing.T) {
 	if !ok {
 		t.Fatal("no option offered")
 	}
-	sess.Accept(opt)
+	if err := sess.AcceptContext(bg, opt); err != nil {
+		t.Fatal(err)
+	}
 	if sess.Steps() != 1 {
 		t.Fatalf("Steps = %d", sess.Steps())
 	}
@@ -193,7 +212,9 @@ func TestSessionAcceptNarrowsToAccepted(t *testing.T) {
 		if !ok {
 			break
 		}
-		sess.Reject(o)
+		if err := sess.RejectContext(bg, o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, sc := range sess.Remaining() {
 		if !opt.Subsumes(sc.Q) {
@@ -205,7 +226,7 @@ func TestSessionAcceptNarrowsToAccepted(t *testing.T) {
 func TestSessionRejectRemovesOption(t *testing.T) {
 	f := newFixture(t)
 	c := f.candidates(t, "london")
-	sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 1})
+	sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +234,9 @@ func TestSessionRejectRemovesOption(t *testing.T) {
 	if !ok {
 		t.Fatal("no option offered")
 	}
-	sess.Reject(opt)
+	if err := sess.RejectContext(bg, opt); err != nil {
+		t.Fatal(err)
+	}
 	for _, sc := range sess.Remaining() {
 		if opt.Subsumes(sc.Q) {
 			t.Fatalf("rejected option still subsumes remaining %v", sc.Q)
@@ -228,19 +251,21 @@ func TestSessionRejectRemovesOption(t *testing.T) {
 		if o.Key() == opt.Key() {
 			t.Fatal("rejected option offered again")
 		}
-		sess.Reject(o)
+		if err := sess.RejectContext(bg, o); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestSessionStopAtRemaining(t *testing.T) {
 	f := newFixture(t)
 	c := f.candidates(t, "london")
-	sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 3})
+	sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	intended := f.intended(t, []string{"london"}, "actor.name")
-	res, err := RunConstruction(sess, NewSimulatedUser(intended))
+	res, err := RunConstruction(bg, sess, NewSimulatedUser(intended))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,26 +281,29 @@ func TestProbabilityEstimatesReduceCost(t *testing.T) {
 	f := newFixture(t)
 	keywords := []string{"london", "2010"}
 	c := f.candidates(t, keywords...)
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	ranked := f.model.Rank(space)
-	// Intent = the most probable interpretation (the common case): ATF
-	// should find it within very few steps.
-	intended := ranked[0].Q
-	sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 1})
+	space := f.space(t, c)
+	ranked, err := f.model.RankContext(bg, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConstruction(sess, NewSimulatedUser(intended))
+	// Intent = the most probable interpretation (the common case): ATF
+	// should find it within very few steps.
+	intended := ranked[0].Q
+	sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunConstruction(bg, sess, NewSimulatedUser(intended))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Uniform baseline scorer.
 	uni := &uniformScorer{cat: f.cat}
-	sessU, err := NewSession(uni, c, SessionConfig{StopAtRemaining: 1})
+	sessU, err := NewSessionContext(bg, uni, c, SessionConfig{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := RunConstruction(sessU, NewSimulatedUser(intended))
+	resU, err := RunConstruction(bg, sessU, NewSimulatedUser(intended))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +318,12 @@ type uniformScorer struct{ cat *query.Catalog }
 
 func (u *uniformScorer) KeywordProb(query.KeywordInterpretation) float64 { return 1 }
 func (u *uniformScorer) Catalog() *query.Catalog                         { return u.cat }
-func (u *uniformScorer) Rank(space []*query.Interpretation) []prob.Scored {
+func (u *uniformScorer) RankContext(_ context.Context, space []*query.Interpretation) ([]prob.Scored, error) {
 	out := make([]prob.Scored, len(space))
 	for i, q := range space {
 		out[i] = prob.Scored{Q: q, Score: 1, Prob: 1 / float64(len(space))}
 	}
-	return out
+	return out, nil
 }
 
 func TestOptionPolicyAblation(t *testing.T) {
@@ -303,11 +331,11 @@ func TestOptionPolicyAblation(t *testing.T) {
 	c := f.candidates(t, "london", "2010")
 	intended := f.intended(t, []string{"london", "2010"}, "actor.name", "movie.year")
 	for _, policy := range []OptionPolicy{PolicyInformationGain, PolicyProbability} {
-		sess, err := NewSession(f.model, c, SessionConfig{StopAtRemaining: 1, OptionPolicy: policy})
+		sess, err := NewSessionContext(bg, f.model, c, SessionConfig{StopAtRemaining: 1, OptionPolicy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunConstruction(sess, NewSimulatedUser(intended))
+		res, err := RunConstruction(bg, sess, NewSimulatedUser(intended))
 		if err != nil {
 			t.Fatalf("policy %d: %v", policy, err)
 		}
@@ -342,11 +370,11 @@ func TestSimulatedUserTimeModel(t *testing.T) {
 
 func TestRunSimulationDeterministic(t *testing.T) {
 	cfg := SimConfig{Tables: 10, Keywords: 3, Seed: 11}
-	r1, err := RunSimulation(cfg)
+	r1, err := RunSimulation(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSimulation(cfg)
+	r2, err := RunSimulation(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +393,7 @@ func TestSimulationGrowth(t *testing.T) {
 	avg := func(tables, keywords int) (interp, steps float64) {
 		const reps = 5
 		for r := 0; r < reps; r++ {
-			res, err := RunSimulation(SimConfig{
+			res, err := RunSimulation(bg, SimConfig{
 				Tables: tables, Keywords: keywords, Seed: int64(100*tables + 10*keywords + r),
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -93,7 +94,10 @@ func (r *randScorer) KeywordProb(ki query.KeywordInterpretation) float64 {
 
 func (r *randScorer) Catalog() *query.Catalog { return r.cat }
 
-func (r *randScorer) Rank(space []*query.Interpretation) []prob.Scored {
+func (r *randScorer) RankContext(ctx context.Context, space []*query.Interpretation) ([]prob.Scored, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]prob.Scored, len(space))
 	total := 0.0
 	tplPrior := 1.0
@@ -119,13 +123,13 @@ func (r *randScorer) Rank(space []*query.Interpretation) []prob.Scored {
 		}
 		return out[i].Q.Key() < out[j].Q.Key()
 	})
-	return out
+	return out, nil
 }
 
 // RunSimulation builds one random configuration per SimConfig, picks a
 // random intended structured query, and simulates its construction,
 // returning the statistics of Tables 3.2/3.3.
-func RunSimulation(cfg SimConfig) (SimResult, error) {
+func RunSimulation(ctx context.Context, cfg SimConfig) (SimResult, error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -167,7 +171,7 @@ func RunSimulation(cfg SimConfig) (SimResult, error) {
 	if err != nil {
 		return res, err
 	}
-	sess, err := NewSession(scorer, cands, SessionConfig{
+	sess, err := NewSessionContext(ctx, scorer, cands, SessionConfig{
 		Threshold:       cfg.Threshold,
 		StopAtRemaining: cfg.StopAtRemaining,
 	})
@@ -175,7 +179,7 @@ func RunSimulation(cfg SimConfig) (SimResult, error) {
 		return res, err
 	}
 	user := NewSimulatedUser(intended)
-	run, err := RunConstruction(sess, user)
+	run, err := RunConstruction(ctx, sess, user)
 	if err != nil {
 		return res, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -77,8 +78,9 @@ type ConstructionResult struct {
 // RunConstruction drives a session to completion with the simulated user:
 // the session proposes options, the user evaluates them, and construction
 // stops when at most StopAtRemaining interpretations remain or no option
-// splits the space further. It returns the interaction statistics.
-func RunConstruction(s *Session, u *SimulatedUser) (ConstructionResult, error) {
+// splits the space further. It returns the interaction statistics, or
+// the first error an answer's hierarchy expansion returns.
+func RunConstruction(ctx context.Context, s *Session, u *SimulatedUser) (ConstructionResult, error) {
 	var res ConstructionResult
 	intendedKey := u.Intended.Key()
 	for !s.Done() {
@@ -88,10 +90,14 @@ func RunConstruction(s *Session, u *SimulatedUser) (ConstructionResult, error) {
 		if !ok {
 			break
 		}
+		var err error
 		if u.Evaluate(opt) {
-			s.Accept(opt)
+			err = s.AcceptContext(ctx, opt)
 		} else {
-			s.Reject(opt)
+			err = s.RejectContext(ctx, opt)
+		}
+		if err != nil {
+			return res, err
 		}
 	}
 	res.Steps = s.Steps()

@@ -68,8 +68,9 @@ type Config struct {
 
 // Diversify re-ranks the probability-ranked interpretation list into the
 // top-K relevant-and-diverse list per Algorithm 4.1. The input must be
-// sorted by descending probability (as produced by prob.Model.Rank); the
-// first output element is always the most relevant interpretation.
+// sorted by descending probability (as produced by
+// prob.Model.RankContext); the first output element is always the most
+// relevant interpretation.
 //
 // Per Section 4.4.4, relevance and similarity are normalised to equal
 // means before λ-weighting.
@@ -177,49 +178,15 @@ func ResultNuggets(db *relstore.Database, q *query.Interpretation, limit int) ([
 	return out, nil
 }
 
-// HasResults reports whether the interpretation returns at least one
-// result; DivQ assigns zero probability to empty interpretations
-// (Section 4.4.2).
-func HasResults(db *relstore.Database, q *query.Interpretation) (bool, error) {
-	plan, err := q.JoinPlan()
-	if err != nil {
-		return false, err
-	}
-	n, err := db.Count(plan, 1)
-	if err != nil {
-		return false, err
-	}
-	return n > 0, nil
-}
-
-// FilterNonEmpty keeps the interpretations with non-empty results,
-// preserving order. It is the context-free convenience form of
-// FilterNonEmptyContext.
-func FilterNonEmpty(db *relstore.Database, ranked []prob.Scored) ([]prob.Scored, error) {
-	return FilterNonEmptyContext(context.Background(), db, ranked)
-}
-
-// FilterNonEmptyContext is FilterNonEmpty with cancellation: each
-// interpretation requires one probe join, so the context is checked
-// before every probe and an abandoned request stops executing. The
-// probes of one call share a selection cache — the interpretations of a
-// query mostly recombine the same (table, column, keyword-bag)
-// selections, so each is evaluated once per request.
-func FilterNonEmptyContext(ctx context.Context, db *relstore.Database, ranked []prob.Scored) ([]prob.Scored, error) {
-	return FilterNonEmptyCached(ctx, db, ranked, relstore.NewSelectionCache())
-}
-
-// FilterNonEmptyCached is FilterNonEmptyContext with a caller-supplied
-// selection cache; nil disables caching (the executor then evaluates
-// every probe's selections directly).
-func FilterNonEmptyCached(ctx context.Context, db *relstore.Database, ranked []prob.Scored, cache *relstore.SelectionCache) ([]prob.Scored, error) {
-	return FilterNonEmptyExec(ctx, &relstore.LocalExecutor{DB: db, Cache: cache}, ranked)
-}
-
-// FilterNonEmptyExec is the executor-generic form of the non-empty
-// filter: emptiness probes go through any relstore.PlanExecutor, which
-// counts exactly as Database.Count does, so the surviving interpretation
-// list is identical whatever executor runs them.
+// FilterNonEmptyExec keeps the interpretations with non-empty results,
+// preserving order; DivQ assigns zero probability to empty
+// interpretations (Section 4.4.2). Emptiness probes go through any
+// relstore.PlanExecutor, which counts exactly as Database.Count does, so
+// the surviving interpretation list is identical whatever executor runs
+// them. The context is checked before every probe, so an abandoned
+// request stops executing. Give the executor a SelectionCache: the
+// interpretations of a query mostly recombine the same (table, column,
+// keyword-bag) selections, so each is then evaluated once per call.
 func FilterNonEmptyExec(ctx context.Context, exec relstore.PlanExecutor, ranked []prob.Scored) ([]prob.Scored, error) {
 	var out []prob.Scored
 	for _, s := range ranked {

@@ -1,6 +1,7 @@
 package divq
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -83,16 +84,42 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{db: db, ix: ix, cat: cat, model: model}
 }
 
-func (f *fixture) ranked(t *testing.T, keywords ...string) []prob.Scored {
+// rankedAll is the ranked interpretation space of a keyword query,
+// empty interpretations included.
+func (f *fixture) rankedAll(t *testing.T, keywords ...string) []prob.Scored {
 	t.Helper()
-	c := query.GenerateCandidates(f.ix, keywords, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	ranked := f.model.Rank(space)
-	nonEmpty, err := FilterNonEmpty(f.db, ranked)
+	ctx := context.Background()
+	c, err := query.GenerateCandidatesContext(ctx, f.ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := query.GenerateCompleteContext(ctx, c, f.cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := f.model.RankContext(ctx, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranked
+}
+
+// filter runs FilterNonEmptyExec on the fixture database, with a
+// per-call selection cache as the serving path uses it.
+func (f *fixture) filter(t *testing.T, ranked []prob.Scored) []prob.Scored {
+	t.Helper()
+	exec := &relstore.LocalExecutor{DB: f.db, Cache: relstore.NewSelectionCache()}
+	nonEmpty, err := FilterNonEmptyExec(context.Background(), exec, ranked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return nonEmpty
+}
+
+// ranked is the non-empty ranked interpretation list of a keyword query.
+func (f *fixture) ranked(t *testing.T, keywords ...string) []prob.Scored {
+	t.Helper()
+	return f.filter(t, f.rankedAll(t, keywords...))
 }
 
 func TestSimilarity(t *testing.T) {
@@ -264,26 +291,36 @@ func TestResultNuggets(t *testing.T) {
 
 func TestFilterNonEmpty(t *testing.T) {
 	f := newFixture(t)
-	c := query.GenerateCandidates(f.ix, []string{"christopher", "terminal"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	ranked := f.model.Rank(space)
-	nonEmpty, err := FilterNonEmpty(f.db, ranked)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranked := f.rankedAll(t, "christopher", "terminal")
+	nonEmpty := f.filter(t, ranked)
 	// "christopher terminal" joins are empty (Guest is not in Terminal),
 	// so the filter must remove some interpretations.
 	if len(nonEmpty) >= len(ranked) {
 		t.Fatalf("filter removed nothing: %d vs %d", len(nonEmpty), len(ranked))
 	}
-	for _, s := range nonEmpty {
-		ok, err := HasResults(f.db, s.Q)
+	// Uncached Database.Count is the oracle: the filter keeps, in rank
+	// order, exactly the interpretations with at least one result, so
+	// every survivor counts 1 and every dropped one counts 0.
+	kept := 0
+	for _, s := range ranked {
+		plan, err := s.Q.JoinPlan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatal("empty interpretation survived the filter")
+		n, err := f.db.Count(plan, 1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		survived := kept < len(nonEmpty) && nonEmpty[kept].Q == s.Q
+		if survived {
+			kept++
+		}
+		if survived != (n > 0) {
+			t.Fatalf("%v: count %d, kept by the filter: %v", s.Q, n, survived)
+		}
+	}
+	if kept != len(nonEmpty) {
+		t.Fatalf("filter output is not an in-order subsequence of its input: matched %d of %d", kept, len(nonEmpty))
 	}
 }
 

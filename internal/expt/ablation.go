@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,13 +36,13 @@ func AblationOptionPolicy(env *Env, intents []datagen.Intent) (*Table, error) {
 			if !ok {
 				continue
 			}
-			sess, err := core.NewSession(model, c, core.SessionConfig{
+			sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{
 				StopAtRemaining: 5, OptionPolicy: p.policy,
 			})
 			if err != nil {
 				continue
 			}
-			run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+			run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 			if err != nil {
 				continue
 			}
@@ -70,11 +71,11 @@ func AblationSmoothing(env *Env, intents []datagen.Intent, alphas []float64) (*T
 			if !ok {
 				continue
 			}
-			sess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 5})
+			sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 5})
 			if err != nil {
 				continue
 			}
-			run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+			run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 			if err != nil {
 				continue
 			}
@@ -103,13 +104,13 @@ func AblationThreshold(env *Env, intents []datagen.Intent, thresholds []int) (*T
 			if !ok {
 				continue
 			}
-			sess, err := core.NewSession(model, c, core.SessionConfig{
+			sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{
 				Threshold: th, StopAtRemaining: 5,
 			})
 			if err != nil {
 				continue
 			}
-			run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+			run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 			if err != nil {
 				continue
 			}
@@ -154,7 +155,10 @@ func AblationDataVsSchema(env *Env, intents []datagen.Intent) (*Table, error) {
 		start = time.Now()
 		c := env.Candidates(in.Keywords)
 		space := env.Space(c, 0)
-		ranked := model.Rank(space)
+		ranked, err := model.RankContext(context.Background(), space)
+		if err != nil {
+			return nil, err
+		}
 		found := 0
 		if len(ranked) > 0 {
 			plan, err := ranked[0].Q.JoinPlan()

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -24,13 +25,16 @@ func (u *UniformScorer) KeywordProb(query.KeywordInterpretation) float64 { retur
 // Catalog returns the template catalogue.
 func (u *UniformScorer) Catalog() *query.Catalog { return u.Cat }
 
-// Rank assigns equal probability to every interpretation.
-func (u *UniformScorer) Rank(space []*query.Interpretation) []prob.Scored {
+// RankContext assigns equal probability to every interpretation.
+func (u *UniformScorer) RankContext(ctx context.Context, space []*query.Interpretation) ([]prob.Scored, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]prob.Scored, len(space))
 	for i, q := range space {
 		out[i] = prob.Scored{Q: q, Score: 1, Prob: 1 / float64(len(space))}
 	}
-	return out
+	return out, nil
 }
 
 // Fig35Result carries the per-query interaction costs of Figure 3.5 for
@@ -72,12 +76,12 @@ func Fig3_5(env *Env, intents []datagen.Intent, logSkew float64, seed int64) (*F
 		usable := true
 		var costs []int
 		for _, scorer := range scorers {
-			sess, err := core.NewSession(scorer, c, core.SessionConfig{StopAtRemaining: 5})
+			sess, err := core.NewSessionContext(context.Background(), scorer, c, core.SessionConfig{StopAtRemaining: 5})
 			if err != nil {
 				usable = false
 				break
 			}
-			run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+			run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 			if err != nil {
 				usable = false
 				break
@@ -126,16 +130,20 @@ func Fig3_6(env *Env, intents []datagen.Intent) (*Fig36Result, error) {
 		if !ok {
 			continue
 		}
-		iqpRank := ranking.ProbRankOf(model.Rank(space), intended.Key())
+		ranked, err := model.RankContext(context.Background(), space)
+		if err != nil {
+			return nil, err
+		}
+		iqpRank := ranking.ProbRankOf(ranked, intended.Key())
 		sqakRank := ranking.RankOf(sqak.Rank(space), intended.Key())
 		if iqpRank == 0 || sqakRank == 0 {
 			continue
 		}
-		sess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 5})
+		sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 5})
 		if err != nil {
 			continue
 		}
-		run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+		run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 		if err != nil {
 			continue
 		}
@@ -185,15 +193,19 @@ func Fig3_7(env *Env, intents []datagen.Intent) ([]Fig37Row, *Table, error) {
 		if !ok {
 			continue
 		}
-		rank := ranking.ProbRankOf(model.Rank(space), intended.Key())
+		ranked, err := model.RankContext(context.Background(), space)
+		if err != nil {
+			return nil, nil, err
+		}
+		rank := ranking.ProbRankOf(ranked, intended.Key())
 		if rank == 0 {
 			continue
 		}
-		sess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 5})
+		sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 5})
 		if err != nil {
 			continue
 		}
-		run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+		run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 		if err != nil {
 			continue
 		}
@@ -266,7 +278,7 @@ func Table3_2(sizes []int, thresholds []int, keywords, reps int, seed int64) ([]
 			var t time.Duration
 			ok := 0
 			for r := 0; r < reps; r++ {
-				res, err := core.RunSimulation(core.SimConfig{
+				res, err := core.RunSimulation(context.Background(), core.SimConfig{
 					Tables: n, Keywords: keywords, Threshold: th,
 					Seed: seed + int64(r) + int64(n*1000),
 				})
@@ -314,7 +326,7 @@ func Table3_3(keywordCounts []int, thresholds []int, tables, reps int, seed int6
 			var t time.Duration
 			ok := 0
 			for r := 0; r < reps; r++ {
-				res, err := core.RunSimulation(core.SimConfig{
+				res, err := core.RunSimulation(context.Background(), core.SimConfig{
 					Tables: tables, Keywords: k, Threshold: th,
 					Seed: seed + int64(r) + int64(k*1000),
 				})
@@ -438,15 +450,19 @@ func Table3_1(env *Env, intents []datagen.Intent, tasks int) ([]Table31Row, *Tab
 		if !ok {
 			continue
 		}
-		rank := ranking.ProbRankOf(model.Rank(space), intended.Key())
+		ranked, err := model.RankContext(context.Background(), space)
+		if err != nil {
+			return nil, nil, err
+		}
+		rank := ranking.ProbRankOf(ranked, intended.Key())
 		if rank == 0 {
 			continue
 		}
-		sess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 5})
+		sess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 5})
 		if err != nil {
 			continue
 		}
-		run, err := core.RunConstruction(sess, core.NewSimulatedUser(intended))
+		run, err := core.RunConstruction(context.Background(), sess, core.NewSimulatedUser(intended))
 		if err != nil {
 			continue
 		}

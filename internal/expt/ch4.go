@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/divq"
 	"repro/internal/metrics"
 	"repro/internal/prob"
+	"repro/internal/relstore"
 )
 
 // divqModel is the Chapter 4 configuration: co-occurrence-aware relevance
@@ -21,11 +23,14 @@ func divqModel(env *Env) *prob.Model {
 func rankedFor(env *Env, model *prob.Model, in datagen.Intent, cap int) ([]prob.Scored, error) {
 	c := env.Candidates(in.Keywords)
 	space := env.Space(c, 0)
-	ranked := model.Rank(space)
+	ranked, err := model.RankContext(context.Background(), space)
+	if err != nil {
+		return nil, err
+	}
 	if cap > 0 && len(ranked) > cap {
 		ranked = ranked[:cap]
 	}
-	return divq.FilterNonEmpty(env.DB, ranked)
+	return divq.FilterNonEmptyExec(context.Background(), &relstore.LocalExecutor{DB: env.DB, Cache: relstore.NewSelectionCache()}, ranked)
 }
 
 // Table4_1 prints the worked example of Table 4.1: the top-3 relevance

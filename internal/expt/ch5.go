@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -154,7 +155,7 @@ func Table5_1(env *FreebaseEnv, in FreebaseIntent) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("expt: intent %v unresolvable", in.Keywords)
 	}
-	sess, err := freeq.NewSession(model, c, env.Onto, freeq.Config{StopAtRemaining: 1})
+	sess, err := freeq.NewSessionContext(context.Background(), model, c, env.Onto, freeq.Config{StopAtRemaining: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +173,12 @@ func Table5_1(env *FreebaseEnv, in FreebaseIntent) (*Table, error) {
 		answer := "reject"
 		if acceptsOption(intended, o) {
 			answer = "accept"
-			sess.Accept(o)
+			err = sess.AcceptContext(context.Background(), o)
 		} else {
-			sess.Reject(o)
+			err = sess.RejectContext(context.Background(), o)
+		}
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(step, o.Describe(), answer, sess.SpaceSize())
 	}
@@ -309,25 +313,25 @@ func Fig5_2(domainCounts []int, tablesPerDomain, queriesPer int, seed int64) ([]
 			if !ok {
 				continue
 			}
-			fsess, err := freeq.NewSession(model, c, env.Onto, freeq.Config{StopAtRemaining: 1})
+			fsess, err := freeq.NewSessionContext(context.Background(), model, c, env.Onto, freeq.Config{StopAtRemaining: 1})
 			if err != nil {
 				continue
 			}
 			if o, ok := fsess.NextOption(); ok {
 				effO = append(effO, optionEfficiency(model, c, o))
 			}
-			fres, err := freeq.RunConstruction(fsess, intended)
+			fres, err := freeq.RunConstruction(context.Background(), fsess, intended)
 			if err != nil {
 				continue
 			}
-			isess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 1})
+			isess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 1})
 			if err != nil {
 				continue
 			}
 			if opt, ok := isess.NextOption(); ok {
 				effA = append(effA, singleOptionEfficiency(model, c, opt))
 			}
-			ires, err := core.RunConstruction(isess, core.NewSimulatedUser(intended))
+			ires, err := core.RunConstruction(context.Background(), isess, core.NewSimulatedUser(intended))
 			if err != nil {
 				continue
 			}
@@ -426,19 +430,19 @@ func Fig5_4_5(env *FreebaseEnv, intents []FreebaseIntent) ([]Fig54Row, []Fig55Ro
 		if !ok {
 			continue
 		}
-		fsess, err := freeq.NewSession(model, c, env.Onto, freeq.Config{StopAtRemaining: 5})
+		fsess, err := freeq.NewSessionContext(context.Background(), model, c, env.Onto, freeq.Config{StopAtRemaining: 5})
 		if err != nil {
 			continue
 		}
-		fres, err := freeq.RunConstruction(fsess, intended)
+		fres, err := freeq.RunConstruction(context.Background(), fsess, intended)
 		if err != nil {
 			continue
 		}
-		isess, err := core.NewSession(model, c, core.SessionConfig{StopAtRemaining: 5})
+		isess, err := core.NewSessionContext(context.Background(), model, c, core.SessionConfig{StopAtRemaining: 5})
 		if err != nil {
 			continue
 		}
-		ires, err := core.RunConstruction(isess, core.NewSimulatedUser(intended))
+		ires, err := core.RunConstruction(context.Background(), isess, core.NewSimulatedUser(intended))
 		if err != nil {
 			continue
 		}
@@ -500,11 +504,11 @@ func AblationOntologyFanout(env *FreebaseEnv, intents []FreebaseIntent, branches
 			if !ok {
 				continue
 			}
-			sess, err := freeq.NewSession(model, c, o, freeq.Config{StopAtRemaining: 5})
+			sess, err := freeq.NewSessionContext(context.Background(), model, c, o, freeq.Config{StopAtRemaining: 5})
 			if err != nil {
 				continue
 			}
-			res, err := freeq.RunConstruction(sess, intended)
+			res, err := freeq.RunConstruction(context.Background(), sess, intended)
 			if err != nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -80,13 +81,17 @@ func (e *Env) Model(cfg prob.Config) *prob.Model {
 }
 
 // Candidates generates keyword candidates against the environment.
+// Experiments run uncancelled, and a context error is the only error
+// generation returns, so it is dropped here and in Space.
 func (e *Env) Candidates(keywords []string) *query.Candidates {
-	return query.GenerateCandidates(e.IX, keywords, query.GenerateOptionsConfig{})
+	c, _ := query.GenerateCandidatesContext(context.Background(), e.IX, keywords, query.GenerateOptionsConfig{})
+	return c
 }
 
 // Space materialises the complete interpretation space of a query.
 func (e *Env) Space(c *query.Candidates, cap int) []*query.Interpretation {
-	return query.GenerateComplete(c, e.Cat, query.GenerateConfig{MaxInterpretations: cap})
+	space, _ := query.GenerateCompleteContext(context.Background(), c, e.Cat, query.GenerateConfig{MaxInterpretations: cap})
+	return space
 }
 
 // ResolveIntent finds the complete interpretation matching the intent's

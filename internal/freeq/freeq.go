@@ -157,15 +157,10 @@ type Session struct {
 	subtreeTables map[int]map[string]bool
 }
 
-// NewSession starts a FreeQ session. The ontology must have database
-// tables mapped to its classes (MapTables / the YAGO+F structure). It is
-// the context-free convenience form of NewSessionContext.
-func NewSession(scorer core.Scorer, cands *query.Candidates, onto *ontology.Ontology, cfg Config) (*Session, error) {
-	return NewSessionContext(context.Background(), scorer, cands, onto, cfg)
-}
-
-// NewSessionContext is NewSession with cancellation of the initial
-// pruning/materialisation work.
+// NewSessionContext starts a FreeQ session. The ontology must have
+// database tables mapped to its classes (MapTables / the YAGO+F
+// structure). The initial pruning/materialisation work honours the
+// context.
 func NewSessionContext(ctx context.Context, scorer core.Scorer, cands *query.Candidates, onto *ontology.Ontology, cfg Config) (*Session, error) {
 	cfg.defaults()
 	matched := cands.MatchedPositions()
@@ -463,15 +458,9 @@ func (s *Session) stateOf(pos int) *keywordState {
 	return nil
 }
 
-// Accept narrows the keyword to the option's coverage; for class options
-// the ontology frontier descends into the class's children. It is the
-// context-free convenience form of AcceptContext.
-func (s *Session) Accept(o Option) {
-	_ = s.AcceptContext(context.Background(), o)
-}
-
-// AcceptContext is Accept with cancellation of the materialisation the
-// decision may trigger.
+// AcceptContext narrows the keyword to the option's coverage; for class
+// options the ontology frontier descends into the class's children. The
+// materialisation the decision may trigger honours the context.
 func (s *Session) AcceptContext(ctx context.Context, o Option) error {
 	s.steps++
 	st := s.stateOf(o.Pos)
@@ -497,15 +486,9 @@ func (s *Session) AcceptContext(ctx context.Context, o Option) error {
 	return s.maybeMaterialize(ctx)
 }
 
-// Reject removes the option's coverage; for class options the whole
-// subtree is pruned from the frontier. It is the context-free convenience
-// form of RejectContext.
-func (s *Session) Reject(o Option) {
-	_ = s.RejectContext(context.Background(), o)
-}
-
-// RejectContext is Reject with cancellation of the materialisation the
-// decision may trigger.
+// RejectContext removes the option's coverage; for class options the
+// whole subtree is pruned from the frontier. The materialisation the
+// decision may trigger honours the context.
 func (s *Session) RejectContext(ctx context.Context, o Option) error {
 	s.steps++
 	st := s.stateOf(o.Pos)
@@ -604,18 +587,23 @@ type Result struct {
 
 // RunConstruction drives the session against the intent oracle: the user
 // accepts an option iff it covers the intended interpretation's binding
-// for the option's keyword.
-func RunConstruction(s *Session, intended *query.Interpretation) (Result, error) {
+// for the option's keyword. It returns the first error an answer's
+// materialisation returns.
+func RunConstruction(ctx context.Context, s *Session, intended *query.Interpretation) (Result, error) {
 	var res Result
 	for !s.Done() {
 		o, ok := s.NextOption()
 		if !ok {
 			break
 		}
+		var err error
 		if accepts(intended, o) {
-			s.Accept(o)
+			err = s.AcceptContext(ctx, o)
 		} else {
-			s.Reject(o)
+			err = s.RejectContext(ctx, o)
+		}
+		if err != nil {
+			return res, err
 		}
 	}
 	res.Steps = s.Steps()

@@ -1,6 +1,7 @@
 package freeq
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schemagraph"
 )
+
+var bg = context.Background()
 
 type fixture struct {
 	fd    *datagen.FreebaseData
@@ -76,12 +79,31 @@ func wideKeyword(t *testing.T, f *fixture, minTables int) string {
 	return best
 }
 
+func (f *fixture) candidates(t *testing.T, keywords ...string) *query.Candidates {
+	t.Helper()
+	c, err := query.GenerateCandidatesContext(bg, f.ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// space materialises the complete interpretation space of c.
+func (f *fixture) space(t *testing.T, c *query.Candidates) []*query.Interpretation {
+	t.Helper()
+	space, err := query.GenerateCompleteContext(bg, c, f.cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
 // intentFor resolves the interpretation binding the keyword to the given
 // table's name attribute.
 func intentFor(t *testing.T, f *fixture, keyword, table string) *query.Interpretation {
 	t.Helper()
-	c := query.GenerateCandidates(f.ix, []string{keyword}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	c := f.candidates(t, keyword)
+	space := f.space(t, c)
 	for _, q := range space {
 		if len(q.Bindings) == 1 && q.Bindings[0].KI.Attr.Table == table &&
 			q.Bindings[0].KI.Attr.Column == "name" && q.Template.Size() == 1 {
@@ -109,8 +131,8 @@ func TestEfficiency(t *testing.T) {
 
 func TestNewSessionRequiresMatches(t *testing.T) {
 	f := newFixture(t, 3, 5)
-	c := query.GenerateCandidates(f.ix, []string{"zzzz"}, query.GenerateOptionsConfig{})
-	if _, err := NewSession(f.model, c, f.onto, Config{}); err == nil {
+	c := f.candidates(t, "zzzz")
+	if _, err := NewSessionContext(bg, f.model, c, f.onto, Config{}); err == nil {
 		t.Fatal("unmatched query accepted")
 	}
 }
@@ -118,8 +140,8 @@ func TestNewSessionRequiresMatches(t *testing.T) {
 func TestClassOptionsProposedOnWideSchema(t *testing.T) {
 	f := newFixture(t, 6, 12)
 	kw := wideKeyword(t, f, 10)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, f.onto, Config{MaterializeAt: 4})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{MaterializeAt: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +172,12 @@ func TestRunConstructionIsolatesIntent(t *testing.T) {
 		t.Skip("no mapped table contains the keyword")
 	}
 	intended := intentFor(t, f, kw, table)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, f.onto, Config{StopAtRemaining: 1, MaterializeAt: 8})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{StopAtRemaining: 1, MaterializeAt: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConstruction(sess, intended)
+	res, err := RunConstruction(bg, sess, intended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +192,8 @@ func TestRunConstructionIsolatesIntent(t *testing.T) {
 func TestAcceptDescendsRejectPrunes(t *testing.T) {
 	f := newFixture(t, 6, 12)
 	kw := wideKeyword(t, f, 10)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, f.onto, Config{MaterializeAt: 2})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{MaterializeAt: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +202,9 @@ func TestAcceptDescendsRejectPrunes(t *testing.T) {
 	if !ok || o.Class < 0 {
 		t.Skip("no class option available")
 	}
-	sess.Reject(o)
+	if err := sess.RejectContext(bg, o); err != nil {
+		t.Fatal(err)
+	}
 	afterReject := sess.SpaceSize()
 	if afterReject >= before {
 		t.Fatalf("reject did not shrink the space: %d -> %d", before, afterReject)
@@ -195,7 +219,9 @@ func TestAcceptDescendsRejectPrunes(t *testing.T) {
 		if o2.Class == o.Class {
 			t.Fatal("rejected class offered again")
 		}
-		sess.Reject(o2)
+		if err := sess.RejectContext(bg, o2); err != nil {
+			t.Fatal(err)
+		}
 		if sess.SpaceSize() <= 1 {
 			break
 		}
@@ -206,8 +232,8 @@ func TestAcceptDescendsRejectPrunes(t *testing.T) {
 func TestAcceptNarrowsToSubtree(t *testing.T) {
 	f := newFixture(t, 6, 12)
 	kw := wideKeyword(t, f, 10)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, f.onto, Config{MaterializeAt: 2})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{MaterializeAt: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +242,9 @@ func TestAcceptNarrowsToSubtree(t *testing.T) {
 		t.Skip("no class option available")
 	}
 	before := sess.SpaceSize()
-	sess.Accept(o)
+	if err := sess.AcceptContext(bg, o); err != nil {
+		t.Fatal(err)
+	}
 	if sess.SpaceSize() > before {
 		t.Fatal("accept enlarged the space")
 	}
@@ -242,22 +270,22 @@ func TestFreeQBeatsAttributeLevelIQP(t *testing.T) {
 		t.Skip("no mapped table contains the keyword")
 	}
 	intended := intentFor(t, f, kw, table)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
+	c := f.candidates(t, kw)
 
-	fsess, err := NewSession(f.model, c, f.onto, Config{StopAtRemaining: 1, MaterializeAt: 8})
+	fsess, err := NewSessionContext(bg, f.model, c, f.onto, Config{StopAtRemaining: 1, MaterializeAt: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := RunConstruction(fsess, intended)
+	fres, err := RunConstruction(bg, fsess, intended)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	isess, err := core.NewSession(f.model, c, core.SessionConfig{StopAtRemaining: 1})
+	isess, err := core.NewSessionContext(bg, f.model, c, core.SessionConfig{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ires, err := core.RunConstruction(isess, core.NewSimulatedUser(intended))
+	ires, err := core.RunConstruction(bg, isess, core.NewSimulatedUser(intended))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +298,8 @@ func TestFreeQBeatsAttributeLevelIQP(t *testing.T) {
 func TestSubsumesInterpretation(t *testing.T) {
 	f := newFixture(t, 3, 5)
 	kw := wideKeyword(t, f, 3)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	c := f.candidates(t, kw)
+	space := f.space(t, c)
 	if len(space) == 0 {
 		t.Fatal("empty space")
 	}
@@ -324,8 +352,8 @@ func TestInteractionEntropy(t *testing.T) {
 func TestStepTimeAccumulates(t *testing.T) {
 	f := newFixture(t, 4, 8)
 	kw := wideKeyword(t, f, 5)
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, f.onto, Config{MaterializeAt: 4})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{MaterializeAt: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +362,9 @@ func TestStepTimeAccumulates(t *testing.T) {
 		if !ok {
 			break
 		}
-		sess.Reject(o)
+		if err := sess.RejectContext(bg, o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if sess.Steps() == 0 {
 		t.Fatal("no steps recorded")
@@ -351,8 +381,8 @@ func TestUnmappedOntologyFallsBackToAttributes(t *testing.T) {
 	f := newFixture(t, 4, 8)
 	kw := wideKeyword(t, f, 5)
 	empty := ontology.New("root")
-	c := query.GenerateCandidates(f.ix, []string{kw}, query.GenerateOptionsConfig{})
-	sess, err := NewSession(f.model, c, empty, Config{StopAtRemaining: 1})
+	c := f.candidates(t, kw)
+	sess, err := NewSessionContext(bg, f.model, c, empty, Config{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +397,7 @@ func TestUnmappedOntologyFallsBackToAttributes(t *testing.T) {
 		t.Skip("no name table")
 	}
 	intended := intentFor(t, f, kw, table)
-	res, err := RunConstruction(sess, intended)
+	res, err := RunConstruction(bg, sess, intended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,9 +429,9 @@ func TestPruneKeepsJointlyFeasible(t *testing.T) {
 	if kw1 == "" {
 		t.Skip("no two-token name found")
 	}
-	c := query.GenerateCandidates(f.ix, []string{kw1, kw2}, query.GenerateOptionsConfig{})
+	c := f.candidates(t, kw1, kw2)
 	before := c.SpaceSize()
-	sess, err := NewSession(f.model, c, f.onto, Config{StopAtRemaining: 1})
+	sess, err := NewSessionContext(bg, f.model, c, f.onto, Config{StopAtRemaining: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

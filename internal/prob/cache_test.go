@@ -4,16 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/invindex"
-	"repro/internal/query"
 	"repro/internal/relstore"
 )
 
 // rankAll ranks the complete interpretation space of each query.
-func rankAll(f *fixture, ix *invindex.Index, m *Model, queries [][]string) [][]Scored {
+func rankAll(t *testing.T, f *fixture, ix *invindex.Index, m *Model, queries [][]string) [][]Scored {
 	out := make([][]Scored, len(queries))
 	for i, q := range queries {
-		c := query.GenerateCandidates(ix, q, query.GenerateOptionsConfig{})
-		out[i] = m.Rank(query.GenerateComplete(c, f.cat, query.GenerateConfig{}))
+		out[i] = rank(t, m, f.space(t, ix, q...))
 	}
 	return out
 }
@@ -36,7 +34,7 @@ func TestInheritCacheSharesCleanAttributes(t *testing.T) {
 	cfg := Config{UseCoOccurrence: true}
 	queries := [][]string{{"tom", "hanks"}, {"the", "terminal"}, {"hanks", "2004"}, {"actor", "big"}}
 	oldM := New(f.ix, f.cat, cfg)
-	rankAll(f, f.ix, oldM, queries) // warm every sub-cache
+	rankAll(t, f, f.ix, oldM, queries) // warm every sub-cache
 
 	ndb, changes, err := f.db.Apply([]relstore.Mutation{
 		{Op: relstore.OpInsert, Table: "actor", Values: []string{"a4", "Hanks Hanks Hanks"}},
@@ -68,7 +66,7 @@ func TestInheritCacheSharesCleanAttributes(t *testing.T) {
 	// The insert moved actor.name's statistics, so a wrongly inherited
 	// entry would show as a score difference here.
 	cold := New(nix, f.cat, Config{UseCoOccurrence: true, DisableScoreCache: true})
-	got, want := rankAll(f, nix, newM, queries), rankAll(f, nix, cold, queries)
+	got, want := rankAll(t, f, nix, newM, queries), rankAll(t, f, nix, cold, queries)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("query %v: %d interpretations, want %d", queries[i], len(got[i]), len(want[i]))
@@ -80,7 +78,7 @@ func TestInheritCacheSharesCleanAttributes(t *testing.T) {
 			}
 		}
 	}
-	stale := rankAll(f, f.ix, oldM, queries)
+	stale := rankAll(t, f, f.ix, oldM, queries)
 	same := true
 	for j := range want[0] {
 		same = same && j < len(stale[0]) && stale[0][j].Score == want[0][j].Score

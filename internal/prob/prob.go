@@ -234,22 +234,16 @@ type Scored struct {
 	Prob float64
 }
 
-// Rank scores and sorts interpretations by descending probability,
-// normalising scores into a distribution over the given space. Ties break
-// deterministically on the interpretation key. It is the context-free
-// convenience form of RankContext.
-func (m *Model) Rank(space []*query.Interpretation) []Scored {
-	out, _ := m.RankContext(context.Background(), space)
-	return out
-}
-
 // rankCheckEvery is the scoring-loop stride between context checks.
 const rankCheckEvery = 256
 
-// RankContext is Rank with cancellation: the context is checked on entry
-// and every rankCheckEvery scored interpretations, so ranking a large
-// interpretation space aborts early on a cancelled or expired request.
-// The normalising total is summed in input order.
+// RankContext scores and sorts interpretations by descending
+// probability, normalising scores into a distribution over the given
+// space. Ties break deterministically on the interpretation key. The
+// context is checked on entry and every rankCheckEvery scored
+// interpretations, so ranking a large interpretation space aborts early
+// on a cancelled or expired request. The normalising total is summed in
+// input order.
 func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,6 +65,31 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{db: db, ix: ix, cat: cat}
 }
 
+// space materialises the complete interpretation space of a keyword
+// query against ix, failing the test on error.
+func (f *fixture) space(t *testing.T, ix *invindex.Index, keywords ...string) []*query.Interpretation {
+	t.Helper()
+	c, err := query.GenerateCandidatesContext(context.Background(), ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := query.GenerateCompleteContext(context.Background(), c, f.cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
+// rank is RankContext under a live context, failing the test on error.
+func rank(t *testing.T, m *Model, space []*query.Interpretation) []Scored {
+	t.Helper()
+	ranked, err := m.RankContext(context.Background(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranked
+}
+
 func TestTemplatePriorUniform(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{})
@@ -121,9 +147,8 @@ func TestKeywordProb(t *testing.T) {
 func TestScoreOrdersTypicalInterpretations(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{})
-	c := query.GenerateCandidates(f.ix, []string{"hanks"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	ranked := m.Rank(space)
+	space := f.space(t, f.ix, "hanks")
+	ranked := rank(t, m, space)
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -147,8 +172,7 @@ func TestScoreOrdersTypicalInterpretations(t *testing.T) {
 func TestScorePartialUsesPu(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{})
-	c := query.GenerateCandidates(f.ix, []string{"hanks", "terminal"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	space := f.space(t, f.ix, "hanks", "terminal")
 	var complete, partialScore float64
 	for _, q := range space {
 		s := m.Score(q)
@@ -176,9 +200,8 @@ func TestScorePartialUsesPu(t *testing.T) {
 func TestCoOccurrenceBeatsSplit(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{UseCoOccurrence: true})
-	c := query.GenerateCandidates(f.ix, []string{"tom", "hanks"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	ranked := m.Rank(space)
+	space := f.space(t, f.ix, "tom", "hanks")
+	ranked := rank(t, m, space)
 	top := ranked[0].Q
 	// The top interpretation must bind both keywords to actor.name of the
 	// same occurrence (the "first + last name" effect of Equation 4.2).
@@ -271,15 +294,14 @@ func TestConfigDefaults(t *testing.T) {
 func TestRankDeterministicTieBreak(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{})
-	c := query.GenerateCandidates(f.ix, []string{"hanks", "terminal"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
-	r1 := m.Rank(space)
+	space := f.space(t, f.ix, "hanks", "terminal")
+	r1 := rank(t, m, space)
 	// Reverse input order; ranking must be identical.
 	rev := make([]*query.Interpretation, len(space))
 	for i, q := range space {
 		rev[len(space)-1-i] = q
 	}
-	r2 := m.Rank(rev)
+	r2 := rank(t, m, rev)
 	for i := range r1 {
 		if r1[i].Q.Key() != r2[i].Q.Key() {
 			t.Fatalf("ranking not deterministic at %d", i)

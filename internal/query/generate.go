@@ -42,17 +42,10 @@ var aggregateKeywords = map[string]string{
 	"number": "count", "count": "count", "many": "count", "total": "count",
 }
 
-// GenerateCandidates computes the candidate keyword interpretations of
-// every keyword against the index. It is the context-free convenience
-// form of GenerateCandidatesContext.
-func GenerateCandidates(ix *invindex.Index, keywords []string, cfg GenerateOptionsConfig) *Candidates {
-	c, _ := GenerateCandidatesContext(context.Background(), ix, keywords, cfg)
-	return c
-}
-
-// GenerateCandidatesContext is GenerateCandidates with cancellation: the
-// context is checked before each keyword's index lookups, so a cancelled
-// or expired request aborts candidate generation early.
+// GenerateCandidatesContext computes the candidate keyword
+// interpretations of every keyword against the index. The context is
+// checked before each keyword's index lookups, so a cancelled or expired
+// request aborts candidate generation early.
 func GenerateCandidatesContext(ctx context.Context, ix *invindex.Index, keywords []string, cfg GenerateOptionsConfig) (*Candidates, error) {
 	c := &Candidates{Keywords: normalizeKeywords(keywords)}
 	c.PerKeyword = make([][]KeywordInterpretation, len(c.Keywords))
@@ -197,24 +190,16 @@ type GenerateConfig struct {
 	Parallelism int
 }
 
-// GenerateComplete enumerates the complete query interpretations of the
-// keyword query over the template catalogue (the interpretation space of
-// Definition 3.5.5 restricted to matched keywords), applying the
-// minimality condition of Definition 3.5.4(2). It is the context-free
-// convenience form of GenerateCompleteContext.
-func GenerateComplete(c *Candidates, cat *Catalog, cfg GenerateConfig) []*Interpretation {
-	out, _ := GenerateCompleteContext(context.Background(), c, cat, cfg)
-	return out
-}
-
-// GenerateCompleteContext is GenerateComplete with cancellation: the
-// context is checked on entry, before each template and every
-// enumerateCheckEvery binding combinations within one, so an
-// interpretation-space materialisation over a large catalogue aborts as
-// soon as the request is cancelled or its deadline passes. Templates are
-// visited in catalogue order; a minimal interpretation is kept unless an
-// earlier one has the same key, and enumeration stops as soon as
-// MaxInterpretations are kept.
+// GenerateCompleteContext enumerates the complete query interpretations
+// of the keyword query over the template catalogue (the interpretation
+// space of Definition 3.5.5 restricted to matched keywords), applying the
+// minimality condition of Definition 3.5.4(2). The context is checked on
+// entry, before each template and every enumerateCheckEvery binding
+// combinations within one, so an interpretation-space materialisation
+// over a large catalogue aborts as soon as the request is cancelled or
+// its deadline passes. Templates are visited in catalogue order; a
+// minimal interpretation is kept unless an earlier one has the same key,
+// and enumeration stops as soon as MaxInterpretations are kept.
 func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) ([]*Interpretation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func wideCandidates(t *testing.T, f *fixture) *Candidates {
 // periodic check to fire.
 func TestGenerateCompleteObservesCancelBetweenTemplates(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "tom", "2001"}, GenerateOptionsConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "tom", "2001"}, GenerateOptionsConfig{})
 	out, err := GenerateCompleteContext(newCountdownCtx(1), c, f.cat, GenerateConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v with %d interpretations, want context.Canceled", err, len(out))

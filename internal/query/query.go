@@ -187,15 +187,6 @@ func (q *Interpretation) Aggregate() string {
 	return ""
 }
 
-// BoundPositions returns the set of keyword positions that are bound.
-func (q *Interpretation) BoundPositions() map[int]bool {
-	out := make(map[int]bool, len(q.Bindings))
-	for _, b := range q.Bindings {
-		out[b.KI.Pos] = true
-	}
-	return out
-}
-
 // Key returns a canonical identity for deduplication: template identity
 // (by canonical tree form) plus the bindings.
 func (q *Interpretation) Key() string {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,26 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schemagraph"
 )
+
+// candidates and complete call the generation stages under a live
+// context, failing the test on error.
+func candidates(t *testing.T, ix *invindex.Index, keywords []string, cfg GenerateOptionsConfig) *Candidates {
+	t.Helper()
+	c, err := GenerateCandidatesContext(context.Background(), ix, keywords, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func complete(t *testing.T, c *Candidates, cat *Catalog, cfg GenerateConfig) []*Interpretation {
+	t.Helper()
+	out, err := GenerateCompleteContext(context.Background(), c, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // fixture builds the small movie database used throughout the thesis's
 // examples, its index, schema graph and template catalogue.
@@ -66,7 +87,7 @@ func newFixture(t *testing.T) *fixture {
 
 func TestGenerateCandidates(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"Hanks", "2001"}, GenerateOptionsConfig{})
+	c := candidates(t, f.ix, []string{"Hanks", "2001"}, GenerateOptionsConfig{})
 	if len(c.PerKeyword) != 2 {
 		t.Fatalf("PerKeyword len = %d", len(c.PerKeyword))
 	}
@@ -93,7 +114,7 @@ func TestGenerateCandidates(t *testing.T) {
 
 func TestGenerateCandidatesSchemaTerms(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"actor", "hanks"}, GenerateOptionsConfig{IncludeSchemaTerms: true})
+	c := candidates(t, f.ix, []string{"actor", "hanks"}, GenerateOptionsConfig{IncludeSchemaTerms: true})
 	foundTable := false
 	for _, ki := range c.PerKeyword[0] {
 		if ki.Kind == KindTable && ki.Table == "actor" {
@@ -105,7 +126,7 @@ func TestGenerateCandidatesSchemaTerms(t *testing.T) {
 	}
 	// Without schema terms there is no interpretation for "actor" (it does
 	// not occur as a value).
-	c = GenerateCandidates(f.ix, []string{"actor"}, GenerateOptionsConfig{})
+	c = candidates(t, f.ix, []string{"actor"}, GenerateOptionsConfig{})
 	if len(c.PerKeyword[0]) != 0 || len(c.Unmatched) != 1 {
 		t.Fatalf("expected 'actor' unmatched without schema terms: %v", c.PerKeyword[0])
 	}
@@ -113,7 +134,7 @@ func TestGenerateCandidatesSchemaTerms(t *testing.T) {
 
 func TestGenerateCandidatesCapPrefersFrequent(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks"}, GenerateOptionsConfig{MaxPerKeyword: 1})
+	c := candidates(t, f.ix, []string{"hanks"}, GenerateOptionsConfig{MaxPerKeyword: 1})
 	if len(c.PerKeyword[0]) != 1 {
 		t.Fatalf("cap violated: %v", c.PerKeyword[0])
 	}
@@ -121,7 +142,7 @@ func TestGenerateCandidatesCapPrefersFrequent(t *testing.T) {
 
 func TestGenerateCandidatesUnmatched(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"zzzz", "hanks"}, GenerateOptionsConfig{})
+	c := candidates(t, f.ix, []string{"zzzz", "hanks"}, GenerateOptionsConfig{})
 	if len(c.Unmatched) != 1 || c.Unmatched[0] != 0 {
 		t.Fatalf("Unmatched = %v", c.Unmatched)
 	}
@@ -132,8 +153,8 @@ func TestGenerateCandidatesUnmatched(t *testing.T) {
 
 func TestGenerateComplete(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	if len(space) == 0 {
 		t.Fatal("empty interpretation space")
 	}
@@ -176,8 +197,8 @@ func TestGenerateComplete(t *testing.T) {
 
 func TestGenerateCompleteMinimality(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	for _, q := range space {
 		// Single keyword: every interpretation must be a single table; any
 		// join would have a free leaf.
@@ -192,8 +213,8 @@ func TestGenerateCompleteMinimality(t *testing.T) {
 
 func TestGenerateCompleteCap(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{MaxInterpretations: 2})
+	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{MaxInterpretations: 2})
 	if len(space) != 2 {
 		t.Fatalf("cap violated: %d", len(space))
 	}
@@ -201,8 +222,8 @@ func TestGenerateCompleteCap(t *testing.T) {
 
 func TestGenerateCompleteSkipsUnmatched(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "qqqq"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "qqqq"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	if len(space) == 0 {
 		t.Fatal("unmatched keyword should be excluded, not kill the space")
 	}
@@ -218,8 +239,8 @@ func TestGenerateCompleteSkipsUnmatched(t *testing.T) {
 
 func TestJoinPlanExecution(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "terminal"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "terminal"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	// Find actor:"hanks" ⋈ acts ⋈ movie:"terminal" and execute it.
 	for _, q := range space {
 		if q.Template.Size() != 3 {
@@ -255,8 +276,8 @@ func TestJoinPlanExecution(t *testing.T) {
 
 func TestJoinPlanGroupsCoOccurringKeywords(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"tom", "hanks"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"tom", "hanks"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	for _, q := range space {
 		if q.Template.Size() != 1 || q.Template.Tree.Tables[0] != "actor" {
 			continue
@@ -310,8 +331,8 @@ func TestJoinPlanErrors(t *testing.T) {
 
 func TestSubsumption(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	nameKI := KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue,
 		Attr: invindex.AttrRef{Table: "actor", Column: "name"}}
 	opt := NewOption(nameKI)
@@ -333,8 +354,8 @@ func TestSubsumption(t *testing.T) {
 
 func TestInterpretationSubsumes(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	for _, q := range space {
 		partial := NewInterpretation(q.Keywords, nil, q.Bindings[:1])
 		if !partial.Subsumes(q) {
@@ -348,8 +369,8 @@ func TestInterpretationSubsumes(t *testing.T) {
 
 func TestCollectOptions(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	opts := CollectOptions(space)
 	if len(opts) == 0 {
 		t.Fatal("no options collected")
@@ -443,7 +464,7 @@ func TestCatalogUsage(t *testing.T) {
 }
 
 func TestNormalizeKeywords(t *testing.T) {
-	c := GenerateCandidates(invindex.Build(relstore.NewDatabase("e")),
+	c := candidates(t, invindex.Build(relstore.NewDatabase("e")),
 		[]string{" Hanks ", "TERMINAL"}, GenerateOptionsConfig{})
 	if c.Keywords[0] != "hanks" || c.Keywords[1] != "terminal" {
 		t.Fatalf("Keywords = %v", c.Keywords)
@@ -452,8 +473,8 @@ func TestNormalizeKeywords(t *testing.T) {
 
 func TestFilterSegments(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"tom", "hanks"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"tom", "hanks"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	// No segments: identity.
 	if got := FilterSegments(space, nil); len(got) != len(space) {
 		t.Fatal("empty segments must not filter")
@@ -484,7 +505,7 @@ func TestFilterSegments(t *testing.T) {
 
 func TestAggregateInterpretations(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"number", "hanks"},
+	c := candidates(t, f.ix, []string{"number", "hanks"},
 		GenerateOptionsConfig{IncludeAggregates: true})
 	// "number" maps to the COUNT operator.
 	foundAgg := false
@@ -502,7 +523,7 @@ func TestAggregateInterpretations(t *testing.T) {
 	if !foundAgg {
 		t.Fatal("no aggregate candidate for 'number'")
 	}
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	foundAggInterp := false
 	for _, q := range space {
 		if q.Aggregate() == "count" {
@@ -515,7 +536,7 @@ func TestAggregateInterpretations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.db.Count(plan, 0); err != nil {
+			if _, err := f.db.Count(plan, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -525,9 +546,9 @@ func TestAggregateInterpretations(t *testing.T) {
 	}
 	// An aggregate alone (no grounded binding) must be rejected as
 	// non-minimal: query just "number".
-	cOnly := GenerateCandidates(f.ix, []string{"number"},
+	cOnly := candidates(t, f.ix, []string{"number"},
 		GenerateOptionsConfig{IncludeAggregates: true})
-	if got := GenerateComplete(cOnly, f.cat, GenerateConfig{}); len(got) != 0 {
+	if got := complete(t, cOnly, f.cat, GenerateConfig{}); len(got) != 0 {
 		t.Fatalf("aggregate-only interpretation accepted: %v", got)
 	}
 	if KindAggregate.String() != "aggregate" {
@@ -537,8 +558,8 @@ func TestAggregateInterpretations(t *testing.T) {
 
 func TestSQLRendering(t *testing.T) {
 	f := newFixture(t)
-	c := GenerateCandidates(f.ix, []string{"hanks", "terminal"}, GenerateOptionsConfig{})
-	space := GenerateComplete(c, f.cat, GenerateConfig{})
+	c := candidates(t, f.ix, []string{"hanks", "terminal"}, GenerateOptionsConfig{})
+	space := complete(t, c, f.cat, GenerateConfig{})
 	for _, q := range space {
 		sql, err := q.SQL()
 		if err != nil {
@@ -559,9 +580,9 @@ func TestSQLRendering(t *testing.T) {
 		}
 	}
 	// Aggregates render as COUNT.
-	ca := GenerateCandidates(f.ix, []string{"number", "hanks"},
+	ca := candidates(t, f.ix, []string{"number", "hanks"},
 		GenerateOptionsConfig{IncludeAggregates: true})
-	for _, q := range GenerateComplete(ca, f.cat, GenerateConfig{}) {
+	for _, q := range complete(t, ca, f.cat, GenerateConfig{}) {
 		if q.Aggregate() == "" {
 			continue
 		}

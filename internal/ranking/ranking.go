@@ -1,9 +1,9 @@
 // Package ranking provides the query-interpretation ranking functions
 // compared in Section 3.8.3:
 //
-//   - the IQP probability ranking (prob.Model.Rank, re-exported here with
-//     the interaction-cost accounting of a ranked-list query construction
-//     plan), and
+//   - the IQP probability ranking (prob.Model.RankContext, re-exported
+//     here with the interaction-cost accounting of a ranked-list query
+//     construction plan), and
 //   - the SQAK baseline, reconstructed from the thesis's description: a
 //     query interpretation is a graph whose score aggregates per-node and
 //     per-edge scores; keyword-free nodes and edges carry unit costs;

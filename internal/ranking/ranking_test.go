@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -68,10 +69,34 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{db: db, ix: ix, cat: cat}
 }
 
+// space materialises the complete interpretation space of a keyword
+// query, failing the test on error.
+func (f *fixture) space(t *testing.T, keywords ...string) []*query.Interpretation {
+	t.Helper()
+	c, err := query.GenerateCandidatesContext(context.Background(), f.ix, keywords, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := query.GenerateCompleteContext(context.Background(), c, f.cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
+// probRank ranks space with the IQP model, failing the test on error.
+func (f *fixture) probRank(t *testing.T, space []*query.Interpretation) []prob.Scored {
+	t.Helper()
+	ranked, err := prob.New(f.ix, f.cat, prob.Config{}).RankContext(context.Background(), space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranked
+}
+
 func garciaSpace(t *testing.T, f *fixture) []*query.Interpretation {
 	t.Helper()
-	c := query.GenerateCandidates(f.ix, []string{"garcia"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	space := f.space(t, "garcia")
 	if len(space) < 2 {
 		t.Fatalf("expected at least 2 garcia interpretations, got %d", len(space))
 	}
@@ -89,8 +114,7 @@ func TestGarciaContrast(t *testing.T) {
 	f := newFixture(t)
 	space := garciaSpace(t, f)
 
-	m := prob.New(f.ix, f.cat, prob.Config{})
-	iqp := m.Rank(space)
+	iqp := f.probRank(t, space)
 	if attrOf(iqp[0].Q) != "actor.name" {
 		t.Fatalf("IQP top = %s, want actor.name", attrOf(iqp[0].Q))
 	}
@@ -104,8 +128,7 @@ func TestGarciaContrast(t *testing.T) {
 
 func TestSQAKPrefersShorterJoins(t *testing.T) {
 	f := newFixture(t)
-	c := query.GenerateCandidates(f.ix, []string{"garcia", "terminal"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, f.cat, query.GenerateConfig{})
+	space := f.space(t, "garcia", "terminal")
 	sq := NewSQAK(f.ix)
 	// Among interpretations with identical bindings, cost must grow with
 	// tree size (Steiner-tree preference).
@@ -182,8 +205,7 @@ func TestRankOf(t *testing.T) {
 func TestProbRankOf(t *testing.T) {
 	f := newFixture(t)
 	space := garciaSpace(t, f)
-	m := prob.New(f.ix, f.cat, prob.Config{})
-	ranked := m.Rank(space)
+	ranked := f.probRank(t, space)
 	for i, r := range ranked {
 		if got := ProbRankOf(ranked, r.Q.Key()); got != i+1 {
 			t.Fatalf("ProbRankOf rank %d = %d", i+1, got)

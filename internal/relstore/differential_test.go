@@ -237,7 +237,7 @@ func TestDifferentialExecute(t *testing.T) {
 			if !sameJTTs(ref, cached) {
 				t.Fatalf("iter %d plan %d limit %d: scan=%v cached=%v", iter, p, limit, ref, cached)
 			}
-			n, err := db.CountCached(plan, limit, cache)
+			n, err := db.Count(plan, limit, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func TestCountNoJTTAllocations(t *testing.T) {
 		Edges: []JoinEdge{{From: 1, To: 0, FromColumn: "a_id", ToColumn: "id"}},
 	}
 	db.Prepare()
-	full, err := db.Count(plan, 0)
+	full, err := db.Count(plan, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +305,12 @@ func TestCountNoJTTAllocations(t *testing.T) {
 		t.Fatalf("Count = %d, want 500", full)
 	}
 	countAll := testing.AllocsPerRun(20, func() {
-		if _, err := db.Count(plan, 0); err != nil {
+		if _, err := db.Count(plan, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	countOne := testing.AllocsPerRun(20, func() {
-		if _, err := db.Count(plan, 1); err != nil {
+		if _, err := db.Count(plan, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

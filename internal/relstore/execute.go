@@ -129,13 +129,9 @@ func (db *Database) Execute(p *JoinPlan, opts ExecuteOptions) ([]JTT, error) {
 // (0 = unlimited). Unlike Execute it never materialises JTTs — the
 // enumeration only counts — so emptiness and cardinality probes (the
 // aggregate queries of Section 2.2.7 and DivQ's non-empty filter) run
-// allocation-free per result.
-func (db *Database) Count(p *JoinPlan, limit int) (int, error) {
-	return db.CountCached(p, limit, nil)
-}
-
-// CountCached is Count with a shared per-request selection cache.
-func (db *Database) CountCached(p *JoinPlan, limit int, cache *SelectionCache) (int, error) {
+// allocation-free per result. cache is the per-request selection cache,
+// as in ExecuteOptions; nil computes every selection directly.
+func (db *Database) Count(p *JoinPlan, limit int, cache *SelectionCache) (int, error) {
 	cp, err := db.Compile(p)
 	if err != nil {
 		return 0, err
@@ -174,5 +170,5 @@ func (l *LocalExecutor) ExecutePlan(p *JoinPlan, limit int) ([]JTT, error) {
 
 // CountPlan implements PlanExecutor.
 func (l *LocalExecutor) CountPlan(p *JoinPlan, limit int) (int, error) {
-	return l.DB.CountCached(p, limit, l.Cache)
+	return l.DB.Count(p, limit, l.Cache)
 }

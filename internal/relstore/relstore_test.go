@@ -257,7 +257,7 @@ func TestExecuteLimitAndCount(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("limit=1 returned %d results", len(res))
 	}
-	n, err := db.Count(plan, 0)
+	n, err := db.Count(plan, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,49 +119,13 @@ type Options struct {
 	// — and Stats — are identical at every setting (speculatively executed
 	// batches past the stopping point are discarded uncounted).
 	Parallelism int
-	// DisableExecutionCache turns off the per-request selection cache
-	// that is otherwise shared across every interpretation executed by
-	// one TopK / Naive call. The cache memoises (table, column,
-	// keyword-bag) selections — which recur across the candidate networks
-	// of one query — and is concurrency-safe for parallel waves; it is a
-	// pure memoisation over the immutable database, so it never changes
-	// results. Disable only to measure its effect.
-	DisableExecutionCache bool
-	// Shared, when non-nil, is the request's view of the engine-lifetime
-	// answer cache (keysearch's WithAnswerCache): the per-request
-	// selection cache consults it on misses and publishes fresh
-	// selections and whole-plan results back, so repeated hot queries
-	// skip execution entirely. Ignored when DisableExecutionCache is set
-	// (the per-request cache is the promotion path).
-	Shared relstore.SharedStore
-	// Exec, when non-nil, evaluates the interpretations' join plans
-	// instead of the default in-process executor — the seam the engine
-	// and the benchmark's tracing ledger plug a request-scoped executor
-	// into. The PlanExecutor contract requires the exact
+	// Exec evaluates the interpretations' join plans — the seam the
+	// engine and the benchmark's tracing ledger plug a request-scoped
+	// executor into. The PlanExecutor contract requires the exact
 	// Database.Execute result sequence, so top-k output stays
-	// byte-identical whatever executor sits behind this option. When
-	// set, DisableExecutionCache and Shared are ignored: caching policy
-	// belongs to the executor.
+	// byte-identical whatever executor sits behind this option. Nil means
+	// a LocalExecutor over db with a fresh per-request SelectionCache.
 	Exec relstore.PlanExecutor
-}
-
-// executor resolves the plan executor for one call: the injected one, or
-// a LocalExecutor wrapping db with the per-request cache policy the
-// options describe.
-func (o Options) executor(db *relstore.Database) relstore.PlanExecutor {
-	if o.Exec != nil {
-		return o.Exec
-	}
-	return &relstore.LocalExecutor{DB: db, Cache: o.executionCache()}
-}
-
-// executionCache returns the per-request selection cache, or nil when
-// disabled.
-func (o Options) executionCache() *relstore.SelectionCache {
-	if o.DisableExecutionCache {
-		return nil
-	}
-	return relstore.NewSelectionCacheShared(o.Shared)
 }
 
 // Stats reports how much work early stopping saved.
@@ -189,25 +153,20 @@ func (h *resultHeap) Pop() interface{} {
 	return x
 }
 
-// TopK retrieves the k best results over the ranked interpretation list.
-// ranked must be sorted by descending score (as produced by
-// prob.Model.Rank); the interpretation score is its upper bound. It is
-// the context-free convenience form of TopKContext.
-func TopK(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, Stats, error) {
-	return TopKContext(context.Background(), db, ranked, scorer, opts)
-}
-
-// TopKContext is TopK with cancellation and optional parallel plan
-// execution: the context is checked before every interpretation execution
-// (and between waves when parallel), and with opts.Parallelism > 1 the
-// next wave of candidate interpretations is executed concurrently while
-// their result batches are merged into the bounded heap strictly in rank
-// order. Merging applies the threshold check before every batch exactly
-// like the sequential loop, so the heap evolves identically and the
-// output is bit-identical at every parallelism setting. (Soundness of the
-// speculation: a batch discarded by the threshold can only hold results
-// with score ≤ its interpretation bound ≤ the current k-th best, and such
-// results never enter a full heap.)
+// TopKContext retrieves the k best results over the ranked
+// interpretation list. ranked must be sorted by descending score (as
+// produced by prob.Model.RankContext); the interpretation score is its
+// upper bound. The context is checked before every interpretation
+// execution (and between waves when parallel), and with
+// opts.Parallelism > 1 the next wave of candidate interpretations is
+// executed concurrently while their result batches are merged into the
+// bounded heap strictly in rank order. Merging applies the threshold
+// check before every batch exactly like the sequential loop, so the heap
+// evolves identically and the output is bit-identical at every
+// parallelism setting. (Soundness of the speculation: a batch discarded
+// by the threshold can only hold results with score ≤ its
+// interpretation bound ≤ the current k-th best, and such results never
+// enter a full heap.)
 func TopKContext(ctx context.Context, db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, Stats, error) {
 	var stats Stats
 	if opts.K <= 0 {
@@ -235,7 +194,10 @@ func TopKContext(ctx context.Context, db *relstore.Database, ranked []prob.Score
 	if wave < 1 {
 		wave = 1
 	}
-	exec := opts.executor(db)
+	exec := opts.Exec
+	if exec == nil {
+		exec = &relstore.LocalExecutor{DB: db, Cache: relstore.NewSelectionCache()}
+	}
 	batches := make([]batch, wave)
 outer:
 	for start := 0; start < len(ranked); start += wave {
@@ -362,8 +324,8 @@ func (m *heapMerger) add(results []Result) {
 }
 
 // Naive executes every interpretation, unions the results, and sorts —
-// the baseline strategy of Section 2.2.5 that TopK's early stopping
-// improves on. Used to verify TopK's output equivalence.
+// the baseline strategy of Section 2.2.5 that TopKContext's early
+// stopping improves on. Used to verify TopKContext's output equivalence.
 func Naive(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("topk: K must be positive")
@@ -371,7 +333,10 @@ func Naive(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Opti
 	if scorer == nil {
 		scorer = UnitScorer{}
 	}
-	exec := opts.executor(db)
+	exec := opts.Exec
+	if exec == nil {
+		exec = &relstore.LocalExecutor{DB: db, Cache: relstore.NewSelectionCache()}
+	}
 	var all []Result
 	for _, sc := range ranked {
 		plan, err := sc.Q.JoinPlan()

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schemagraph"
 )
+
+var bg = context.Background()
 
 type fixture struct {
 	db     *relstore.Database
@@ -64,9 +67,18 @@ func newFixture(t *testing.T) *fixture {
 	g := schemagraph.FromDatabase(db)
 	cat := query.BuildCatalog(g, schemagraph.EnumerateOptions{MaxNodes: 3})
 	model := prob.New(ix, cat, prob.Config{})
-	c := query.GenerateCandidates(ix, []string{"hanks"}, query.GenerateOptionsConfig{})
-	space := query.GenerateComplete(c, cat, query.GenerateConfig{})
-	ranked := model.Rank(space)
+	c, err := query.GenerateCandidatesContext(bg, ix, []string{"hanks"}, query.GenerateOptionsConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := query.GenerateCompleteContext(bg, c, cat, query.GenerateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := model.RankContext(bg, space)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ranked) < 3 {
 		t.Fatalf("fixture space too small: %d", len(ranked))
 	}
@@ -85,7 +97,7 @@ func TestTopKMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, seqStats, err := TopK(f.db, f.ranked, scorer, Options{K: k, Parallelism: 1})
+			seq, seqStats, err := TopKContext(bg, f.db, f.ranked, scorer, Options{K: k, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +111,7 @@ func TestTopKMatchesNaive(t *testing.T) {
 				}
 			}
 			for _, p := range []int{2, 8} {
-				got, stats, err := TopK(f.db, f.ranked, scorer, Options{K: k, Parallelism: p})
+				got, stats, err := TopKContext(bg, f.db, f.ranked, scorer, Options{K: k, Parallelism: p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +131,7 @@ func TestTopKMatchesNaive(t *testing.T) {
 
 func TestTopKSortedDescending(t *testing.T) {
 	f := newFixture(t)
-	got, _, err := TopK(f.db, f.ranked, &TFScorer{IX: f.ix}, Options{K: 10})
+	got, _, err := TopKContext(bg, f.db, f.ranked, &TFScorer{IX: f.ix}, Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestTopKSortedDescending(t *testing.T) {
 func TestTopKEarlyStops(t *testing.T) {
 	f := newFixture(t)
 	// With k=1 and a dominant first interpretation, later ones are pruned.
-	_, stats, err := TopK(f.db, f.ranked, UnitScorer{}, Options{K: 1})
+	_, stats, err := TopKContext(bg, f.db, f.ranked, UnitScorer{}, Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +162,14 @@ func TestTopKEarlyStops(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	f := newFixture(t)
-	if _, _, err := TopK(f.db, f.ranked, nil, Options{}); err == nil {
+	if _, _, err := TopKContext(bg, f.db, f.ranked, nil, Options{}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
 	if _, err := Naive(f.db, f.ranked, nil, Options{}); err == nil {
 		t.Fatal("Naive K=0 accepted")
 	}
 	// nil scorer defaults to UnitScorer.
-	got, _, err := TopK(f.db, f.ranked, nil, Options{K: 2})
+	got, _, err := TopKContext(bg, f.db, f.ranked, nil, Options{K: 2})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("nil scorer: %v", err)
 	}
@@ -178,7 +190,7 @@ func TestTFScorerPrefersDenserMatches(t *testing.T) {
 	if actorQ == nil {
 		t.Fatal("actor.name interpretation missing")
 	}
-	res, _, err := TopK(f.db, []prob.Scored{*actorQ}, &TFScorer{IX: f.ix}, Options{K: 2})
+	res, _, err := TopKContext(bg, f.db, []prob.Scored{*actorQ}, &TFScorer{IX: f.ix}, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +208,7 @@ func TestTFScorerPrefersDenserMatches(t *testing.T) {
 
 func TestPerInterpretationLimit(t *testing.T) {
 	f := newFixture(t)
-	_, stats, err := TopK(f.db, f.ranked, UnitScorer{}, Options{K: 100, PerInterpretationLimit: 1})
+	_, stats, err := TopKContext(bg, f.db, f.ranked, UnitScorer{}, Options{K: 100, PerInterpretationLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +237,7 @@ func TestTopKPropagatesPlanErrors(t *testing.T) {
 	f := newFixture(t)
 	// A template-less interpretation cannot produce a join plan.
 	broken := []prob.Scored{{Q: &query.Interpretation{Keywords: []string{"x"}}, Score: 1}}
-	if _, _, err := TopK(f.db, broken, UnitScorer{}, Options{K: 1}); err == nil {
+	if _, _, err := TopKContext(bg, f.db, broken, UnitScorer{}, Options{K: 1}); err == nil {
 		t.Fatal("plan error not propagated by TopK")
 	}
 	if _, err := Naive(f.db, broken, UnitScorer{}, Options{K: 1}); err == nil {
@@ -235,7 +247,7 @@ func TestTopKPropagatesPlanErrors(t *testing.T) {
 
 func TestTopKEmptyRankedList(t *testing.T) {
 	f := newFixture(t)
-	res, stats, err := TopK(f.db, nil, UnitScorer{}, Options{K: 3})
+	res, stats, err := TopKContext(bg, f.db, nil, UnitScorer{}, Options{K: 3})
 	if err != nil || len(res) != 0 || stats.Executed != 0 {
 		t.Fatalf("empty input: res=%v stats=%+v err=%v", res, stats, err)
 	}

@@ -102,8 +102,6 @@ type config struct {
 	durDir             string
 	checkpointInterval time.Duration
 	checkpointBatches  int
-	compactRatio       float64
-	walSyncOff         bool
 	rebuildIndexes     bool
 }
 
@@ -221,22 +219,6 @@ func WithCheckpointPolicy(interval time.Duration, batches int) Option {
 	}
 }
 
-// WithCompactionThreshold sets the tombstone-compaction trigger: at
-// checkpoint time, any table whose dead/live row ratio exceeds ratio is
-// rebuilt without tombstones (rebuild-and-swap), bounding the physical
-// row space — and with it the copy-on-write clone cost of every later
-// Apply — after heavy delete churn. Non-positive keeps the default 0.5.
-func WithCompactionThreshold(ratio float64) Option {
-	return func(c *config) { c.compactRatio = ratio }
-}
-
-// WithWALSync toggles fsync-per-batch on the write-ahead log (default
-// on). Disabling it trades the crash-durability of the latest batches
-// for mutation throughput — snapshots and checkpoints still sync.
-func WithWALSync(enabled bool) Option {
-	return func(c *config) { c.walSyncOff = !enabled }
-}
-
 // WithRebuildIndexes makes OpenSnapshot / Open ignore the persisted
 // derived structures (inverted index, data graph) and re-derive them
 // from the row data instead — slower to open, but a recovery path for
@@ -274,9 +256,6 @@ func newConfig(opts []Option) config {
 	}
 	if cfg.checkpointBatches <= 0 {
 		cfg.checkpointBatches = 256
-	}
-	if cfg.compactRatio <= 0 {
-		cfg.compactRatio = 0.5
 	}
 	return cfg
 }

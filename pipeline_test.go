@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/divq"
 	"repro/internal/prob"
 	"repro/internal/query"
+	"repro/internal/relstore"
 	"repro/internal/topk"
 )
 
@@ -96,8 +98,8 @@ func TestExecutionCacheTransparency(t *testing.T) {
 
 // TestStageCancellation proves a cancelled context returns promptly from
 // each stage in isolation — candidate generation, interpretation
-// enumeration, ranking, and top-k execution — not just from the pipeline
-// entry points.
+// enumeration, ranking, DivQ's non-empty filter and top-k execution —
+// not just from the pipeline entry points.
 func TestStageCancellation(t *testing.T) {
 	eng, err := DemoMovies(11)
 	if err != nil {
@@ -130,6 +132,11 @@ func TestStageCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	t.Run("candidates", func(t *testing.T) {
+		if _, err := query.GenerateCandidatesContext(cancelled, eng.current().ix, cands.Keywords, query.GenerateOptionsConfig{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("GenerateCandidatesContext error = %v, want context.Canceled", err)
+		}
+	})
 	t.Run("generate", func(t *testing.T) {
 		if _, err := query.GenerateCompleteContext(cancelled, cands, eng.current().cat, query.GenerateConfig{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("GenerateCompleteContext error = %v, want context.Canceled", err)
@@ -138,6 +145,12 @@ func TestStageCancellation(t *testing.T) {
 	t.Run("rank", func(t *testing.T) {
 		if _, err := eng.current().model.RankContext(cancelled, space); !errors.Is(err, context.Canceled) {
 			t.Fatalf("RankContext error = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("filter_nonempty", func(t *testing.T) {
+		exec := &relstore.LocalExecutor{DB: eng.current().db, Cache: relstore.NewSelectionCache()}
+		if _, err := divq.FilterNonEmptyExec(cancelled, exec, ranked); !errors.Is(err, context.Canceled) {
+			t.Fatalf("FilterNonEmptyExec error = %v, want context.Canceled", err)
 		}
 	})
 	t.Run("topk", func(t *testing.T) {
