@@ -58,12 +58,14 @@ lint: fmt vet staticcheck
 # fuzz-smoke is the ~20s-per-target leg CI runs on every push.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 30s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 30s ./httpapi
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 20s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 20s ./httpapi

@@ -8,11 +8,14 @@ package keysearch
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/expt"
+	"repro/internal/query"
 )
 
 // benchEnvs caches the shared experiment environments across benchmarks.
@@ -486,5 +489,38 @@ func BenchmarkTable3_1_ExampleTasks(b *testing.B) {
 		if _, _, err := expt.Table3_1(movie, movieIn, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInterpret times the interpretation stages of a ranked request
+// on one DemoMovies snapshot: candidate generation, complete
+// interpretation generation and ranking (ROADMAP item 6's baseline).
+// kw=N joins the first N sample keywords.
+func BenchmarkInterpret(b *testing.B) {
+	eng, _ := apiEngine(b)
+	toks := eng.SampleQueries(3)
+	if len(toks) < 3 {
+		b.Fatalf("only %d sample keywords", len(toks))
+	}
+	ctx := context.Background()
+	s := eng.current()
+	for kw := 1; kw <= 3; kw++ {
+		q := strings.Join(toks[:kw], " ")
+		b.Run(fmt.Sprintf("kw=%d", kw), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, _, err := eng.candidatesFor(ctx, s, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.model.RankContext(ctx, space); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -150,7 +150,7 @@ func (st *applyState) postingFor(term string, attr AttrRef) (map[string]*Posting
 		inner[key] = p
 		cloned[key] = true
 	} else if !cloned[key] {
-		np := &Posting{Attr: p.Attr, Count: p.Count, DocCount: p.DocCount, Rows: p.Rows}
+		np := &Posting{Attr: p.Attr, Count: p.Count, DocCount: p.DocCount, Rows: p.Rows, rowsTail: p.rowsTail}
 		inner[key] = np
 		cloned[key] = true
 		p = np
@@ -186,7 +186,7 @@ func (st *applyState) addValue(attr AttrRef, row int, value string) {
 		_, p := st.postingFor(tok, attr)
 		p.Count += c
 		p.DocCount++
-		p.Rows = relstore.SortedInsert(p.Rows, row)
+		p.Rows, p.rowsTail = relstore.InsertRow(p.Rows, p.rowsTail, row)
 	}
 }
 
@@ -214,7 +214,7 @@ func (st *applyState) removeValue(attr AttrRef, row int, value string) {
 		inner, p := st.postingFor(tok, attr)
 		p.Count -= c
 		p.DocCount--
-		p.Rows = relstore.SortedRemove(p.Rows, row)
+		p.Rows, p.rowsTail = relstore.SortedRemove(p.Rows, row), nil
 		if p.DocCount <= 0 {
 			delete(inner, key)
 			if len(inner) == 0 {

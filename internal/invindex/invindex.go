@@ -47,6 +47,10 @@ type Posting struct {
 	DocCount int
 	// Rows lists the RowIDs of the tuples containing the term, ascending.
 	Rows []int
+
+	// rowsTail lets Apply append to Rows in place (relstore.InsertRow);
+	// nil until Apply first copies Rows.
+	rowsTail *relstore.Tail
 }
 
 // attrStats aggregates the unigram statistics of one attribute.
@@ -203,7 +207,8 @@ func (ix *Index) Lookup(term string) []Posting {
 	sort.Strings(keys)
 	out := make([]Posting, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, *pmap[k])
+		p := pmap[k]
+		out = append(out, Posting{Attr: p.Attr, Count: p.Count, DocCount: p.DocCount, Rows: p.Rows})
 	}
 	return out
 }

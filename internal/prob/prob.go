@@ -15,7 +15,8 @@ package prob
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/invindex"
 	"repro/internal/query"
@@ -199,27 +200,35 @@ func (m *Model) Score(q *query.Interpretation) float64 {
 }
 
 // groupedValueProb multiplies the joint probabilities of value-binding
-// groups per (occurrence, attribute).
+// groups per (occurrence, attribute), in the order each group's first
+// binding appears, each group's keywords in binding order. Groups are
+// found by linear scan in stack arrays: an interpretation binds at most a
+// handful of keywords, so no map is needed.
 func (m *Model) groupedValueProb(q *query.Interpretation) float64 {
 	type slot struct {
 		occ  int
 		attr invindex.AttrRef
 	}
-	groups := make(map[slot][]string)
-	var order []slot
+	var slotBuf [8]slot
+	slots := slotBuf[:0]
 	for _, b := range q.Bindings {
 		if b.KI.Kind != query.KindValue {
 			continue
 		}
-		s := slot{occ: b.Occ, attr: b.KI.Attr}
-		if _, ok := groups[s]; !ok {
-			order = append(order, s)
+		if s := (slot{occ: b.Occ, attr: b.KI.Attr}); !slices.Contains(slots, s) {
+			slots = append(slots, s)
 		}
-		groups[s] = append(groups[s], b.KI.Keyword)
 	}
+	var kwBuf [8]string
 	p := 1.0
-	for _, s := range order {
-		p *= m.jointValueProb(groups[s], s.attr)
+	for _, s := range slots {
+		kws := kwBuf[:0]
+		for _, b := range q.Bindings {
+			if b.KI.Kind == query.KindValue && b.Occ == s.occ && b.KI.Attr == s.attr {
+				kws = append(kws, b.KI.Keyword)
+			}
+		}
+		p *= m.jointValueProb(kws, s.attr)
 	}
 	return p
 }
@@ -264,11 +273,14 @@ func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) 
 			out[i].Prob = out[i].Score / total
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Scored) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Q.Key() < out[j].Q.Key()
+		return strings.Compare(a.Q.Key(), b.Q.Key())
 	})
 	return out, nil
 }

@@ -308,3 +308,76 @@ func TestRankDeterministicTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// groupedValueProbMap is groupedValueProb as it was with a map from
+// (occurrence, attribute) slot to its keywords and a slice of slots in
+// first-seen order.
+func (m *Model) groupedValueProbMap(q *query.Interpretation) float64 {
+	type slot struct {
+		occ  int
+		attr invindex.AttrRef
+	}
+	groups := make(map[slot][]string)
+	var order []slot
+	for _, b := range q.Bindings {
+		if b.KI.Kind != query.KindValue {
+			continue
+		}
+		s := slot{occ: b.Occ, attr: b.KI.Attr}
+		if _, ok := groups[s]; !ok {
+			order = append(order, s)
+		}
+		groups[s] = append(groups[s], b.KI.Keyword)
+	}
+	p := 1.0
+	for _, s := range order {
+		p *= m.jointValueProb(groups[s], s.attr)
+	}
+	return p
+}
+
+// TestGroupedValueProbMatchesMapGrouping: grouping by linear scan keeps
+// the groups, their keyword order and the order of the product, so every
+// joint probability is bit-identical to the map-based grouping, with the
+// score cache on and off.
+func TestGroupedValueProbMatchesMapGrouping(t *testing.T) {
+	f := newFixture(t)
+	name := invindex.AttrRef{Table: "actor", Column: "name"}
+	title := invindex.AttrRef{Table: "movie", Column: "title"}
+	value := func(pos int, kw string, attr invindex.AttrRef) query.KeywordInterpretation {
+		return query.KeywordInterpretation{Pos: pos, Keyword: kw, Kind: query.KindValue, Attr: attr}
+	}
+	// Four groups, interleaved in binding order: the actor's name gets
+	// tom, hanks and colin around the movie title's terminal, then come
+	// the year and the role.
+	var tpl *query.Template
+	for _, c := range f.cat.Templates {
+		if len(c.Occurrences("actor")) > 0 && len(c.Occurrences("movie")) > 0 && len(c.Occurrences("acts")) > 0 {
+			tpl = c
+			break
+		}
+	}
+	if tpl == nil {
+		t.Fatal("no actor–acts–movie template")
+	}
+	aOcc, mOcc, rOcc := tpl.Occurrences("actor")[0], tpl.Occurrences("movie")[0], tpl.Occurrences("acts")[0]
+	interleaved := query.NewInterpretation([]string{"tom", "terminal", "hanks", "colin", "1988", "viktor"}, tpl, []query.Binding{
+		{KI: value(0, "tom", name), Occ: aOcc},
+		{KI: value(1, "terminal", title), Occ: mOcc},
+		{KI: value(2, "hanks", name), Occ: aOcc},
+		{KI: value(3, "colin", name), Occ: aOcc},
+		{KI: value(4, "1988", invindex.AttrRef{Table: "movie", Column: "year"}), Occ: mOcc},
+		{KI: value(5, "viktor", invindex.AttrRef{Table: "acts", Column: "role"}), Occ: rOcc},
+	})
+	for _, disable := range []bool{false, true} {
+		m := New(f.ix, f.cat, Config{UseCoOccurrence: true, DisableScoreCache: disable})
+		space := append(f.space(t, f.ix, "tom", "hanks", "terminal"), f.space(t, f.ix, "hanks", "tom")...)
+		space = append(space, interleaved)
+		for _, q := range space {
+			got, want := m.groupedValueProb(q), m.groupedValueProbMap(q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cache off=%t, %s: grouped %v, map grouping %v", disable, q.Key(), got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/invindex"
@@ -56,11 +58,11 @@ func GenerateCandidatesContext(ctx context.Context, ix *invindex.Index, keywords
 		var kis []KeywordInterpretation
 		postings := ix.Lookup(kw)
 		// Sort value matches by descending count for stable capping.
-		sort.Slice(postings, func(i, j int) bool {
-			if postings[i].Count != postings[j].Count {
-				return postings[i].Count > postings[j].Count
+		slices.SortFunc(postings, func(a, b invindex.Posting) int {
+			if c := cmp.Compare(b.Count, a.Count); c != 0 {
+				return c
 			}
-			return postings[i].Attr.String() < postings[j].Attr.String()
+			return compareAttrNames(a.Attr, b.Attr)
 		})
 		for _, p := range postings {
 			kis = append(kis, KeywordInterpretation{
@@ -95,6 +97,15 @@ func GenerateCandidatesContext(ctx context.Context, ix *invindex.Index, keywords
 		c.PerKeyword[pos] = kis
 	}
 	return c, nil
+}
+
+// compareAttrNames orders attributes as their "table.column" renderings
+// order, rendering them into stack buffers instead of new strings.
+func compareAttrNames(a, b invindex.AttrRef) int {
+	var abuf, bbuf [64]byte
+	an := append(append(append(abuf[:0], a.Table...), '.'), a.Column...)
+	bn := append(append(append(bbuf[:0], b.Table...), '.'), b.Column...)
+	return bytes.Compare(an, bn)
 }
 
 // MatchedPositions returns the keyword positions that have at least one
@@ -211,15 +222,16 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 	capped := func(n int) bool { return cfg.MaxInterpretations > 0 && n >= cfg.MaxInterpretations }
 	seen := make(map[string]bool)
 	var out []*Interpretation
+	scratch := make([]Binding, 0, len(matched))
 	for _, tpl := range cat.Templates {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		err := enumerateBindings(ctx, c, matched, tpl, func(bindings []Binding) bool {
-			q := NewInterpretation(c.Keywords, tpl, bindings)
-			if !minimal(q) {
+		err := enumerateBindings(ctx, c, matched, tpl, scratch, func(bindings []Binding) bool {
+			if !minimalBindings(tpl, bindings) {
 				return true
 			}
+			q := NewInterpretation(c.Keywords, tpl, bindings)
 			key := q.Key()
 			if seen[key] {
 				return true
@@ -245,13 +257,15 @@ const enumerateCheckEvery = 512
 // enumerateBindings enumerates all assignments of every matched keyword to
 // a candidate interpretation compatible with the template, including the
 // choice of table occurrence for self-join templates, until yield returns
-// false. yield borrows the binding slice: it must copy what it keeps
-// (NewInterpretation does). The context is checked every
+// false. The bindings are built in scratch's backing array, so a caller
+// that enumerates many templates allocates it once (capacity
+// len(matched)). yield borrows the binding slice: it must copy what it
+// keeps (NewInterpretation does). The context is checked every
 // enumerateCheckEvery emissions so even a single huge template aborts
 // promptly on cancellation.
-func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *Template, yield func([]Binding) bool) error {
+func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *Template, scratch []Binding, yield func([]Binding) bool) error {
 	emitted := 0
-	cur := make([]Binding, 0, len(matched))
+	cur := scratch[:0]
 	var err error
 	// rec reports whether enumeration goes on: false once yield stops it
 	// or a context check fails (err is then set).
@@ -266,10 +280,11 @@ func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *T
 			}
 			return yield(cur)
 		}
-		pos := matched[i]
-		for _, ki := range c.PerKeyword[pos] {
+		kis := c.PerKeyword[matched[i]]
+		for k := range kis {
+			ki := &kis[k]
 			if ki.Kind == KindAggregate {
-				cur = append(cur, Binding{KI: ki, Occ: -1})
+				cur = append(cur, Binding{KI: *ki, Occ: -1})
 				more := rec(i + 1)
 				cur = cur[:len(cur)-1]
 				if !more {
@@ -279,7 +294,7 @@ func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *T
 			}
 			occs := tpl.Occurrences(ki.TargetTable())
 			for _, occ := range occs {
-				cur = append(cur, Binding{KI: ki, Occ: occ})
+				cur = append(cur, Binding{KI: *ki, Occ: occ})
 				more := rec(i + 1)
 				cur = cur[:len(cur)-1]
 				if !more {
@@ -293,43 +308,29 @@ func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *T
 	return err
 }
 
-// minimal implements Definition 3.5.4(2): no sub-structure of the query can
-// be removed while leaving a valid structured query with the same keyword
-// bindings. For join trees this holds iff every leaf occurrence of the
-// template carries at least one binding; we apply it transitively by
-// peeling free leaves.
-func minimal(q *Interpretation) bool {
-	tree := q.Template.Tree
-	n := tree.Size()
-	grounded := 0
-	for _, b := range q.Bindings {
+// minimalBindings implements Definition 3.5.4(2) for an interpretation
+// of tpl with the given bindings, before one is allocated: no
+// sub-structure of the query can be removed while leaving a valid
+// structured query with the same keyword bindings. For a join tree this
+// holds iff at least one binding is grounded in an occurrence (an
+// aggregate alone justifies no structure) and every leaf occurrence
+// (degree ≤ 1) carries a binding. One pass over the template's cached
+// leaves is exact, not a first step of repeated peeling: an unbound leaf
+// can be removed on its own, and when every leaf is bound no removal can
+// start.
+func minimalBindings(tpl *Template, bindings []Binding) bool {
+	grounded := false
+	for _, b := range bindings {
 		if b.Occ >= 0 {
-			grounded++
+			grounded = true
+			break
 		}
 	}
-	if grounded == 0 {
-		return false // an aggregate alone does not justify any structure
+	if !grounded {
+		return false
 	}
-	if n == 1 {
-		return true
-	}
-	bound := make([]bool, n)
-	for _, b := range q.Bindings {
-		if b.Occ >= 0 {
-			bound[b.Occ] = true
-		}
-	}
-	deg := make([]int, n)
-	adj := make([][]int, n)
-	for _, e := range tree.TreeEdges {
-		deg[e.From]++
-		deg[e.To]++
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	// Peel unbound leaves; if any can be peeled the query is non-minimal.
-	for i := 0; i < n; i++ {
-		if deg[i] <= 1 && !bound[i] {
+	for _, leaf := range tpl.leaves {
+		if !slices.ContainsFunc(bindings, func(b Binding) bool { return b.Occ == leaf }) {
 			return false
 		}
 	}
@@ -385,26 +386,4 @@ func segmentsRespected(q *Interpretation, segments [][]int) bool {
 		}
 	}
 	return true
-}
-
-// CollectOptions derives the pool of single-element query construction
-// options from the interpretation space: one option per distinct keyword
-// interpretation used by at least one interpretation in the space.
-func CollectOptions(space []*Interpretation) []Option {
-	seen := make(map[string]KeywordInterpretation)
-	for _, q := range space {
-		for _, b := range q.Bindings {
-			seen[b.KI.Key()] = b.KI
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Option, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, NewOption(seen[k]))
-	}
-	return out
 }

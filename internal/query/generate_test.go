@@ -4,10 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/invindex"
+	"repro/internal/relstore"
+	"repro/internal/schemagraph"
 )
 
 // countdownCtx reports cancellation from its (budget+1)-th Err call on,
@@ -99,5 +106,303 @@ func TestGenerateCompleteStopsAtCap(t *testing.T) {
 	// The entry check and the one before the first template.
 	if checks := budget - ctx.budget.Load(); checks > 2 {
 		t.Fatalf("generation made %d context checks, want at most 2", checks)
+	}
+}
+
+// minimal is the reference form of Definition 3.5.4(2) that generation
+// used before minimalBindings: it builds the interpretation first and
+// then requires a grounded binding and a binding on every leaf
+// occurrence (degree ≤ 1) of the template. It checks the leaves once;
+// that check is exact, because an unbound leaf can be removed on its own
+// and a tree whose leaves are all bound has nothing to remove.
+func minimal(q *Interpretation) bool {
+	tree := q.Template.Tree
+	n := tree.Size()
+	grounded := 0
+	for _, b := range q.Bindings {
+		if b.Occ >= 0 {
+			grounded++
+		}
+	}
+	if grounded == 0 {
+		return false // an aggregate alone does not justify any structure
+	}
+	if n == 1 {
+		return true
+	}
+	bound := make([]bool, n)
+	for _, b := range q.Bindings {
+		if b.Occ >= 0 {
+			bound[b.Occ] = true
+		}
+	}
+	deg := make([]int, n)
+	adj := make([][]int, n)
+	for _, e := range tree.TreeEdges {
+		deg[e.From]++
+		deg[e.To]++
+		adj[e.From] = append(adj[e.From], e.To)
+		adj[e.To] = append(adj[e.To], e.From)
+	}
+	for i := 0; i < n; i++ {
+		if deg[i] <= 1 && !bound[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// generateReference is GenerateCompleteContext's loop as it was before
+// minimality moved ahead of allocation: NewInterpretation, then minimal,
+// then Key, then the seen map.
+func generateReference(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) ([]*Interpretation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	matched := c.MatchedPositions()
+	if len(matched) == 0 {
+		return nil, nil
+	}
+	capped := func(n int) bool { return cfg.MaxInterpretations > 0 && n >= cfg.MaxInterpretations }
+	seen := make(map[string]bool)
+	var out []*Interpretation
+	for _, tpl := range cat.Templates {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		err := enumerateBindings(ctx, c, matched, tpl, nil, func(bindings []Binding) bool {
+			q := NewInterpretation(c.Keywords, tpl, bindings)
+			if !minimal(q) {
+				return true
+			}
+			key := q.Key()
+			if seen[key] {
+				return true
+			}
+			seen[key] = true
+			out = append(out, q)
+			return !capped(len(out))
+		})
+		if err != nil {
+			return nil, err
+		}
+		if capped(len(out)) {
+			break
+		}
+	}
+	return out, nil
+}
+
+// demoEnv is the demo movie database (datagen.IMDB at the seed of the
+// API benchmarks) indexed, with its catalogue at join path 4 as
+// DemoMovies configures it.
+type demoEnv struct {
+	db  *relstore.Database
+	ix  *invindex.Index
+	g   *schemagraph.Graph
+	cat *Catalog
+
+	vocabOnce sync.Once
+	vocab     []string
+}
+
+var demoOnce struct {
+	sync.Once
+	env *demoEnv
+	err error
+}
+
+func demo(t testing.TB) *demoEnv {
+	t.Helper()
+	demoOnce.Do(func() {
+		db, err := datagen.IMDB(datagen.IMDBConfig{Seed: 7})
+		if err != nil {
+			demoOnce.err = err
+			return
+		}
+		db.Prepare()
+		g := schemagraph.FromDatabase(db)
+		demoOnce.env = &demoEnv{
+			db:  db,
+			ix:  invindex.Build(db),
+			g:   g,
+			cat: BuildCatalog(g, schemagraph.EnumerateOptions{MaxNodes: 4}),
+		}
+	})
+	if demoOnce.err != nil {
+		t.Fatal(demoOnce.err)
+	}
+	return demoOnce.env
+}
+
+// sampleTokens picks the first n ambiguous tokens (at least 4 letters,
+// indexed in more than one attribute) in attribute and row order, the
+// rule of the engine's SampleQueries.
+func (d *demoEnv) sampleTokens(n int) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, attr := range d.ix.Attributes() {
+		tb := d.db.Table(attr.Table)
+		ci := tb.Schema.ColumnIndex(attr.Column)
+		for _, row := range tb.Rows() {
+			for _, tok := range relstore.Tokenize(row.Values[ci]) {
+				if seen[tok] || len(tok) < 4 || len(d.ix.Lookup(tok)) < 2 {
+					continue
+				}
+				seen[tok] = true
+				out = append(out, tok)
+				if len(out) == n {
+					return out
+				}
+			}
+		}
+	}
+	return out
+}
+
+// vocabulary lists every indexed term, then the aggregate keywords and
+// the table and column names, so schema-term and aggregate readings are
+// reachable.
+func (d *demoEnv) vocabulary() []string {
+	d.vocabOnce.Do(func() {
+		d.vocab = d.ix.TermsWithPrefix("", 0)
+		for kw := range aggregateKeywords {
+			d.vocab = append(d.vocab, kw)
+		}
+		slices.Sort(d.vocab[len(d.vocab)-len(aggregateKeywords):])
+		for _, attr := range d.ix.Attributes() {
+			d.vocab = append(d.vocab, attr.Table, attr.Column)
+		}
+	})
+	return d.vocab
+}
+
+// restrictLabel keeps the value interpretations of position pos whose
+// attribute matches label by column, table or "table.column", as a
+// "label:keyword" query does.
+func restrictLabel(c *Candidates, pos int, label string) {
+	var kept []KeywordInterpretation
+	for _, ki := range c.PerKeyword[pos] {
+		if ki.Kind == KindValue && (label == ki.Attr.Column || label == ki.Attr.Table || label == ki.Attr.String()) {
+			kept = append(kept, ki)
+		}
+	}
+	c.PerKeyword[pos] = kept
+	if len(kept) == 0 {
+		c.Unmatched = append(c.Unmatched, pos)
+	}
+}
+
+// checkMatchesReference compares GenerateCompleteContext with
+// generateReference on one candidate set: the same interpretations in
+// the same order, each returned with its key already set.
+func checkMatchesReference(t *testing.T, c *Candidates, cat *Catalog, cfg GenerateConfig) {
+	t.Helper()
+	want, err := generateReference(context.Background(), c, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GenerateCompleteContext(context.Background(), c, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%q: %d interpretations, reference has %d", c.Keywords, len(got), len(want))
+	}
+	for i, q := range got {
+		if q.key == "" {
+			t.Fatalf("%q: interpretation %d returned without its key", c.Keywords, i)
+		}
+		if q.key != want[i].Key() || q.Template != want[i].Template || !reflect.DeepEqual(q.Bindings, want[i].Bindings) {
+			t.Fatalf("%q: interpretation %d is %s, reference has %s", c.Keywords, i, q.key, want[i].Key())
+		}
+	}
+}
+
+// refQuery is a keyword query whose labels map keyword positions to
+// labels.
+type refQuery struct {
+	keywords []string
+	labels   map[int]string
+}
+
+// referenceQueries are the demo sample tokens alone, in adjacent pairs
+// and triples, plus the label and segmentation queries of the engine's
+// tests.
+func referenceQueries(d *demoEnv) []refQuery {
+	type q = refQuery
+	toks := d.sampleTokens(12)
+	var out []q
+	for n := 1; n <= 3; n++ {
+		for i := 0; i+n <= len(toks); i++ {
+			out = append(out, q{keywords: toks[i : i+n]})
+		}
+	}
+	for _, s := range []string{"tom hanks", "hanks terminal", "number hanks", "london", "tom hanks movie"} {
+		out = append(out, q{keywords: strings.Fields(s)})
+	}
+	out = append(out,
+		q{keywords: []string{"london"}, labels: map[int]string{0: "title"}},
+		q{keywords: []string{"hanks", "terminal"}, labels: map[int]string{0: "name"}},
+		q{keywords: []string{"tom"}, labels: map[int]string{0: "actor.name"}},
+		q{keywords: []string{toks[0], toks[1]}, labels: map[int]string{1: "title"}},
+	)
+	return out
+}
+
+// TestGenerateCompleteMatchesReference: on the demo movie data at join
+// path 4, with schema terms and aggregates each on and off, generation
+// returns exactly what the allocate-then-check reference loop returns.
+func TestGenerateCompleteMatchesReference(t *testing.T) {
+	d := demo(t)
+	queries := referenceQueries(d)
+	for _, schema := range []bool{false, true} {
+		for _, aggs := range []bool{false, true} {
+			t.Run(fmt.Sprintf("schema=%t/aggs=%t", schema, aggs), func(t *testing.T) {
+				opts := GenerateOptionsConfig{IncludeSchemaTerms: schema, IncludeAggregates: aggs}
+				for _, q := range queries {
+					c := candidates(t, d.ix, q.keywords, opts)
+					for pos, label := range q.labels {
+						restrictLabel(c, pos, label)
+					}
+					checkMatchesReference(t, c, d.cat, GenerateConfig{})
+					checkMatchesReference(t, c, d.cat, GenerateConfig{MaxInterpretations: 5})
+				}
+			})
+		}
+	}
+}
+
+// TestCatalogCanonicalCached: every template built by BuildCatalog
+// carries its tree's canonical form, distinct from every other
+// template's, and its degree ≤ 1 occurrences as leaves.
+func TestCatalogCanonicalCached(t *testing.T) {
+	d := demo(t)
+	for maxNodes := 2; maxNodes <= 4; maxNodes++ {
+		cat := BuildCatalog(d.g, schemagraph.EnumerateOptions{MaxNodes: maxNodes})
+		seen := make(map[string]int, len(cat.Templates))
+		for _, tpl := range cat.Templates {
+			if want := tpl.Tree.Canonical(); tpl.canonical != want {
+				t.Fatalf("join path %d, template %d: cached canonical %q, tree has %q", maxNodes, tpl.ID, tpl.canonical, want)
+			}
+			if other, dup := seen[tpl.canonical]; dup {
+				t.Fatalf("join path %d: templates %d and %d share canonical form %q", maxNodes, other, tpl.ID, tpl.canonical)
+			}
+			seen[tpl.canonical] = tpl.ID
+			deg := make([]int, tpl.Size())
+			for _, e := range tpl.Tree.TreeEdges {
+				deg[e.From]++
+				deg[e.To]++
+			}
+			var leaves []int
+			for i, n := range deg {
+				if n <= 1 {
+					leaves = append(leaves, i)
+				}
+			}
+			if !reflect.DeepEqual(tpl.leaves, leaves) {
+				t.Fatalf("join path %d, template %d: cached leaves %v, tree has %v", maxNodes, tpl.ID, tpl.leaves, leaves)
+			}
+		}
 	}
 }

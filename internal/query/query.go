@@ -8,8 +8,11 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/invindex"
@@ -81,18 +84,33 @@ func (ki KeywordInterpretation) TargetTable() string {
 	}
 }
 
-// Key is a canonical identity string (position-sensitive).
+// Key is a canonical identity string (position-sensitive), e.g.
+// "0:hanks=value:actor.name".
 func (ki KeywordInterpretation) Key() string {
+	var buf [64]byte
+	return string(ki.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's rendering to b.
+func (ki KeywordInterpretation) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(ki.Pos), 10)
+	b = append(b, ':')
+	b = append(b, ki.Keyword...)
 	switch ki.Kind {
 	case KindTable:
-		return fmt.Sprintf("%d:%s=table:%s", ki.Pos, ki.Keyword, ki.Table)
+		b = append(b, "=table:"...)
+		return append(b, ki.Table...)
 	case KindColumn:
-		return fmt.Sprintf("%d:%s=column:%s", ki.Pos, ki.Keyword, ki.Attr)
+		b = append(b, "=column:"...)
 	case KindAggregate:
-		return fmt.Sprintf("%d:%s=agg:%s", ki.Pos, ki.Keyword, ki.Agg)
+		b = append(b, "=agg:"...)
+		return append(b, ki.Agg...)
 	default:
-		return fmt.Sprintf("%d:%s=value:%s", ki.Pos, ki.Keyword, ki.Attr)
+		b = append(b, "=value:"...)
 	}
+	b = append(b, ki.Attr.Table...)
+	b = append(b, '.')
+	return append(b, ki.Attr.Column...)
 }
 
 // Describe renders the interpretation as a user-facing question fragment,
@@ -113,24 +131,59 @@ func (ki KeywordInterpretation) Describe() string {
 
 // Template is a pre-computed query pattern (Definition 3.5.6): a join tree
 // whose predicates are variables. ID indexes into the template catalogue.
+// The tree must not change once the template is built: NewTemplate
+// derives the facts below from it once, and generation reads them for
+// every candidate binding.
 type Template struct {
 	ID   int
 	Tree *schemagraph.JoinTree
 
-	occurrences map[string][]int // table name -> occurrence indexes
+	occurrences []tableOccurrences // one per distinct table, first-seen order
+	canonical   string             // Tree.Canonical()
+	leaves      []int              // occurrences of degree ≤ 1, ascending
+}
+
+// tableOccurrences lists the occurrence indexes of one table in a
+// template. A template has a handful of tables, so Occurrences scans
+// these linearly instead of hashing the name.
+type tableOccurrences struct {
+	table string
+	occs  []int
 }
 
 // NewTemplate wraps a join tree as a template.
 func NewTemplate(id int, tree *schemagraph.JoinTree) *Template {
-	t := &Template{ID: id, Tree: tree, occurrences: make(map[string][]int)}
+	t := &Template{ID: id, Tree: tree, canonical: tree.Canonical()}
 	for i, name := range tree.Tables {
-		t.occurrences[name] = append(t.occurrences[name], i)
+		k := slices.IndexFunc(t.occurrences, func(o tableOccurrences) bool { return o.table == name })
+		if k < 0 {
+			k = len(t.occurrences)
+			t.occurrences = append(t.occurrences, tableOccurrences{table: name})
+		}
+		t.occurrences[k].occs = append(t.occurrences[k].occs, i)
+	}
+	deg := make([]int, len(tree.Tables))
+	for _, e := range tree.TreeEdges {
+		deg[e.From]++
+		deg[e.To]++
+	}
+	for i, d := range deg {
+		if d <= 1 {
+			t.leaves = append(t.leaves, i)
+		}
 	}
 	return t
 }
 
 // Occurrences returns the occurrence indexes of the table in the template.
-func (t *Template) Occurrences(table string) []int { return t.occurrences[table] }
+func (t *Template) Occurrences(table string) []int {
+	for _, o := range t.occurrences {
+		if o.table == table {
+			return o.occs
+		}
+	}
+	return nil
+}
 
 // Size returns the number of table occurrences.
 func (t *Template) Size() int { return t.Tree.Size() }
@@ -161,13 +214,12 @@ type Interpretation struct {
 // NewInterpretation assembles an interpretation, sorting bindings by
 // keyword position.
 func NewInterpretation(keywords []string, tpl *Template, bindings []Binding) *Interpretation {
-	bs := make([]Binding, len(bindings))
-	copy(bs, bindings)
-	sort.Slice(bs, func(i, j int) bool {
-		if bs[i].KI.Pos != bs[j].KI.Pos {
-			return bs[i].KI.Pos < bs[j].KI.Pos
+	bs := slices.Clone(bindings)
+	slices.SortFunc(bs, func(a, b Binding) int {
+		if c := cmp.Compare(a.KI.Pos, b.KI.Pos); c != 0 {
+			return c
 		}
-		return bs[i].Occ < bs[j].Occ
+		return cmp.Compare(a.Occ, b.Occ)
 	})
 	return &Interpretation{Keywords: keywords, Template: tpl, Bindings: bs}
 }
@@ -188,20 +240,27 @@ func (q *Interpretation) Aggregate() string {
 }
 
 // Key returns a canonical identity for deduplication: template identity
-// (by canonical tree form) plus the bindings.
+// (by canonical tree form) plus the bindings, e.g.
+// "actor()|0:hanks=value:actor.name@0;". The key is memoised; generation
+// sets it before returning an interpretation, so concurrent readers of
+// generated interpretations never write it.
 func (q *Interpretation) Key() string {
 	if q.key != "" {
 		return q.key
 	}
-	var sb strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	if q.Template != nil {
-		sb.WriteString(q.Template.Tree.Canonical())
+		b = append(b, q.Template.canonical...)
 	}
-	sb.WriteString("|")
-	for _, b := range q.Bindings {
-		fmt.Fprintf(&sb, "%s@%d;", b.KI.Key(), b.Occ)
+	b = append(b, '|')
+	for _, bd := range q.Bindings {
+		b = bd.KI.appendKey(b)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(bd.Occ), 10)
+		b = append(b, ';')
 	}
-	q.key = sb.String()
+	q.key = string(b)
 	return q.key
 }
 

@@ -367,37 +367,6 @@ func TestInterpretationSubsumes(t *testing.T) {
 	}
 }
 
-func TestCollectOptions(t *testing.T) {
-	f := newFixture(t)
-	c := candidates(t, f.ix, []string{"hanks", "2001"}, GenerateOptionsConfig{})
-	space := complete(t, c, f.cat, GenerateConfig{})
-	opts := CollectOptions(space)
-	if len(opts) == 0 {
-		t.Fatal("no options collected")
-	}
-	seen := map[string]bool{}
-	for _, o := range opts {
-		if len(o.KIs) != 1 {
-			t.Fatalf("expected single-element options, got %v", o)
-		}
-		if seen[o.Key()] {
-			t.Fatalf("duplicate option %s", o.Key())
-		}
-		seen[o.Key()] = true
-		// Every option must subsume at least one interpretation.
-		any := false
-		for _, q := range space {
-			if o.Subsumes(q) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			t.Fatalf("option %s subsumes nothing", o.Describe())
-		}
-	}
-}
-
 func TestDescribeAndString(t *testing.T) {
 	ki := KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue,
 		Attr: invindex.AttrRef{Table: "actor", Column: "name"}}
@@ -601,5 +570,70 @@ func TestSQLRendering(t *testing.T) {
 	// Quote escaping.
 	if got := escapeSQL("o'brien"); got != "o''brien" {
 		t.Fatalf("escapeSQL = %q", got)
+	}
+}
+
+// TestKeyRendering pins Key's exact strings, as the fmt-based rendering
+// produced them: ranking tie-breaks, top-k order, deduplication and the
+// cache keys downstream all compare these bytes.
+func TestKeyRendering(t *testing.T) {
+	name := invindex.AttrRef{Table: "actor", Column: "name"}
+	for _, c := range []struct {
+		ki   KeywordInterpretation
+		want string
+	}{
+		{KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue, Attr: name}, "0:hanks=value:actor.name"},
+		{KeywordInterpretation{Pos: 1, Keyword: "movie", Kind: KindTable, Table: "movie"}, "1:movie=table:movie"},
+		{KeywordInterpretation{Pos: 2, Keyword: "title", Kind: KindColumn, Attr: invindex.AttrRef{Table: "movie", Column: "title"}}, "2:title=column:movie.title"},
+		{KeywordInterpretation{Pos: 3, Keyword: "number", Kind: KindAggregate, Agg: "count"}, "3:number=agg:count"},
+		{KeywordInterpretation{Pos: 1234, Keyword: "2001", Kind: KindValue, Attr: invindex.AttrRef{Table: "movie", Column: "year"}}, "1234:2001=value:movie.year"},
+	} {
+		if got := c.ki.Key(); got != c.want {
+			t.Errorf("Key() = %q, want %q", got, c.want)
+		}
+	}
+	tree := &schemagraph.JoinTree{
+		Tables: []string{"actor", "acts", "movie", "acts", "actor"},
+		TreeEdges: []schemagraph.TreeEdge{
+			{From: 1, To: 0, FromColumn: "actor_id", ToColumn: "id"},
+			{From: 1, To: 2, FromColumn: "movie_id", ToColumn: "id"},
+			{From: 3, To: 2, FromColumn: "movie_id", ToColumn: "id"},
+			{From: 3, To: 4, FromColumn: "actor_id", ToColumn: "id"},
+		},
+	}
+	q := NewInterpretation([]string{"number", "tom", "hanks"}, NewTemplate(1, tree), []Binding{
+		{KI: KeywordInterpretation{Pos: 2, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 4},
+		{KI: KeywordInterpretation{Pos: 0, Keyword: "number", Kind: KindAggregate, Agg: "count"}, Occ: -1},
+		{KI: KeywordInterpretation{Pos: 1, Keyword: "tom", Kind: KindValue, Attr: name}, Occ: 0},
+	})
+	const want = "actor(id=actor_id:acts(movie_id=id:movie(id=movie_id:acts(actor_id=id:actor()))))" +
+		"|0:number=agg:count@-1;1:tom=value:actor.name@0;2:hanks=value:actor.name@4;"
+	if got := q.Key(); got != want {
+		t.Errorf("Interpretation.Key() = %q, want %q", got, want)
+	}
+	partial := NewInterpretation([]string{"hanks"}, nil, []Binding{
+		{KI: KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 0},
+	})
+	if got, want := partial.Key(), "|0:hanks=value:actor.name@0;"; got != want {
+		t.Errorf("template-less Key() = %q, want %q", got, want)
+	}
+}
+
+// TestCompareAttrNames: candidate postings keep the order of their
+// "table.column" strings, also where a table name is a prefix of another
+// or holds a byte below '.'.
+func TestCompareAttrNames(t *testing.T) {
+	attrs := []invindex.AttrRef{
+		{Table: "a", Column: "x"}, {Table: "a", Column: "y"}, {Table: "a-b", Column: "x"},
+		{Table: "ab", Column: "c"}, {Table: "a.b", Column: "c"}, {Table: "a", Column: "b.c"},
+		{Table: "", Column: "z"}, {Table: "movie", Column: "title"},
+		{Table: strings.Repeat("t", 70), Column: "long"}, {Table: strings.Repeat("t", 70), Column: "longer"},
+	}
+	for _, a := range attrs {
+		for _, b := range attrs {
+			if got, want := compareAttrNames(a, b), strings.Compare(a.String(), b.String()); got != want {
+				t.Errorf("compareAttrNames(%s, %s) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cow"
 )
@@ -22,8 +23,10 @@ import (
 //     by shard (cow.Map) and only the shards a batch writes are copied;
 //     the per-value row lists and per-token posting lists stay shared —
 //     and then patched functionally: every affected row list / posting
-//     list is replaced by a fresh updated copy, so nothing reachable
-//     from the old database is ever written.
+//     list is replaced by an updated version, so nothing the old
+//     database can read is ever written. A version appended at its end
+//     may share its predecessor's array, writing only past the
+//     predecessor's length (see Tail).
 //   - Deletes tombstone the row instead of renumbering: RowIDs are
 //     assigned once and never reused, which keeps every RowID-keyed
 //     structure (posting lists, equality indexes, memos) valid without
@@ -322,23 +325,25 @@ func (cp *columnPostings) removeValue(row int, value string) {
 
 // withRow returns a new posting list with the row's occurrence count
 // inserted at its sorted position. The receiver may be nil (first row of
-// a token) and is never modified.
+// a token) and its rows and counts are never modified; a row that goes
+// last is appended in place when the receiver's tail allows it (see
+// InsertRow).
 func (p *postingList) withRow(row, count int) *postingList {
 	if p == nil {
 		return &postingList{rows: []int{row}, counts: []int{count}, maxCount: count}
 	}
+	n := len(p.rows)
+	maxCount := max(p.maxCount, count)
+	if n > 0 && p.rows[n-1] < row && n < cap(p.rows) && n < cap(p.counts) && p.tail.claim(n) {
+		return &postingList{rows: append(p.rows, row), counts: append(p.counts, count), maxCount: maxCount, tail: p.tail}
+	}
 	at := sort.SearchInts(p.rows, row)
-	np := &postingList{
-		rows:     make([]int, 0, len(p.rows)+1),
-		counts:   make([]int, 0, len(p.counts)+1),
-		maxCount: p.maxCount,
+	return &postingList{
+		rows:     slices.Insert(p.rows[:n:n], at, row),
+		counts:   slices.Insert(p.counts[:n:n], at, count),
+		maxCount: maxCount,
+		tail:     newTail(n + 1),
 	}
-	np.rows = append(append(append(np.rows, p.rows[:at]...), row), p.rows[at:]...)
-	np.counts = append(append(append(np.counts, p.counts[:at]...), count), p.counts[at:]...)
-	if count > np.maxCount {
-		np.maxCount = count
-	}
-	return np
 }
 
 // withoutRow returns a new posting list without the row, or nil when the
@@ -368,10 +373,43 @@ func (p *postingList) withoutRow(row int) *postingList {
 	return np
 }
 
+// Tail counts the elements written into one backing array that several
+// copy-on-write versions of an ascending RowID list share. A version of
+// length n may append in place only by claiming element n, which
+// succeeds only while nothing has been written past n. Two successors of
+// one version therefore never overwrite each other: the second finds the
+// count moved and copies. A nil Tail claims nothing.
+type Tail struct{ n atomic.Int64 }
+
+func newTail(n int) *Tail {
+	t := new(Tail)
+	t.n.Store(int64(n))
+	return t
+}
+
+// claim reserves element n of the shared array for a version of length n.
+func (t *Tail) claim(n int) bool { return t != nil && t.n.CompareAndSwap(int64(n), int64(n)+1) }
+
+// InsertRow returns ids with id inserted in ascending order, and the Tail
+// the result shares. The elements of ids are never modified: they may be
+// shared with a pre-batch snapshot. An inserted row's RowID is its
+// table's largest, so id usually goes last. Then, when the array has
+// room and tail shows nothing was written past len(ids), id is written
+// in place. A token that every insert shares thus costs amortised O(1)
+// per insert instead of a copy of its whole list. Otherwise the list is
+// copied with room to grow under a new Tail.
+func InsertRow(ids []int, tail *Tail, id int) ([]int, *Tail) {
+	n := len(ids)
+	if n > 0 && ids[n-1] < id && n < cap(ids) && tail.claim(n) {
+		return append(ids, id), tail
+	}
+	return slices.Insert(ids[:n:n], sort.SearchInts(ids, id), id), newTail(n + 1)
+}
+
 // SortedInsert returns a new ascending slice with id inserted; the input
-// is never modified (it may be shared with a pre-batch snapshot). It is
-// the functional copy-on-write primitive of every RowID-list patch, here
-// and in the downstream incremental maintainers (invindex).
+// is never modified (it may be shared with a pre-batch snapshot). The
+// equality indexes patch their per-value row lists with it: a value
+// rarely has more than a few rows, so they carry no Tail.
 func SortedInsert(ids []int, id int) []int {
 	at := sort.SearchInts(ids, id)
 	out := make([]int, 0, len(ids)+1)

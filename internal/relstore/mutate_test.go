@@ -499,3 +499,76 @@ func TestApplyCopiesTouchedChunksOnly(t *testing.T) {
 		t.Error("an untouched table was copied")
 	}
 }
+
+// TestInsertRowSharesTailWithoutClobbering: a run of appends writes in
+// place into one backing array, yet two successors of one version both
+// keep their own last element and every earlier version keeps its
+// contents; against SortedInsert over random versions and RowIDs.
+func TestInsertRowSharesTailWithoutClobbering(t *testing.T) {
+	var ids []int
+	var tail *Tail
+	for id := 0; id < 10; id++ {
+		ids, tail = InsertRow(ids, tail, id)
+	}
+	v := ids
+	a, _ := InsertRow(v, tail, 100)
+	if &a[0] != &v[0] {
+		t.Fatal("an append with room and an unmoved tail copied the list")
+	}
+	b, _ := InsertRow(v, tail, 200)
+	if &b[0] == &v[0] {
+		t.Fatal("the second successor of one version wrote into the shared array")
+	}
+	if want := append(slices.Clone(v), 100); !slices.Equal(a, want) {
+		t.Fatalf("first successor = %v, want %v", a, want)
+	}
+	if want := append(slices.Clone(v), 200); !slices.Equal(b, want) {
+		t.Fatalf("second successor = %v, want %v", b, want)
+	}
+
+	type version struct {
+		ids  []int
+		tail *Tail
+		want []int
+	}
+	rng := rand.New(rand.NewSource(3))
+	versions := []version{{}}
+	for i := 0; i < 2000; i++ {
+		from := versions[rng.Intn(len(versions))]
+		if rng.Intn(4) > 0 {
+			from = versions[len(versions)-1] // mostly linear, as snapshots are
+		}
+		id := len(from.want) + rng.Intn(3) - 1 // mostly appends, some middle inserts and duplicates
+		ids, tail := InsertRow(from.ids, from.tail, id)
+		versions = append(versions, version{ids, tail, SortedInsert(from.want, id)})
+	}
+	for i, v := range versions {
+		if !slices.Equal(v.ids, v.want) {
+			t.Fatalf("version %d = %v, want %v", i, v.ids, v.want)
+		}
+	}
+}
+
+// TestPostingWithRowBranches: withRow appends in place along a chain and
+// never lets two successors of one posting list overwrite each other.
+func TestPostingWithRowBranches(t *testing.T) {
+	var p *postingList
+	for row := 0; row < 10; row++ {
+		p = p.withRow(row, 1)
+	}
+	p = p.withRow(10, 2)
+	a := p.withRow(20, 3)
+	b := p.withRow(30, 1)
+	if len(p.rows) != 11 || p.rows[10] != 10 || p.counts[10] != 2 || p.maxCount != 2 {
+		t.Fatalf("base changed: %+v", p)
+	}
+	if !slices.Equal(a.rows[9:], []int{9, 10, 20}) || !slices.Equal(a.counts[9:], []int{1, 2, 3}) || a.maxCount != 3 {
+		t.Fatalf("first successor = %v %v max %d", a.rows, a.counts, a.maxCount)
+	}
+	if !slices.Equal(b.rows[9:], []int{9, 10, 30}) || !slices.Equal(b.counts[9:], []int{1, 2, 1}) || b.maxCount != 2 {
+		t.Fatalf("second successor = %v %v max %d", b.rows, b.counts, b.maxCount)
+	}
+	if &a.rows[0] != &p.rows[0] || &b.rows[0] == &p.rows[0] {
+		t.Fatal("want the first successor in place and the second copied")
+	}
+}

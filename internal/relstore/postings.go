@@ -31,6 +31,9 @@ type postingList struct {
 	// maxCount is the largest per-row count, so selections needing more
 	// duplicated occurrences than any row has can answer "empty" at once.
 	maxCount int
+	// tail is shared by every version whose rows and counts alias the
+	// same arrays; nil for lists built by add, which withRow copies first.
+	tail *Tail
 }
 
 // add records one row's occurrences; rows arrive in ascending RowID order.

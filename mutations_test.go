@@ -478,6 +478,64 @@ func TestConcurrentMutationsAndSearches(t *testing.T) {
 	compareEngines(t, eng, rebuiltEngine(t, eng, WithMutations()), []string{"terminal", "hanks"})
 }
 
+// TestConcurrentInsertsShareTokenTail: inserts that all carry one token
+// append to its posting lists in place, while readers pinned to earlier
+// snapshots keep reading those lists. Under -race this checks that the
+// appends never touch what a pinned snapshot reads, and a result pinned
+// before the inserts still counts the rows it counted then.
+func TestConcurrentInsertsShareTokenTail(t *testing.T) {
+	eng := mutableEngine(t)
+	insert := func(i int) {
+		key := fmt.Sprintf("x%d", i)
+		if _, err := eng.Apply(bg, []Mutation{{Op: OpInsert, Table: "actor", Values: []string{key, key + " Shared"}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		insert(i)
+	}
+	pinned := search(t, eng, "shared", 1)[0]
+	before, err := pinned.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := eng.SearchRows(bg, RowsRequest{Query: "shared", K: 3}); err != nil {
+					errs <- "rows: " + err.Error()
+					return
+				}
+				if n, err := pinned.Count(); err != nil || n != before {
+					errs <- fmt.Sprintf("pinned result counts %d (err %v), counted %d before the inserts", n, err, before)
+					return
+				}
+			}
+		}()
+	}
+	for i := 3; i < 200; i++ {
+		insert(i)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	compareEngines(t, eng, rebuiltEngine(t, eng, WithMutations()), []string{"shared", "x150 shared"})
+}
+
 // TestApplyCancelledContext: a cancelled context aborts before any work.
 func TestApplyCancelledContext(t *testing.T) {
 	eng := mutableEngine(t)
