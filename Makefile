@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 30s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 30s ./httpapi
 
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 20s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 20s ./httpapi
 
@@ -109,12 +111,13 @@ golden:
 
 # cover enforces a coverage floor on the packages whose correctness is
 # all edge cases: the admission governor, the metrics histograms, the
-# answer cache (admission, eviction, invalidation, persistence), and the
-# copy-on-write map every snapshot-versioned index shares. 85% is a
-# floor, not a target — new branches in these packages arrive with
-# tests or fail CI.
+# answer cache (admission, eviction, invalidation, persistence), the
+# copy-on-write map every snapshot-versioned index shares, and the
+# storage engine (copy-on-write tables, posting lists and foreign-key
+# adjacency patched by Apply). 85% is a floor, not a target — new
+# branches in these packages arrive with tests or fail CI.
 cover:
-	@for pkg in internal/admission internal/metrics internal/qcache internal/cow; do \
+	@for pkg in internal/admission internal/metrics internal/qcache internal/cow internal/relstore; do \
 		$(GO) test -coverprofile=/tmp/cover_gate.out ./$$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=/tmp/cover_gate.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \

@@ -524,3 +524,38 @@ func BenchmarkInterpret(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRows times the executor-heavy requests of the serving
+// benchmark's rows.fresh workload in process: SearchRows and Diversify
+// at 3:1 over a fixed pool of datagen movie queries (half multi-concept,
+// seed 43) on a 20k-row IMDB fixture, join path 4, co-occurrence on and
+// no answer cache, so every op plans, executes and assembles its rows.
+// One op is one request.
+func BenchmarkRows(b *testing.B) {
+	movies := 20_000 / 7 // the benchmark's dataset shape at 20k rows
+	db, err := datagen.IMDB(datagen.IMDBConfig{
+		Movies: movies, Actors: movies * 3 / 4, Directors: movies / 5, Companies: movies / 10, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	intents := datagen.MovieWorkload(db, datagen.WorkloadConfig{Queries: 400, MultiConceptFraction: 0.5, Seed: 43})
+	eng, err := NewFromDatabase(db, WithMaxJoinPath(4), WithCoOccurrence())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := strings.Join(intents[i%len(intents)].Keywords, " ")
+		if i%4 == 3 {
+			_, err = eng.Diversify(ctx, DiversifyRequest{Query: q, K: 10, Lambda: 0.5})
+		} else {
+			_, err = eng.SearchRows(ctx, RowsRequest{Query: q, K: 10})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -340,25 +340,16 @@ func (q *Interpretation) Subsumes(other *Interpretation) bool {
 
 // JoinPlan translates a complete or partial interpretation with a template
 // into an executable join plan: value bindings grouped per occurrence and
-// column become containment predicates (Definition 3.5.2).
+// column become containment predicates (Definition 3.5.2). A node's
+// predicates are in column-name order and each predicate's keywords in
+// binding order.
 func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 	if q.Template == nil {
 		return nil, fmt.Errorf("query: interpretation has no template")
 	}
 	tree := q.Template.Tree
-	plan := &relstore.JoinPlan{
-		Nodes: make([]relstore.JoinNode, tree.Size()),
-		Edges: make([]relstore.JoinEdge, 0, len(tree.TreeEdges)),
-	}
-	for i, table := range tree.Tables {
-		plan.Nodes[i] = relstore.JoinNode{Table: table}
-	}
-	for _, e := range tree.TreeEdges {
-		plan.Edges = append(plan.Edges, relstore.JoinEdge{
-			From: e.From, To: e.To, FromColumn: e.FromColumn, ToColumn: e.ToColumn,
-		})
-	}
-	grouped := make(map[int]map[string][]string)
+	var buf [8]valueBinding
+	vals := buf[:0]
 	for _, b := range q.Bindings {
 		if b.KI.Kind != KindValue {
 			continue
@@ -370,25 +361,50 @@ func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 			return nil, fmt.Errorf("query: binding table %s does not match occurrence table %s",
 				b.KI.Attr.Table, tree.Tables[b.Occ])
 		}
-		m := grouped[b.Occ]
-		if m == nil {
-			m = make(map[string][]string)
-			grouped[b.Occ] = m
-		}
-		m[b.KI.Attr.Column] = append(m[b.KI.Attr.Column], b.KI.Keyword)
+		vals = append(vals, valueBinding{occ: b.Occ, col: b.KI.Attr.Column, kw: b.KI.Keyword})
 	}
-	for occ, m := range grouped {
-		cols := make([]string, 0, len(m))
-		for c := range m {
-			cols = append(cols, c)
+	// Group by (occurrence, column): a stable sort keeps each group's
+	// keywords in binding order, and each group is one run.
+	slices.SortStableFunc(vals, func(a, b valueBinding) int {
+		return cmp.Or(cmp.Compare(a.occ, b.occ), strings.Compare(a.col, b.col))
+	})
+	plan := &relstore.JoinPlan{
+		Nodes: make([]relstore.JoinNode, tree.Size()),
+		Edges: make([]relstore.JoinEdge, len(tree.TreeEdges)),
+	}
+	for i, table := range tree.Tables {
+		plan.Nodes[i] = relstore.JoinNode{Table: table}
+	}
+	for i, e := range tree.TreeEdges {
+		plan.Edges[i] = relstore.JoinEdge{From: e.From, To: e.To, FromColumn: e.FromColumn, ToColumn: e.ToColumn}
+	}
+	if len(vals) == 0 {
+		return plan, nil
+	}
+	// Every predicate and every keyword of the plan share one array each;
+	// the slices handed out are capped, so no append reaches a neighbour.
+	preds := make([]relstore.Predicate, 0, len(vals))
+	kws := make([]string, len(vals))
+	for i, first := 0, 0; i < len(vals); {
+		occ, j := vals[i].occ, i
+		for j < len(vals) && vals[j].occ == occ && vals[j].col == vals[i].col {
+			kws[j] = vals[j].kw
+			j++
 		}
-		sort.Strings(cols)
-		for _, c := range cols {
-			plan.Nodes[occ].Predicates = append(plan.Nodes[occ].Predicates,
-				relstore.Predicate{Column: c, Keywords: m[c]})
+		preds = append(preds, relstore.Predicate{Column: vals[i].col, Keywords: kws[i:j:j]})
+		if j == len(vals) || vals[j].occ != occ {
+			plan.Nodes[occ].Predicates = preds[first:len(preds):len(preds)]
+			first = len(preds)
 		}
+		i = j
 	}
 	return plan, nil
+}
+
+// valueBinding is one value binding as JoinPlan groups it.
+type valueBinding struct {
+	occ     int
+	col, kw string
 }
 
 // Option is a query construction option: a partial interpretation offered

@@ -7,16 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/cow"
 )
 
 // This file implements compiled join plans: the execution-ready form of a
 // candidate network. Compilation resolves every string-keyed lookup of
-// the interpreted executor once per plan — table pointers, predicate and
-// join-edge column positions, canonical cache keys — so the recursive
-// enumeration runs on integers and slices only. Execution then proceeds
-// in two phases:
+// the interpreted executor once per plan — table pointers, predicate
+// column positions, and each join edge's foreign-key adjacency in both
+// directions (adjacency.go) — so the recursive enumeration runs on
+// integers and slices only: a join probe reads the probing row's partner
+// ids and never its join value. Execution then proceeds in two phases:
 //
 //  1. selection: per-node candidate sets from the posting lists (shared
 //     through the per-request SelectionCache when one is supplied), and
@@ -46,10 +45,11 @@ type compiledNode struct {
 }
 
 // compiledHalf is one direction of a join edge: this node's fromCol joins
-// the neighbour node to's toCol.
+// the neighbour node to's toCol, and adj lists each row's partners there.
 type compiledHalf struct {
-	to             int
-	fromCol, toCol int
+	to      int
+	fromCol int
+	adj     *adjacency
 }
 
 // CompiledPlan is an executable, pre-resolved join plan. Compile once,
@@ -64,7 +64,9 @@ type CompiledPlan struct {
 	adj   [][]compiledHalf
 }
 
-// Compile validates the plan and resolves its tables and columns.
+// Compile validates the plan and resolves its tables, columns and join
+// adjacencies. Every edge must join along a declared foreign key, in
+// either direction; any other edge is an error.
 func (db *Database) Compile(p *JoinPlan) (*CompiledPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -82,15 +84,24 @@ func (db *Database) Compile(p *JoinPlan) (*CompiledPlan, error) {
 		}
 		cp.nodes[i] = compiledNode{table: t, preds: preds}
 	}
+	var links []*fkLink
+	if len(p.Edges) > 0 {
+		links = db.links()
+	}
 	for _, e := range p.Edges {
-		fi := cp.nodes[e.From].table.Schema.ColumnIndex(e.FromColumn)
-		ti := cp.nodes[e.To].table.Schema.ColumnIndex(e.ToColumn)
+		from, to := cp.nodes[e.From].table, cp.nodes[e.To].table
+		fi, ti := from.Schema.ColumnIndex(e.FromColumn), to.Schema.ColumnIndex(e.ToColumn)
 		if fi < 0 || ti < 0 {
 			return nil, fmt.Errorf("relstore: join edge %s.%s=%s.%s references unknown column",
 				p.Nodes[e.From].Table, e.FromColumn, p.Nodes[e.To].Table, e.ToColumn)
 		}
-		cp.adj[e.From] = append(cp.adj[e.From], compiledHalf{to: e.To, fromCol: fi, toCol: ti})
-		cp.adj[e.To] = append(cp.adj[e.To], compiledHalf{to: e.From, fromCol: ti, toCol: fi})
+		fwd := joinAdjacency(links, from, fi, to, ti)
+		if fwd == nil {
+			return nil, fmt.Errorf("relstore: join edge %s.%s=%s.%s is not a declared foreign key",
+				p.Nodes[e.From].Table, e.FromColumn, p.Nodes[e.To].Table, e.ToColumn)
+		}
+		cp.adj[e.From] = append(cp.adj[e.From], compiledHalf{to: e.To, fromCol: fi, adj: fwd})
+		cp.adj[e.To] = append(cp.adj[e.To], compiledHalf{to: e.From, fromCol: ti, adj: joinAdjacency(links, to, ti, from, fi)})
 	}
 	return cp, nil
 }
@@ -185,7 +196,8 @@ func (cp *CompiledPlan) cacheKey(limit int) string {
 
 // footprint is the set of attributes this plan's output is computed
 // from: every resolved predicate column, every join column (both ends of
-// every edge — enumeration reads join values), and the membership of
+// every edge — the adjacencies enumeration walks are derived from join
+// values), and the membership of
 // unconstrained tables (their candidate set is "all live rows").
 // Constrained nodes need no membership attribute: inserts and
 // deletes stale every column, so their predicate columns already cover
@@ -259,20 +271,18 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 }
 
 // step is one node of the DFS enumeration order with everything the
-// enumeration reads about it resolved. parentCol/col are the join column
-// positions in the parent's and this node's table; kid/sib thread the
-// step's child steps (first child, next sibling; -1 = none).
+// enumeration reads about it resolved. kid/sib thread the step's child
+// steps (first child, next sibling; -1 = none).
 type step struct {
-	node, parent   int
-	parentCol, col int
-	kid, sib       int
-	table, ptable  *Table
+	node, parent int
+	kid, sib     int
+	table        *Table
 	// cands is the node's ascending selection; nil for an unconstrained
 	// node, whose candidates are the table's live rows.
 	cands []int
-	// idx is this table's equality index on col: the parent's join value
-	// maps to this node's partner rows, ascending.
-	idx *cow.Map[[]int]
+	// adj maps a row of the parent's table to this node's partner rows,
+	// ascending — the order of the equality index on the join column.
+	adj *adjacency
 	// memo is the word offset of this step's viability memo in
 	// planRun.memo, or -1 when the step keeps none: leaves have nothing
 	// below them and each root candidate is visited once anyway.
@@ -375,7 +385,7 @@ func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collec
 			root = i
 		}
 	}
-	r.plan(cp, root, -1, -1, -1)
+	r.plan(cp, root, -1, nil)
 	if len(r.memo) < r.words {
 		r.memo = make([]uint64, r.words)
 	}
@@ -394,18 +404,15 @@ func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collec
 	return root
 }
 
-// plan appends node v and, depth-first in edge declaration order (as the
-// reference does), everything beyond it to the enumeration order, and
-// returns v's step index. Only inner steps below the root get memo space.
-func (r *planRun) plan(cp *CompiledPlan, v, parent, parentCol, col int) int {
+// plan appends node v, joined to its parent node through adj, and,
+// depth-first in edge declaration order (as the reference does),
+// everything beyond it to the enumeration order, and returns v's step
+// index. Only inner steps below the root get memo space.
+func (r *planRun) plan(cp *CompiledPlan, v, parent int, adj *adjacency) int {
 	k := len(r.order)
-	st := step{node: v, parent: parent, parentCol: parentCol, col: col, kid: -1, sib: -1, table: cp.nodes[v].table, memo: -1}
+	st := step{node: v, parent: parent, kid: -1, sib: -1, table: cp.nodes[v].table, adj: adj, memo: -1}
 	if len(cp.nodes[v].preds) > 0 {
 		st.cands = r.sels[v]
-	}
-	if parent >= 0 {
-		st.ptable = cp.nodes[parent].table
-		st.idx = st.table.ensureIndex(col)
 	}
 	r.order = append(r.order, st)
 	last := -1
@@ -413,7 +420,7 @@ func (r *planRun) plan(cp *CompiledPlan, v, parent, parentCol, col int) int {
 		if he.to == parent {
 			continue
 		}
-		c := r.plan(cp, he.to, v, he.fromCol, he.toCol)
+		c := r.plan(cp, he.to, v, he.adj)
 		if last < 0 {
 			r.order[k].kid = c
 		} else {
@@ -448,14 +455,13 @@ func (r *planRun) below(k, row int) bool {
 			return s == memoLive
 		}
 	}
-	vals := st.table.slot(row).Values
 	ok := true
 	for c := st.kid; c >= 0 && ok; c = r.order[c].sib {
 		ch := &r.order[c]
 		ok = false
-		for _, p := range ch.idx.Get(vals[ch.parentCol]) {
+		for _, p := range ch.adj.partners(row) {
 			r.probes++
-			if ch.member(p) && r.below(c, p) {
+			if ch.member(int(p)) && r.below(c, int(p)) {
 				ok = true
 				break
 			}
@@ -487,8 +493,8 @@ func (r *planRun) enumerate(k int) bool {
 		return r.limit > 0 && r.count >= r.limit
 	}
 	st := &r.order[k]
-	pv := st.ptable.slot(r.assign[st.parent]).Values[st.parentCol]
-	for _, id := range st.idx.Get(pv) {
+	for _, p := range st.adj.partners(r.assign[st.parent]) {
+		id := int(p)
 		r.probes++
 		if !st.member(id) || !r.below(k, id) {
 			continue

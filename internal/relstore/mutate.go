@@ -27,6 +27,10 @@ import (
 //     database can read is ever written. A version appended at its end
 //     may share its predecessor's array, writing only past the
 //     predecessor's length (see Tail).
+//   - The foreign-key adjacencies of every FK a changed table takes
+//     part in are patched the same way: a batch copies an adjacency's
+//     chunk spine and rebuilds only the chunks whose rows gained or
+//     lost a partner (see fkEdit in adjacency.go).
 //   - Deletes tombstone the row instead of renumbering: RowIDs are
 //     assigned once and never reused, which keeps every RowID-keyed
 //     structure (posting lists, equality indexes, memos) valid without
@@ -85,6 +89,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 		return nil, nil, fmt.Errorf("relstore: empty mutation batch")
 	}
 	ndb := &Database{Name: db.Name, tables: maps.Clone(db.tables), order: db.order}
+	fe := db.newFKEdit(ndb)
 	touched := make(map[string]*Table)
 	tableFor := func(i int, name string) (*Table, error) {
 		if t, ok := touched[name]; ok {
@@ -123,6 +128,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 			}
 			vals := slices.Clone(m.Values)
 			id := t.applyInsert(vals)
+			fe.rowChanged(m.Table, id, nil, vals)
 			changes = append(changes, RowChange{Table: m.Table, RowID: id, New: vals})
 		case OpUpdate:
 			t, err := tableFor(i, m.Table)
@@ -148,6 +154,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 			}
 			vals := slices.Clone(m.Values)
 			t.applyUpdate(id, vals)
+			fe.rowChanged(m.Table, id, old, vals)
 			changes = append(changes, RowChange{Table: m.Table, RowID: id, Old: old, New: vals})
 		case OpDelete:
 			t, err := tableFor(i, m.Table)
@@ -160,6 +167,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 			}
 			old := t.slot(id).Values
 			t.applyDelete(id)
+			fe.rowChanged(m.Table, id, old, nil)
 			changes = append(changes, RowChange{Table: m.Table, RowID: id, Old: old})
 		default:
 			return nil, nil, fmt.Errorf("relstore: mutation %d: unknown op %q (want insert, update, or delete)", i, m.Op)
@@ -168,6 +176,7 @@ func (db *Database) Apply(muts []Mutation) (*Database, []RowChange, error) {
 	for _, t := range touched {
 		t.base = nil // published: the batch's chunk ownership ends here
 	}
+	ndb.fks.set.Store(fe.finish())
 	return ndb, changes, nil
 }
 

@@ -187,12 +187,15 @@ func (t *Table) allRowIDs() []int {
 }
 
 // Prepare eagerly builds the derived read structures the execution engine
-// uses — posting lists over every indexed column and equality indexes over
-// primary-key and foreign-key columns — so that a built database serves
-// its first query at steady-state speed and concurrent readers never
-// contend on lazy construction. Building is idempotent; Prepare is called
-// by the engine's Build step but is optional for standalone use (every
-// structure also builds lazily on first use).
+// uses — posting lists over every indexed column, equality indexes over
+// primary-key and referenced columns, and the foreign-key adjacencies
+// joins walk (adjacency.go) — so that a built database serves its first
+// query at steady-state speed and concurrent readers never contend on
+// lazy construction. Foreign-key columns get no equality index: joins
+// never probe one, and LookupEqual builds it on first use like any other
+// column's. Building is idempotent; Prepare is called by the engine's
+// Build and Open and after checkpoint compaction, and is optional for
+// standalone use (every structure also builds lazily on first use).
 func (db *Database) Prepare() {
 	for _, name := range db.order {
 		t := db.tables[name]
@@ -207,9 +210,6 @@ func (db *Database) Prepare() {
 			}
 		}
 		for _, fk := range t.Schema.ForeignKeys {
-			if ci := t.Schema.ColumnIndex(fk.Column); ci >= 0 {
-				t.ensureIndex(ci)
-			}
 			if ref := db.tables[fk.RefTable]; ref != nil {
 				if ci := ref.Schema.ColumnIndex(fk.RefColumn); ci >= 0 {
 					ref.ensureIndex(ci)
@@ -217,4 +217,5 @@ func (db *Database) Prepare() {
 			}
 		}
 	}
+	db.links()
 }

@@ -125,8 +125,9 @@ type Table struct {
 	// that is not being patched owns the chunks it allocated.
 	base []*chunk
 	// value indexes per column: column position -> value -> row ids.
-	// Built lazily for columns used in joins or PK lookups; idxMu guards
-	// lazy construction under concurrent readers.
+	// Built for primary-key and FK-referenced columns by
+	// Database.Prepare and lazily for any other column LookupEqual
+	// reads; idxMu guards lazy construction under concurrent readers.
 	idxMu    sync.Mutex
 	valueIdx map[int]*cow.Map[[]int]
 
@@ -277,6 +278,8 @@ type Database struct {
 	Name   string
 	tables map[string]*Table
 	order  []string
+	// fks holds the foreign-key adjacencies joins walk (adjacency.go).
+	fks fkState
 }
 
 // NewDatabase creates an empty database.

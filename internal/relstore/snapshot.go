@@ -225,8 +225,9 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 
 // CompactTables returns a database in which the named tables have been
 // rebuilt without tombstones: live rows are re-inserted in RowID order,
-// renumbering them densely from 0, and the per-table indexes rebuild
-// from the compacted rows. Untouched tables (and tables with no dead
+// renumbering them densely from 0, and the per-table indexes and the
+// foreign-key adjacencies of the compacted tables rebuild from the
+// compacted rows. Untouched tables (and tables with no dead
 // rows) are shared with the receiver, which is never modified — the
 // rebuild-and-swap primitive of checkpoint-time tombstone compaction.
 // Readers of the old database keep a consistent view; the caller
@@ -247,6 +248,10 @@ func (db *Database) CompactTables(names []string) *Database {
 			}
 		}
 		ndb.tables[name] = nt
+	}
+	if s := db.fks.set.Load(); s != nil {
+		// Links between shared tables carry over; the rest rebuild.
+		ndb.fks.set.Store(&fkSet{tables: len(ndb.order), links: ndb.relink(s.links)})
 	}
 	return ndb
 }
