@@ -468,19 +468,6 @@ func BenchmarkAblationDataVsSchema(b *testing.B) {
 	}
 }
 
-// BenchmarkAPISearchTrees measures the data-based baseline via the public
-// API.
-func BenchmarkAPISearchTrees(b *testing.B) {
-	eng, q := apiEngine(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.SearchTrees(ctx, q, 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTable3_1_ExampleTasks regenerates the user-study task table.
 func BenchmarkTable3_1_ExampleTasks(b *testing.B) {
 	movie, _, movieIn, _, _, _, _ := envs(b)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -149,7 +150,12 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 
 	// Saturate: far more closed-loop clients than the 2-slot ceiling
-	// plus 2-deep queue can hold, so sheds are guaranteed.
+	// plus 2-deep queue can hold. On one core a search never blocks, so
+	// it runs to completion before the next request is even read and the
+	// gate would never see two in flight. Two clients therefore upload
+	// oversized bodies slowly: once admitted, each occupies a slot while
+	// it waits on the network, and the overflow must be shed whatever
+	// the scheduler does.
 	var (
 		oks, sheds, badBodies atomic.Int64
 		termSent              atomic.Bool
@@ -214,6 +220,26 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		}(w)
 	}
 
+	for h := 0; h < 2; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := holdSlot(addr, 300*time.Millisecond); err != nil {
+					if !termSent.Load() {
+						t.Errorf("slot holder: %v", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+
 	// Let the load bite for a couple of governor windows, then SIGTERM
 	// mid-saturation.
 	time.Sleep(1200 * time.Millisecond)
@@ -258,6 +284,49 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	if eng.Epoch() < 3 {
 		t.Fatalf("epoch %d after reopen, want >= 3 (committed mutations lost)", eng.Epoch())
 	}
+}
+
+// bodyCap is httpapi's request body cap (1 MiB): the admission cost peek
+// reads at most this much before the gate, and a body one byte longer is
+// answered 413.
+const bodyCap = 1 << 20
+
+// holdSlot sends a /v1/search request whose declared body is one byte
+// over bodyCap. It sends the first bodyCap bytes (JSON whitespace),
+// which is all the admission peek reads, so the request reaches the
+// gate. Once admitted, the handler blocks reading the missing byte, and
+// the request holds its slot for hold. Then the byte goes out and the
+// answer is read: 413 if the request was admitted, a structured 429/503
+// if it was shed. Any other status is an error, as is a connection
+// failure, which is expected only once the server is shutting down.
+func holdSlot(addr string, hold time.Duration) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/search HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\nConnection: close\r\n\r\n", addr, bodyCap+1)
+	if _, err := io.WriteString(conn, head); err != nil {
+		return err
+	}
+	if _, err := conn.Write(bytes.Repeat([]byte(" "), bodyCap)); err != nil {
+		return err
+	}
+	time.Sleep(hold)
+	// A shed request may already have been answered and its connection
+	// closed, so a failed write is not an error; the answer is.
+	_, _ = conn.Write([]byte(" "))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusRequestEntityTooLarge, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		return nil
+	}
+	return fmt.Errorf("oversized slow upload answered %d", resp.StatusCode)
 }
 
 // TestHTTPServerTimeouts: the serving listener bounds how long a client

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/datagraph"
 	"repro/internal/durable"
 	"repro/internal/invindex"
 	"repro/internal/qcache"
@@ -52,12 +51,11 @@ const compactRatio = 0.5
 
 // Section names of the engine snapshot container.
 const (
-	sectionMeta      = "meta"
-	sectionDatabase  = "database"
-	sectionInvIndex  = "invindex"
-	sectionUsage     = "usage"
-	sectionDataGraph = "datagraph"
-	sectionQCache    = "qcache"
+	sectionMeta     = "meta"
+	sectionDatabase = "database"
+	sectionInvIndex = "invindex"
+	sectionUsage    = "usage"
+	sectionQCache   = "qcache"
 )
 
 // ErrDurabilityDisabled is returned by Checkpoint on an engine built
@@ -88,11 +86,11 @@ type durState struct {
 // SaveSnapshot serialises the engine's current snapshot — the complete
 // physical database (tombstones and RowID high-water marks included),
 // per-column posting lists, the inverted index with its statistics and
-// term dictionary, template-usage priors, and the data graph when it is
-// materialised — to w as a versioned, per-section checksummed container.
-// OpenSnapshot restores it without re-running Build, with byte-identical
-// search behaviour. Safe to call while the engine serves traffic and
-// applies mutations: the snapshot written is the one current at entry.
+// term dictionary, and template-usage priors — to w as a versioned,
+// per-section checksummed container. OpenSnapshot restores it without
+// re-running Build, with byte-identical search behaviour. Safe to call
+// while the engine serves traffic and applies mutations: the snapshot
+// written is the one current at entry.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	s := e.current()
 	if s == nil {
@@ -153,14 +151,6 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 			usage.Int(s.cat.UsageCount[id])
 		}
 		if err := sw.Section(sectionUsage, usage.Bytes()); err != nil {
-			return err
-		}
-	}
-
-	if g := s.dg.Load(); g != nil {
-		var dg durable.Enc
-		g.EncodeSnapshot(&dg)
-		if err := sw.Section(sectionDataGraph, dg.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -287,13 +277,6 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 		graph: graph,
 		cat:   cat,
 		model: eng.newModel(ix, cat),
-	}
-	if raw := sections[sectionDataGraph]; raw != nil && !cfg.rebuildIndexes {
-		g, err := datagraph.DecodeSnapshot(durable.NewDec(raw), db)
-		if err != nil {
-			return nil, fmt.Errorf("keysearch: open snapshot: %w", err)
-		}
-		s.dg.Store(g)
 	}
 	eng.snap.Store(s)
 	eng.built = true
@@ -546,7 +529,7 @@ func (e *Engine) compactSnapshot(s *snapshot, tables []string) *snapshot {
 	nix := invindex.Build(ndb)
 	model := e.newModel(nix, s.cat)
 	model.InheritCache(s.model, nil) // no attribute statistics changed
-	next := &snapshot{
+	return &snapshot{
 		epoch: s.epoch,
 		db:    ndb,
 		ix:    nix,
@@ -554,11 +537,6 @@ func (e *Engine) compactSnapshot(s *snapshot, tables []string) *snapshot {
 		cat:   s.cat,
 		model: model,
 	}
-	if s.dg.Load() != nil {
-		// RowIDs moved: rebuild rather than patch, staying warm.
-		next.dg.Store(datagraph.Build(ndb))
-	}
-	return next
 }
 
 // startCheckpointPolicy launches the background goroutine that

@@ -47,10 +47,6 @@ func churnedEngine(t *testing.T, opts ...Option) *Engine {
 
 func TestSaveOpenSnapshotRoundTrip(t *testing.T) {
 	eng := churnedEngine(t)
-	// Materialise the data graph so its section is exercised too.
-	if _, err := eng.SearchTrees(bg, "tom terminal", 3); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := eng.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -83,9 +79,6 @@ func TestSaveOpenSnapshotRoundTrip(t *testing.T) {
 // contract of the snapshot format.
 func TestSnapshotByteStability(t *testing.T) {
 	eng := churnedEngine(t)
-	if _, err := eng.SearchTrees(bg, "tom", 2); err != nil {
-		t.Fatal(err)
-	}
 	var first, second bytes.Buffer
 	if err := eng.SaveSnapshot(&first); err != nil {
 		t.Fatal(err)

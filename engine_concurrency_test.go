@@ -36,10 +36,6 @@ func TestConcurrentSearchSharedEngine(t *testing.T) {
 				if _, err := eng.Diversify(bg, DiversifyRequest{Query: q, K: 3, Lambda: 0.1}); err != nil {
 					errs <- err
 				}
-				// SearchTrees races the lazy data-graph build on first use.
-				if _, err := eng.SearchTrees(bg, q, 2); err != nil {
-					errs <- err
-				}
 				if ks := eng.Keywords(q[:1], 5); len(ks) == 0 {
 					errs <- errors.New("no keywords for prefix " + q[:1])
 				}
@@ -86,9 +82,6 @@ func TestCancelledContextAborts(t *testing.T) {
 	}
 	if _, err := eng.SearchRows(ctx, RowsRequest{Query: "london", K: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchRows error = %v, want context.Canceled", err)
-	}
-	if _, err := eng.SearchTrees(ctx, "london", 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchTrees error = %v, want context.Canceled", err)
 	}
 	if _, err := eng.Construct(ctx, ConstructRequest{Query: "london 2010"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Construct error = %v, want context.Canceled", err)

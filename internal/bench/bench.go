@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"net/http"
 	"os"
 	"runtime"
 	"slices"
@@ -48,6 +49,11 @@ type Config struct {
 	// Window is the admission governor's control window (default 500ms;
 	// quick 200ms).
 	Window time.Duration
+	// Wrap, when set, wraps the admitted handler of every server the
+	// overload leg stands up (httpapi.WithHandlerWrapper). The smoke test
+	// adds a blocking service time with it, so admitted requests overlap
+	// and the gates engage on any scheduler, one core included.
+	Wrap func(http.Handler) http.Handler
 }
 
 // sized resolves one size: an explicit setting, else the quick or the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"flag"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -26,10 +27,14 @@ func TestLegsQuick(t *testing.T) {
 	for _, leg := range Legs {
 		cfg := Config{Quick: true, Rows: 4000, Step: 300 * time.Millisecond}
 		if leg.Name == "overload" {
-			// 60k rows, not 4k: queries must cost real milliseconds for
-			// closed-loop clients to ever overlap (and so for the gates
-			// to engage) on a small machine.
+			// 60k rows, not 4k, so queries cost real milliseconds. Even
+			// so, on one core a handler that never blocks runs to
+			// completion before the next is scheduled, and the gates
+			// never see two requests in flight; a blocking service time
+			// inside the gate makes admitted requests overlap on any
+			// scheduler.
 			cfg.Rows, cfg.Window = 60000, 150*time.Millisecond
+			cfg.Wrap = blockingService(2 * time.Millisecond)
 		}
 		rep, err := RunLegs(env, []Leg{leg}, cfg)
 		if err != nil {
@@ -99,6 +104,18 @@ func TestLegsQuick(t *testing.T) {
 	}
 	if on["high_water_bytes"] == 0 || on["high_water_bytes"] > 64<<20 {
 		t.Errorf("budget accounting wrong: %+v", on)
+	}
+}
+
+// blockingService wraps a handler with a fixed sleep before it runs: the
+// request holds its admission slot while it sleeps, without using the
+// CPU.
+func blockingService(d time.Duration) func(http.Handler) http.Handler {
+	return func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(d)
+			inner.ServeHTTP(w, r)
+		})
 	}
 }
 

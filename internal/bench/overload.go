@@ -53,9 +53,15 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 		return LegReport{}, err
 	}
 	rep := LegReport{Dataset: dataset, Params: map[string]any{"workload_ops": len(ops)}}
+	newServer := func(opts ...httpapi.Option) *httpapi.Server {
+		if cfg.Wrap != nil {
+			opts = append(opts, httpapi.WithHandlerWrapper(cfg.Wrap))
+		}
+		return httpapi.New(eng, opts...)
+	}
 
 	env.logf("saturation ramp: doubling workers up to %d, %v per step...", cfg.rampWorkers(), cfg.step())
-	ts := httptest.NewServer(httpapi.New(eng))
+	ts := httptest.NewServer(newServer())
 	sat, err := loadgen.FindSaturation(context.Background(), loadgen.SaturationOptions{
 		Base:         loadgen.Options{BaseURL: ts.URL, Ops: ops},
 		MaxWorkers:   cfg.rampWorkers(),
@@ -71,7 +77,7 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 	rep.Params["saturation_rps"], rep.Params["saturation_workers"] = sat.SaturationRPS, sat.AtWorkers
 	env.logf("saturation: %.0f req/s at %d workers", sat.SaturationRPS, sat.AtWorkers)
 
-	open, err := serve(httpapi.New(eng), 0, loadgen.Options{
+	open, err := serve(newServer(), 0, loadgen.Options{
 		Ops: ops, Workers: cfg.rampWorkers(), RateRPS: max(sat.SaturationRPS/2, 1), Duration: 2 * cfg.step()})
 	if err != nil {
 		return LegReport{}, err
@@ -82,7 +88,7 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 	const queueTimeout, deadline = 200 * time.Millisecond, 5 * time.Second
 	overload := func(name string, opts ...httpapi.Option) (*served, Row, error) {
 		env.logf("%s: driving %d workers for %v...", name, 8*knee, 2*cfg.step())
-		run, err := serve(httpapi.New(eng, opts...), 0, loadgen.Options{Ops: ops, Workers: 8 * knee, Duration: 2 * cfg.step()})
+		run, err := serve(newServer(opts...), 0, loadgen.Options{Ops: ops, Workers: 8 * knee, Duration: 2 * cfg.step()})
 		if err != nil {
 			return nil, Row{}, err
 		}

@@ -49,8 +49,7 @@ type Graph struct {
 // Build materialises the data graph: one node per tuple, one undirected
 // edge per foreign-key reference between tuples. Tombstoned rows are
 // skipped. Containment and adjacency lists are kept in canonical
-// (table, row) order, so an incrementally maintained graph (Apply) is
-// structurally identical to a freshly built one.
+// (table, row) order, so Search expands neighbours deterministically.
 func Build(db *relstore.Database) *Graph {
 	g := &Graph{
 		db:         db,

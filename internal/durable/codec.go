@@ -17,7 +17,7 @@
 //     write-ahead log with torn-tail recovery.
 //
 // The package deliberately depends only on the standard library: the
-// storage layers (relstore, invindex, datagraph) import it to encode
+// storage layers (relstore, invindex, qcache) import it to encode
 // their own state, and the engine composes those sections into one
 // snapshot file.
 package durable

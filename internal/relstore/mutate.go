@@ -67,7 +67,7 @@ type Mutation struct {
 // RowChange records one applied row mutation in terms of the physical
 // row: Old is nil for an insert, New is nil for a delete, and both are
 // set for an update. Downstream incremental maintainers (inverted index,
-// data graph, ranking statistics) consume RowChanges to patch exactly
+// ranking statistics) consume RowChanges to patch exactly
 // the affected entries.
 type RowChange struct {
 	Table string

@@ -231,8 +231,8 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 // rows) are shared with the receiver, which is never modified — the
 // rebuild-and-swap primitive of checkpoint-time tombstone compaction.
 // Readers of the old database keep a consistent view; the caller
-// republishes every derived structure (inverted index, data graph,
-// statistics) over the returned database, since RowIDs changed.
+// republishes every derived structure (inverted index, statistics)
+// over the returned database, since RowIDs changed.
 func (db *Database) CompactTables(names []string) *Database {
 	ndb := &Database{Name: db.Name, tables: maps.Clone(db.tables), order: db.order}
 	for _, name := range names {

@@ -1,20 +1,13 @@
 // Package schemagraph models the undirected schema graph of a relational
 // database (Section 2.2.3, Figure 2.2): nodes are tables, edges are foreign
-// key → primary key relationships. It provides the two enumeration
-// primitives the keyword-search stack is built on:
-//
-//   - EnumerateJoinTrees: all connected join trees over the schema graph up
-//     to a size bound, allowing repeated table occurrences (self-join
-//     patterns such as Actor ⋈ Acts ⋈ Movie ⋈ Acts ⋈ Actor). These are the
-//     automatically generated query templates of Section 3.5.2.
-//   - EnumerateCandidateNetworks: the DISCOVER-style breadth-first
-//     enumeration of candidate networks for a keyword query: join trees
-//     whose leaves are non-free (minimality) and which cover all keywords
-//     (completeness), Section 2.2.3.
+// key → primary key relationships. Its enumeration primitive,
+// EnumerateJoinTrees, yields all connected join trees over the schema
+// graph up to a size bound, allowing repeated table occurrences (self-join
+// patterns such as Actor ⋈ Acts ⋈ Movie ⋈ Acts ⋈ Actor). These are the
+// automatically generated query templates of Section 3.5.2.
 package schemagraph
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -275,117 +268,6 @@ func (g *Graph) EnumerateJoinTrees(opts EnumerateOptions) []*JoinTree {
 			}
 		}
 		frontier = next
-	}
-	return out
-}
-
-// CandidateNetwork is a join tree annotated with the keywords each
-// occurrence must contain: KeywordsAt[i] lists the keywords assigned to
-// occurrence i. Occurrences with no keywords are free tuple sets.
-type CandidateNetwork struct {
-	Tree       *JoinTree
-	KeywordsAt [][]string
-}
-
-// String renders the CN in the thesis's a:"k" ⋈ b notation.
-func (cn *CandidateNetwork) String() string {
-	parts := make([]string, len(cn.Tree.Tables))
-	for i, table := range cn.Tree.Tables {
-		if len(cn.KeywordsAt[i]) > 0 {
-			parts[i] = fmt.Sprintf("%s:%q", table, strings.Join(cn.KeywordsAt[i], " "))
-		} else {
-			parts[i] = table
-		}
-	}
-	return strings.Join(parts, " ⋈ ")
-}
-
-// IsMinimal reports whether every leaf occurrence carries at least one
-// keyword (no empty leaf nodes, the minimality condition of §2.2.3).
-func (cn *CandidateNetwork) IsMinimal() bool {
-	deg := make([]int, len(cn.Tree.Tables))
-	for _, e := range cn.Tree.TreeEdges {
-		deg[e.From]++
-		deg[e.To]++
-	}
-	for i := range cn.Tree.Tables {
-		isLeaf := deg[i] <= 1
-		if isLeaf && len(cn.KeywordsAt[i]) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// EnumerateCandidateNetworks enumerates the candidate networks for a
-// keyword query given the non-free table sets: matches maps each keyword
-// to the tables containing it. A valid CN covers every keyword exactly
-// once (completeness, Definition 3.5.4(1)) and has no free leaves
-// (minimality, Definition 3.5.4(2)).
-func (g *Graph) EnumerateCandidateNetworks(matches map[string][]string, opts EnumerateOptions) []*CandidateNetwork {
-	keywords := make([]string, 0, len(matches))
-	for k := range matches {
-		keywords = append(keywords, k)
-	}
-	sort.Strings(keywords)
-
-	trees := g.EnumerateJoinTrees(opts)
-	var out []*CandidateNetwork
-	seen := make(map[string]bool)
-	for _, t := range trees {
-		assignments := assignKeywords(t, keywords, matches)
-		for _, asg := range assignments {
-			cn := &CandidateNetwork{Tree: t, KeywordsAt: asg}
-			if !cn.IsMinimal() {
-				continue
-			}
-			key := cn.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, cn)
-			if opts.MaxTrees > 0 && len(out) >= opts.MaxTrees {
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// assignKeywords enumerates all ways to place every keyword onto exactly
-// one occurrence of a table that contains it.
-func assignKeywords(t *JoinTree, keywords []string, matches map[string][]string) [][][]string {
-	var out [][][]string
-	cur := make([]int, len(keywords)) // keyword -> occurrence index
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(keywords) {
-			asg := make([][]string, len(t.Tables))
-			for i, occ := range cur {
-				asg[occ] = append(asg[occ], keywords[i])
-			}
-			out = append(out, asg)
-			return
-		}
-		allowed := matches[keywords[k]]
-		for occ, table := range t.Tables {
-			ok := false
-			for _, a := range allowed {
-				if a == table {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			cur[k] = occ
-			rec(k + 1)
-		}
-	}
-	if len(keywords) > 0 {
-		rec(0)
 	}
 	return out
 }

@@ -189,144 +189,6 @@ func TestCanonicalIsomorphism(t *testing.T) {
 	}
 }
 
-// TestHanksTerminalCNs reproduces the worked example of Section 2.2.3: the
-// query "hanks terminal" with hanks ∈ {actor, director} and terminal ∈
-// {film, company, location} yields exactly the four candidate networks
-// listed in the thesis (within join paths of length ≤ 3).
-func TestHanksTerminalCNs(t *testing.T) {
-	g := fig22Graph()
-	matches := map[string][]string{
-		"hanks":    {"actor", "director"},
-		"terminal": {"film", "company", "location"},
-	}
-	cns := g.EnumerateCandidateNetworks(matches, EnumerateOptions{MaxNodes: 3})
-	var got []string
-	for _, cn := range cns {
-		if cn.Tree.Size() == 3 {
-			got = append(got, cn.String())
-		}
-	}
-	sort.Strings(got)
-	want := []string{
-		`actor:"hanks" ⋈ acts ⋈ film:"terminal"`,
-		`actor:"hanks" ⋈ employed_by ⋈ company:"terminal"`,
-		`director:"hanks" ⋈ directs ⋈ film:"terminal"`,
-		`director:"hanks" ⋈ employed_by ⋈ company:"terminal"`,
-	}
-	// The enumeration may order occurrences differently; compare as sets of
-	// canonical strings after normalising occurrence order.
-	if len(got) != len(want) {
-		t.Fatalf("got %d size-3 CNs: %v, want %d: %v", len(got), got, len(want), want)
-	}
-	for i := range want {
-		if !sameCN(got[i], want[i]) && !containsCN(got, want[i]) {
-			t.Fatalf("missing CN %q in %v", want[i], got)
-		}
-	}
-}
-
-func sameCN(a, b string) bool {
-	pa := strings.Split(a, " ⋈ ")
-	pb := strings.Split(b, " ⋈ ")
-	sort.Strings(pa)
-	sort.Strings(pb)
-	return strings.Join(pa, "|") == strings.Join(pb, "|")
-}
-
-func containsCN(list []string, want string) bool {
-	for _, g := range list {
-		if sameCN(g, want) {
-			return true
-		}
-	}
-	return false
-}
-
-func TestCNMinimality(t *testing.T) {
-	tree := &JoinTree{
-		Tables: []string{"actor", "acts", "film"},
-		TreeEdges: []TreeEdge{
-			{From: 1, To: 0, FromColumn: "actor_id", ToColumn: "id"},
-			{From: 1, To: 2, FromColumn: "film_id", ToColumn: "id"},
-		},
-	}
-	cn := &CandidateNetwork{Tree: tree, KeywordsAt: [][]string{{"hanks"}, nil, {"terminal"}}}
-	if !cn.IsMinimal() {
-		t.Fatal("keyworded leaves should be minimal")
-	}
-	cn = &CandidateNetwork{Tree: tree, KeywordsAt: [][]string{{"hanks", "terminal"}, nil, nil}}
-	if cn.IsMinimal() {
-		t.Fatal("free leaf must violate minimality")
-	}
-	// Single free node is non-minimal too.
-	single := &CandidateNetwork{
-		Tree:       &JoinTree{Tables: []string{"actor"}},
-		KeywordsAt: [][]string{nil},
-	}
-	if single.IsMinimal() {
-		t.Fatal("free singleton must violate minimality")
-	}
-}
-
-func TestCandidateNetworksCompleteness(t *testing.T) {
-	g := fig22Graph()
-	matches := map[string][]string{
-		"hanks":    {"actor", "director"},
-		"terminal": {"film", "company", "location"},
-	}
-	cns := g.EnumerateCandidateNetworks(matches, EnumerateOptions{MaxNodes: 4})
-	for _, cn := range cns {
-		total := 0
-		for i, kws := range cn.KeywordsAt {
-			for _, k := range kws {
-				allowed := matches[k]
-				ok := false
-				for _, a := range allowed {
-					if a == cn.Tree.Tables[i] {
-						ok = true
-					}
-				}
-				if !ok {
-					t.Fatalf("keyword %q assigned to disallowed table %s in %s",
-						k, cn.Tree.Tables[i], cn)
-				}
-			}
-			total += len(kws)
-		}
-		if total != 2 {
-			t.Fatalf("CN %s does not cover both keywords", cn)
-		}
-		if !cn.IsMinimal() {
-			t.Fatalf("non-minimal CN emitted: %s", cn)
-		}
-	}
-}
-
-func TestCandidateNetworksSingleKeyword(t *testing.T) {
-	g := fig22Graph()
-	cns := g.EnumerateCandidateNetworks(map[string][]string{"hanks": {"actor"}},
-		EnumerateOptions{MaxNodes: 2})
-	if len(cns) != 1 {
-		t.Fatalf("got %d CNs, want exactly the actor singleton: %v", len(cns), cns)
-	}
-	if cns[0].Tree.Size() != 1 || cns[0].Tree.Tables[0] != "actor" {
-		t.Fatalf("CN = %v", cns[0])
-	}
-}
-
-func TestCandidateNetworksNoMatches(t *testing.T) {
-	g := fig22Graph()
-	cns := g.EnumerateCandidateNetworks(map[string][]string{"zzz": nil},
-		EnumerateOptions{MaxNodes: 3})
-	if len(cns) != 0 {
-		t.Fatalf("expected no CNs for unmatched keyword, got %d", len(cns))
-	}
-	cns = g.EnumerateCandidateNetworks(map[string][]string{}, EnumerateOptions{MaxNodes: 3})
-	if len(cns) != 0 {
-		t.Fatalf("expected no CNs for empty query, got %d", len(cns))
-	}
-}
-
 func TestNewDeduplicatesTables(t *testing.T) {
 	g := New([]string{"a", "a", "b"}, nil)
 	if g.NumTables() != 2 {

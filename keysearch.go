@@ -47,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/datagraph"
 	"repro/internal/invindex"
 	"repro/internal/prob"
 	"repro/internal/qcache"
@@ -220,11 +219,10 @@ func WithCheckpointPolicy(interval time.Duration, batches int) Option {
 }
 
 // WithRebuildIndexes makes OpenSnapshot / Open ignore the persisted
-// derived structures (inverted index, data graph) and re-derive them
-// from the row data instead — slower to open, but a recovery path for
-// snapshots whose derived sections are from an older build, and proof
-// that persisted indexes never diverge from re-derived ones (the
-// differential tests open both ways).
+// inverted index and re-derive it from the row data instead — slower to
+// open, but a recovery path for snapshots whose index section is from an
+// older build, and proof that the persisted index never diverges from a
+// re-derived one (the differential tests open both ways).
 func WithRebuildIndexes() Option {
 	return func(c *config) { c.rebuildIndexes = true }
 }
@@ -274,37 +272,13 @@ type snapshot struct {
 	graph *schemagraph.Graph
 	cat   *query.Catalog
 	model *prob.Model
-
-	// dg is the lazily built data graph for the data-based baseline,
-	// scoped to this snapshot's row set. When the previous snapshot had
-	// materialised its graph, Apply seeds the next snapshot's eagerly via
-	// incremental maintenance; otherwise it stays lazy.
-	dgMu sync.Mutex
-	dg   atomic.Pointer[datagraph.Graph]
-}
-
-// dataGraph returns the snapshot's data graph, building it on first use.
-// The double-checked lock keeps the lazy build safe and single under
-// concurrent SearchTrees.
-func (s *snapshot) dataGraph() *datagraph.Graph {
-	if g := s.dg.Load(); g != nil {
-		return g
-	}
-	s.dgMu.Lock()
-	defer s.dgMu.Unlock()
-	if g := s.dg.Load(); g != nil {
-		return g
-	}
-	g := datagraph.Build(s.db)
-	s.dg.Store(g)
-	return g
 }
 
 // Engine is a keyword-search engine over one database.
 //
 // Lifecycle: New → Insert rows → Build → serve. Before Build the Engine
 // is a single-goroutine loader; after Build it is safe for unlimited
-// concurrent Search / Diversify / SearchRows / SearchTrees / Construct
+// concurrent Search / Diversify / SearchRows / Construct
 // calls (each Construction session itself belongs to one client, but any
 // number of sessions may run concurrently).
 //

@@ -70,11 +70,10 @@ func (e *Engine) Epoch() uint64 {
 //
 // Incremental maintenance: the relational store's posting lists and
 // equality indexes, the inverted index's postings / per-attribute
-// statistics / term dictionary, the ranking model's corpus statistics,
-// and (when materialised) the data graph are all patched copy-on-write —
-// only structures the changed cell values touch are re-derived, and the
-// memoised score cache carries every entry of unaffected attributes
-// over. The result is indistinguishable from rebuilding the engine over
+// statistics / term dictionary, and the ranking model's corpus
+// statistics are all patched copy-on-write — only structures the
+// changed cell values touch are re-derived, and the memoised score cache
+// carries every entry of unaffected attributes over. The result is indistinguishable from rebuilding the engine over
 // the post-batch rows (the differential tests enforce byte-identical
 // search responses), at a cost proportional to the change, not the
 // database.
@@ -149,11 +148,6 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, erro
 		graph: cur.graph, // schema never changes: shared
 		cat:   cur.cat,
 		model: model,
-	}
-	if g := cur.dg.Load(); g != nil {
-		// The previous snapshot had materialised its data graph: maintain
-		// it incrementally so SearchTrees stays warm across mutations.
-		next.dg.Store(g.Apply(ndb, changes))
 	}
 	var stale []relstore.Attr
 	if e.qc != nil {

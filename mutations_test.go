@@ -83,10 +83,6 @@ func compareEngines(t *testing.T, mutated, fresh *Engine, queries []string) {
 			"diversify": func(e *Engine) (any, error) {
 				return e.Diversify(bg, DiversifyRequest{Query: q, K: 4, Lambda: 0.5})
 			},
-			"trees": func(e *Engine) (any, error) {
-				trees, err := e.SearchTrees(bg, q, 4)
-				return trees, err
-			},
 		} {
 			got, gotErr := run(mutated)
 			want, wantErr := run(fresh)
@@ -388,13 +384,6 @@ func TestDifferentialRandomMutations(t *testing.T) {
 				if _, err := eng.Apply(bg, muts); err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				// Touch the data graph on some rounds so later rounds take
-				// the incremental maintenance path.
-				if round%2 == 0 {
-					if _, err := eng.SearchTrees(bg, "tom", 2); err != nil && !strings.Contains(err.Error(), "empty") {
-						t.Logf("SearchTrees warmup: %v", err)
-					}
-				}
 			}
 			fresh := rebuiltEngine(t, eng, cfg.opts...)
 			queries := fresh.SampleQueries(4)
@@ -454,10 +443,6 @@ func TestConcurrentMutationsAndSearches(t *testing.T) {
 				}
 				if _, err := eng.SearchRows(bg, RowsRequest{Query: "hanks", K: 2}); err != nil {
 					errs <- "rows: " + err.Error()
-					return
-				}
-				if _, err := eng.SearchTrees(bg, "hanks", 2); err != nil {
-					errs <- "trees: " + err.Error()
 					return
 				}
 				_ = eng.Keywords("t", 5)

@@ -247,39 +247,3 @@ func TestAggregateQueries(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchTreesBaseline(t *testing.T) {
-	eng := builtEngine(t)
-	trees, err := eng.SearchTrees(bg, "hanks terminal", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) == 0 {
-		t.Fatal("no tuple trees")
-	}
-	best := trees[0]
-	if best.Weight != 2 || len(best.Rows) != 3 {
-		t.Fatalf("best tree = %+v", best)
-	}
-	// It connects Tom Hanks to The Terminal.
-	joined := best.String()
-	if !strings.Contains(joined, "Tom Hanks") || !strings.Contains(joined, "The Terminal") {
-		t.Fatalf("tree = %s", joined)
-	}
-	// Errors and ordering.
-	if _, err := eng.SearchTrees(bg, "", 5); err == nil {
-		t.Fatal("empty query accepted")
-	}
-	for i := 1; i < len(trees); i++ {
-		if trees[i].Weight < trees[i-1].Weight {
-			t.Fatal("trees not ordered by weight")
-		}
-	}
-	unbuilt, err := New(movieSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unbuilt.SearchTrees(bg, "x", 1); err == nil {
-		t.Fatal("search before Build accepted")
-	}
-}
