@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same targets, so local and CI
 # behaviour cannot drift: the CI test job is exactly `make check`, the
 # lint job `make lint`, the fuzz-smoke job `make fuzz-smoke`, and each
-# leg group of the bench job `make bench-guard LEGS=... QUICK=1`.
+# leg group of the bench job `make bench-guard LEGS=...`.
 
 GO ?= go
 
@@ -74,13 +74,13 @@ fuzz-smoke:
 
 # bench runs legs of the mechanism-ratio harness (internal/bench; see
 # docs/benchmarks.md for what each leg justifies). LEGS picks them: the
-# default is the four micro legs, which finish in under a minute; the
+# default is the three micro legs, which finish in under a minute; the
 # HTTP legs (overload, qcache) build a ~1M-row dataset and take
 # minutes at full size, so they are asked for by name or with LEGS=all.
-# QUICK=1 shrinks every leg to CI size. Nothing is written unless OUT
+# QUICK=1 shrinks the HTTP legs to CI size. Nothing is written unless OUT
 # names a file: `make bench LEGS=all OUT=BENCH.json` re-records the
 # committed baseline.
-LEGS ?= topk,executor,mutate,durable
+LEGS ?= executor,mutate,durable
 benchflags = -legs $(LEGS) $(if $(QUICK),-quick) $(if $(OUT),-out $(OUT))
 
 bench:
@@ -93,8 +93,8 @@ loadtest:
 	$(GO) run ./cmd/loadtest
 
 # bench-guard re-measures LEGS and fails when one of their ratios fell
-# more than the leg's tolerance (25% micro legs, 50% HTTP legs; topk
-# is recorded, never guarded) below the committed BENCH.json. Ratios are
+# more than the leg's tolerance (25% micro legs, 50% HTTP legs) below
+# the committed BENCH.json. Ratios are
 # within-run quotients — postings vs scan, apply vs rebuild, governor vs
 # hand-placed gate — so the guard transfers across machines. The
 # baseline is read before anything is measured and nothing is written

@@ -307,8 +307,7 @@ func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse
 	}
 	sp := tr.Start("execute")
 	results, _, err := topk.TopKContext(ctx, s.db, ranked, &topk.TFScorer{IX: s.ix}, topk.Options{
-		K: req.K, PerInterpretationLimit: 4 * req.K, Parallelism: e.cfg.waves,
-		Exec: e.localExec(ctx, s, view),
+		K: req.K, PerInterpretationLimit: 4 * req.K, Exec: e.localExec(ctx, s, view),
 	})
 	sp.End()
 	if err != nil {

@@ -2,13 +2,13 @@
 // (internal/bench, docs/benchmarks.md), optionally writes the report,
 // and optionally guards it against a committed baseline.
 //
-//	go run ./cmd/bench [-legs topk,executor,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
+//	go run ./cmd/bench [-legs executor,mutate,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
 //
-// -legs defaults to the four micro legs (topk, executor, mutate,
-// durable), which finish in well under a minute; the HTTP legs
-// (overload, qcache, shard) generate a million-row dataset and run for
-// minutes at full size, so they are asked for by name or with "all".
-// -quick shrinks every leg to CI size.
+// -legs defaults to the three micro legs (executor, mutate, durable),
+// which finish in well under a minute; the HTTP legs (overload, qcache)
+// generate a million-row dataset and run for minutes at full size, so
+// they are asked for by name or with "all". -quick shrinks the HTTP legs
+// to CI size.
 //
 // With -compare, the baseline is read into memory before anything is
 // measured — so a bad path fails fast, and -out may name the same file —
@@ -26,8 +26,8 @@ import (
 )
 
 func main() {
-	legList := flag.String("legs", "topk,executor,mutate,durable", "comma-separated legs to run, or all")
-	quick := flag.Bool("quick", false, "run every leg at CI size")
+	legList := flag.String("legs", "executor,mutate,durable", "comma-separated legs to run, or all")
+	quick := flag.Bool("quick", false, "run the HTTP legs at CI size")
 	out := flag.String("out", "", "write the report to this file (default: write nothing)")
 	compare := flag.String("compare", "", "baseline BENCH.json to guard the selected legs against")
 	flag.Parse()

@@ -94,9 +94,9 @@ func marshalGolden(t *testing.T, doc *goldenDoc) []byte {
 
 // TestGoldenPipeline locks the ranked-interpretation and top-k output of
 // the seed datasets: the pipeline must reproduce the recorded files byte
-// for byte. CI runs it at native GOMAXPROCS and at GOMAXPROCS 2, so at two
-// top-k wave widths. Regenerate with -update after an intentional ranking
-// change.
+// for byte. CI runs it at native GOMAXPROCS and at GOMAXPROCS 2; every
+// stage is sequential, so the output must not depend on either.
+// Regenerate with -update after an intentional ranking change.
 func TestGoldenPipeline(t *testing.T) {
 	for _, ds := range goldenDatasets {
 		ds := ds

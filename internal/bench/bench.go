@@ -1,13 +1,13 @@
 // Package bench is the repo's one mechanism-ratio harness. Each leg of
 // the registry measures one mechanism against the path it replaces —
 // compiled plans vs scans, Apply vs rebuild, recovery vs build, the
-// answer cache on vs off, the admission governor vs a hand-placed gate,
-// wave-parallel top-k execution vs sequential — inside a single run on a
-// single machine, and records the quotient as a named ratio column. A within-run ratio transfers across hosts where raw
-// ns/op and req/s do not, which is what lets Compare guard it on shared
-// CI runners. End-to-end performance claims are made with benchmark/
-// instead (see docs/benchmarks.md); this package answers the narrower
-// question "does this mechanism still pay for itself".
+// answer cache on vs off, the admission governor vs a hand-placed gate —
+// inside a single run on a single machine, and records the quotient as a
+// named ratio column. A within-run ratio transfers across hosts where
+// raw ns/op and req/s do not, which is what lets Compare guard it on
+// shared CI runners. End-to-end performance claims are made with
+// benchmark/ instead (see docs/benchmarks.md); this package answers the
+// narrower question "does this mechanism still pay for itself".
 //
 // Adding a leg is one entry in Legs: a name, the tolerance its ratios
 // are guarded with, and a Run function returning rows. Rows that carry
@@ -123,25 +123,23 @@ func (e *Env) dataset(target int) (*relstore.Database, string, error) {
 type Leg struct {
 	Name string
 	// Tolerance is the relative drop below the committed ratio that
-	// Compare fails on; 0 records the leg without guarding it.
+	// Compare fails on.
 	Tolerance float64
 	Run       func(*Env, Config) (LegReport, error)
 	// micro is set on the testing.Benchmark legs so BenchmarkLeg can
 	// drive the same operations under `go test -bench`.
-	micro func(Config) (*microSpec, error)
+	micro func() (*microSpec, error)
 }
 
 // Legs is the registry, in report order. The micro legs time one
 // operation per row through testing.Benchmark and are guarded at 25%;
 // the HTTP legs drive a real server for seconds per row and are guarded
 // at 50%, because a short closed-loop run on a shared runner is that
-// noisy. topk's ratios depend on how many cores are free, so it is
-// recorded and never guarded.
+// noisy.
 var Legs = []Leg{
-	microLeg("topk", 0, topkOps),
-	microLeg("executor", 0.25, executorOps),
-	microLeg("mutate", 0.25, mutateOps),
-	microLeg("durable", 0.25, durableOps),
+	microLeg("executor", executorOps),
+	microLeg("mutate", mutateOps),
+	microLeg("durable", durableOps),
 	{Name: "overload", Tolerance: 0.5, Run: runOverload},
 	{Name: "qcache", Tolerance: 0.5, Run: runQCache},
 }

@@ -14,7 +14,7 @@ import (
 // — not that any number means anything at this size.
 func TestLegsQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all six legs; takes several seconds")
+		t.Skip("runs all five legs; takes several seconds")
 	}
 	// One iteration per micro row pins the shape; timing them for a
 	// second each is cmd/bench's job. Restored for the tests that time.
@@ -60,7 +60,6 @@ func TestLegsQuick(t *testing.T) {
 	}
 
 	for _, w := range []struct{ leg, base, treated, column string }{
-		{"topk", "kw=2/p=1", "kw=2/p=2", "speedup_vs_sequential"},
 		{"executor", "scan", "postings+cache", "speedup_vs_scan"},
 		{"mutate", "full-rebuild", "apply-batch", "speedup_vs_rebuild"},
 		{"durable", "fresh-build", "wal-replay", "speedup_vs_build"},
@@ -121,15 +120,14 @@ func blockingService(d time.Duration) func(http.Handler) http.Handler {
 
 // BenchmarkLeg is the `go test -bench` front end of the micro legs:
 // Leg/<leg>/<row> drives exactly the operation cmd/bench times for that
-// row. CI runs it with -benchtime 1x as a compile-and-run smoke; -short
-// trims the topk grid to its quick subset.
+// row. CI runs it with -benchtime 1x as a compile-and-run smoke.
 func BenchmarkLeg(b *testing.B) {
 	for _, leg := range Legs {
 		if leg.micro == nil {
 			continue
 		}
 		b.Run(leg.Name, func(b *testing.B) {
-			spec, err := leg.micro(Config{Quick: testing.Short()})
+			spec, err := leg.micro()
 			if err != nil {
 				b.Fatal(err)
 			}

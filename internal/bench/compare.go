@@ -8,7 +8,6 @@ import (
 // Verdicts of one Check.
 const (
 	OK        = "ok"
-	Recorded  = "recorded"  // tolerance-0 leg: shown, never failed
 	Regressed = "REGRESSED" // ratio fell more than the leg's tolerance below baseline
 	Missing   = "MISSING"   // the baseline tracks it, the fresh run did not produce it
 )
@@ -45,12 +44,8 @@ func Compare(base, cur *Report) ([]Check, error) {
 			return nil, fmt.Errorf("%w in baseline", err)
 		}
 		tol := legs[0].Tolerance
-		// What a recorded-only leg did not measure (the quick topk
-		// grid is a subset of the full one) is nothing to report.
 		missing := func(row, col string, base float64) {
-			if tol > 0 {
-				out = append(out, Check{Leg: bl.Name, Row: row, Column: col, Base: base, Verdict: Missing})
-			}
+			out = append(out, Check{Leg: bl.Name, Row: row, Column: col, Base: base, Verdict: Missing})
 		}
 		li := slices.IndexFunc(cur.Legs, func(l LegReport) bool { return l.Name == bl.Name })
 		if li < 0 {
@@ -73,10 +68,7 @@ func Compare(base, cur *Report) ([]Check, error) {
 					continue
 				}
 				c := Check{Leg: bl.Name, Row: br.Name, Column: col, Base: br.Ratios[col], Got: got, Verdict: OK}
-				switch {
-				case tol == 0:
-					c.Verdict = Recorded
-				case got < c.Base*(1-tol):
+				if got < c.Base*(1-tol) {
 					c.Verdict = Regressed
 				}
 				out = append(out, c)

@@ -40,9 +40,6 @@ func TestCompare(t *testing.T) {
 			failed: []string{"executor/postings/"}},
 		{name: "a leg missing from the fresh report fails",
 			base: base, cur: report(leg("mutate")), checks: 1, failed: []string{"executor//"}},
-		{name: "a tolerance-0 leg is reported where measured and never fails",
-			base: report(leg("topk", row("kw=2/p=2", map[string]float64{"speedup_vs_sequential": 2}), row("kw=3/p=2", map[string]float64{"speedup_vs_sequential": 2}))),
-			cur:  report(leg("topk", row("kw=2/p=2", map[string]float64{"speedup_vs_sequential": 0.1}))), checks: 1},
 		{name: "a ratio of exactly 1.0 on a non-baseline row is still tracked",
 			base: report(leg("executor", row("postings", vsScan(1)))),
 			cur:  report(leg("executor", row("postings", vsScan(0.5)))), checks: 1,

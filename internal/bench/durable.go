@@ -50,7 +50,7 @@ func durChurn(seq int) []keysearch.Mutation {
 //     (snapshot rewrite, fsync, WAL truncation). It is a write-path
 //     cost, not a recovery path, so it carries no ratio and is tracked
 //     by its absolute trajectory.
-func durableOps(Config) (*microSpec, error) {
+func durableOps() (*microSpec, error) {
 	root, err := os.MkdirTemp("", "bench-durable")
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ const (
 
 // planFixture is the scaled demo database with the index, template
 // catalogue and co-occurrence model its queries are ranked with — the
-// fixture of the executor and topk legs.
+// fixture of the executor leg.
 type planFixture struct {
 	db    *relstore.Database
 	ix    *invindex.Index
@@ -70,7 +70,7 @@ func (f *planFixture) ranked(keywords []string) ([]prob.Scored, error) {
 //     shared across all plans, as the serving path uses it,
 //   - count:          Count over every plan, the allocation-free
 //     cardinality probe.
-func executorOps(Config) (*microSpec, error) {
+func executorOps() (*microSpec, error) {
 	f, err := newPlanFixture()
 	if err != nil {
 		return nil, err

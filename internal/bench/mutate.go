@@ -58,7 +58,7 @@ func sameAnswer(got, want *keysearch.Engine, query string) error {
 //   - apply-batch:   one Engine.Apply of the batch,
 //   - apply+search:  Apply followed by one Search, the read-after-write
 //     freshness path a live ingest pipeline exercises.
-func mutateOps(Config) (*microSpec, error) {
+func mutateOps() (*microSpec, error) {
 	// Generate the rows directly so the batch builder knows real movie
 	// keys and their current values, then feed the engine through the
 	// dump — the same bytes the rebuild row reloads.

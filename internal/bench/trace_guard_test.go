@@ -21,7 +21,7 @@ func TestDisabledTracingOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale dataset build in -short mode")
 	}
-	spec, err := executorOps(Config{})
+	spec, err := executorOps()
 	if err != nil {
 		t.Fatal(err)
 	}

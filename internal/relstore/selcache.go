@@ -3,7 +3,6 @@ package relstore
 import (
 	"sort"
 	"strings"
-	"sync"
 )
 
 // SelectionCache memoises keyword-containment selections across the plans
@@ -19,12 +18,12 @@ import (
 // machinery; they are shared between plans and with the posting lists
 // themselves, so callers must treat them as read-only.
 //
-// The cache is safe for concurrent use — plans of one request execute in
-// parallel waves — and is scoped to a single request: create one per
-// Search / TopKContext / Naive call and drop it afterwards. Because the
-// underlying data is immutable after Build, a cached selection can never
-// go stale within a request, so caching changes how results are computed,
-// never which results are produced.
+// The cache is scoped to a single request and is not safe for concurrent
+// use: the plans of one request execute one at a time on one goroutine.
+// Create one per Search / TopKContext / Naive call and drop it
+// afterwards. Because the underlying data is immutable after Build, a
+// cached selection can never go stale within a request, so caching
+// changes how results are computed, never which results are produced.
 //
 // A cache created with NewSelectionCacheShared additionally consults an
 // engine-lifetime SharedStore (repro/internal/qcache) on local misses and
@@ -33,7 +32,6 @@ import (
 // every entry against the mutation history (see SharedStore), so sharing
 // never changes results either.
 type SelectionCache struct {
-	mu     sync.RWMutex
 	m      map[selectionKey][]int
 	shared SharedStore
 }
@@ -58,13 +56,6 @@ func NewSelectionCache() *SelectionCache {
 // per-request cache.
 func NewSelectionCacheShared(shared SharedStore) *SelectionCache {
 	return &SelectionCache{m: make(map[selectionKey][]int), shared: shared}
-}
-
-// Len returns the number of distinct selections memoised so far.
-func (c *SelectionCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }
 
 // CanonicalBag canonicalises a keyword bag: lower-cased, sorted,
@@ -95,32 +86,18 @@ func (c *SelectionCache) selection(t *Table, ci int, keywords []string) []int {
 		return t.selectPostings(ci, keywords)
 	}
 	key := selectionKey{t: t, col: ci, bag: CanonicalBag(keywords)}
-	c.mu.RLock()
-	rows, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
+	if rows, ok := c.m[key]; ok {
 		return rows
 	}
-	fromShared := false
 	if c.shared != nil {
-		rows, ok = c.shared.GetSelection(t.Schema.Name, ci, key.bag)
-		fromShared = ok
+		if rows, ok := c.shared.GetSelection(t.Schema.Name, ci, key.bag); ok {
+			c.m[key] = rows
+			return rows
+		}
 	}
-	if !ok {
-		rows = t.selectPostings(ci, keywords)
-	}
-	c.mu.Lock()
-	// Re-check under the write lock: a racing goroutine may have stored
-	// the same (deterministic) selection; keep one copy either way.
-	stored := false
-	if prev, ok := c.m[key]; ok {
-		rows = prev
-	} else {
-		c.m[key] = rows
-		stored = true
-	}
-	c.mu.Unlock()
-	if stored && !fromShared && c.shared != nil {
+	rows := t.selectPostings(ci, keywords)
+	c.m[key] = rows
+	if c.shared != nil {
 		c.shared.PutSelection(t.Schema.Name, ci, key.bag, rows)
 	}
 	return rows

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/invindex"
 	"repro/internal/prob"
@@ -110,14 +109,8 @@ type Options struct {
 	// PerInterpretationLimit caps JTT materialisation per interpretation
 	// (0 = unlimited).
 	PerInterpretationLimit int
-	// Parallelism fans plan execution out across a bounded worker pool
-	// (<= 1 executes sequentially); plan execution is the one concurrent
-	// stage of the interpretation pipeline. Executions run in waves of
-	// this size;
-	// result batches feed the single bounded heap in rank order with the
-	// same threshold checks as the sequential loop, so the returned results
-	// — and Stats — are identical at every setting (speculatively executed
-	// batches past the stopping point are discarded uncounted).
+	// Deprecated: ignored. Execution is sequential; the field remains
+	// only so existing callers keep compiling.
 	Parallelism int
 	// Exec evaluates the interpretations' join plans — the seam the
 	// engine and the benchmark's tracing ledger plug a request-scoped
@@ -156,27 +149,18 @@ func (h *resultHeap) Pop() interface{} {
 // TopKContext retrieves the k best results over the ranked
 // interpretation list. ranked must be sorted by descending score (as
 // produced by prob.Model.RankContext); the interpretation score is its
-// upper bound. The context is checked before every interpretation
-// execution (and between waves when parallel), and with
-// opts.Parallelism > 1 the next wave of candidate interpretations is
-// executed concurrently while their result batches are merged into the
-// bounded heap strictly in rank order. Merging applies the threshold
-// check before every batch exactly like the sequential loop, so the heap
-// evolves identically and the output is bit-identical at every
-// parallelism setting. (Soundness of the speculation: a batch discarded
-// by the threshold can only hold results with score ≤ its
-// interpretation bound ≤ the current k-th best, and such results never
-// enter a full heap.)
+// upper bound. Interpretations execute one at a time in rank order: the
+// context is checked first, then the threshold, so no plan is executed
+// whose results the early stop would discard.
 func TopKContext(ctx context.Context, db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, Stats, error) {
 	var stats Stats
 	if opts.K <= 0 {
 		return nil, stats, fmt.Errorf("topk: K must be positive")
 	}
 	// Recording is deferred so early-stop statistics land on the trace
-	// however the wave loop exits; tr is nil (every call a no-op) when
-	// the request is untraced.
-	tr := trace.FromContext(ctx)
-	if tr != nil {
+	// however the loop exits; tr is nil (every call a no-op) when the
+	// request is untraced.
+	if tr := trace.FromContext(ctx); tr != nil {
 		defer func() {
 			tr.Count("topk_executed", int64(stats.Executed))
 			tr.Count("topk_skipped", int64(stats.Skipped))
@@ -190,45 +174,27 @@ func TopKContext(ctx context.Context, db *relstore.Database, ranked []prob.Score
 	heap.Init(h)
 	merge := newHeapMerger(h, opts.K)
 
-	wave := opts.Parallelism
-	if wave < 1 {
-		wave = 1
-	}
 	exec := opts.Exec
 	if exec == nil {
 		exec = &relstore.LocalExecutor{DB: db, Cache: relstore.NewSelectionCache()}
 	}
-	batches := make([]batch, wave)
-outer:
-	for start := 0; start < len(ranked); start += wave {
+	for i, sc := range ranked {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
 		// Early stop (TA / DISCOVER2): no future interpretation can beat
 		// the current k-th best result.
-		if merge.stop(ranked[start].Score) {
-			stats.Skipped = len(ranked) - start
+		if merge.stop(sc.Score) {
+			stats.Skipped = len(ranked) - i
 			break
 		}
-		end := start + wave
-		if end > len(ranked) {
-			end = len(ranked)
+		results, err := executeOne(db, exec, sc, scorer, opts.PerInterpretationLimit)
+		if err != nil {
+			return nil, stats, err
 		}
-		tr.Count("topk_waves", 1)
-		executeWave(ctx, db, exec, ranked[start:end], scorer, opts.PerInterpretationLimit, batches[:end-start])
-		for i := start; i < end; i++ {
-			if merge.stop(ranked[i].Score) {
-				stats.Skipped = len(ranked) - i
-				break outer
-			}
-			b := batches[i-start]
-			if b.err != nil {
-				return nil, stats, b.err
-			}
-			stats.Executed++
-			stats.Materialized += len(b.results)
-			merge.add(b.results)
-		}
+		stats.Executed++
+		stats.Materialized += len(results)
+		merge.add(results)
 	}
 	out := make([]Result, h.Len())
 	for i := range out {
@@ -243,47 +209,17 @@ outer:
 	return out, stats, nil
 }
 
-// batch is the outcome of executing one interpretation.
-type batch struct {
-	results []Result
-	err     error
-}
-
-// executeWave executes a slice of ranked interpretations, one goroutine
-// each when len > 1, filling batches[i] for ranked[i]. Workers only read
-// the immutable database and the concurrency-safe executor, and write
-// disjoint batch slots, so no further synchronisation is needed beyond
-// the WaitGroup.
-func executeWave(ctx context.Context, db *relstore.Database, exec relstore.PlanExecutor, ranked []prob.Scored, scorer Scorer, limit int, batches []batch) {
-	if len(ranked) == 1 {
-		batches[0] = executeOne(ctx, db, exec, ranked[0], scorer, limit)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := range ranked {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			batches[i] = executeOne(ctx, db, exec, ranked[i], scorer, limit)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // executeOne materialises and scores the results of one interpretation.
 // Scoring reads db directly: it is the same snapshot the executor runs
 // over.
-func executeOne(ctx context.Context, db *relstore.Database, exec relstore.PlanExecutor, sc prob.Scored, scorer Scorer, limit int) batch {
-	if err := ctx.Err(); err != nil {
-		return batch{err: err}
-	}
+func executeOne(db *relstore.Database, exec relstore.PlanExecutor, sc prob.Scored, scorer Scorer, limit int) ([]Result, error) {
 	plan, err := sc.Q.JoinPlan()
 	if err != nil {
-		return batch{err: err}
+		return nil, err
 	}
 	jtts, err := exec.ExecutePlan(plan, limit)
 	if err != nil {
-		return batch{err: err}
+		return nil, err
 	}
 	results := make([]Result, 0, len(jtts))
 	for _, jtt := range jtts {
@@ -291,11 +227,11 @@ func executeOne(ctx context.Context, db *relstore.Database, exec relstore.PlanEx
 			Q: sc.Q, Rows: jtt.Rows, Score: sc.Score * scorer.Factor(db, plan, jtt),
 		})
 	}
-	return batch{results: results}
+	return results, nil
 }
 
-// heapMerger owns the bounded result heap: batches are folded in rank
-// order, keeping the k best results seen so far.
+// heapMerger owns the bounded result heap: each interpretation's results
+// are folded in rank order, keeping the k best results seen so far.
 type heapMerger struct {
 	h *resultHeap
 	k int
@@ -311,7 +247,7 @@ func (m *heapMerger) stop(bound float64) bool {
 	return m.h.Len() >= m.k && (*m.h)[0].Score >= bound
 }
 
-// add folds one batch of results into the heap.
+// add folds one interpretation's results into the heap.
 func (m *heapMerger) add(results []Result) {
 	for _, r := range results {
 		if m.h.Len() < m.k {
@@ -339,17 +275,11 @@ func Naive(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Opti
 	}
 	var all []Result
 	for _, sc := range ranked {
-		plan, err := sc.Q.JoinPlan()
+		results, err := executeOne(db, exec, sc, scorer, opts.PerInterpretationLimit)
 		if err != nil {
 			return nil, err
 		}
-		jtts, err := exec.ExecutePlan(plan, opts.PerInterpretationLimit)
-		if err != nil {
-			return nil, err
-		}
-		for _, jtt := range jtts {
-			all = append(all, Result{Q: sc.Q, Rows: jtt.Rows, Score: sc.Score * scorer.Factor(db, plan, jtt)})
-		}
+		all = append(all, results...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {

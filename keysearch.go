@@ -42,7 +42,6 @@ package keysearch
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,10 +91,6 @@ type config struct {
 	execCacheOff       bool
 	answerCacheBytes   int64
 	mutable            bool
-
-	// waves is the width of top-k plan-execution waves: not an option,
-	// but runtime.GOMAXPROCS(0) when the engine is created.
-	waves int
 
 	// Durability tunables (see durability.go). durDir empty = memory-only.
 	durDir             string
@@ -168,11 +163,10 @@ func WithScoreCache(enabled bool) Option {
 // executor. A top-k request executes dozens of candidate networks that
 // keep recombining the same (table, column, keyword-bag) selections; the
 // cache evaluates each distinct selection once per request and shares the
-// row list across all plans of that request (concurrency-safe — plans
-// execute in parallel waves). Enabled by default; it is a pure
-// memoisation over the immutable posting lists, so it never changes
-// results — turning it off exists for the differential tests that prove
-// that.
+// row list across all plans of that request, which execute one at a
+// time. Enabled by default; it is a pure memoisation over the immutable
+// posting lists, so it never changes results — turning it off exists for
+// the differential tests that prove that.
 func WithExecutionCache(enabled bool) Option {
 	return func(c *config) { c.execCacheOff = !enabled }
 }
@@ -248,7 +242,6 @@ func newConfig(opts []Option) config {
 	if cfg.segmentPhrases && cfg.segmentThreshold <= 0 {
 		cfg.segmentThreshold = 0.8
 	}
-	cfg.waves = runtime.GOMAXPROCS(0)
 	if cfg.checkpointInterval <= 0 {
 		cfg.checkpointInterval = 30 * time.Second
 	}

@@ -74,7 +74,7 @@ func (v *countingView) PutCount(key string, fp []relstore.Attr, n int) {
 
 // tracedExecutor times plan execution at the request's executor seam —
 // the per-plan channel that, aggregated as counters, stays bounded no
-// matter how many interpretations a top-k wave executes.
+// matter how many interpretations a top-k request executes.
 type tracedExecutor struct {
 	inner relstore.PlanExecutor
 	tr    *trace.Trace

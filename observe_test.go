@@ -76,3 +76,21 @@ func TestTraceRecordsEngineStages(t *testing.T) {
 		t.Fatalf("answer-cache counters missing: %v", d.Counters)
 	}
 }
+
+// TestTopKExecutesNoDiscardedPlan: a traced SearchRows executes only the
+// plans whose results top-k merges — every plan run is counted in
+// topk_executed, none is run past the early stop.
+func TestTopKExecutesNoDiscardedPlan(t *testing.T) {
+	eng := churnEngine(t)
+	for _, q := range eng.SampleQueries(60) {
+		tr := trace.New("plans")
+		if _, err := eng.SearchRows(trace.NewContext(bg, tr), RowsRequest{Query: q, K: 3}); err != nil {
+			t.Fatal(err)
+		}
+		c := tr.Snapshot().Counters
+		if c["plans_executed"] != c["topk_executed"] {
+			t.Errorf("%q: %d plans executed, %d merged by top-k (%d skipped)",
+				q, c["plans_executed"], c["topk_executed"], c["topk_skipped"])
+		}
+	}
+}

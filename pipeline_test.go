@@ -57,7 +57,7 @@ func TestScoreCacheTransparency(t *testing.T) {
 // of the plan executor never changes a response: cache on vs cache off
 // produce byte-identical JSON across the whole request mix — ranked
 // search with row previews (shared preview cache), global top-k rows
-// (cache shared across the top-k plan waves), and diversification
+// (cache shared across the top-k plans), and diversification
 // (cached non-empty probes).
 func TestExecutionCacheTransparency(t *testing.T) {
 	ctx := context.Background()
@@ -154,7 +154,7 @@ func TestStageCancellation(t *testing.T) {
 		}
 	})
 	t.Run("topk", func(t *testing.T) {
-		_, _, err := topk.TopKContext(cancelled, eng.current().db, ranked, &topk.TFScorer{IX: eng.current().ix}, topk.Options{K: 5, Parallelism: 4})
+		_, _, err := topk.TopKContext(cancelled, eng.current().db, ranked, &topk.TFScorer{IX: eng.current().ix}, topk.Options{K: 5})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("TopKContext error = %v, want context.Canceled", err)
 		}
