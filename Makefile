@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: build test race vet fmt lint staticcheck fuzz fuzz-smoke \
 	bench bench-guard loadtest golden check cover obs-smoke benchmark-smoke \
-	race-sweep
+	race-sweep loc
 
 build:
 	$(GO) build ./...
@@ -139,3 +139,11 @@ obs-smoke:
 # benchmark calls would fail only in CI's benchmark-smoke leg.
 check: vet build race
 	cd benchmark && $(GO) vet ./...
+
+# loc prints the three size counts ROADMAP tracks: non-test Go lines
+# outside the benchmark module, exported With* engine options, and
+# cmd/serve flags.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -print0 | xargs -0 cat | wc -l)"
+	@echo "With* engine options: $$(grep -c '^func With[A-Z]' keysearch.go)"
+	@echo "cmd/serve flags: $$(grep -hcE '^\s*fs\.[A-Za-z0-9]+Var\(' cmd/serve/config.go)"

@@ -147,19 +147,15 @@ func planRow(db *relstore.Database, plan *relstore.JoinPlan, rowIDs []int) map[s
 }
 
 // localExec builds the plan executor for one request over its pinned
-// snapshot: plans run in place with the per-request selection cache
-// (unless disabled), threaded through to the engine-lifetime answer
-// cache via view. Under tracing, the view is wrapped to count
-// answer-cache hits and the executor to time plan execution; with
-// tracing off both wraps vanish (identical values, no indirection).
+// snapshot: plans run in place with the per-request selection cache,
+// threaded through to the engine-lifetime answer cache via view. Under
+// tracing, the view is wrapped to count answer-cache hits and the
+// executor to time plan execution; with tracing off both wraps vanish
+// (identical values, no indirection).
 func (e *Engine) localExec(ctx context.Context, s *snapshot, view relstore.SharedStore) relstore.PlanExecutor {
 	tr := trace.FromContext(ctx)
 	view = tracedView(view, tr)
-	var cache *relstore.SelectionCache
-	if !e.cfg.execCacheOff {
-		cache = relstore.NewSelectionCacheShared(view)
-	}
-	var exec relstore.PlanExecutor = &relstore.LocalExecutor{DB: s.db, Cache: cache}
+	var exec relstore.PlanExecutor = &relstore.LocalExecutor{DB: s.db, Cache: relstore.NewSelectionCacheShared(view)}
 	if tr != nil {
 		exec = &tracedExecutor{inner: exec, tr: tr}
 	}

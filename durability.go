@@ -117,10 +117,14 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 	meta.Int(e.cfg.maxJoinPath)
 	meta.Int(e.cfg.maxTemplates)
 	meta.Bool(e.cfg.useCoOccurrence)
-	meta.Float(e.cfg.alpha)
+	meta.Float(0) // retired ATF smoothing slot: 0 selects prob's default
 	meta.Bool(e.cfg.includeSchemaTerms)
 	meta.Bool(e.cfg.segmentPhrases)
-	meta.Float(e.cfg.segmentThreshold)
+	threshold := 0.0
+	if e.cfg.segmentPhrases {
+		threshold = segmentThreshold
+	}
+	meta.Float(threshold)
 	meta.Bool(e.cfg.enableAggregates)
 	if err := sw.Section(sectionMeta, meta.Bytes()); err != nil {
 		return err
@@ -164,11 +168,14 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 }
 
 // OpenSnapshot restores an engine from a snapshot written by
-// SaveSnapshot. The build-shaping options persisted in the snapshot
-// (join-path bound, template cap, ranking parameters, query-syntax
-// flags) are applied first, so a bare OpenSnapshot(r) reproduces the
-// saving engine exactly; opts are applied on top for deployment knobs
-// (caches, WithMutations, WithRebuildIndexes).
+// SaveSnapshot. The build shape persisted in the snapshot (join-path
+// bound, template cap, co-occurrence, query-syntax flags) is
+// authoritative: it overrides the same settings in opts, because the
+// persisted index and usage counts were derived under it. opts supply
+// the deployment knobs (answer cache, WithMutations, durability). A
+// snapshot carrying a value of a retired option (ATF smoothing other
+// than the default, a phrase threshold other than segmentThreshold) is
+// refused.
 //
 // The restored engine is built and ready; it is memory-only — attaching
 // a state directory (write-ahead log, checkpoints) is Open's job.
@@ -193,31 +200,28 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 	if meta == nil {
 		return nil, fmt.Errorf("keysearch: open snapshot: missing %s section", sectionMeta)
 	}
+	cfg := newConfig(opts)
 	md := durable.NewDec(meta)
 	epoch := md.Uvarint()
-	persisted := []Option{
-		WithMaxJoinPath(md.Int()),
-		WithMaxTemplates(md.Int()),
-	}
-	if md.Bool() {
-		persisted = append(persisted, WithCoOccurrence())
-	}
-	persisted = append(persisted, WithAlpha(md.Float()))
-	if md.Bool() {
-		persisted = append(persisted, WithSchemaTerms())
-	}
-	segment := md.Bool()
+	cfg.maxJoinPath = md.Int()
+	cfg.maxTemplates = md.Int()
+	cfg.useCoOccurrence = md.Bool()
+	alpha := md.Float()
+	cfg.includeSchemaTerms = md.Bool()
+	cfg.segmentPhrases = md.Bool()
 	threshold := md.Float()
-	if segment {
-		persisted = append(persisted, WithSegmentPhrases(threshold))
-	}
-	if md.Bool() {
-		persisted = append(persisted, WithAggregates())
-	}
+	cfg.enableAggregates = md.Bool()
 	if err := md.Err(); err != nil {
 		return nil, fmt.Errorf("keysearch: open snapshot: meta: %w", err)
 	}
-	cfg := newConfig(append(persisted, opts...))
+	switch {
+	case cfg.maxJoinPath <= 0:
+		return nil, fmt.Errorf("keysearch: open snapshot: meta: join-path bound %d", cfg.maxJoinPath)
+	case alpha != 0 && alpha != 1:
+		return nil, fmt.Errorf("keysearch: open snapshot: saved with ATF smoothing alpha=%v, a retired engine option; only the default 1 is served", alpha)
+	case cfg.segmentPhrases && threshold != segmentThreshold:
+		return nil, fmt.Errorf("keysearch: open snapshot: saved with phrase threshold %v, a retired engine option; WithSegmentPhrases is fixed at %v", threshold, segmentThreshold)
+	}
 
 	rawDB := sections[sectionDatabase]
 	if rawDB == nil {
@@ -230,7 +234,7 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 	db.Prepare() // equality indexes are not persisted; re-materialise the canonical set
 
 	var ix *invindex.Index
-	if raw := sections[sectionInvIndex]; raw != nil && !cfg.rebuildIndexes {
+	if raw := sections[sectionInvIndex]; raw != nil {
 		ix, err = invindex.DecodeSnapshot(durable.NewDec(raw), db)
 		if err != nil {
 			return nil, fmt.Errorf("keysearch: open snapshot: %w", err)
@@ -258,7 +262,7 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 	}
 
 	eng := &Engine{cfg: cfg, db: db}
-	if cfg.answerCacheBytes > 0 && !cfg.execCacheOff {
+	if cfg.answerCacheBytes > 0 {
 		eng.qc = qcache.New(cfg.answerCacheBytes)
 		if raw := sections[sectionQCache]; raw != nil {
 			// Restore the persisted hot set so the engine restarts warm.

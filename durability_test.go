@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // durQueries are the differential queries of the durability tests; they
@@ -51,27 +56,25 @@ func TestSaveOpenSnapshotRoundTrip(t *testing.T) {
 	if err := eng.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	for name, opts := range map[string][]Option{
-		"persisted-indexes": nil,
-		"rebuilt-indexes":   {WithRebuildIndexes()},
-		"no-exec-cache":     {WithExecutionCache(false), WithScoreCache(false)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			got, err := OpenSnapshot(bytes.NewReader(buf.Bytes()), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Epoch() != eng.Epoch() {
-				t.Fatalf("Epoch = %d, want %d", got.Epoch(), eng.Epoch())
-			}
-			if got.NumRows() != eng.NumRows() || got.NumTemplates() != eng.NumTemplates() {
-				t.Fatalf("shape: %d rows / %d templates, want %d / %d",
-					got.NumRows(), got.NumTemplates(), eng.NumRows(), eng.NumTemplates())
-			}
-			compareEngines(t, got, eng, durQueries)
-		})
+	got, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.Epoch() != eng.Epoch() {
+		t.Fatalf("Epoch = %d, want %d", got.Epoch(), eng.Epoch())
+	}
+	if got.NumRows() != eng.NumRows() || got.NumTemplates() != eng.NumTemplates() {
+		t.Fatalf("shape: %d rows / %d templates, want %d / %d",
+			got.NumRows(), got.NumTemplates(), eng.NumRows(), eng.NumTemplates())
+	}
+	t.Run("persisted-indexes", func(t *testing.T) {
+		compareEngines(t, got, eng, durQueries)
+	})
+	// The persisted index must never diverge from one re-derived from the
+	// rows: a fresh Build over the reopened engine's rows is the oracle.
+	t.Run("rebuilt-indexes", func(t *testing.T) {
+		compareEngines(t, got, rebuiltEngine(t, got), durQueries)
+	})
 }
 
 // TestSnapshotByteStability: saving twice yields identical bytes, and a
@@ -109,7 +112,7 @@ func TestSnapshotByteStability(t *testing.T) {
 // TestOpenSnapshotPersistsOptions: build-shaping options survive the
 // round trip without being re-passed.
 func TestOpenSnapshotPersistsOptions(t *testing.T) {
-	eng := builtEngine(t, WithAggregates(), WithCoOccurrence(), WithMaxJoinPath(3))
+	eng := builtEngine(t, WithAggregates(), WithCoOccurrence(), WithMaxJoinPath(3), WithSchemaTerms(), WithSegmentPhrases())
 	var buf bytes.Buffer
 	if err := eng.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -121,13 +124,125 @@ func TestOpenSnapshotPersistsOptions(t *testing.T) {
 	if got.NumTemplates() != eng.NumTemplates() {
 		t.Fatalf("templates = %d, want %d (join-path bound lost?)", got.NumTemplates(), eng.NumTemplates())
 	}
-	// Aggregate syntax must still parse (WithAggregates persisted).
-	wantResp, wantErr := eng.Search(bg, SearchRequest{Query: "number tom", K: 3})
-	want := asJSON(t, wantResp, wantErr)
-	gotResp, gotErr := got.Search(bg, SearchRequest{Query: "number tom", K: 3})
-	if gotJSON := asJSON(t, gotResp, gotErr); gotJSON != want {
-		t.Fatalf("aggregate search diverged:\n got %s\nwant %s", gotJSON, want)
+	// Aggregate syntax must still parse (WithAggregates persisted), and a
+	// table name must still match as a schema term (WithSchemaTerms).
+	for _, q := range []string{"number tom", "movie terminal", "tom hanks"} {
+		wantResp, wantErr := eng.Search(bg, SearchRequest{Query: q, K: 3})
+		want := asJSON(t, wantResp, wantErr)
+		gotResp, gotErr := got.Search(bg, SearchRequest{Query: q, K: 3})
+		if gotJSON := asJSON(t, gotResp, gotErr); gotJSON != want {
+			t.Fatalf("search %q diverged:\n got %s\nwant %s", q, gotJSON, want)
+		}
 	}
+	resp, err := got.Search(bg, SearchRequest{Query: "movie terminal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const schemaTerm = "movie()|0:movie=table:movie@0;1:terminal=value:movie.title@0;"
+	var keys []string
+	for _, r := range resp.Results {
+		keys = append(keys, r.q.Key())
+	}
+	if !slices.Contains(keys, schemaTerm) {
+		t.Fatalf("schema-term reading %s missing from %v", schemaTerm, keys)
+	}
+}
+
+// TestOpenSnapshotKeepsSavedShape: the build shape in the snapshot wins
+// over the same options passed to OpenSnapshot, because the persisted
+// index and usage counts were derived under it.
+func TestOpenSnapshotKeepsSavedShape(t *testing.T) {
+	eng := builtEngine(t, WithMaxJoinPath(3))
+	var buf bytes.Buffer
+	if err := eng.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenSnapshot(bytes.NewReader(buf.Bytes()), WithMaxJoinPath(4), WithCoOccurrence(), WithAggregates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumTemplates() != eng.NumTemplates() {
+		t.Fatalf("templates = %d, want the saved shape's %d", got.NumTemplates(), eng.NumTemplates())
+	}
+	compareEngines(t, got, eng, append(durQueries, "number tom"))
+}
+
+// TestOpenSnapshotRefusesRetiredValues: the meta section keeps slots for
+// the ATF smoothing and the phrase threshold, which are no longer engine
+// options. A snapshot holding the only values the engine serves opens; any
+// other value is refused rather than silently served differently.
+func TestOpenSnapshotRefusesRetiredValues(t *testing.T) {
+	var buf bytes.Buffer
+	if err := builtEngine(t).SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		alpha, threshold float64
+		segment          bool
+		refused          string
+	}{
+		{alpha: 0},
+		{alpha: 1},
+		{alpha: 0, segment: true, threshold: 0.8},
+		{alpha: 0, threshold: 0.3}, // segmentation off: the slot is unused
+		{alpha: 0.5, refused: "alpha"},
+		{alpha: 0, segment: true, threshold: 0.7, refused: "phrase threshold"},
+	} {
+		raw := replaceMeta(t, buf.Bytes(), func(m *durable.Enc) {
+			m.Uvarint(0) // epoch
+			m.Int(4)     // join-path bound
+			m.Int(0)     // template cap
+			m.Bool(false)
+			m.Float(tc.alpha)
+			m.Bool(false)
+			m.Bool(tc.segment)
+			m.Float(tc.threshold)
+			m.Bool(false)
+		})
+		_, err := OpenSnapshot(bytes.NewReader(raw))
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%+v refused: %v", tc, err)
+		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+			t.Errorf("%+v: err = %v, want a refusal naming %q", tc, err, tc.refused)
+		}
+	}
+}
+
+// replaceMeta rewrites a snapshot container with its meta section
+// re-encoded by write and every other section copied unchanged.
+func replaceMeta(t *testing.T, snap []byte, write func(*durable.Enc)) []byte {
+	t.Helper()
+	sr, err := durable.NewSnapshotReader(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sw, err := durable.NewSnapshotWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		name, payload, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == sectionMeta {
+			var m durable.Enc
+			write(&m)
+			payload = m.Bytes()
+		}
+		if err := sw.Section(name, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 func TestOpenSnapshotRejectsGarbage(t *testing.T) {

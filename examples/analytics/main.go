@@ -1,6 +1,6 @@
 // Analytics: the expressiveness extensions of Section 2.2 on top of the
 // basic keyword search — labelled keywords, phrase segmentation,
-// aggregation operators, and global top-k result retrieval.
+// aggregation operators, schema terms, and global top-k result retrieval.
 //
 //	go run ./examples/analytics
 package main
@@ -36,7 +36,8 @@ func main() {
 	}
 	eng, err := keysearch.New(schema,
 		keysearch.WithAggregates(),
-		keysearch.WithSegmentPhrases(0.8),
+		keysearch.WithSegmentPhrases(),
+		keysearch.WithSchemaTerms(),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -101,7 +102,19 @@ func main() {
 		fmt.Printf("  %s = %d\n", r.Query, n)
 	}
 
-	// 4. Global top-k results (§2.2.5): the best concrete rows across all
+	// 4. Schema terms (§2.2.7): "movie" matches the movie table's name as
+	// well as values, so "movie terminal" reads as a movie titled
+	// "terminal".
+	fmt.Println("\nschema-term query \"movie terminal\":")
+	schemaTerm, err := eng.Search(ctx, keysearch.SearchRequest{Query: "movie terminal", K: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range schemaTerm.Results {
+		fmt.Printf("  P=%.3f  %s\n", r.Probability, r.Query)
+	}
+
+	// 5. Global top-k results (§2.2.5): the best concrete rows across all
 	// interpretations, with early stopping over the interpretation list.
 	fmt.Println("\ntop-3 concrete results for \"hanks\":")
 	top, err := eng.SearchRows(ctx, keysearch.RowsRequest{Query: "hanks", K: 3})

@@ -108,10 +108,9 @@ type KeywordsResponse struct {
 	Keywords []string `json:"keywords"`
 }
 
-// HealthResponse answers GET /healthz. ExecutionCache reports whether
-// plan execution shares a per-request selection cache, so operators can
-// verify the deployed tuning. Mutable reports whether /v1/mutate is enabled and Epoch the
-// current snapshot epoch (0 at build, +1 per committed mutation batch).
+// HealthResponse answers GET /healthz. Mutable reports whether
+// /v1/mutate is enabled and Epoch the current snapshot epoch (0 at
+// build, +1 per committed mutation batch).
 // Durable reports whether the engine persists to a state directory;
 // when it does, WALBatches is the number of mutation batches a crash
 // right now would replay and LastCheckpointEpoch the epoch of the
@@ -119,7 +118,6 @@ type KeywordsResponse struct {
 // nested Limits object; the remaining blocks carry live counters only.
 type HealthResponse struct {
 	Status         string `json:"status"`
-	ExecutionCache bool   `json:"execution_cache"`
 	Mutable        bool   `json:"mutable"`
 	Epoch          uint64 `json:"epoch"`
 	Durable        bool   `json:"durable"`
@@ -391,7 +389,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:         "ok",
-		ExecutionCache: st.ExecutionCache,
 		Mutable:        st.Mutable,
 		Epoch:          st.Epoch,
 		Durable:        st.Durable,

@@ -2,8 +2,6 @@ package expt
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
 	"repro/internal/datagen"
 	"repro/internal/invindex"
@@ -119,15 +117,6 @@ func (e *Env) ResolveIntent(in datagen.Intent, space []*query.Interpretation) (*
 		}
 	}
 	return nil, false
-}
-
-// AttrOf parses "table.column" into an attribute reference.
-func AttrOf(s string) (invindex.AttrRef, error) {
-	parts := strings.SplitN(s, ".", 2)
-	if len(parts) != 2 {
-		return invindex.AttrRef{}, fmt.Errorf("expt: bad attribute %q", s)
-	}
-	return invindex.AttrRef{Table: parts[0], Column: parts[1]}, nil
 }
 
 // IntentRelevance builds the simulated graded relevance assessment of the

@@ -444,16 +444,6 @@ func TestIntentRelevance(t *testing.T) {
 	t.Skip("no resolvable intent")
 }
 
-func TestAttrOf(t *testing.T) {
-	a, err := AttrOf("movie.title")
-	if err != nil || a.Table != "movie" || a.Column != "title" {
-		t.Fatalf("AttrOf = %v, %v", a, err)
-	}
-	if _, err := AttrOf("nodot"); err == nil {
-		t.Fatal("bad attr accepted")
-	}
-}
-
 func TestTable3_1(t *testing.T) {
 	env, intents := movieEnv(t)
 	rows, table, err := Table3_1(env, intents, 5)

@@ -28,7 +28,6 @@ package freeq
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -651,16 +650,6 @@ func MapConceptTables(onto *ontology.Ontology, conceptOf map[string]string) int 
 		}
 	}
 	return mapped
-}
-
-// InteractionEntropy returns log2 of the current space size — the number
-// of perfectly balanced questions still needed; used by the Figure 5.2
-// harness to relate QCO efficiency to interaction cost.
-func InteractionEntropy(spaceSize int) float64 {
-	if spaceSize <= 1 {
-		return 0
-	}
-	return math.Log2(float64(spaceSize))
 }
 
 func sortedKeys(m map[string]query.KeywordInterpretation) []string {

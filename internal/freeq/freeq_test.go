@@ -340,15 +340,6 @@ func TestMapConceptTables(t *testing.T) {
 	}
 }
 
-func TestInteractionEntropy(t *testing.T) {
-	if InteractionEntropy(1) != 0 || InteractionEntropy(0) != 0 {
-		t.Fatal("trivial spaces need no questions")
-	}
-	if math.Abs(InteractionEntropy(8)-3) > 1e-12 {
-		t.Fatalf("InteractionEntropy(8) = %v", InteractionEntropy(8))
-	}
-}
-
 func TestStepTimeAccumulates(t *testing.T) {
 	f := newFixture(t, 4, 8)
 	kw := wideKeyword(t, f, 5)

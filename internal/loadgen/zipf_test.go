@@ -76,7 +76,7 @@ func TestAnswerCacheUnderZipfLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.AnswerCacheEnabled() {
+	if _, ok := eng.AnswerCacheStats(); !ok {
 		t.Fatal("answer cache not enabled")
 	}
 	ops, err := BuildWorkload(db, cfg.Kind, WorkloadConfig{

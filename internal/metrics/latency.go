@@ -91,23 +91,6 @@ func (h *LatencyHistogram) Record(d time.Duration) {
 	h.total++
 }
 
-// RecordCorrected adds one observation with HDR-style coordinated-
-// omission back-filling: when a measured latency exceeds the expected
-// interval between requests, the stalled issuer would have skipped
-// measurements that an open-loop client would have taken — so synthetic
-// observations at d-interval, d-2·interval, … are recorded too. Use it
-// when recording closed-loop latencies against an intended schedule;
-// open-loop runs that time from the scheduled start don't need it.
-func (h *LatencyHistogram) RecordCorrected(d, expectedInterval time.Duration) {
-	h.Record(d)
-	if expectedInterval <= 0 {
-		return
-	}
-	for d -= expectedInterval; d >= expectedInterval; d -= expectedInterval {
-		h.Record(d)
-	}
-}
-
 // Merge folds other into h (other is unchanged).
 func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
 	if other == nil || other.total == 0 {

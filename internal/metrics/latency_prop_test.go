@@ -74,67 +74,3 @@ func TestMergeEmptyAndNil(t *testing.T) {
 		t.Fatal("merging nil/empty histograms changed the receiver")
 	}
 }
-
-// TestRecordCorrectedMatchesClosedForm: over randomized stall lengths
-// and schedules, the number of recorded observations must match the
-// closed form exactly, and the synthetic samples must never exceed
-// the measured latency.
-func TestRecordCorrectedMatchesClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
-		interval := time.Duration(1 + rng.Int63n(int64(50*time.Millisecond)))
-		d := time.Duration(rng.Int63n(int64(2 * time.Second)))
-		h := NewLatencyHistogram()
-		h.RecordCorrected(d, interval)
-		want := 1 + max(int64(0), int64(d/interval)-1)
-		if got := h.Count(); got != want {
-			t.Fatalf("trial %d: RecordCorrected(%v, %v) recorded %d samples, want %d",
-				trial, d, interval, got, want)
-		}
-		if h.Max() > d {
-			t.Fatalf("trial %d: synthetic sample %v exceeds measured %v", trial, h.Max(), d)
-		}
-	}
-
-	// Exact boundary pins.
-	cases := []struct {
-		d, interval time.Duration
-		want        int64
-	}{
-		{0, time.Second, 1},
-		{time.Second, 0, 1},            // no schedule, no correction
-		{time.Second, -time.Second, 1}, // negative schedule ignored
-		{999 * time.Millisecond, time.Second, 1},
-		{time.Second, time.Second, 1},
-		{1999 * time.Millisecond, time.Second, 1},
-		{2 * time.Second, time.Second, 2},
-		{5 * time.Second, time.Second, 5},
-		{5*time.Second + 1, time.Second, 5},
-	}
-	for _, tc := range cases {
-		h := NewLatencyHistogram()
-		h.RecordCorrected(tc.d, tc.interval)
-		if h.Count() != tc.want {
-			t.Fatalf("RecordCorrected(%v, %v): %d samples, want %d",
-				tc.d, tc.interval, h.Count(), tc.want)
-		}
-	}
-}
-
-// TestRecordCorrectedBackfillSpacing pins the synthetic values
-// themselves (not just the count): back-fill at d-i*interval while
-// the value stays >= interval.
-func TestRecordCorrectedBackfillSpacing(t *testing.T) {
-	h := NewLatencyHistogram()
-	h.RecordCorrected(10*time.Millisecond, 3*time.Millisecond)
-	// Samples: 10ms, 7ms, 4ms. Mean = 7ms, min 4ms, max 10ms.
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
-	}
-	if h.Min() != 4*time.Millisecond || h.Max() != 10*time.Millisecond {
-		t.Fatalf("min/max = %v/%v, want 4ms/10ms", h.Min(), h.Max())
-	}
-	if h.Mean() != 7*time.Millisecond {
-		t.Fatalf("mean = %v, want 7ms", h.Mean())
-	}
-}

@@ -107,32 +107,6 @@ func TestLatencyHistogramMergeEquivalence(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogramCoordinatedOmission(t *testing.T) {
-	// One 1s stall at a 10ms expected interval must back-fill the
-	// observations a non-coordinated client would have made: ~100
-	// samples instead of 1, pulling the median up to ~500ms.
-	h := NewLatencyHistogram()
-	h.RecordCorrected(time.Second, 10*time.Millisecond)
-	if h.Count() != 100 {
-		t.Fatalf("corrected count = %d, want 100", h.Count())
-	}
-	med := h.Quantile(0.5)
-	if med < 400*time.Millisecond || med > 600*time.Millisecond {
-		t.Fatalf("corrected median = %v, want ≈500ms", med)
-	}
-	// Without correction the same stall is a single sample.
-	u := NewLatencyHistogram()
-	u.RecordCorrected(time.Second, 0)
-	if u.Count() != 1 {
-		t.Fatalf("uncorrected count = %d", u.Count())
-	}
-}
-
-// TestConcurrentRecordMerge pins the documented concurrency contract
-// under -race: a LatencyHistogram is single-owner, so workers Record
-// into private histograms concurrently and hand each finished
-// histogram to a merging goroutine over a channel. The pattern must be
-// race-free and lossless end to end.
 func TestConcurrentRecordMerge(t *testing.T) {
 	const workers, perWorker = 8, 5000
 	done := make(chan *LatencyHistogram, workers)

@@ -187,9 +187,6 @@ func New(budgetBytes int64) *Store {
 	}
 }
 
-// Budget returns the configured byte budget.
-func (s *Store) Budget() int64 { return s.budget }
-
 // Stats returns a consistent snapshot of the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -279,7 +279,7 @@ func TestDecodeClampsToSmallerBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := small.Stats()
-	if st.ResidentBytes > small.Budget() {
+	if st.ResidentBytes > st.BudgetBytes {
 		t.Fatalf("restore exceeded budget: %+v", st)
 	}
 	if st.Entries == 0 || st.Entries == 8 {

@@ -98,23 +98,6 @@ func (g *Graph) Tables() []string {
 // NumTables returns the number of nodes.
 func (g *Graph) NumTables() int { return len(g.tables) }
 
-// HasTable reports whether the graph contains the table.
-func (g *Graph) HasTable(name string) bool {
-	_, ok := g.index[name]
-	return ok
-}
-
-// Neighbors returns the half-edges leaving the table, sorted.
-func (g *Graph) Neighbors(table string) []Edge {
-	list := g.adj[table]
-	out := make([]Edge, len(list))
-	copy(out, list)
-	return out
-}
-
-// Degree returns the number of half-edges at the table.
-func (g *Graph) Degree(table string) int { return len(g.adj[table]) }
-
 // JoinTree is a connected tree over table occurrences. Node i is an
 // occurrence of table Tables[i]; TreeEdges connect occurrences. The same
 // table may occur several times.
@@ -132,9 +115,6 @@ type TreeEdge struct {
 
 // Size returns the number of table occurrences.
 func (t *JoinTree) Size() int { return len(t.Tables) }
-
-// NumJoins returns the number of joins (edges).
-func (t *JoinTree) NumJoins() int { return len(t.TreeEdges) }
 
 // Clone deep-copies the tree.
 func (t *JoinTree) Clone() *JoinTree {

@@ -52,19 +52,19 @@ func TestFromDatabase(t *testing.T) {
 	if g.NumTables() != 3 {
 		t.Fatalf("NumTables = %d", g.NumTables())
 	}
-	if g.Degree("acts") != 2 {
-		t.Fatalf("Degree(acts) = %d", g.Degree("acts"))
-	}
-	if g.Degree("actor") != 1 {
-		t.Fatalf("Degree(actor) = %d", g.Degree("actor"))
+	if len(g.adj["acts"]) != 2 {
+		t.Fatalf("degree(acts) = %d", len(g.adj["acts"]))
 	}
 	// Reversed half-edge exists at actor.
-	n := g.Neighbors("actor")
+	n := g.adj["actor"]
 	if len(n) != 1 || n[0].To != "acts" || n[0].FromColumn != "id" || n[0].ToColumn != "actor_id" {
-		t.Fatalf("Neighbors(actor) = %v", n)
+		t.Fatalf("adj[actor] = %v", n)
 	}
-	if !g.HasTable("movie") || g.HasTable("ghost") {
-		t.Fatal("HasTable wrong")
+	if _, ok := g.index["movie"]; !ok {
+		t.Fatal("movie not indexed")
+	}
+	if _, ok := g.index["ghost"]; ok {
+		t.Fatal("ghost indexed")
 	}
 }
 
@@ -94,7 +94,7 @@ func TestEnumerateJoinTreesSizes(t *testing.T) {
 		if tr.Size() > 2 {
 			t.Fatalf("tree exceeds MaxNodes: %v", tr)
 		}
-		if tr.NumJoins() != tr.Size()-1 {
+		if len(tr.TreeEdges) != tr.Size()-1 {
 			t.Fatalf("tree is not a tree: %v", tr)
 		}
 	}
@@ -244,18 +244,18 @@ func TestCanonicalPermutationInvariance(t *testing.T) {
 func TestEnumerationValidity(t *testing.T) {
 	g := fig22Graph()
 	for _, tr := range g.EnumerateJoinTrees(EnumerateOptions{MaxNodes: 4}) {
-		if tr.NumJoins() != tr.Size()-1 {
+		if len(tr.TreeEdges) != tr.Size()-1 {
 			t.Fatalf("not a tree: %v", tr)
 		}
 		for _, name := range tr.Tables {
-			if !g.HasTable(name) {
+			if _, ok := g.index[name]; !ok {
 				t.Fatalf("unknown table %s in tree", name)
 			}
 		}
 		for _, e := range tr.TreeEdges {
 			// Every tree edge must correspond to a schema edge.
 			found := false
-			for _, he := range g.Neighbors(tr.Tables[e.From]) {
+			for _, he := range g.adj[tr.Tables[e.From]] {
 				if he.To == tr.Tables[e.To] && he.FromColumn == e.FromColumn && he.ToColumn == e.ToColumn {
 					found = true
 				}

@@ -31,7 +31,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 	"sync"
 	"time"
 )
@@ -188,14 +187,6 @@ func (t *Trace) Annotate(key, value string) {
 	t.mu.Unlock()
 }
 
-// Age returns the time elapsed since the trace was created (0 on nil).
-func (t *Trace) Age() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // Snapshot copies the trace's current state. Open spans report DurUS
 // -1. The copy shares nothing with the live trace, so it is safe to
 // hand to an async writer while pipeline workers keep recording.
@@ -254,17 +245,6 @@ func (d Data) JSON() []byte {
 		return []byte(`{"trace_id":"marshal-error"}`)
 	}
 	return b
-}
-
-// SortedCounterNames returns the counter names in lexical order (tests
-// and human-readable dumps).
-func (d Data) SortedCounterNames() []string {
-	out := make([]string, 0, len(d.Counters))
-	for k := range d.Counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ctxKey is the context key type for trace plumbing.

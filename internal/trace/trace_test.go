@@ -23,9 +23,6 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.Count("n", 1)
 	tr.CountDuration("busy_ns", time.Millisecond)
 	tr.Annotate("k", "v")
-	if tr.Age() != 0 {
-		t.Fatalf("nil Age = %v, want 0", tr.Age())
-	}
 	d := tr.Snapshot()
 	if d.ID != "" || len(d.Spans) != 0 || d.Counters != nil || d.Annotations != nil {
 		t.Fatalf("nil Snapshot not empty: %+v", d)
@@ -121,9 +118,8 @@ func TestCountersAndAnnotations(t *testing.T) {
 	if d.Annotations["cache"] != "hit" {
 		t.Fatalf("annotation = %q, want hit", d.Annotations["cache"])
 	}
-	names := d.SortedCounterNames()
-	if len(names) != 2 || names[0] != "plan_exec_ns" || names[1] != "plans_executed" {
-		t.Fatalf("sorted names = %v", names)
+	if len(d.Counters) != 2 {
+		t.Fatalf("counters = %v, want 2", d.Counters)
 	}
 }
 

@@ -16,7 +16,6 @@
 package yagof
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -353,17 +352,4 @@ func within(o *ontology.Ontology, id, root int) bool {
 		id = c.Parent
 	}
 	return false
-}
-
-// FormatMatches renders matches for the experiment printouts.
-func FormatMatches(matches []Match, limit int) string {
-	var sb strings.Builder
-	for i, m := range matches {
-		if limit > 0 && i >= limit {
-			fmt.Fprintf(&sb, "... and %d more\n", len(matches)-limit)
-			break
-		}
-		fmt.Fprintf(&sb, "%-24s -> %-32s score=%.2f\n", m.Table, m.ClassName, m.Score)
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package yagof
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -248,21 +247,6 @@ func TestEvaluateMatchingSubtreeCredit(t *testing.T) {
 	quality := EvaluateMatching(o, fd.InstancesOf, fd.ConceptOf, []float64{0.05}, MatchConfig{})
 	if quality[0].Correct == 0 {
 		t.Fatal("no correct matches with subtree credit")
-	}
-}
-
-func TestFormatMatches(t *testing.T) {
-	matches := []Match{
-		{Table: "t1", ClassName: "wordnet_x", Score: 0.9},
-		{Table: "t2", ClassName: "wordnet_y", Score: 0.8},
-		{Table: "t3", ClassName: "wordnet_z", Score: 0.7},
-	}
-	s := FormatMatches(matches, 2)
-	if !strings.Contains(s, "t1") || !strings.Contains(s, "1 more") {
-		t.Fatalf("FormatMatches = %q", s)
-	}
-	if got := FormatMatches(matches, 0); strings.Count(got, "\n") != 3 {
-		t.Fatalf("unlimited format = %q", got)
 	}
 }
 

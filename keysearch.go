@@ -82,13 +82,9 @@ type config struct {
 	maxJoinPath        int
 	maxTemplates       int
 	useCoOccurrence    bool
-	alpha              float64
 	includeSchemaTerms bool
 	segmentPhrases     bool
-	segmentThreshold   float64
 	enableAggregates   bool
-	scoreCacheOff      bool
-	execCacheOff       bool
 	answerCacheBytes   int64
 	mutable            bool
 
@@ -96,7 +92,6 @@ type config struct {
 	durDir             string
 	checkpointInterval time.Duration
 	checkpointBatches  int
-	rebuildIndexes     bool
 }
 
 // Option configures an Engine at construction time.
@@ -120,27 +115,22 @@ func WithCoOccurrence() Option {
 	return func(c *config) { c.useCoOccurrence = true }
 }
 
-// WithAlpha sets the ATF smoothing parameter (default 1).
-func WithAlpha(alpha float64) Option {
-	return func(c *config) { c.alpha = alpha }
-}
-
 // WithSchemaTerms matches keywords against table and column names too
 // (the schema-term interpretations of Section 2.2.7).
 func WithSchemaTerms() Option {
 	return func(c *config) { c.includeSchemaTerms = true }
 }
 
+// segmentThreshold is the phrase-pair score cut-off of query
+// segmentation (see WithSegmentPhrases).
+const segmentThreshold = 0.8
+
 // WithSegmentPhrases enables query segmentation (Section 2.2.1): adjacent
 // keywords that almost always co-occur in one attribute value (e.g. a
 // first and last name) are treated as a phrase and must bind to the same
-// attribute. threshold is the phrase-pair score cut-off; values <= 0
-// select the default 0.8.
-func WithSegmentPhrases(threshold float64) Option {
-	return func(c *config) {
-		c.segmentPhrases = true
-		c.segmentThreshold = threshold
-	}
+// attribute. A pair is a phrase when its score reaches segmentThreshold.
+func WithSegmentPhrases() Option {
+	return func(c *config) { c.segmentPhrases = true }
 }
 
 // WithAggregates recognises aggregation keywords ("number", "count",
@@ -150,32 +140,11 @@ func WithAggregates() Option {
 	return func(c *config) { c.enableAggregates = true }
 }
 
-// WithScoreCache toggles the per-engine memoised cache of score sub-terms
-// (template priors and keyword-interpretation probabilities). The cache is
-// enabled by default; it is a pure memoisation over the immutable index,
-// so it never changes scores — disable it only to measure its effect or to
-// bound memory on enormous vocabularies.
-func WithScoreCache(enabled bool) Option {
-	return func(c *config) { c.scoreCacheOff = !enabled }
-}
-
-// WithExecutionCache toggles the per-request selection cache of the plan
-// executor. A top-k request executes dozens of candidate networks that
-// keep recombining the same (table, column, keyword-bag) selections; the
-// cache evaluates each distinct selection once per request and shares the
-// row list across all plans of that request, which execute one at a
-// time. Enabled by default; it is a pure memoisation over the immutable
-// posting lists, so it never changes results — turning it off exists for
-// the differential tests that prove that.
-func WithExecutionCache(enabled bool) Option {
-	return func(c *config) { c.execCacheOff = !enabled }
-}
-
 // WithAnswerCache enables the engine-lifetime materialized answer cache
 // (internal/qcache) with the given byte budget; budgetBytes <= 0 keeps
 // it disabled (the default). The cache promotes hot keyword-bag
 // selections, candidate-network results, and interpretation counts from
-// the per-request execution cache into a shared store, so repeated
+// the per-request selection cache into a shared store, so repeated
 // queries skip plan execution entirely. A unit is admitted the second
 // time it is computed (2Q ghost admission), and a full budget evicts the
 // least recently used units first. Mutation batches incrementally
@@ -183,8 +152,7 @@ func WithExecutionCache(enabled bool) Option {
 // touch, and a durable engine persists the surviving hot set at
 // checkpoint so Open restarts warm.
 // Caching never changes results — responses are byte-identical with the
-// cache on or off (see docs/qcache.md). Requires the execution cache
-// (the promotion source); WithExecutionCache(false) disables both.
+// cache on or off (see docs/qcache.md).
 func WithAnswerCache(budgetBytes int64) Option {
 	return func(c *config) { c.answerCacheBytes = budgetBytes }
 }
@@ -212,15 +180,6 @@ func WithCheckpointPolicy(interval time.Duration, batches int) Option {
 	}
 }
 
-// WithRebuildIndexes makes OpenSnapshot / Open ignore the persisted
-// inverted index and re-derive it from the row data instead — slower to
-// open, but a recovery path for snapshots whose index section is from an
-// older build, and proof that the persisted index never diverges from a
-// re-derived one (the differential tests open both ways).
-func WithRebuildIndexes() Option {
-	return func(c *config) { c.rebuildIndexes = true }
-}
-
 // WithMutations enables live row mutations: Engine.Apply accepts
 // insert/update/delete batches after Build, incrementally maintaining
 // every index and statistic and publishing each batch as a new immutable
@@ -238,9 +197,6 @@ func newConfig(opts []Option) config {
 	}
 	if cfg.maxJoinPath <= 0 {
 		cfg.maxJoinPath = 4
-	}
-	if cfg.segmentPhrases && cfg.segmentThreshold <= 0 {
-		cfg.segmentThreshold = 0.8
 	}
 	if cfg.checkpointInterval <= 0 {
 		cfg.checkpointInterval = 30 * time.Second
@@ -380,7 +336,7 @@ func (e *Engine) Build() error {
 		cat:   cat,
 		model: e.newModel(ix, cat),
 	}
-	if e.cfg.answerCacheBytes > 0 && !e.cfg.execCacheOff {
+	if e.cfg.answerCacheBytes > 0 {
 		e.qc = qcache.New(e.cfg.answerCacheBytes)
 	}
 	e.snap.Store(s)
@@ -403,11 +359,7 @@ func (e *Engine) Build() error {
 // including the recomputed smoothing floor Pu — exactly as a fresh build
 // over the same rows would.
 func (e *Engine) newModel(ix *invindex.Index, cat *query.Catalog) *prob.Model {
-	return prob.New(ix, cat, prob.Config{
-		Alpha:             e.cfg.alpha,
-		UseCoOccurrence:   e.cfg.useCoOccurrence,
-		DisableScoreCache: e.cfg.scoreCacheOff,
-	})
+	return prob.New(ix, cat, prob.Config{UseCoOccurrence: e.cfg.useCoOccurrence})
 }
 
 // NumTables returns the number of tables.
@@ -429,14 +381,6 @@ func (e *Engine) NumTemplates() int {
 	}
 	return len(s.cat.Templates)
 }
-
-// ExecutionCacheEnabled reports whether plan execution shares a
-// per-request selection cache (see WithExecutionCache).
-func (e *Engine) ExecutionCacheEnabled() bool { return !e.cfg.execCacheOff }
-
-// AnswerCacheEnabled reports whether the engine-lifetime answer cache is
-// active (see WithAnswerCache).
-func (e *Engine) AnswerCacheEnabled() bool { return e.qc != nil }
 
 // AnswerCacheStats is a point-in-time snapshot of the answer cache's
 // counters, mirrored into /healthz by the HTTP layer.
@@ -530,7 +474,7 @@ func (e *Engine) candidatesFor(ctx context.Context, s *snapshot, keywords string
 	}
 	var segments [][]int
 	if e.cfg.segmentPhrases {
-		segments = detectSegments(s.ix, toks, labels, e.cfg.segmentThreshold)
+		segments = detectSegments(s.ix, toks, labels)
 	}
 	return c, segments, nil
 }

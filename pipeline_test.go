@@ -2,11 +2,13 @@ package keysearch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/divq"
 	"repro/internal/prob"
 	"repro/internal/query"
@@ -14,85 +16,118 @@ import (
 	"repro/internal/topk"
 )
 
-// TestScoreCacheTransparency asserts the memoised score cache never
-// changes a response: cache on vs cache off produce byte-identical JSON,
-// and repeated requests against one (warm) engine stay identical too.
+// TestScoreCacheTransparency asserts the engine's memoised score cache
+// never changes a ranking: every cold and warm Search answers exactly the
+// interpretations and probabilities of an uncached prob.Model over the
+// same snapshot. It runs with co-occurrence on, where value sub-terms go
+// through the joint-probability cache, and off, where they go through the
+// keyword-probability cache.
 func TestScoreCacheTransparency(t *testing.T) {
 	ctx := context.Background()
-	on, err := DemoMoviesWith(11, WithScoreCache(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := DemoMoviesWith(11, WithScoreCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range goldenQueries(on) {
-		req := SearchRequest{Query: q, K: 10}
-		first, err := on.Search(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := on.Search(ctx, req) // second hit serves from the cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := off.Search(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, _ := json.Marshal(first)
-		wb, _ := json.Marshal(warm)
-		cb, _ := json.Marshal(cold)
-		if string(fb) != string(wb) {
-			t.Errorf("warm cache changed response for %q", q)
-		}
-		if string(fb) != string(cb) {
-			t.Errorf("cache on/off responses differ for %q:\non:  %s\noff: %s", q, fb, cb)
-		}
+	for _, co := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cooccurrence=%v", co), func(t *testing.T) {
+			db, err := datagen.IMDB(datagen.IMDBConfig{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []Option{WithMaxJoinPath(4)}
+			if co {
+				opts = append(opts, WithCoOccurrence())
+			}
+			eng := fromDatabase(db, opts...)
+			if err := eng.Build(); err != nil {
+				t.Fatal(err)
+			}
+			s := eng.current()
+			ref := prob.New(s.ix, s.cat, prob.Config{UseCoOccurrence: co, DisableScoreCache: true})
+			for _, q := range goldenQueries(eng) {
+				cands, _, err := eng.candidatesFor(ctx, s, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				space, err := query.GenerateCompleteContext(ctx, cands, s.cat, query.GenerateConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.RankContext(ctx, space)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pass := range []string{"cold", "warm"} {
+					resp, err := eng.Search(ctx, SearchRequest{Query: q})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(resp.Results) != len(want) {
+						t.Fatalf("%s %q: %d results, uncached model ranks %d", pass, q, len(resp.Results), len(want))
+					}
+					for i, r := range resp.Results {
+						if r.Query != want[i].Q.String() || r.Probability != want[i].Prob {
+							t.Fatalf("%s %q rank %d: %s p=%v, uncached model %s p=%v",
+								pass, q, i, r.Query, r.Probability, want[i].Q.String(), want[i].Prob)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestExecutionCacheTransparency asserts the per-request selection cache
-// of the plan executor never changes a response: cache on vs cache off
-// produce byte-identical JSON across the whole request mix — ranked
-// search with row previews (shared preview cache), global top-k rows
-// (cache shared across the top-k plans), and diversification
-// (cached non-empty probes).
+// never changes what a plan execution returns: row previews, global top-k
+// rows and DivQ's non-empty filter agree between the request executor
+// (localExec, selection cache backed by the answer cache) and a bare
+// uncached relstore.LocalExecutor over the same snapshot. Three passes
+// per query: the first computes every selection locally, later passes
+// also read selections the answer cache admitted.
 func TestExecutionCacheTransparency(t *testing.T) {
 	ctx := context.Background()
-	on, err := DemoMoviesWith(11, WithExecutionCache(true))
+	eng, err := DemoMoviesWith(11, WithAnswerCache(answerCacheTestBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := DemoMoviesWith(11, WithExecutionCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !on.ExecutionCacheEnabled() || off.ExecutionCacheEnabled() {
-		t.Fatal("WithExecutionCache not reflected by ExecutionCacheEnabled")
-	}
-	compare := func(q, what string, a, b any, erra, errb error) {
+	s := eng.current()
+	uncached := &relstore.LocalExecutor{DB: s.db}
+	run := func(exec relstore.PlanExecutor, ranked []prob.Scored) string {
 		t.Helper()
-		if erra != nil || errb != nil {
-			t.Fatalf("%s(%q): on err=%v off err=%v", what, q, erra, errb)
+		results := eng.wrap(s, ranked[:min(len(ranked), 10)])
+		if err := attachPreviews(ctx, results, 3, exec); err != nil {
+			t.Fatal(err)
 		}
-		ab, _ := json.Marshal(a)
-		bb, _ := json.Marshal(b)
-		if string(ab) != string(bb) {
-			t.Errorf("%s cache on/off responses differ for %q:\non:  %s\noff: %s", what, q, ab, bb)
+		rows, _, err := topk.TopKContext(ctx, s.db, ranked, &topk.TFScorer{IX: s.ix}, topk.Options{K: 6, PerInterpretationLimit: 24, Exec: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonEmpty, err := divq.FilterNonEmptyExec(ctx, exec, ranked[:min(len(ranked), 25)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range results {
+			out = append(out, fmt.Sprintf("preview %s %v", r.Query, r.Preview))
+		}
+		for _, r := range rows {
+			out = append(out, fmt.Sprintf("row %s %v %v", r.Q.String(), r.Score, r.Rows))
+		}
+		for _, sc := range nonEmpty {
+			out = append(out, "nonempty "+sc.Q.String())
+		}
+		return strings.Join(out, "\n")
+	}
+	for _, q := range goldenQueries(eng) {
+		ranked, _, err := eng.interpret(ctx, s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(uncached, ranked)
+		for pass := 0; pass < 3; pass++ {
+			if got := run(eng.localExec(ctx, s, eng.answerView()), ranked); got != want {
+				t.Fatalf("pass %d %q: request executor diverged from the uncached one:\n got %s\nwant %s", pass, q, got, want)
+			}
 		}
 	}
-	for _, q := range goldenQueries(on) {
-		sOn, err1 := on.Search(ctx, SearchRequest{Query: q, K: 10, RowLimit: 2})
-		sOff, err2 := off.Search(ctx, SearchRequest{Query: q, K: 10, RowLimit: 2})
-		compare(q, "Search", sOn, sOff, err1, err2)
-		rOn, err1 := on.SearchRows(ctx, RowsRequest{Query: q, K: 6})
-		rOff, err2 := off.SearchRows(ctx, RowsRequest{Query: q, K: 6})
-		compare(q, "SearchRows", rOn, rOff, err1, err2)
-		dOn, err1 := on.Diversify(ctx, DiversifyRequest{Query: q, K: 5, Lambda: 0.3, RowLimit: 2})
-		dOff, err2 := off.Diversify(ctx, DiversifyRequest{Query: q, K: 5, Lambda: 0.3, RowLimit: 2})
-		compare(q, "Diversify", dOn, dOff, err1, err2)
+	if st, _ := eng.AnswerCacheStats(); st.Hits == 0 {
+		t.Fatal("later passes never read the answer cache")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // the durability subsystem: the write-ahead log is killed at *every*
 // byte offset of the final batch's record, and each recovered engine
 // must answer byte-identically to an engine freshly built over the
-// surviving rows — with caches on and off.
+// surviving rows.
 //
 // A cut strictly inside the final record models a crash mid-append: the
 // batch was never acknowledged, so recovery must surface exactly the
@@ -56,10 +56,6 @@ func TestRecoveryTornWALDifferential(t *testing.T) {
 		t.Fatalf("bad frame arithmetic: final record at %d of %d", finalStart, len(walRaw))
 	}
 
-	cacheVariants := map[string][]Option{
-		"caches-on":  nil,
-		"caches-off": {WithExecutionCache(false), WithScoreCache(false)},
-	}
 	for cut := finalStart; cut <= len(walRaw); cut++ {
 		dir := filepath.Join(base, fmt.Sprintf("cut%d", cut))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -75,16 +71,14 @@ func TestRecoveryTornWALDifferential(t *testing.T) {
 		if cut == len(walRaw) {
 			wantEpoch = 3 // the full final record survived the crash
 		}
-		for variant, opts := range cacheVariants {
-			got, err := Open(dir, opts...)
-			if err != nil {
-				t.Fatalf("cut %d (%s): %v", cut, variant, err)
-			}
-			if got.Epoch() != wantEpoch {
-				t.Fatalf("cut %d (%s): epoch = %d, want %d", cut, variant, got.Epoch(), wantEpoch)
-			}
-			compareEngines(t, got, rebuiltEngine(t, got, opts...), durQueries)
+		got, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
 		}
+		if got.Epoch() != wantEpoch {
+			t.Fatalf("cut %d: epoch = %d, want %d", cut, got.Epoch(), wantEpoch)
+		}
+		compareEngines(t, got, rebuiltEngine(t, got), durQueries)
 	}
 }
 

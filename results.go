@@ -60,11 +60,11 @@ func applyLabels(c *query.Candidates, labels map[int]string) {
 }
 
 // detectSegments finds adjacent keyword pairs that form phrases: both
-// unlabelled, with a phrase-pair score at or above the threshold
+// unlabelled, with a phrase-pair score at or above segmentThreshold
 // (Section 2.2.1's query segmentation). Runs of phrased pairs merge into
 // one segment ("tom hanks movie" with phrased tom–hanks yields
 // [[0 1]]). The pair scores come from the request's pinned snapshot.
-func detectSegments(ix *invindex.Index, toks []string, labels map[int]string, threshold float64) [][]int {
+func detectSegments(ix *invindex.Index, toks []string, labels map[int]string) [][]int {
 	var segments [][]int
 	var cur []int
 	flush := func() {
@@ -78,7 +78,7 @@ func detectSegments(ix *invindex.Index, toks []string, labels map[int]string, th
 	for i := 0; i+1 < len(toks); i++ {
 		_, l1 := labels[i]
 		_, l2 := labels[i+1]
-		if l1 || l2 || ix.PhrasePairScore(toks[i], toks[i+1]) < threshold {
+		if l1 || l2 || ix.PhrasePairScore(toks[i], toks[i+1]) < segmentThreshold {
 			flush()
 			continue
 		}

@@ -101,7 +101,7 @@ func TestSegmentationForcesPhrase(t *testing.T) {
 	mk := func(segment bool) *Engine {
 		var opts []Option
 		if segment {
-			opts = append(opts, WithSegmentPhrases(0.8))
+			opts = append(opts, WithSegmentPhrases())
 		}
 		eng, err := New(movieSchema(), opts...)
 		if err != nil {
@@ -142,7 +142,7 @@ func TestSegmentationForcesPhrase(t *testing.T) {
 }
 
 func TestSegmentationIgnoresNonPhrases(t *testing.T) {
-	eng, err := New(movieSchema(), WithSegmentPhrases(0))
+	eng, err := New(movieSchema(), WithSegmentPhrases())
 	if err != nil {
 		t.Fatal(err)
 	}

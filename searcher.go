@@ -44,8 +44,6 @@ type Searcher interface {
 // enabled. Optional blocks are nil when the
 // corresponding subsystem is off.
 type EngineStats struct {
-	// ExecutionCache reports whether per-request selection caching is on.
-	ExecutionCache bool
 	// Mutable reports whether Apply accepts batches; Epoch is the
 	// current snapshot epoch.
 	Mutable bool
@@ -63,7 +61,6 @@ type EngineStats struct {
 // Stats implements Searcher for the single-process engine.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		ExecutionCache:      e.ExecutionCacheEnabled(),
 		Mutable:             e.MutationsEnabled(),
 		Epoch:               e.Epoch(),
 		Durable:             e.Durable(),
