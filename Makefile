@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 30s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 30s ./internal/qcache
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 30s ./httpapi
 
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 20s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 20s ./internal/qcache
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEndpoints -fuzztime 20s ./httpapi
 
 # bench runs legs of the mechanism-ratio harness (internal/bench; see

@@ -75,15 +75,21 @@ func (s *Store) DecodeSnapshot(payload []byte) error {
 	case v != persistVersion:
 		return fmt.Errorf("qcache: unsupported snapshot version %d", v)
 	}
-	n := dec.Uvarint()
+	n, err := declared(dec, "entries")
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := uint64(0); i < n; i++ {
 		kind := dec.Byte()
 		key := dec.String()
-		fpLen := dec.Uvarint()
+		fpLen, err := declared(dec, "footprint attributes")
+		if err != nil {
+			return err
+		}
 		var fp []relstore.Attr
-		for j := uint64(0); j < fpLen; j++ {
+		for j := uint64(0); j < fpLen && dec.Err() == nil; j++ {
 			table := dec.String()
 			col := dec.Int()
 			fp = append(fp, relstore.Attr{Table: table, Col: col})
@@ -93,9 +99,12 @@ func (s *Store) DecodeSnapshot(payload []byte) error {
 		case kindSelection:
 			e.rows = dec.Ints()
 		case kindPlan:
-			rows := dec.Uvarint()
+			rows, err := declared(dec, "plan rows")
+			if err != nil {
+				return err
+			}
 			e.plan = make([][]int, 0, rows)
-			for j := uint64(0); j < rows; j++ {
+			for j := uint64(0); j < rows && dec.Err() == nil; j++ {
 				e.plan = append(e.plan, dec.Ints())
 			}
 		case kindCount:
@@ -113,10 +122,22 @@ func (s *Store) DecodeSnapshot(payload []byte) error {
 		s.insertLocked(e)
 		s.lru.pushBack(e)
 	}
-	if dec.Err() != nil {
-		return fmt.Errorf("qcache: decode snapshot: %w", dec.Err())
-	}
 	return nil
+}
+
+// declared reads a collection length and fails when the remaining input
+// cannot hold that many elements (each takes at least one byte), so a
+// forged count can neither size an allocation nor drive a loop past the
+// end of the payload.
+func declared(dec *durable.Dec, what string) (uint64, error) {
+	n := dec.Uvarint()
+	if err := dec.Err(); err != nil {
+		return 0, fmt.Errorf("qcache: decode snapshot: %w", err)
+	}
+	if n > uint64(dec.Remaining()) {
+		return 0, fmt.Errorf("qcache: decode snapshot: %d %s declared, %d bytes left", n, what, dec.Remaining())
+	}
+	return n, nil
 }
 
 // pushBack appends at the cold end; used only by snapshot restore,

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/durable"
@@ -333,4 +334,77 @@ func TestItoa(t *testing.T) {
 			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// forgedCountPayloads are well-formed section prefixes whose declared
+// counts far exceed their length: a plan entry declaring 2^62 rows, and
+// a selection entry declaring a footprint of five million attributes.
+// Unchecked, the first sizes a slice the runtime refuses and the second
+// runs five million decode iterations into a growing footprint.
+func forgedCountPayloads() [][]byte {
+	var rows durable.Enc
+	rows.Byte(persistVersion)
+	rows.Uvarint(1)
+	rows.Byte(kindPlan)
+	rows.String("")
+	rows.Uvarint(0)
+	rows.Uvarint(1 << 62)
+	var fp durable.Enc
+	fp.Byte(persistVersion)
+	fp.Uvarint(1)
+	fp.Byte(kindSelection)
+	fp.String("")
+	fp.Uvarint(5_000_000)
+	return [][]byte{rows.Bytes(), fp.Bytes()}
+}
+
+func TestDecodeRejectsForgedCounts(t *testing.T) {
+	for i, payload := range forgedCountPayloads() {
+		r := New(1 << 20)
+		if err := r.DecodeSnapshot(payload); err == nil {
+			t.Fatalf("forged payload %d (% x) decoded", i, payload)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.DecodeSnapshot(payload)
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Fatalf("forged payload %d: decoding allocated %d bytes", i, b)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot: no section payload panics the decoder or
+// overfills the budget, and whatever it accepts re-encodes to a payload
+// that decodes back to itself.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, p := range forgedCountPayloads() {
+		f.Add(p)
+	}
+	s := New(1 << 20)
+	v := s.NewView(1)
+	admitSelection(v, "actor", 1, "hanks", []int{1, 2, 3})
+	fp := []relstore.Attr{attr("actor", 1), attr("movie", relstore.MembershipCol)}
+	v.PutPlan("pk", fp, [][]int{{1, 2}, {3}})
+	v.PutPlan("pk", fp, [][]int{{1, 2}, {3}})
+	v.PutCount("ck", fp, 9)
+	v.PutCount("ck", fp, 9)
+	f.Add(s.EncodeSnapshot())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r := New(4096)
+		if err := r.DecodeSnapshot(payload); err != nil {
+			return
+		}
+		if st := r.Stats(); st.ResidentBytes > st.BudgetBytes {
+			t.Fatalf("restore exceeded budget: %+v", st)
+		}
+		again := r.EncodeSnapshot()
+		r2 := New(4096)
+		if err := r2.DecodeSnapshot(again); err != nil {
+			t.Fatalf("re-encoded store does not decode: %v", err)
+		}
+		if string(r2.EncodeSnapshot()) != string(again) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

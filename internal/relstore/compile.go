@@ -1,9 +1,9 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,15 +15,21 @@ import (
 // column positions, and each join edge's foreign-key adjacency in both
 // directions (adjacency.go) — so the recursive enumeration runs on
 // integers and slices only: a join probe reads the probing row's partner
-// ids and never its join value. Execution then proceeds in two phases:
+// ids and never its join value. Execution then proceeds in three phases:
 //
-//  1. selection: per-node candidate sets from the posting lists (shared
-//     through the per-request SelectionCache when one is supplied), and
-//  2. enumeration: index nested loops rooted at the most selective node,
-//     exactly as the reference executor, descending only into rows that
-//     can be completed below — a semi-join reduction of the join tree
-//     evaluated on demand and memoised per (node, row), so a plan costs
-//     what its limit reaches rather than what its tables hold.
+//  1. proof: every constrained node's candidate set from the posting
+//     lists (shared through the per-request SelectionCache when one is
+//     supplied); when one is empty the plan has no result under any
+//     limit and stops here, before the answer cache is consulted — many
+//     interpretations of a keyword query die this way;
+//  2. selection: the candidates of unconstrained nodes (their live
+//     rows), then the root: the most selective node; and
+//  3. enumeration: index nested loops from the root, exactly as the
+//     reference executor, descending only into rows that can be
+//     completed below — a semi-join reduction of the join tree evaluated
+//     on demand and memoised per (node, row), so a plan costs what its
+//     limit reaches rather than what its tables hold. A step whose long
+//     candidate list is probed often answers membership from a bitmap.
 //
 // Skipping a row that cannot be completed never changes which joining
 // trees exist, and candidate and index order are untouched, so the
@@ -164,34 +170,91 @@ func (cp *CompiledPlan) CountRows(limit int, cache *SelectionCache) (int, error)
 // enumeration order and therefore the JTT sequence. The limit is part of
 // the key because a truncated result stream is a different answer.
 // Separator bytes sit below the bag joiner ("\x00" inside CanonicalBag
-// output never delimits key fields).
+// output never delimits key fields). Persisted answer-cache sections are
+// keyed by these bytes, so the encoding must never change.
 func (cp *CompiledPlan) cacheKey(limit int) string {
-	var b strings.Builder
+	b := make([]byte, 0, 128)
 	for i := range cp.nodes {
 		node := &cp.nodes[i]
-		b.WriteString("\x01")
-		b.WriteString(node.table.Schema.Name)
-		preds := make([]string, len(node.preds))
+		b = append(b, '\x01')
+		b = append(b, node.table.Schema.Name...)
+		switch len(node.preds) {
+		case 0:
+			continue
+		case 1:
+			b = appendPredKey(append(b, '\x02'), node.preds[0])
+			continue
+		}
+		// Several predicates: encode each after the key, order the
+		// encodings bytewise, then move them into place.
+		start := len(b)
+		spans := make([][2]int, len(node.preds))
 		for j, p := range node.preds {
-			preds[j] = strconv.Itoa(p.col) + "\x03" + CanonicalBag(p.keywords)
+			spans[j][0] = len(b)
+			b = appendPredKey(b, p)
+			spans[j][1] = len(b)
 		}
-		sort.Strings(preds)
-		for _, p := range preds {
-			b.WriteString("\x02")
-			b.WriteString(p)
+		slices.SortFunc(spans, func(x, y [2]int) int {
+			return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]])
+		})
+		tail := len(b)
+		for _, sp := range spans {
+			b = append(b, '\x02')
+			b = append(b, b[sp[0]:sp[1]]...)
 		}
+		b = append(b[:start], b[tail:]...)
 	}
-	b.WriteString("\x04")
+	b = append(b, '\x04')
 	for _, e := range cp.Source.Edges {
-		fi := cp.nodes[e.From].table.Schema.ColumnIndex(e.FromColumn)
-		ti := cp.nodes[e.To].table.Schema.ColumnIndex(e.ToColumn)
-		b.WriteString("\x02")
-		b.WriteString(strconv.Itoa(e.From) + "," + strconv.Itoa(fi) + "," +
-			strconv.Itoa(e.To) + "," + strconv.Itoa(ti))
+		b = append(b, '\x02')
+		b = strconv.AppendInt(b, int64(e.From), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(cp.joinCol(e.From, e.To)), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.To), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(cp.joinCol(e.To, e.From)), 10)
 	}
-	b.WriteString("\x05")
-	b.WriteString(strconv.Itoa(limit))
-	return b.String()
+	b = append(b, '\x05')
+	b = strconv.AppendInt(b, int64(limit), 10)
+	return string(b)
+}
+
+// appendPredKey appends one predicate's key field: its column position,
+// then its keyword bag in CanonicalBag form.
+func appendPredKey(b []byte, p compiledPred) []byte {
+	b = strconv.AppendInt(b, int64(p.col), 10)
+	b = append(b, '\x03')
+	switch len(p.keywords) {
+	case 0:
+		return b
+	case 1:
+		return append(b, strings.ToLower(p.keywords[0])...)
+	}
+	var buf [inlineNodes]string
+	bag := buf[:0]
+	for _, k := range p.keywords {
+		bag = append(bag, strings.ToLower(k))
+	}
+	slices.Sort(bag)
+	for j, k := range bag {
+		if j > 0 {
+			b = append(b, '\x00')
+		}
+		b = append(b, k...)
+	}
+	return b
+}
+
+// joinCol is the column of node v's table that joins it to its tree
+// neighbour w (a tree has at most one edge between two nodes).
+func (cp *CompiledPlan) joinCol(v, w int) int {
+	for _, he := range cp.adj[v] {
+		if he.to == w {
+			return he.fromCol
+		}
+	}
+	return -1
 }
 
 // footprint is the set of attributes this plan's output is computed
@@ -204,11 +267,13 @@ func (cp *CompiledPlan) cacheKey(limit int) string {
 // membership change. Unresolvable predicate columns contribute nothing —
 // they force an empty result under any data.
 func (cp *CompiledPlan) footprint() []Attr {
-	seen := make(map[Attr]bool)
-	var out []Attr
+	n := 0
+	for i := range cp.nodes {
+		n += 1 + len(cp.nodes[i].preds) + len(cp.adj[i])
+	}
+	out := make([]Attr, 0, n)
 	add := func(a Attr) {
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
@@ -231,23 +296,46 @@ func (cp *CompiledPlan) footprint() []Attr {
 	return out
 }
 
-// run consults the engine-lifetime answer cache (when the request's
-// SelectionCache carries one) for the whole plan result before falling
-// back to runCore, and publishes fresh results — including empty ones;
-// proving emptiness costs the same selections and probes as any other
-// answer. Cached values are row-ID lists shared read-only across
-// requests; the store guarantees they are valid for this request's
-// snapshot (see SharedStore).
+// prove appends every node's candidate selection to sels — nil for an
+// unconstrained node, whose live rows are only listed once enumeration
+// needs them — and reports false as soon as a constrained node's is
+// empty: such a plan has no result under any limit or data version the
+// request sees, so it needs no answer-cache key, lookup or entry.
+func (cp *CompiledPlan) prove(cache *SelectionCache, sels [][]int) ([][]int, bool) {
+	for i := range cp.nodes {
+		var c []int
+		if len(cp.nodes[i].preds) > 0 {
+			if c = cp.candidates(i, cache); len(c) == 0 {
+				return nil, false
+			}
+		}
+		sels = append(sels, c)
+	}
+	return sels, true
+}
+
+// run first tries to prove the plan empty from its selections, then
+// consults the engine-lifetime answer cache (when the request's SelectionCache
+// carries one) for the whole plan result before falling back to
+// runCore, and publishes fresh results — including empty ones whose
+// emptiness took join probes to find. Cached values are row-ID lists
+// shared read-only across requests; the store guarantees they are valid
+// for this request's snapshot (see SharedStore).
 func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
+	var buf [inlineNodes][]int
+	sels, ok := cp.prove(cache, buf[:0])
+	if !ok {
+		return nil, 0
+	}
 	if cache == nil || cache.shared == nil {
-		return cp.runCore(cache, limit, collect)
+		return cp.runCore(sels, cache, limit, collect)
 	}
 	key := cp.cacheKey(limit)
 	if !collect {
 		if n, ok := cache.shared.GetCount(key); ok {
 			return nil, n
 		}
-		_, n := cp.runCore(cache, limit, false)
+		_, n := cp.runCore(sels, cache, limit, false)
 		cache.shared.PutCount(key, cp.footprint(), n)
 		return nil, n
 	}
@@ -261,7 +349,7 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 		}
 		return results, len(rows)
 	}
-	results, count := cp.runCore(cache, limit, true)
+	results, count := cp.runCore(sels, cache, limit, true)
 	rows := make([][]int, len(results))
 	for i := range results {
 		rows[i] = results[i].Rows
@@ -287,15 +375,56 @@ type step struct {
 	// planRun.memo, or -1 when the step keeps none: leaves have nothing
 	// below them and each root candidate is visited once anyway.
 	memo int
+	// bits is the word offset of this step's candidate bitmap in
+	// planRun.bits once it is built, else -1: membership then
+	// binary-searches cands.
+	bits int
+	// searches counts down the binary searches left before the bitmap
+	// is built; 0 means it never is — the root is never probed, and a
+	// short list searches as fast as a bitmap is built.
+	searches int
 }
 
-// member reports whether the row is a candidate of the step's node.
-func (st *step) member(row int) bool {
+// A probed step's membership moves from binary search to a bitmap once
+// it has searched len(cands)>>bitmapShift times, so a step probed only
+// a few times never pays the O(len(cands)) build and clear, and one
+// probed often stops paying log(len(cands)) per probe. Lists of at most
+// bitmapMin candidates always search.
+const (
+	bitmapMin   = 16
+	bitmapShift = 4
+)
+
+// member reports whether the row is a candidate of step st.
+func (r *planRun) member(st *step, row int) bool {
+	if st.bits >= 0 {
+		return r.bits[st.bits+row>>6]&(1<<(row&63)) != 0
+	}
 	if st.cands == nil {
 		return st.table.Live(row)
 	}
+	if st.searches > 0 {
+		if st.searches--; st.searches == 0 {
+			r.setBits(st)
+			return r.bits[st.bits+row>>6]&(1<<(row&63)) != 0
+		}
+	}
 	_, ok := slices.BinarySearch(st.cands, row)
 	return ok
+}
+
+// setBits builds the step's candidate bitmap: table.Len() bits appended
+// to r.bits, which grows only past its pooled length and is otherwise
+// all zero, so the build sets len(cands) bits and touches no other word.
+func (r *planRun) setBits(st *step) {
+	st.bits = r.nbits
+	r.nbits += (st.table.Len() + 63) >> 6
+	if len(r.bits) < r.nbits {
+		r.bits = append(r.bits, make([]uint64, r.nbits-len(r.bits))...)
+	}
+	for _, id := range st.cands {
+		r.bits[st.bits+id>>6] |= 1 << (id & 63)
+	}
 }
 
 // Viability memo states, two bits per (step, row); zero is "not resolved
@@ -311,8 +440,9 @@ const inlineNodes = 8
 
 // planRun is the scratch of one plan execution, recycled through runPool
 // so that no plan allocates or clears table.Len() words it never
-// touches: memo is all-zero between runs, and release restores that by
-// clearing only the words the run wrote (dirty).
+// touches: memo and bits are all-zero between runs, and release restores
+// that by clearing only the words the run wrote (memo's dirty list, and
+// each bitmap's candidates).
 type planRun struct {
 	sels   [][]int // per node: the candidate selection
 	order  []step
@@ -320,6 +450,8 @@ type planRun struct {
 	words  int   // memo words the order's inner steps need
 	memo   []uint64
 	dirty  []int32
+	nbits  int      // bitmap words the built bitmaps use
+	bits   []uint64 // candidate bitmaps, table.Len() bits per built one
 	// probes counts join partners examined — the unit of the executor's
 	// work bound (see below).
 	probes int
@@ -340,40 +472,50 @@ var runPool = sync.Pool{New: func() any {
 	return r
 }}
 
-// release returns the scratch to the pool with the memo zeroed and every
-// reference into the snapshot dropped.
+// release returns the scratch to the pool with the memo and the bitmaps
+// zeroed and every reference into the snapshot dropped.
 func (r *planRun) release() {
 	for _, w := range r.dirty {
 		r.memo[w] = 0
 	}
+	for k := range r.order {
+		if st := &r.order[k]; st.bits >= 0 {
+			for _, id := range st.cands {
+				r.bits[st.bits+id>>6] = 0
+			}
+		}
+	}
 	clear(r.sels)
 	clear(r.order)
-	*r = planRun{sels: r.sels[:0], order: r.order[:0], assign: r.assign[:0], memo: r.memo, dirty: r.dirty[:0]}
+	*r = planRun{sels: r.sels[:0], order: r.order[:0], assign: r.assign[:0],
+		memo: r.memo, dirty: r.dirty[:0], bits: r.bits}
 	runPool.Put(r)
 }
 
-// runCore is the shared execution core: selection, then rooted
-// index-nested-loop enumeration that descends only into viable rows (the
-// demand-driven semi-join, see planRun.below). With collect it
+// runCore is the shared execution core over the proven selections:
+// rooted index-nested-loop enumeration that descends only into viable
+// rows (the demand-driven semi-join, see planRun.below). With collect it
 // materialises JTTs; otherwise it only counts.
-func (cp *CompiledPlan) runCore(cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
+func (cp *CompiledPlan) runCore(sels [][]int, cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	r.run(cp, cache, limit, collect)
+	r.run(cp, sels, cache, limit, collect)
 	return r.results, r.count
 }
 
-// run executes the plan in this scratch and returns the root node index
-// (-1 when a node had no candidates before the root was chosen); results
-// and count are left in r.
-func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collect bool) int {
+// run executes the plan in this scratch from the selections prove
+// returned and returns the root node index (-1 when an unconstrained
+// node's table has no live row); results and count are left in r.
+func (r *planRun) run(cp *CompiledPlan, sels [][]int, cache *SelectionCache, limit int, collect bool) int {
 	n := len(cp.nodes)
-	for i := range cp.nodes {
-		c := cp.candidates(i, cache)
-		if len(c) == 0 {
-			return -1
+	r.sels = append(r.sels, sels...)
+	for i, c := range r.sels {
+		if c == nil {
+			if c = cp.candidates(i, cache); len(c) == 0 {
+				return -1
+			}
+			r.sels[i] = c
 		}
-		r.sels = append(r.sels, c)
 	}
 
 	// Root: most selective node by candidate count (first wins ties) —
@@ -407,12 +549,17 @@ func (r *planRun) run(cp *CompiledPlan, cache *SelectionCache, limit int, collec
 // plan appends node v, joined to its parent node through adj, and,
 // depth-first in edge declaration order (as the reference does),
 // everything beyond it to the enumeration order, and returns v's step
-// index. Only inner steps below the root get memo space.
+// index. Only inner steps below the root get memo space, and only
+// constrained steps below it with more than bitmapMin candidates may
+// build a bitmap.
 func (r *planRun) plan(cp *CompiledPlan, v, parent int, adj *adjacency) int {
 	k := len(r.order)
-	st := step{node: v, parent: parent, kid: -1, sib: -1, table: cp.nodes[v].table, adj: adj, memo: -1}
+	st := step{node: v, parent: parent, kid: -1, sib: -1, table: cp.nodes[v].table, adj: adj, memo: -1, bits: -1}
 	if len(cp.nodes[v].preds) > 0 {
 		st.cands = r.sels[v]
+		if parent >= 0 && len(st.cands) > bitmapMin {
+			st.searches = len(st.cands) >> bitmapShift
+		}
 	}
 	r.order = append(r.order, st)
 	last := -1
@@ -461,7 +608,7 @@ func (r *planRun) below(k, row int) bool {
 		ok = false
 		for _, p := range ch.adj.partners(row) {
 			r.probes++
-			if ch.member(int(p)) && r.below(c, int(p)) {
+			if r.member(ch, int(p)) && r.below(c, int(p)) {
 				ok = true
 				break
 			}
@@ -496,7 +643,7 @@ func (r *planRun) enumerate(k int) bool {
 	for _, p := range st.adj.partners(r.assign[st.parent]) {
 		id := int(p)
 		r.probes++
-		if !st.member(id) || !r.below(k, id) {
+		if !r.member(st, id) || !r.below(k, id) {
 			continue
 		}
 		r.assign[st.node] = id

@@ -534,9 +534,13 @@ func TestDeadEndsResolvedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sels, ok := cp.prove(nil, nil)
+	if !ok {
+		t.Fatal("selections of the dead-end plan proved empty")
+	}
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	if root := r.run(cp, nil, 0, true); root != 0 {
+	if root := r.run(cp, sels, nil, 0, true); root != 0 {
 		t.Fatalf("root = %d, want the r node", root)
 	}
 	if r.count != 0 || len(r.results) != 0 {

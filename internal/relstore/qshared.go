@@ -1,6 +1,10 @@
 package relstore
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Attr names one invalidation granule of the database: a (table, column
 // position) pair. Col is a positional column index, or MembershipCol for
@@ -117,10 +121,10 @@ func AllTableAttrs(db *Database, tables []string) []Attr {
 }
 
 func sortAttrs(attrs []Attr) {
-	sort.Slice(attrs, func(i, j int) bool {
-		if attrs[i].Table != attrs[j].Table {
-			return attrs[i].Table < attrs[j].Table
+	slices.SortFunc(attrs, func(a, b Attr) int {
+		if c := strings.Compare(a.Table, b.Table); c != 0 {
+			return c
 		}
-		return attrs[i].Col < attrs[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 }
