@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 30s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 30s ./internal/qcache
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 20s ./internal/relstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 20s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 20s ./internal/qcache

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,12 +48,14 @@ const (
 // table whose dead/live row ratio exceeds it without tombstones.
 const compactRatio = 0.5
 
-// Section names of the engine snapshot container.
+// Section names of the engine snapshot container. OpenSnapshot skips
+// any other section, such as those of earlier builds: "datagraph" (the
+// tuple graph of the retired data-based baseline), "invindex" (term
+// statistics now read from the database section's postings) and "usage"
+// (template-usage priors nothing served ever recorded).
 const (
 	sectionMeta     = "meta"
 	sectionDatabase = "database"
-	sectionInvIndex = "invindex"
-	sectionUsage    = "usage"
 	sectionQCache   = "qcache"
 )
 
@@ -84,10 +85,10 @@ type durState struct {
 }
 
 // SaveSnapshot serialises the engine's current snapshot — the complete
-// physical database (tombstones and RowID high-water marks included),
-// per-column posting lists, the inverted index with its statistics and
-// term dictionary, and template-usage priors — to w as a versioned,
-// per-section checksummed container. OpenSnapshot restores it without
+// physical database (tombstones and RowID high-water marks included)
+// with its per-column posting lists, which carry every term statistic
+// the ranking model reads — to w as a versioned, per-section
+// checksummed container. OpenSnapshot restores it without
 // re-running Build, with byte-identical search behaviour. Safe to call
 // while the engine serves traffic and applies mutations: the snapshot
 // written is the one current at entry.
@@ -136,29 +137,6 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 		return err
 	}
 
-	var ix durable.Enc
-	s.ix.EncodeSnapshot(&ix)
-	if err := sw.Section(sectionInvIndex, ix.Bytes()); err != nil {
-		return err
-	}
-
-	if len(s.cat.UsageCount) > 0 {
-		var usage durable.Enc
-		ids := make([]int, 0, len(s.cat.UsageCount))
-		for id := range s.cat.UsageCount {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		usage.Uvarint(uint64(len(ids)))
-		for _, id := range ids {
-			usage.Int(id)
-			usage.Int(s.cat.UsageCount[id])
-		}
-		if err := sw.Section(sectionUsage, usage.Bytes()); err != nil {
-			return err
-		}
-	}
-
 	if includeCache && e.qc != nil {
 		if err := sw.Section(sectionQCache, e.qc.EncodeSnapshot()); err != nil {
 			return err
@@ -171,11 +149,11 @@ func (e *Engine) encodeSnapshot(s *snapshot, w io.Writer, includeCache bool) err
 // SaveSnapshot. The build shape persisted in the snapshot (join-path
 // bound, template cap, co-occurrence, query-syntax flags) is
 // authoritative: it overrides the same settings in opts, because the
-// persisted index and usage counts were derived under it. opts supply
-// the deployment knobs (answer cache, WithMutations, durability). A
-// snapshot carrying a value of a retired option (ATF smoothing other
-// than the default, a phrase threshold other than segmentThreshold) is
-// refused.
+// persisted answer cache was computed under it and the reopened engine
+// must answer as the saved one did. opts supply the deployment knobs
+// (answer cache, WithMutations, durability). A snapshot carrying a
+// value of a retired option (ATF smoothing other than the default, a
+// phrase threshold other than segmentThreshold) is refused.
 //
 // The restored engine is built and ready; it is memory-only — attaching
 // a state directory (write-ahead log, checkpoints) is Open's job.
@@ -232,34 +210,13 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("keysearch: open snapshot: %w", err)
 	}
 	db.Prepare() // equality indexes are not persisted; re-materialise the canonical set
-
-	var ix *invindex.Index
-	if raw := sections[sectionInvIndex]; raw != nil {
-		ix, err = invindex.DecodeSnapshot(durable.NewDec(raw), db)
-		if err != nil {
-			return nil, fmt.Errorf("keysearch: open snapshot: %w", err)
-		}
-	} else {
-		ix = invindex.Build(db)
-	}
+	ix := invindex.Build(db)
 
 	graph := schemagraph.FromDatabase(db)
 	cat := query.BuildCatalog(graph, schemagraph.EnumerateOptions{
 		MaxNodes: cfg.maxJoinPath,
 		MaxTrees: cfg.maxTemplates,
 	})
-	if raw := sections[sectionUsage]; raw != nil {
-		ud := durable.NewDec(raw)
-		n := int(ud.Uvarint())
-		for i := 0; i < n && ud.Err() == nil; i++ {
-			id := ud.Int()
-			count := ud.Int()
-			cat.RecordUsage(id, count)
-		}
-		if err := ud.Err(); err != nil {
-			return nil, fmt.Errorf("keysearch: open snapshot: usage: %w", err)
-		}
-	}
 
 	eng := &Engine{cfg: cfg, db: db}
 	if cfg.answerCacheBytes > 0 {
@@ -523,14 +480,15 @@ func (e *Engine) Checkpoint(ctx context.Context) (*CheckpointStats, error) {
 // compactSnapshot rebuilds the named tables without tombstones and
 // re-derives every RowID-keyed structure over the compacted database.
 // Row statistics are unchanged — only physical identifiers move — so
-// the ranking model inherits the full memoised cache, and search
-// responses are byte-identical before and after (the responses never
-// expose RowIDs; the differential tests pin this). The epoch is kept:
-// compaction changes representation, not logical content.
+// the inverted index keeps its term dictionary and only re-resolves its
+// column postings, the ranking model inherits the full memoised cache,
+// and search responses are byte-identical before and after (the
+// responses never expose RowIDs; the differential tests pin this). The
+// epoch is kept: compaction changes representation, not logical content.
 func (e *Engine) compactSnapshot(s *snapshot, tables []string) *snapshot {
 	ndb := s.db.CompactTables(tables)
 	ndb.Prepare()
-	nix := invindex.Build(ndb)
+	nix := s.ix.Apply(ndb, nil) // no term appears or vanishes
 	model := e.newModel(nix, s.cat)
 	model.InheritCache(s.model, nil) // no attribute statistics changed
 	return &snapshot{

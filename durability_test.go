@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -25,7 +24,7 @@ var durQueries = []string{"tom", "london", "hanks terminal"}
 // churnedEngine is the small movie engine after a few mutation batches,
 // so snapshots carry tombstones, a RowID high-water mark above NumLive,
 // and an epoch > 0.
-func churnedEngine(t *testing.T, opts ...Option) *Engine {
+func churnedEngine(t testing.TB, opts ...Option) *Engine {
 	t.Helper()
 	eng := mutableEngine(t, opts...)
 	batches := [][]Mutation{
@@ -70,7 +69,8 @@ func TestSaveOpenSnapshotRoundTrip(t *testing.T) {
 	t.Run("persisted-indexes", func(t *testing.T) {
 		compareEngines(t, got, eng, durQueries)
 	})
-	// The persisted index must never diverge from one re-derived from the
+	// The persisted posting lists, which carry every term statistic the
+	// index reads, must never diverge from ones re-derived from the
 	// rows: a fresh Build over the reopened engine's rows is the oracle.
 	t.Run("rebuilt-indexes", func(t *testing.T) {
 		compareEngines(t, got, rebuiltEngine(t, got), durQueries)
@@ -213,36 +213,19 @@ func TestOpenSnapshotRefusesRetiredValues(t *testing.T) {
 // re-encoded by write and every other section copied unchanged.
 func replaceMeta(t *testing.T, snap []byte, write func(*durable.Enc)) []byte {
 	t.Helper()
-	sr, err := durable.NewSnapshotReader(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	sw, err := durable.NewSnapshotWriter(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		name, payload, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == sectionMeta {
+	secs := readSections(t, snap)
+	for i := range secs {
+		if secs[i].name == sectionMeta {
 			var m durable.Enc
 			write(&m)
-			payload = m.Bytes()
-		}
-		if err := sw.Section(name, payload); err != nil {
-			t.Fatal(err)
+			secs[i].payload = m.Bytes()
 		}
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
+	out, ok := writeSections(secs)
+	if !ok {
+		t.Fatal("could not write the sections")
 	}
-	return out.Bytes()
+	return out
 }
 
 func TestOpenSnapshotRejectsGarbage(t *testing.T) {

@@ -1,7 +1,6 @@
 package invindex
 
 import (
-	"iter"
 	"sort"
 	"strings"
 )
@@ -20,32 +19,18 @@ const dictChunk = 256
 // the vocabulary.
 type dictionary struct {
 	chunks [][]string
-	n      int
 }
 
 // newDictionary cuts an ascending, duplicate-free term list into chunks
 // that share its backing array.
 func newDictionary(sorted []string) dictionary {
-	d := dictionary{n: len(sorted)}
+	var d dictionary
 	for len(sorted) > 0 {
 		k := min(dictChunk, len(sorted))
 		d.chunks = append(d.chunks, sorted[:k:k])
 		sorted = sorted[k:]
 	}
 	return d
-}
-
-// all iterates the terms in ascending order.
-func (d dictionary) all() iter.Seq[string] {
-	return func(yield func(string) bool) {
-		for _, c := range d.chunks {
-			for _, t := range c {
-				if !yield(t) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // withPrefix returns up to limit terms starting with prefix, ascending
@@ -85,7 +70,7 @@ func (d dictionary) patched(added, removed []string) dictionary {
 	if len(d.chunks) == 0 {
 		return newDictionary(added)
 	}
-	out := dictionary{chunks: make([][]string, 0, len(d.chunks)+1), n: d.n + len(added) - len(removed)}
+	out := dictionary{chunks: make([][]string, 0, len(d.chunks)+1)}
 	for i, c := range d.chunks {
 		nadd, nrem := len(added), len(removed)
 		if last := c[len(c)-1]; i < len(d.chunks)-1 {

@@ -4,26 +4,31 @@
 // (Section 3.6.2) and by the TF-IDF baselines (Section 2.2.4):
 //
 //   - attribute-granularity postings: term → {table.column} with counts,
-//   - tuple-granularity postings: term → {table.column.row},
 //   - per-attribute unigram statistics: term frequency, vocabulary size,
 //     total token count (for ATF, Equation 3.8),
 //   - document frequency / inverse document frequency per attribute, where
 //     a "document" is one attribute value of one tuple,
 //   - pairwise co-occurrence counts used by DivQ's co-occurrence-aware
-//     relevance model (Equation 4.2), and
+//     relevance model (Equation 4.2),
+//   - the sorted term dictionary behind keyword completion, and
 //   - schema-term matching (keywords against table and column names).
 //
-// The index is built once from a relstore.Database in a pre-processing step
-// and is immutable afterwards, mirroring the offline index-construction
-// phase of the thesis systems; row mutations derive a successor index
-// copy-on-write (apply.go).
+// The index is one structure with the storage engine's keyword
+// selections: every statistic is read from relstore's per-column token
+// postings (relstore.ColumnPostings), which also answer σ_{k∈A}. An
+// index holds no per-term state of its own beyond the dictionary, and
+// no tuple-granularity postings: the rows containing a term are the
+// selection's to find. An index version is immutable; row mutations
+// derive a successor (apply.go) that re-resolves its column handles and
+// patches the dictionary.
 package invindex
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/cow"
 	"repro/internal/relstore"
 )
 
@@ -45,58 +50,40 @@ type Posting struct {
 	// DocCount is the number of tuples whose attribute value contains the
 	// term at least once (the attribute-level document frequency).
 	DocCount int
-	// Rows lists the RowIDs of the tuples containing the term, ascending.
-	Rows []int
-
-	// rowsTail lets Apply append to Rows in place (relstore.InsertRow);
-	// nil until Apply first copies Rows.
-	rowsTail *relstore.Tail
 }
 
-// attrStats aggregates the unigram statistics of one attribute.
-type attrStats struct {
-	totalTokens int
-	vocabulary  int
-	docs        int // number of tuples (attribute values)
-	// terms holds every term of the attribute with its occurrence and
-	// document counts; absent terms have both counts zero.
-	terms *cow.Map[termFreq]
-}
-
-// termFreq is one term's statistics within one attribute.
-type termFreq struct {
-	count int // occurrences across all values
-	docs  int // values containing the term at least once
+// column is one attribute's handle on its table and token postings in
+// one database version, with the postings' vocabulary size counted once
+// for ATF.
+type column struct {
+	table *relstore.Table
+	post  *relstore.ColumnPostings
+	vocab int
 }
 
 // Index is an immutable inverted index over a database.
 type Index struct {
-	db *relstore.Database
-
-	// postings: term -> attr key -> posting (attr key = "table.column").
-	postings *cow.Map[map[string]*Posting]
-	attrs    []AttrRef       // all indexed attributes, stable order
-	attrPos  map[AttrRef]int // attribute -> position in attrs; shared by every version
-	stats    []*attrStats    // parallel to attrs
+	attrs   []AttrRef       // all indexed attributes, stable order
+	byKey   []int           // positions in attrs, ascending by "table.column"
+	attrPos map[AttrRef]int // attribute -> position in attrs
+	// cols is parallel to attrs, resolved against this version's database.
+	cols []column
 
 	// schemaTerms: token -> schema elements whose name contains the token.
 	schemaTables  map[string][]string
 	schemaColumns map[string][]AttrRef
 
-	// dict is the sorted dictionary of every distinct indexed term (the
-	// postings key set), kept so prefix lookups never re-scan the data.
+	// dict is the sorted dictionary of every distinct indexed term, kept
+	// so prefix lookups never re-scan the data.
 	dict dictionary
-
-	totalDocs int
 }
 
-// newIndex returns an index over db with no terms, its attribute list
-// and schema-term match tables derived from the schema in Build's
-// table/column order.
-func newIndex(db *relstore.Database) *Index {
+// Build constructs the inverted index over every indexed (textual) column
+// of every table in the database. It tokenizes schema names only: the
+// column postings it reads are relstore's (built on first use when
+// Database.Prepare has not run).
+func Build(db *relstore.Database) *Index {
 	ix := &Index{
-		db:            db,
-		postings:      cow.New[map[string]*Posting](),
 		attrPos:       make(map[AttrRef]int),
 		schemaTables:  make(map[string][]string),
 		schemaColumns: make(map[string][]AttrRef),
@@ -111,80 +98,53 @@ func newIndex(db *relstore.Database) *Index {
 			}
 			attr := AttrRef{Table: t.Schema.Name, Column: col.Name}
 			ix.attrPos[attr] = len(ix.attrs)
+			ix.byKey = append(ix.byKey, len(ix.attrs))
 			ix.attrs = append(ix.attrs, attr)
-			ix.stats = append(ix.stats, &attrStats{terms: cow.New[termFreq]()})
 			for _, tok := range relstore.Tokenize(col.Name) {
 				ix.schemaColumns[tok] = append(ix.schemaColumns[tok], attr)
 			}
 		}
 	}
+	slices.SortFunc(ix.byKey, func(a, b int) int { return cmp.Compare(ix.attrs[a].String(), ix.attrs[b].String()) })
+	ix.cols = resolve(db, ix.attrs)
+	var terms []string
+	for _, c := range ix.cols {
+		terms = slices.AppendSeq(terms, c.post.Terms())
+	}
+	slices.Sort(terms)
+	ix.dict = newDictionary(slices.Compact(terms))
 	return ix
 }
 
-// Build constructs the inverted index over every indexed (textual) column
-// of every table in the database.
-func Build(db *relstore.Database) *Index {
-	ix := newIndex(db)
-	for i, attr := range ix.attrs {
-		t := db.Table(attr.Table)
-		ci := t.Schema.ColumnIndex(attr.Column)
-		key := attr.String()
-		st := ix.stats[i]
-		for id, row := range t.Rows() {
-			toks := relstore.Tokenize(row.Values[ci])
-			st.totalTokens += len(toks)
-			st.docs++
-			seen := make(map[string]bool, len(toks))
-			for _, tok := range toks {
-				first := !seen[tok]
-				seen[tok] = true
-				sh := st.terms.Edit(tok)
-				f := sh[tok]
-				f.count++
-				if first {
-					f.docs++
-				}
-				sh[tok] = f
-				pmap := ix.postings.Get(tok)
-				if pmap == nil {
-					pmap = make(map[string]*Posting)
-					ix.postings.Edit(tok)[tok] = pmap
-				}
-				p := pmap[key]
-				if p == nil {
-					p = &Posting{Attr: attr}
-					pmap[key] = p
-				}
-				p.Count++
-				if first {
-					p.DocCount++
-					p.Rows = append(p.Rows, id)
-				}
-			}
-			ix.totalDocs++
-		}
-		st.vocabulary = st.terms.Len()
+// resolve returns each attribute's handle in db.
+func resolve(db *relstore.Database, attrs []AttrRef) []column {
+	cols := make([]column, len(attrs))
+	for i, a := range attrs {
+		t := db.Table(a.Table)
+		post := t.Postings(a.Column)
+		cols[i] = column{table: t, post: post, vocab: post.Vocabulary()}
 	}
-	terms := make([]string, 0, ix.postings.Len())
-	for term := range ix.postings.All() {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	ix.dict = newDictionary(terms)
-	return ix
+	return cols
 }
 
-// statsOf returns the attribute's statistics, or nil when it is not an
-// indexed attribute.
-func (ix *Index) statsOf(attr AttrRef) *attrStats {
+// col returns the attribute's handle, or nil when it is not an indexed
+// attribute.
+func (ix *Index) col(attr AttrRef) *column {
 	if i, ok := ix.attrPos[attr]; ok {
-		return ix.stats[i]
+		return &ix.cols[i]
 	}
 	return nil
 }
 
-// Database returns the database the index was built over.
-func (ix *Index) Database() *relstore.Database { return ix.db }
+// has reports whether the term occurs in any indexed attribute.
+func (ix *Index) has(term string) bool {
+	for _, c := range ix.cols {
+		if _, rows := c.post.Term(term); rows > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Attributes returns every indexed attribute in a stable order.
 func (ix *Index) Attributes() []AttrRef {
@@ -196,19 +156,12 @@ func (ix *Index) Attributes() []AttrRef {
 // Lookup returns the postings of a term across all attributes, sorted by
 // attribute key for determinism. The term is lower-cased before lookup.
 func (ix *Index) Lookup(term string) []Posting {
-	pmap := ix.postings.Get(normalize(term))
-	if pmap == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(pmap))
-	for k := range pmap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Posting, 0, len(keys))
-	for _, k := range keys {
-		p := pmap[k]
-		out = append(out, Posting{Attr: p.Attr, Count: p.Count, DocCount: p.DocCount, Rows: p.Rows})
+	term = normalize(term)
+	var out []Posting
+	for _, i := range ix.byKey {
+		if count, rows := ix.cols[i].post.Term(term); rows > 0 {
+			out = append(out, Posting{Attr: ix.attrs[i], Count: count, DocCount: rows})
+		}
 	}
 	return out
 }
@@ -221,62 +174,52 @@ func (ix *Index) TermsWithPrefix(prefix string, limit int) []string {
 	return ix.dict.withPrefix(prefix, limit)
 }
 
-// NumTerms returns the size of the term dictionary.
-func (ix *Index) NumTerms() int { return ix.dict.n }
-
-// Contains reports whether the term occurs anywhere in the database.
-func (ix *Index) Contains(term string) bool {
-	_, ok := ix.postings.Lookup(normalize(term))
-	return ok
-}
-
 // TermCount returns the raw number of occurrences of term in attr.
 func (ix *Index) TermCount(term string, attr AttrRef) int {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	return st.terms.Get(normalize(term)).count
+	count, _ := c.post.Term(normalize(term))
+	return count
 }
 
 // DocCount returns the number of tuples of attr whose value contains term.
 func (ix *Index) DocCount(term string, attr AttrRef) int {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	return st.terms.Get(normalize(term)).docs
+	_, rows := c.post.Term(normalize(term))
+	return rows
 }
 
 // AttrTokens returns the total number of tokens stored in attr.
 func (ix *Index) AttrTokens(attr AttrRef) int {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	return st.totalTokens
+	return c.post.Tokens()
 }
 
 // AttrVocabulary returns the number of distinct terms stored in attr.
 func (ix *Index) AttrVocabulary(attr AttrRef) int {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	return st.vocabulary
+	return c.vocab
 }
 
 // AttrDocs returns the number of tuples (attribute values) of attr.
 func (ix *Index) AttrDocs(attr AttrRef) int {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	return st.docs
+	return c.table.NumLive()
 }
-
-// TotalDocs returns the total number of attribute values indexed.
-func (ix *Index) TotalDocs() int { return ix.totalDocs }
 
 // ATF is the Attribute Term Frequency of Equation 3.8: a smoothed estimate
 // of P(σ_{k∈A}(Table):k | σ_{?∈A}(Table)) — the probability that the random
@@ -291,42 +234,23 @@ func (ix *Index) TotalDocs() int { return ix.totalDocs }
 // probability mass for unseen keywords so that ATF is a proper
 // distribution over V_A ∪ {unseen}.
 func (ix *Index) ATF(term string, attr AttrRef, alpha float64) float64 {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	c := float64(st.terms.Get(normalize(term)).count)
-	return (c + alpha) / (float64(st.totalTokens) + alpha*float64(st.vocabulary+1))
-}
-
-// TF returns the normalised term frequency count(k,A)/tokens(A).
-func (ix *Index) TF(term string, attr AttrRef) float64 {
-	st := ix.statsOf(attr)
-	if st == nil || st.totalTokens == 0 {
-		return 0
-	}
-	return float64(st.terms.Get(normalize(term)).count) / float64(st.totalTokens)
+	count, _ := c.post.Term(normalize(term))
+	return (float64(count) + alpha) / (float64(c.post.Tokens()) + alpha*float64(c.vocab+1))
 }
 
 // IDF returns the inverse document frequency of term within attr,
 // ln(1 + docs(A)/(df+1)), the selectivity factor of Section 2.2.4.
 func (ix *Index) IDF(term string, attr AttrRef) float64 {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0
 	}
-	df := st.terms.Get(normalize(term)).docs
-	return math.Log(1 + float64(st.docs)/float64(df+1))
-}
-
-// GlobalIDF returns an IDF over all indexed attribute values, used by the
-// Lucene-style SQAK baseline: 1 + ln(N/(df+1)).
-func (ix *Index) GlobalIDF(term string) float64 {
-	df := 0
-	for _, p := range ix.postings.Get(normalize(term)) {
-		df += p.DocCount
-	}
-	return 1 + math.Log(float64(ix.totalDocs+1)/float64(df+1))
+	_, df := c.post.Term(normalize(term))
+	return math.Log(1 + float64(c.table.NumLive())/float64(df+1))
 }
 
 // MatchTables returns the tables whose name contains the term as a token
@@ -357,20 +281,15 @@ func (ix *Index) MatchColumns(term string) []AttrRef {
 // exceeds the product of the marginals, so interpretations binding several
 // keywords to the same attribute are promoted.
 func (ix *Index) CoOccurrence(keywords []string, attr AttrRef) (matching, total int) {
-	st := ix.statsOf(attr)
-	if st == nil {
+	c := ix.col(attr)
+	if c == nil {
 		return 0, 0
 	}
-	total = st.docs
+	total = c.table.NumLive()
 	if len(keywords) == 0 {
 		return 0, total
 	}
-	t := ix.db.Table(attr.Table)
-	if t == nil {
-		return 0, total
-	}
-	matching = len(t.SelectContains(attr.Column, keywords))
-	return matching, total
+	return len(c.table.SelectContains(attr.Column, keywords)), total
 }
 
 // PhrasePairScore estimates how strongly two keywords form a phrase

@@ -1,8 +1,12 @@
 package invindex
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -56,9 +60,6 @@ func TestLookupPostings(t *testing.T) {
 	if p.Count != 2 || p.DocCount != 2 {
 		t.Fatalf("hanks count=%d doc=%d, want 2/2", p.Count, p.DocCount)
 	}
-	if !reflect.DeepEqual(p.Rows, []int{0, 2}) {
-		t.Fatalf("hanks rows = %v", p.Rows)
-	}
 
 	ps = ix.Lookup("terminal")
 	if len(ps) != 1 || ps[0].Attr.Column != "title" || ps[0].Count != 2 {
@@ -84,11 +85,11 @@ func TestLookupNormalisesCase(t *testing.T) {
 	if len(ix.Lookup("HANKS")) != 1 {
 		t.Fatal("lookup should be case-insensitive")
 	}
-	if !ix.Contains("Terminal") {
-		t.Fatal("Contains should be case-insensitive")
+	if ix.DocCount("Terminal", AttrRef{Table: "movie", Column: "title"}) != 2 {
+		t.Fatal("DocCount should be case-insensitive")
 	}
-	if ix.Contains("zzzzz") {
-		t.Fatal("Contains(zzzzz) should be false")
+	if ix.Lookup("zzzzz") != nil {
+		t.Fatal("Lookup(zzzzz) should be empty")
 	}
 }
 
@@ -110,10 +111,6 @@ func TestAttrStatistics(t *testing.T) {
 	}
 	if got := ix.DocCount("tom", name); got != 2 {
 		t.Fatalf("DocCount(tom, name) = %d, want 2", got)
-	}
-	// TotalDocs: 3 names + 3 titles + 3 years.
-	if got := ix.TotalDocs(); got != 9 {
-		t.Fatalf("TotalDocs = %d, want 9", got)
 	}
 	// Unknown attribute yields zeros.
 	bogus := AttrRef{Table: "x", Column: "y"}
@@ -145,11 +142,9 @@ func TestATF(t *testing.T) {
 func TestTFIDF(t *testing.T) {
 	_, ix := buildTestIndex(t)
 	name := AttrRef{Table: "actor", Column: "name"}
-	if got, want := ix.TF("tom", name), 2.0/6.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("TF = %v, want %v", got, want)
-	}
-	if ix.TF("tom", AttrRef{Table: "no", Column: "no"}) != 0 {
-		t.Fatal("TF over unknown attr should be 0")
+	// ln(1 + 3 names / (2 containing tom + 1)) = ln 2.
+	if got, want := ix.IDF("tom", name), math.Ln2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("IDF(tom) = %v, want %v", got, want)
 	}
 	// IDF of a rarer term is higher.
 	if ix.IDF("cruise", name) <= ix.IDF("tom", name) {
@@ -157,10 +152,6 @@ func TestTFIDF(t *testing.T) {
 	}
 	if ix.IDF("x", AttrRef{Table: "no", Column: "no"}) != 0 {
 		t.Fatal("IDF over unknown attr should be 0")
-	}
-	// GlobalIDF decreases with document frequency.
-	if ix.GlobalIDF("zzz") <= ix.GlobalIDF("tom") {
-		t.Fatal("GlobalIDF of unseen term should exceed a seen term's")
 	}
 }
 
@@ -226,8 +217,9 @@ func TestAttributes(t *testing.T) {
 	}
 }
 
-// Property: every token of every indexed value can be found via Lookup,
-// and its posting's row list includes the row that produced it.
+// Property: every token of every indexed value can be found via Lookup
+// in its attribute and in the term dictionary, and its posting counts
+// the rows whose value contains it.
 func TestIndexCompleteness(t *testing.T) {
 	db, ix := buildTestIndex(t)
 	for _, tb := range db.Tables() {
@@ -237,19 +229,21 @@ func TestIndexCompleteness(t *testing.T) {
 			}
 			for _, row := range tb.Rows() {
 				for _, tok := range relstore.Tokenize(row.Values[ci]) {
+					rows := 0
+					for _, other := range tb.Rows() {
+						if slices.Contains(relstore.Tokenize(other.Values[ci]), tok) {
+							rows++
+						}
+					}
 					found := false
 					for _, p := range ix.Lookup(tok) {
 						if p.Attr.Table == tb.Schema.Name && p.Attr.Column == col.Name {
-							for _, r := range p.Rows {
-								if r == row.RowID {
-									found = true
-								}
-							}
+							found = p.DocCount == rows
 						}
 					}
-					if !found {
-						t.Fatalf("token %q of %s.%s row %d not found in index",
-							tok, tb.Schema.Name, col.Name, row.RowID)
+					if !found || !slices.Contains(ix.TermsWithPrefix(tok, 0), tok) {
+						t.Fatalf("token %q of %s.%s row %d not found in index with %d rows",
+							tok, tb.Schema.Name, col.Name, row.RowID, rows)
 					}
 				}
 			}
@@ -279,31 +273,167 @@ func TestATFSumsToOne(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary generated databases, TermCount(tok) equals the
-// number of occurrences counted directly, and ATF is monotone in count.
+// directStats are one attribute's statistics counted from its rows.
+type directStats struct {
+	tokens, docs int
+	count, rows  map[string]int
+}
+
+// diffAgainstRows counts every statistic straight from db's rows and
+// reports the first accessor of ix that disagrees: Lookup (counts and
+// order), TermCount, DocCount, AttrTokens, AttrVocabulary, AttrDocs,
+// IDF, ATF and TermsWithPrefix.
+func diffAgainstRows(db *relstore.Database, ix *Index) error {
+	stats := map[AttrRef]*directStats{}
+	vocab := map[string]bool{"absent": true}
+	var keys []AttrRef
+	for _, tb := range db.Tables() {
+		for ci, col := range tb.Schema.Columns {
+			if !col.Indexed {
+				continue
+			}
+			attr := AttrRef{Table: tb.Schema.Name, Column: col.Name}
+			st := &directStats{count: map[string]int{}, rows: map[string]int{}}
+			stats[attr] = st
+			keys = append(keys, attr)
+			for _, row := range tb.Rows() {
+				st.docs++
+				seen := map[string]bool{}
+				for _, tok := range relstore.Tokenize(row.Values[ci]) {
+					st.tokens++
+					st.count[tok]++
+					if !seen[tok] {
+						seen[tok] = true
+						st.rows[tok]++
+					}
+					vocab[tok] = true
+				}
+			}
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	for term := range vocab {
+		var want []Posting
+		for _, attr := range keys {
+			if st := stats[attr]; st.rows[term] > 0 {
+				want = append(want, Posting{Attr: attr, Count: st.count[term], DocCount: st.rows[term]})
+			}
+		}
+		if got := ix.Lookup(term); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("Lookup(%q) = %+v, want %+v", term, got, want)
+		}
+	}
+	for attr, st := range stats {
+		if got := ix.AttrTokens(attr); got != st.tokens {
+			return fmt.Errorf("AttrTokens(%s) = %d, want %d", attr, got, st.tokens)
+		}
+		if got := ix.AttrVocabulary(attr); got != len(st.count) {
+			return fmt.Errorf("AttrVocabulary(%s) = %d, want %d", attr, got, len(st.count))
+		}
+		if got := ix.AttrDocs(attr); got != st.docs {
+			return fmt.Errorf("AttrDocs(%s) = %d, want %d", attr, got, st.docs)
+		}
+		for term := range vocab {
+			if got := ix.TermCount(term, attr); got != st.count[term] {
+				return fmt.Errorf("TermCount(%q, %s) = %d, want %d", term, attr, got, st.count[term])
+			}
+			if got := ix.DocCount(term, attr); got != st.rows[term] {
+				return fmt.Errorf("DocCount(%q, %s) = %d, want %d", term, attr, got, st.rows[term])
+			}
+			idf := math.Log(1 + float64(st.docs)/float64(st.rows[term]+1))
+			if got := ix.IDF(term, attr); got != idf {
+				return fmt.Errorf("IDF(%q, %s) = %v, want %v", term, attr, got, idf)
+			}
+			atf := (float64(st.count[term]) + 1) / (float64(st.tokens) + float64(len(st.count)+1))
+			if got := ix.ATF(term, attr, 1); got != atf {
+				return fmt.Errorf("ATF(%q, %s) = %v, want %v", term, attr, got, atf)
+			}
+		}
+	}
+	delete(vocab, "absent")
+	var dict []string
+	for term := range vocab {
+		dict = append(dict, term)
+	}
+	sort.Strings(dict)
+	if got := ix.TermsWithPrefix("", 0); !slices.Equal(got, dict) {
+		return fmt.Errorf("TermsWithPrefix = %v, want %v", got, dict)
+	}
+	return nil
+}
+
+// TestRandomisedIndexAgainstDirectCount: over arbitrary generated
+// values, every accessor equals a direct count over the rows after
+// Build, after each of a run of random mutation batches in which terms
+// appear and vanish, and over the tombstone-free database CompactTables
+// returns, whether re-resolved by Apply or built afresh.
 func TestRandomisedIndexAgainstDirectCount(t *testing.T) {
-	f := func(values []string) bool {
+	words := []string{"tom", "Hanks", "tom tom", "stone age", "a1 b2", "", "zz top", "river"}
+	f := func(values []string, seed int64) bool {
 		db := relstore.NewDatabase("r")
 		tb, err := db.CreateTable(&relstore.TableSchema{
-			Name:    "t",
-			Columns: []relstore.Column{{Name: "v", Indexed: true}},
+			Name:       "t",
+			Columns:    []relstore.Column{{Name: "k"}, {Name: "v", Indexed: true}, {Name: "w", Indexed: true}},
+			PrimaryKey: "k",
 		})
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		direct := map[string]int{}
-		for _, v := range values {
-			if _, err := tb.Insert(v); err != nil {
-				return false
-			}
-			for _, tok := range relstore.Tokenize(v) {
-				direct[tok]++
+		for i, v := range values {
+			if _, err := tb.Insert(fmt.Sprintf("k%d", i), v, words[i%len(words)]); err != nil {
+				t.Fatal(err)
 			}
 		}
 		ix := Build(db)
-		attr := AttrRef{Table: "t", Column: "v"}
-		for tok, n := range direct {
-			if ix.TermCount(tok, attr) != n {
+		if err := diffAgainstRows(db, ix); err != nil {
+			t.Logf("after Build: %v", err)
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed))
+		value := func() string {
+			if len(values) > 0 && rng.Intn(2) == 0 {
+				return values[rng.Intn(len(values))]
+			}
+			return words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
+		}
+		next := len(values)
+		for batch := 0; batch < 6; batch++ {
+			var muts []relstore.Mutation
+			used := map[string]bool{}
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				key := fmt.Sprintf("k%d", rng.Intn(next+1))
+				if used[key] {
+					continue
+				}
+				used[key] = true
+				live := len(db.Table("t").LookupEqual("k", key)) > 0
+				switch {
+				case !live:
+					next++
+					key = fmt.Sprintf("k%d", next)
+					muts = append(muts, relstore.Mutation{Op: relstore.OpInsert, Table: "t", Values: []string{key, value(), value()}})
+				case rng.Intn(2) == 0:
+					muts = append(muts, relstore.Mutation{Op: relstore.OpDelete, Table: "t", Key: key})
+				default:
+					muts = append(muts, relstore.Mutation{Op: relstore.OpUpdate, Table: "t", Key: key, Values: []string{key, value(), value()}})
+				}
+			}
+			ndb, changes, err := db.Apply(muts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, ix = ndb, ix.Apply(ndb, changes)
+			if err := diffAgainstRows(db, ix); err != nil {
+				t.Logf("after batch %d %+v: %v", batch, muts, err)
+				return false
+			}
+		}
+		// Compaction renumbers rows without changing a term: the engine
+		// re-resolves the index over the result, and a Build agrees.
+		cdb := db.CompactTables([]string{"t"})
+		for name, cix := range map[string]*Index{"Apply": ix.Apply(cdb, nil), "Build": Build(cdb)} {
+			if err := diffAgainstRows(cdb, cix); err != nil {
+				t.Logf("%s after CompactTables: %v", name, err)
 				return false
 			}
 		}

@@ -7,11 +7,10 @@
 //     overlap with earlier ranks;
 //   - WS-recall (Section 4.5.2, Equation 4.7): weighted subtopic recall
 //     over primary keys with graded relevance;
-//   - plain nDCG and S-recall as the unweighted baselines they extend;
 //   - descriptive statistics used by the experiment harness (quartile/
-//     boxplot summaries of Figure 3.6, medians of Figure 3.7, Cohen's
-//     kappa for assessor agreement of Section 4.6.2, and a paired t-test
-//     used for the significance statement of Section 4.6.3).
+//     boxplot summaries of Figure 3.6, medians of Figure 3.7).
+//
+// Plain nDCG is AlphaNDCGW with α = 0.
 //
 // Result items are abstract: an item has a graded relevance and a set of
 // nugget identifiers (primary keys rendered as strings), so the package
@@ -19,7 +18,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -99,9 +97,6 @@ func IdealOrder(items []Item) []Item {
 	return out
 }
 
-// NDCG is standard nDCG@k for all k (α-nDCG-W with α = 0).
-func NDCG(ranked, ideal []Item) []float64 { return AlphaNDCGW(ranked, ideal, 0) }
-
 // WSRecall computes WS-recall@k for every k per Equation 4.7: the
 // aggregated relevance of the subtopics (nuggets) covered by the top-k
 // items over the aggregated relevance of all relevant subtopics in the
@@ -125,31 +120,6 @@ func WSRecall(ranked, universe []Item) []float64 {
 		}
 		if total > 0 {
 			out[k] = sum / total
-		}
-	}
-	return out
-}
-
-// SRecall is the binary instance recall at k: the fraction of distinct
-// nuggets of the universe covered by the top-k items (Section 4.5.2's
-// unweighted special case).
-func SRecall(ranked, universe []Item) []float64 {
-	all := make(map[string]bool)
-	for _, item := range universe {
-		for _, n := range item.Nuggets {
-			all[n] = true
-		}
-	}
-	out := make([]float64, len(ranked))
-	covered := make(map[string]bool)
-	for k, item := range ranked {
-		for _, n := range item.Nuggets {
-			if all[n] {
-				covered[n] = true
-			}
-		}
-		if len(all) > 0 {
-			out[k] = float64(len(covered)) / float64(len(all))
 		}
 	}
 	return out
@@ -251,109 +221,4 @@ func Mean(sample []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(sample))
-}
-
-// CohenKappa computes Cohen's kappa agreement between two assessors over
-// binary judgements (Section 4.6.2 reports pairwise kappa between study
-// participants). Inputs are parallel slices of 0/1 judgements.
-func CohenKappa(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("metrics: judgement vectors differ in length: %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n == 0 {
-		return 0, fmt.Errorf("metrics: empty judgement vectors")
-	}
-	var n11, n00, n10, n01 float64
-	for i := range a {
-		switch {
-		case a[i] != 0 && b[i] != 0:
-			n11++
-		case a[i] == 0 && b[i] == 0:
-			n00++
-		case a[i] != 0:
-			n10++
-		default:
-			n01++
-		}
-	}
-	fn := float64(n)
-	po := (n11 + n00) / fn
-	pa1 := (n11 + n10) / fn
-	pb1 := (n11 + n01) / fn
-	pe := pa1*pb1 + (1-pa1)*(1-pb1)
-	if pe == 1 {
-		return 1, nil
-	}
-	return (po - pe) / (1 - pe), nil
-}
-
-// PairedTTest returns the t statistic of the paired two-sample t-test and
-// whether the difference is significant at the 95% confidence level
-// (two-sided), using the critical-value table for the t distribution.
-// Section 4.6.3 uses this test for the diversification-vs-ranking gain.
-func PairedTTest(x, y []float64) (t float64, significant bool, err error) {
-	if len(x) != len(y) {
-		return 0, false, fmt.Errorf("metrics: paired samples differ in length")
-	}
-	n := len(x)
-	if n < 2 {
-		return 0, false, fmt.Errorf("metrics: need at least 2 pairs")
-	}
-	diffs := make([]float64, n)
-	mean := 0.0
-	for i := range x {
-		diffs[i] = x[i] - y[i]
-		mean += diffs[i]
-	}
-	mean /= float64(n)
-	varSum := 0.0
-	for _, d := range diffs {
-		varSum += (d - mean) * (d - mean)
-	}
-	sd := math.Sqrt(varSum / float64(n-1))
-	if sd == 0 {
-		if mean == 0 {
-			return 0, false, nil
-		}
-		return math.Inf(sign(mean)), true, nil
-	}
-	t = mean / (sd / math.Sqrt(float64(n)))
-	return t, math.Abs(t) >= tCritical95(n-1), nil
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
-}
-
-// tCritical95 returns the two-sided 95% critical value of Student's t for
-// the given degrees of freedom.
-func tCritical95(df int) float64 {
-	table := map[int]float64{
-		1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-		6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-		11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
-		16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-		25: 2.060, 30: 2.042, 40: 2.021, 50: 2.009, 60: 2.000,
-		80: 1.990, 100: 1.984, 120: 1.980,
-	}
-	if v, ok := table[df]; ok {
-		return v
-	}
-	// Walk down to the nearest smaller tabulated df (conservative).
-	best := 1.960 // normal approximation for df → ∞
-	bestDF := 1 << 30
-	for k, v := range table {
-		if k >= df && k < bestDF {
-			bestDF = k
-			best = v
-		}
-	}
-	if bestDF == 1<<30 {
-		return 1.960
-	}
-	return best
 }

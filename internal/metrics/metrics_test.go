@@ -8,21 +8,6 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestAlphaNDCGWZeroAlphaIsNDCG(t *testing.T) {
-	ranked := []Item{
-		{Relevance: 0.5, Nuggets: []string{"a"}},
-		{Relevance: 0.9, Nuggets: []string{"a"}},
-	}
-	ideal := IdealOrder(ranked)
-	a0 := AlphaNDCGW(ranked, ideal, 0)
-	nd := NDCG(ranked, ideal)
-	for k := range a0 {
-		if !approx(a0[k], nd[k]) {
-			t.Fatalf("alpha=0 must equal NDCG at k=%d: %v vs %v", k, a0[k], nd[k])
-		}
-	}
-}
-
 func TestAlphaNDCGWPerfectRanking(t *testing.T) {
 	items := []Item{
 		{Relevance: 1.0, Nuggets: []string{"a"}},
@@ -172,6 +157,31 @@ func TestWSRecallReducesToSRecall(t *testing.T) {
 	}
 }
 
+// SRecall is the binary instance recall at k: the fraction of distinct
+// nuggets of the universe covered by the top-k items (Section 4.5.2's
+// unweighted special case).
+func SRecall(ranked, universe []Item) []float64 {
+	all := make(map[string]bool)
+	for _, item := range universe {
+		for _, n := range item.Nuggets {
+			all[n] = true
+		}
+	}
+	out := make([]float64, len(ranked))
+	covered := make(map[string]bool)
+	for k, item := range ranked {
+		for _, n := range item.Nuggets {
+			if all[n] {
+				covered[n] = true
+			}
+		}
+		if len(all) > 0 {
+			out[k] = float64(len(covered)) / float64(len(all))
+		}
+	}
+	return out
+}
+
 func TestSRecall(t *testing.T) {
 	universe := []Item{
 		{Relevance: 1, Nuggets: []string{"a"}},
@@ -247,70 +257,6 @@ func TestMean(t *testing.T) {
 	}
 	if !approx(Mean([]float64{1, 2, 3}), 2) {
 		t.Fatal("Mean wrong")
-	}
-}
-
-func TestCohenKappa(t *testing.T) {
-	// Perfect agreement.
-	k, err := CohenKappa([]int{1, 0, 1, 0}, []int{1, 0, 1, 0})
-	if err != nil || !approx(k, 1) {
-		t.Fatalf("perfect kappa = %v, %v", k, err)
-	}
-	// Independent-looking judgements give kappa near 0.
-	k, err = CohenKappa([]int{1, 1, 0, 0}, []int{1, 0, 1, 0})
-	if err != nil || !approx(k, 0) {
-		t.Fatalf("independent kappa = %v, %v", k, err)
-	}
-	// Length mismatch and empty errors.
-	if _, err := CohenKappa([]int{1}, []int{1, 0}); err == nil {
-		t.Fatal("length mismatch not reported")
-	}
-	if _, err := CohenKappa(nil, nil); err == nil {
-		t.Fatal("empty vectors not reported")
-	}
-}
-
-func TestPairedTTest(t *testing.T) {
-	// Clearly different paired samples.
-	x := []float64{1.1, 1.2, 1.3, 1.15, 1.25, 1.2, 1.18, 1.22}
-	y := []float64{1.0, 1.0, 1.05, 1.0, 1.02, 1.01, 1.0, 1.03}
-	tt, sig, err := PairedTTest(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sig || tt <= 0 {
-		t.Fatalf("expected significant positive difference, t=%v sig=%v", tt, sig)
-	}
-	// Identical samples: no difference.
-	tt, sig, err = PairedTTest(x, x)
-	if err != nil || sig || tt != 0 {
-		t.Fatalf("identical samples: t=%v sig=%v err=%v", tt, sig, err)
-	}
-	// Errors.
-	if _, _, err := PairedTTest([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("n<2 not reported")
-	}
-	if _, _, err := PairedTTest([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("length mismatch not reported")
-	}
-	// Constant nonzero difference: infinite t, significant.
-	tt, sig, err = PairedTTest([]float64{2, 3, 4}, []float64{1, 2, 3})
-	if err != nil || !sig || !math.IsInf(tt, 1) {
-		t.Fatalf("constant diff: t=%v sig=%v err=%v", tt, sig, err)
-	}
-}
-
-func TestTCritical(t *testing.T) {
-	if tCritical95(1) != 12.706 {
-		t.Fatal("df=1 critical wrong")
-	}
-	// Untabulated df falls back to nearest larger tabulated value.
-	v := tCritical95(22)
-	if v != 2.060 {
-		t.Fatalf("df=22 critical = %v, want 2.060 (df=25 row)", v)
-	}
-	if tCritical95(1000) != 1.960 {
-		t.Fatalf("huge df should use normal approx, got %v", tCritical95(1000))
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //     list is replaced by an updated version, so nothing the old
 //     database can read is ever written. A version appended at its end
 //     may share its predecessor's array, writing only past the
-//     predecessor's length (see Tail).
+//     predecessor's length (see tail).
 //   - The foreign-key adjacencies of every FK a changed table takes
 //     part in are patched the same way: a batch copies an adjacency's
 //     chunk spine and rebuilds only the chunks whose rows gained or
@@ -196,7 +196,7 @@ func (t *Table) mutableCopy() *Table {
 		numDead:  t.numDead,
 		base:     t.chunks,
 		valueIdx: make(map[int]*cow.Map[[]int]),
-		postings: make(map[int]*columnPostings),
+		postings: make(map[int]*ColumnPostings),
 	}
 	t.idxMu.Lock()
 	for col, idx := range t.valueIdx {
@@ -205,7 +205,7 @@ func (t *Table) mutableCopy() *Table {
 	t.idxMu.Unlock()
 	t.postMu.Lock()
 	for col, cp := range t.postings {
-		nt.postings[col] = &columnPostings{terms: cp.terms.Clone()}
+		nt.postings[col] = &ColumnPostings{terms: cp.terms.Clone(), tokens: cp.tokens}
 	}
 	t.postMu.Unlock()
 	return nt
@@ -242,7 +242,7 @@ func indexInsert(idx *cow.Map[[]int], value string, id int) {
 
 func indexRemove(idx *cow.Map[[]int], value string, id int) {
 	sh := idx.Edit(value)
-	if ids := SortedRemove(sh[value], id); len(ids) > 0 {
+	if ids := sortedRemove(sh[value], id); len(ids) > 0 {
 		sh[value] = ids
 	} else {
 		delete(sh, value)
@@ -298,15 +298,9 @@ func (t *Table) applyUpdate(id int, vals []string) {
 // addValue tokenizes one cell value and folds it into the postings,
 // replacing affected posting lists functionally (the originals may be
 // shared with the pre-batch snapshot).
-func (cp *columnPostings) addValue(row int, value string) {
-	toks := Tokenize(value)
-	if len(toks) == 0 {
-		return
-	}
-	counts := make(map[string]int, len(toks))
-	for _, tok := range toks {
-		counts[tok]++
-	}
+func (cp *ColumnPostings) addValue(row int, value string) {
+	counts, n := tokenCounts(value)
+	cp.tokens += n
 	for tok, c := range counts {
 		sh := cp.terms.Edit(tok)
 		sh[tok] = sh[tok].withRow(row, c)
@@ -315,14 +309,10 @@ func (cp *columnPostings) addValue(row int, value string) {
 
 // removeValue removes one cell value's tokens from the postings,
 // dropping token entries that become empty.
-func (cp *columnPostings) removeValue(row int, value string) {
-	toks := Tokenize(value)
-	seen := make(map[string]bool, len(toks))
-	for _, tok := range toks {
-		if seen[tok] {
-			continue
-		}
-		seen[tok] = true
+func (cp *ColumnPostings) removeValue(row int, value string) {
+	counts, n := tokenCounts(value)
+	cp.tokens -= n
+	for tok := range counts {
 		sh := cp.terms.Edit(tok)
 		if npl := sh[tok].withoutRow(row); npl != nil {
 			sh[tok] = npl
@@ -334,25 +324,22 @@ func (cp *columnPostings) removeValue(row int, value string) {
 
 // withRow returns a new posting list with the row's occurrence count
 // inserted at its sorted position. The receiver may be nil (first row of
-// a token) and its rows and counts are never modified; a row that goes
-// last is appended in place when the receiver's tail allows it (see
-// InsertRow).
+// a token) and its rows and counts are never modified. The rows follow
+// insertRow; when it appends in place, its claim on the shared tail
+// covers the same element of counts, so the count is appended too.
 func (p *postingList) withRow(row, count int) *postingList {
 	if p == nil {
-		return &postingList{rows: []int{row}, counts: []int{count}, maxCount: count}
+		return &postingList{rows: []int{row}, counts: []int{count}, maxCount: count, total: count}
 	}
 	n := len(p.rows)
-	maxCount := max(p.maxCount, count)
-	if n > 0 && p.rows[n-1] < row && n < cap(p.rows) && n < cap(p.counts) && p.tail.claim(n) {
-		return &postingList{rows: append(p.rows, row), counts: append(p.counts, count), maxCount: maxCount, tail: p.tail}
+	rows, t := insertRow(p.rows, p.tail, row)
+	var counts []int
+	if t == p.tail {
+		counts = append(p.counts, count)
+	} else {
+		counts = slices.Insert(p.counts[:n:n], sort.SearchInts(p.rows, row), count)
 	}
-	at := sort.SearchInts(p.rows, row)
-	return &postingList{
-		rows:     slices.Insert(p.rows[:n:n], at, row),
-		counts:   slices.Insert(p.counts[:n:n], at, count),
-		maxCount: maxCount,
-		tail:     newTail(n + 1),
-	}
+	return &postingList{rows: rows, counts: counts, maxCount: max(p.maxCount, count), total: p.total + count, tail: t}
 }
 
 // withoutRow returns a new posting list without the row, or nil when the
@@ -371,6 +358,7 @@ func (p *postingList) withoutRow(row int) *postingList {
 	np := &postingList{
 		rows:   make([]int, 0, len(p.rows)-1),
 		counts: make([]int, 0, len(p.counts)-1),
+		total:  p.total - p.counts[at],
 	}
 	np.rows = append(append(np.rows, p.rows[:at]...), p.rows[at+1:]...)
 	np.counts = append(append(np.counts, p.counts[:at]...), p.counts[at+1:]...)
@@ -382,35 +370,35 @@ func (p *postingList) withoutRow(row int) *postingList {
 	return np
 }
 
-// Tail counts the elements written into one backing array that several
+// tail counts the elements written into one backing array that several
 // copy-on-write versions of an ascending RowID list share. A version of
 // length n may append in place only by claiming element n, which
 // succeeds only while nothing has been written past n. Two successors of
 // one version therefore never overwrite each other: the second finds the
-// count moved and copies. A nil Tail claims nothing.
-type Tail struct{ n atomic.Int64 }
+// count moved and copies. A nil tail claims nothing.
+type tail struct{ n atomic.Int64 }
 
-func newTail(n int) *Tail {
-	t := new(Tail)
+func newTail(n int) *tail {
+	t := new(tail)
 	t.n.Store(int64(n))
 	return t
 }
 
 // claim reserves element n of the shared array for a version of length n.
-func (t *Tail) claim(n int) bool { return t != nil && t.n.CompareAndSwap(int64(n), int64(n)+1) }
+func (t *tail) claim(n int) bool { return t != nil && t.n.CompareAndSwap(int64(n), int64(n)+1) }
 
-// InsertRow returns ids with id inserted in ascending order, and the Tail
+// insertRow returns ids with id inserted in ascending order, and the tail
 // the result shares. The elements of ids are never modified: they may be
 // shared with a pre-batch snapshot. An inserted row's RowID is its
 // table's largest, so id usually goes last. Then, when the array has
 // room and tail shows nothing was written past len(ids), id is written
 // in place. A token that every insert shares thus costs amortised O(1)
 // per insert instead of a copy of its whole list. Otherwise the list is
-// copied with room to grow under a new Tail.
-func InsertRow(ids []int, tail *Tail, id int) ([]int, *Tail) {
+// copied with room to grow under a new tail.
+func insertRow(ids []int, t *tail, id int) ([]int, *tail) {
 	n := len(ids)
-	if n > 0 && ids[n-1] < id && n < cap(ids) && tail.claim(n) {
-		return append(ids, id), tail
+	if n > 0 && ids[n-1] < id && n < cap(ids) && t.claim(n) {
+		return append(ids, id), t
 	}
 	return slices.Insert(ids[:n:n], sort.SearchInts(ids, id), id), newTail(n + 1)
 }
@@ -418,16 +406,16 @@ func InsertRow(ids []int, tail *Tail, id int) ([]int, *Tail) {
 // SortedInsert returns a new ascending slice with id inserted; the input
 // is never modified (it may be shared with a pre-batch snapshot). The
 // equality indexes patch their per-value row lists with it: a value
-// rarely has more than a few rows, so they carry no Tail.
+// rarely has more than a few rows, so they carry no tail.
 func SortedInsert(ids []int, id int) []int {
 	at := sort.SearchInts(ids, id)
 	out := make([]int, 0, len(ids)+1)
 	return append(append(append(out, ids[:at]...), id), ids[at:]...)
 }
 
-// SortedRemove returns a new ascending slice without id (the input when
+// sortedRemove returns a new ascending slice without id (the input when
 // id is absent); the input is never modified.
-func SortedRemove(ids []int, id int) []int {
+func sortedRemove(ids []int, id int) []int {
 	at := sort.SearchInts(ids, id)
 	if at >= len(ids) || ids[at] != id {
 		return ids

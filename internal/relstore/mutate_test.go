@@ -506,16 +506,16 @@ func TestApplyCopiesTouchedChunksOnly(t *testing.T) {
 // contents; against SortedInsert over random versions and RowIDs.
 func TestInsertRowSharesTailWithoutClobbering(t *testing.T) {
 	var ids []int
-	var tail *Tail
+	var tl *tail
 	for id := 0; id < 10; id++ {
-		ids, tail = InsertRow(ids, tail, id)
+		ids, tl = insertRow(ids, tl, id)
 	}
 	v := ids
-	a, _ := InsertRow(v, tail, 100)
+	a, _ := insertRow(v, tl, 100)
 	if &a[0] != &v[0] {
 		t.Fatal("an append with room and an unmoved tail copied the list")
 	}
-	b, _ := InsertRow(v, tail, 200)
+	b, _ := insertRow(v, tl, 200)
 	if &b[0] == &v[0] {
 		t.Fatal("the second successor of one version wrote into the shared array")
 	}
@@ -528,7 +528,7 @@ func TestInsertRowSharesTailWithoutClobbering(t *testing.T) {
 
 	type version struct {
 		ids  []int
-		tail *Tail
+		tail *tail
 		want []int
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -539,8 +539,8 @@ func TestInsertRowSharesTailWithoutClobbering(t *testing.T) {
 			from = versions[len(versions)-1] // mostly linear, as snapshots are
 		}
 		id := len(from.want) + rng.Intn(3) - 1 // mostly appends, some middle inserts and duplicates
-		ids, tail := InsertRow(from.ids, from.tail, id)
-		versions = append(versions, version{ids, tail, SortedInsert(from.want, id)})
+		ids, tl := insertRow(from.ids, from.tail, id)
+		versions = append(versions, version{ids, tl, SortedInsert(from.want, id)})
 	}
 	for i, v := range versions {
 		if !slices.Equal(v.ids, v.want) {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"iter"
 	"sort"
 	"strings"
 
@@ -31,35 +32,76 @@ type postingList struct {
 	// maxCount is the largest per-row count, so selections needing more
 	// duplicated occurrences than any row has can answer "empty" at once.
 	maxCount int
+	// total is the sum of counts: the token's occurrences in the column.
+	total int
 	// tail is shared by every version whose rows and counts alias the
 	// same arrays; nil for lists built by add, which withRow copies first.
-	tail *Tail
+	tail *tail
 }
 
 // add records one row's occurrences; rows arrive in ascending RowID order.
 func (p *postingList) add(row, count int) {
 	p.rows = append(p.rows, row)
 	p.counts = append(p.counts, count)
-	if count > p.maxCount {
-		p.maxCount = count
-	}
+	p.maxCount = max(p.maxCount, count)
+	p.total += count
 }
 
-// columnPostings maps token -> posting list for one column.
-type columnPostings struct {
+// ColumnPostings maps token -> posting list for one column. Besides
+// serving keyword selections, it is the inverted index's source of
+// term statistics (Section 3.6.2): per token the occurrence and row
+// counts, per column the token total and the vocabulary. A version is
+// never written once a reader can see it: Database.Apply patches a
+// copy (see mutableCopy).
+type ColumnPostings struct {
 	terms *cow.Map[*postingList]
+	// tokens is the number of token occurrences over the column's live
+	// values: the sum of every list's total.
+	tokens int
 }
 
-// addRow tokenizes one value and folds it into the postings.
-func (cp *columnPostings) addRow(row int, value string) {
-	toks := Tokenize(value)
-	if len(toks) == 0 {
-		return
+// Term returns the token's occurrences in the column and the number of
+// rows whose value contains it; both are 0 for an absent token.
+func (cp *ColumnPostings) Term(tok string) (count, rows int) {
+	if pl := cp.terms.Get(tok); pl != nil {
+		return pl.total, len(pl.rows)
 	}
+	return 0, 0
+}
+
+// Tokens returns the number of token occurrences over the column's
+// live values.
+func (cp *ColumnPostings) Tokens() int { return cp.tokens }
+
+// Vocabulary returns the number of distinct tokens in the column.
+func (cp *ColumnPostings) Vocabulary() int { return cp.terms.Len() }
+
+// Terms iterates the column's distinct tokens in no particular order.
+func (cp *ColumnPostings) Terms() iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for tok := range cp.terms.All() {
+			if !yield(tok) {
+				return
+			}
+		}
+	}
+}
+
+// tokenCounts tokenizes one value into its distinct tokens with their
+// occurrence counts, and reports the total token count.
+func tokenCounts(value string) (map[string]int, int) {
+	toks := Tokenize(value)
 	counts := make(map[string]int, len(toks))
 	for _, tok := range toks {
 		counts[tok]++
 	}
+	return counts, len(toks)
+}
+
+// addRow tokenizes one value and folds it into the postings.
+func (cp *ColumnPostings) addRow(row int, value string) {
+	counts, n := tokenCounts(value)
+	cp.tokens += n
 	for tok, c := range counts {
 		sh := cp.terms.Edit(tok)
 		pl := sh[tok]
@@ -73,8 +115,8 @@ func (cp *columnPostings) addRow(row int, value string) {
 
 // buildColumnPostings constructs the postings of one column from scratch,
 // skipping tombstoned rows.
-func (t *Table) buildColumnPostings(col int) *columnPostings {
-	cp := &columnPostings{terms: cow.New[*postingList]()}
+func (t *Table) buildColumnPostings(col int) *ColumnPostings {
+	cp := &ColumnPostings{terms: cow.New[*postingList]()}
 	for id, r := range t.Rows() {
 		cp.addRow(id, r.Values[col])
 	}
@@ -84,7 +126,7 @@ func (t *Table) buildColumnPostings(col int) *columnPostings {
 // ensurePostings returns the postings of the column, building them on
 // first use. Safe for concurrent readers: the fast path is a read-lock
 // map hit; construction happens once under the write lock.
-func (t *Table) ensurePostings(col int) *columnPostings {
+func (t *Table) ensurePostings(col int) *ColumnPostings {
 	t.postMu.RLock()
 	cp := t.postings[col]
 	t.postMu.RUnlock()
@@ -99,6 +141,16 @@ func (t *Table) ensurePostings(col int) *columnPostings {
 	cp = t.buildColumnPostings(col)
 	t.postings[col] = cp
 	return cp
+}
+
+// Postings returns the posting lists of the named column, building them
+// on first use, or nil when the table has no such column.
+func (t *Table) Postings(column string) *ColumnPostings {
+	ci := t.Schema.ColumnIndex(column)
+	if ci < 0 {
+		return nil
+	}
+	return t.ensurePostings(ci)
 }
 
 // selectPostings evaluates the bag-containment selection over the column's

@@ -136,7 +136,7 @@ type Table struct {
 	// eagerly by Database.Prepare); postMu guards lazy construction under
 	// concurrent readers. See postings.go.
 	postMu   sync.RWMutex
-	postings map[int]*columnPostings
+	postings map[int]*ColumnPostings
 }
 
 // NewTable creates an empty table for the given schema.
@@ -144,7 +144,7 @@ func NewTable(schema *TableSchema) *Table {
 	return &Table{
 		Schema:   schema,
 		valueIdx: make(map[int]*cow.Map[[]int]),
-		postings: make(map[int]*columnPostings),
+		postings: make(map[int]*ColumnPostings),
 	}
 }
 

@@ -201,22 +201,31 @@ func decodeTable(d *durable.Dec, db *Database, physical bool) error {
 			return fmt.Errorf("relstore: decode snapshot: table %s: posting column %d out of range", schema.Name, ci)
 		}
 		nterms := int(d.Uvarint())
-		cp := &columnPostings{terms: cow.New[*postingList]()}
+		cp := &ColumnPostings{terms: cow.New[*postingList]()}
 		for j := 0; j < nterms && d.Err() == nil; j++ {
 			term := d.String()
 			pl := &postingList{rows: d.Ints(), counts: d.Ints()}
-			if len(pl.rows) != len(pl.counts) {
-				return fmt.Errorf("relstore: decode snapshot: table %s: term %q rows/counts mismatch", schema.Name, term)
+			if len(pl.rows) == 0 || len(pl.rows) != len(pl.counts) {
+				return fmt.Errorf("relstore: decode snapshot: table %s: term %q has %d rows and %d counts", schema.Name, term, len(pl.rows), len(pl.counts))
+			}
+			if _, dup := cp.terms.Lookup(term); dup {
+				return fmt.Errorf("relstore: decode snapshot: table %s: term %q listed twice", schema.Name, term)
 			}
 			for k, row := range pl.rows {
-				if row < 0 || row >= t.n || (k > 0 && row <= pl.rows[k-1]) {
+				if row < 0 || row >= t.n || (k > 0 && row <= pl.rows[k-1]) || !t.Live(row) {
 					return fmt.Errorf("relstore: decode snapshot: table %s: term %q has invalid posting rows", schema.Name, term)
 				}
-				if pl.counts[k] > pl.maxCount {
-					pl.maxCount = pl.counts[k]
+				// A value of n bytes holds at most (n+1)/2 tokens, so the
+				// column's statistics can never overflow.
+				c := pl.counts[k]
+				if c <= 0 || c > (len(t.slot(row).Values[ci])+1)/2 {
+					return fmt.Errorf("relstore: decode snapshot: table %s: term %q has count %d in row %d", schema.Name, term, c, row)
 				}
+				pl.maxCount = max(pl.maxCount, c)
+				pl.total += c
 			}
 			cp.terms.Edit(term)[term] = pl
+			cp.tokens += pl.total
 		}
 		t.postings[ci] = cp
 	}

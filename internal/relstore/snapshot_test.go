@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/durable"
@@ -104,6 +105,54 @@ func TestSnapshotPhysicalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColumnPostingsStatistics: the term statistics the inverted index
+// reads from a column's postings equal direct counts over its live rows,
+// on a churned database and on its decoded snapshot.
+func TestColumnPostingsStatistics(t *testing.T) {
+	db := snapDB(t)
+	decoded, err := DecodeSnapshot(durable.NewDec(encodePhysical(t, db)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Database{db, decoded} {
+		for _, tb := range d.Tables() {
+			for _, col := range tb.Schema.TextColumns() {
+				ci := tb.Schema.ColumnIndex(col)
+				count, rows, tokens := map[string]int{}, map[string]int{}, 0
+				for _, row := range tb.Rows() {
+					toks := Tokenize(row.Values[ci])
+					tokens += len(toks)
+					seen := map[string]bool{}
+					for _, tok := range toks {
+						count[tok]++
+						if !seen[tok] {
+							seen[tok] = true
+							rows[tok]++
+						}
+					}
+				}
+				cp := tb.Postings(col)
+				if cp.Tokens() != tokens || cp.Vocabulary() != len(count) {
+					t.Errorf("%s.%s: %d tokens, vocabulary %d; want %d, %d",
+						tb.Schema.Name, col, cp.Tokens(), cp.Vocabulary(), tokens, len(count))
+				}
+				terms := slices.Collect(cp.Terms())
+				if len(terms) != len(count) {
+					t.Errorf("%s.%s: Terms has %d, want %d", tb.Schema.Name, col, len(terms), len(count))
+				}
+				for _, tok := range append(terms, "absent") {
+					if c, r := cp.Term(tok); c != count[tok] || r != rows[tok] {
+						t.Errorf("%s.%s: Term(%q) = %d, %d; want %d, %d", tb.Schema.Name, col, tok, c, r, count[tok], rows[tok])
+					}
+				}
+			}
+			if tb.Postings("no such column") != nil {
+				t.Errorf("%s: postings of a missing column", tb.Schema.Name)
+			}
+		}
+	}
+}
+
 // TestSnapshotByteStable asserts the two determinism contracts: the
 // same database encodes identically twice (even after lazy index
 // builds ran in between), and decode→encode reproduces the bytes.
@@ -149,6 +198,29 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	for _, cut := range []int{1, len(raw) / 2, len(raw) - 1} {
 		if _, err := DecodeSnapshot(durable.NewDec(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	// Forged posting lists: the inverted index reads its term statistics
+	// from these lists, so a list that no build could produce is refused.
+	// Row 1 of actor is tombstoned; "tom" lists row 0 ("Tom Hanks") once.
+	for _, tc := range []struct {
+		name  string
+		forge func(pl *postingList)
+	}{
+		{"zero count", func(pl *postingList) { pl.counts[0] = 0 }},
+		{"negative count", func(pl *postingList) { pl.counts[0] = -1 }},
+		{"count past the value's length", func(pl *postingList) { pl.counts[0] = 6 }},
+		{"count that overflows", func(pl *postingList) { pl.counts[0] = 1 << 62 }},
+		{"empty list", func(pl *postingList) { pl.rows, pl.counts = nil, nil }},
+		{"tombstoned row", func(pl *postingList) { pl.rows, pl.counts = []int{0, 1}, []int{1, 1} }},
+	} {
+		forged, err := DecodeSnapshot(durable.NewDec(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.forge(forged.Table("actor").postings[1].terms.Get("tom"))
+		if _, err := DecodeSnapshot(durable.NewDec(encodePhysical(t, forged))); err == nil {
+			t.Errorf("%s: forged posting list accepted", tc.name)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func movieSchema() []Table {
 	}
 }
 
-func builtEngine(t *testing.T, opts ...Option) *Engine {
+func builtEngine(t testing.TB, opts ...Option) *Engine {
 	t.Helper()
 	eng, err := New(movieSchema(), opts...)
 	if err != nil {

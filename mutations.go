@@ -68,9 +68,9 @@ func (e *Engine) Epoch() uint64 {
 // a live primary key — the whole batch is rejected and the engine is
 // unchanged.
 //
-// Incremental maintenance: the relational store's posting lists and
-// equality indexes, the inverted index's postings / per-attribute
-// statistics / term dictionary, and the ranking model's corpus
+// Incremental maintenance: the relational store's posting lists (which
+// carry the inverted index's term statistics) and equality indexes, the
+// inverted index's term dictionary, and the ranking model's corpus
 // statistics are all patched copy-on-write — only structures the
 // changed cell values touch are re-derived, and the memoised score cache
 // carries every entry of unaffected attributes over. The result is indistinguishable from rebuilding the engine over

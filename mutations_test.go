@@ -15,7 +15,7 @@ import (
 )
 
 // mutableEngine builds the small movie engine with mutations enabled.
-func mutableEngine(t *testing.T, opts ...Option) *Engine {
+func mutableEngine(t testing.TB, opts ...Option) *Engine {
 	t.Helper()
 	return builtEngine(t, append([]Option{WithMutations()}, opts...)...)
 }

@@ -5,25 +5,26 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/durable"
 )
 
-// parentSnapshotDigest is the SHA-256 of the snapshot digestEngine saves,
-// recorded from the last build whose snapshots could carry a data-graph
-// section, for an engine that never built one. Every section it wrote
-// then is written with the same bytes now. The in-memory layout may
-// change; the encoding may not.
-const parentSnapshotDigest = "c262566483ac5173950a6feb69325f0b0496ea480981a34afc0f958b61b9cd6c"
+// parentSnapshotDigest is the SHA-256 of the snapshot digestEngine saves:
+// the snapshot the last build to write an invindex section saved
+// (c262566483ac5173950a6feb69325f0b0496ea480981a34afc0f958b61b9cd6c)
+// with that section taken out. Every section a current build writes was
+// written then with the same bytes. The in-memory layout may change; the
+// encoding may not.
+const parentSnapshotDigest = "8a59dfb062866f1f21e8c0a009f26192b46ee37aaac14173c67faa2f38533e29"
 
 // legacySnapshot is churnedEngine's snapshot as saved by a build that
 // still persisted the data-based baseline's tuple graph, after one
-// baseline search had materialised it: it carries one section that no
-// current build writes or reads.
+// baseline search had materialised it, and the inverted index: it
+// carries two sections that no current build writes or reads.
 const legacySnapshot = "testdata/legacy-snapshot.ksnap"
 
 // digestEngine is a movies engine whose movie and actor tables span
@@ -83,9 +84,9 @@ func TestSnapshotDigestMatchesParent(t *testing.T) {
 }
 
 // TestOpenLegacySnapshot: a snapshot that still carries the retired
-// tuple-graph section opens (the section is CRC-checked and then
-// ignored), answers exactly like a fresh engine over the same rows, and
-// re-saves to that fresh engine's bytes, dropping the section.
+// tuple-graph and inverted-index sections opens (each is CRC-checked
+// and then ignored), answers exactly like a fresh engine over the same
+// rows, and re-saves to that fresh engine's bytes, dropping both.
 func TestOpenLegacySnapshot(t *testing.T) {
 	raw, err := os.ReadFile(legacySnapshot)
 	if err != nil {
@@ -108,30 +109,58 @@ func TestOpenLegacySnapshot(t *testing.T) {
 	if !bytes.Equal(resaved.Bytes(), want.Bytes()) {
 		t.Fatalf("legacy snapshot re-saved to %d bytes, want a fresh engine's %d", resaved.Len(), want.Len())
 	}
-	// The fixture must really hold a section the fresh engine does not
-	// write, or this test proves nothing about skipping one.
+	// The fixture must really hold the sections the fresh engine does not
+	// write, or this test proves nothing about skipping them.
 	fixture, current := sectionNames(t, raw), sectionNames(t, want.Bytes())
-	if len(fixture) != len(current)+1 {
-		t.Fatalf("fixture sections %v, fresh engine's %v: want exactly one retired section", fixture, current)
+	slices.Sort(fixture)
+	if wantNames := slices.Sorted(slices.Values(append(current, "datagraph", "invindex"))); !slices.Equal(fixture, wantNames) {
+		t.Fatalf("fixture sections %v, want the fresh engine's %v plus datagraph and invindex", fixture, current)
+	}
+}
+
+// TestOpenSkipsRetiredSections: a current snapshot with a template-usage
+// section and an inverted-index section added (the latter a payload no
+// decoder could read) opens, ignores both, answers like the engine that
+// saved it, and re-saves to that engine's bytes.
+func TestOpenSkipsRetiredSections(t *testing.T) {
+	fresh := churnedEngine(t)
+	var want bytes.Buffer
+	if err := fresh.SaveSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	var usage durable.Enc
+	usage.Uvarint(uint64(fresh.NumTemplates()))
+	for id := 0; id < fresh.NumTemplates(); id++ {
+		usage.Int(id)
+		usage.Int(1000 * id)
+	}
+	secs := append(readSections(t, want.Bytes()),
+		section{"invindex", []byte("no current decoder reads this")},
+		section{"usage", usage.Bytes()})
+	raw, ok := writeSections(secs)
+	if !ok {
+		t.Fatal("could not write the sections")
+	}
+	got, err := OpenSnapshot(bytes.NewReader(raw), WithMutations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareEngines(t, got, fresh, durQueries)
+	var resaved bytes.Buffer
+	if err := got.SaveSnapshot(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), want.Bytes()) {
+		t.Fatal("a snapshot with retired sections re-saved to other bytes than the engine that saved it")
 	}
 }
 
 // sectionNames lists a snapshot container's section names in order.
 func sectionNames(t *testing.T, snap []byte) []string {
 	t.Helper()
-	sr, err := durable.NewSnapshotReader(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var names []string
-	for {
-		name, _, err := sr.Next()
-		if err == io.EOF {
-			return names
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		names = append(names, name)
+	for _, s := range readSections(t, snap) {
+		names = append(names, s.name)
 	}
+	return names
 }
