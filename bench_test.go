@@ -519,30 +519,76 @@ func BenchmarkInterpret(b *testing.B) {
 // no answer cache, so every op plans, executes and assembles its rows.
 // One op is one request.
 func BenchmarkRows(b *testing.B) {
+	m := newRowsMix(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.do(ctx, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// rowsMix is BenchmarkRows' fixture: the engine and its request mix.
+type rowsMix struct {
+	eng     *Engine
+	intents []datagen.Intent
+}
+
+func newRowsMix(tb testing.TB) *rowsMix {
+	tb.Helper()
 	movies := 20_000 / 7 // the benchmark's dataset shape at 20k rows
 	db, err := datagen.IMDB(datagen.IMDBConfig{
 		Movies: movies, Actors: movies * 3 / 4, Directors: movies / 5, Companies: movies / 10, Seed: 42,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	intents := datagen.MovieWorkload(db, datagen.WorkloadConfig{Queries: 400, MultiConceptFraction: 0.5, Seed: 43})
 	eng, err := NewFromDatabase(db, WithMaxJoinPath(4), WithCoOccurrence())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return &rowsMix{eng: eng, intents: intents}
+}
+
+// do sends request i of the mix: every fourth a Diversify, the rest
+// SearchRows.
+func (m *rowsMix) do(ctx context.Context, i int) error {
+	q := strings.Join(m.intents[i%len(m.intents)].Keywords, " ")
+	var err error
+	if i%4 == 3 {
+		_, err = m.eng.Diversify(ctx, DiversifyRequest{Query: q, K: 10, Lambda: 0.5})
+	} else {
+		_, err = m.eng.SearchRows(ctx, RowsRequest{Query: q, K: 10})
+	}
+	return err
+}
+
+// rowsAllocCeiling bounds the allocations of one BenchmarkRows request,
+// averaged over a warm pass of the mix. The mix measures about 1 290, and
+// about 1 365 under -race, where sync.Pool drops a quarter of its puts
+// and executions pay for fresh scratch; the ceiling sits just above.
+const rowsAllocCeiling = 1400
+
+// TestRowsAllocationCeiling holds BenchmarkRows' request mix to
+// rowsAllocCeiling allocations per request: one pass warms the engine's
+// caches, and a second is measured (testing.AllocsPerRun runs at
+// GOMAXPROCS 1 whatever the caller's setting).
+func TestRowsAllocationCeiling(t *testing.T) {
+	m := newRowsMix(t)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := strings.Join(intents[i%len(intents)].Keywords, " ")
-		if i%4 == 3 {
-			_, err = eng.Diversify(ctx, DiversifyRequest{Query: q, K: 10, Lambda: 0.5})
-		} else {
-			_, err = eng.SearchRows(ctx, RowsRequest{Query: q, K: 10})
+	n := len(m.intents)
+	perRequest := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			if err := m.do(ctx, i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err != nil {
-			b.Fatal(err)
-		}
+	}) / float64(n)
+	t.Logf("%.1f allocations per request", perRequest)
+	if perRequest > rowsAllocCeiling {
+		t.Fatalf("BenchmarkRows' mix allocates %.1f times per request, above the ceiling %d", perRequest, rowsAllocCeiling)
 	}
 }

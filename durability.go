@@ -193,8 +193,8 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("keysearch: open snapshot: meta: %w", err)
 	}
 	switch {
-	case cfg.maxJoinPath <= 0:
-		return nil, fmt.Errorf("keysearch: open snapshot: meta: join-path bound %d", cfg.maxJoinPath)
+	case cfg.maxJoinPath <= 0 || cfg.maxJoinPath > maxJoinPathLimit:
+		return nil, fmt.Errorf("keysearch: open snapshot: meta: join-path bound %d outside [1, %d]", cfg.maxJoinPath, maxJoinPathLimit)
 	case alpha != 0 && alpha != 1:
 		return nil, fmt.Errorf("keysearch: open snapshot: saved with ATF smoothing alpha=%v, a retired engine option; only the default 1 is served", alpha)
 	case cfg.segmentPhrases && threshold != segmentThreshold:

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/durable"
 )
 
@@ -207,6 +208,74 @@ func TestOpenSnapshotRefusesRetiredValues(t *testing.T) {
 			t.Errorf("%+v: err = %v, want a refusal naming %q", tc, err, tc.refused)
 		}
 	}
+}
+
+// TestOpenSnapshotBoundsJoinPath: a snapshot whose meta names a
+// join-path bound above maxJoinPathLimit, its checksum recomputed, is
+// refused before any template is enumerated, on the movies schema whose
+// catalogue at bound 20 would take hours to build; a bound at the limit
+// opens, and Build refuses what OpenSnapshot refuses.
+func TestOpenSnapshotBoundsJoinPath(t *testing.T) {
+	db, err := datagen.IMDB(datagen.IMDBConfig{Movies: 200, Actors: 150, Directors: 40, Companies: 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	movies, err := NewFromDatabase(db, WithMaxJoinPath(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := movies.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = OpenSnapshot(bytes.NewReader(withJoinPath(t, buf.Bytes(), 20)))
+	if err == nil || !strings.Contains(err.Error(), "join-path bound 20") {
+		t.Fatalf("bound 20: err = %v, want a refusal", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("refusing bound 20 took %v", d)
+	}
+
+	buf.Reset()
+	if err := builtEngine(t).SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenSnapshot(bytes.NewReader(withJoinPath(t, buf.Bytes(), maxJoinPathLimit)))
+	if err != nil || got.cfg.maxJoinPath != maxJoinPathLimit {
+		t.Fatalf("bound %d: err = %v", maxJoinPathLimit, err)
+	}
+	if _, err := OpenSnapshot(bytes.NewReader(withJoinPath(t, buf.Bytes(), maxJoinPathLimit+1))); err == nil {
+		t.Fatalf("bound %d opened", maxJoinPathLimit+1)
+	}
+	if _, err := New(movieSchema(), WithMaxJoinPath(maxJoinPathLimit+1)); err == nil {
+		t.Fatalf("New accepted bound %d", maxJoinPathLimit+1)
+	}
+	if _, err := NewFromDatabase(db, WithMaxJoinPath(maxJoinPathLimit+1)); err == nil {
+		t.Fatalf("Build accepted bound %d", maxJoinPathLimit+1)
+	}
+}
+
+// withJoinPath rewrites a snapshot container's meta join-path bound to
+// n, keeping every other field and section, with checksums recomputed.
+func withJoinPath(tb testing.TB, snap []byte, n int) []byte {
+	tb.Helper()
+	secs := readSections(tb, snap)
+	for i := range secs {
+		if secs[i].name == sectionMeta {
+			old := durable.NewDec(secs[i].payload)
+			var m durable.Enc
+			m.Uvarint(old.Uvarint())
+			old.Int()
+			m.Int(n)
+			secs[i].payload = append(m.Bytes(), secs[i].payload[len(secs[i].payload)-old.Remaining():]...)
+		}
+	}
+	out, ok := writeSections(secs)
+	if !ok {
+		tb.Fatal("could not write the sections")
+	}
+	return out
 }
 
 // replaceMeta rewrites a snapshot container with its meta section

@@ -102,8 +102,9 @@ func forgedQCachePayloads() [][]byte {
 
 // openSnapshotSeeds returns the real containers FuzzOpenSnapshot starts
 // from: the legacy fixture, a churned engine's checkpoint with a warm
-// answer cache, and that checkpoint with each forged answer-cache
-// section in place of its own.
+// answer cache, that checkpoint with each forged answer-cache section in
+// place of its own, and that checkpoint with a join-path bound of 20 in
+// its meta.
 func openSnapshotSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	legacy, err := os.ReadFile(legacySnapshot)
@@ -134,7 +135,7 @@ func openSnapshotSeeds(tb testing.TB) [][]byte {
 		forged, _ := writeSections(secs)
 		seeds = append(seeds, forged)
 	}
-	return seeds
+	return append(seeds, withJoinPath(tb, churned, 20))
 }
 
 // openAllocFactor bounds the bytes OpenSnapshot may allocate per byte

@@ -107,8 +107,8 @@ func WithRequestTimeout(d time.Duration) Option {
 }
 
 // initAdmission builds the gate, and the governor when the limit is to
-// self-tune, once all options (notably WithClock) have been applied;
-// called from New.
+// self-tune, once all options (and a test's replacement clock) have been
+// applied; called from New.
 func (s *Server) initAdmission() {
 	cfg := s.admission
 	gc := admission.GateConfig{

@@ -264,11 +264,6 @@ func WithMaxSessions(n int) Option {
 	return func(s *Server) { s.maxSessions = n }
 }
 
-// WithClock injects the time source used for TTL eviction (tests).
-func WithClock(now func() time.Time) Option {
-	return func(s *Server) { s.now = now }
-}
-
 // WithHandlerWrapper wraps the handler the admitted /v1/ requests
 // dispatch to — *inside* the admission gate and the default deadline,
 // so the wrapper's work occupies a concurrency slot exactly like engine
@@ -344,7 +339,7 @@ func New(eng keysearch.Searcher, opts ...Option) *Server {
 	}
 	if s.admission.MaxConcurrent > 0 {
 		// Built after the option loop so the governor sees the final
-		// clock (WithClock).
+		// clock, which tests replace.
 		s.initAdmission()
 	}
 	if s.maxSessions < 1 {

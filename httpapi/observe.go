@@ -70,16 +70,6 @@ func WithSlowQueryLog(threshold time.Duration) Option {
 	}
 }
 
-// WithSlowQueryOutput redirects slow-query dumps (tests, custom log
-// routing). The default prints through the log package.
-func WithSlowQueryOutput(f func(format string, v ...any)) Option {
-	return func(s *Server) {
-		if f != nil {
-			s.slowf = f
-		}
-	}
-}
-
 // opMetrics is one endpoint's always-on recording: a latency histogram
 // and completion counts by status code.
 type opMetrics struct {
@@ -407,5 +397,5 @@ func buildHealth() *BuildHealth {
 	return buildCached
 }
 
-// default slow-query sink; replaced by WithSlowQueryOutput.
+// defaultSlowf is the slow-query sink: it prints through the log package.
 func defaultSlowf(format string, v ...any) { log.Printf(format, v...) }

@@ -65,7 +65,8 @@ func joinPlanMapGrouped(q *Interpretation) (*relstore.JoinPlan, error) {
 }
 
 // checkJoinPlan compares JoinPlan with the oracle on one interpretation:
-// the same plan, or the same error.
+// the same nodes and edges, or the same error. (The plan also records the
+// template's shape, which the oracle's hand-built plan has not.)
 func checkJoinPlan(t *testing.T, q *Interpretation) {
 	t.Helper()
 	got, gerr := q.JoinPlan()
@@ -73,7 +74,10 @@ func checkJoinPlan(t *testing.T, q *Interpretation) {
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		t.Fatalf("%s: error %v, oracle %v", q, gerr, werr)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if gerr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Edges, want.Edges) {
 		t.Fatalf("%s:\nplan   %+v\noracle %+v", q, got, want)
 	}
 }

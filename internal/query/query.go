@@ -141,6 +141,7 @@ type Template struct {
 	occurrences []tableOccurrences // one per distinct table, first-seen order
 	canonical   string             // Tree.Canonical()
 	leaves      []int              // occurrences of degree ≤ 1, ascending
+	shape       *relstore.PlanShape
 }
 
 // tableOccurrences lists the occurrence indexes of one table in a
@@ -163,10 +164,13 @@ func NewTemplate(id int, tree *schemagraph.JoinTree) *Template {
 		t.occurrences[k].occs = append(t.occurrences[k].occs, i)
 	}
 	deg := make([]int, len(tree.Tables))
-	for _, e := range tree.TreeEdges {
+	edges := make([]relstore.JoinEdge, len(tree.TreeEdges))
+	for i, e := range tree.TreeEdges {
 		deg[e.From]++
 		deg[e.To]++
+		edges[i] = relstore.JoinEdge{From: e.From, To: e.To, FromColumn: e.FromColumn, ToColumn: e.ToColumn}
 	}
+	t.shape = relstore.NewPlanShape(tree.Tables, edges)
 	for i, d := range deg {
 		if d <= 1 {
 			t.leaves = append(t.leaves, i)
@@ -339,10 +343,11 @@ func (q *Interpretation) Subsumes(other *Interpretation) bool {
 }
 
 // JoinPlan translates a complete or partial interpretation with a template
-// into an executable join plan: value bindings grouped per occurrence and
-// column become containment predicates (Definition 3.5.2). A node's
-// predicates are in column-name order and each predicate's keywords in
-// binding order.
+// into an executable join plan of the template's prepared shape: value
+// bindings grouped per occurrence and column become containment
+// predicates (Definition 3.5.2). A node's predicates are in column-name
+// order and each predicate's keywords in binding order. The plan's edges
+// are the shape's, shared by every plan of the template: read-only.
 func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 	if q.Template == nil {
 		return nil, fmt.Errorf("query: interpretation has no template")
@@ -368,16 +373,7 @@ func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 	slices.SortStableFunc(vals, func(a, b valueBinding) int {
 		return cmp.Or(cmp.Compare(a.occ, b.occ), strings.Compare(a.col, b.col))
 	})
-	plan := &relstore.JoinPlan{
-		Nodes: make([]relstore.JoinNode, tree.Size()),
-		Edges: make([]relstore.JoinEdge, len(tree.TreeEdges)),
-	}
-	for i, table := range tree.Tables {
-		plan.Nodes[i] = relstore.JoinNode{Table: table}
-	}
-	for i, e := range tree.TreeEdges {
-		plan.Edges[i] = relstore.JoinEdge{From: e.From, To: e.To, FromColumn: e.FromColumn, ToColumn: e.ToColumn}
-	}
+	plan := q.Template.shape.NewPlan()
 	if len(vals) == 0 {
 		return plan, nil
 	}

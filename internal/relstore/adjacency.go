@@ -143,18 +143,20 @@ type fkState struct {
 	set atomic.Pointer[fkSet]
 }
 
-// links returns the database's foreign-key links, building those that
-// are missing or no longer cover their tables. Safe for concurrent
-// readers: the fast path is one atomic load and a length check per link.
-func (db *Database) links() []*fkLink {
+// linkSet returns the database's foreign-key link set, building the
+// links that are missing or no longer cover their tables. Safe for
+// concurrent readers: the fast path is one atomic load and a length
+// check per link. A rebuilt set is a new value, so a set compares equal
+// only to itself.
+func (db *Database) linkSet() *fkSet {
 	if s := db.fks.set.Load(); s != nil && s.fresh(len(db.order)) {
-		return s.links
+		return s
 	}
 	db.fks.mu.Lock()
 	defer db.fks.mu.Unlock()
 	s := db.fks.set.Load()
 	if s != nil && s.fresh(len(db.order)) {
-		return s.links
+		return s
 	}
 	var prev []*fkLink
 	if s != nil {
@@ -162,7 +164,7 @@ func (db *Database) links() []*fkLink {
 	}
 	s = &fkSet{tables: len(db.order), links: db.relink(prev)}
 	db.fks.set.Store(s)
-	return s.links
+	return s
 }
 
 func (s *fkSet) fresh(tables int) bool {
@@ -342,7 +344,7 @@ func (e *adjEdit) rebuild(i, n int, changed []int) *adjChunk {
 
 // newFKEdit starts patching db's links for a batch applied to ndb.
 func (db *Database) newFKEdit(ndb *Database) *fkEdit {
-	src := db.links()
+	src := db.linkSet().links
 	return &fkEdit{db: ndb, src: src, edits: make([]*linkEdit, len(src))}
 }
 

@@ -326,7 +326,7 @@ func TestFKAdjacencyLazyAndStale(t *testing.T) {
 	if _, err := db.Table("l").Insert(m.row("l", k, rng.Intn)...); err != nil {
 		t.Fatal(err)
 	}
-	after := db.links()
+	after := db.linkSet().links
 	if err := checkAdjacency(db); err != nil {
 		t.Fatalf("after a load-phase insert: %v", err)
 	}
@@ -488,7 +488,7 @@ func FuzzFKAdjacency(f *testing.F) {
 		if next(2) == 0 {
 			db.Prepare()
 		} else {
-			db.links()
+			db.linkSet()
 		}
 		if err := checkAdjacency(db); err != nil {
 			t.Fatalf("initial: %v", err)

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,9 +10,10 @@ import (
 
 // This file implements compiled join plans: the execution-ready form of a
 // candidate network. Compilation resolves every string-keyed lookup of
-// the interpreted executor once per plan — table pointers, predicate
-// column positions, and each join edge's foreign-key adjacency in both
-// directions (adjacency.go) — so the recursive enumeration runs on
+// the interpreted executor before execution — predicate column positions
+// per plan; table pointers and each join edge's foreign-key adjacency in
+// both directions (adjacency.go) once per plan shape and snapshot
+// (shape.go) — so the recursive enumeration runs on
 // integers and slices only: a join probe reads the probing row's partner
 // ids and never its join value. Execution then proceeds in three phases:
 //
@@ -67,47 +67,36 @@ type CompiledPlan struct {
 
 	db    *Database
 	nodes []compiledNode
-	adj   [][]compiledHalf
+	adj   [][]compiledHalf // the skeleton's, shared read-only
+
+	nodeBuf [inlineNodes]compiledNode
 }
 
-// Compile validates the plan and resolves its tables, columns and join
-// adjacencies. Every edge must join along a declared foreign key, in
-// either direction; any other edge is an error.
+// Compile validates the plan and resolves it against the database: its
+// tables and join adjacencies come from its skeleton (shape.go), so a
+// plan made from a prepared shape resolves only its predicate columns.
+// Every edge must join along a declared foreign key, in either
+// direction; any other edge is an error.
 func (db *Database) Compile(p *JoinPlan) (*CompiledPlan, error) {
-	if err := p.Validate(); err != nil {
+	sk, err := db.skeleton(p)
+	if err != nil {
 		return nil, err
 	}
-	n := len(p.Nodes)
-	cp := &CompiledPlan{Source: p, db: db, nodes: make([]compiledNode, n), adj: make([][]compiledHalf, n)}
+	cp := &CompiledPlan{Source: p, db: db, adj: sk.adj}
+	cp.nodes = cp.nodeBuf[:0]
+	npreds := 0
+	for i := range p.Nodes {
+		npreds += len(p.Nodes[i].Predicates)
+	}
+	// The plan's predicates share one array; each node's slice is capped.
+	preds := make([]compiledPred, npreds)
 	for i, node := range p.Nodes {
-		t := db.Table(node.Table)
-		if t == nil {
-			return nil, fmt.Errorf("relstore: join plan references unknown table %s", node.Table)
-		}
-		preds := make([]compiledPred, len(node.Predicates))
+		t, k := sk.tables[i], len(node.Predicates)
 		for j, pred := range node.Predicates {
 			preds[j] = compiledPred{col: t.Schema.ColumnIndex(pred.Column), keywords: pred.Keywords}
 		}
-		cp.nodes[i] = compiledNode{table: t, preds: preds}
-	}
-	var links []*fkLink
-	if len(p.Edges) > 0 {
-		links = db.links()
-	}
-	for _, e := range p.Edges {
-		from, to := cp.nodes[e.From].table, cp.nodes[e.To].table
-		fi, ti := from.Schema.ColumnIndex(e.FromColumn), to.Schema.ColumnIndex(e.ToColumn)
-		if fi < 0 || ti < 0 {
-			return nil, fmt.Errorf("relstore: join edge %s.%s=%s.%s references unknown column",
-				p.Nodes[e.From].Table, e.FromColumn, p.Nodes[e.To].Table, e.ToColumn)
-		}
-		fwd := joinAdjacency(links, from, fi, to, ti)
-		if fwd == nil {
-			return nil, fmt.Errorf("relstore: join edge %s.%s=%s.%s is not a declared foreign key",
-				p.Nodes[e.From].Table, e.FromColumn, p.Nodes[e.To].Table, e.ToColumn)
-		}
-		cp.adj[e.From] = append(cp.adj[e.From], compiledHalf{to: e.To, fromCol: fi, adj: fwd})
-		cp.adj[e.To] = append(cp.adj[e.To], compiledHalf{to: e.From, fromCol: ti, adj: joinAdjacency(links, to, ti, from, fi)})
+		cp.nodes = append(cp.nodes, compiledNode{table: t, preds: preds[:k:k]})
+		preds = preds[k:]
 	}
 	return cp, nil
 }

@@ -33,21 +33,27 @@ type JoinEdge struct {
 type JoinPlan struct {
 	Nodes []JoinNode
 	Edges []JoinEdge
+
+	// shape is the prepared shape the plan was made from (PlanShape.NewPlan);
+	// nil for a hand-built plan.
+	shape *PlanShape
 }
 
 // Validate checks structural well-formedness: edges reference valid nodes
 // and the edge set forms a tree over the nodes (connected, acyclic).
-func (p *JoinPlan) Validate() error {
-	n := len(p.Nodes)
+func (p *JoinPlan) Validate() error { return validateTree(len(p.Nodes), p.Edges) }
+
+// validateTree is Validate over n nodes joined by edges.
+func validateTree(n int, edges []JoinEdge) error {
 	if n == 0 {
 		return fmt.Errorf("relstore: join plan has no nodes")
 	}
-	if len(p.Edges) != n-1 {
+	if len(edges) != n-1 {
 		return fmt.Errorf("relstore: join plan over %d nodes needs %d edges, has %d",
-			n, n-1, len(p.Edges))
+			n, n-1, len(edges))
 	}
 	adj := make([][]int, n)
-	for _, e := range p.Edges {
+	for _, e := range edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("relstore: join edge references node out of range")
 		}

@@ -269,5 +269,5 @@ func (db *Database) Prepare() {
 			}
 		}
 	}
-	db.links()
+	db.linkSet()
 }

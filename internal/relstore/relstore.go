@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cow"
 )
@@ -280,6 +282,9 @@ type Database struct {
 	order  []string
 	// fks holds the foreign-key adjacencies joins walk (adjacency.go).
 	fks fkState
+	// skeletons memoises each plan shape's resolved structure
+	// (*PlanShape → *skeleton, shape.go).
+	skeletons sync.Map
 }
 
 // NewDatabase creates an empty database.
@@ -424,6 +429,40 @@ func Tokenize(value string) []string {
 		out = append(out, lower[start:])
 	}
 	return out
+}
+
+// CountToken counts the tokens of value, as Tokenize splits it, and how
+// many of them equal keyword, in one pass and without allocating: each
+// rune is lower-cased as strings.ToLower maps it (an invalid byte, which
+// ToLower turns into U+FFFD, separates like any other non-alphanumeric
+// rune), and a token is compared with keyword while it is read.
+func CountToken(value, keyword string) (matches, tokens int) {
+	in, ok, j := false, false, 0
+	for _, r := range value {
+		if r >= utf8.RuneSelf {
+			r = unicode.ToLower(r)
+		} else if r >= 'A' && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
+			if !in {
+				in, ok, j = true, true, 0
+				tokens++
+			}
+			if ok = ok && j < len(keyword) && keyword[j] == byte(r); ok {
+				j++
+			}
+			continue
+		}
+		if in && ok && j == len(keyword) {
+			matches++
+		}
+		in = false
+	}
+	if in && ok && j == len(keyword) {
+		matches++
+	}
+	return matches, tokens
 }
 
 // SelectContains returns the RowIDs of rows whose column value contains

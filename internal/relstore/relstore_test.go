@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,6 +150,55 @@ func TestTokenize(t *testing.T) {
 		if got := Tokenize(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// TestCountTokenMatchesTokenize checks CountToken against counting over
+// Tokenize's output: the token total and the matches of every keyword,
+// on cells with runes that lower to ASCII (the Kelvin sign, İ), runes
+// that do not, invalid UTF-8, digits and empty cells, and on random
+// byte strings over the same alphabet. CountToken must not allocate.
+func TestCountTokenMatchesTokenize(t *testing.T) {
+	cells := []string{
+		"", "   ", "Tom Hanks", "tom TOM tom-Tom", "The Terminal (2004)", "abc123 ABC123 abc",
+		"\u212Aelvin kelvin KELVIN", "\u212A", "k\u212Ak", "İstanbul istanbul", "İ i ı I",
+		"caf\u00e9 cafe CAFÉ", "bad\xffbyte bad \xc3", "\xff\xfe", "x\xe2\x84", "2001 2001: 2001a",
+		"ǅemal ǆemal", "ß SS ss", "ａｂｃ abc", "\u0130\u0307x",
+	}
+	check := func(cell, kw string) {
+		t.Helper()
+		toks := Tokenize(cell)
+		want := 0
+		for _, tok := range toks {
+			if tok == kw {
+				want++
+			}
+		}
+		if m, n := CountToken(cell, kw); m != want || n != len(toks) {
+			t.Fatalf("CountToken(%q, %q) = %d, %d; Tokenize gives %d of %d tokens %q", cell, kw, m, n, want, len(toks), toks)
+		}
+	}
+	extra := []string{"", "k", "i", "kelvin", "elvin", "tom", "to", "tomx", "2001", "abc", "abc12", "Tom", "caf", "bad", "byte", "stanbul", "istanbul", "x"}
+	for _, cell := range cells {
+		for _, kw := range append(Tokenize(cell), extra...) {
+			check(cell, kw)
+		}
+	}
+	alphabet := []string{"a", "b", "k", "K", "\u212A", "İ", "ı", "i", "1", "0", " ", "-", "\xff", "\xc3", "é", "ǅ", "Z"}
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 3000; n++ {
+		var b strings.Builder
+		for l := rng.Intn(12); l > 0; l-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		cell := b.String()
+		kws := append(Tokenize(cell), extra[rng.Intn(len(extra))])
+		for _, kw := range kws {
+			check(cell, kw)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { CountToken("İstanbul \u212Aelvin Tom Hanks 2004", "hanks") }); a != 0 {
+		t.Fatalf("CountToken allocates %v times per call", a)
 	}
 }
 

@@ -53,7 +53,9 @@ type TFScorer struct {
 	IX *invindex.Index
 }
 
-// Factor implements Scorer.
+// Factor implements Scorer. Each cell is scanned once per keyword by
+// relstore.CountToken, which splits it as Tokenize does without
+// building the tokens.
 func (s *TFScorer) Factor(db *relstore.Database, plan *relstore.JoinPlan, jtt relstore.JTT) float64 {
 	total, n := 0.0, 0
 	for i, node := range plan.Nodes {
@@ -66,18 +68,12 @@ func (s *TFScorer) Factor(db *relstore.Database, plan *relstore.JoinPlan, jtt re
 			if !ok {
 				continue
 			}
-			toks := relstore.Tokenize(val)
-			if len(toks) == 0 {
-				continue
-			}
 			for _, kw := range pred.Keywords {
-				count := 0
-				for _, tok := range toks {
-					if tok == kw {
-						count++
-					}
+				count, tokens := relstore.CountToken(val, kw)
+				if tokens == 0 {
+					break
 				}
-				total += float64(count) / float64(len(toks))
+				total += float64(count) / float64(tokens)
 				n++
 			}
 		}

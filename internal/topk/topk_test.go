@@ -281,37 +281,57 @@ func TestTFScorerMissingValueColumn(t *testing.T) {
 }
 
 // TestTFScorerMatchesPerTokenCounts pins Factor to its definition — the
-// mean over predicate keywords of count(keyword)/len(tokens), summed in
-// predicate order — bit for bit, on values with repeated tokens,
-// repeated and absent keywords, mixed case and several predicates.
+// mean over predicate keywords of count(keyword)/len(tokens) under
+// relstore.Tokenize, summed in predicate order, with token-free cells
+// skipped — bit for bit, on values with repeated tokens, repeated and
+// absent keywords, mixed case, multi-keyword and several predicates, and
+// on cells with runes that lower to ASCII (the Kelvin sign, İ), invalid
+// UTF-8, digits and no tokens at all.
 func TestTFScorerMatchesPerTokenCounts(t *testing.T) {
 	f := newFixture(t)
 	s := &TFScorer{IX: f.ix}
-	actor := f.db.Table("actor")
-	bags := [][]string{{"hanks"}, {"hanks", "hanks"}, {"tom", "hanks", "nobody"}, {"Hanks"}, {}}
-	for row := 0; row < actor.Len(); row++ {
-		for _, a := range bags {
-			for _, b := range bags {
-				plan := &relstore.JoinPlan{Nodes: []relstore.JoinNode{{Table: "actor", Predicates: []relstore.Predicate{
-					{Column: "name", Keywords: a}, {Column: "name", Keywords: b},
-				}}}}
-				val, _ := actor.Value(row, "name")
-				toks := relstore.Tokenize(val)
-				counts := make(map[string]int)
-				for _, tok := range toks {
-					counts[tok]++
-				}
-				total, n := 0.0, 0
-				for _, kw := range append(append([]string{}, a...), b...) {
-					total += float64(counts[kw]) / float64(len(toks))
-					n++
-				}
-				want := 1.0
-				if n > 0 {
-					want = min(total/float64(n), 1)
-				}
-				if got := s.Factor(f.db, plan, relstore.JTT{Rows: []int{row}}); got != want {
-					t.Fatalf("row %d (%q) bags %q %q: factor %v, want %v", row, val, a, b, got, want)
+	odd := relstore.NewDatabase("odd")
+	cells, err := odd.CreateTable(&relstore.TableSchema{Name: "cell", Columns: []relstore.Column{{Name: "v", Indexed: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"", " -- ", "\u212Aelvin kelvin", "k \u212A K", "İstanbul i İ", "hanks\xffhanks \xc3", "2001 2001a 2001", "Tom HANKS tom"} {
+		if _, err := cells.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bags := [][]string{{"hanks"}, {"hanks", "hanks"}, {"tom", "hanks", "nobody"}, {"Hanks"}, {}, {"k", "kelvin"}, {"i", "istanbul", "2001"}}
+	for _, c := range []struct {
+		db         *relstore.Database
+		table, col string
+	}{{f.db, "actor", "name"}, {odd, "cell", "v"}} {
+		tb := c.db.Table(c.table)
+		for row := 0; row < tb.Len(); row++ {
+			val, _ := tb.Value(row, c.col)
+			toks := relstore.Tokenize(val)
+			counts := make(map[string]int)
+			for _, tok := range toks {
+				counts[tok]++
+			}
+			for _, a := range bags {
+				for _, b := range bags {
+					plan := &relstore.JoinPlan{Nodes: []relstore.JoinNode{{Table: c.table, Predicates: []relstore.Predicate{
+						{Column: c.col, Keywords: a}, {Column: c.col, Keywords: b},
+					}}}}
+					total, n := 0.0, 0
+					if len(toks) > 0 {
+						for _, kw := range append(append([]string{}, a...), b...) {
+							total += float64(counts[kw]) / float64(len(toks))
+							n++
+						}
+					}
+					want := 1.0
+					if n > 0 {
+						want = min(total/float64(n), 1)
+					}
+					if got := s.Factor(c.db, plan, relstore.JTT{Rows: []int{row}}); got != want {
+						t.Fatalf("row %d (%q) bags %q %q: factor %v, want %v", row, val, a, b, got, want)
+					}
 				}
 			}
 		}

@@ -115,10 +115,18 @@ func (t *Trace) Start(name string) Span {
 // StartChild opens a span under the given parent span index (-1 for
 // root). The index of the new span is Span.Index, so callers can nest
 // further children under it.
+//
+// StartChild, End and Count are nil checks small enough to inline, so
+// an untraced request pays no call at its instrumentation points; the
+// recording lives in the unexported halves.
 func (t *Trace) StartChild(name string, parent int) Span {
 	if t == nil {
 		return Span{}
 	}
+	return t.startChild(name, parent)
+}
+
+func (t *Trace) startChild(name string, parent int) Span {
 	now := time.Now()
 	t.mu.Lock()
 	idx := len(t.spans)
@@ -143,9 +151,12 @@ func (s Span) Index() int {
 
 // End closes the span, recording its duration.
 func (s Span) End() {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.end()
 	}
+}
+
+func (s Span) end() {
 	d := time.Since(s.begin).Microseconds()
 	s.t.mu.Lock()
 	s.t.spans[s.idx].DurUS = d
@@ -156,9 +167,12 @@ func (s Span) End() {
 // channel for high-frequency events: plan execution time, plan
 // executions, cache hits.
 func (t *Trace) Count(name string, delta int64) {
-	if t == nil {
-		return
+	if t != nil {
+		t.count(name, delta)
 	}
+}
+
+func (t *Trace) count(name string, delta int64) {
 	t.mu.Lock()
 	if t.counts == nil {
 		t.counts = make(map[string]int64, 8)

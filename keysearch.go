@@ -98,7 +98,7 @@ type config struct {
 type Option func(*config)
 
 // WithMaxJoinPath bounds query-template length (default 4, the setting of
-// the thesis's experiments).
+// the thesis's experiments; at most maxJoinPathLimit).
 func WithMaxJoinPath(n int) Option {
 	return func(c *config) { c.maxJoinPath = n }
 }
@@ -190,6 +190,22 @@ func WithMutations() Option {
 	return func(c *config) { c.mutable = true }
 }
 
+// maxJoinPathLimit is the longest template length an engine builds or
+// opens. Template enumeration grows about 2.5–3× per step on the movies
+// schema (1 066 templates at 7), so a longer bound, set by an option or
+// read from a snapshot's meta, would keep Build or OpenSnapshot
+// enumerating for hours. Build and OpenSnapshot refuse the same values,
+// so every snapshot a build can save opens.
+const maxJoinPathLimit = 8
+
+// checkJoinPath refuses a join-path bound above maxJoinPathLimit.
+func checkJoinPath(n int) error {
+	if n > maxJoinPathLimit {
+		return fmt.Errorf("keysearch: join-path bound %d exceeds the limit %d", n, maxJoinPathLimit)
+	}
+	return nil
+}
+
 func newConfig(opts []Option) config {
 	cfg := config{maxJoinPath: 4}
 	for _, o := range opts {
@@ -268,6 +284,9 @@ func (e *Engine) current() *snapshot { return e.snap.Load() }
 // New creates an Engine with the given schema.
 func New(tables []Table, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
+	if err := checkJoinPath(cfg.maxJoinPath); err != nil {
+		return nil, err
+	}
 	db := relstore.NewDatabase("keysearch")
 	for _, t := range tables {
 		schema := &relstore.TableSchema{
@@ -321,6 +340,9 @@ func (e *Engine) Insert(table string, values ...string) error {
 func (e *Engine) Build() error {
 	if e.built {
 		return fmt.Errorf("keysearch: already built")
+	}
+	if err := checkJoinPath(e.cfg.maxJoinPath); err != nil {
+		return err
 	}
 	e.db.Prepare() // posting lists + join indexes, built once up front
 	ix := invindex.Build(e.db)
