@@ -78,13 +78,13 @@ fuzz-smoke:
 
 # bench runs legs of the mechanism-ratio harness (internal/bench; see
 # docs/benchmarks.md for what each leg justifies). LEGS picks them: the
-# default is the three micro legs, which finish in under a minute; the
+# default is the two micro legs, which finish in under a minute; the
 # HTTP legs (overload, qcache) build a ~1M-row dataset and take
 # minutes at full size, so they are asked for by name or with LEGS=all.
 # QUICK=1 shrinks the HTTP legs to CI size. Nothing is written unless OUT
 # names a file: `make bench LEGS=all OUT=BENCH.json` re-records the
 # committed baseline.
-LEGS ?= executor,mutate,durable
+LEGS ?= mutate,durable
 benchflags = -legs $(LEGS) $(if $(QUICK),-quick) $(if $(OUT),-out $(OUT))
 
 bench:
@@ -99,7 +99,7 @@ loadtest:
 # bench-guard re-measures LEGS and fails when one of their ratios fell
 # more than the leg's tolerance (25% micro legs, 50% HTTP legs) below
 # the committed BENCH.json. Ratios are
-# within-run quotients — postings vs scan, apply vs rebuild, governor vs
+# within-run quotients — apply vs rebuild, recover vs build, governor vs
 # hand-placed gate — so the guard transfers across machines. The
 # baseline is read before anything is measured and nothing is written
 # without OUT, so the tree stays clean. Guard the HTTP legs without

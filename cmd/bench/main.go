@@ -2,9 +2,9 @@
 // (internal/bench, docs/benchmarks.md), optionally writes the report,
 // and optionally guards it against a committed baseline.
 //
-//	go run ./cmd/bench [-legs executor,mutate,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
+//	go run ./cmd/bench [-legs mutate,durable,...|all] [-quick] [-out BENCH.json] [-compare BENCH.json]
 //
-// -legs defaults to the three micro legs (executor, mutate, durable),
+// -legs defaults to the two micro legs (mutate, durable),
 // which finish in well under a minute; the HTTP legs (overload, qcache)
 // generate a million-row dataset and run for minutes at full size, so
 // they are asked for by name or with "all". -quick shrinks the HTTP legs
@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	legList := flag.String("legs", "executor,mutate,durable", "comma-separated legs to run, or all")
+	legList := flag.String("legs", "mutate,durable", "comma-separated legs to run, or all")
 	quick := flag.Bool("quick", false, "run the HTTP legs at CI size")
 	out := flag.String("out", "", "write the report to this file (default: write nothing)")
 	compare := flag.String("compare", "", "baseline BENCH.json to guard the selected legs against")

@@ -1,8 +1,7 @@
 // Package bench is the repo's one mechanism-ratio harness. Each leg of
 // the registry measures one mechanism against the path it replaces —
-// compiled plans vs scans, Apply vs rebuild, recovery vs build, the
-// answer cache on vs off, the admission governor vs a hand-placed gate —
-// inside a single run on a single machine, and records the quotient as a
+// Apply vs rebuild, recovery vs build, the answer cache on vs off, the
+// admission governor vs a hand-placed gate — inside a single run on a single machine, and records the quotient as a
 // named ratio column. A within-run ratio transfers across hosts where
 // raw ns/op and req/s do not, which is what lets Compare guard it on
 // shared CI runners. End-to-end performance claims are made with
@@ -137,7 +136,6 @@ type Leg struct {
 // at 50%, because a short closed-loop run on a shared runner is that
 // noisy.
 var Legs = []Leg{
-	microLeg("executor", executorOps),
 	microLeg("mutate", mutateOps),
 	microLeg("durable", durableOps),
 	{Name: "overload", Tolerance: 0.5, Run: runOverload},

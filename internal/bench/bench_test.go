@@ -14,7 +14,7 @@ import (
 // — not that any number means anything at this size.
 func TestLegsQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all five legs; takes several seconds")
+		t.Skip("runs all four legs; takes several seconds")
 	}
 	// One iteration per micro row pins the shape; timing them for a
 	// second each is cmd/bench's job. Restored for the tests that time.
@@ -60,7 +60,6 @@ func TestLegsQuick(t *testing.T) {
 	}
 
 	for _, w := range []struct{ leg, base, treated, column string }{
-		{"executor", "scan", "postings+cache", "speedup_vs_scan"},
 		{"mutate", "full-rebuild", "apply-batch", "speedup_vs_rebuild"},
 		{"durable", "fresh-build", "wal-replay", "speedup_vs_build"},
 		{"durable", "checkpoint", "open-snapshot", "speedup_vs_build"},

@@ -18,8 +18,8 @@ func row(name string, ratios map[string]float64) Row {
 }
 
 func TestCompare(t *testing.T) {
-	vsScan := func(v float64) map[string]float64 { return map[string]float64{"speedup_vs_scan": v} }
-	base := report(leg("executor", row("scan", nil), row("postings", vsScan(10))))
+	vsRebuild := func(v float64) map[string]float64 { return map[string]float64{"speedup_vs_rebuild": v} }
+	base := report(leg("mutate", row("full-rebuild", nil), row("apply-batch", vsRebuild(10))))
 	for _, tc := range []struct {
 		name      string
 		base, cur *Report
@@ -27,23 +27,23 @@ func TestCompare(t *testing.T) {
 		failed    []string // leg/row/column of each failing check
 		wantErr   bool
 	}{
-		{name: "within tolerance passes; the scan baseline row is not tracked",
-			base: base, cur: report(leg("executor", row("postings", vsScan(7.6)))), checks: 1},
+		{name: "within tolerance passes; the rebuild baseline row is not tracked",
+			base: base, cur: report(leg("mutate", row("apply-batch", vsRebuild(7.6)))), checks: 1},
 		{name: "below base*(1-tolerance) fails, naming leg, row and column",
-			base: base, cur: report(leg("executor", row("postings", vsScan(7.4)))), checks: 1,
-			failed: []string{"executor/postings/speedup_vs_scan"}},
+			base: base, cur: report(leg("mutate", row("apply-batch", vsRebuild(7.4)))), checks: 1,
+			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
 		{name: "a column the fresh row lost fails",
-			base: base, cur: report(leg("executor", row("postings", nil))), checks: 1,
-			failed: []string{"executor/postings/speedup_vs_scan"}},
+			base: base, cur: report(leg("mutate", row("apply-batch", nil))), checks: 1,
+			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
 		{name: "a tracked row missing from the fresh report fails",
-			base: base, cur: report(leg("executor", row("scan", nil))), checks: 1,
-			failed: []string{"executor/postings/"}},
+			base: base, cur: report(leg("mutate", row("full-rebuild", nil))), checks: 1,
+			failed: []string{"mutate/apply-batch/"}},
 		{name: "a leg missing from the fresh report fails",
-			base: base, cur: report(leg("mutate")), checks: 1, failed: []string{"executor//"}},
+			base: base, cur: report(leg("durable")), checks: 1, failed: []string{"mutate//"}},
 		{name: "a ratio of exactly 1.0 on a non-baseline row is still tracked",
-			base: report(leg("executor", row("postings", vsScan(1)))),
-			cur:  report(leg("executor", row("postings", vsScan(0.5)))), checks: 1,
-			failed: []string{"executor/postings/speedup_vs_scan"}},
+			base: report(leg("mutate", row("apply-batch", vsRebuild(1)))),
+			cur:  report(leg("mutate", row("apply-batch", vsRebuild(0.5)))), checks: 1,
+			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
 		{name: "schema mismatch is an error",
 			base: &Report{Legs: base.Legs}, cur: base, wantErr: true},
 		{name: "an unregistered leg in the baseline is an error",
@@ -72,9 +72,9 @@ func TestCompare(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	const golden = `{"schema":1,"generated_at":"2026-01-02T03:04:05Z",` +
 		`"host":{"go_version":"go1.24.0","num_cpu":2,"gomaxprocs":2},` +
-		`"legs":[{"name":"executor","quick":true,"dataset":"demo","params":{"plans":26},` +
-		`"rows":[{"name":"scan","metrics":{"ns_per_op":5}},` +
-		`{"name":"postings","metrics":{"ns_per_op":1},"ratios":{"speedup_vs_scan":5}}]}]}`
+		`"legs":[{"name":"mutate","quick":true,"dataset":"demo","params":{"batch":10},` +
+		`"rows":[{"name":"full-rebuild","metrics":{"ns_per_op":5}},` +
+		`{"name":"apply-batch","metrics":{"ns_per_op":1},"ratios":{"speedup_vs_rebuild":5}}]}]}`
 	var rep Report
 	if err := json.Unmarshal([]byte(golden), &rep); err != nil {
 		t.Fatal(err)

@@ -93,8 +93,7 @@ func benchmark(op func() error) (map[string]float64, error) {
 
 // The demo movie generator at microScale× its default row counts
 // (≈1000 movies, 750 actors), deterministic for microSeed, is the
-// dataset of the executor and durable legs, so their artifacts describe
-// the same data.
+// dataset of the durable leg.
 const (
 	microSeed  = 21
 	microScale = 2.5

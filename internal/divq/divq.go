@@ -21,33 +21,40 @@ import (
 
 // Similarity is the Jaccard coefficient between the keyword-interpretation
 // sets of two query interpretations (Equation 4.3). 1 means identical
-// element sets; 0 means disjoint.
+// element sets; 0 means disjoint. Binding lists are a handful long, so
+// the sets are compared by value in place: a binding counts once, at its
+// first occurrence in its list.
 func Similarity(a, b *query.Interpretation) float64 {
-	setA := make(map[string]bool, len(a.Bindings))
-	for _, bd := range a.Bindings {
-		setA[bd.KI.Key()] = true
-	}
-	if len(setA) == 0 && len(b.Bindings) == 0 {
+	if len(a.Bindings) == 0 && len(b.Bindings) == 0 {
 		return 1
 	}
-	inter, union := 0, len(setA)
-	seenB := make(map[string]bool, len(b.Bindings))
-	for _, bd := range b.Bindings {
-		k := bd.KI.Key()
-		if seenB[k] {
+	inter, union := 0, 0
+	for i, bd := range a.Bindings {
+		if !bound(a.Bindings[:i], bd.KI) {
+			union++
+		}
+	}
+	for i, bd := range b.Bindings {
+		if bound(b.Bindings[:i], bd.KI) {
 			continue
 		}
-		seenB[k] = true
-		if setA[k] {
+		if bound(a.Bindings, bd.KI) {
 			inter++
 		} else {
 			union++
 		}
 	}
-	if union == 0 {
-		return 0
-	}
 	return float64(inter) / float64(union)
+}
+
+// bound reports whether ki is among the bindings' keyword interpretations.
+func bound(bindings []query.Binding, ki query.KeywordInterpretation) bool {
+	for _, bd := range bindings {
+		if bd.KI == ki {
+			return true
+		}
+	}
+	return false
 }
 
 // Config tunes diversification.

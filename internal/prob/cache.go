@@ -1,11 +1,13 @@
 package prob
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/invindex"
 	"repro/internal/query"
+	"repro/internal/relstore"
 )
 
 // scoreCache memoises the pure sub-terms of interpretation scores,
@@ -50,26 +52,28 @@ func newScoreCache(attrs []invindex.AttrRef) *scoreCache {
 }
 
 // InheritCache makes m continue old's memoised sub-terms, except those of
-// stale attributes (keys of staleAttrs are "table.column" strings). It is
-// the cache-invalidation half of incremental index maintenance: after a
-// mutation batch, the rebased model shares the template priors and the
-// sub-cache of every attribute the batch left untouched with its
-// predecessor — by pointer, so the cost is one step per attribute,
-// independent of how many entries query diversity has accumulated — and
-// starts each stale attribute cold. Sharing is sound for the reason
+// the attributes a mutation batch staled (stale is the batch's
+// relstore.ChangedAttrs). It is the cache-invalidation half of
+// incremental index maintenance: after a mutation batch, the rebased
+// model shares the template priors and the sub-cache of every attribute
+// the batch left untouched with its predecessor — by pointer, so the
+// cost is one step per attribute, independent of how many entries query
+// diversity has accumulated — and starts each stale attribute cold. An
+// insert or delete stales every column of its table, an update the
+// columns whose value changed. Sharing is sound for the reason
 // memoisation is: an entry is a pure function of its attribute's
 // statistics, which are identical in both snapshots, so it does not
 // matter which model's readers compute it first.
 //
 // Call before the new model is published; InheritCache is not
 // synchronised against concurrent scoring on m.
-func (m *Model) InheritCache(old *Model, staleAttrs map[string]bool) {
+func (m *Model) InheritCache(old *Model, stale []relstore.Attr) {
 	if m.cache == nil || old == nil || old.cache == nil {
 		return
 	}
 	m.cache.prior = old.cache.prior
 	for a := range m.cache.attrs {
-		if scores := old.cache.attrs[a]; scores != nil && !staleAttrs[a.String()] {
+		if scores := old.cache.attrs[a]; scores != nil && !slices.Contains(stale, m.ix.Granule(a)) {
 			m.cache.attrs[a] = scores
 		}
 	}

@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/invindex"
@@ -45,7 +46,7 @@ func TestInheritCacheSharesCleanAttributes(t *testing.T) {
 	nix := f.ix.Apply(ndb, changes)
 	newM := New(nix, f.cat, cfg)
 	dirty := invindex.AttrRef{Table: "actor", Column: "name"}
-	newM.InheritCache(oldM, map[string]bool{dirty.String(): true})
+	newM.InheritCache(oldM, relstore.ChangedAttrs(ndb, changes))
 
 	if newM.cache.prior != oldM.cache.prior {
 		t.Error("template priors must be shared by pointer")
@@ -85,6 +86,32 @@ func TestInheritCacheSharesCleanAttributes(t *testing.T) {
 	}
 	if same {
 		t.Fatal("the batch did not move any score of \"tom hanks\": the test cannot see a stale entry")
+	}
+}
+
+// TestInheritCacheKeepsAllOnNonIndexedUpdate: an update that changes
+// only a column the index does not cover (an actor's key) stales that
+// column alone, so the successor shares every score sub-cache.
+func TestInheritCacheKeepsAllOnNonIndexedUpdate(t *testing.T) {
+	f := newFixture(t)
+	oldM := New(f.ix, f.cat, Config{UseCoOccurrence: true})
+	rankAll(t, f, f.ix, oldM, [][]string{{"tom", "hanks"}})
+	ndb, changes, err := f.db.Apply([]relstore.Mutation{
+		{Op: relstore.OpUpdate, Table: "actor", Key: "a3", Values: []string{"a9", "Tom Cruise"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := relstore.ChangedAttrs(ndb, changes)
+	if want := []relstore.Attr{{Table: "actor", Col: 0}}; !slices.Equal(stale, want) {
+		t.Fatalf("changed attributes %v, want %v", stale, want)
+	}
+	newM := New(f.ix.Apply(ndb, changes), f.cat, Config{UseCoOccurrence: true})
+	newM.InheritCache(oldM, stale)
+	for a, scores := range newM.cache.attrs {
+		if scores != oldM.cache.attrs[a] {
+			t.Errorf("%s: want the predecessor's sub-cache by pointer", a)
+		}
 	}
 }
 

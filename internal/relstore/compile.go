@@ -33,8 +33,9 @@ import (
 //
 // Skipping a row that cannot be completed never changes which joining
 // trees exist, and candidate and index order are untouched, so the
-// materialised JTT sequence is identical to the reference ExecuteScan —
-// byte-for-byte, including under a result Limit.
+// materialised JTT sequence is identical to the reference scan executor
+// the tests keep (reference_test.go) — byte-for-byte, including under a
+// result Limit.
 
 // compiledPred is one keyword-containment predicate with its column
 // resolved. col is -1 when the plan references an unknown column; such a

@@ -121,8 +121,8 @@ type ExecuteOptions struct {
 // lists, and index nested loops rooted at the most selective node
 // enumerate the results, descending only into rows a demand-driven
 // semi-join finds completable.
-// The JTT sequence is identical to the reference scan executor
-// (ExecuteScan), including under Limit.
+// The JTT sequence is identical to the reference scan executor the
+// tests keep, including under Limit.
 func (db *Database) Execute(p *JoinPlan, opts ExecuteOptions) ([]JTT, error) {
 	cp, err := db.Compile(p)
 	if err != nil {

@@ -24,3 +24,35 @@ func (cp *CompiledPlan) Resolution() (tables []*Table, cols [][]int, halves [][]
 	}
 	return tables, cols, halves
 }
+
+// Work is what the posting path did for one plan: the rows its
+// constrained nodes' selections returned (up to the first empty one) and
+// the join partners its enumeration probed (planRun.probes).
+type Work struct{ Rows, Probes int }
+
+// ExecuteWork materialises the plan's JTTs up to limit as Execute does
+// without an answer cache, and reports its work.
+func (cp *CompiledPlan) ExecuteWork(limit int, cache *SelectionCache) ([]JTT, Work) {
+	var w Work
+	for i := range cp.nodes {
+		if len(cp.nodes[i].preds) == 0 {
+			continue
+		}
+		c := cp.candidates(i, cache)
+		if w.Rows += len(c); len(c) == 0 {
+			break
+		}
+	}
+	sels, ok := cp.prove(cache, nil)
+	if !ok {
+		return nil, w
+	}
+	r := runPool.Get().(*planRun)
+	defer r.release()
+	r.run(cp, sels, cache, limit, true)
+	w.Probes = r.probes
+	return r.results, w
+}
+
+// NumDead returns the number of tombstoned row slots.
+func (t *Table) NumDead() int { return t.numDead }

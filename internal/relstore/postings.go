@@ -20,8 +20,8 @@ import (
 // Lists are built once per column (lazily on first use, or eagerly via
 // Database.Prepare) and are immutable afterwards except for the
 // insert-before-read phase, which appends incrementally exactly like the
-// equality indexes. The original scan evaluation is retained as
-// SelectContainsScan / ExecuteScan for differential testing.
+// equality indexes. The original scan evaluation is kept in the tests
+// (reference_test.go) as the differential oracle.
 
 // postingList is the posting list of one token within one column.
 type postingList struct {

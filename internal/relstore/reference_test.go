@@ -4,13 +4,13 @@ import (
 	"fmt"
 )
 
-// This file retains the original scan-based evaluation paths as reference
+// This file keeps the original scan-based evaluation paths as reference
 // implementations. They compute selections by tokenizing every cell and
 // execute join plans with map-based candidate membership — exactly the
-// semantics the posting-list engine must reproduce — and exist so that
-// differential tests and the executor benchmark can compare the optimised
-// paths against a straightforward oracle. They are not used on any
-// serving path.
+// semantics the posting-list engine must reproduce — so that the
+// differential tests can compare the optimised paths against a
+// straightforward oracle, and the counted work guard can set the posting
+// path's work against the rows a scan reads.
 
 // SelectContainsScan is the scan-based reference of SelectContains: it
 // tokenizes every row value and applies the bag-containment predicate
@@ -57,27 +57,42 @@ rows:
 	return out
 }
 
-// ExecuteScan is the original scan-based executor, retained as the
-// reference implementation: per-node candidates by full table scans,
-// map[int]bool candidate membership, no semi-join reduction, string-keyed
-// column resolution per joined row. Execute must produce the identical
-// JTT sequence (differential tests enforce this); ExecuteScan is the
-// baseline the executor benchmark measures speedups against.
-// opts.Cache is ignored — the scan path memoises nothing.
+// ExecuteScan is the original scan-based executor, kept as the reference
+// implementation: per-node candidates by full table scans, map[int]bool
+// candidate membership, no semi-join reduction, string-keyed column
+// resolution per joined row. Execute must produce the identical JTT
+// sequence (the differential tests enforce this). opts.Cache is ignored
+// — the scan path memoises nothing.
 func (db *Database) ExecuteScan(p *JoinPlan, opts ExecuteOptions) ([]JTT, error) {
+	jtts, _, err := db.ExecuteScanWork(p, opts)
+	return jtts, err
+}
+
+// ScanWork is the reference executor's work on one plan: the live rows
+// its candidate scans read (every row of each constrained node's table,
+// up to the first empty node) and the join partners its enumeration
+// looked up.
+type ScanWork struct{ RowsRead, Probes int }
+
+// ExecuteScanWork is ExecuteScan that also reports its work.
+func (db *Database) ExecuteScanWork(p *JoinPlan, opts ExecuteOptions) ([]JTT, ScanWork, error) {
+	var w ScanWork
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, w, err
 	}
 	n := len(p.Nodes)
 	cands := make([][]int, n)
 	for i, node := range p.Nodes {
 		t := db.Table(node.Table)
 		if t == nil {
-			return nil, fmt.Errorf("relstore: join plan references unknown table %s", node.Table)
+			return nil, w, fmt.Errorf("relstore: join plan references unknown table %s", node.Table)
+		}
+		if len(node.Predicates) > 0 {
+			w.RowsRead += t.NumLive()
 		}
 		cands[i] = t.candidateRowsScan(node.Predicates)
 		if len(cands[i]) == 0 {
-			return nil, nil
+			return nil, w, nil
 		}
 	}
 
@@ -97,7 +112,7 @@ func (db *Database) ExecuteScan(p *JoinPlan, opts ExecuteOptions) ([]JTT, error)
 		ft := db.Table(p.Nodes[e.From].Table)
 		tt := db.Table(p.Nodes[e.To].Table)
 		if ft.Schema.ColumnIndex(e.FromColumn) < 0 || tt.Schema.ColumnIndex(e.ToColumn) < 0 {
-			return nil, fmt.Errorf("relstore: join edge %s.%s=%s.%s references unknown column",
+			return nil, w, fmt.Errorf("relstore: join edge %s.%s=%s.%s references unknown column",
 				p.Nodes[e.From].Table, e.FromColumn, p.Nodes[e.To].Table, e.ToColumn)
 		}
 		adj[e.From] = append(adj[e.From], halfEdge{to: e.To, fromCol: e.FromColumn, toCol: e.ToColumn})
@@ -151,7 +166,9 @@ func (db *Database) ExecuteScan(p *JoinPlan, opts ExecuteOptions) ([]JTT, error)
 			pt := db.Table(p.Nodes[st.parent].Table)
 			pv, _ := pt.Value(assign[st.parent], st.parentCol)
 			ct := db.Table(p.Nodes[st.node].Table)
-			for _, id := range ct.LookupEqual(st.col, pv) {
+			partners := ct.LookupEqual(st.col, pv)
+			w.Probes += len(partners)
+			for _, id := range partners {
 				if member[st.node][id] {
 					choices = append(choices, id)
 				}
@@ -166,5 +183,5 @@ func (db *Database) ExecuteScan(p *JoinPlan, opts ExecuteOptions) ([]JTT, error)
 		return false
 	}
 	rec(0)
-	return results, nil
+	return results, w, nil
 }

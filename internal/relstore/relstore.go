@@ -469,8 +469,7 @@ func CountToken(value, keyword string) (matches, tokens int) {
 // the whole keyword bag, ascending. It evaluates from the column's token
 // posting lists — a sorted-list intersection with per-row counts for
 // duplicated keywords — and agrees exactly with applying ContainsBag row
-// by row (SelectContainsScan is the retained scan reference; differential
-// tests enforce the agreement). The returned slice may alias the posting
+// by row (the differential tests enforce the agreement against a scan). The returned slice may alias the posting
 // lists and must be treated as read-only.
 func (t *Table) SelectContains(column string, keywords []string) []int {
 	ci := t.Schema.ColumnIndex(column)

@@ -20,7 +20,7 @@ import (
 //
 // The cache is scoped to a single request and is not safe for concurrent
 // use: the plans of one request execute one at a time on one goroutine.
-// Create one per Search / TopKContext / Naive call and drop it
+// Create one per Search / TopKContext call and drop it
 // afterwards. Because the underlying data is immutable after Build, a
 // cached selection can never go stale within a request, so caching
 // changes how results are computed, never which results are produced.

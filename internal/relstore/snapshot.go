@@ -265,9 +265,6 @@ func (db *Database) CompactTables(names []string) *Database {
 	return ndb
 }
 
-// NumDead returns the number of tombstoned row slots.
-func (t *Table) NumDead() int { return t.numDead }
-
 // DeadRatio returns tombstoned slots as a fraction of live rows. A
 // table whose rows are all tombstoned reports the tombstone count
 // itself (rather than +Inf), which still exceeds any sane threshold.

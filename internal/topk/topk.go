@@ -254,37 +254,3 @@ func (m *heapMerger) add(results []Result) {
 		}
 	}
 }
-
-// Naive executes every interpretation, unions the results, and sorts —
-// the baseline strategy of Section 2.2.5 that TopKContext's early
-// stopping improves on. Used to verify TopKContext's output equivalence.
-func Naive(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, error) {
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("topk: K must be positive")
-	}
-	if scorer == nil {
-		scorer = UnitScorer{}
-	}
-	exec := opts.Exec
-	if exec == nil {
-		exec = &relstore.LocalExecutor{DB: db, Cache: relstore.NewSelectionCache()}
-	}
-	var all []Result
-	for _, sc := range ranked {
-		results, err := executeOne(db, exec, sc, scorer, opts.PerInterpretationLimit)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, results...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Q.Key() < all[j].Q.Key()
-	})
-	if len(all) > opts.K {
-		all = all[:opts.K]
-	}
-	return all, nil
-}

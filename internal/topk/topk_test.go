@@ -2,6 +2,8 @@ package topk
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/invindex"
@@ -336,4 +338,38 @@ func TestTFScorerMatchesPerTokenCounts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Naive executes every interpretation, unions the results, and sorts —
+// the baseline strategy of Section 2.2.5 that TopKContext's early
+// stopping improves on, and the reference of its output.
+func Naive(db *relstore.Database, ranked []prob.Scored, scorer Scorer, opts Options) ([]Result, error) {
+	if opts.K <= 0 {
+		return nil, fmt.Errorf("topk: K must be positive")
+	}
+	if scorer == nil {
+		scorer = UnitScorer{}
+	}
+	exec := opts.Exec
+	if exec == nil {
+		exec = &relstore.LocalExecutor{DB: db, Cache: relstore.NewSelectionCache()}
+	}
+	var all []Result
+	for _, sc := range ranked {
+		results, err := executeOne(db, exec, sc, scorer, opts.PerInterpretationLimit)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, results...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].Q.Key() < all[j].Q.Key()
+	})
+	if len(all) > opts.K {
+		all = all[:opts.K]
+	}
+	return all, nil
 }

@@ -123,8 +123,9 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 
 // nextSnapshot validates the batch against the current snapshot and
 // builds its successor copy-on-write, without publishing it. Alongside
-// the successor it returns the batch's answer-cache invalidation set
-// (nil when the cache is off) for the publish step.
+// the successor it returns the batch's invalidation set — the stale
+// attributes the successor's score cache was rebased on — for the
+// answer cache in the publish step.
 // Callers hold applyMu (or, during Open's replay, have exclusive
 // access).
 func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, error) {
@@ -138,8 +139,9 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, erro
 		return nil, nil, fmt.Errorf("keysearch: %w", err)
 	}
 	nix := cur.ix.Apply(ndb, changes)
+	stale := relstore.ChangedAttrs(ndb, changes)
 	model := e.newModel(nix, cur.cat)
-	model.InheritCache(cur.model, staleAttrs(ndb, changes))
+	model.InheritCache(cur.model, stale)
 
 	next := &snapshot{
 		epoch: cur.epoch + 1,
@@ -149,34 +151,5 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, erro
 		cat:   cur.cat,
 		model: model,
 	}
-	var stale []relstore.Attr
-	if e.qc != nil {
-		stale = relstore.ChangedAttrs(ndb, changes)
-	}
 	return next, stale, nil
-}
-
-// staleAttrs collects the "table.column" attributes whose statistics a
-// change log touches — the invalidation set of the memoised score cache.
-// An attribute is stale when a row appeared or disappeared (its document
-// count changed even if the cell value is empty) or an update changed
-// its cell value.
-func staleAttrs(db *relstore.Database, changes []relstore.RowChange) map[string]bool {
-	stale := make(map[string]bool)
-	for _, ch := range changes {
-		t := db.Table(ch.Table)
-		if t == nil {
-			continue
-		}
-		for ci, col := range t.Schema.Columns {
-			if !col.Indexed {
-				continue
-			}
-			if ch.Old != nil && ch.New != nil && ch.Old[ci] == ch.New[ci] {
-				continue
-			}
-			stale[ch.Table+"."+col.Name] = true
-		}
-	}
-	return stale
 }
