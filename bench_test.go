@@ -361,7 +361,7 @@ var apiOnce struct {
 	err error
 }
 
-func apiEngine(b *testing.B) (*Engine, string) {
+func apiEngine(b testing.TB) (*Engine, string) {
 	b.Helper()
 	apiOnce.Do(func() {
 		apiOnce.eng, apiOnce.err = DemoMovies(7)
@@ -484,32 +484,86 @@ func BenchmarkTable3_1_ExampleTasks(b *testing.B) {
 // interpretation generation and ranking (ROADMAP item 6's baseline).
 // kw=N joins the first N sample keywords.
 func BenchmarkInterpret(b *testing.B) {
-	eng, _ := apiEngine(b)
-	toks := eng.SampleQueries(3)
-	if len(toks) < 3 {
-		b.Fatalf("only %d sample keywords", len(toks))
-	}
+	eng, queries := interpretQueries(b)
 	ctx := context.Background()
-	s := eng.current()
-	for kw := 1; kw <= 3; kw++ {
-		q := strings.Join(toks[:kw], " ")
-		b.Run(fmt.Sprintf("kw=%d", kw), func(b *testing.B) {
+	for i, q := range queries {
+		b.Run(fmt.Sprintf("kw=%d", i+1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, _, err := eng.candidatesFor(ctx, s, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.model.RankContext(ctx, space); err != nil {
+				if err := interpret(ctx, eng, q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// interpretQueries returns the API benchmarks' engine and
+// BenchmarkInterpret's queries: the first one, two and three sample
+// keywords.
+func interpretQueries(tb testing.TB) (*Engine, []string) {
+	tb.Helper()
+	eng, _ := apiEngine(tb)
+	toks := eng.SampleQueries(3)
+	if len(toks) < 3 {
+		tb.Fatalf("only %d sample keywords", len(toks))
+	}
+	return eng, []string{toks[0], strings.Join(toks[:2], " "), strings.Join(toks, " ")}
+}
+
+// interpret runs the interpretation stages of a ranked request for q on
+// the engine's current snapshot.
+func interpret(ctx context.Context, eng *Engine, q string) error {
+	s := eng.current()
+	c, _, err := eng.candidatesFor(ctx, s, q)
+	if err != nil {
+		return err
+	}
+	space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{})
+	if err != nil {
+		return err
+	}
+	_, err = s.model.RankContext(ctx, space)
+	return err
+}
+
+// interpretAllocCeilings bound the allocations of the interpretation
+// stages of BenchmarkInterpret's kw=1, 2 and 3 requests, which measure
+// 22, 35 and 49 with and without -race; searchAllocCeiling bounds
+// BenchmarkAPISearch's request, which measures 99, and about 111 under
+// -race, where sync.Pool drops a quarter of its puts. Each ceiling sits
+// just above its -race reading.
+var interpretAllocCeilings = [3]float64{24, 38, 53}
+
+const searchAllocCeiling = 116
+
+// TestInterpretAllocationCeiling holds the interpretation stages of
+// BenchmarkInterpret's kw=1, 2 and 3 requests to interpretAllocCeilings
+// and BenchmarkAPISearch's whole request to searchAllocCeiling
+// allocations (testing.AllocsPerRun warms once and runs at GOMAXPROCS 1).
+func TestInterpretAllocationCeiling(t *testing.T) {
+	eng, queries := interpretQueries(t)
+	ctx := context.Background()
+	check := func(name string, ceiling float64, f func() error) {
+		t.Helper()
+		got := testing.AllocsPerRun(50, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", name, got)
+		if got > ceiling {
+			t.Errorf("%s allocates %.0f times, above the ceiling %.0f", name, got, ceiling)
+		}
+	}
+	for i, q := range queries {
+		check(fmt.Sprintf("BenchmarkInterpret/kw=%d", i+1), interpretAllocCeilings[i], func() error { return interpret(ctx, eng, q) })
+	}
+	_, q := apiEngine(t)
+	check("BenchmarkAPISearch", searchAllocCeiling, func() error {
+		_, err := eng.Search(ctx, SearchRequest{Query: q, K: 5})
+		return err
+	})
 }
 
 // BenchmarkRows times the executor-heavy requests of the serving
@@ -567,10 +621,10 @@ func (m *rowsMix) do(ctx context.Context, i int) error {
 }
 
 // rowsAllocCeiling bounds the allocations of one BenchmarkRows request,
-// averaged over a warm pass of the mix. The mix measures about 1 290, and
-// about 1 365 under -race, where sync.Pool drops a quarter of its puts
+// averaged over a warm pass of the mix. The mix measures about 772, and
+// about 849 under -race, where sync.Pool drops a quarter of its puts
 // and executions pay for fresh scratch; the ceiling sits just above.
-const rowsAllocCeiling = 1400
+const rowsAllocCeiling = 875
 
 // TestRowsAllocationCeiling holds BenchmarkRows' request mix to
 // rowsAllocCeiling allocations per request: one pass warms the engine's

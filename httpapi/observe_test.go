@@ -11,7 +11,6 @@ import (
 	"time"
 
 	keysearch "repro"
-	"repro/internal/metrics"
 	"repro/internal/qlog"
 )
 
@@ -132,9 +131,10 @@ func TestHTTPTracingDifferential(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint drives traffic through an observed server
-// and asserts GET /metrics passes the strict Prometheus text checker and
-// carries the expected families with live values.
+// TestMetricsEndpoint drives traffic through an observed server and
+// asserts GET /metrics carries the expected families with live values.
+// The strict exposition check of the same traffic is in
+// internal/metrics (TestServedExpositionIsStrict), beside the checker.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _, _ := obsServer(t)
 	eng, err := keysearch.DemoMovies(7)
@@ -158,9 +158,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	code, body, _ := fetchRaw(t, ts.URL, "/metrics", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
-	}
-	if err := metrics.CheckPromText([]byte(body)); err != nil {
-		t.Fatalf("/metrics fails strict exposition check: %v\n%s", err, body)
 	}
 	for _, want := range []string{
 		`keysearch_requests_total{endpoint="search",code="200"}`,
@@ -198,9 +195,6 @@ func TestMetricsAdaptiveGovernor(t *testing.T) {
 	code, body, _ := fetchRaw(t, ts.URL, "/metrics", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
-	}
-	if err := metrics.CheckPromText([]byte(body)); err != nil {
-		t.Fatalf("/metrics fails strict exposition check: %v\n%s", err, body)
 	}
 	if !strings.Contains(body, "keysearch_adaptive_limit") {
 		t.Fatalf("/metrics lacks governor families:\n%s", body)

@@ -258,13 +258,13 @@ func assignOccurrences(kis []query.KeywordInterpretation, tpl *query.Template) [
 			return
 		}
 		if kis[i].Kind == query.KindAggregate {
-			cur = append(cur, query.Binding{KI: kis[i], Occ: -1})
+			cur = append(cur, query.Binding{KI: &kis[i], Occ: -1})
 			rec(i + 1)
 			cur = cur[:len(cur)-1]
 			return
 		}
 		for _, occ := range tpl.Occurrences(kis[i].TargetTable()) {
-			cur = append(cur, query.Binding{KI: kis[i], Occ: occ})
+			cur = append(cur, query.Binding{KI: &kis[i], Occ: occ})
 			rec(i + 1)
 			cur = cur[:len(cur)-1]
 		}
@@ -400,7 +400,7 @@ func (s *Session) NextOption() (query.Option, bool) {
 		for _, sc := range s.complete {
 			kis = kis[:0]
 			for _, b := range sc.Q.Bindings {
-				kis = append(kis, b.KI)
+				kis = append(kis, *b.KI)
 			}
 			addEntry(sc.Score, kis)
 			if sc.Score > 0 {
@@ -512,7 +512,7 @@ func (s *Session) filter() {
 
 func (s *Session) consistentInterp(q *query.Interpretation) bool {
 	for _, b := range q.Bindings {
-		if !s.consistentKI(b.KI) {
+		if !s.consistentKI(*b.KI) {
 			return false
 		}
 	}

@@ -107,7 +107,7 @@ func (r *randScorer) RankContext(ctx context.Context, space []*query.Interpretat
 	for i, q := range space {
 		s := tplPrior
 		for _, b := range q.Bindings {
-			s *= r.KeywordProb(b.KI)
+			s *= r.KeywordProb(*b.KI)
 		}
 		out[i] = prob.Scored{Q: q, Score: s}
 		total += s
@@ -121,7 +121,7 @@ func (r *randScorer) RankContext(ctx context.Context, space []*query.Interpretat
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Q.Key() < out[j].Q.Key()
+		return query.CompareKey(out[i].Q, out[j].Q) < 0
 	})
 	return out, nil
 }
@@ -285,9 +285,10 @@ func sampleIntended(rng *rand.Rand, c *query.Candidates, cat *query.Catalog) (*q
 		ok := true
 		for _, pos := range matched {
 			var choices []query.Binding
-			for _, ki := range c.PerKeyword[pos] {
-				for _, occ := range tpl.Occurrences(ki.TargetTable()) {
-					choices = append(choices, query.Binding{KI: ki, Occ: occ})
+			kis := c.PerKeyword[pos]
+			for k := range kis {
+				for _, occ := range tpl.Occurrences(kis[k].TargetTable()) {
+					choices = append(choices, query.Binding{KI: &kis[k], Occ: occ})
 				}
 			}
 			if len(choices) == 0 {

@@ -48,9 +48,9 @@ func Similarity(a, b *query.Interpretation) float64 {
 }
 
 // bound reports whether ki is among the bindings' keyword interpretations.
-func bound(bindings []query.Binding, ki query.KeywordInterpretation) bool {
+func bound(bindings []query.Binding, ki *query.KeywordInterpretation) bool {
 	for _, bd := range bindings {
-		if bd.KI == ki {
+		if *bd.KI == *ki {
 			return true
 		}
 	}

@@ -149,8 +149,8 @@ func TestSimilarity(t *testing.T) {
 }
 
 func TestSimilarityDisjointAndOverlapping(t *testing.T) {
-	ki := func(pos int, kw, table, col string) query.KeywordInterpretation {
-		return query.KeywordInterpretation{Pos: pos, Keyword: kw, Kind: query.KindValue,
+	ki := func(pos int, kw, table, col string) *query.KeywordInterpretation {
+		return &query.KeywordInterpretation{Pos: pos, Keyword: kw, Kind: query.KindValue,
 			Attr: invindex.AttrRef{Table: table, Column: col}}
 	}
 	qa := query.NewInterpretation([]string{"a", "b"}, nil, []query.Binding{

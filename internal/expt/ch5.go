@@ -137,7 +137,7 @@ func resolveFreebaseIntent(env *FreebaseEnv, in FreebaseIntent) (*query.Interpre
 			return nil, false
 		}
 		bindings = append(bindings, query.Binding{
-			KI: query.KeywordInterpretation{
+			KI: &query.KeywordInterpretation{
 				Pos: pos, Keyword: kw, Kind: query.KindValue, Attr: attr,
 			},
 			Occ: 0,
@@ -189,7 +189,7 @@ func Table5_1(env *FreebaseEnv, in FreebaseIntent) (*Table, error) {
 func acceptsOption(intended *query.Interpretation, o freeq.Option) bool {
 	for _, b := range intended.Bindings {
 		if b.KI.Pos == o.Pos {
-			return o.Covers(b.KI)
+			return o.Covers(*b.KI)
 		}
 	}
 	return false

@@ -112,7 +112,7 @@ func (o Option) Covers(ki query.KeywordInterpretation) bool {
 func (o Option) SubsumesInterpretation(q *query.Interpretation) bool {
 	for _, b := range q.Bindings {
 		if b.KI.Pos == o.Pos {
-			return o.Covers(b.KI)
+			return o.Covers(*b.KI)
 		}
 	}
 	return false
@@ -415,7 +415,7 @@ func (s *Session) completeLevelOption() (Option, bool) {
 		for _, b := range sc.Q.Bindings {
 			a := byKey[b.KI.Key()]
 			if a == nil {
-				a = &agg{ki: b.KI}
+				a = &agg{ki: *b.KI}
 				byKey[b.KI.Key()] = a
 			}
 			a.mass += sc.Score
@@ -625,7 +625,7 @@ func RunConstruction(ctx context.Context, s *Session, intended *query.Interpreta
 func accepts(intended *query.Interpretation, o Option) bool {
 	for _, b := range intended.Bindings {
 		if b.KI.Pos == o.Pos {
-			return o.Covers(b.KI)
+			return o.Covers(*b.KI)
 		}
 	}
 	return false

@@ -304,7 +304,7 @@ func TestSubsumesInterpretation(t *testing.T) {
 		t.Fatal("empty space")
 	}
 	q := space[0]
-	o := Option{Pos: 0, Keyword: kw, Class: -1, KIs: []query.KeywordInterpretation{q.Bindings[0].KI}}
+	o := Option{Pos: 0, Keyword: kw, Class: -1, KIs: []query.KeywordInterpretation{*q.Bindings[0].KI}}
 	if !o.SubsumesInterpretation(q) {
 		t.Fatal("option should subsume the interpretation it was built from")
 	}

@@ -2,7 +2,6 @@ package prob
 
 import (
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/invindex"
@@ -113,11 +112,20 @@ func (c *scoreCache) jointProb(keywords []string, attr invindex.AttrRef, compute
 	if scores == nil {
 		return compute()
 	}
-	k := strings.Join(keywords, "\x00")
-	if v, ok := scores.joint.Load(k); ok {
+	// The lookup key is joined in a stack buffer; only a stored entry
+	// copies it into a string of its own.
+	var buf [64]byte
+	k := buf[:0]
+	for i, kw := range keywords {
+		if i > 0 {
+			k = append(k, 0)
+		}
+		k = append(k, kw...)
+	}
+	if v, ok := scores.joint.Load(string(k)); ok {
 		return v.(float64)
 	}
 	p := compute()
-	scores.joint.Store(k, p)
+	scores.joint.Store(string(k), p)
 	return p
 }

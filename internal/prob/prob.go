@@ -16,7 +16,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/invindex"
 	"repro/internal/query"
@@ -182,13 +181,13 @@ func (m *Model) Score(q *query.Interpretation) float64 {
 	} else {
 		for _, b := range q.Bindings {
 			if b.KI.Kind == query.KindValue {
-				score *= m.KeywordProb(b.KI)
+				score *= m.KeywordProb(*b.KI)
 			}
 		}
 	}
 	for _, b := range q.Bindings {
 		if b.KI.Kind != query.KindValue {
-			score *= m.KeywordProb(b.KI)
+			score *= m.KeywordProb(*b.KI)
 		}
 	}
 	// Unmapped keywords (partial interpretations): factor Pu each (Eq 4.2).
@@ -248,7 +247,8 @@ const rankCheckEvery = 256
 
 // RankContext scores and sorts interpretations by descending
 // probability, normalising scores into a distribution over the given
-// space. Ties break deterministically on the interpretation key. The
+// space. Ties break deterministically in interpretation key order
+// (query.CompareKey). The
 // context is checked on entry and every rankCheckEvery scored
 // interpretations, so ranking a large interpretation space aborts early
 // on a cancelled or expired request. The normalising total is summed in
@@ -280,7 +280,7 @@ func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) 
 			}
 			return 1
 		}
-		return strings.Compare(a.Q.Key(), b.Q.Key())
+		return query.CompareKey(a.Q, b.Q)
 	})
 	return out, nil
 }

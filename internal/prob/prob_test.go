@@ -231,7 +231,7 @@ func TestScoreMonotoneInATF(t *testing.T) {
 	}
 	mk := func(kw string) *query.Interpretation {
 		return query.NewInterpretation([]string{kw}, tplActor, []query.Binding{{
-			KI:  query.KeywordInterpretation{Pos: 0, Keyword: kw, Kind: query.KindValue, Attr: name},
+			KI:  &query.KeywordInterpretation{Pos: 0, Keyword: kw, Kind: query.KindValue, Attr: name},
 			Occ: 0,
 		}})
 	}
@@ -344,8 +344,8 @@ func TestGroupedValueProbMatchesMapGrouping(t *testing.T) {
 	f := newFixture(t)
 	name := invindex.AttrRef{Table: "actor", Column: "name"}
 	title := invindex.AttrRef{Table: "movie", Column: "title"}
-	value := func(pos int, kw string, attr invindex.AttrRef) query.KeywordInterpretation {
-		return query.KeywordInterpretation{Pos: pos, Keyword: kw, Kind: query.KindValue, Attr: attr}
+	value := func(pos int, kw string, attr invindex.AttrRef) *query.KeywordInterpretation {
+		return &query.KeywordInterpretation{Pos: pos, Keyword: kw, Kind: query.KindValue, Attr: attr}
 	}
 	// Four groups, interleaved in binding order: the actor's name gets
 	// tom, hanks and colin around the movie title's terminal, then come

@@ -46,21 +46,31 @@ func FuzzNormalizeKeywords(f *testing.F) {
 }
 
 // FuzzGenerateComplete compares GenerateCompleteContext with the
-// allocate-then-check reference loop on the demo movie data, over one to
-// three keywords drawn from the demo vocabulary: every indexed term plus
-// the aggregate words and the table and column names. flags selects the
-// keyword count (bits 0–1), schema terms (bit 2) and aggregates (bit 3).
+// unpruned allocate-then-check reference loop on the demo movie data,
+// over one to four keywords drawn from the demo vocabulary: every indexed
+// term plus the aggregate words and the table and column names, and
+// requires CompareKey to order every pair of the generated space as the
+// keys do. flags selects the keyword count (bits 0–1), schema terms
+// (bit 2), aggregates (bit 3) and the catalogue (bit 4): the demo one at
+// join path 4, or one without repeated tables as the construction
+// simulations build it.
 func FuzzGenerateComplete(f *testing.F) {
-	f.Add(uint16(0), uint16(1), uint16(2), uint8(0))
-	f.Add(uint16(17), uint16(4242), uint16(99), uint8(2))
-	f.Add(uint16(3), uint16(500), uint16(7), uint8(0x0e))
-	f.Add(uint16(1), uint16(65535), uint16(12), uint8(0x0f))
-	f.Fuzz(func(t *testing.T, a, b, c uint16, flags uint8) {
+	f.Add(uint16(0), uint16(1), uint16(2), uint16(3), uint8(0))
+	f.Add(uint16(17), uint16(4242), uint16(99), uint16(5), uint8(2))
+	f.Add(uint16(3), uint16(500), uint16(7), uint16(11), uint8(0x0e))
+	f.Add(uint16(1), uint16(65535), uint16(12), uint16(40000), uint8(0x0f))
+	f.Add(uint16(9), uint16(300), uint16(2024), uint16(77), uint8(0x1f))
+	f.Fuzz(func(t *testing.T, a, b, c, e uint16, flags uint8) {
 		d := demo(t)
 		vocab := d.vocabulary()
-		keywords := []string{vocab[int(a)%len(vocab)], vocab[int(b)%len(vocab)], vocab[int(c)%len(vocab)]}
-		keywords = keywords[:1+int(flags&3)%3]
+		keywords := []string{vocab[int(a)%len(vocab)], vocab[int(b)%len(vocab)], vocab[int(c)%len(vocab)], vocab[int(e)%len(vocab)]}
+		keywords = keywords[:1+int(flags&3)]
 		opts := GenerateOptionsConfig{IncludeSchemaTerms: flags&4 != 0, IncludeAggregates: flags&8 != 0}
-		checkMatchesReference(t, candidates(t, d.ix, keywords, opts), d.cat, GenerateConfig{})
+		cat := d.cat
+		if flags&16 != 0 {
+			cat = d.distinctCatalog()
+		}
+		space := checkMatchesReference(t, candidates(t, d.ix, keywords, opts), cat, GenerateConfig{})
+		checkKeyOrder(t, space)
 	})
 }

@@ -203,14 +203,23 @@ type GenerateConfig struct {
 
 // GenerateCompleteContext enumerates the complete query interpretations
 // of the keyword query over the template catalogue (the interpretation
-// space of Definition 3.5.5 restricted to matched keywords), applying the
-// minimality condition of Definition 3.5.4(2). The context is checked on
-// entry, before each template and every enumerateCheckEvery binding
-// combinations within one, so an interpretation-space materialisation
-// over a large catalogue aborts as soon as the request is cancelled or
-// its deadline passes. Templates are visited in catalogue order; a
-// minimal interpretation is kept unless an earlier one has the same key,
-// and enumeration stops as soon as MaxInterpretations are kept.
+// space of Definition 3.5.5 restricted to matched keywords): the minimal
+// ones of Definition 3.5.4(2), and only those, since enumeration drops a
+// branch as soon as it can no longer bind every leaf occurrence of its
+// template. The context is checked on entry, before each template that
+// has no more leaves than there are keywords, and every
+// enumerateCheckEvery enumeration steps, pruned ones included, so an
+// interpretation-space materialisation over a large catalogue aborts as
+// soon as the request is cancelled or its deadline passes. Templates are
+// visited in catalogue order, and enumeration stops as soon as
+// MaxInterpretations are kept.
+//
+// Nothing is deduplicated: catalogue templates have distinct canonical
+// forms (EnumerateJoinTrees guarantees it) and a position's candidates
+// have distinct keys (GenerateCandidatesContext gives each attribute,
+// table and operator once), so every emitted interpretation has its own
+// key. The interpretations and their bindings
+// come from a few per-call slabs; a binding points into c.PerKeyword.
 func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) ([]*Interpretation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -219,122 +228,287 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 	if len(matched) == 0 {
 		return nil, nil
 	}
-	capped := func(n int) bool { return cfg.MaxInterpretations > 0 && n >= cfg.MaxInterpretations }
-	seen := make(map[string]bool)
-	var out []*Interpretation
-	scratch := make([]Binding, 0, len(matched))
-	for _, tpl := range cat.Templates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		err := enumerateBindings(ctx, c, matched, tpl, scratch, func(bindings []Binding) bool {
-			if !minimalBindings(tpl, bindings) {
-				return true
-			}
-			q := NewInterpretation(c.Keywords, tpl, bindings)
-			key := q.Key()
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
-			out = append(out, q)
-			return !capped(len(out))
-		})
-		if err != nil {
-			return nil, err
-		}
-		if capped(len(out)) {
+	var g generator
+	g.init(ctx, c, cat, matched, cfg.MaxInterpretations)
+	for ti := range cat.Templates {
+		if !g.enumerate(ti) {
 			break
 		}
 	}
-	return out, nil
+	if g.err != nil {
+		return nil, g.err
+	}
+	return g.finish(), nil
 }
 
-// enumerateCheckEvery is the number of emitted binding combinations
-// between context checks during enumeration.
+// enumerateCheckEvery is the number of enumeration steps (one candidate
+// placed on one occurrence, whether its branch is pruned or not) between
+// context checks.
 const enumerateCheckEvery = 512
 
-// enumerateBindings enumerates all assignments of every matched keyword to
-// a candidate interpretation compatible with the template, including the
-// choice of table occurrence for self-join templates, until yield returns
-// false. The bindings are built in scratch's backing array, so a caller
-// that enumerates many templates allocates it once (capacity
-// len(matched)). yield borrows the binding slice: it must copy what it
-// keeps (NewInterpretation does). The context is checked every
-// enumerateCheckEvery emissions so even a single huge template aborts
-// promptly on cancellation.
-func enumerateBindings(ctx context.Context, c *Candidates, matched []int, tpl *Template, scratch []Binding, yield func([]Binding) bool) error {
-	emitted := 0
-	cur := scratch[:0]
-	var err error
-	// rec reports whether enumeration goes on: false once yield stops it
-	// or a context check fails (err is then set).
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(matched) {
-			emitted++
-			if emitted%enumerateCheckEvery == 0 {
-				if err = ctx.Err(); err != nil {
-					return false
-				}
-			}
-			return yield(cur)
-		}
-		kis := c.PerKeyword[matched[i]]
-		for k := range kis {
-			ki := &kis[k]
-			if ki.Kind == KindAggregate {
-				cur = append(cur, Binding{KI: *ki, Occ: -1})
-				more := rec(i + 1)
-				cur = cur[:len(cur)-1]
-				if !more {
-					return false
-				}
-				continue
-			}
-			occs := tpl.Occurrences(ki.TargetTable())
-			for _, occ := range occs {
-				cur = append(cur, Binding{KI: *ki, Occ: occ})
-				more := rec(i + 1)
-				cur = cur[:len(cur)-1]
-				if !more {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	rec(0)
-	return err
+// aggregateOcc is the occurrence list of an aggregate binding: it binds
+// no occurrence.
+var aggregateOcc = []int{-1}
+
+// firstSlab is the number of interpretations the binding and rank slabs
+// start with room for; they double from there.
+const firstSlab = 16
+
+// generator is the state of one GenerateCompleteContext call.
+type generator struct {
+	ctx     context.Context
+	c       *Candidates
+	cat     *Catalog
+	matched []int
+	max     int // MaxInterpretations; 0 = unlimited
+	// rank[off[i]+k] ranks candidate k of position matched[i] in key
+	// order.
+	rank  []int32
+	off   []int32
+	exact bool // the ranks order keys exactly
+	steps int
+	err   error
+
+	// The template being enumerated, its catalogue index, and which of
+	// its leaves (by index in tpl.leaves) the current branch binds.
+	tpl     *Template
+	ti      int
+	covered []int32
+	unbound int // leaves the branch leaves unbound
+
+	// Slabs. Each emitted interpretation takes len(matched) bindings and
+	// 1+len(matched) ranks: its template's catalogue index, then its
+	// candidates' ranks. The branch being enumerated is built in the
+	// slot past the last one emitted, so emitting it only commits it.
+	bindings []Binding
+	ranks    []int32
+	n        int
 }
 
-// minimalBindings implements Definition 3.5.4(2) for an interpretation
-// of tpl with the given bindings, before one is allocated: no
-// sub-structure of the query can be removed while leaving a valid
-// structured query with the same keyword bindings. For a join tree this
-// holds iff at least one binding is grounded in an occurrence (an
-// aggregate alone justifies no structure) and every leaf occurrence
-// (degree ≤ 1) carries a binding. One pass over the template's cached
-// leaves is exact, not a first step of repeated peeling: an unbound leaf
-// can be removed on its own, and when every leaf is bound no removal can
-// start.
-func minimalBindings(tpl *Template, bindings []Binding) bool {
-	grounded := false
-	for _, b := range bindings {
-		if b.Occ >= 0 {
-			grounded = true
-			break
-		}
+// init prepares g for one call, ranking every position's candidates.
+func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, matched []int, limit int) {
+	m := len(matched)
+	*g = generator{ctx: ctx, c: c, cat: cat, matched: matched, max: limit, exact: true}
+	total, widest := 0, 0
+	for _, pos := range matched {
+		total += len(c.PerKeyword[pos])
+		widest = max(widest, len(c.PerKeyword[pos]))
 	}
-	if !grounded {
+	// One array holds the ranks, their offsets, the covered leaves and
+	// the ranking's sort scratch.
+	ints := make([]int32, total+2*m+1+widest)
+	g.rank, ints = ints[:total:total], ints[total:]
+	g.off, ints = ints[:m+1:m+1], ints[m+1:]
+	g.covered, ints = ints[:m:m], ints[m:]
+	for i, pos := range matched {
+		g.off[i+1] = g.off[i] + int32(len(c.PerKeyword[pos]))
+		g.rankCandidates(c.PerKeyword[pos], g.rank[g.off[i]:g.off[i+1]], ints)
+	}
+	g.bindings = make([]Binding, m, (firstSlab+1)*m)
+	g.ranks = make([]int32, 1+m, (firstSlab+1)*(1+m))
+}
+
+// rankCandidates writes into rank each candidate's rank over its
+// "pos:keyword=kind:target@" rendering, the key segment it contributes
+// before its occurrence, using scratch to sort. Equal renderings share a
+// rank; one that is a proper prefix of another makes the ranks inexact.
+func (g *generator) rankCandidates(kis []KeywordInterpretation, rank, scratch []int32) {
+	order := scratch[:len(kis)]
+	for k := range order {
+		order[k] = int32(k)
+	}
+	var abuf, bbuf [128]byte
+	render := func(buf []byte, k int32) []byte { return append(kis[k].appendKey(buf[:0]), '@') }
+	slices.SortFunc(order, func(a, b int32) int {
+		return bytes.Compare(render(abuf[:], a), render(bbuf[:], b))
+	})
+	r := int32(0)
+	for i, k := range order {
+		if i > 0 {
+			prev, cur := render(abuf[:], order[i-1]), render(bbuf[:], k)
+			if !bytes.Equal(prev, cur) {
+				r++
+				if bytes.HasPrefix(cur, prev) {
+					g.exact = false
+				}
+			}
+		}
+		rank[k] = r
+	}
+}
+
+// enumerate emits every minimal interpretation of catalogue template ti,
+// and reports whether generation goes on: false at the cap or on a
+// failed context check (g.err is then set). A template with no leaf
+// grounds nothing, and one with more leaves than keywords has no minimal
+// interpretation: both are skipped before the context check.
+func (g *generator) enumerate(ti int) bool {
+	tpl := g.cat.Templates[ti]
+	if len(tpl.leaves) == 0 || len(tpl.leaves) > len(g.matched) {
+		return true
+	}
+	if g.err = g.ctx.Err(); g.err != nil {
 		return false
 	}
-	for _, leaf := range tpl.leaves {
-		if !slices.ContainsFunc(bindings, func(b Binding) bool { return b.Occ == leaf }) {
-			return false
+	g.tpl, g.ti = tpl, ti
+	clear(g.covered)
+	g.unbound = len(tpl.leaves)
+	return g.bind(0)
+}
+
+// bind enumerates the bindings of positions matched[i:] on g.tpl, after
+// those of matched[:i] in the open slot, in candidate and then occurrence
+// order. A branch is dropped as soon as its unbound leaves outnumber the
+// keywords left to bind them, so every combination reaching the end
+// binds every leaf: it is minimal (Definition 3.5.4(2); a template's
+// leaves are its removable parts, and a bound leaf grounds it).
+func (g *generator) bind(i int) bool {
+	if i == len(g.matched) {
+		g.emit()
+		return g.max <= 0 || g.n < g.max
+	}
+	kis := g.c.PerKeyword[g.matched[i]]
+	rank := g.rank[g.off[i]:g.off[i+1]]
+	left := len(g.matched) - i - 1
+	m := len(g.matched)
+	for k := range kis {
+		ki := &kis[k]
+		occs := aggregateOcc
+		if ki.Kind != KindAggregate {
+			occs = g.tpl.Occurrences(ki.TargetTable())
+		}
+		for _, occ := range occs {
+			g.steps++
+			if g.steps%enumerateCheckEvery == 0 {
+				if g.err = g.ctx.Err(); g.err != nil {
+					return false
+				}
+			}
+			leaf := -1
+			if occ >= 0 {
+				leaf = g.tpl.leafIndex[occ]
+			}
+			covers := leaf >= 0 && g.covered[leaf] == 0
+			if covers {
+				g.covered[leaf] = 1
+				g.unbound--
+			}
+			more := true
+			if g.unbound <= left {
+				g.bindings[g.n*m+i] = Binding{KI: ki, Occ: occ}
+				g.ranks[g.n*(m+1)+1+i] = rank[k]
+				more = g.bind(i + 1)
+			}
+			if covers {
+				g.covered[leaf] = 0
+				g.unbound++
+			}
+			if !more {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// emit commits the open slot and opens the next one with the same
+// bindings, since the enumeration goes on from its prefix.
+func (g *generator) emit() {
+	m := len(g.matched)
+	g.ranks[g.n*(m+1)] = int32(g.ti)
+	g.n++
+	g.bindings = append(g.bindings, g.bindings[(g.n-1)*m:g.n*m]...)
+	g.ranks = append(g.ranks, g.ranks[(g.n-1)*(m+1):g.n*(m+1)]...)
+}
+
+// finish hands out the emitted interpretations, with each one's
+// template index replaced by the template's rank in key order.
+func (g *generator) finish() []*Interpretation {
+	if g.n == 0 {
+		return nil
+	}
+	m := len(g.matched)
+	// The catalogue indexes of the templates with interpretations, in
+	// visit order: each one's interpretations are consecutive.
+	var buf [96]int32
+	tis := buf[:0]
+	for i := 0; i < g.n; i++ {
+		if ti := g.ranks[i*(m+1)]; len(tis) == 0 || tis[len(tis)-1] != ti {
+			tis = append(tis, ti)
+		}
+	}
+	var scratch []int32
+	if 3*len(tis) <= len(buf) {
+		scratch = buf[len(tis) : 3*len(tis)]
+	} else {
+		scratch = make([]int32, 2*len(tis))
+	}
+	rank := g.rankTemplates(tis, scratch)
+	interps := make([]Interpretation, g.n)
+	out := make([]*Interpretation, g.n)
+	var first *Interpretation
+	if g.exact {
+		first = &interps[0]
+	}
+	run := 0
+	for i := range interps {
+		q := &interps[i]
+		q.Keywords = g.c.Keywords
+		q.Bindings = g.bindings[i*m : (i+1)*m : (i+1)*m]
+		q.ranks = g.ranks[i*(m+1) : (i+1)*(m+1) : (i+1)*(m+1)]
+		if q.ranks[0] != tis[run] {
+			run++
+		}
+		q.Template = g.cat.Templates[q.ranks[0]]
+		q.ranks[0] = rank[run]
+		q.first = first
+		out[i] = q
+	}
+	return out
+}
+
+// rankTemplates ranks the catalogue templates tis over their canonical
+// forms followed by '|', the key prefix they contribute, in the second
+// half of scratch (2*len(tis) long). Equal forms share a rank; one that
+// is a proper prefix of another makes the ranks inexact.
+func (g *generator) rankTemplates(tis, scratch []int32) []int32 {
+	n := len(tis)
+	order, rank := scratch[:n], scratch[n:2*n]
+	for k := range order {
+		order[k] = int32(k)
+	}
+	canon := func(k int32) string { return g.cat.Templates[tis[k]].canonical }
+	slices.SortFunc(order, func(a, b int32) int { return compareTerminated(canon(a), canon(b), '|') })
+	r := int32(0)
+	for i, k := range order {
+		if i > 0 {
+			prev, cur := canon(order[i-1]), canon(k)
+			if prev != cur {
+				r++
+				if len(prev) < len(cur) && cur[len(prev)] == '|' && strings.HasPrefix(cur, prev) {
+					g.exact = false
+				}
+			}
+		}
+		rank[k] = r
+	}
+	return rank
+}
+
+// compareTerminated compares a+term with b+term without building them.
+func compareTerminated(a, b string, term byte) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 {
+		return c
+	}
+	switch {
+	case len(a) == len(b):
+		return 0
+	case len(a) < len(b):
+		return cmp.Compare(term, b[n])
+	default:
+		return cmp.Compare(a[n], term)
+	}
 }
 
 // FilterSegments keeps the interpretations where every segment's keyword

@@ -1,11 +1,13 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,25 +154,58 @@ func minimal(q *Interpretation) bool {
 	return true
 }
 
-// generateReference is GenerateCompleteContext's loop as it was before
-// minimality moved ahead of allocation: NewInterpretation, then minimal,
-// then Key, then the seen map.
-func generateReference(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) ([]*Interpretation, error) {
+// enumerateReference yields every assignment of every matched keyword to
+// a candidate interpretation compatible with the template, including the
+// choice of table occurrence for self-join templates, unpruned, in
+// candidate and then occurrence order, until yield returns false. yield
+// borrows the binding slice.
+func enumerateReference(c *Candidates, matched []int, tpl *Template, yield func([]Binding) bool) {
+	cur := make([]Binding, 0, len(matched))
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(matched) {
+			return yield(cur)
+		}
+		kis := c.PerKeyword[matched[i]]
+		for k := range kis {
+			occs := []int{-1}
+			if kis[k].Kind != KindAggregate {
+				occs = tpl.Occurrences(kis[k].TargetTable())
+			}
+			for _, occ := range occs {
+				cur = append(cur, Binding{KI: &kis[k], Occ: occ})
+				more := rec(i + 1)
+				cur = cur[:len(cur)-1]
+				if !more {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rec(0)
+}
+
+// generateReference is GenerateCompleteContext as it was before
+// enumeration pruned and slabs replaced per-interpretation allocation:
+// every combination, NewInterpretation, then minimal, then Key, then the
+// seen map. emitted counts the combinations enumeration yielded.
+func generateReference(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig) (out []*Interpretation, emitted int, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	matched := c.MatchedPositions()
 	if len(matched) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	capped := func(n int) bool { return cfg.MaxInterpretations > 0 && n >= cfg.MaxInterpretations }
 	seen := make(map[string]bool)
-	var out []*Interpretation
 	for _, tpl := range cat.Templates {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		err := enumerateBindings(ctx, c, matched, tpl, nil, func(bindings []Binding) bool {
+		enumerateReference(c, matched, tpl, func(bindings []Binding) bool {
+			emitted++
 			q := NewInterpretation(c.Keywords, tpl, bindings)
 			if !minimal(q) {
 				return true
@@ -183,14 +218,11 @@ func generateReference(ctx context.Context, c *Candidates, cat *Catalog, cfg Gen
 			out = append(out, q)
 			return !capped(len(out))
 		})
-		if err != nil {
-			return nil, err
-		}
 		if capped(len(out)) {
 			break
 		}
 	}
-	return out, nil
+	return out, emitted, nil
 }
 
 // demoEnv is the demo movie database (datagen.IMDB at the seed of the
@@ -204,6 +236,9 @@ type demoEnv struct {
 
 	vocabOnce sync.Once
 	vocab     []string
+
+	distinctOnce sync.Once
+	distinct     *Catalog
 }
 
 var demoOnce struct {
@@ -277,6 +312,20 @@ func (d *demoEnv) vocabulary() []string {
 	return d.vocab
 }
 
+// distinctCatalog is the demo catalogue without repeated tables, built
+// as the construction simulations build theirs: join trees of up to four
+// occurrences, each table at most once, wrapped template by template.
+func (d *demoEnv) distinctCatalog() *Catalog {
+	d.distinctOnce.Do(func() {
+		trees := d.g.EnumerateJoinTrees(schemagraph.EnumerateOptions{MaxNodes: 4, MaxTrees: 1000, MaxOccurrences: 1})
+		d.distinct = &Catalog{Templates: make([]*Template, len(trees))}
+		for i, tr := range trees {
+			d.distinct.Templates[i] = NewTemplate(i, tr)
+		}
+	})
+	return d.distinct
+}
+
 // restrictLabel keeps the value interpretations of position pos whose
 // attribute matches label by column, table or "table.column", as a
 // "label:keyword" query does.
@@ -294,11 +343,11 @@ func restrictLabel(c *Candidates, pos int, label string) {
 }
 
 // checkMatchesReference compares GenerateCompleteContext with
-// generateReference on one candidate set: the same interpretations in
-// the same order, each returned with its key already set.
-func checkMatchesReference(t *testing.T, c *Candidates, cat *Catalog, cfg GenerateConfig) {
+// generateReference on one candidate set: the same interpretations, with
+// the same keys and bindings, in the same order.
+func checkMatchesReference(t *testing.T, c *Candidates, cat *Catalog, cfg GenerateConfig) []*Interpretation {
 	t.Helper()
-	want, err := generateReference(context.Background(), c, cat, cfg)
+	want, _, err := generateReference(context.Background(), c, cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +359,22 @@ func checkMatchesReference(t *testing.T, c *Candidates, cat *Catalog, cfg Genera
 		t.Fatalf("%q: %d interpretations, reference has %d", c.Keywords, len(got), len(want))
 	}
 	for i, q := range got {
-		if q.key == "" {
-			t.Fatalf("%q: interpretation %d returned without its key", c.Keywords, i)
+		if q.Key() != want[i].Key() || q.Template != want[i].Template || !reflect.DeepEqual(q.Bindings, want[i].Bindings) {
+			t.Fatalf("%q: interpretation %d is %s, reference has %s", c.Keywords, i, q.Key(), want[i].Key())
 		}
-		if q.key != want[i].Key() || q.Template != want[i].Template || !reflect.DeepEqual(q.Bindings, want[i].Bindings) {
-			t.Fatalf("%q: interpretation %d is %s, reference has %s", c.Keywords, i, q.key, want[i].Key())
+	}
+	return got
+}
+
+// checkKeyOrder requires the sign of CompareKey to equal the sign of
+// strings.Compare over the keys on every pair of space.
+func checkKeyOrder(t *testing.T, space []*Interpretation) {
+	t.Helper()
+	for _, a := range space {
+		for _, b := range space {
+			if got, want := cmp.Compare(CompareKey(a, b), 0), cmp.Compare(strings.Compare(a.Key(), b.Key()), 0); got != want {
+				t.Fatalf("CompareKey(%s, %s) = %d, keys compare %d", a.Key(), b.Key(), got, want)
+			}
 		}
 	}
 }
@@ -355,22 +415,10 @@ func referenceQueries(d *demoEnv) []refQuery {
 // returns exactly what the allocate-then-check reference loop returns.
 func TestGenerateCompleteMatchesReference(t *testing.T) {
 	d := demo(t)
-	queries := referenceQueries(d)
-	for _, schema := range []bool{false, true} {
-		for _, aggs := range []bool{false, true} {
-			t.Run(fmt.Sprintf("schema=%t/aggs=%t", schema, aggs), func(t *testing.T) {
-				opts := GenerateOptionsConfig{IncludeSchemaTerms: schema, IncludeAggregates: aggs}
-				for _, q := range queries {
-					c := candidates(t, d.ix, q.keywords, opts)
-					for pos, label := range q.labels {
-						restrictLabel(c, pos, label)
-					}
-					checkMatchesReference(t, c, d.cat, GenerateConfig{})
-					checkMatchesReference(t, c, d.cat, GenerateConfig{MaxInterpretations: 5})
-				}
-			})
-		}
-	}
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		checkMatchesReference(t, c, d.cat, GenerateConfig{})
+		checkMatchesReference(t, c, d.cat, GenerateConfig{MaxInterpretations: 5})
+	})
 }
 
 // TestCatalogCanonicalCached: every template built by BuildCatalog
@@ -402,6 +450,232 @@ func TestCatalogCanonicalCached(t *testing.T) {
 			}
 			if !reflect.DeepEqual(tpl.leaves, leaves) {
 				t.Fatalf("join path %d, template %d: cached leaves %v, tree has %v", maxNodes, tpl.ID, tpl.leaves, leaves)
+			}
+		}
+	}
+}
+
+// TestGenerateCompleteChecksContextWhilePruning: enumeration counts
+// pruned steps toward its context checks. Every keyword's candidates sit
+// on the inner occurrence of an actor–acts–movie template, so each
+// branch is pruned at the first keyword and none reaches an emission;
+// cancellation must still be observed at step enumerateCheckEvery.
+func TestGenerateCompleteChecksContextWhilePruning(t *testing.T) {
+	tree := &schemagraph.JoinTree{
+		Tables: []string{"actor", "acts", "movie"},
+		TreeEdges: []schemagraph.TreeEdge{
+			{From: 1, To: 0, FromColumn: "actor_id", ToColumn: "id"},
+			{From: 1, To: 2, FromColumn: "movie_id", ToColumn: "id"},
+		},
+	}
+	cat := &Catalog{Templates: []*Template{NewTemplate(0, tree)}}
+	c := &Candidates{Keywords: []string{"a", "b"}, PerKeyword: make([][]KeywordInterpretation, 2)}
+	for pos := range c.PerKeyword {
+		for i := 0; i < 2*enumerateCheckEvery; i++ {
+			c.PerKeyword[pos] = append(c.PerKeyword[pos], KeywordInterpretation{
+				Pos: pos, Keyword: c.Keywords[pos], Kind: KindValue,
+				Attr: invindex.AttrRef{Table: "acts", Column: fmt.Sprintf("c%d", i)},
+			})
+		}
+	}
+	// The entry check and the one before the template pass; the one at
+	// step enumerateCheckEvery fails.
+	ctx := newCountdownCtx(2)
+	if _, err := GenerateCompleteContext(ctx, c, cat, GenerateConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if left := ctx.budget.Load(); left != -1 {
+		t.Fatalf("generation made %d context checks, want 3", 2-left)
+	}
+}
+
+// forEachReference calls fn with the candidates of every reference query,
+// in one subtest each with schema terms and aggregates on and off.
+func forEachReference(t *testing.T, d *demoEnv, fn func(t *testing.T, c *Candidates)) {
+	t.Helper()
+	queries := referenceQueries(d)
+	for _, schema := range []bool{false, true} {
+		for _, aggs := range []bool{false, true} {
+			t.Run(fmt.Sprintf("schema=%t/aggs=%t", schema, aggs), func(t *testing.T) {
+				opts := GenerateOptionsConfig{IncludeSchemaTerms: schema, IncludeAggregates: aggs}
+				for _, q := range queries {
+					c := candidates(t, d.ix, q.keywords, opts)
+					for pos, label := range q.labels {
+						restrictLabel(c, pos, label)
+					}
+					fn(t, c)
+				}
+			})
+		}
+	}
+}
+
+// TestGenerateEmitsOnlyMinimal counts, on the reference queries, the
+// combinations generation emits and those of them that are minimal, and
+// requires the two equal and equal to the reference's minimal ones: no
+// non-minimal combination is built. The unpruned reference's counts are
+// logged beside them.
+func TestGenerateEmitsOnlyMinimal(t *testing.T) {
+	d := demo(t)
+	ctx := context.Background()
+	var calls, refEmitted, refKept, emitted, kept int
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		matched := c.MatchedPositions()
+		if len(matched) == 0 {
+			return
+		}
+		want, n, err := generateReference(ctx, c, d.cat, GenerateConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g generator
+		g.init(ctx, c, d.cat, matched, 0)
+		for ti := range d.cat.Templates {
+			g.enumerate(ti)
+		}
+		got := g.finish()
+		minimalGot := 0
+		for _, q := range got {
+			if minimal(q) {
+				minimalGot++
+			}
+		}
+		if g.n != minimalGot || minimalGot != len(want) {
+			t.Fatalf("%q: emitted %d combinations, %d of them minimal; the reference keeps %d", c.Keywords, g.n, minimalGot, len(want))
+		}
+		calls++
+		refEmitted += n
+		refKept += len(want)
+		emitted += g.n
+		kept += minimalGot
+	})
+	t.Logf("per call over %d calls: reference emits %.1f and keeps %.1f; generation emits %.1f and keeps %.1f",
+		calls, float64(refEmitted)/float64(calls), float64(refKept)/float64(calls),
+		float64(emitted)/float64(calls), float64(kept)/float64(calls))
+}
+
+// TestCompareKeyMatchesKeyOrder: within one generation of every reference
+// query CompareKey orders pairs as their keys do, and so it does across
+// two generations of one query, where it compares the keys.
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	d := demo(t)
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		space := complete(t, c, d.cat, GenerateConfig{})
+		checkKeyOrder(t, space)
+		again := complete(t, c, d.cat, GenerateConfig{})
+		for i := range min(len(space), 8) {
+			for j := range min(len(again), 8) {
+				if got, want := cmp.Compare(CompareKey(space[i], again[j]), 0), cmp.Compare(strings.Compare(space[i].Key(), again[j].Key()), 0); got != want {
+					t.Fatalf("across generations CompareKey(%s, %s) = %d, keys compare %d", space[i].Key(), again[j].Key(), got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCompareOcc: occurrences order as their decimal renderings followed
+// by ';' do.
+func TestCompareOcc(t *testing.T) {
+	for a := -12; a <= 120; a++ {
+		for b := -12; b <= 120; b++ {
+			want := strings.Compare(strconv.Itoa(a)+";", strconv.Itoa(b)+";")
+			if got := compareOcc(a, b); got != want {
+				t.Fatalf("compareOcc(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestCompareKeyFallsBackWhenRenderingsNest: when one candidate's key
+// segment is a proper prefix of another's, the ranks cannot order the
+// keys, and CompareKey compares the keys themselves.
+func TestCompareKeyFallsBackWhenRenderingsNest(t *testing.T) {
+	f := newFixture(t)
+	single := f.cat.Templates[0]
+	table := single.Tree.Tables[0]
+	c := &Candidates{Keywords: []string{"a", "b"}, PerKeyword: make([][]KeywordInterpretation, 2)}
+	for pos, cols := range [][]string{{"c", "c@1", "c@0"}, {"d1", "d"}} {
+		for _, col := range cols {
+			c.PerKeyword[pos] = append(c.PerKeyword[pos], KeywordInterpretation{
+				Pos: pos, Keyword: c.Keywords[pos], Kind: KindValue, Attr: invindex.AttrRef{Table: table, Column: col},
+			})
+		}
+	}
+	cat := &Catalog{Templates: []*Template{single}}
+	space := checkMatchesReference(t, c, cat, GenerateConfig{})
+	if len(space) != 6 {
+		t.Fatalf("%d interpretations, want 6", len(space))
+	}
+	if space[0].first != nil {
+		t.Fatal("nested renderings kept the integer order")
+	}
+	checkKeyOrder(t, space)
+}
+
+// TestKeyConcurrentReaders: generation renders no keys, so the first
+// Key call on an interpretation memoises it; two goroutines calling Key
+// on the interpretations of one generation must agree and, under -race,
+// not race.
+func TestKeyConcurrentReaders(t *testing.T) {
+	d := demo(t)
+	c := candidates(t, d.ix, d.sampleTokens(2), GenerateOptionsConfig{IncludeSchemaTerms: true, IncludeAggregates: true})
+	space := complete(t, c, d.cat, GenerateConfig{})
+	if len(space) == 0 {
+		t.Fatal("no interpretations")
+	}
+	keys := [2][]string{}
+	var wg sync.WaitGroup
+	for r := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range space {
+				keys[r] = append(keys[r], q.Key())
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(keys[0], keys[1]) {
+		t.Fatal("concurrent Key calls disagree")
+	}
+}
+
+// hasBindingByKey is HasBinding as it compared before: by rendered keys.
+func hasBindingByKey(q *Interpretation, ki KeywordInterpretation) bool {
+	key := ki.Key()
+	for _, b := range q.Bindings {
+		if b.KI.Key() == key {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHasBindingMatchesKeyEquality: on the reference queries with schema
+// terms and aggregates on, two candidates are equal exactly when their
+// keys are, and HasBinding agrees with the key comparison for every
+// candidate against every interpretation.
+func TestHasBindingMatchesKeyEquality(t *testing.T) {
+	d := demo(t)
+	opts := GenerateOptionsConfig{IncludeSchemaTerms: true, IncludeAggregates: true}
+	for _, rq := range referenceQueries(d) {
+		c := candidates(t, d.ix, rq.keywords, opts)
+		var all []KeywordInterpretation
+		for _, kis := range c.PerKeyword {
+			all = append(all, kis...)
+		}
+		for _, a := range all {
+			for _, b := range all {
+				if (a == b) != (a.Key() == b.Key()) {
+					t.Fatalf("%s and %s: value equality %t, key equality %t", a.Key(), b.Key(), a == b, a.Key() == b.Key())
+				}
+			}
+		}
+		for _, q := range complete(t, c, d.cat, GenerateConfig{}) {
+			for _, ki := range all {
+				if got, want := q.HasBinding(ki), hasBindingByKey(q, ki); got != want {
+					t.Fatalf("%s HasBinding(%s) = %t, by key %t", q.Key(), ki.Key(), got, want)
+				}
 			}
 		}
 	}

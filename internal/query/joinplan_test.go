@@ -140,7 +140,7 @@ func TestJoinPlanMatchesMapGrouping(t *testing.T) {
 			case 4:
 				ki = KeywordInterpretation{Pos: pos, Keyword: keywords[pos], Kind: KindAggregate, Agg: "count"}
 			}
-			bindings = append(bindings, Binding{KI: ki, Occ: occ})
+			bindings = append(bindings, Binding{KI: &ki, Occ: occ})
 		}
 		checkJoinPlan(t, NewInterpretation(keywords, tpl, bindings))
 	}

@@ -8,12 +8,14 @@
 package query
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/invindex"
 	"repro/internal/relstore"
@@ -141,6 +143,7 @@ type Template struct {
 	occurrences []tableOccurrences // one per distinct table, first-seen order
 	canonical   string             // Tree.Canonical()
 	leaves      []int              // occurrences of degree ≤ 1, ascending
+	leafIndex   []int              // by occurrence: its index in leaves, or -1
 	shape       *relstore.PlanShape
 }
 
@@ -171,8 +174,11 @@ func NewTemplate(id int, tree *schemagraph.JoinTree) *Template {
 		edges[i] = relstore.JoinEdge{From: e.From, To: e.To, FromColumn: e.FromColumn, ToColumn: e.ToColumn}
 	}
 	t.shape = relstore.NewPlanShape(tree.Tables, edges)
+	t.leafIndex = make([]int, len(deg))
 	for i, d := range deg {
+		t.leafIndex[i] = -1
 		if d <= 1 {
+			t.leafIndex[i] = len(t.leaves)
 			t.leaves = append(t.leaves, i)
 		}
 	}
@@ -196,8 +202,11 @@ func (t *Template) Size() int { return t.Tree.Size() }
 func (t *Template) String() string { return t.Tree.String() }
 
 // Binding places one keyword interpretation onto a template occurrence.
+// KI points at the candidate it binds; GenerateCompleteContext points it
+// into the request's Candidates.PerKeyword, which must not change while
+// the interpretations are in use.
 type Binding struct {
-	KI KeywordInterpretation
+	KI *KeywordInterpretation
 	// Occ is the occurrence index within the interpretation's template.
 	Occ int
 }
@@ -205,6 +214,8 @@ type Binding struct {
 // Interpretation is a (partial or complete) query interpretation
 // (Definition 3.5.4): a template plus a set of keyword bindings. An
 // interpretation is complete when every keyword of the query is bound.
+// An interpretation is read-only once built: its key is memoised, and a
+// generated one carries its place in its generation's key order.
 type Interpretation struct {
 	// Keywords is the full keyword query being interpreted.
 	Keywords []string
@@ -212,7 +223,14 @@ type Interpretation struct {
 	// Bindings are sorted by keyword position.
 	Bindings []Binding
 
-	key string
+	key atomic.Pointer[string]
+	// first and ranks are set by GenerateCompleteContext (see CompareKey):
+	// first is the first interpretation of the call, so it names the
+	// call; ranks[0] is the template's rank and ranks[1+i] binding i's
+	// candidate rank, both in key order within that call. first is nil
+	// when the ranks cannot order the keys.
+	first *Interpretation
+	ranks []int32
 }
 
 // NewInterpretation assembles an interpretation, sorting bindings by
@@ -245,12 +263,12 @@ func (q *Interpretation) Aggregate() string {
 
 // Key returns a canonical identity for deduplication: template identity
 // (by canonical tree form) plus the bindings, e.g.
-// "actor()|0:hanks=value:actor.name@0;". The key is memoised; generation
-// sets it before returning an interpretation, so concurrent readers of
-// generated interpretations never write it.
+// "actor()|0:hanks=value:actor.name@0;". Generation renders no keys; the
+// first call renders it and memoises it atomically, so concurrent readers
+// of one interpretation may call Key.
 func (q *Interpretation) Key() string {
-	if q.key != "" {
-		return q.key
+	if k := q.key.Load(); k != nil {
+		return *k
 	}
 	var buf [256]byte
 	b := buf[:0]
@@ -264,16 +282,52 @@ func (q *Interpretation) Key() string {
 		b = strconv.AppendInt(b, int64(bd.Occ), 10)
 		b = append(b, ';')
 	}
-	q.key = string(b)
-	return q.key
+	k := string(b)
+	q.key.Store(&k)
+	return k
+}
+
+// CompareKey orders two interpretations exactly as strings.Compare orders
+// their keys. Two interpretations of one GenerateCompleteContext call
+// compare by integers: the template's rank over its canonical form
+// followed by '|', then per position the candidate's rank over its
+// "pos:keyword=kind:target@" rendering, then the occurrence. Any other
+// pair compares its keys.
+func CompareKey(a, b *Interpretation) int {
+	if a.first == nil || a.first != b.first {
+		return strings.Compare(a.Key(), b.Key())
+	}
+	if c := cmp.Compare(a.ranks[0], b.ranks[0]); c != 0 {
+		return c
+	}
+	for i := range a.Bindings {
+		if c := cmp.Compare(a.ranks[1+i], b.ranks[1+i]); c != 0 {
+			return c
+		}
+		if c := compareOcc(a.Bindings[i].Occ, b.Bindings[i].Occ); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// compareOcc orders two occurrences as their key renderings "<occ>;"
+// order: decimal strings, so 10 sorts before 2.
+func compareOcc(a, b int) int {
+	if a == b {
+		return 0
+	}
+	var abuf, bbuf [24]byte
+	return bytes.Compare(
+		append(strconv.AppendInt(abuf[:0], int64(a), 10), ';'),
+		append(strconv.AppendInt(bbuf[:0], int64(b), 10), ';'))
 }
 
 // HasBinding reports whether the interpretation uses the given keyword
 // interpretation (occurrence-insensitive: the same element identity).
 func (q *Interpretation) HasBinding(ki KeywordInterpretation) bool {
-	key := ki.Key()
 	for _, b := range q.Bindings {
-		if b.KI.Key() == key {
+		if *b.KI == ki {
 			return true
 		}
 	}
@@ -327,19 +381,6 @@ func (q *Interpretation) String() string {
 		return strings.ToUpper(agg) + "(" + expr + ")"
 	}
 	return expr
-}
-
-// Subsumes implements the sub-query relation (Definition 3.5.7) as used by
-// query construction options: q' subsumes q when every keyword
-// interpretation of q' is also used by q. Options carry no template
-// commitment, so subsumption is evaluated over element identities.
-func (q *Interpretation) Subsumes(other *Interpretation) bool {
-	for _, b := range q.Bindings {
-		if !other.HasBinding(b.KI) {
-			return false
-		}
-	}
-	return true
 }
 
 // JoinPlan translates a complete or partial interpretation with a template

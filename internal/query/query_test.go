@@ -314,14 +314,14 @@ func TestJoinPlanErrors(t *testing.T) {
 	}
 	tpl := NewTemplate(0, &schemagraph.JoinTree{Tables: []string{"actor"}})
 	q = NewInterpretation([]string{"x"}, tpl, []Binding{{
-		KI:  KeywordInterpretation{Pos: 0, Keyword: "x", Kind: KindValue, Attr: invindex.AttrRef{Table: "movie", Column: "title"}},
+		KI:  &KeywordInterpretation{Pos: 0, Keyword: "x", Kind: KindValue, Attr: invindex.AttrRef{Table: "movie", Column: "title"}},
 		Occ: 0,
 	}})
 	if _, err := q.JoinPlan(); err == nil {
 		t.Fatal("mismatched occurrence table should error")
 	}
 	q = NewInterpretation([]string{"x"}, tpl, []Binding{{
-		KI:  KeywordInterpretation{Pos: 0, Keyword: "x", Kind: KindValue, Attr: invindex.AttrRef{Table: "actor", Column: "name"}},
+		KI:  &KeywordInterpretation{Pos: 0, Keyword: "x", Kind: KindValue, Attr: invindex.AttrRef{Table: "actor", Column: "name"}},
 		Occ: 7,
 	}})
 	if _, err := q.JoinPlan(); err == nil {
@@ -350,6 +350,18 @@ func TestSubsumption(t *testing.T) {
 	if subsumed == 0 || notSubsumed == 0 {
 		t.Fatalf("option should split the space: %d/%d", subsumed, notSubsumed)
 	}
+}
+
+// Subsumes implements the sub-query relation (Definition 3.5.7) over
+// element identities: q subsumes other when every keyword interpretation
+// of q is also used by other.
+func (q *Interpretation) Subsumes(other *Interpretation) bool {
+	for _, b := range q.Bindings {
+		if !other.HasBinding(*b.KI) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestInterpretationSubsumes(t *testing.T) {
@@ -602,9 +614,9 @@ func TestKeyRendering(t *testing.T) {
 		},
 	}
 	q := NewInterpretation([]string{"number", "tom", "hanks"}, NewTemplate(1, tree), []Binding{
-		{KI: KeywordInterpretation{Pos: 2, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 4},
-		{KI: KeywordInterpretation{Pos: 0, Keyword: "number", Kind: KindAggregate, Agg: "count"}, Occ: -1},
-		{KI: KeywordInterpretation{Pos: 1, Keyword: "tom", Kind: KindValue, Attr: name}, Occ: 0},
+		{KI: &KeywordInterpretation{Pos: 2, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 4},
+		{KI: &KeywordInterpretation{Pos: 0, Keyword: "number", Kind: KindAggregate, Agg: "count"}, Occ: -1},
+		{KI: &KeywordInterpretation{Pos: 1, Keyword: "tom", Kind: KindValue, Attr: name}, Occ: 0},
 	})
 	const want = "actor(id=actor_id:acts(movie_id=id:movie(id=movie_id:acts(actor_id=id:actor()))))" +
 		"|0:number=agg:count@-1;1:tom=value:actor.name@0;2:hanks=value:actor.name@4;"
@@ -612,7 +624,7 @@ func TestKeyRendering(t *testing.T) {
 		t.Errorf("Interpretation.Key() = %q, want %q", got, want)
 	}
 	partial := NewInterpretation([]string{"hanks"}, nil, []Binding{
-		{KI: KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 0},
+		{KI: &KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: KindValue, Attr: name}, Occ: 0},
 	})
 	if got, want := partial.Key(), "|0:hanks=value:actor.name@0;"; got != want {
 		t.Errorf("template-less Key() = %q, want %q", got, want)

@@ -114,7 +114,7 @@ type Ranked struct {
 }
 
 // Rank sorts interpretations by ascending SQAK cost, breaking ties on the
-// interpretation key for determinism.
+// interpretation key (query.CompareKey) for determinism.
 func (s *SQAK) Rank(space []*query.Interpretation) []Ranked {
 	out := make([]Ranked, len(space))
 	for i, q := range space {
@@ -124,7 +124,7 @@ func (s *SQAK) Rank(space []*query.Interpretation) []Ranked {
 		if out[i].Cost != out[j].Cost {
 			return out[i].Cost < out[j].Cost
 		}
-		return out[i].Q.Key() < out[j].Q.Key()
+		return query.CompareKey(out[i].Q, out[j].Q) < 0
 	})
 	return out
 }

@@ -178,7 +178,7 @@ func TestSQAKKeywordAbsentFromAttr(t *testing.T) {
 	// contributes zero TF-IDF: node cost = 1/(1+0) = 1 (like a free node).
 	tpl := query.NewTemplate(0, &schemagraph.JoinTree{Tables: []string{"movie"}})
 	q := query.NewInterpretation([]string{"hanks"}, tpl, []query.Binding{{
-		KI: query.KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: query.KindValue,
+		KI: &query.KeywordInterpretation{Pos: 0, Keyword: "hanks", Kind: query.KindValue,
 			Attr: invindex.AttrRef{Table: "movie", Column: "title"}},
 		Occ: 0,
 	}})

@@ -200,7 +200,7 @@ func TopKContext(ctx context.Context, db *relstore.Database, ranked []prob.Score
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
 		}
-		return out[i].Q.Key() < out[j].Q.Key()
+		return query.CompareKey(out[i].Q, out[j].Q) < 0
 	})
 	return out, stats, nil
 }

@@ -94,12 +94,12 @@ func TestSimilarityMatchesKeyReference(t *testing.T) {
 	random := func() *query.Interpretation {
 		bindings := make([]query.Binding, rng.Intn(6))
 		for i := range bindings {
-			bindings[i] = query.Binding{KI: pool[rng.Intn(len(pool))], Occ: rng.Intn(3)}
+			bindings[i] = query.Binding{KI: &pool[rng.Intn(len(pool))], Occ: rng.Intn(3)}
 		}
 		return query.NewInterpretation([]string{"hanks", "tom", "hanks"}, nil, bindings)
 	}
-	twice := query.NewInterpretation([]string{"hanks"}, nil, []query.Binding{{KI: pool[0], Occ: 0}, {KI: pool[0], Occ: 1}})
-	once := query.NewInterpretation([]string{"hanks"}, nil, []query.Binding{{KI: pool[0], Occ: 0}})
+	twice := query.NewInterpretation([]string{"hanks"}, nil, []query.Binding{{KI: &pool[0], Occ: 0}, {KI: &pool[0], Occ: 1}})
+	once := query.NewInterpretation([]string{"hanks"}, nil, []query.Binding{{KI: &pool[0], Occ: 0}})
 	check(twice, once)
 	check(once, twice)
 	check(twice, twice)
