@@ -602,3 +602,121 @@ func TestDurableConcurrentApplySearch(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// restartBatches is the WAL length of the crash-shaped directory of
+// TestRestartDoesNoBuildWork; restartChurn is one of its batches: three
+// transient actors inserted and deleted again, so the logical rows stay
+// those of the build.
+const restartBatches = 8
+
+func restartChurn(seq int) []Mutation {
+	var muts []Mutation
+	for i := range 3 {
+		muts = append(muts, Mutation{Op: OpInsert, Table: "actor",
+			Values: []string{fmt.Sprintf("dur-%d-%d", seq, i), fmt.Sprintf("Transient Durling %d", i)}})
+	}
+	for i := range 3 {
+		muts = append(muts, Mutation{Op: OpDelete, Table: "actor", Key: fmt.Sprintf("dur-%d-%d", seq, i)})
+	}
+	return muts
+}
+
+// TestRestartDoesNoBuildWork is recovery's counted guard: a restart
+// decodes the saved posting lists instead of rebuilding them, and
+// replays exactly the WAL records past the snapshot epoch. The engine is
+// built over the demo movies at 2.5× whose postings were built and then
+// forged against: in every indexed column, the first row's value is
+// overwritten in place by a run of q's of the same length, so the
+// postings still index the old tokens and a rebuild from the rows would
+// index the q's instead. Two durable engines apply restartBatches churn
+// batches; one is closed (its final checkpoint folds the WAL into the
+// snapshot), the other is left as a crash leaves it (the epoch-0
+// snapshot plus the whole WAL). Each directory must reopen at epoch
+// restartBatches with 0 and restartBatches pending WAL batches, and with
+// every indexed column's postings equal to its engine's — the forged
+// ones. A decoder that drops the postings section and rebuilds from
+// rows, eagerly or on first use, fails here.
+func TestRestartDoesNoBuildWork(t *testing.T) {
+	db, err := datagen.IMDB(datagen.IMDBConfig{Movies: 1000, Actors: 750, Directors: 200, Companies: 100, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Prepare()
+	forged := map[string]string{} // table.column -> forged value
+	for _, tb := range db.Tables() {
+		row, _ := tb.Row(0)
+		for ci, c := range tb.Schema.Columns {
+			if c.Indexed {
+				row.Values[ci] = strings.Repeat("q", len(row.Values[ci]))
+				forged[tb.Schema.Name+"."+c.Name] = row.Values[ci]
+			}
+		}
+	}
+
+	root := t.TempDir()
+	churned := func(name string) (*Engine, string) {
+		dir := filepath.Join(root, name)
+		eng, err := NewFromDatabase(db, WithCoOccurrence(), WithMutations(), WithDurability(dir),
+			WithCheckpointPolicy(time.Hour, 1<<30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range restartBatches {
+			if _, err := eng.Apply(bg, restartChurn(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng, dir
+	}
+	crashed, crashDir := churned("crash")
+	defer crashed.Close()
+	clean, cleanDir := churned("clean")
+	if err := clean.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, dir string
+		saved     *Engine
+		pending   int
+	}{
+		{"checkpointed", cleanDir, clean, 0},
+		{"crash-shaped", crashDir, crashed, restartBatches},
+	} {
+		got, err := Open(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if got.Epoch() != restartBatches || got.PendingWALBatches() != c.pending {
+			t.Errorf("%s: reopened at epoch %d with %d pending WAL batches, want %d with %d",
+				c.name, got.Epoch(), got.PendingWALBatches(), restartBatches, c.pending)
+		}
+		want, have := c.saved.current().db, got.current().db
+		for _, tb := range want.Tables() {
+			for _, col := range tb.Schema.Columns {
+				if !col.Indexed {
+					continue
+				}
+				attr := tb.Schema.Name + "." + col.Name
+				wp, gp := tb.Postings(col.Name), have.Table(tb.Schema.Name).Postings(col.Name)
+				if _, rows := wp.Term(forged[attr]); rows != 0 {
+					t.Fatalf("%s: the saved postings index the forged value %q", attr, forged[attr])
+				}
+				if gp.Vocabulary() != wp.Vocabulary() || gp.Tokens() != wp.Tokens() {
+					t.Errorf("%s: %s reopened with %d terms and %d tokens, saved %d and %d",
+						c.name, attr, gp.Vocabulary(), gp.Tokens(), wp.Vocabulary(), wp.Tokens())
+					continue
+				}
+				for term := range wp.Terms() {
+					wc, wr := wp.Term(term)
+					if gc, gr := gp.Term(term); gc != wc || gr != wr {
+						t.Errorf("%s: %s term %q reopened as %d occurrences in %d rows, saved %d in %d",
+							c.name, attr, term, gc, gr, wc, wr)
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,17 +1,17 @@
-// Package bench is the repo's one mechanism-ratio harness. Each leg of
-// the registry measures one mechanism against the path it replaces —
-// Apply vs rebuild, recovery vs build, the answer cache on vs off, the
-// admission governor vs a hand-placed gate — inside a single run on a single machine, and records the quotient as a
-// named ratio column. A within-run ratio transfers across hosts where
-// raw ns/op and req/s do not, which is what lets Compare guard it on
-// shared CI runners. End-to-end performance claims are made with
-// benchmark/ instead (see docs/benchmarks.md); this package answers the
-// narrower question "does this mechanism still pay for itself".
+// Package bench is the repo's overload harness. Its one leg drives the
+// real HTTP serving path past saturation and measures what admission
+// control preserves — a gate placed at the knee against the saturation
+// goodput, the self-tuning governor against that hand-placed gate —
+// inside a single run on a single machine, and records each quotient as
+// a named ratio column. A within-run ratio transfers across hosts where
+// raw req/s does not, which is what lets Compare guard it on shared CI
+// runners. End-to-end performance claims are made with benchmark/
+// instead, and the mechanisms whose cost can be counted are pinned by
+// exact tier-1 tests (see docs/benchmarks.md); this package answers the
+// narrower question "does admission control still pay for itself".
 //
-// Adding a leg is one entry in Legs: a name, the tolerance its ratios
-// are guarded with, and a Run function returning rows. Rows that carry
-// a Ratios entry are tracked by Compare; a row without one is a
-// baseline (or context) row by shape.
+// Rows that carry a Ratios entry are tracked by Compare; a row without
+// one is a baseline (or context) row by shape.
 package bench
 
 import (
@@ -24,9 +24,6 @@ import (
 	"slices"
 	"strings"
 	"time"
-
-	"repro/internal/loadgen"
-	"repro/internal/relstore"
 )
 
 // Schema is the version of the BENCH.json shape. The one-file-per-grid
@@ -39,17 +36,16 @@ const Schema = 1
 // own smoke test, which must finish in seconds.
 type Config struct {
 	Quick bool
-	// Rows is the HTTP legs' dataset size (default 1,000,000; quick 25,000).
+	// Rows is the dataset size (default 1,000,000; quick 25,000).
 	Rows int
-	// Step is one saturation-ramp step and one measured qcache run;
-	// warm-ups run half of it, overload runs twice it (default 5s; quick
-	// 700ms).
+	// Step is one saturation-ramp step; the open-loop and overload rows
+	// run twice it (default 5s; quick 700ms).
 	Step time.Duration
 	// Window is the admission governor's control window (default 500ms;
 	// quick 200ms).
 	Window time.Duration
 	// Wrap, when set, wraps the admitted handler of every server the
-	// overload leg stands up (httpapi.WithHandlerWrapper). The smoke test
+	// leg stands up (httpapi.WithHandlerWrapper). The smoke test
 	// adds a blocking service time with it, so admitted requests overlap
 	// and the gates engage on any scheduler, one core included.
 	Wrap func(http.Handler) http.Handler
@@ -77,86 +73,16 @@ func (c Config) window() time.Duration {
 // concurrency ceiling.
 func (c Config) rampWorkers() int { return sized(c, 0, 16, 128) }
 
-// Env is what the legs of one invocation share: the progress sink and
-// the generated HTTP dataset, which at a million rows costs more to
-// build than any single leg costs to measure.
-type Env struct {
-	logf func(format string, args ...any)
-	// Builds counts dataset generations, so a test can pin that legs
-	// share one.
-	Builds int
-	db     *relstore.Database
-	dbRows int
-}
-
-// NewEnv returns an environment whose progress lines go to logf (nil
-// discards them).
-func NewEnv(logf func(format string, args ...any)) *Env {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return &Env{logf: logf}
-}
-
-// seed fixes dataset and workload generation for every HTTP leg.
+// seed fixes dataset and workload generation.
 const seed = 42
 
-// dataset returns the generated movies database of about target rows,
-// building it on first use and whenever a leg asks for a different size
-// (only the smoke test does). Engines built over it never modify it:
-// Apply is copy-on-write from the first batch.
-func (e *Env) dataset(target int) (*relstore.Database, string, error) {
-	if e.db == nil || e.dbRows != target {
-		e.logf("building %d-row movies dataset (seed %d)...", target, seed)
-		db, err := loadgen.BuildDataset(loadgen.DatasetConfig{Kind: loadgen.KindMovies, TargetRows: target, Seed: seed})
-		if err != nil {
-			return nil, "", err
-		}
-		e.db, e.dbRows = db, target
-		e.Builds++
-	}
-	return e.db, fmt.Sprintf("datagen movies target=%d seed=%d rows=%d", target, seed, e.db.NumRows()), nil
-}
-
-// Leg is one registered measurement.
-type Leg struct {
-	Name string
-	// Tolerance is the relative drop below the committed ratio that
-	// Compare fails on.
-	Tolerance float64
-	Run       func(*Env, Config) (LegReport, error)
-	// micro is set on the testing.Benchmark legs so BenchmarkLeg can
-	// drive the same operations under `go test -bench`.
-	micro func() (*microSpec, error)
-}
-
-// Legs is the registry, in report order. The micro legs time one
-// operation per row through testing.Benchmark and are guarded at 25%;
-// the HTTP legs drive a real server for seconds per row and are guarded
-// at 50%, because a short closed-loop run on a shared runner is that
-// noisy.
-var Legs = []Leg{
-	microLeg("mutate", mutateOps),
-	microLeg("durable", durableOps),
-	{Name: "overload", Tolerance: 0.5, Run: runOverload},
-	{Name: "qcache", Tolerance: 0.5, Run: runQCache},
-}
-
-// Select resolves a comma-separated leg list ("all" for every leg).
-func Select(list string) ([]Leg, error) {
-	if list == "all" {
-		return Legs, nil
-	}
-	var out []Leg
-	for _, name := range strings.Split(list, ",") {
-		i := slices.IndexFunc(Legs, func(l Leg) bool { return l.Name == name })
-		if i < 0 {
-			return nil, fmt.Errorf("bench: unknown leg %q", name)
-		}
-		out = append(out, Legs[i])
-	}
-	return out, nil
-}
+// LegName is the name of the one leg, as BENCH.json records it, and
+// Tolerance the relative drop below a committed ratio that Compare fails
+// on: a seconds-long closed-loop run on a shared runner is that noisy.
+const (
+	LegName   = "overload"
+	Tolerance = 0.5
+)
 
 // Report is the top-level shape of BENCH.json.
 type Report struct {
@@ -199,7 +125,7 @@ func (r Row) String() string {
 	for _, col := range sortedKeys(r.Ratios) {
 		fmt.Fprintf(&sb, "  %s %.2f", col, r.Ratios[col])
 	}
-	for _, m := range []string{"ns_per_op", "allocs_per_op", "goodput_rps", "p50_ms", "p99_ms"} {
+	for _, m := range []string{"goodput_rps", "p50_ms", "p99_ms"} {
 		if v, ok := r.Metrics[m]; ok {
 			fmt.Fprintf(&sb, "  %s %.6g", m, v)
 		}
@@ -209,26 +135,23 @@ func (r Row) String() string {
 
 func sortedKeys(m map[string]float64) []string { return slices.Sorted(maps.Keys(m)) }
 
-// RunLegs measures the given legs in order over one shared Env.
-func RunLegs(env *Env, legs []Leg, cfg Config) (*Report, error) {
-	rep := &Report{
+// Run measures the overload leg; progress lines go to logf.
+func Run(cfg Config, logf func(format string, args ...any)) (*Report, error) {
+	logf("leg %s (quick=%v)...", LegName, cfg.Quick)
+	lr, err := runOverload(cfg, logf)
+	if err != nil {
+		return nil, fmt.Errorf("bench: leg %s: %w", LegName, err)
+	}
+	lr.Name, lr.Quick = LegName, cfg.Quick
+	for _, r := range lr.Rows {
+		logf("  %s", r)
+	}
+	return &Report{
 		Schema:      Schema,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Host:        Host{GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
-	}
-	for _, leg := range legs {
-		env.logf("leg %s (quick=%v)...", leg.Name, cfg.Quick)
-		lr, err := leg.Run(env, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: leg %s: %w", leg.Name, err)
-		}
-		lr.Name, lr.Quick = leg.Name, cfg.Quick
-		for _, r := range lr.Rows {
-			env.logf("  %s", r)
-		}
-		rep.Legs = append(rep.Legs, lr)
-	}
-	return rep, nil
+		Legs:        []LegReport{lr},
+	}, nil
 }
 
 // Load reads a BENCH.json, rejecting any file of another schema.

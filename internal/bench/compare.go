@@ -8,7 +8,7 @@ import (
 // Verdicts of one Check.
 const (
 	OK        = "ok"
-	Regressed = "REGRESSED" // ratio fell more than the leg's tolerance below baseline
+	Regressed = "REGRESSED" // ratio fell more than Tolerance below baseline
 	Missing   = "MISSING"   // the baseline tracks it, the fresh run did not produce it
 )
 
@@ -28,51 +28,43 @@ func (c Check) String() string {
 }
 
 // Compare checks every ratio of every baseline row against the fresh
-// report: it fails when the fresh ratio is below base*(1-Tolerance) of
-// its leg, or when the leg, row or column is absent from cur. Callers
-// guarding a subset of legs trim base.Legs to that subset first. Which
-// rows are tracked is decided by shape alone — a row with a ratios
-// entry is, whatever the value — and legs are matched by name.
+// report: it fails when the fresh ratio is below base*(1-Tolerance), or
+// when the leg, row or column is absent from cur. A baseline that holds
+// anything but the one LegName leg is an error. Which rows are tracked
+// is decided by shape alone — a row with a ratios entry is, whatever
+// the value — and legs are matched by name.
 func Compare(base, cur *Report) ([]Check, error) {
 	if base.Schema != Schema || cur.Schema != Schema {
 		return nil, fmt.Errorf("bench: cannot compare schema %d against schema %d (want %d)", base.Schema, cur.Schema, Schema)
 	}
+	if len(base.Legs) != 1 || base.Legs[0].Name != LegName {
+		return nil, fmt.Errorf("bench: baseline must hold exactly the %s leg", LegName)
+	}
+	bl := base.Legs[0]
+	li := slices.IndexFunc(cur.Legs, func(l LegReport) bool { return l.Name == bl.Name })
+	if li < 0 {
+		return []Check{{Leg: bl.Name, Verdict: Missing}}, nil
+	}
 	var out []Check
-	for _, bl := range base.Legs {
-		legs, err := Select(bl.Name)
-		if err != nil {
-			return nil, fmt.Errorf("%w in baseline", err)
-		}
-		tol := legs[0].Tolerance
-		missing := func(row, col string, base float64) {
-			out = append(out, Check{Leg: bl.Name, Row: row, Column: col, Base: base, Verdict: Missing})
-		}
-		li := slices.IndexFunc(cur.Legs, func(l LegReport) bool { return l.Name == bl.Name })
-		if li < 0 {
-			missing("", "", 0)
+	for _, br := range bl.Rows {
+		if len(br.Ratios) == 0 {
 			continue
 		}
-		for _, br := range bl.Rows {
-			if len(br.Ratios) == 0 {
-				continue
+		ri := slices.IndexFunc(cur.Legs[li].Rows, func(r Row) bool { return r.Name == br.Name })
+		if ri < 0 {
+			out = append(out, Check{Leg: bl.Name, Row: br.Name, Verdict: Missing})
+			continue
+		}
+		for _, col := range sortedKeys(br.Ratios) {
+			got, ok := cur.Legs[li].Rows[ri].Ratios[col]
+			c := Check{Leg: bl.Name, Row: br.Name, Column: col, Base: br.Ratios[col], Got: got, Verdict: OK}
+			switch {
+			case !ok:
+				c.Verdict = Missing
+			case got < c.Base*(1-Tolerance):
+				c.Verdict = Regressed
 			}
-			ri := slices.IndexFunc(cur.Legs[li].Rows, func(r Row) bool { return r.Name == br.Name })
-			if ri < 0 {
-				missing(br.Name, "", 0)
-				continue
-			}
-			for _, col := range sortedKeys(br.Ratios) {
-				got, ok := cur.Legs[li].Rows[ri].Ratios[col]
-				if !ok {
-					missing(br.Name, col, br.Ratios[col])
-					continue
-				}
-				c := Check{Leg: bl.Name, Row: br.Name, Column: col, Base: br.Ratios[col], Got: got, Verdict: OK}
-				if got < c.Base*(1-tol) {
-					c.Verdict = Regressed
-				}
-				out = append(out, c)
-			}
+			out = append(out, c)
 		}
 	}
 	return out, nil

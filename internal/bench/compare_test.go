@@ -14,12 +14,14 @@ func report(legs ...LegReport) *Report { return &Report{Schema: Schema, Legs: le
 func leg(name string, rows ...Row) LegReport { return LegReport{Name: name, Rows: rows} }
 
 func row(name string, ratios map[string]float64) Row {
-	return Row{Name: name, Metrics: map[string]float64{"ns_per_op": 1}, Ratios: ratios}
+	return Row{Name: name, Metrics: map[string]float64{"goodput_rps": 1}, Ratios: ratios}
 }
 
 func TestCompare(t *testing.T) {
-	vsRebuild := func(v float64) map[string]float64 { return map[string]float64{"speedup_vs_rebuild": v} }
-	base := report(leg("mutate", row("full-rebuild", nil), row("apply-batch", vsRebuild(10))))
+	vsSat := func(v float64) map[string]float64 { return map[string]float64{"goodput_vs_saturation": v} }
+	vsStatic := func(v float64) map[string]float64 { return map[string]float64{"goodput_vs_static_knee": v} }
+	base := report(leg("overload", row("ungated-8x", nil),
+		row("static-knee-8x", vsSat(1.2)), row("adaptive-8x", vsStatic(1.2))))
 	for _, tc := range []struct {
 		name      string
 		base, cur *Report
@@ -27,27 +29,30 @@ func TestCompare(t *testing.T) {
 		failed    []string // leg/row/column of each failing check
 		wantErr   bool
 	}{
-		{name: "within tolerance passes; the rebuild baseline row is not tracked",
-			base: base, cur: report(leg("mutate", row("apply-batch", vsRebuild(7.6)))), checks: 1},
+		{name: "within tolerance passes; the ungated baseline row is not tracked",
+			base: base, cur: report(leg("overload", row("static-knee-8x", vsSat(0.61)), row("adaptive-8x", vsStatic(1.5)))),
+			checks: 2},
 		{name: "below base*(1-tolerance) fails, naming leg, row and column",
-			base: base, cur: report(leg("mutate", row("apply-batch", vsRebuild(7.4)))), checks: 1,
-			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
+			base: base, cur: report(leg("overload", row("static-knee-8x", vsSat(1.2)), row("adaptive-8x", vsStatic(0.59)))),
+			checks: 2, failed: []string{"overload/adaptive-8x/goodput_vs_static_knee"}},
 		{name: "a column the fresh row lost fails",
-			base: base, cur: report(leg("mutate", row("apply-batch", nil))), checks: 1,
-			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
+			base: base, cur: report(leg("overload", row("static-knee-8x", nil), row("adaptive-8x", vsStatic(1.2)))),
+			checks: 2, failed: []string{"overload/static-knee-8x/goodput_vs_saturation"}},
 		{name: "a tracked row missing from the fresh report fails",
-			base: base, cur: report(leg("mutate", row("full-rebuild", nil))), checks: 1,
-			failed: []string{"mutate/apply-batch/"}},
+			base: base, cur: report(leg("overload", row("ungated-8x", nil), row("static-knee-8x", vsSat(1.2)))),
+			checks: 2, failed: []string{"overload/adaptive-8x/"}},
 		{name: "a leg missing from the fresh report fails",
-			base: base, cur: report(leg("durable")), checks: 1, failed: []string{"mutate//"}},
+			base: base, cur: report(leg("qcache")), checks: 1, failed: []string{"overload//"}},
 		{name: "a ratio of exactly 1.0 on a non-baseline row is still tracked",
-			base: report(leg("mutate", row("apply-batch", vsRebuild(1)))),
-			cur:  report(leg("mutate", row("apply-batch", vsRebuild(0.5)))), checks: 1,
-			failed: []string{"mutate/apply-batch/speedup_vs_rebuild"}},
+			base: report(leg("overload", row("adaptive-8x", vsStatic(1)))),
+			cur:  report(leg("overload", row("adaptive-8x", vsStatic(0.4)))), checks: 1,
+			failed: []string{"overload/adaptive-8x/goodput_vs_static_knee"}},
 		{name: "schema mismatch is an error",
 			base: &Report{Legs: base.Legs}, cur: base, wantErr: true},
 		{name: "an unregistered leg in the baseline is an error",
-			base: report(leg("load")), cur: base, wantErr: true},
+			base: report(base.Legs[0], leg("mutate")), cur: base, wantErr: true},
+		{name: "a baseline without the leg is an error",
+			base: report(), cur: base, wantErr: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checks, err := Compare(tc.base, tc.cur)
@@ -72,9 +77,9 @@ func TestCompare(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	const golden = `{"schema":1,"generated_at":"2026-01-02T03:04:05Z",` +
 		`"host":{"go_version":"go1.24.0","num_cpu":2,"gomaxprocs":2},` +
-		`"legs":[{"name":"mutate","quick":true,"dataset":"demo","params":{"batch":10},` +
-		`"rows":[{"name":"full-rebuild","metrics":{"ns_per_op":5}},` +
-		`{"name":"apply-batch","metrics":{"ns_per_op":1},"ratios":{"speedup_vs_rebuild":5}}]}]}`
+		`"legs":[{"name":"overload","quick":true,"dataset":"demo","params":{"workload_ops":512},` +
+		`"rows":[{"name":"ungated-8x","metrics":{"goodput_rps":5}},` +
+		`{"name":"adaptive-8x","metrics":{"goodput_rps":6},"ratios":{"goodput_vs_static_knee":1.2}}]}]}`
 	var rep Report
 	if err := json.Unmarshal([]byte(golden), &rep); err != nil {
 		t.Fatal(err)

@@ -6,46 +6,32 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	"repro/httpapi"
 	"repro/internal/loadgen"
 )
 
 // served is one measured run against a real HTTP server, with /healthz
-// scraped on both sides of it so a leg can report what the server did
-// during the measurement alone (warm-up traffic excluded).
+// scraped after it so a row can report what the server did.
 type served struct {
-	res           *loadgen.Result
-	before, after *httpapi.HealthResponse
+	res   *loadgen.Result
+	after *httpapi.HealthResponse
 }
 
-// serve stands h up behind httptest, optionally warms it with the same
-// options for the warm duration, runs the measured load, and scrapes
-// /healthz. Every HTTP row goes through it, so every row pays the same
-// server setup and reads the same signals an operator would.
-func serve(h http.Handler, warm time.Duration, opts loadgen.Options) (*served, error) {
+// serve stands h up behind httptest, runs the measured load, and
+// scrapes /healthz. Every row past the saturation ramp goes through it,
+// so every row pays the same server setup and reads the same signals an
+// operator would.
+func serve(h http.Handler, opts loadgen.Options) (*served, error) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	opts.BaseURL = ts.URL
-	ctx := context.Background()
-	if warm > 0 {
-		w := opts
-		w.Duration = warm
-		if _, err := loadgen.Run(ctx, w); err != nil {
-			return nil, err
-		}
-	}
-	out := &served{}
-	var err error
-	if out.before, err = scrape(ts.URL); err != nil {
+	res, err := loadgen.Run(context.Background(), opts)
+	if err != nil {
 		return nil, err
 	}
-	if out.res, err = loadgen.Run(ctx, opts); err != nil {
-		return nil, err
-	}
-	out.after, err = scrape(ts.URL)
-	return out, err
+	after, err := scrape(ts.URL)
+	return &served{res: res, after: after}, err
 }
 
 func scrape(base string) (*httpapi.HealthResponse, error) {

@@ -38,12 +38,14 @@ import (
 //     bounds, the cheap cost band shed at a lower rate than the heavy,
 //   - ungated-8x:      no protection at all — the collapse the other two
 //     prevent.
-func runOverload(env *Env, cfg Config) (LegReport, error) {
-	db, dataset, err := env.dataset(cfg.rows())
+func runOverload(cfg Config, logf func(format string, args ...any)) (LegReport, error) {
+	logf("building %d-row movies dataset (seed %d)...", cfg.rows(), seed)
+	db, err := loadgen.BuildDataset(loadgen.DatasetConfig{Kind: loadgen.KindMovies, TargetRows: cfg.rows(), Seed: seed})
 	if err != nil {
 		return LegReport{}, err
 	}
-	env.logf("building engine (indexes, templates)...")
+	dataset := fmt.Sprintf("datagen movies target=%d seed=%d rows=%d", cfg.rows(), seed, db.NumRows())
+	logf("building engine (indexes, templates)...")
 	eng, err := loadgen.NewEngine(db, loadgen.KindMovies)
 	if err != nil {
 		return LegReport{}, err
@@ -60,7 +62,7 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 		return httpapi.New(eng, opts...)
 	}
 
-	env.logf("saturation ramp: doubling workers up to %d, %v per step...", cfg.rampWorkers(), cfg.step())
+	logf("saturation ramp: doubling workers up to %d, %v per step...", cfg.rampWorkers(), cfg.step())
 	ts := httptest.NewServer(newServer())
 	sat, err := loadgen.FindSaturation(context.Background(), loadgen.SaturationOptions{
 		Base:         loadgen.Options{BaseURL: ts.URL, Ops: ops},
@@ -75,9 +77,9 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 		rep.Rows = append(rep.Rows, loadRow(fmt.Sprintf("saturate-w%d", step.Workers), step))
 	}
 	rep.Params["saturation_rps"], rep.Params["saturation_workers"] = sat.SaturationRPS, sat.AtWorkers
-	env.logf("saturation: %.0f req/s at %d workers", sat.SaturationRPS, sat.AtWorkers)
+	logf("saturation: %.0f req/s at %d workers", sat.SaturationRPS, sat.AtWorkers)
 
-	open, err := serve(newServer(), 0, loadgen.Options{
+	open, err := serve(newServer(), loadgen.Options{
 		Ops: ops, Workers: cfg.rampWorkers(), RateRPS: max(sat.SaturationRPS/2, 1), Duration: 2 * cfg.step()})
 	if err != nil {
 		return LegReport{}, err
@@ -87,8 +89,8 @@ func runOverload(env *Env, cfg Config) (LegReport, error) {
 	knee := max(sat.AtWorkers, 2)
 	const queueTimeout, deadline = 200 * time.Millisecond, 5 * time.Second
 	overload := func(name string, opts ...httpapi.Option) (*served, Row, error) {
-		env.logf("%s: driving %d workers for %v...", name, 8*knee, 2*cfg.step())
-		run, err := serve(newServer(opts...), 0, loadgen.Options{Ops: ops, Workers: 8 * knee, Duration: 2 * cfg.step()})
+		logf("%s: driving %d workers for %v...", name, 8*knee, 2*cfg.step())
+		run, err := serve(newServer(opts...), loadgen.Options{Ops: ops, Workers: 8 * knee, Duration: 2 * cfg.step()})
 		if err != nil {
 			return nil, Row{}, err
 		}

@@ -532,26 +532,21 @@ func FilterSegments(space []*Interpretation, segments [][]int) []*Interpretation
 }
 
 func segmentsRespected(q *Interpretation, segments [][]int) bool {
-	byPos := make(map[int]Binding, len(q.Bindings))
-	for _, b := range q.Bindings {
-		byPos[b.KI.Pos] = b
-	}
 	for _, seg := range segments {
 		if len(seg) < 2 {
 			continue
 		}
 		var first *Binding
 		for _, pos := range seg {
-			b, ok := byPos[pos]
-			if !ok {
+			b := q.bindingAt(pos)
+			if b == nil {
 				continue
 			}
 			if b.KI.Kind != KindValue {
 				return false
 			}
 			if first == nil {
-				bb := b
-				first = &bb
+				first = b
 				continue
 			}
 			if b.KI.Attr != first.KI.Attr || b.Occ != first.Occ {
@@ -560,4 +555,19 @@ func segmentsRespected(q *Interpretation, segments [][]int) bool {
 		}
 	}
 	return true
+}
+
+// bindingAt returns the binding of keyword position pos, or nil when
+// pos is unbound. Bindings are sorted by position, so the walk stops at
+// the first binding past pos.
+func (q *Interpretation) bindingAt(pos int) *Binding {
+	for i := range q.Bindings {
+		switch p := q.Bindings[i].KI.Pos; {
+		case p == pos:
+			return &q.Bindings[i]
+		case p > pos:
+			return nil
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -482,6 +483,94 @@ func TestFilterSegments(t *testing.T) {
 	if got := FilterSegments(space, [][]int{{0}}); len(got) != len(space) {
 		t.Fatal("singleton segment must not filter")
 	}
+	for _, segs := range [][][]int{nil, {{0}}, {{0, 1}}, {{1, 0}}, {{0, 1}, {1}}} {
+		checkFilterSegments(t, space, segs)
+	}
+}
+
+// segmentsRespectedReference is the map-based check FilterSegments ran
+// before it walked the position-sorted bindings; it must keep the same
+// interpretations.
+func segmentsRespectedReference(q *Interpretation, segments [][]int) bool {
+	byPos := make(map[int]Binding, len(q.Bindings))
+	for _, b := range q.Bindings {
+		byPos[b.KI.Pos] = b
+	}
+	for _, seg := range segments {
+		if len(seg) < 2 {
+			continue
+		}
+		var first *Binding
+		for _, pos := range seg {
+			b, ok := byPos[pos]
+			if !ok {
+				continue
+			}
+			if b.KI.Kind != KindValue {
+				return false
+			}
+			if first == nil {
+				bb := b
+				first = &bb
+				continue
+			}
+			if b.KI.Attr != first.KI.Attr || b.Occ != first.Occ {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkFilterSegments requires FilterSegments to keep exactly the
+// interpretations the reference keeps, in the same order.
+func checkFilterSegments(t *testing.T, space []*Interpretation, segments [][]int) {
+	t.Helper()
+	var want []*Interpretation
+	for _, q := range space {
+		if segmentsRespectedReference(q, segments) {
+			want = append(want, q)
+		}
+	}
+	got := FilterSegments(space, segments)
+	if len(segments) == 0 {
+		want = space
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("FilterSegments(%v) kept %d of %d interpretations, the reference %d", segments, len(got), len(space), len(want))
+	}
+}
+
+// TestFilterSegmentsMatchesReference runs the segment filter over the
+// reference queries' spaces, plus every partial interpretation one
+// binding short of one of them, with every run of two or more adjacent
+// positions as a segment, and with all adjacent pairs at once.
+func TestFilterSegmentsMatchesReference(t *testing.T) {
+	d := demo(t)
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		space := complete(t, c, d.cat, GenerateConfig{})
+		for _, q := range space {
+			for i := range q.Bindings {
+				partial := slices.Delete(slices.Clone(q.Bindings), i, i+1)
+				space = append(space, NewInterpretation(q.Keywords, q.Template, partial))
+			}
+		}
+		n := len(c.Keywords)
+		var pairs [][]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				run := make([]int, 0, j-i+1)
+				for p := i; p <= j; p++ {
+					run = append(run, p)
+				}
+				checkFilterSegments(t, space, [][]int{run})
+				if j == i+1 {
+					pairs = append(pairs, run)
+				}
+			}
+		}
+		checkFilterSegments(t, space, pairs)
+	})
 }
 
 func TestAggregateInterpretations(t *testing.T) {

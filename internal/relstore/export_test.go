@@ -56,3 +56,44 @@ func (cp *CompiledPlan) ExecuteWork(limit int, cache *SelectionCache) ([]JTT, Wo
 
 // NumDead returns the number of tombstoned row slots.
 func (t *Table) NumDead() int { return t.numDead }
+
+// CellsTokenized sums ColumnPostings.cells over the built columns of
+// db that since does not share (every built column when since is nil):
+// the cell values tokenized into those versions.
+func (db *Database) CellsTokenized(since *Database) int {
+	n := 0
+	for _, t := range db.Tables() {
+		for ci, cp := range t.postings {
+			if since == nil || since.Table(t.Schema.Name).postings[ci] != cp {
+				n += cp.cells
+			}
+		}
+	}
+	return n
+}
+
+// PostingListsReplaced counts the posting lists of every indexed column
+// whose pointer differs between two versions of a database, a list on
+// one side only included.
+func PostingListsReplaced(old, cur *Database) int {
+	n := 0
+	for _, t := range cur.Tables() {
+		for ci, c := range t.Schema.Columns {
+			if !c.Indexed {
+				continue
+			}
+			was, now := old.Table(t.Schema.Name).ensurePostings(ci).terms, t.ensurePostings(ci).terms
+			for tok, pl := range now.All() {
+				if was.Get(tok) != pl {
+					n++
+				}
+			}
+			for tok := range was.All() {
+				if now.Get(tok) == nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}

@@ -299,7 +299,7 @@ func (t *Table) applyUpdate(id int, vals []string) {
 // replacing affected posting lists functionally (the originals may be
 // shared with the pre-batch snapshot).
 func (cp *ColumnPostings) addValue(row int, value string) {
-	counts, n := tokenCounts(value)
+	counts, n := cp.tokenCounts(value)
 	cp.tokens += n
 	for tok, c := range counts {
 		sh := cp.terms.Edit(tok)
@@ -310,7 +310,7 @@ func (cp *ColumnPostings) addValue(row int, value string) {
 // removeValue removes one cell value's tokens from the postings,
 // dropping token entries that become empty.
 func (cp *ColumnPostings) removeValue(row int, value string) {
-	counts, n := tokenCounts(value)
+	counts, n := cp.tokenCounts(value)
 	cp.tokens -= n
 	for tok := range counts {
 		sh := cp.terms.Edit(tok)

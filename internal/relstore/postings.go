@@ -58,6 +58,10 @@ type ColumnPostings struct {
 	// tokens is the number of token occurrences over the column's live
 	// values: the sum of every list's total.
 	tokens int
+	// cells counts the cell values tokenized into this version: every
+	// row for a column built from its rows, the changed cells for a copy
+	// patched by Apply, none for a decoded one. Only tests read it.
+	cells int
 }
 
 // Term returns the token's occurrences in the column and the number of
@@ -87,9 +91,10 @@ func (cp *ColumnPostings) Terms() iter.Seq[string] {
 	}
 }
 
-// tokenCounts tokenizes one value into its distinct tokens with their
-// occurrence counts, and reports the total token count.
-func tokenCounts(value string) (map[string]int, int) {
+// tokenCounts tokenizes one cell value into its distinct tokens with
+// their occurrence counts, and reports the total token count.
+func (cp *ColumnPostings) tokenCounts(value string) (map[string]int, int) {
+	cp.cells++
 	toks := Tokenize(value)
 	counts := make(map[string]int, len(toks))
 	for _, tok := range toks {
@@ -100,7 +105,7 @@ func tokenCounts(value string) (map[string]int, int) {
 
 // addRow tokenizes one value and folds it into the postings.
 func (cp *ColumnPostings) addRow(row int, value string) {
-	counts, n := tokenCounts(value)
+	counts, n := cp.tokenCounts(value)
 	cp.tokens += n
 	for tok, c := range counts {
 		sh := cp.terms.Edit(tok)

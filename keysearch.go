@@ -42,6 +42,7 @@ package keysearch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -491,7 +492,7 @@ func (e *Engine) candidatesFor(ctx context.Context, s *snapshot, keywords string
 		return nil, nil, err
 	}
 	applyLabels(c, labels)
-	if len(c.MatchedPositions()) == 0 {
+	if !slices.ContainsFunc(c.PerKeyword, func(kis []query.KeywordInterpretation) bool { return len(kis) > 0 }) {
 		return nil, nil, fmt.Errorf("keysearch: no keyword of %q occurs in the database", keywords)
 	}
 	var segments [][]int
