@@ -310,13 +310,25 @@ func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse
 		return nil, err
 	}
 	resp := &RowsResponse{Query: req.Query}
+	// Several rows may come from one interpretation: its rendering and
+	// plan are made once per response.
+	type producer struct {
+		algebra string
+		plan    *relstore.JoinPlan
+	}
+	producers := make(map[*query.Interpretation]producer)
 	for _, r := range results {
-		plan, err := r.Q.JoinPlan()
-		if err != nil {
-			return nil, err
+		p, ok := producers[r.Q]
+		if !ok {
+			plan, err := r.Q.JoinPlan()
+			if err != nil {
+				return nil, err
+			}
+			p = producer{algebra: r.Q.String(), plan: plan}
+			producers[r.Q] = p
 		}
 		resp.Rows = append(resp.Rows, RowResult{
-			Query: r.Q.String(), Score: r.Score, Row: planRow(s.db, plan, r.Rows),
+			Query: p.algebra, Score: r.Score, Row: planRow(s.db, p.plan, r.Rows),
 		})
 	}
 	return resp, nil

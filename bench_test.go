@@ -529,18 +529,25 @@ func interpret(ctx context.Context, eng *Engine, q string) error {
 
 // interpretAllocCeilings bound the allocations of the interpretation
 // stages of BenchmarkInterpret's kw=1, 2 and 3 requests, which measure
-// 22, 35 and 49 with and without -race; searchAllocCeiling bounds
-// BenchmarkAPISearch's request, which measures 99, and about 111 under
-// -race, where sync.Pool drops a quarter of its puts. Each ceiling sits
-// just above its -race reading.
-var interpretAllocCeilings = [3]float64{24, 38, 53}
+// 20, 31 and 43, and up to 23, 35 and 48 under -race, where sync.Pool
+// drops a quarter of its puts. searchAllocCeiling bounds
+// BenchmarkAPISearch's request (one keyword, K=5), and
+// searchK10AllocCeiling a Search of the kw=2 query at K=10, the shape
+// the serving benchmark's search.interp sends (19 interpretations, 10
+// returned); they measure 26 and 44, and up to 29 and 48 under -race.
+// Each ceiling sits just above its highest -race reading over 14 runs.
+var interpretAllocCeilings = [3]float64{24, 37, 50}
 
-const searchAllocCeiling = 116
+const (
+	searchAllocCeiling    = 31
+	searchK10AllocCeiling = 50
+)
 
 // TestInterpretAllocationCeiling holds the interpretation stages of
 // BenchmarkInterpret's kw=1, 2 and 3 requests to interpretAllocCeilings
-// and BenchmarkAPISearch's whole request to searchAllocCeiling
-// allocations (testing.AllocsPerRun warms once and runs at GOMAXPROCS 1).
+// and whole Search requests to searchAllocCeiling and
+// searchK10AllocCeiling allocations (testing.AllocsPerRun warms once and
+// runs at GOMAXPROCS 1).
 func TestInterpretAllocationCeiling(t *testing.T) {
 	eng, queries := interpretQueries(t)
 	ctx := context.Background()
@@ -562,6 +569,10 @@ func TestInterpretAllocationCeiling(t *testing.T) {
 	_, q := apiEngine(t)
 	check("BenchmarkAPISearch", searchAllocCeiling, func() error {
 		_, err := eng.Search(ctx, SearchRequest{Query: q, K: 5})
+		return err
+	})
+	check("Search/kw=2/K=10", searchK10AllocCeiling, func() error {
+		_, err := eng.Search(ctx, SearchRequest{Query: queries[1], K: 10})
 		return err
 	})
 }

@@ -252,12 +252,15 @@ const rankCheckEvery = 256
 // context is checked on entry and every rankCheckEvery scored
 // interpretations, so ranking a large interpretation space aborts early
 // on a cancelled or expired request. The normalising total is summed in
-// input order.
+// input order. Every score is Score's, bit for bit, but each of its
+// factors is read once per call (see factors).
 func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Scored, len(space))
+	f := newFactors(m)
+	defer f.release()
 	total := 0.0
 	for i, q := range space {
 		if i%rankCheckEvery == rankCheckEvery-1 {
@@ -265,7 +268,7 @@ func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) 
 				return nil, err
 			}
 		}
-		out[i] = Scored{Q: q, Score: m.Score(q)}
+		out[i] = Scored{Q: q, Score: f.score(q)}
 		total += out[i].Score
 	}
 	if total > 0 {

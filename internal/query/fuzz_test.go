@@ -50,7 +50,8 @@ func FuzzNormalizeKeywords(f *testing.F) {
 // over one to four keywords drawn from the demo vocabulary: every indexed
 // term plus the aggregate words and the table and column names, and
 // requires CompareKey to order every pair of the generated space as the
-// keys do. flags selects the keyword count (bits 0–1), schema terms
+// keys do and SQL, String and Render to return the fmt-based references'
+// bytes on every interpretation. flags selects the keyword count (bits 0–1), schema terms
 // (bit 2), aggregates (bit 3) and the catalogue (bit 4): the demo one at
 // join path 4, or one without repeated tables as the construction
 // simulations build it.
@@ -72,5 +73,8 @@ func FuzzGenerateComplete(f *testing.F) {
 		}
 		space := checkMatchesReference(t, candidates(t, d.ix, keywords, opts), cat, GenerateConfig{})
 		checkKeyOrder(t, space)
+		for _, q := range space {
+			checkRender(t, q)
+		}
 	})
 }

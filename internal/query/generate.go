@@ -224,12 +224,10 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	matched := c.MatchedPositions()
-	if len(matched) == 0 {
+	var g generator
+	if !g.init(ctx, c, cat, cfg.MaxInterpretations) {
 		return nil, nil
 	}
-	var g generator
-	g.init(ctx, c, cat, matched, cfg.MaxInterpretations)
 	for ti := range cat.Templates {
 		if !g.enumerate(ti) {
 			break
@@ -259,8 +257,8 @@ type generator struct {
 	ctx     context.Context
 	c       *Candidates
 	cat     *Catalog
-	matched []int
-	max     int // MaxInterpretations; 0 = unlimited
+	matched []int32 // the positions with candidates
+	max     int     // MaxInterpretations; 0 = unlimited
 	// rank[off[i]+k] ranks candidate k of position matched[i] in key
 	// order.
 	rank  []int32
@@ -285,27 +283,40 @@ type generator struct {
 	n        int
 }
 
-// init prepares g for one call, ranking every position's candidates.
-func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, matched []int, limit int) {
-	m := len(matched)
-	*g = generator{ctx: ctx, c: c, cat: cat, matched: matched, max: limit, exact: true}
-	total, widest := 0, 0
-	for _, pos := range matched {
-		total += len(c.PerKeyword[pos])
-		widest = max(widest, len(c.PerKeyword[pos]))
+// init prepares g for one call, ranking every position's candidates,
+// and reports whether any position has candidates.
+func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, limit int) bool {
+	*g = generator{ctx: ctx, c: c, cat: cat, max: limit, exact: true}
+	m, total, widest := 0, 0, 0
+	for _, kis := range c.PerKeyword {
+		if len(kis) > 0 {
+			m++
+			total += len(kis)
+			widest = max(widest, len(kis))
+		}
 	}
-	// One array holds the ranks, their offsets, the covered leaves and
-	// the ranking's sort scratch.
-	ints := make([]int32, total+2*m+1+widest)
+	if m == 0 {
+		return false
+	}
+	// One array holds the matched positions, the ranks, their offsets,
+	// the covered leaves and the ranking's sort scratch.
+	ints := make([]int32, m+total+2*m+1+widest)
+	g.matched, ints = ints[:0:m], ints[m:]
+	for pos, kis := range c.PerKeyword {
+		if len(kis) > 0 {
+			g.matched = append(g.matched, int32(pos))
+		}
+	}
 	g.rank, ints = ints[:total:total], ints[total:]
 	g.off, ints = ints[:m+1:m+1], ints[m+1:]
 	g.covered, ints = ints[:m:m], ints[m:]
-	for i, pos := range matched {
+	for i, pos := range g.matched {
 		g.off[i+1] = g.off[i] + int32(len(c.PerKeyword[pos]))
 		g.rankCandidates(c.PerKeyword[pos], g.rank[g.off[i]:g.off[i+1]], ints)
 	}
 	g.bindings = make([]Binding, m, (firstSlab+1)*m)
 	g.ranks = make([]int32, 1+m, (firstSlab+1)*(1+m))
+	return true
 }
 
 // rankCandidates writes into rank each candidate's rank over its

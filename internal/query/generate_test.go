@@ -520,16 +520,14 @@ func TestGenerateEmitsOnlyMinimal(t *testing.T) {
 	ctx := context.Background()
 	var calls, refEmitted, refKept, emitted, kept int
 	forEachReference(t, d, func(t *testing.T, c *Candidates) {
-		matched := c.MatchedPositions()
-		if len(matched) == 0 {
+		var g generator
+		if !g.init(ctx, c, d.cat, 0) {
 			return
 		}
 		want, n, err := generateReference(ctx, c, d.cat, GenerateConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var g generator
-		g.init(ctx, c, d.cat, matched, 0)
 		for ti := range d.cat.Templates {
 			g.enumerate(ti)
 		}

@@ -145,6 +145,7 @@ type Template struct {
 	leaves      []int              // occurrences of degree ≤ 1, ascending
 	leafIndex   []int              // by occurrence: its index in leaves, or -1
 	shape       *relstore.PlanShape
+	text        templateText // the renderings' fixed text
 }
 
 // tableOccurrences lists the occurrence indexes of one table in a
@@ -157,7 +158,7 @@ type tableOccurrences struct {
 
 // NewTemplate wraps a join tree as a template.
 func NewTemplate(id int, tree *schemagraph.JoinTree) *Template {
-	t := &Template{ID: id, Tree: tree, canonical: tree.Canonical()}
+	t := &Template{ID: id, Tree: tree, canonical: tree.Canonical(), text: newTemplateText(tree)}
 	for i, name := range tree.Tables {
 		k := slices.IndexFunc(t.occurrences, func(o tableOccurrences) bool { return o.table == name })
 		if k < 0 {
@@ -334,55 +335,6 @@ func (q *Interpretation) HasBinding(ki KeywordInterpretation) bool {
 	return false
 }
 
-// String renders the interpretation in the relational-algebra style of the
-// thesis, e.g. σ_{hanks∈name}(actor) ⋈ acts ⋈ σ_{2001∈year}(movie).
-func (q *Interpretation) String() string {
-	if q.Template == nil {
-		parts := make([]string, len(q.Bindings))
-		for i, b := range q.Bindings {
-			parts[i] = b.KI.Describe()
-		}
-		return "{" + strings.Join(parts, "; ") + "}"
-	}
-	// Group value bindings per occurrence/column.
-	type slot struct{ occ int }
-	preds := make(map[int]map[string][]string) // occ -> column -> keywords
-	for _, b := range q.Bindings {
-		if b.KI.Kind != KindValue {
-			continue
-		}
-		m := preds[b.Occ]
-		if m == nil {
-			m = make(map[string][]string)
-			preds[b.Occ] = m
-		}
-		m[b.KI.Attr.Column] = append(m[b.KI.Attr.Column], b.KI.Keyword)
-	}
-	parts := make([]string, q.Template.Size())
-	for i, table := range q.Template.Tree.Tables {
-		m := preds[i]
-		if len(m) == 0 {
-			parts[i] = table
-			continue
-		}
-		cols := make([]string, 0, len(m))
-		for c := range m {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		var ps []string
-		for _, c := range cols {
-			ps = append(ps, fmt.Sprintf("{%s}⊂%s", strings.Join(m[c], ","), c))
-		}
-		parts[i] = fmt.Sprintf("σ_%s(%s)", strings.Join(ps, "∧"), table)
-	}
-	expr := strings.Join(parts, " ⋈ ")
-	if agg := q.Aggregate(); agg != "" {
-		return strings.ToUpper(agg) + "(" + expr + ")"
-	}
-	return expr
-}
-
 // JoinPlan translates a complete or partial interpretation with a template
 // into an executable join plan of the template's prepared shape: value
 // bindings grouped per occurrence and column become containment
@@ -391,11 +343,9 @@ func (q *Interpretation) String() string {
 // are the shape's, shared by every plan of the template: read-only.
 func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 	if q.Template == nil {
-		return nil, fmt.Errorf("query: interpretation has no template")
+		return nil, errNoTemplate
 	}
 	tree := q.Template.Tree
-	var buf [8]valueBinding
-	vals := buf[:0]
 	for _, b := range q.Bindings {
 		if b.KI.Kind != KindValue {
 			continue
@@ -407,13 +357,9 @@ func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 			return nil, fmt.Errorf("query: binding table %s does not match occurrence table %s",
 				b.KI.Attr.Table, tree.Tables[b.Occ])
 		}
-		vals = append(vals, valueBinding{occ: b.Occ, col: b.KI.Attr.Column, kw: b.KI.Keyword})
 	}
-	// Group by (occurrence, column): a stable sort keeps each group's
-	// keywords in binding order, and each group is one run.
-	slices.SortStableFunc(vals, func(a, b valueBinding) int {
-		return cmp.Or(cmp.Compare(a.occ, b.occ), strings.Compare(a.col, b.col))
-	})
+	var buf [8]valueBinding
+	vals := q.valueBindings(buf[:0])
 	plan := q.Template.shape.NewPlan()
 	if len(vals) == 0 {
 		return plan, nil
@@ -436,12 +382,6 @@ func (q *Interpretation) JoinPlan() (*relstore.JoinPlan, error) {
 		i = j
 	}
 	return plan, nil
-}
-
-// valueBinding is one value binding as JoinPlan groups it.
-type valueBinding struct {
-	occ     int
-	col, kw string
 }
 
 // Option is a query construction option: a partial interpretation offered

@@ -548,30 +548,34 @@ func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([
 
 // wrap converts scored interpretations to public results bound to the
 // snapshot they were ranked under, so deferred execution (Rows, Count,
-// previews) reads the same view that produced the ranking.
+// previews) reads the same view that produced the ranking. Each result's
+// algebra form and SQL are rendered together into one string, and every
+// result's Tables share one array.
 func (e *Engine) wrap(s *snapshot, scored []prob.Scored) []Result {
 	out := make([]Result, len(scored))
+	n := 0
+	for _, sc := range scored {
+		if sc.Q.Template != nil {
+			n += sc.Q.Template.Size()
+		}
+	}
+	tables := make([]string, 0, n)
 	for i, sc := range scored {
-		sql, _ := sc.Q.SQL()
+		algebra, sql, _ := sc.Q.Render()
 		out[i] = Result{
-			Query:       sc.Q.String(),
+			Query:       algebra,
 			SQL:         sql,
 			Probability: sc.Prob,
-			Tables:      tablesOf(sc.Q),
 			Aggregate:   sc.Q.Aggregate(),
 			q:           sc.Q,
 			snap:        s,
 		}
+		if sc.Q.Template != nil {
+			from := len(tables)
+			tables = append(tables, sc.Q.Template.Tree.Tables...)
+			out[i].Tables = tables[from:len(tables):len(tables)]
+		}
 	}
-	return out
-}
-
-func tablesOf(q *query.Interpretation) []string {
-	if q.Template == nil {
-		return nil
-	}
-	out := make([]string, len(q.Template.Tree.Tables))
-	copy(out, q.Template.Tree.Tables)
 	return out
 }
 
