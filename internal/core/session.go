@@ -37,10 +37,6 @@ type SessionConfig struct {
 	// interpretations remain: the user identifies the intended one in the
 	// query window (Section 3.8.2 uses 5). Default 5.
 	StopAtRemaining int
-	// MaxTemplatesPerBinding caps how many compatible templates are
-	// attached per binding combination at the final expansion (0 =
-	// unlimited).
-	MaxTemplatesPerBinding int
 	// OptionPolicy selects how the next option is chosen; default
 	// PolicyInformationGain. PolicyProbability is the ablation that picks
 	// the most probable undecided option instead.
@@ -191,7 +187,7 @@ func (s *Session) materializeComplete(ctx context.Context) error {
 	for i, p := range s.top {
 		tuples[i] = p.kis
 	}
-	complete, err := MaterializeInterpretationsContext(ctx, s.scorer, s.cands.Keywords, tuples, s.cfg.MaxTemplatesPerBinding)
+	complete, err := MaterializeInterpretationsContext(ctx, s.scorer, s.cands.Keywords, tuples)
 	if err != nil {
 		return err
 	}
@@ -200,113 +196,32 @@ func (s *Session) materializeComplete(ctx context.Context) error {
 	return nil
 }
 
-// MaterializeInterpretationsContext attaches every compatible template of
-// the scorer's catalogue to each keyword-interpretation tuple, applies the
-// minimality condition, deduplicates, and returns the ranked complete
-// interpretation space. maxTemplatesPerBinding caps template attachment
-// per tuple (0 = unlimited). It is the final expansion step of the query
-// hierarchy, shared by the IQP session and the FreeQ session. The context
-// is checked per keyword-interpretation tuple during template attachment
-// and passed into the final ranking, so the most expensive step of a
-// construction session aborts with the request.
-func MaterializeInterpretationsContext(ctx context.Context, scorer Scorer, keywords []string, tuples [][]query.KeywordInterpretation, maxTemplatesPerBinding int) ([]prob.Scored, error) {
+// MaterializeInterpretationsContext returns the ranked complete
+// interpretations of the keyword-interpretation tuples: the final
+// expansion step of the query hierarchy, shared by the IQP session and
+// the FreeQ session. Each tuple goes to query.GenerateCompleteContext on
+// its own, as candidates with one interpretation per matched keyword,
+// so the space holds the tuples' minimal interpretations tuple by tuple.
+// One call per tuple, not one over their product: RankContext sums the
+// normalising total in input order, and the product's template-major
+// order would change probabilities in their last bit. The context is
+// checked by every generation call and by the ranking.
+func MaterializeInterpretationsContext(ctx context.Context, scorer Scorer, keywords []string, tuples [][]query.KeywordInterpretation) ([]prob.Scored, error) {
 	cat := scorer.Catalog()
+	c := &query.Candidates{Keywords: keywords, PerKeyword: make([][]query.KeywordInterpretation, len(keywords))}
 	var space []*query.Interpretation
-	seen := make(map[string]bool)
 	for _, kis := range tuples {
-		if err := ctx.Err(); err != nil {
+		clear(c.PerKeyword)
+		for i := range kis {
+			c.PerKeyword[kis[i].Pos] = kis[i : i+1]
+		}
+		qs, err := query.GenerateCompleteContext(ctx, c, cat, query.GenerateConfig{})
+		if err != nil {
 			return nil, err
 		}
-		perBinding := 0
-		for _, tpl := range cat.Templates {
-			for _, bindings := range assignOccurrences(kis, tpl) {
-				q := query.NewInterpretation(keywords, tpl, bindings)
-				if !interpMinimal(q) {
-					continue
-				}
-				key := q.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				space = append(space, q)
-				perBinding++
-				if maxTemplatesPerBinding > 0 && perBinding >= maxTemplatesPerBinding {
-					break
-				}
-			}
-			if maxTemplatesPerBinding > 0 && perBinding >= maxTemplatesPerBinding {
-				break
-			}
-		}
+		space = append(space, qs...)
 	}
 	return scorer.RankContext(ctx, space)
-}
-
-// assignOccurrences enumerates the ways to place each keyword
-// interpretation on an occurrence of its table within the template;
-// returns nil when some interpretation's table is absent.
-func assignOccurrences(kis []query.KeywordInterpretation, tpl *query.Template) [][]query.Binding {
-	var out [][]query.Binding
-	cur := make([]query.Binding, 0, len(kis))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(kis) {
-			bs := make([]query.Binding, len(cur))
-			copy(bs, cur)
-			out = append(out, bs)
-			return
-		}
-		if kis[i].Kind == query.KindAggregate {
-			cur = append(cur, query.Binding{KI: &kis[i], Occ: -1})
-			rec(i + 1)
-			cur = cur[:len(cur)-1]
-			return
-		}
-		for _, occ := range tpl.Occurrences(kis[i].TargetTable()) {
-			cur = append(cur, query.Binding{KI: &kis[i], Occ: occ})
-			rec(i + 1)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0)
-	return out
-}
-
-// interpMinimal applies Definition 3.5.4(2): every leaf occurrence of the
-// template carries a binding.
-func interpMinimal(q *query.Interpretation) bool {
-	tree := q.Template.Tree
-	n := tree.Size()
-	grounded := 0
-	for _, b := range q.Bindings {
-		if b.Occ >= 0 {
-			grounded++
-		}
-	}
-	if grounded == 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	bound := make([]bool, n)
-	for _, b := range q.Bindings {
-		if b.Occ >= 0 {
-			bound[b.Occ] = true
-		}
-	}
-	deg := make([]int, n)
-	for _, e := range tree.TreeEdges {
-		deg[e.From]++
-		deg[e.To]++
-	}
-	for i := 0; i < n; i++ {
-		if deg[i] <= 1 && !bound[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *Session) sortTop() {

@@ -134,7 +134,14 @@ func RunSimulation(ctx context.Context, cfg SimConfig) (SimResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	tables, g := randomSchema(rng, cfg.Tables)
-	cat := enumerateTemplates(g, cfg.MaxTemplateSize, cfg.Templates)
+	// Every join tree up to MaxTemplateSize is a template, so the catalogue
+	// grows with the schema as the interpretation counts of Table 3.2
+	// require; each table occurs at most once per template.
+	cat := query.BuildCatalog(g, schemagraph.EnumerateOptions{
+		MaxNodes:       cfg.MaxTemplateSize,
+		MaxTrees:       cfg.Templates,
+		MaxOccurrences: 1,
+	})
 
 	// Keyword occurrences: keyword i occurs in table t with probability p.
 	cands := &query.Candidates{Keywords: make([]string, cfg.Keywords)}
@@ -222,23 +229,6 @@ func randomSchema(rng *rand.Rand, n int) ([]string, *schemagraph.Graph) {
 	return tables, schemagraph.New(tables, edges)
 }
 
-// enumerateTemplates enumerates all join trees of the schema graph up to
-// maxSize as query templates, so the catalogue size grows with the schema
-// exactly as the interpretation counts of Table 3.2 require. Self-joins
-// are disabled in the simulation (each table occurs once per template).
-func enumerateTemplates(g *schemagraph.Graph, maxSize, cap int) *query.Catalog {
-	trees := g.EnumerateJoinTrees(schemagraph.EnumerateOptions{
-		MaxNodes:       maxSize,
-		MaxTrees:       cap,
-		MaxOccurrences: 1,
-	})
-	cat := &query.Catalog{Templates: make([]*query.Template, len(trees))}
-	for i, tr := range trees {
-		cat.Templates[i] = query.NewTemplate(i, tr)
-	}
-	return cat
-}
-
 // CountInterpretations computes the size of the interpretation space
 // analytically: for every template, the product over keywords of the
 // number of compatible (interpretation, occurrence) pairs. This counts
@@ -301,7 +291,7 @@ func sampleIntended(rng *rand.Rand, c *query.Candidates, cat *query.Catalog) (*q
 			continue
 		}
 		q := query.NewInterpretation(c.Keywords, tpl, bindings)
-		if interpMinimal(q) {
+		if q.Minimal() {
 			return q, nil
 		}
 	}

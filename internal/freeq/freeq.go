@@ -49,8 +49,6 @@ type Config struct {
 	// QCOs; materialising too early degenerates FreeQ into attribute-
 	// level IQP.
 	MaterializeAt int
-	// MaxTemplatesPerBinding caps template attachment (0 = unlimited).
-	MaxTemplatesPerBinding int
 }
 
 func (c *Config) defaults() {
@@ -551,8 +549,7 @@ func (s *Session) maybeMaterialize(ctx context.Context) error {
 		}
 		tuples = next
 	}
-	keywords := s.cands.Keywords
-	complete, err := core.MaterializeInterpretationsContext(ctx, s.scorer, keywords, tuples, s.cfg.MaxTemplatesPerBinding)
+	complete, err := core.MaterializeInterpretationsContext(ctx, s.scorer, s.cands.Keywords, tuples)
 	if err != nil {
 		return err
 	}

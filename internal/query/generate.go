@@ -192,10 +192,6 @@ type GenerateConfig struct {
 	// (0 = unlimited). Enumeration visits templates in catalogue order
 	// (breadth-first by size), so the cap keeps the smallest join paths.
 	MaxInterpretations int
-	// RequireAllKeywords demands complete interpretations bind every
-	// matched keyword (AND semantics). When false, enumeration is still
-	// over all matched keywords; unmatched keywords are always skipped.
-	RequireAllKeywords bool
 	// Deprecated: ignored. Generation is sequential; the field remains
 	// only so existing callers keep compiling.
 	Parallelism int

@@ -552,6 +552,39 @@ func TestGenerateEmitsOnlyMinimal(t *testing.T) {
 		float64(emitted)/float64(calls), float64(kept)/float64(calls))
 }
 
+// TestMinimalMatchesReference: Interpretation.Minimal agrees with the
+// degree-based reference on every combination the unpruned enumeration
+// yields for the reference queries, over the join-path-4 catalogue and
+// the one without repeated tables.
+func TestMinimalMatchesReference(t *testing.T) {
+	d := demo(t)
+	var minimalN, otherN int
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		matched := c.MatchedPositions()
+		for _, cat := range []*Catalog{d.cat, d.distinctCatalog()} {
+			for _, tpl := range cat.Templates {
+				enumerateReference(c, matched, tpl, func(bindings []Binding) bool {
+					q := NewInterpretation(c.Keywords, tpl, bindings)
+					want := minimal(q)
+					if got := q.Minimal(); got != want {
+						t.Fatalf("%s: Minimal() = %t, the reference %t", q.Key(), got, want)
+					}
+					if want {
+						minimalN++
+					} else {
+						otherN++
+					}
+					return true
+				})
+			}
+		}
+	})
+	if minimalN == 0 || otherN == 0 {
+		t.Fatalf("%d minimal and %d other combinations: both kinds must occur", minimalN, otherN)
+	}
+	t.Logf("%d minimal and %d other combinations", minimalN, otherN)
+}
+
 // TestCompareKeyMatchesKeyOrder: within one generation of every reference
 // query CompareKey orders pairs as their keys do, and so it does across
 // two generations of one query, where it compares the keys.

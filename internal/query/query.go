@@ -251,6 +251,23 @@ func NewInterpretation(keywords []string, tpl *Template, bindings []Binding) *In
 // (a complete interpretation per Definition 3.5.4).
 func (q *Interpretation) IsComplete() bool { return len(q.Bindings) == len(q.Keywords) }
 
+// Minimal reports whether the interpretation binds every leaf occurrence
+// (degree ≤ 1) of its template, which also grounds it: the minimality
+// condition of Definition 3.5.4(2), under which no part of the template
+// could be removed. GenerateCompleteContext emits only minimal
+// interpretations.
+func (q *Interpretation) Minimal() bool {
+	if q.Template == nil || len(q.Template.leaves) == 0 {
+		return false
+	}
+	for _, leaf := range q.Template.leaves {
+		if !slices.ContainsFunc(q.Bindings, func(b Binding) bool { return b.Occ == leaf }) {
+			return false
+		}
+	}
+	return true
+}
+
 // Aggregate returns the aggregation operator of the interpretation
 // ("count") or "" for plain retrieval queries.
 func (q *Interpretation) Aggregate() string {
