@@ -111,7 +111,7 @@ func TestAnswerCacheServesZipfStream(t *testing.T) {
 	if want := (zipfCounts{plansExecuted: 1203}); off != want {
 		t.Errorf("cache off counted %+v, want %+v", off, want)
 	}
-	if want := (zipfCounts{hits: 2663, misses: 496, admissionRejects: 270, entries: 226, plansExecuted: 1203, planHits: 981}); on != want {
+	if want := (zipfCounts{hits: 2616, misses: 486, admissionRejects: 265, entries: 221, plansExecuted: 1203, planHits: 981}); on != want {
 		t.Errorf("cache on counted %+v, want %+v", on, want)
 	}
 }

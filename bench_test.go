@@ -9,6 +9,7 @@ package keysearch
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -646,29 +647,46 @@ func (m *rowsMix) do(ctx context.Context, i int) error {
 }
 
 // rowsAllocCeiling bounds the allocations of one BenchmarkRows request,
-// averaged over a warm pass of the mix. The mix measures 574.5, and up
-// to 625.6 under -race over 14 runs, where sync.Pool drops a quarter of
+// averaged over a warm pass of the mix. The mix measures 570.7, and up
+// to 622.5 under -race over 14 runs, where sync.Pool drops a quarter of
 // its puts and executions pay for fresh scratch; the ceiling sits just
-// above.
-const rowsAllocCeiling = 630
+// above. rowsBytesCeiling bounds the bytes of one request the same way:
+// the mix measures 91 755, and up to 131 198 under -race over the same
+// runs. Listing the live rows of every unconstrained plan node cost
+// 182 071 bytes per request without -race.
+const (
+	rowsAllocCeiling = 630
+	rowsBytesCeiling = 133_000
+)
 
 // TestRowsAllocationCeiling holds BenchmarkRows' request mix to
-// rowsAllocCeiling allocations per request: one pass warms the engine's
-// caches, and a second is measured (testing.AllocsPerRun runs at
-// GOMAXPROCS 1 whatever the caller's setting).
+// rowsAllocCeiling allocations and rowsBytesCeiling bytes per request:
+// one pass warms the engine's caches, and a second is measured at
+// GOMAXPROCS 1, as testing.AllocsPerRun measures.
 func TestRowsAllocationCeiling(t *testing.T) {
 	m := newRowsMix(t)
 	ctx := context.Background()
 	n := len(m.intents)
-	perRequest := testing.AllocsPerRun(1, func() {
+	pass := func() {
 		for i := 0; i < n; i++ {
 			if err := m.do(ctx, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}) / float64(n)
-	t.Logf("%.1f allocations per request", perRequest)
-	if perRequest > rowsAllocCeiling {
-		t.Fatalf("BenchmarkRows' mix allocates %.1f times per request, above the ceiling %d", perRequest, rowsAllocCeiling)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(n)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.1f allocations, %.0f bytes per request", allocs, bytes)
+	if allocs > rowsAllocCeiling {
+		t.Errorf("BenchmarkRows' mix allocates %.1f times per request, above the ceiling %d", allocs, rowsAllocCeiling)
+	}
+	if bytes > rowsBytesCeiling {
+		t.Errorf("BenchmarkRows' mix allocates %.0f bytes per request, above the ceiling %d", bytes, rowsBytesCeiling)
 	}
 }

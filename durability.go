@@ -481,7 +481,7 @@ func (e *Engine) Checkpoint(ctx context.Context) (*CheckpointStats, error) {
 // re-derives every RowID-keyed structure over the compacted database.
 // Row statistics are unchanged — only physical identifiers move — so
 // the inverted index keeps its term dictionary and only re-resolves its
-// column postings, the ranking model inherits the full memoised cache,
+// column postings, the ranking model is rebuilt with a cold score cache,
 // and search responses are byte-identical before and after (the
 // responses never expose RowIDs; the differential tests pin this). The
 // epoch is kept: compaction changes representation, not logical content.
@@ -489,15 +489,13 @@ func (e *Engine) compactSnapshot(s *snapshot, tables []string) *snapshot {
 	ndb := s.db.CompactTables(tables)
 	ndb.Prepare()
 	nix := s.ix.Apply(ndb, nil) // no term appears or vanishes
-	model := e.newModel(nix, s.cat)
-	model.InheritCache(s.model, nil) // no attribute statistics changed
 	return &snapshot{
 		epoch: s.epoch,
 		db:    ndb,
 		ix:    nix,
 		graph: s.graph,
 		cat:   s.cat,
-		model: model,
+		model: e.newModel(nix, s.cat),
 	}
 }
 

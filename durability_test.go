@@ -17,6 +17,13 @@ import (
 	"repro/internal/durable"
 )
 
+// withCheckpointPolicy sets the background checkpoint policy's interval
+// and batch bound, which an engine otherwise always runs at
+// checkpointEvery and checkpointAfterBatches.
+func withCheckpointPolicy(interval time.Duration, batches int) Option {
+	return func(c *config) { c.checkpointInterval, c.checkpointBatches = interval, batches }
+}
+
 // durQueries are the differential queries of the durability tests; they
 // cover value matches, joins, and multi-keyword interpretation over the
 // small movie fixture.
@@ -325,7 +332,7 @@ func durableEngine(t *testing.T, dir string, opts ...Option) *Engine {
 		WithDurability(dir),
 		// A long interval keeps the background policy out of the tests'
 		// way; explicit Checkpoint calls drive the assertions.
-		WithCheckpointPolicy(time.Hour, 1<<30),
+		withCheckpointPolicy(time.Hour, 1<<30),
 	}, opts...)...)
 }
 
@@ -515,7 +522,7 @@ func TestCheckpointPolicyBatchBound(t *testing.T) {
 	eng := builtEngine(t,
 		WithMutations(),
 		WithDurability(dir),
-		WithCheckpointPolicy(time.Hour, 2), // interval out of the way; bound at 2
+		withCheckpointPolicy(time.Hour, 2), // interval out of the way; bound at 2
 	)
 	defer eng.Close()
 	for i := 0; i < 2; i++ {
@@ -657,7 +664,7 @@ func TestRestartDoesNoBuildWork(t *testing.T) {
 	churned := func(name string) (*Engine, string) {
 		dir := filepath.Join(root, name)
 		eng, err := NewFromDatabase(db, WithCoOccurrence(), WithMutations(), WithDurability(dir),
-			WithCheckpointPolicy(time.Hour, 1<<30))
+			withCheckpointPolicy(time.Hour, 1<<30))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,10 @@
 //
 // WithDurability writes a snapshot at Build and appends every Apply
 // batch to a write-ahead log before acknowledging it; a checkpoint folds
-// the log into a new snapshot. WithCheckpointPolicy sets when the
-// background policy checkpoints: here after 30 seconds, or as soon as
-// two batches are pending. Close takes a final checkpoint, and Open
-// restores the snapshot and replays whatever the log still holds.
+// the log into a new snapshot. A background policy checkpoints every 30
+// seconds, or as soon as 256 batches are pending. Close takes a final
+// checkpoint, and Open restores the snapshot and replays whatever the
+// log still holds.
 //
 //	go run ./examples/durable
 package main
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	keysearch "repro"
 )
@@ -30,7 +29,7 @@ func main() {
 
 	eng, err := keysearch.New([]keysearch.Table{{
 		Name: "actor", Columns: []keysearch.Column{{Name: "id"}, {Name: "name", Text: true}}, PrimaryKey: "id",
-	}}, keysearch.WithMutations(), keysearch.WithDurability(dir), keysearch.WithCheckpointPolicy(30*time.Second, 2))
+	}}, keysearch.WithMutations(), keysearch.WithDurability(dir))
 	if err != nil {
 		log.Fatal(err)
 	}

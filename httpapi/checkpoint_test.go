@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	keysearch "repro"
 )
@@ -18,7 +17,6 @@ func durableTestServer(t *testing.T) (*Server, *keysearch.Engine) {
 	eng, err := keysearch.DemoMoviesWith(3,
 		keysearch.WithMutations(),
 		keysearch.WithDurability(t.TempDir()),
-		keysearch.WithCheckpointPolicy(time.Hour, 1<<30),
 	)
 	if err != nil {
 		t.Fatal(err)

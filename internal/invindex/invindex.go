@@ -136,12 +136,6 @@ func (ix *Index) col(attr AttrRef) *column {
 	return nil
 }
 
-// Granule returns an indexed attribute's invalidation granule: its table
-// and the column's position in that table's schema.
-func (ix *Index) Granule(attr AttrRef) relstore.Attr {
-	return relstore.Attr{Table: attr.Table, Col: ix.col(attr).table.Schema.ColumnIndex(attr.Column)}
-}
-
 // has reports whether the term occurs in any indexed attribute.
 func (ix *Index) has(term string) bool {
 	for _, c := range ix.cols {

@@ -11,9 +11,9 @@ import (
 // template, each candidate's keyword probability once, and each value
 // group's joint probability once per distinct (attribute, keyword bag).
 // The model's shared score cache still computes and stores every value,
-// so InheritCache sees the same entries; the memo spares the shared
-// cache's lookups, which hash the attribute and the keyword bag on
-// every read.
+// so later calls on the model read the same entries; the memo spares
+// the shared cache's lookups, which hash the attribute and the keyword
+// bag on every read.
 //
 // A candidate is identified by its pointer: generation points every
 // binding of a call into the request's candidate list. Bindings are
@@ -98,7 +98,7 @@ func (f *factors) score(q *query.Interpretation) float64 {
 	}
 	unmapped := len(q.Keywords) - len(q.Bindings)
 	for i := 0; i < unmapped; i++ {
-		score *= f.m.cfg.Pu
+		score *= f.m.pu
 	}
 	return score
 }

@@ -25,11 +25,6 @@ import (
 type Config struct {
 	// Alpha is the ATF smoothing parameter of Equation 3.8 (default 1).
 	Alpha float64
-	// SchemaTermProb is the empirical probability assigned to schema-term
-	// interpretations (table/attribute name matches) when no query log
-	// covers them; the "empirical values set by domain experts" of
-	// Section 3.6.2 (default 0.5).
-	SchemaTermProb float64
 	// UseTemplateLog enables the query-log template prior of Equation 3.7;
 	// without it all templates are equally probable.
 	UseTemplateLog bool
@@ -37,12 +32,6 @@ type Config struct {
 	// keyword groups bound to the same attribute of the same occurrence
 	// (Equation 4.2).
 	UseCoOccurrence bool
-	// Pu is the probability that an unmapped keyword's intended
-	// interpretation matches no database attribute (Equation 4.2). It must
-	// stay below the minimum probability of any existing keyword
-	// interpretation so complete interpretations outrank partial ones;
-	// 0 selects a conservative default.
-	Pu float64
 	// Deprecated: ignored. Scoring is sequential; the field remains only
 	// so existing callers keep compiling.
 	Parallelism int
@@ -53,13 +42,24 @@ type Config struct {
 	DisableScoreCache bool
 }
 
+// schemaTermProb is the empirical probability of a schema-term
+// interpretation (a table, attribute or aggregate name match): the
+// "empirical values set by domain experts" of Section 3.6.2.
+const schemaTermProb = 0.5
+
 // Model scores query interpretations. A Model is safe for concurrent use,
 // because every concurrent request on a snapshot shares its model: its
 // inputs are immutable and its memoised sub-term cache is synchronised.
+// A model's cache is its own: a snapshot's successor starts cold.
 type Model struct {
-	ix    *invindex.Index
-	cat   *query.Catalog
-	cfg   Config
+	ix  *invindex.Index
+	cat *query.Catalog
+	cfg Config
+	// pu is the probability that an unmapped keyword's intended
+	// interpretation matches no database attribute (Equation 4.2). It
+	// stays below the minimum probability of any existing keyword
+	// interpretation, so complete interpretations outrank partial ones.
+	pu    float64
 	cache *scoreCache // nil when Config.DisableScoreCache
 }
 
@@ -68,24 +68,19 @@ func New(ix *invindex.Index, cat *query.Catalog, cfg Config) *Model {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 1
 	}
-	if cfg.SchemaTermProb <= 0 {
-		cfg.SchemaTermProb = 0.5
-	}
-	if cfg.Pu <= 0 {
-		// Below any smoothed ATF: the reserved-unseen mass of the largest
-		// attribute is ~alpha/(tokens+alpha*(V+1)); divide once more.
-		maxTokens := 1
-		for _, a := range ix.Attributes() {
-			if n := ix.AttrTokens(a); n > maxTokens {
-				maxTokens = n
-			}
-		}
-		cfg.Pu = cfg.Alpha / (float64(maxTokens) * 10)
-		if cfg.Pu >= 1 {
-			cfg.Pu = 0.01
+	// Below any smoothed ATF: the reserved-unseen mass of the largest
+	// attribute is ~alpha/(tokens+alpha*(V+1)); divide once more.
+	maxTokens := 1
+	for _, a := range ix.Attributes() {
+		if n := ix.AttrTokens(a); n > maxTokens {
+			maxTokens = n
 		}
 	}
-	m := &Model{ix: ix, cat: cat, cfg: cfg}
+	pu := cfg.Alpha / (float64(maxTokens) * 10)
+	if pu >= 1 {
+		pu = 0.01
+	}
+	m := &Model{ix: ix, cat: cat, cfg: cfg, pu: pu}
 	if !cfg.DisableScoreCache {
 		m.cache = newScoreCache(ix.Attributes())
 	}
@@ -97,9 +92,6 @@ func (m *Model) Index() *invindex.Index { return m.ix }
 
 // Catalog exposes the template catalogue.
 func (m *Model) Catalog() *query.Catalog { return m.cat }
-
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
 
 // TemplatePrior returns P(T) per Equation 3.7. With no query log (or when
 // the log is disabled) every template is equally probable. The prior is
@@ -140,7 +132,7 @@ func (m *Model) keywordProb(ki query.KeywordInterpretation) float64 {
 	case query.KindValue:
 		return m.ix.ATF(ki.Keyword, ki.Attr, m.cfg.Alpha)
 	default:
-		return m.cfg.SchemaTermProb
+		return schemaTermProb
 	}
 }
 
@@ -148,9 +140,10 @@ func (m *Model) keywordProb(ki query.KeywordInterpretation) float64 {
 // keyword group bound to the same attribute of the same occurrence: the
 // smoothed fraction of the attribute's values containing the whole bag.
 // For a single keyword it reduces to ATF so the IQP and DivQ models agree
-// on singletons. The multi-keyword case scans the attribute's rows, which
-// makes it the most expensive sub-term — and the one the memoised cache
-// pays off most for.
+// on singletons. The multi-keyword case intersects the keywords' posting
+// lists in the attribute (invindex.Index.CoOccurrence), which makes it
+// the most expensive sub-term — and the one the memoised cache pays off
+// most for.
 func (m *Model) jointValueProb(keywords []string, attr invindex.AttrRef) float64 {
 	if m.cache != nil {
 		return m.cache.jointProb(keywords, attr, func() float64 { return m.jointValueProbUncached(keywords, attr) })
@@ -193,7 +186,7 @@ func (m *Model) Score(q *query.Interpretation) float64 {
 	// Unmapped keywords (partial interpretations): factor Pu each (Eq 4.2).
 	unmapped := len(q.Keywords) - len(q.Bindings)
 	for i := 0; i < unmapped; i++ {
-		score *= m.cfg.Pu
+		score *= m.pu
 	}
 	return score
 }

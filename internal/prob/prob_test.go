@@ -276,15 +276,11 @@ func TestNormalizedEntropy(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.ix, f.cat, Config{})
-	cfg := m.Config()
-	if cfg.Alpha != 1 {
-		t.Fatalf("default Alpha = %v", cfg.Alpha)
+	if m.cfg.Alpha != 1 {
+		t.Fatalf("default Alpha = %v", m.cfg.Alpha)
 	}
-	if cfg.SchemaTermProb != 0.5 {
-		t.Fatalf("default SchemaTermProb = %v", cfg.SchemaTermProb)
-	}
-	if cfg.Pu <= 0 || cfg.Pu >= 1 {
-		t.Fatalf("default Pu = %v out of (0,1)", cfg.Pu)
+	if m.pu <= 0 || m.pu >= 1 {
+		t.Fatalf("derived Pu = %v out of (0,1)", m.pu)
 	}
 	if m.Index() != f.ix || m.Catalog() != f.cat {
 		t.Fatal("accessors wrong")

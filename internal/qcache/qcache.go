@@ -353,7 +353,7 @@ func (v *View) putLocked(e *entry) {
 }
 
 func selectionEntryKey(table string, col int, bag string) entryKey {
-	return entryKey{kind: kindSelection, key: table + "\x01" + itoa(col) + "\x01" + bag}
+	return entryKey{kind: kindSelection, key: table + "\x01" + strconv.Itoa(col) + "\x01" + bag}
 }
 
 // GetSelection implements relstore.SharedStore.
@@ -428,13 +428,4 @@ func (v *View) PutCount(key string, footprint []relstore.Attr, n int) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	v.putLocked(e)
-}
-
-// itoa renders a selection key's column; the membership pseudo-column
-// is "*".
-func itoa(v int) string {
-	if v == relstore.MembershipCol {
-		return "*"
-	}
-	return strconv.Itoa(v)
 }

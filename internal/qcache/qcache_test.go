@@ -327,15 +327,6 @@ func TestDecodeOldVersionStartsCold(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	cases := map[int]string{relstore.MembershipCol: "*", 0: "0", 7: "7", 12: "12", 123: "123"}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // forgedCountPayloads are well-formed section prefixes whose declared
 // counts far exceed their length: a plan entry declaring 2^62 rows, and
 // a selection entry declaring a footprint of five million attributes.

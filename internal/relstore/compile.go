@@ -21,9 +21,10 @@ import (
 //     lists (shared through the per-request SelectionCache when one is
 //     supplied); when one is empty the plan has no result under any
 //     limit and stops here, before the answer cache is consulted — many
-//     interpretations of a keyword query die this way;
-//  2. selection: the candidates of unconstrained nodes (their live
-//     rows), then the root: the most selective node; and
+//     interpretations of a keyword query die this way. An unconstrained
+//     node's candidates are its table's live rows: they are counted,
+//     never listed;
+//  2. root: the most selective node; and
 //  3. enumeration: index nested loops from the root, exactly as the
 //     reference executor, descending only into rows that can be
 //     completed below — a semi-join reduction of the join tree evaluated
@@ -45,10 +46,14 @@ type compiledPred struct {
 	keywords []string
 }
 
-// compiledNode is one join-plan node with its table resolved.
+// compiledNode is one join-plan node with its table resolved. A node is
+// free (unconstrained) when no predicate narrows its rows: it has none,
+// or each names a known column with an empty bag, which every row
+// contains. A free node's candidates are its table's live rows.
 type compiledNode struct {
 	table *Table
 	preds []compiledPred
+	free  bool
 }
 
 // compiledHalf is one direction of a join edge: this node's fromCol joins
@@ -93,38 +98,37 @@ func (db *Database) Compile(p *JoinPlan) (*CompiledPlan, error) {
 	preds := make([]compiledPred, npreds)
 	for i, node := range p.Nodes {
 		t, k := sk.tables[i], len(node.Predicates)
+		free := true
 		for j, pred := range node.Predicates {
 			preds[j] = compiledPred{col: t.Schema.ColumnIndex(pred.Column), keywords: pred.Keywords}
+			free = free && preds[j].col >= 0 && len(pred.Keywords) == 0
 		}
-		cp.nodes = append(cp.nodes, compiledNode{table: t, preds: preds[:k:k]})
+		cp.nodes = append(cp.nodes, compiledNode{table: t, preds: preds[:k:k], free: free})
 		preds = preds[k:]
 	}
 	return cp, nil
 }
 
-// candidates computes the node's candidate rows: the intersection of its
-// predicate selections, or all rows when unconstrained. Selections come
-// from the posting lists, memoised per (table, column, bag) in the cache
-// when one is supplied. The result is shared/read-only.
+// candidates computes a constrained node's candidate rows: the
+// intersection of its keyword selections. Selections come from the
+// posting lists, memoised per (table, column, bag) in the cache when one
+// is supplied. The result is shared/read-only.
 func (cp *CompiledPlan) candidates(i int, cache *SelectionCache) []int {
 	node := &cp.nodes[i]
-	if len(node.preds) == 0 {
-		// Unconstrained: the empty bag selects every row; memoised under
-		// column -1 so repeated plans over the same connector tables
-		// share one identity slice.
-		return cache.selection(node.table, -1, nil)
-	}
 	var out []int
-	for j, pred := range node.preds {
+	for _, pred := range node.preds {
 		if pred.col < 0 {
 			// Unknown predicate column: matches nothing, like the scan.
 			return nil
+		}
+		if len(pred.keywords) == 0 {
+			continue // every row contains the empty bag
 		}
 		sel := cache.selection(node.table, pred.col, pred.keywords)
 		if len(sel) == 0 {
 			return nil
 		}
-		if j == 0 {
+		if out == nil {
 			out = sel
 		} else {
 			out = intersectSorted(out, sel)
@@ -286,15 +290,15 @@ func (cp *CompiledPlan) footprint() []Attr {
 	return out
 }
 
-// prove appends every node's candidate selection to sels — nil for an
-// unconstrained node, whose live rows are only listed once enumeration
-// needs them — and reports false as soon as a constrained node's is
-// empty: such a plan has no result under any limit or data version the
-// request sees, so it needs no answer-cache key, lookup or entry.
+// prove appends every node's candidate selection to sels — nil for a
+// free node, whose candidates are its table's live rows — and reports
+// false as soon as a constrained node's is empty: such a plan has no
+// result under any limit or data version the request sees, so it needs
+// no answer-cache key, lookup or entry.
 func (cp *CompiledPlan) prove(cache *SelectionCache, sels [][]int) ([][]int, bool) {
 	for i := range cp.nodes {
 		var c []int
-		if len(cp.nodes[i].preds) > 0 {
+		if !cp.nodes[i].free {
 			if c = cp.candidates(i, cache); len(c) == 0 {
 				return nil, false
 			}
@@ -318,14 +322,14 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 		return nil, 0
 	}
 	if cache == nil || cache.shared == nil {
-		return cp.runCore(sels, cache, limit, collect)
+		return cp.runCore(sels, limit, collect)
 	}
 	key := cp.cacheKey(limit)
 	if !collect {
 		if n, ok := cache.shared.GetCount(key); ok {
 			return nil, n
 		}
-		_, n := cp.runCore(sels, cache, limit, false)
+		_, n := cp.runCore(sels, limit, false)
 		cache.shared.PutCount(key, cp.footprint(), n)
 		return nil, n
 	}
@@ -339,7 +343,7 @@ func (cp *CompiledPlan) run(cache *SelectionCache, limit int, collect bool) ([]J
 		}
 		return results, len(rows)
 	}
-	results, count := cp.runCore(sels, cache, limit, true)
+	results, count := cp.runCore(sels, limit, true)
 	rows := make([][]int, len(results))
 	for i := range results {
 		rows[i] = results[i].Rows
@@ -355,8 +359,8 @@ type step struct {
 	node, parent int
 	kid, sib     int
 	table        *Table
-	// cands is the node's ascending selection; nil for an unconstrained
-	// node, whose candidates are the table's live rows.
+	// cands is the node's ascending selection; nil for a free node,
+	// whose candidates are the table's live rows.
 	cands []int
 	// adj maps a row of the parent's table to this node's partner rows,
 	// ascending — the order of the equality index on the join column.
@@ -486,26 +490,24 @@ func (r *planRun) release() {
 // rooted index-nested-loop enumeration that descends only into viable
 // rows (the demand-driven semi-join, see planRun.below). With collect it
 // materialises JTTs; otherwise it only counts.
-func (cp *CompiledPlan) runCore(sels [][]int, cache *SelectionCache, limit int, collect bool) ([]JTT, int) {
+func (cp *CompiledPlan) runCore(sels [][]int, limit int, collect bool) ([]JTT, int) {
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	r.run(cp, sels, cache, limit, collect)
+	r.run(cp, sels, limit, collect)
 	return r.results, r.count
 }
 
 // run executes the plan in this scratch from the selections prove
-// returned and returns the root node index (-1 when an unconstrained
-// node's table has no live row); results and count are left in r.
-func (r *planRun) run(cp *CompiledPlan, sels [][]int, cache *SelectionCache, limit int, collect bool) int {
+// returned and returns the root node index; results and count are left
+// in r.
+func (r *planRun) run(cp *CompiledPlan, sels [][]int, limit int, collect bool) int {
 	n := len(cp.nodes)
 	r.sels = append(r.sels, sels...)
-	for i, c := range r.sels {
-		if c == nil {
-			if c = cp.candidates(i, cache); len(c) == 0 {
-				return -1
-			}
-			r.sels[i] = c
+	size := func(i int) int {
+		if cp.nodes[i].free {
+			return cp.nodes[i].table.NumLive()
 		}
+		return len(r.sels[i])
 	}
 
 	// Root: most selective node by candidate count (first wins ties) —
@@ -513,7 +515,7 @@ func (r *planRun) run(cp *CompiledPlan, sels [][]int, cache *SelectionCache, lim
 	// order, and therefore the JTT sequence, is identical.
 	root := 0
 	for i := 1; i < n; i++ {
-		if len(r.sels[i]) < len(r.sels[root]) {
+		if size(i) < size(root) {
 			root = i
 		}
 	}
@@ -524,16 +526,31 @@ func (r *planRun) run(cp *CompiledPlan, sels [][]int, cache *SelectionCache, lim
 
 	r.assign = slices.Grow(r.assign, n)[:n]
 	r.limit, r.collect = limit, collect
-	for _, id := range r.sels[root] {
-		if !r.below(0, id) {
-			continue
+	if t := cp.nodes[root].table; cp.nodes[root].free {
+		// A free root walks its table's live rows in ascending order.
+		for id := 0; id < t.Len(); id++ {
+			if t.Live(id) && r.start(root, id) {
+				break
+			}
 		}
-		r.assign[root] = id
-		if r.enumerate(1) {
-			break
+	} else {
+		for _, id := range r.sels[root] {
+			if r.start(root, id) {
+				break
+			}
 		}
 	}
 	return root
+}
+
+// start enumerates the results rooted at the root node's row id if it
+// can be completed; it reports true once the limit is reached.
+func (r *planRun) start(root, id int) bool {
+	if !r.below(0, id) {
+		return false
+	}
+	r.assign[root] = id
+	return r.enumerate(1)
 }
 
 // plan appends node v, joined to its parent node through adj, and,
@@ -545,7 +562,7 @@ func (r *planRun) run(cp *CompiledPlan, sels [][]int, cache *SelectionCache, lim
 func (r *planRun) plan(cp *CompiledPlan, v, parent int, adj *adjacency) int {
 	k := len(r.order)
 	st := step{node: v, parent: parent, kid: -1, sib: -1, table: cp.nodes[v].table, adj: adj, memo: -1, bits: -1}
-	if len(cp.nodes[v].preds) > 0 {
+	if !cp.nodes[v].free {
 		st.cands = r.sels[v]
 		if parent >= 0 && len(st.cands) > bitmapMin {
 			st.searches = len(st.cands) >> bitmapShift

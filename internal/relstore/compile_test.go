@@ -364,7 +364,7 @@ func TestBitmapMembershipOverReusedPool(t *testing.T) {
 			t.Fatal("big plan proved empty")
 		}
 		r := runPool.Get().(*planRun)
-		if r.run(cbig, sels, nil, 0, false); r.order[1].bits < 0 {
+		if r.run(cbig, sels, 0, false); r.order[1].bits < 0 {
 			t.Fatalf("the %d-candidate child step never built its bitmap", len(sels[1]))
 		}
 		r.release()

@@ -548,7 +548,7 @@ func TestDeadEndsResolvedOnce(t *testing.T) {
 	}
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	if root := r.run(cp, sels, nil, 0, true); root != 0 {
+	if root := r.run(cp, sels, 0, true); root != 0 {
 		t.Fatalf("root = %d, want the r node", root)
 	}
 	if r.count != 0 || len(r.results) != 0 {

@@ -35,7 +35,7 @@ type Work struct{ Rows, Probes int }
 func (cp *CompiledPlan) ExecuteWork(limit int, cache *SelectionCache) ([]JTT, Work) {
 	var w Work
 	for i := range cp.nodes {
-		if len(cp.nodes[i].preds) == 0 {
+		if cp.nodes[i].free {
 			continue
 		}
 		c := cp.candidates(i, cache)
@@ -49,7 +49,7 @@ func (cp *CompiledPlan) ExecuteWork(limit int, cache *SelectionCache) ([]JTT, Wo
 	}
 	r := runPool.Get().(*planRun)
 	defer r.release()
-	r.run(cp, sels, cache, limit, true)
+	r.run(cp, sels, limit, true)
 	w.Probes = r.probes
 	return r.results, w
 }

@@ -158,15 +158,13 @@ func (t *Table) Postings(column string) *ColumnPostings {
 	return t.ensurePostings(ci)
 }
 
-// selectPostings evaluates the bag-containment selection over the column's
-// posting lists: one sorted list per distinct keyword (rows needing the
-// keyword n times are pre-filtered by per-row counts), intersected
-// smallest-first. The result is ascending and must be treated as
-// read-only — single-keyword selections alias the posting list itself.
+// selectPostings evaluates the bag-containment selection of a non-empty
+// keyword bag over the column's posting lists: one sorted list per
+// distinct keyword (rows needing the keyword n times are pre-filtered by
+// per-row counts), intersected smallest-first. The result is ascending
+// and must be treated as read-only — single-keyword selections alias the
+// posting list itself.
 func (t *Table) selectPostings(ci int, keywords []string) []int {
-	if len(keywords) == 0 {
-		return t.allRowIDs()
-	}
 	cp := t.ensurePostings(ci)
 	// Bag semantics: duplicated keywords need duplicated occurrences.
 	need := make(map[string]int, len(keywords))

@@ -18,9 +18,10 @@ type Attr struct {
 
 // MembershipCol is the pseudo-column representing a table's set of live
 // rows. Inserting or deleting a row changes membership; updating values
-// in place does not. Cached results that enumerate a table without a
-// column predicate (unconstrained plan nodes, whole-table selections)
-// depend on membership rather than on any one column.
+// in place does not. A cached plan result that enumerates a table
+// without a column predicate (an unconstrained plan node) depends on
+// membership rather than on any one column. It is a footprint and
+// invalidation attribute only: no selection is ever keyed on it.
 const MembershipCol = -1
 
 // SharedStore is the engine-lifetime answer cache consulted by
@@ -33,9 +34,10 @@ const MembershipCol = -1
 //
 // All three namespaces share one byte budget and one admission policy:
 //
-//   - Selections: (table, column, canonical bag) → ascending row IDs,
-//     the unit promoted from the per-request SelectionCache. Footprint
-//     is the single selection attribute, implied by the key.
+//   - Selections: (table, column, canonical non-empty bag) → ascending
+//     row IDs, the keyword selection promoted from the per-request
+//     SelectionCache. Footprint is the single selection attribute,
+//     implied by the key.
 //   - Plans: canonical compiled-plan key → per-node row-ID lists, the
 //     full output of one candidate-network execution.
 //   - Counts: canonical compiled-plan key → non-empty-result count,

@@ -466,15 +466,19 @@ func CountToken(value, keyword string) (matches, tokens int) {
 }
 
 // SelectContains returns the RowIDs of rows whose column value contains
-// the whole keyword bag, ascending. It evaluates from the column's token
-// posting lists — a sorted-list intersection with per-row counts for
-// duplicated keywords — and agrees exactly with applying ContainsBag row
-// by row (the differential tests enforce the agreement against a scan). The returned slice may alias the posting
-// lists and must be treated as read-only.
+// the whole keyword bag, ascending; every live row contains the empty
+// bag. It evaluates from the column's token posting lists — a
+// sorted-list intersection with per-row counts for duplicated keywords —
+// and agrees exactly with applying ContainsBag row by row (the
+// differential tests enforce the agreement against a scan). The returned
+// slice may alias the posting lists and must be treated as read-only.
 func (t *Table) SelectContains(column string, keywords []string) []int {
 	ci := t.Schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil
+	}
+	if len(keywords) == 0 {
+		return t.allRowIDs()
 	}
 	return t.selectPostings(ci, keywords)
 }

@@ -77,10 +77,10 @@ func CanonicalBag(keywords []string) string {
 	return strings.Join(lowered, "\x00")
 }
 
-// selection returns the memoised bag-containment selection over the
-// table's column, computing it via the posting lists on first use. The
-// returned slice is shared and read-only. A nil cache is valid and simply
-// computes the selection directly.
+// selection returns the memoised bag-containment selection of a
+// non-empty bag over the table's column, computing it via the posting
+// lists on first use. The returned slice is shared and read-only. A nil
+// cache is valid and simply computes the selection directly.
 func (c *SelectionCache) selection(t *Table, ci int, keywords []string) []int {
 	if c == nil {
 		return t.selectPostings(ci, keywords)

@@ -2,6 +2,7 @@ package relstore_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -16,10 +17,18 @@ import (
 // countingStore is a SharedStore that holds nothing: a SelectionCache
 // backed by it consults GetSelection on every local miss, so the count
 // is the number of selections the cache resolved from the posting lists.
-type countingStore struct{ selections int }
+// listed records each selection that is not a keyword selection: a
+// table's membership or an empty bag.
+type countingStore struct {
+	selections int
+	listed     []string
+}
 
-func (s *countingStore) GetSelection(string, int, string) ([]int, bool) {
+func (s *countingStore) GetSelection(table string, col int, bag string) ([]int, bool) {
 	s.selections++
+	if col == relstore.MembershipCol || bag == "" {
+		s.listed = append(s.listed, fmt.Sprintf("%s.%d[%q]", table, col, bag))
+	}
 	return nil, false
 }
 func (*countingStore) PutSelection(string, int, string, []int)  {}
@@ -37,8 +46,9 @@ type workCounts struct {
 	// rows and probes: the rows the posting path's selections return and
 	// the join partners it probes.
 	rows, probes int
-	// shared and perPlan: selections resolved through one SelectionCache
-	// shared by all plans, and through a fresh one per plan.
+	// shared and perPlan: keyword selections resolved through one
+	// SelectionCache shared by all plans, and through a fresh one per
+	// plan. A node no predicate narrows resolves none.
 	shared, perPlan int
 }
 
@@ -92,10 +102,103 @@ func TestExecutorWorkCounted(t *testing.T) {
 		got.scanRows+got.scanProbes, float64(got.scanRows+got.scanProbes)/float64(got.rows+got.probes))
 
 	want := workCounts{plans: 26, jtts: 603, scanRows: 83424, scanProbes: 7111,
-		rows: 8722, probes: 7835, shared: 15, perPlan: 79}
+		rows: 8722, probes: 7835, shared: 10, perPlan: 49}
 	if got != want {
 		t.Fatalf("executor work %+v, want %+v", got, want)
 	}
+}
+
+// TestFreeNodesAreNeverListed: a plan node no predicate narrows — a
+// connector between keyword nodes, or every node of a schema-term-only
+// reading — is counted and walked, never listed, so no SelectionCache
+// consults its store for a membership or empty-bag selection. Over the
+// work guard's plans, and over the readings of "movie" and "movie actor"
+// with schema terms on a database whose movie and actor tables hold
+// tombstones, every plan must return the scan reference's JTT sequence,
+// with and without a limit.
+func TestFreeNodesAreNeverListed(t *testing.T) {
+	db, plans, _ := workFixture(t)
+	var dels []relstore.Mutation
+	for _, table := range []string{"movie", "actor"} {
+		tb := db.Table(table)
+		for id, row := range tb.Rows() {
+			if id%3 == 1 {
+				dels = append(dels, relstore.Mutation{Op: relstore.OpDelete, Table: table, Key: row.Values[0]})
+			}
+		}
+	}
+	tomb, _, err := db.Apply(dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tomb.Table("movie").NumLive() == tomb.Table("movie").Len() {
+		t.Fatal("no tombstones in the movie table")
+	}
+	ix := invindex.Build(tomb)
+	cat := query.BuildCatalog(schemagraph.FromDatabase(tomb), schemagraph.EnumerateOptions{MaxNodes: 4})
+	ctx := context.Background()
+	var allFree []*relstore.JoinPlan
+	for _, q := range [][]string{{"movie"}, {"movie", "actor"}} {
+		cands, err := query.GenerateCandidatesContext(ctx, ix, q, query.GenerateOptionsConfig{IncludeSchemaTerms: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		space, err := query.GenerateCompleteContext(ctx, cands, cat, query.GenerateConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range space {
+			p, err := in.JoinPlan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(p.Nodes, func(n relstore.JoinNode) bool { return len(n.Predicates) > 0 }) {
+				allFree = append(allFree, p)
+			}
+		}
+	}
+	if !slices.ContainsFunc(allFree, func(p *relstore.JoinPlan) bool { return len(p.Nodes) > 1 }) {
+		t.Fatalf("no schema-term-only join among %d free readings", len(allFree))
+	}
+	// The same readings with an empty-bag predicate on every node: every
+	// row contains the empty bag, so the nodes stay free.
+	for _, p := range slices.Clone(allFree) {
+		q := &relstore.JoinPlan{Nodes: slices.Clone(p.Nodes), Edges: p.Edges}
+		for i, n := range q.Nodes {
+			q.Nodes[i].Predicates = []relstore.Predicate{{Column: tomb.Table(n.Table).Schema.Columns[1].Name}}
+		}
+		allFree = append(allFree, q)
+	}
+
+	check := func(db *relstore.Database, plans []*relstore.JoinPlan) {
+		t.Helper()
+		store := &countingStore{}
+		for i, p := range plans {
+			for _, limit := range []int{0, 7} {
+				want, err := db.ExecuteScan(p, relstore.ExecuteOptions{Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := db.Execute(p, relstore.ExecuteOptions{Limit: limit, Cache: relstore.NewSelectionCacheShared(store)})
+				if err != nil || !sameJTTs(got, want) {
+					t.Fatalf("plan %d limit %d: %d JTTs (%v), scan %d", i, limit, len(got), err, len(want))
+				}
+				cp, err := db.Compile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, _ := cp.CountRows(limit, relstore.NewSelectionCacheShared(store)); n != len(want) {
+					t.Fatalf("plan %d limit %d: CountRows %d, scan %d", i, limit, n, len(want))
+				}
+			}
+		}
+		if len(store.listed) > 0 {
+			t.Fatalf("%d selections listed for unconstrained nodes, first %v", len(store.listed), store.listed[0])
+		}
+	}
+	check(db, plans)
+	check(tomb, plans)
+	check(tomb, allFree)
 }
 
 func sameJTTs(a, b []relstore.JTT) bool {

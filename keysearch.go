@@ -89,11 +89,21 @@ type config struct {
 	answerCacheBytes   int64
 	mutable            bool
 
-	// Durability tunables (see durability.go). durDir empty = memory-only.
+	// Durability (see durability.go). durDir empty = memory-only. The
+	// checkpoint policy is checkpointEvery and checkpointAfterBatches;
+	// only tests set other values.
 	durDir             string
 	checkpointInterval time.Duration
 	checkpointBatches  int
 }
+
+// A durable engine's background policy checkpoints when the WAL holds
+// batches and checkpointEvery has elapsed since the last tick, or as
+// soon as checkpointAfterBatches batches are pending.
+const (
+	checkpointEvery        = 30 * time.Second
+	checkpointAfterBatches = 256
+)
 
 // Option configures an Engine at construction time.
 type Option func(*config)
@@ -161,24 +171,14 @@ func WithAnswerCache(budgetBytes int64) Option {
 // WithDurability persists the engine under dir: Build writes an initial
 // snapshot there (and truncates any stale mutation log), every Apply
 // batch is appended to a write-ahead log before its snapshot is
-// published, and a background policy (see WithCheckpointPolicy)
-// checkpoints the state — a fresh snapshot file, a truncated WAL, and
-// tombstone compaction of churned tables. Use Open to recover the
-// engine from dir after a restart (latest snapshot + WAL tail replay).
+// published, and a background policy (every 30 s, or once 256 batches
+// are pending) checkpoints the state — a fresh snapshot file, a
+// truncated WAL, and tombstone compaction of churned tables. Use Open to
+// recover the engine from dir after a restart (latest snapshot + WAL
+// tail replay).
 // See docs/persistence.md for the on-disk formats and crash semantics.
 func WithDurability(dir string) Option {
 	return func(c *config) { c.durDir = dir }
-}
-
-// WithCheckpointPolicy tunes background checkpointing of a durable
-// engine: a checkpoint runs when the WAL holds batches and interval has
-// elapsed, or as soon as batches accumulate past the batch bound.
-// Non-positive arguments keep the defaults (30s, 256 batches).
-func WithCheckpointPolicy(interval time.Duration, batches int) Option {
-	return func(c *config) {
-		c.checkpointInterval = interval
-		c.checkpointBatches = batches
-	}
 }
 
 // WithMutations enables live row mutations: Engine.Apply accepts
@@ -208,18 +208,12 @@ func checkJoinPath(n int) error {
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{maxJoinPath: 4}
+	cfg := config{maxJoinPath: 4, checkpointInterval: checkpointEvery, checkpointBatches: checkpointAfterBatches}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.maxJoinPath <= 0 {
 		cfg.maxJoinPath = 4
-	}
-	if cfg.checkpointInterval <= 0 {
-		cfg.checkpointInterval = 30 * time.Second
-	}
-	if cfg.checkpointBatches <= 0 {
-		cfg.checkpointBatches = 256
 	}
 	return cfg
 }
@@ -377,10 +371,11 @@ func (e *Engine) Build() error {
 	return nil
 }
 
-// newModel builds the ranking model for a snapshot. Build and Apply both
-// use it, so an incrementally maintained snapshot configures its model —
-// including the recomputed smoothing floor Pu — exactly as a fresh build
-// over the same rows would.
+// newModel builds the ranking model for a snapshot. Build, Apply and
+// checkpoint compaction all use it, so an incrementally maintained
+// snapshot configures its model — including the recomputed smoothing
+// floor Pu and a cold score cache — exactly as a fresh build over the
+// same rows would.
 func (e *Engine) newModel(ix *invindex.Index, cat *query.Catalog) *prob.Model {
 	return prob.New(ix, cat, prob.Config{UseCoOccurrence: e.cfg.useCoOccurrence})
 }

@@ -122,10 +122,11 @@ func (e *Engine) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 }
 
 // nextSnapshot validates the batch against the current snapshot and
-// builds its successor copy-on-write, without publishing it. Alongside
-// the successor it returns the batch's invalidation set — the stale
-// attributes the successor's score cache was rebased on — for the
-// answer cache in the publish step.
+// builds its successor copy-on-write, without publishing it. The
+// successor's ranking model is built over the new index with a cold
+// score cache of its own. Alongside the successor it returns the
+// batch's invalidation set — the attributes whose values the batch
+// changed — for the answer cache in the publish step.
 // Callers hold applyMu (or, during Open's replay, have exclusive
 // access).
 func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, error) {
@@ -140,16 +141,13 @@ func (e *Engine) nextSnapshot(muts []Mutation) (*snapshot, []relstore.Attr, erro
 	}
 	nix := cur.ix.Apply(ndb, changes)
 	stale := relstore.ChangedAttrs(ndb, changes)
-	model := e.newModel(nix, cur.cat)
-	model.InheritCache(cur.model, stale)
-
 	next := &snapshot{
 		epoch: cur.epoch + 1,
 		db:    ndb,
 		ix:    nix,
 		graph: cur.graph, // schema never changes: shared
 		cat:   cur.cat,
-		model: model,
+		model: e.newModel(nix, cur.cat),
 	}
 	return next, stale, nil
 }

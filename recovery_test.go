@@ -175,7 +175,7 @@ func TestRecoveryPolicyInterval(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(dir, WithMutations(), WithCheckpointPolicy(20*time.Millisecond, 1<<30))
+	got, err := Open(dir, WithMutations(), withCheckpointPolicy(20*time.Millisecond, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
