@@ -59,6 +59,7 @@ lint: fmt vet staticcheck
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 30s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 30s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzRankTop -fuzztime 30s ./internal/prob
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 30s ./internal/relstore
@@ -69,6 +70,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNormalizeKeywords -fuzztime 20s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzGenerateComplete -fuzztime 20s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzRankTop -fuzztime 20s ./internal/prob
 	$(GO) test -run '^$$' -fuzz FuzzApplyMutations -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz FuzzFKAdjacency -fuzztime 20s ./internal/relstore

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/divq"
+	"repro/internal/prob"
 	"repro/internal/query"
 	"repro/internal/relstore"
 	"repro/internal/topk"
@@ -43,8 +44,8 @@ type DiversifyRequest struct {
 type SearchResponse struct {
 	// Query echoes the keyword query.
 	Query string `json:"query"`
-	// SpaceSize is the number of interpretations materialised and ranked
-	// before the top-k cut (for Diversify: before the non-empty filter).
+	// SpaceSize is the number of interpretations ranked before the top-k
+	// cut (for Diversify: before the non-empty filter).
 	SpaceSize int `json:"space_size"`
 	// Results are the ranked interpretations.
 	Results []Result `json:"results"`
@@ -62,7 +63,7 @@ type Result struct {
 	// (not normally reachable for materialised interpretations) case
 	// that rendering fails.
 	SQL string `json:"sql,omitempty"`
-	// Probability is P(Q|K) normalised over the materialised space.
+	// Probability is P(Q|K) normalised over the whole interpretation space.
 	Probability float64 `json:"probability"`
 	// Tables lists the joined tables in join order.
 	Tables []string `json:"tables"`
@@ -193,15 +194,20 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 	tr := trace.FromContext(ctx)
 	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
-	ranked, _, err := e.interpret(ctx, s, req.Query)
+	var ranked []prob.Scored
+	var n int
+	var err error
+	if req.K > 0 {
+		ranked, n, err = e.interpretTop(ctx, s, req.Query, req.K)
+	} else {
+		ranked, err = e.interpret(ctx, s, req.Query)
+		n = len(ranked)
+	}
 	if err != nil {
 		return nil, err
 	}
-	tr.Count("interpretations_ranked", int64(len(ranked)))
-	resp := &SearchResponse{Query: req.Query, SpaceSize: len(ranked)}
-	if req.K > 0 && len(ranked) > req.K {
-		ranked = ranked[:req.K]
-	}
+	tr.Count("interpretations_ranked", int64(n))
+	resp := &SearchResponse{Query: req.Query, SpaceSize: n}
 	resp.Results = e.wrap(s, ranked)
 	if req.RowLimit > 0 {
 		sp := tr.Start("previews")
@@ -219,10 +225,15 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (*SearchResponse
 // divq.Config.Lambda).
 var ErrLambdaRange = errors.New("keysearch: lambda must be in [0, 1]")
 
+// diversifyPool is the number of most probable interpretations
+// Diversify filters and diversifies.
+const diversifyPool = 25
+
 // Diversify returns the top-k relevant-and-diverse interpretations (the
-// DivQ interface). Interpretations with empty results are dropped first,
-// as in DivQ. The non-empty filter and the previews each get their own
-// executor, so each phase has its own per-request selection cache.
+// DivQ interface), chosen from the diversifyPool most probable.
+// Interpretations with empty results are dropped first, as in DivQ. The
+// non-empty filter and the previews each get their own executor, so each
+// phase has its own per-request selection cache.
 func (e *Engine) Diversify(ctx context.Context, req DiversifyRequest) (*SearchResponse, error) {
 	if !(req.Lambda >= 0 && req.Lambda <= 1) {
 		return nil, fmt.Errorf("%w: got %v", ErrLambdaRange, req.Lambda)
@@ -230,15 +241,12 @@ func (e *Engine) Diversify(ctx context.Context, req DiversifyRequest) (*SearchRe
 	tr := trace.FromContext(ctx)
 	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
-	ranked, _, err := e.interpret(ctx, s, req.Query)
+	ranked, n, err := e.interpretTop(ctx, s, req.Query, diversifyPool)
 	if err != nil {
 		return nil, err
 	}
-	tr.Count("interpretations_ranked", int64(len(ranked)))
-	resp := &SearchResponse{Query: req.Query, SpaceSize: len(ranked)}
-	if len(ranked) > 25 {
-		ranked = ranked[:25]
-	}
+	tr.Count("interpretations_ranked", int64(n))
+	resp := &SearchResponse{Query: req.Query, SpaceSize: n}
 	sp := tr.Start("filter_nonempty")
 	nonEmpty, err := divq.FilterNonEmptyExec(ctx, e.localExec(ctx, s, view), ranked)
 	sp.End()
@@ -293,7 +301,7 @@ func (e *Engine) SearchRows(ctx context.Context, req RowsRequest) (*RowsResponse
 	tr := trace.FromContext(ctx)
 	view := e.answerView() // view before snapshot: see answerView
 	s := e.current()
-	ranked, _, err := e.interpret(ctx, s, req.Query)
+	ranked, err := e.interpret(ctx, s, req.Query)
 	if err != nil {
 		return nil, err
 	}

@@ -538,25 +538,6 @@ func interpret(ctx context.Context, eng *Engine, q string) error {
 	return err
 }
 
-// interpretAllocCeilings bound the allocations of the interpretation
-// stages of BenchmarkInterpret's kw=1, 2 and 3 requests, which measure
-// 20, 31 and 43, and up to 23, 35 and 48 under -race, where sync.Pool
-// drops a quarter of its puts. searchAllocCeiling bounds
-// BenchmarkAPISearch's request (one keyword, K=5), and
-// searchK10AllocCeiling a Search of the kw=2 query at K=10, the shape
-// the serving benchmark's search.interp sends (19 interpretations, 10
-// returned); they measure 26 and 44, and up to 29 and 48 under -race.
-// constructAllocCeiling bounds BenchmarkAPIConstructSession's whole
-// dialogue, which measures 51, and up to 54 under -race.
-// Each ceiling sits just above its highest -race reading over 14 runs.
-var interpretAllocCeilings = [3]float64{24, 37, 50}
-
-const (
-	searchAllocCeiling    = 31
-	searchK10AllocCeiling = 50
-	constructAllocCeiling = 56
-)
-
 // TestInterpretAllocationCeiling holds the interpretation stages of
 // BenchmarkInterpret's kw=1, 2 and 3 requests to interpretAllocCeilings,
 // whole Search requests to searchAllocCeiling and searchK10AllocCeiling,
@@ -590,6 +571,36 @@ func TestInterpretAllocationCeiling(t *testing.T) {
 		return err
 	})
 	check("BenchmarkAPIConstructSession", constructAllocCeiling, func() error { return constructDialogue(ctx, eng, q) })
+}
+
+// TestSearchBytesCeiling holds a K=10 Search of BenchmarkInterpret's kw=3
+// query, whose space is wide, to searchWideBytesCeiling bytes per
+// request: one request warms the engine, and 200 more are measured at
+// GOMAXPROCS 1.
+func TestSearchBytesCeiling(t *testing.T) {
+	eng, queries := interpretQueries(t)
+	ctx := context.Background()
+	search := func() *SearchResponse {
+		resp, err := eng.Search(ctx, SearchRequest{Query: queries[2], K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	resp := search()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Search/kw=3/K=10 over %d interpretations: %.0f bytes per request", resp.SpaceSize, bytes)
+	if bytes > searchWideBytesCeiling {
+		t.Errorf("Search/kw=3/K=10 allocates %.0f bytes per request, above the ceiling %d", bytes, searchWideBytesCeiling)
+	}
 }
 
 // BenchmarkRows times the executor-heavy requests of the serving
@@ -645,19 +656,6 @@ func (m *rowsMix) do(ctx context.Context, i int) error {
 	}
 	return err
 }
-
-// rowsAllocCeiling bounds the allocations of one BenchmarkRows request,
-// averaged over a warm pass of the mix. The mix measures 570.7, and up
-// to 622.5 under -race over 14 runs, where sync.Pool drops a quarter of
-// its puts and executions pay for fresh scratch; the ceiling sits just
-// above. rowsBytesCeiling bounds the bytes of one request the same way:
-// the mix measures 91 755, and up to 131 198 under -race over the same
-// runs. Listing the live rows of every unconstrained plan node cost
-// 182 071 bytes per request without -race.
-const (
-	rowsAllocCeiling = 630
-	rowsBytesCeiling = 133_000
-)
 
 // TestRowsAllocationCeiling holds BenchmarkRows' request mix to
 // rowsAllocCeiling allocations and rowsBytesCeiling bytes per request:

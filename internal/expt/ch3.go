@@ -55,13 +55,15 @@ func Fig3_5(env *Env, intents []datagen.Intent, logSkew float64, seed int64) (*F
 		Title:   fmt.Sprintf("Figure 3.5 (%s): interaction cost per probability estimate", env.Name),
 		Headers: []string{"query", "baseline", "ATF,Tequal", "ATF,TLog"},
 	}}
-	logCat := *env.Cat
-	logCat.UsageCount = datagen.TemplateLog(len(env.Cat.Templates), 1000, logSkew, seed)
+	logCat := &query.Catalog{
+		Templates:  env.Cat.Templates,
+		UsageCount: datagen.TemplateLog(len(env.Cat.Templates), 1000, logSkew, seed),
+	}
 
 	scorers := []core.Scorer{
 		&UniformScorer{Cat: env.Cat},
 		env.Model(prob.Config{}),
-		prob.New(env.IX, &logCat, prob.Config{UseTemplateLog: true}),
+		prob.New(env.IX, logCat, prob.Config{UseTemplateLog: true}),
 	}
 	sinks := []*[]float64{&res.Baseline, &res.ATF, &res.ATFLog}
 

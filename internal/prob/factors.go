@@ -51,9 +51,11 @@ type joint struct {
 // by an unusually wide request is dropped.
 const maxPooledCandidates = 1024
 
-var factorsPool = sync.Pool{New: func() any {
+var factorsPool = sync.Pool{New: func() any { return newMemo() }}
+
+func newMemo() *factors {
 	return &factors{index: make(map[*query.KeywordInterpretation]int32)}
-}}
+}
 
 func newFactors(m *Model) *factors {
 	f := factorsPool.Get().(*factors)
@@ -63,12 +65,20 @@ func newFactors(m *Model) *factors {
 
 // release empties f and returns it to the pool.
 func (f *factors) release() {
+	if f.reset() {
+		factorsPool.Put(f)
+	}
+}
+
+// reset empties f for reuse, reporting false when it grew too wide to
+// keep.
+func (f *factors) reset() bool {
 	if len(f.cands) > maxPooledCandidates {
-		return
+		return false
 	}
 	clear(f.index)
 	*f = factors{index: f.index, cands: f.cands[:0], joints: f.joints[:0]}
-	factorsPool.Put(f)
+	return true
 }
 
 // score is Model.Score over the memoised factors, multiplied in the same

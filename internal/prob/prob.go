@@ -230,8 +230,9 @@ func (m *Model) groupedValueProb(q *query.Interpretation) float64 {
 type Scored struct {
 	Q     *query.Interpretation
 	Score float64
-	// Prob is Score normalised over the ranked set, i.e. P(Q|K) restricted
-	// to the materialised interpretation space.
+	// Prob is Score normalised over every interpretation ranked by
+	// RankContext or added to a TopK, whether or not it was kept: P(Q|K)
+	// over that interpretation space.
 	Prob float64
 }
 
@@ -269,16 +270,20 @@ func (m *Model) RankContext(ctx context.Context, space []*query.Interpretation) 
 			out[i].Prob = out[i].Score / total
 		}
 	}
-	slices.SortFunc(out, func(a, b Scored) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return query.CompareKey(a.Q, b.Q)
-	})
+	slices.SortFunc(out, compareScored)
 	return out, nil
+}
+
+// compareScored orders ranked interpretations: descending score, ties in
+// interpretation key order.
+func compareScored(a, b Scored) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return query.CompareKey(a.Q, b.Q)
 }
 
 // Entropy returns the Shannon entropy (bits) of a normalised probability

@@ -50,8 +50,9 @@ func FuzzNormalizeKeywords(f *testing.F) {
 // over one to four keywords drawn from the demo vocabulary: every indexed
 // term plus the aggregate words and the table and column names, and
 // requires CompareKey to order every pair of the generated space as the
-// keys do and SQL, String and Render to return the fmt-based references'
-// bytes on every interpretation. flags selects the keyword count (bits 0–1), schema terms
+// keys do, SQL, String and Render to return the fmt-based references'
+// bytes on every interpretation, and StreamCompleteContext to visit the
+// same space. flags selects the keyword count (bits 0–1), schema terms
 // (bit 2), aggregates (bit 3) and the catalogue (bit 4): the demo one at
 // join path 4, or one without repeated tables as the construction
 // simulations build it.
@@ -71,8 +72,10 @@ func FuzzGenerateComplete(f *testing.F) {
 		if flags&16 != 0 {
 			cat = d.distinctCatalog()
 		}
-		space := checkMatchesReference(t, candidates(t, d.ix, keywords, opts), cat, GenerateConfig{})
+		cands := candidates(t, d.ix, keywords, opts)
+		space := checkMatchesReference(t, cands, cat, GenerateConfig{})
 		checkKeyOrder(t, space)
+		checkStreamMatches(t, cands, cat, GenerateConfig{})
 		for _, q := range space {
 			checkRender(t, q)
 		}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/invindex"
 	"repro/internal/schemagraph"
@@ -149,23 +150,86 @@ func normalizeKeywords(keywords []string) []string {
 
 // Catalog is the template catalogue of a database (Section 3.5.2): the
 // set of pre-computed query templates with optional usage counts from a
-// query log.
+// query log. Do not change its Templates once it has generated: what
+// generation reads of them is computed on first use.
 type Catalog struct {
 	Templates []*Template
 	// UsageCount holds the query-log frequency per template ID; nil when no
 	// log is available (all templates equally probable, §3.6.2).
 	UsageCount map[int]int
+
+	indexOnce sync.Once
+	index     *catalogIndex
 }
 
 // BuildCatalog enumerates templates from the schema graph up to the given
 // join-path length (the automatic generation method of Section 3.5.2).
 func BuildCatalog(g *schemagraph.Graph, opts schemagraph.EnumerateOptions) *Catalog {
 	trees := g.EnumerateJoinTrees(opts)
-	cat := &Catalog{Templates: make([]*Template, len(trees))}
+	templates := make([]*Template, len(trees))
 	for i, tr := range trees {
-		cat.Templates[i] = NewTemplate(i, tr)
+		templates[i] = NewTemplate(i, tr)
 	}
-	return cat
+	return &Catalog{Templates: templates}
+}
+
+// catalogIndex is what generation reads of a catalogue.
+type catalogIndex struct {
+	// rank[ti] ranks template ti over its canonical form followed by '|',
+	// the key prefix it contributes. Equal forms share a rank; exact is
+	// false when one form followed by '|' is a prefix of another, so the
+	// ranks cannot order keys.
+	rank  []int32
+	exact bool
+	// tables numbers every table of the catalogue; occ[ti*len(tables)+id]
+	// lists template ti's occurrences of table id.
+	tables map[string]int32
+	occ    [][]int
+}
+
+func newCatalogIndex(templates []*Template) *catalogIndex {
+	x := &catalogIndex{rank: make([]int32, len(templates)), exact: true, tables: make(map[string]int32)}
+	order := make([]int32, len(templates))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	canon := func(k int32) string { return templates[k].canonical }
+	slices.SortFunc(order, func(a, b int32) int { return compareTerminated(canon(a), canon(b), '|') })
+	r := int32(0)
+	for i, k := range order {
+		if i > 0 {
+			prev, cur := canon(order[i-1]), canon(k)
+			if prev != cur {
+				r++
+				if len(prev) < len(cur) && cur[len(prev)] == '|' && strings.HasPrefix(cur, prev) {
+					x.exact = false
+				}
+			}
+		}
+		x.rank[k] = r
+	}
+	for _, tpl := range templates {
+		for _, o := range tpl.occurrences {
+			if _, ok := x.tables[o.table]; !ok {
+				x.tables[o.table] = int32(len(x.tables))
+			}
+		}
+	}
+	nt := len(x.tables)
+	x.occ = make([][]int, len(templates)*nt)
+	for ti, tpl := range templates {
+		for _, o := range tpl.occurrences {
+			x.occ[ti*nt+int(x.tables[o.table])] = o.occs
+		}
+	}
+	return x
+}
+
+// generationIndex returns the catalogue's index, computing it on first
+// use: every template's rank in key order and its occurrences by table.
+func (c *Catalog) generationIndex() *catalogIndex {
+	c.indexOnce.Do(func() { c.index = newCatalogIndex(c.Templates) })
+	return c.index
 }
 
 // RecordUsage adds query-log usage counts (the log-mining method of
@@ -221,18 +285,33 @@ func GenerateCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, c
 		return nil, err
 	}
 	var g generator
-	if !g.init(ctx, c, cat, cfg.MaxInterpretations) {
+	if !g.init(ctx, c, cat, cfg.MaxInterpretations, false) {
 		return nil, nil
 	}
-	for ti := range cat.Templates {
-		if !g.enumerate(ti) {
-			break
-		}
-	}
-	if g.err != nil {
-		return nil, g.err
+	if err := g.run(nil); err != nil {
+		return nil, err
 	}
 	return g.finish(), nil
+}
+
+// StreamCompleteContext enumerates the interpretations
+// GenerateCompleteContext returns, in the same order, with the same
+// context checks and cap, but keeps none of them: it hands each one to
+// visit, and stops early when visit returns false. What visit gets is a
+// view of the generator's open slot, valid only until visit returns; the
+// next interpretation overwrites it. CopyFrom copies a view into storage
+// the caller keeps, such as NewSlots'. The views of one call and their
+// copies compare by CompareKey as the interpretations of one
+// GenerateCompleteContext call do.
+func StreamCompleteContext(ctx context.Context, c *Candidates, cat *Catalog, cfg GenerateConfig, visit func(*Interpretation) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var g generator
+	if !g.init(ctx, c, cat, cfg.MaxInterpretations, true) {
+		return nil
+	}
+	return g.run(visit)
 }
 
 // enumerateCheckEvery is the number of enumeration steps (one candidate
@@ -244,45 +323,66 @@ const enumerateCheckEvery = 512
 // no occurrence.
 var aggregateOcc = []int{-1}
 
+// The table ids of candidates that no catalogue table numbers: an
+// aggregate binds aggregateOcc, and a table the catalogue lacks binds
+// nothing.
+const (
+	aggregateTable = -1
+	unknownTable   = -2
+)
+
 // firstSlab is the number of interpretations the binding and rank slabs
 // start with room for; they double from there.
 const firstSlab = 16
 
-// generator is the state of one GenerateCompleteContext call.
+// generator is the state of one GenerateCompleteContext or
+// StreamCompleteContext call.
 type generator struct {
 	ctx     context.Context
 	c       *Candidates
 	cat     *Catalog
+	idx     *catalogIndex
 	matched []int32 // the positions with candidates
 	max     int     // MaxInterpretations; 0 = unlimited
 	// rank[off[i]+k] ranks candidate k of position matched[i] in key
-	// order.
+	// order, and tid[off[i]+k] is the catalogue id of its table.
 	rank  []int32
+	tid   []int32
 	off   []int32
 	exact bool // the ranks order keys exactly
 	steps int
+	seen  int // interpretations reached
 	err   error
 
-	// The template being enumerated, its catalogue index, and which of
-	// its leaves (by index in tpl.leaves) the current branch binds.
+	// The template being enumerated, its occurrences by table id, and
+	// which of its leaves (by index in tpl.leaves) the current branch
+	// binds.
 	tpl     *Template
-	ti      int
+	occ     [][]int
 	covered []int32
 	unbound int // leaves the branch leaves unbound
 
+	// The view of the open slot a streaming call hands to its sink; nil
+	// when every interpretation is committed to the slabs.
+	view *Interpretation
+
 	// Slabs. Each emitted interpretation takes len(matched) bindings and
-	// 1+len(matched) ranks: its template's catalogue index, then its
-	// candidates' ranks. The branch being enumerated is built in the
-	// slot past the last one emitted, so emitting it only commits it.
+	// 2+len(matched) ranks: its template's catalogue index, the
+	// template's rank, then its candidates' ranks. The branch being
+	// enumerated is built in the slot past the last one emitted, so
+	// emitting it only commits it.
 	bindings []Binding
 	ranks    []int32
 	n        int
 }
 
-// init prepares g for one call, ranking every position's candidates,
-// and reports whether any position has candidates.
-func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, limit int) bool {
-	*g = generator{ctx: ctx, c: c, cat: cat, max: limit, exact: true}
+// init prepares g for one call, ranking every position's candidates and
+// resolving their tables, and reports whether any position has
+// candidates. A streaming call builds one slot, its view's; any other
+// builds slabs.
+func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, limit int, stream bool) bool {
+	idx := cat.generationIndex()
+	*g = generator{ctx: ctx, c: c, cat: cat, idx: idx, max: limit, exact: idx.exact}
 	m, total, widest := 0, 0, 0
 	for _, kis := range c.PerKeyword {
 		if len(kis) > 0 {
@@ -294,9 +394,14 @@ func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, limit
 	if m == 0 {
 		return false
 	}
-	// One array holds the matched positions, the ranks, their offsets,
-	// the covered leaves and the ranking's sort scratch.
-	ints := make([]int32, m+total+2*m+1+widest)
+	// One array holds the matched positions, the ranks, the table ids,
+	// their offsets, the covered leaves, the ranking's sort scratch and a
+	// streaming call's rank slot.
+	slot := 0
+	if stream {
+		slot = m + 2
+	}
+	ints := make([]int32, m+2*total+2*m+1+widest+slot)
 	g.matched, ints = ints[:0:m], ints[m:]
 	for pos, kis := range c.PerKeyword {
 		if len(kis) > 0 {
@@ -304,15 +409,53 @@ func (g *generator) init(ctx context.Context, c *Candidates, cat *Catalog, limit
 		}
 	}
 	g.rank, ints = ints[:total:total], ints[total:]
+	g.tid, ints = ints[:total:total], ints[total:]
 	g.off, ints = ints[:m+1:m+1], ints[m+1:]
 	g.covered, ints = ints[:m:m], ints[m:]
 	for i, pos := range g.matched {
-		g.off[i+1] = g.off[i] + int32(len(c.PerKeyword[pos]))
-		g.rankCandidates(c.PerKeyword[pos], g.rank[g.off[i]:g.off[i+1]], ints)
+		kis := c.PerKeyword[pos]
+		g.off[i+1] = g.off[i] + int32(len(kis))
+		g.rankCandidates(kis, g.rank[g.off[i]:g.off[i+1]], ints)
+		for k := range kis {
+			g.tid[int(g.off[i])+k] = idx.tableID(&kis[k])
+		}
 	}
-	g.bindings = make([]Binding, m, (firstSlab+1)*m)
-	g.ranks = make([]int32, 1+m, (firstSlab+1)*(1+m))
+	if !stream {
+		g.bindings = make([]Binding, m, (firstSlab+1)*m)
+		g.ranks = make([]int32, m+2, (firstSlab+1)*(m+2))
+		return true
+	}
+	g.ranks = ints[len(ints)-slot:]
+	v := new(streamView)
+	if m <= len(v.buf) {
+		g.bindings = v.buf[:m:m]
+	} else {
+		g.bindings = make([]Binding, m)
+	}
+	v.Keywords, v.Bindings, v.ranks = c.Keywords, g.bindings, g.ranks[1:]
+	if g.exact {
+		v.first = &v.Interpretation
+	}
+	g.view = &v.Interpretation
 	return true
+}
+
+// streamView is a streaming call's view with room for its bindings, so
+// that a query of up to 8 matched keywords takes one allocation for both.
+type streamView struct {
+	Interpretation
+	buf [8]Binding
+}
+
+// tableID returns the catalogue id of the table ki concerns.
+func (x *catalogIndex) tableID(ki *KeywordInterpretation) int32 {
+	if ki.Kind == KindAggregate {
+		return aggregateTable
+	}
+	if id, ok := x.tables[ki.TargetTable()]; ok {
+		return id
+	}
+	return unknownTable
 }
 
 // rankCandidates writes into rank each candidate's rank over its
@@ -344,12 +487,27 @@ func (g *generator) rankCandidates(kis []KeywordInterpretation, rank, scratch []
 	}
 }
 
+// run enumerates the catalogue's templates in order until visit or the
+// cap stops it or a context check fails, and returns that failure. visit
+// is the streaming sink, nil for a call that keeps every interpretation;
+// it is passed down the enumeration rather than kept in g, so that it
+// need not escape.
+func (g *generator) run(visit func(*Interpretation) bool) error {
+	for ti := range g.cat.Templates {
+		if !g.enumerate(ti, visit) {
+			break
+		}
+	}
+	return g.err
+}
+
 // enumerate emits every minimal interpretation of catalogue template ti,
-// and reports whether generation goes on: false at the cap or on a
-// failed context check (g.err is then set). A template with no leaf
-// grounds nothing, and one with more leaves than keywords has no minimal
-// interpretation: both are skipped before the context check.
-func (g *generator) enumerate(ti int) bool {
+// and reports whether generation goes on: false at the cap, when the
+// sink stops it, or on a failed context check (g.err is then set). A
+// template with no leaf grounds nothing, and one with more leaves than
+// keywords has no minimal interpretation: both are skipped before the
+// context check.
+func (g *generator) enumerate(ti int, visit func(*Interpretation) bool) bool {
 	tpl := g.cat.Templates[ti]
 	if len(tpl.leaves) == 0 || len(tpl.leaves) > len(g.matched) {
 		return true
@@ -357,10 +515,16 @@ func (g *generator) enumerate(ti int) bool {
 	if g.err = g.ctx.Err(); g.err != nil {
 		return false
 	}
-	g.tpl, g.ti = tpl, ti
+	nt := len(g.idx.tables)
+	g.tpl, g.occ = tpl, g.idx.occ[ti*nt:(ti+1)*nt]
+	slot := g.ranks[g.n*(len(g.matched)+2):]
+	slot[0], slot[1] = int32(ti), g.idx.rank[ti]
+	if g.view != nil {
+		g.view.Template = tpl
+	}
 	clear(g.covered)
 	g.unbound = len(tpl.leaves)
-	return g.bind(0)
+	return g.bind(0, visit)
 }
 
 // bind enumerates the bindings of positions matched[i:] on g.tpl, after
@@ -369,20 +533,22 @@ func (g *generator) enumerate(ti int) bool {
 // keywords left to bind them, so every combination reaching the end
 // binds every leaf: it is minimal (Definition 3.5.4(2); a template's
 // leaves are its removable parts, and a bound leaf grounds it).
-func (g *generator) bind(i int) bool {
+func (g *generator) bind(i int, visit func(*Interpretation) bool) bool {
 	if i == len(g.matched) {
-		g.emit()
-		return g.max <= 0 || g.n < g.max
+		return g.yield(visit)
 	}
 	kis := g.c.PerKeyword[g.matched[i]]
 	rank := g.rank[g.off[i]:g.off[i+1]]
+	tid := g.tid[g.off[i]:g.off[i+1]]
 	left := len(g.matched) - i - 1
 	m := len(g.matched)
 	for k := range kis {
-		ki := &kis[k]
-		occs := aggregateOcc
-		if ki.Kind != KindAggregate {
-			occs = g.tpl.Occurrences(ki.TargetTable())
+		var occs []int
+		switch id := tid[k]; {
+		case id >= 0:
+			occs = g.occ[id]
+		case id == aggregateTable:
+			occs = aggregateOcc
 		}
 		for _, occ := range occs {
 			g.steps++
@@ -402,9 +568,9 @@ func (g *generator) bind(i int) bool {
 			}
 			more := true
 			if g.unbound <= left {
-				g.bindings[g.n*m+i] = Binding{KI: ki, Occ: occ}
-				g.ranks[g.n*(m+1)+1+i] = rank[k]
-				more = g.bind(i + 1)
+				g.bindings[g.n*m+i] = Binding{KI: &kis[k], Occ: occ}
+				g.ranks[g.n*(m+2)+2+i] = rank[k]
+				more = g.bind(i+1, visit)
 			}
 			if covers {
 				g.covered[leaf] = 0
@@ -418,88 +584,53 @@ func (g *generator) bind(i int) bool {
 	return true
 }
 
+// yield commits the complete open slot, or hands its view to visit, and
+// reports whether generation goes on.
+func (g *generator) yield(visit func(*Interpretation) bool) bool {
+	g.seen++
+	if visit == nil {
+		g.emit()
+	} else {
+		g.view.resetKey()
+		if !visit(g.view) {
+			return false
+		}
+	}
+	return g.max <= 0 || g.seen < g.max
+}
+
 // emit commits the open slot and opens the next one with the same
 // bindings, since the enumeration goes on from its prefix.
 func (g *generator) emit() {
 	m := len(g.matched)
-	g.ranks[g.n*(m+1)] = int32(g.ti)
 	g.n++
 	g.bindings = append(g.bindings, g.bindings[(g.n-1)*m:g.n*m]...)
-	g.ranks = append(g.ranks, g.ranks[(g.n-1)*(m+1):g.n*(m+1)]...)
+	g.ranks = append(g.ranks, g.ranks[(g.n-1)*(m+2):g.n*(m+2)]...)
 }
 
-// finish hands out the emitted interpretations, with each one's
-// template index replaced by the template's rank in key order.
+// finish hands out the emitted interpretations.
 func (g *generator) finish() []*Interpretation {
 	if g.n == 0 {
 		return nil
 	}
-	m := len(g.matched)
-	// The catalogue indexes of the templates with interpretations, in
-	// visit order: each one's interpretations are consecutive.
-	var buf [96]int32
-	tis := buf[:0]
-	for i := 0; i < g.n; i++ {
-		if ti := g.ranks[i*(m+1)]; len(tis) == 0 || tis[len(tis)-1] != ti {
-			tis = append(tis, ti)
-		}
-	}
-	var scratch []int32
-	if 3*len(tis) <= len(buf) {
-		scratch = buf[len(tis) : 3*len(tis)]
-	} else {
-		scratch = make([]int32, 2*len(tis))
-	}
-	rank := g.rankTemplates(tis, scratch)
+	m, w := len(g.matched), len(g.matched)+2
 	interps := make([]Interpretation, g.n)
 	out := make([]*Interpretation, g.n)
 	var first *Interpretation
 	if g.exact {
 		first = &interps[0]
 	}
-	run := 0
 	for i := range interps {
 		q := &interps[i]
+		slot := g.ranks[i*w : (i+1)*w : (i+1)*w]
 		q.Keywords = g.c.Keywords
+		q.Template = g.cat.Templates[slot[0]]
 		q.Bindings = g.bindings[i*m : (i+1)*m : (i+1)*m]
-		q.ranks = g.ranks[i*(m+1) : (i+1)*(m+1) : (i+1)*(m+1)]
-		if q.ranks[0] != tis[run] {
-			run++
-		}
-		q.Template = g.cat.Templates[q.ranks[0]]
-		q.ranks[0] = rank[run]
+		q.ranks = slot[1:]
 		q.first = first
 		out[i] = q
 	}
 	return out
-}
-
-// rankTemplates ranks the catalogue templates tis over their canonical
-// forms followed by '|', the key prefix they contribute, in the second
-// half of scratch (2*len(tis) long). Equal forms share a rank; one that
-// is a proper prefix of another makes the ranks inexact.
-func (g *generator) rankTemplates(tis, scratch []int32) []int32 {
-	n := len(tis)
-	order, rank := scratch[:n], scratch[n:2*n]
-	for k := range order {
-		order[k] = int32(k)
-	}
-	canon := func(k int32) string { return g.cat.Templates[tis[k]].canonical }
-	slices.SortFunc(order, func(a, b int32) int { return compareTerminated(canon(a), canon(b), '|') })
-	r := int32(0)
-	for i, k := range order {
-		if i > 0 {
-			prev, cur := canon(order[i-1]), canon(k)
-			if prev != cur {
-				r++
-				if len(prev) < len(cur) && cur[len(prev)] == '|' && strings.HasPrefix(cur, prev) {
-					g.exact = false
-				}
-			}
-		}
-		rank[k] = r
-	}
-	return rank
 }
 
 // compareTerminated compares a+term with b+term without building them.
@@ -531,14 +662,15 @@ func FilterSegments(space []*Interpretation, segments [][]int) []*Interpretation
 	}
 	var out []*Interpretation
 	for _, q := range space {
-		if segmentsRespected(q, segments) {
+		if SegmentsRespected(q, segments) {
 			out = append(out, q)
 		}
 	}
 	return out
 }
 
-func segmentsRespected(q *Interpretation, segments [][]int) bool {
+// SegmentsRespected reports whether q passes FilterSegments.
+func SegmentsRespected(q *Interpretation, segments [][]int) bool {
 	for _, seg := range segments {
 		if len(seg) < 2 {
 			continue

@@ -521,7 +521,7 @@ func TestGenerateEmitsOnlyMinimal(t *testing.T) {
 	var calls, refEmitted, refKept, emitted, kept int
 	forEachReference(t, d, func(t *testing.T, c *Candidates) {
 		var g generator
-		if !g.init(ctx, c, d.cat, 0) {
+		if !g.init(ctx, c, d.cat, 0, false) {
 			return
 		}
 		want, n, err := generateReference(ctx, c, d.cat, GenerateConfig{})
@@ -529,7 +529,7 @@ func TestGenerateEmitsOnlyMinimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ti := range d.cat.Templates {
-			g.enumerate(ti)
+			g.enumerate(ti, nil)
 		}
 		got := g.finish()
 		minimalGot := 0
@@ -709,5 +709,82 @@ func TestHasBindingMatchesKeyEquality(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkStreamMatches requires StreamCompleteContext's views, copied
+// with CopyFrom as they arrive, to be GenerateCompleteContext's space
+// under cfg: the same interpretations in the same order, ordered by
+// CompareKey as their keys order, against each other and against the
+// view, and ranked exactly when the materialised space is.
+func checkStreamMatches(t *testing.T, c *Candidates, cat *Catalog, cfg GenerateConfig) {
+	t.Helper()
+	want := complete(t, c, cat, cfg)
+	m := len(c.MatchedPositions())
+	var got []*Interpretation
+	var view *Interpretation
+	err := StreamCompleteContext(context.Background(), c, cat, cfg, func(q *Interpretation) bool {
+		view = q
+		q.Key() // memoise, so a stale key on the next view would show
+		cp := &NewSlots(1, m)[0]
+		cp.CopyFrom(q)
+		for _, prev := range got {
+			if g, w := cmp.Compare(CompareKey(q, prev), 0), cmp.Compare(strings.Compare(q.Key(), prev.Key()), 0); g != w {
+				t.Fatalf("CompareKey(view %s, copy %s) = %d, keys compare %d", q.Key(), prev.Key(), g, w)
+			}
+		}
+		got = append(got, cp)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%q: streamed %d interpretations, materialised %d", c.Keywords, len(got), len(want))
+	}
+	for i, q := range got {
+		if q.Key() != want[i].Key() || q.Template != want[i].Template || !reflect.DeepEqual(q.Bindings, want[i].Bindings) {
+			t.Fatalf("%q: interpretation %d streamed %s, materialised %s", c.Keywords, i, q.Key(), want[i].Key())
+		}
+		if (q.first == nil) != (want[i].first == nil) || (q.first != nil && q.first != view) {
+			t.Fatalf("%q: interpretation %d: streamed copy ranked %t, materialised %t", c.Keywords, i, q.first != nil, want[i].first != nil)
+		}
+	}
+	checkKeyOrder(t, got)
+}
+
+// TestStreamCompleteMatchesGenerate: on the reference queries, over the
+// demo catalogue and the one without repeated tables, with and without a
+// cap, streaming visits exactly the space generation materialises; the
+// nested-renderings case streams unranked views; and a visit that
+// returns false stops the stream.
+func TestStreamCompleteMatchesGenerate(t *testing.T) {
+	d := demo(t)
+	forEachReference(t, d, func(t *testing.T, c *Candidates) {
+		for _, cat := range []*Catalog{d.cat, d.distinctCatalog()} {
+			checkStreamMatches(t, c, cat, GenerateConfig{})
+			checkStreamMatches(t, c, cat, GenerateConfig{MaxInterpretations: 5})
+		}
+	})
+
+	f := newFixture(t)
+	single := f.cat.Templates[0]
+	c := &Candidates{Keywords: []string{"a", "b"}, PerKeyword: make([][]KeywordInterpretation, 2)}
+	for pos, cols := range [][]string{{"c", "c@1", "c@0"}, {"d1", "d"}} {
+		for _, col := range cols {
+			c.PerKeyword[pos] = append(c.PerKeyword[pos], KeywordInterpretation{
+				Pos: pos, Keyword: c.Keywords[pos], Kind: KindValue, Attr: invindex.AttrRef{Table: single.Tree.Tables[0], Column: col},
+			})
+		}
+	}
+	checkStreamMatches(t, c, &Catalog{Templates: []*Template{single}}, GenerateConfig{})
+
+	visits := 0
+	err := StreamCompleteContext(context.Background(), wideCandidates(t, f), f.cat, GenerateConfig{}, func(*Interpretation) bool {
+		visits++
+		return visits < 3
+	})
+	if err != nil || visits != 3 {
+		t.Fatalf("stream stopped after %d visits with %v, want 3 and no error", visits, err)
 	}
 }

@@ -215,8 +215,9 @@ type Binding struct {
 // Interpretation is a (partial or complete) query interpretation
 // (Definition 3.5.4): a template plus a set of keyword bindings. An
 // interpretation is complete when every keyword of the query is bound.
-// An interpretation is read-only once built: its key is memoised, and a
-// generated one carries its place in its generation's key order.
+// An interpretation is read-only once built, except a
+// StreamCompleteContext view and a CopyFrom target: its key is memoised,
+// and a generated one carries its place in its generation's key order.
 type Interpretation struct {
 	// Keywords is the full keyword query being interpreted.
 	Keywords []string
@@ -225,13 +226,46 @@ type Interpretation struct {
 	Bindings []Binding
 
 	key atomic.Pointer[string]
-	// first and ranks are set by GenerateCompleteContext (see CompareKey):
-	// first is the first interpretation of the call, so it names the
-	// call; ranks[0] is the template's rank and ranks[1+i] binding i's
-	// candidate rank, both in key order within that call. first is nil
-	// when the ranks cannot order the keys.
+	// first and ranks are set by GenerateCompleteContext and
+	// StreamCompleteContext (see CompareKey): first is one interpretation
+	// of the call that every other one (and every CopyFrom copy) shares,
+	// so it names the call; ranks[0] is the template's rank in its
+	// catalogue and ranks[1+i] binding i's candidate rank, both in key
+	// order. first is nil when the ranks cannot order the keys.
 	first *Interpretation
 	ranks []int32
+}
+
+// NewSlots returns n empty interpretations for CopyFrom to fill, each
+// with room for m bindings, so copies of m-binding interpretations into
+// them allocate nothing.
+func NewSlots(n, m int) []Interpretation {
+	slots := make([]Interpretation, n)
+	bindings := make([]Binding, n*m)
+	ranks := make([]int32, n*(m+1))
+	for i := range slots {
+		slots[i].Bindings = bindings[i*m : i*m : (i+1)*m]
+		slots[i].ranks = ranks[i*(m+1) : i*(m+1) : (i+1)*(m+1)]
+	}
+	return slots
+}
+
+// CopyFrom makes q a copy of v that outlives it, such as a kept copy of a
+// StreamCompleteContext view, reusing q's binding storage. Whatever key q
+// had memoised is dropped. q must not be in use by another goroutine.
+func (q *Interpretation) CopyFrom(v *Interpretation) {
+	q.Keywords, q.Template, q.first = v.Keywords, v.Template, v.first
+	q.Bindings = append(q.Bindings[:0], v.Bindings...)
+	q.ranks = append(q.ranks[:0], v.ranks...)
+	q.resetKey()
+}
+
+// resetKey drops the memoised key of an interpretation whose bindings
+// changed.
+func (q *Interpretation) resetKey() {
+	if q.key.Load() != nil {
+		q.key.Store(nil)
+	}
 }
 
 // NewInterpretation assembles an interpretation, sorting bindings by
@@ -306,7 +340,8 @@ func (q *Interpretation) Key() string {
 }
 
 // CompareKey orders two interpretations exactly as strings.Compare orders
-// their keys. Two interpretations of one GenerateCompleteContext call
+// their keys. Two interpretations of one GenerateCompleteContext or
+// StreamCompleteContext call (views and copies of views included)
 // compare by integers: the template's rank over its canonical form
 // followed by '|', then per position the candidate's rank over its
 // "pos:keyword=kind:target@" rendering, then the occurrence. Any other

@@ -509,11 +509,10 @@ const maxQueryKeywords = 6
 // maxQueryKeywords keywords, counted as the engine tokenises them.
 var ErrTooManyKeywords = fmt.Errorf("keysearch: too many keywords (at most %d)", maxQueryKeywords)
 
-// interpret materialises and ranks the interpretation space over one
-// pinned snapshot, honouring context cancellation in every expensive
-// phase.
-func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([]prob.Scored, *query.Candidates, error) {
-	tr := trace.FromContext(ctx)
+// parseQuery generates the candidates and segments of a ranked query
+// over one pinned snapshot, under the request trace's "parse" span, and
+// refuses a query with more than maxQueryKeywords keywords.
+func (e *Engine) parseQuery(ctx context.Context, tr *trace.Trace, s *snapshot, keywords string) (*query.Candidates, [][]int, error) {
 	sp := tr.Start("parse")
 	c, segments, err := e.candidatesFor(ctx, s, keywords)
 	sp.End()
@@ -523,11 +522,23 @@ func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([
 	if len(c.Keywords) > maxQueryKeywords {
 		return nil, nil, fmt.Errorf("%w: %q has %d", ErrTooManyKeywords, keywords, len(c.Keywords))
 	}
-	sp = tr.Start("interpret")
+	return c, segments, nil
+}
+
+// interpret materialises and ranks the whole interpretation space over
+// one pinned snapshot, honouring context cancellation in every expensive
+// phase.
+func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([]prob.Scored, error) {
+	tr := trace.FromContext(ctx)
+	c, segments, err := e.parseQuery(ctx, tr, s, keywords)
+	if err != nil {
+		return nil, err
+	}
+	sp := tr.Start("interpret")
 	space, err := query.GenerateCompleteContext(ctx, c, s.cat, query.GenerateConfig{})
 	if err != nil {
 		sp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	space = query.FilterSegments(space, segments)
 	sp.End()
@@ -536,9 +547,41 @@ func (e *Engine) interpret(ctx context.Context, s *snapshot, keywords string) ([
 	ranked, err := s.model.RankContext(ctx, space)
 	sp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ranked, c, nil
+	return ranked, nil
+}
+
+// interpretTop ranks the interpretation space over one pinned snapshot
+// as interpret does, but keeps only the k best (k > 0): the space is
+// enumerated, filtered by the segments and scored in one streaming pass
+// (the "interpret" span), and only the winners are copied out of it and
+// sorted (the "rank" span). Probabilities are normalised over the whole
+// space, whose size it returns.
+func (e *Engine) interpretTop(ctx context.Context, s *snapshot, keywords string, k int) ([]prob.Scored, int, error) {
+	tr := trace.FromContext(ctx)
+	c, segments, err := e.parseQuery(ctx, tr, s, keywords)
+	if err != nil {
+		return nil, 0, err
+	}
+	top := s.model.NewTopK(k)
+	defer top.Release()
+	sp := tr.Start("interpret")
+	err = query.StreamCompleteContext(ctx, c, s.cat, query.GenerateConfig{}, func(q *query.Interpretation) bool {
+		if query.SegmentsRespected(q, segments) {
+			top.Add(q)
+		}
+		return true
+	})
+	sp.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	sp = tr.Start("rank")
+	ranked, n := top.Ranked()
+	sp.End()
+	tr.Count("interpretation_space", int64(n))
+	return ranked, n, nil
 }
 
 // wrap converts scored interpretations to public results bound to the

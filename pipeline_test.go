@@ -115,7 +115,7 @@ func TestExecutionCacheTransparency(t *testing.T) {
 		return strings.Join(out, "\n")
 	}
 	for _, q := range goldenQueries(eng) {
-		ranked, _, err := eng.interpret(ctx, s, q)
+		ranked, err := eng.interpret(ctx, s, q)
 		if err != nil {
 			t.Fatal(err)
 		}

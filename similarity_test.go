@@ -64,7 +64,7 @@ func TestSimilarityMatchesKeyReference(t *testing.T) {
 		}
 		s := eng.current()
 		for _, q := range goldenQueries(eng) {
-			ranked, _, err := eng.interpret(context.Background(), s, q)
+			ranked, err := eng.interpret(context.Background(), s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
